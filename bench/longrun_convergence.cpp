@@ -25,9 +25,7 @@ int main() {
                 {"T", "upper_avg", "relaxed_avg", "lower", "gap",
                  "backlog_packets"});
 
-  auto opts = cfg.controller_options();
-  opts.energy_manager = core::ControllerOptions::EnergyManager::Price;
-  core::LyapunovController controller(model, V, opts);
+  core::LyapunovController controller(model, V, cfg.controller_options());
   core::LowerBoundSolver lb(model, V, cfg.lambda, 32);
   Rng r1(7), r2(7);
   TimeAverage upper;

@@ -24,9 +24,6 @@ sim::SimJob make_job(std::uint64_t seed, bool multihop, bool renewables,
   job.V = 3.0;
   job.slots = slots;
   job.sim.input_seed = seed + 101;
-  auto opts = job.scenario.controller_options();
-  opts.energy_manager = core::ControllerOptions::EnergyManager::Price;
-  job.controller = opts;
   return job;
 }
 

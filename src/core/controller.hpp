@@ -35,10 +35,13 @@ struct ControllerOptions {
   // V*f'(P(t-1)) for the base-station energy they would spend, closing the
   // S1<->S4 coupling the decomposition drops.
   bool energy_aware_scheduling = false;
-  // Lp solves S4 exactly (up to a fine PWL of f) like the paper's CPLEX;
-  // Price is the faster closed-form decomposition, within ~2% of optimal
-  // but all-or-nothing at the marginal node (see bench/ablation_energy_managers).
-  enum class EnergyManager { Lp, Price } energy_manager = EnergyManager::Lp;
+  // Price (default) solves S4 in closed form: per-node best responses to
+  // the grid price V f'(P), with the marginal nodes blended so P lands
+  // where the price is consistent. It is exact on f itself and never worse
+  // than the PWL LP (tests/referee/s4_referee_test.cpp). Lp is the
+  // paper's CPLEX-style joint LP over a PWL of f, kept as an opt-in oracle
+  // for ablations and referees (bench/ablation_energy_managers).
+  enum class EnergyManager { Lp, Price } energy_manager = EnergyManager::Price;
   enum class Router { Greedy, Lp } router = Router::Greedy;
   // Watchdog budget applied to every LP solve the subproblems issue
   // (iterations and, if max_seconds > 0, wall-clock). The defaults are the
@@ -49,23 +52,26 @@ struct ControllerOptions {
   // Observation only — never changes decisions; nullptr = off. Must
   // outlive the controller and be thread-safe when controllers share it.
   lp::SolveStatsSink* lp_stats = nullptr;
-  // S4 decomposition (energy_manager.hpp; docs/ALGORITHM.md "Why the S4
-  // split is exact"). Auto keeps paper-scale instances on the historical
-  // joint-LP trajectory and decomposes only at or above the node threshold.
+  // S4 LP decomposition (energy_manager.hpp; docs/ALGORITHM.md "Why the S4
+  // split is exact"); read only when energy_manager = Lp. Auto keeps
+  // paper-scale instances on the joint LP and decomposes only at or above
+  // the node threshold.
   S4Decompose s4_decompose = S4Decompose::Auto;
   int s4_decompose_min_nodes = 64;
   // Cross-slot LP warm starts (--lp-warm-slots): seed each slot's first S1
-  // relaxation and the S4 LP from the previous slot's final variable
-  // states. Off by default — a warm hint only moves the starting vertex,
-  // but a degenerate S1 relaxation may round a different (equally optimal)
-  // alpha than the cold run, so the default stays bit-identical to the
-  // paper baseline. The carry is part of the checkpointed state
-  // (warm_carry() / restore_warm_carry()), so resume replays exactly.
+  // relaxation (and, with energy_manager = Lp, the S4 LP) from the previous
+  // slot's final variable states. Off by default — a warm hint only moves
+  // the starting vertex, but a degenerate S1 relaxation may round a
+  // different (equally optimal) alpha than the cold run, so the default
+  // stays bit-identical to a run without the lever. The carry is part of
+  // the checkpointed state (warm_carry() / restore_warm_carry()), so
+  // resume replays exactly.
   bool warm_across_slots = false;
   // Intra-slot parallelism (--intra-slot-threads): > 1 runs S1 as one SF
   // series per interference cluster (sequential_fix_schedule_clustered)
-  // and S4's per-user closed forms in chunks, on a controller-owned pool
-  // with per-worker obs registries merged deterministically each slot.
+  // and (energy_manager = Lp) the decomposed S4 LP's per-user closed forms
+  // in chunks, on a controller-owned pool with per-worker obs registries
+  // merged deterministically each slot.
   // Results are deterministic for any thread count, but the clustered S1
   // is not bit-identical to the single-threaded SF (see scheduler.hpp);
   // 0 = all hardware threads, 1 (default) = the historical serial path.
@@ -74,7 +80,8 @@ struct ControllerOptions {
   // solver fails (Infeasible / IterationLimit / TimeLimit / NumericalError,
   // surfaced as gc::CheckError), retry the slot's subproblem with the
   // cheaper closed-form solver instead of aborting the run:
-  //   S1 SequentialFix -> Greedy, S3 Lp -> Greedy, S4 Lp -> Price.
+  //   S1 SequentialFix -> Greedy; and, for the opt-in LP solvers only,
+  //   S3 Lp -> Greedy and S4 Lp -> Price.
   // Every drop bumps ctrl.fallback_s{1,3,4} and marks the decision
   // degraded. Off = the strict mode tests rely on (failures propagate).
   bool fallbacks = true;

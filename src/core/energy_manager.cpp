@@ -121,18 +121,22 @@ NodeResponse charge_branch(const NodeInstance& inst, double pi_eff) {
   const double kink = inst.charge_cap_j - inst.renewable_j + inst.demand_j;
   const std::array<double, 3> candidates = {
       g_lo, g_hi, std::clamp(kink, g_lo, g_hi)};
+  // Every candidate has g >= g_lo, so each leaves the same shortfall: only
+  // demand beyond renewable + grid cap goes unserved. Computing it from the
+  // caps rather than as demand - g - r keeps a covered demand at exactly 0
+  // (demand - (demand - R) need not round back to R).
+  const double unserved =
+      std::max(inst.demand_j - inst.renewable_j - g_hi, 0.0);
 
   NodeResponse best;
   bool have = false;
-  double best_unserved = 0.0;
   for (double g : candidates) {
     NodeEnergyDecision d;
     d.demand_j = inst.demand_j;
     d.connected = inst.connected;
     d.serve_grid_j = g;
     d.serve_renewable_j = std::min(inst.demand_j - g, inst.renewable_j);
-    d.unserved_j =
-        std::max(inst.demand_j - g - d.serve_renewable_j, 0.0);
+    d.unserved_j = unserved;
     const double surplus = inst.renewable_j - d.serve_renewable_j;
     d.charge_renewable_j =
         inst.z < 0.0 ? std::min(surplus, inst.charge_cap_j) : 0.0;
@@ -141,12 +145,9 @@ NodeResponse charge_branch(const NodeInstance& inst, double pi_eff) {
         std::min(inst.charge_cap_j - d.charge_renewable_j, inst.grid_cap_j - g);
     d.charge_grid_j = (inst.z + pi_eff < 0.0) ? std::max(room, 0.0) : 0.0;
     const double score = inst.z * d.charge_total_j() + pi_eff * d.grid_draw_j();
-    if (!have || d.unserved_j < best_unserved - 1e-12 ||
-        (d.unserved_j <= best_unserved + 1e-12 &&
-         score < best.priced_score - 1e-12)) {
+    if (!have || score < best.priced_score - 1e-12) {
       best.d = d;
       best.priced_score = score;
-      best_unserved = d.unserved_j;
       have = true;
     }
   }

@@ -8,17 +8,18 @@
 //
 // The paper solves S4 with CPLEX. We provide two solvers:
 //
-//  * price_energy_manage: exploits that S4 separates across nodes
-//    once the grid's marginal price pi = V f'(P) is known. Each node's best
-//    response to pi has a closed form that respects the charge-XOR-discharge
-//    rule (9) by construction; aggregate base-station demand D(pi) is
-//    non-increasing while V f'(.) is strictly increasing, so bisection finds
-//    the consistent price.
-//  * lp_energy_manage (controller default): one LP over all nodes with f
+//  * price_energy_manage (controller default): exploits that S4 separates
+//    across nodes once the grid's marginal price pi = V f'(P) is known.
+//    Each node's best response to pi has a closed form that respects the
+//    charge-XOR-discharge rule (9) by construction; aggregate base-station
+//    demand D(pi) is non-increasing while V f'(.) is strictly increasing,
+//    so bisection finds the consistent price, and blending the marginal
+//    nodes lands P exactly on it. Exact on f itself (no PWL gap).
+//  * lp_energy_manage (opt-in oracle): one LP over all nodes with f
 //    replaced by a tangent-line PWL epigraph; exact up to the PWL gap, with
 //    degenerate charge/discharge ties cancelled afterwards so (9) holds.
-//    The price solver is within ~2% (it is all-or-nothing at the marginal
-//    node) and ~100x faster; pick it via ControllerOptions for large sweeps.
+//    tests/referee/s4_referee_test.cpp checks the price solver is never
+//    worse than it; bench/ablation_energy_managers times both.
 //
 // Deviation from the paper (documented in DESIGN.md): eq. (3) forces
 // R_i = c_i^r + r_i exactly, which is infeasible when the battery is full
@@ -78,8 +79,8 @@ enum class S4Decompose { Auto, Force, Never };
 struct EnergyLpOptions {
   int pwl_segments = 64;
   // Auto decomposes at num_nodes >= decompose_min_nodes; the threshold
-  // keeps the paper-scale default (22 nodes) on the joint-LP trajectory
-  // bit for bit.
+  // keeps paper-scale (22-node) LP runs on the joint-LP trajectory bit
+  // for bit.
   S4Decompose decompose = S4Decompose::Auto;
   int decompose_min_nodes = 64;
   // Cross-slot warm start (ControllerOptions::warm_across_slots): hint the

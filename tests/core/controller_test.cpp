@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/validate.hpp"
+#include "obs/registry.hpp"
 #include "sim/scenario.hpp"
 
 namespace gc::core {
@@ -111,6 +115,43 @@ TEST_F(ControllerTest, LpEnergyManagerVariantRuns) {
     const auto d = c.step(inputs);
     EXPECT_GE(d.cost, 0.0);
   }
+}
+
+// Counts the LP solves each controller workspace reports, by context.
+class SolveCounter : public lp::SolveStatsSink {
+ public:
+  void on_solve(const lp::SolveStats&, const char* context) override {
+    ++counts[context];
+  }
+  std::map<std::string, int> counts;
+};
+
+TEST(ControllerDefaults, S4IsTheClosedFormAndSolvesNoLp) {
+  const auto cfg = sim::ScenarioConfig::paper();
+  const auto model = cfg.build();
+  const double fallbacks_before =
+      obs::registry().counter("ctrl.fallback_s4").total();
+
+  SolveCounter def;
+  auto opts = cfg.controller_options();
+  EXPECT_EQ(opts.energy_manager, ControllerOptions::EnergyManager::Price);
+  opts.lp_stats = &def;
+  LyapunovController c(model, 3.0, opts);
+  Rng rng(21);
+  for (int t = 0; t < 50; ++t) c.step(model.sample_inputs(t, rng));
+  EXPECT_EQ(def.counts["s4"], 0);
+  EXPECT_GT(def.counts["s1"], 0);  // the sink does see the slot's LPs
+  EXPECT_EQ(obs::registry().counter("ctrl.fallback_s4").total(),
+            fallbacks_before);
+
+  // Opting into the LP oracle puts one S4 solve back on every slot.
+  SolveCounter lp;
+  opts.energy_manager = ControllerOptions::EnergyManager::Lp;
+  opts.lp_stats = &lp;
+  LyapunovController c_lp(model, 3.0, opts);
+  Rng rng_lp(21);
+  for (int t = 0; t < 5; ++t) c_lp.step(model.sample_inputs(t, rng_lp));
+  EXPECT_EQ(lp.counts["s4"], 5);
 }
 
 TEST_F(ControllerTest, OneHopArchitectureNeverRelays) {

@@ -124,6 +124,8 @@ TEST(PerfLevers, CheckpointRoundTripsWarmCarry) {
   const auto model = cfg.build();
   auto warm_opts = cfg.controller_options();
   warm_opts.warm_across_slots = true;
+  // The S4 half of the carry exists only on the opt-in LP energy manager.
+  warm_opts.energy_manager = core::ControllerOptions::EnergyManager::Lp;
   core::LyapunovController ctrl(model, 3.0, warm_opts);
   SimOptions opts;
   Metrics m = run_simulation(model, ctrl, 20, opts);
@@ -158,6 +160,8 @@ TEST(PerfLevers, ClusterAndCrossSlotInstrumentsTick) {
   auto copts = ScenarioConfig::tiny().controller_options();
   copts.intra_slot_threads = 2;
   copts.warm_across_slots = true;
+  // The S4 warm chain below is the opt-in LP energy manager's.
+  copts.energy_manager = core::ControllerOptions::EnergyManager::Lp;
   SimJob job;
   job.scenario = ScenarioConfig::tiny();
   job.V = 3.0;

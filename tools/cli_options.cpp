@@ -186,19 +186,19 @@ performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes"):
                         otherwise). Bit-identical results either way —
                         purely a speed choice
   --lp-warm-slots on|off
-                        warm-start each slot's S1/S4 LPs from the previous
+                        warm-start each slot's S1 LP from the previous
                         slot's final bases (default off). Statuses and
                         objectives are unaffected; a degenerate S1
                         relaxation may round a different equally-optimal
                         link. The carry is checkpointed, so --resume
                         replays bit-identically
   --intra-slot-threads N
-                        solve S1's independent interference clusters and
-                        S4's per-user closed forms on N worker threads
-                        within each slot (default 1 = the serial paper
-                        path; 0 = all hardware threads). Deterministic for
-                        any N, but the clustered S1 is not bit-identical
-                        to the serial one (per-cluster vs global rounding)
+                        solve S1's independent interference clusters on N
+                        worker threads within each slot (default 1 = the
+                        serial paper path; 0 = all hardware threads).
+                        Deterministic for any N, but the clustered S1 is
+                        not bit-identical to the serial one (per-cluster
+                        vs global rounding)
 
 parallel sweep (docs/PERFORMANCE.md):
   --seeds N             run N replicates (input seeds S, S+1, ...) through
