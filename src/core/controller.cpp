@@ -139,16 +139,16 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
 
   ControllerMetrics& m = metrics();
   SlotDecision decision;
-  obs::ScopedTimer step_timer(m.step, &decision.timing.step_s);
   // Span dims annotate problem sizes for the profiler (obs/profile.hpp):
   // the step carries the topology size, each subproblem its own decision
   // count (links scheduled, routes, energy demands).
-  obs::Span step_span("controller.step", state_.slot(), model_->num_nodes());
+  obs::Span step_span("controller.step", m.step, &decision.timing.step_s,
+                      state_.slot(), model_->num_nodes());
 
   // S2 — source selection + admission control.
   {
-    obs::ScopedTimer t(m.s2, &decision.timing.s2_s);
-    obs::Span span("controller.s2_admission", state_.slot());
+    obs::Span span("controller.s2_admission", m.s2, &decision.timing.s2_s,
+                   state_.slot());
     decision.admissions =
         allocate_resources(state_, options_.allocator, &inputs);
   }
@@ -158,8 +158,8 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // limit, infeasibility, numerical trouble) degrades to the greedy
   // scheduler for this slot instead of aborting the run.
   {
-    obs::ScopedTimer t(m.s1, &decision.timing.s1_s);
-    obs::Span span("controller.s1_schedule", state_.slot());
+    obs::Span span("controller.s1_schedule", m.s1, &decision.timing.s1_s,
+                   state_.slot());
     const double energy_price =
         options_.energy_aware_scheduling
             ? state_.V() * model_->cost_at(state_.slot())
@@ -201,8 +201,8 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
 
   // S3 — routing over the realized capacities (ladder: Lp -> Greedy).
   {
-    obs::ScopedTimer t(m.s3, &decision.timing.s3_s);
-    obs::Span span("controller.s3_routing", state_.slot());
+    obs::Span span("controller.s3_routing", m.s3, &decision.timing.s3_s,
+                   state_.slot());
     const std::vector<double>* demand =
         inputs.session_demand_packets.empty() ? nullptr
                                               : &inputs.session_demand_packets;
@@ -237,8 +237,8 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // (plus switching energy), which it still purchases normally; an awake
   // node with a pending switch charge (instant wake) pays it on top.
   {
-    obs::ScopedTimer t(m.s4, &decision.timing.s4_s);
-    obs::Span span("controller.s4_energy", state_.slot());
+    obs::Span span("controller.s4_energy", m.s4, &decision.timing.s4_s,
+                   state_.slot());
     std::vector<double> demands =
         compute_energy_demands(*model_, decision.schedule);
     span.set_dim(static_cast<std::int64_t>(demands.size()));

@@ -801,11 +801,10 @@ bool pick_sparse(const Model& model, const Options& options,
 Solution solve(const Model& model, const Options& options,
                Workspace& workspace) {
   SimplexMetrics& m = lp_metrics();
-  obs::ScopedTimer timer(m.solve_seconds);
   // Span dim = structural columns, so the profiler can attribute wall time
   // to LP size classes (obs/profile.hpp).
-  obs::Span span("lp.solve", -1, model.num_variables());
-  obs::StopWatch wall;
+  obs::Span span("lp.solve", m.solve_seconds, nullptr, -1,
+                 model.num_variables());
 
   std::int64_t nnz = 0;
   for (int r = 0; r < model.num_rows(); ++r)
@@ -837,7 +836,9 @@ Solution solve(const Model& model, const Options& options,
   stats.cols = model.num_variables();
   stats.nonzeros = static_cast<int>(nnz);
   stats.sparse = use_sparse;
-  stats.wall_s = wall.elapsed_seconds();
+  // Closes the span before the registry bookkeeping below, so wall_s, the
+  // histogram and the ring all time the solve itself — the same value.
+  stats.wall_s = span.stop();
   stats.status = sol.status;
   // "Accepted" = the hint survived to the engine and mapped at least one
   // variable onto a carried-over bound state.

@@ -2,20 +2,10 @@
 
 #include <cstdio>
 
-#include "util/check.hpp"
-#include "util/fsio.hpp"
-
 namespace gc::lp {
 
-JsonlSolveLog::JsonlSolveLog(const std::string& path, bool append)
-    : path_(path), out_(path, append ? std::ios::app : std::ios::trunc) {
-  GC_CHECK_MSG(out_.good(), "cannot open LP solve log " << path);
-}
-
-JsonlSolveLog::~JsonlSolveLog() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  out_.flush();
-}
+JsonlSolveLog::JsonlSolveLog(const std::string& path, int resume_slot)
+    : out_(path, "slot", resume_slot, "LP solve log") {}
 
 void JsonlSolveLog::on_solve(const SolveStats& stats, const char* context) {
   // One self-contained line per solve; keys stay flat so `jq -c` and
@@ -39,7 +29,7 @@ void JsonlSolveLog::on_solve(const SolveStats& stats, const char* context) {
       stats.sparse ? "true" : "false",
       static_cast<long long>(stats.fill_nonzeros), stats.numeric_repairs,
       to_string(stats.status), stats.wall_s);
-  out_ << buf << '\n';
+  out_.write_line(buf);
   ++lines_;
 }
 
@@ -51,7 +41,6 @@ void JsonlSolveLog::begin_slot(int slot) {
 void JsonlSolveLog::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
   out_.flush();
-  util::fsync_file(path_);
 }
 
 std::int64_t JsonlSolveLog::lines_written() const {

@@ -14,40 +14,37 @@
 // never changes solver results.
 #pragma once
 
-#include <fstream>
 #include <mutex>
 #include <string>
 
 #include "lp/simplex.hpp"
+#include "util/fsio.hpp"
 
 namespace gc::lp {
 
 class JsonlSolveLog : public SolveStatsSink {
  public:
-  // Opens `path` for truncating write — or, with append = true, continues
-  // an existing log after resume-side truncation (sim/fsio) cut it back to
-  // the checkpointed slot. GC_CHECKs on failure so a typoed directory
-  // fails at startup, not after the run.
-  explicit JsonlSolveLog(const std::string& path, bool append = false);
-
-  // Flushes and closes. (Destruction must not race on_solve; detach the
-  // log from every workspace first.)
-  ~JsonlSolveLog() override;
+  // Opens `path` fresh (resume_slot < 0) or cut back to resume_slot and
+  // continued (util::JsonlWriter, keyed on "slot"). GC_CHECKs on failure
+  // so a typoed directory fails at startup, not after the run.
+  // (Destruction must not race on_solve; detach the log from every
+  // workspace first.)
+  explicit JsonlSolveLog(const std::string& path, int resume_slot = -1);
 
   void on_solve(const SolveStats& stats, const char* context) override;
 
   // Records the slot stamped into subsequent lines' "slot" field.
   void begin_slot(int slot) override;
 
-  // fflush + fsync; invoked at checkpoint boundaries (simulator.cpp).
+  // Checked flush + fsync; invoked at checkpoint boundaries
+  // (simulator.cpp).
   void flush() override;
 
   std::int64_t lines_written() const;
 
  private:
   mutable std::mutex mutex_;
-  std::string path_;
-  std::ofstream out_;
+  util::JsonlWriter out_;
   std::int64_t lines_ = 0;
   int slot_ = 0;
 };

@@ -1,13 +1,14 @@
 #include "obs/events.hpp"
 
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "obs/json.hpp"
 #include "util/check.hpp"
-#include "util/fsio.hpp"
 
 namespace gc::obs {
 
@@ -88,23 +89,16 @@ EventJournal::EventJournal(std::size_t ring_capacity)
 EventSinkResume EventJournal::open_sink(const std::string& path,
                                         int cut_slot) {
   std::lock_guard<std::mutex> lock(mutex_);
-  GC_CHECK_MSG(!out_.is_open(), "event journal sink is already open");
+  GC_CHECK_MSG(out_ == nullptr, "event journal sink is already open");
 
-  EventSinkResume resume;
   // cut_slot < 0 = fresh run (wipe); >= 0 = resume, keeping every slot
   // event below the cut AND the lifecycle lines (no "slot" key) a
   // supervising parent appended — a crash before the first checkpoint
   // resumes from slot 0 with its restart line intact.
-  const bool resuming = cut_slot >= 0;
-  const util::JsonlTruncation cut =
-      util::truncate_jsonl_to_slot(path, "slot", resuming ? cut_slot : 0);
-  resume.existed = cut.existed;
-  resume.kept_lines = cut.kept_lines;
-  resume.dropped_lines = cut.dropped_lines;
-  resume.dropped_torn_tail = cut.dropped_torn_tail;
-
-  const bool append = resuming && cut.kept_lines > 0;
-  if (append) {
+  out_ = std::make_unique<util::JsonlWriter>(path, "slot", cut_slot,
+                                             "event journal");
+  next_seq_ = 0;
+  if (out_->appended()) {
     // Recover the sequence counter from the last surviving slot event.
     // Sequence numbers are dense from 0, so the last one + 1 is also the
     // count — but parsing the value tolerates journals that began life
@@ -118,21 +112,13 @@ EventSinkResume EventJournal::open_sink(const std::string& path,
       const unsigned long long seq = std::strtoull(p, &end, 10);
       if (end != p) next_seq_ = static_cast<std::uint64_t>(seq) + 1;
     }
-  } else {
-    next_seq_ = 0;
   }
-  resume.next_seq = next_seq_;
-
-  out_.open(path, append ? (std::ios::out | std::ios::app)
-                         : (std::ios::out | std::ios::trunc));
-  GC_CHECK_MSG(out_.good(), "cannot open event journal " << path);
-  path_ = path;
-  return resume;
+  return EventSinkResume{out_->cut(), next_seq_};
 }
 
 bool EventJournal::has_sink() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return out_.is_open();
+  return out_ != nullptr;
 }
 
 void EventJournal::emit_line(const std::string& line) {
@@ -142,10 +128,7 @@ void EventJournal::emit_line(const std::string& line) {
     ring_[static_cast<std::size_t>(ring_end_ % ring_capacity_)] = line;
   }
   ++ring_end_;
-  if (out_.is_open()) {
-    out_ << line << '\n';
-    GC_CHECK_MSG(out_.good(), "event journal write failed on " << path_);
-  }
+  if (out_ != nullptr) out_->write_line(line);
 }
 
 void EventJournal::emit_slot(EventKind kind, int slot, double value,
@@ -166,10 +149,7 @@ void EventJournal::emit_lifecycle(EventKind kind, int at_slot, double value,
 
 void EventJournal::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!out_.is_open()) return;
-  out_.flush();
-  GC_CHECK_MSG(out_.good(), "event journal flush failed on " << path_);
-  util::fsync_file(path_);
+  if (out_ != nullptr) out_->flush();
 }
 
 std::uint64_t EventJournal::next_seq() const {
@@ -192,17 +172,13 @@ std::vector<std::string> EventJournal::ring_since(std::uint64_t since,
 void append_lifecycle_event(const std::string& path, int cut_slot,
                             EventKind kind, int at_slot, double value,
                             const std::string& detail) {
-  util::truncate_jsonl_to_slot(path, "slot", cut_slot > 0 ? cut_slot : 0);
   std::string line;
   render_event(&line, /*lifecycle=*/true, 0, kind, at_slot, value, detail);
-  {
-    std::ofstream out(path, std::ios::out | std::ios::app);
-    GC_CHECK_MSG(out.good(), "cannot open event journal " << path);
-    out << line << '\n';
-    out.flush();
-    GC_CHECK_MSG(out.good(), "event journal write failed on " << path);
-  }
-  util::fsync_file(path);
+  // INT_MAX: no slot is at or past the cut, so only a torn tail goes.
+  util::JsonlWriter out(path, "slot", cut_slot < 0 ? INT_MAX : cut_slot,
+                        "event journal");
+  out.write_line(line);
+  out.flush();
 }
 
 }  // namespace gc::obs

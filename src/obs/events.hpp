@@ -12,10 +12,10 @@
 //       "detail":"...","wall_s":1754…}
 //    They are deterministic replay state: a killed+resumed run re-emits
 //    exactly the lines an uninterrupted run would have written (modulo the
-//    trailing wall_s field), because the journal is truncated back to the
+//    trailing wall_s field), because the journal is cut back to the
 //    checkpointed slot on resume exactly like the trace / LP-solve sinks
-//    (util::truncate_jsonl_to_slot) and the sequence counter is recovered
-//    from the kept lines.
+//    (all three write through util::JsonlWriter) and the sequence counter
+//    is recovered from the kept lines.
 //
 //  * Lifecycle events carry NO sequence number and an "at" field instead
 //    of "slot":
@@ -33,10 +33,12 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "util/fsio.hpp"
 
 namespace gc::obs {
 
@@ -56,13 +58,9 @@ enum class EventKind {
 const char* event_kind_name(EventKind kind);
 
 // Outcome of attaching a JSONL sink over an existing (possibly crashed)
-// journal file.
-struct EventSinkResume {
-  bool existed = false;            // a previous journal file was found
-  std::int64_t kept_lines = 0;     // lines kept after truncation
-  std::int64_t dropped_lines = 0;  // lines cut at/after the resume slot
-  bool dropped_torn_tail = false;  // a torn final line was cut
-  std::uint64_t next_seq = 0;      // recovered slot-event sequence counter
+// journal file: the resume cut plus the recovered slot-event counter.
+struct EventSinkResume : util::JsonlTruncation {
+  std::uint64_t next_seq = 0;
 };
 
 class EventJournal {
@@ -80,7 +78,6 @@ class EventJournal {
   EventSinkResume open_sink(const std::string& path, int cut_slot);
 
   bool has_sink() const;
-  const std::string& sink_path() const { return path_; }
 
   // Emits one slot event: assigns the next sequence number, appends to the
   // ring, and writes the JSONL line when a sink is attached. `value` is
@@ -113,8 +110,7 @@ class EventJournal {
   void emit_line(const std::string& line);
 
   mutable std::mutex mutex_;
-  std::string path_;
-  std::ofstream out_;
+  std::unique_ptr<util::JsonlWriter> out_;  // null until open_sink
   std::uint64_t next_seq_ = 0;
   std::vector<std::string> ring_;  // rolling window of rendered lines
   std::size_t ring_capacity_;
@@ -123,10 +119,12 @@ class EventJournal {
 };
 
 // Parent-side append for supervisor lifecycle events (restart, hot_reload):
-// truncates `path` back to `cut_slot` first — exactly the cut the resumed
-// child will make, so the dead tail past the last durable checkpoint never
+// cuts `path` back to `cut_slot` first — exactly the cut the resumed child
+// will make, so the dead tail past the last durable checkpoint never
 // buries the restart line — then appends the lifecycle line and fsyncs.
-// Missing file is fine (the line still gets written).
+// cut_slot < 0 keeps every slot event and cuts only a torn tail (the
+// checkpoint is unreadable, so no resume will replay anything). Missing
+// file is fine (the line still gets written).
 void append_lifecycle_event(const std::string& path, int cut_slot,
                             EventKind kind, int at_slot, double value,
                             const std::string& detail = std::string());

@@ -314,7 +314,7 @@ SnapshotWriter::SnapshotWriter(std::string path, int every_slots)
 
 void SnapshotWriter::write(const SnapshotData& data) {
   SnapMetrics& m = metrics();
-  ScopedTimer timer(m.write_seconds);
+  Span timer(nullptr, m.write_seconds);
   atomic_write(path_, render_json(data));
   atomic_write(prom_path(), render_prom(data));
   m.writes.add();

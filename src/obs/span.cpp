@@ -48,13 +48,12 @@ void SpanRecorder::disable() {
   enabled_.store(false, std::memory_order_relaxed);
 }
 
-double SpanRecorder::now_s() const {
+double SpanRecorder::since_epoch_s(
+    std::chrono::steady_clock::time_point t) const {
   // Lock-free: epoch_ is written once, published by the release store on
   // have_epoch_ (enable holds the mutex for the rest of its work).
   if (!have_epoch_.load(std::memory_order_acquire)) return 0.0;
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
+  return std::chrono::duration<double>(t - epoch_).count();
 }
 
 void SpanRecorder::record(const char* name, double start_s, double dur_s,

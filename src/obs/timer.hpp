@@ -1,24 +1,27 @@
-// Scoped wall-clock timers over std::chrono::steady_clock.
+// The one timing primitive: obs::Span, an RAII wall-clock interval over
+// std::chrono::steady_clock.
 //
-// ScopedTimer records the lifetime of a scope into a Histogram (and
-// optionally accumulates into a caller-owned double for per-slot traces):
+// A Span reads the clock once when it opens and once when it closes, and
+// that one duration feeds everything the scope is timed into:
 //
 //   {
-//     obs::ScopedTimer t(obs::registry().histogram("lp.solve_seconds"));
+//     obs::Span t("controller.s2_admission", m.s2, &timing.s2_s, slot);
 //     ... hot work ...
-//   }   // <- observed here
+//   }   // <- one clock read: histogram, accumulator and span ring
 //
-// Cost: two steady_clock reads (~20 ns each) plus one histogram observe per
-// scope. Building with -DGC_OBS_DISABLE removes even that: the class
-// becomes an empty shell the optimizer erases.
+//  * the process-wide SpanRecorder ring (when recording is enabled),
+//    exportable as Chrome trace-event JSON (chrome://tracing, Perfetto) and
+//    folded into profiles (obs/profile.hpp). Spans nest naturally — the
+//    viewer reconstructs the stack from containment on one thread lane;
+//  * optionally a registry Histogram and a caller-owned double accumulator
+//    (per-slot SlotTimings);
+//  * stop(), which closes the span early and returns that duration
+//    (SolveStats::wall_s), and elapsed_s() for free-running clocks (a
+//    null name keeps the span out of the ring: the run-rate clocks).
 //
-// Span is the tracing twin: the same RAII shape, but instead of feeding a
-// histogram it records a named interval into the process-wide SpanRecorder
-// ring buffer, exportable as Chrome trace-event JSON (chrome://tracing,
-// Perfetto). Spans nest naturally — each scope records its own start and
-// duration, and the viewer reconstructs the stack from containment on the
-// same thread lane. Recording is off by default; a disabled Span costs one
-// relaxed atomic load.
+// Building with -DGC_OBS_DISABLE compiles the recording out — no ring,
+// histogram or accumulator writes — while elapsed_s() and stop() still
+// measure, so SolveStats::wall_s and the run rate keep working.
 #pragma once
 
 #include <atomic>
@@ -31,62 +34,6 @@
 #include "obs/registry.hpp"
 
 namespace gc::obs {
-
-// Free-running stopwatch for call sites that want the raw duration.
-class StopWatch {
- public:
-  StopWatch() : start_(clock::now()) {}
-  double elapsed_seconds() const {
-    return std::chrono::duration<double>(clock::now() - start_).count();
-  }
-  // Returns elapsed seconds and restarts.
-  double lap() {
-    const auto now = clock::now();
-    const double s = std::chrono::duration<double>(now - start_).count();
-    start_ = now;
-    return s;
-  }
-
- private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point start_;
-};
-
-class ScopedTimer {
- public:
-  // `accumulate_s`, when non-null, is incremented by the elapsed seconds on
-  // destruction (in addition to the histogram observation).
-  explicit ScopedTimer(Histogram& h, double* accumulate_s = nullptr)
-#ifndef GC_OBS_DISABLE
-      : hist_(&h), out_(accumulate_s), start_(clock::now())
-#endif
-  {
-#ifdef GC_OBS_DISABLE
-    (void)h;
-    (void)accumulate_s;
-#endif
-  }
-
-  ~ScopedTimer() {
-#ifndef GC_OBS_DISABLE
-    const double s =
-        std::chrono::duration<double>(clock::now() - start_).count();
-    hist_->observe(s);
-    if (out_) *out_ += s;
-#endif
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-#ifndef GC_OBS_DISABLE
-  using clock = std::chrono::steady_clock;
-  Histogram* hist_;
-  double* out_;
-  clock::time_point start_;
-#endif
-};
 
 // One recorded interval. `name` must be a string literal (or otherwise
 // outlive the recorder) — recording stores the pointer, never copies.
@@ -122,9 +69,9 @@ class SpanRecorder {
   void record(const char* name, double start_s, double dur_s,
               std::int64_t id, std::int64_t dim = -1);
 
-  // Seconds since the recorder epoch on the steady clock; 0 before the
-  // first enable().
-  double now_s() const;
+  // Seconds from the recorder epoch to `t` on the steady clock; 0 before
+  // the first enable().
+  double since_epoch_s(std::chrono::steady_clock::time_point t) const;
 
   // Copies the buffered spans out in chronological order and clears the
   // buffer (dropped() resets too).
@@ -168,60 +115,80 @@ class SpanRecorder {
 void write_chrome_trace(const std::string& path,
                         const std::vector<SpanEvent>& spans);
 
-// RAII span: records [construction, destruction) into the SpanRecorder
-// when recording is enabled. `name` must outlive the recorder (use string
-// literals). `id` disambiguates instances (slot index, sweep job index);
-// `dim` annotates the problem size (LP columns, scheduled links, nodes) —
-// set it at construction when known, or later via set_dim for sizes that
-// only materialize inside the scope (a schedule's link count, say).
+// RAII span over [construction, stop()/destruction). `name` must outlive
+// the recorder (use string literals); nullptr never enters the ring. `id`
+// disambiguates instances (slot index, sweep job index); `dim` annotates
+// the problem size (LP columns, scheduled links, nodes) — set it at
+// construction when known, or later via set_dim for sizes that only
+// materialize inside the scope (a schedule's link count, say).
 class Span {
  public:
+  using clock = std::chrono::steady_clock;
+
   explicit Span(const char* name, std::int64_t id = -1, std::int64_t dim = -1)
-#ifndef GC_OBS_DISABLE
-      : name_(name), id_(id), dim_(dim) {
-    if (SpanRecorder::instance().enabled()) {
-      live_ = true;
-      start_s_ = SpanRecorder::instance().now_s();
-    }
-  }
-#else
-  {
-    (void)name;
-    (void)id;
-    (void)dim;
-  }
-#endif
+      : Span(name, nullptr, nullptr, id, dim) {}
 
-  // Updates the recorded problem-size annotation (recorded at destruction).
-  void set_dim(std::int64_t dim) {
-#ifndef GC_OBS_DISABLE
-    dim_ = dim;
-#else
-    (void)dim;
-#endif
-  }
+  // Also observes the duration into `hist` and, when `accumulate_s` is
+  // non-null, adds it to *accumulate_s.
+  Span(const char* name, Histogram& hist, double* accumulate_s = nullptr,
+       std::int64_t id = -1, std::int64_t dim = -1)
+      : Span(name, &hist, accumulate_s, id, dim) {}
 
+  // Closes the span unless nothing would observe the duration.
   ~Span() {
-#ifndef GC_OBS_DISABLE
-    if (live_) {
-      SpanRecorder& r = SpanRecorder::instance();
-      const double end_s = r.now_s();
-      r.record(name_, start_s_, end_s - start_s_, id_, dim_);
-    }
-#endif
+    if (open_ && (hist_ != nullptr || acc_ != nullptr || live_)) stop();
   }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  // Updates the recorded problem-size annotation (recorded at close).
+  void set_dim(std::int64_t dim) { dim_ = dim; }
+
+  // Seconds since the span opened; does not close it.
+  double elapsed_s() const {
+    return std::chrono::duration<double>(clock::now() - start_).count();
+  }
+
+  // Closes the span now and returns its duration — the exact value the
+  // histogram, the accumulator and the ring receive. Later calls return
+  // the same value and record nothing.
+  double stop() {
+    if (!open_) return dur_s_;
+    open_ = false;
+    dur_s_ = elapsed_s();
+    if (hist_ != nullptr) hist_->observe(dur_s_);
+    if (acc_ != nullptr) *acc_ += dur_s_;
+    if (live_) {
+      SpanRecorder& r = SpanRecorder::instance();
+      r.record(name_, r.since_epoch_s(start_), dur_s_, id_, dim_);
+    }
+    return dur_s_;
+  }
+
  private:
-#ifndef GC_OBS_DISABLE
+  // Under GC_OBS_DISABLE the sinks are dropped here, so the destructor
+  // never reads the clock and stop() only measures.
+  Span(const char* name, Histogram* hist, double* accumulate_s,
+       std::int64_t id, std::int64_t dim)
+      : name_(name),
+        hist_(kCompiledIn ? hist : nullptr),
+        acc_(kCompiledIn ? accumulate_s : nullptr),
+        id_(id),
+        dim_(dim),
+        live_(kCompiledIn && name != nullptr &&
+              SpanRecorder::instance().enabled()),
+        start_(clock::now()) {}
+
   const char* name_;
+  Histogram* hist_;
+  double* acc_;
   std::int64_t id_;
-  std::int64_t dim_ = -1;
-  bool live_ = false;
-  double start_s_ = 0.0;
-#endif
+  std::int64_t dim_;
+  bool live_;
+  bool open_ = true;
+  double dur_s_ = 0.0;
+  clock::time_point start_;
 };
 
 }  // namespace gc::obs

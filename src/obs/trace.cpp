@@ -2,9 +2,6 @@
 
 #include <cstdio>
 
-#include "util/check.hpp"
-#include "util/fsio.hpp"
-
 namespace gc::obs {
 
 namespace {
@@ -27,15 +24,12 @@ void append_field(std::string& s, const char* key, double v, bool first = false)
 
 }  // namespace
 
-TraceSink::TraceSink(const std::string& path, bool append)
-    : path_(path), out_(path, append ? std::ios::app : std::ios::trunc) {
-  GC_CHECK_MSG(out_.good(), "cannot open trace file " << path);
-}
+TraceSink::TraceSink(const std::string& path, int resume_slot)
+    : out_(path, "t", resume_slot, "trace file") {}
 
 void TraceSink::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
   out_.flush();
-  util::fsync_file(path_);
 }
 
 void TraceSink::write_header(const std::string& scenario_name,
@@ -55,9 +49,8 @@ void TraceSink::write_header(const std::string& scenario_name,
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(scenario_hash));
   s += buf;
-  s += "\"}}\n";
-  out_ << s;
-  GC_CHECK_MSG(out_.good(), "trace write failed on " << path_);
+  s += "\"}}";
+  out_.write_line(s);
 }
 
 void TraceSink::write(const TraceRecord& r) {
@@ -123,9 +116,8 @@ void TraceSink::write(const TraceRecord& r) {
     append_num(s, r.top_backlog[i].second);
     s += '}';
   }
-  s += "]}\n";
-  out_ << s;
-  GC_CHECK_MSG(out_.good(), "trace write failed on " << path_);
+  s += "]}";
+  out_.write_line(s);
   ++records_;
 }
 

@@ -1,6 +1,6 @@
 // Per-slot JSONL trace sink: one JSON object per line, one line per slot,
-// written with bounded overhead (a single buffered ofstream write per slot,
-// no allocation besides the line buffer which is reused).
+// written with bounded overhead (a single buffered write per slot through
+// util::JsonlWriter, no allocation besides the reused line buffer).
 //
 // Schema (docs/OBSERVABILITY.md has the authoritative description):
 //   {"t":12,
@@ -18,11 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/fsio.hpp"
 
 namespace gc::obs {
 
@@ -73,10 +74,10 @@ struct TraceRecord {
 
 class TraceSink {
  public:
-  // Opens (truncates) `path` — or, with append = true, continues an
-  // existing trace that resume-side truncation (util/fsio) already cut
-  // back to the checkpointed slot. Throws gc::CheckError if it cannot.
-  explicit TraceSink(const std::string& path, bool append = false);
+  // Opens `path` fresh (resume_slot < 0) or cut back to resume_slot and
+  // continued (util::JsonlWriter, keyed on "t"). Throws gc::CheckError if
+  // it cannot.
+  explicit TraceSink(const std::string& path, int resume_slot = -1);
 
   // Writes the one-line header record identifying the run's scenario:
   //   {"scenario":{"name":"...","hash":"0x..."}}
@@ -98,16 +99,18 @@ class TraceSink {
     std::lock_guard<std::mutex> lock(mutex_);
     return records_;
   }
-  const std::string& path() const { return path_; }
+  // What the resume cut found; appended() = a kept prefix (header
+  // included) was continued, so no new header is due.
+  const util::JsonlTruncation& resume_cut() const { return out_.cut(); }
+  bool appended() const { return out_.appended(); }
 
-  // Durability point: flushes the stream and fsyncs the file so every
-  // complete line survives a SIGKILL. Called at checkpoint boundaries.
+  // Durability point: flushes and fsyncs so every complete line survives
+  // a SIGKILL. Called at checkpoint boundaries.
   void flush();
 
  private:
-  std::string path_;
   mutable std::mutex mutex_;  // guards out_, line_, records_
-  std::ofstream out_;
+  util::JsonlWriter out_;
   std::string line_;  // reused per-record buffer
   int records_ = 0;
 };

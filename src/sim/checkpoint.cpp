@@ -674,6 +674,21 @@ std::optional<ResumeSelection> load_newest_valid(const std::string& base) {
           " are corrupt; newest error: " + newest_error);
 }
 
+std::optional<ResumeSelection> select_resume(const std::string& base,
+                                             int rotate) {
+  if (rotate > 0) return load_newest_valid(base);
+  if (!std::ifstream(base).good()) return std::nullopt;
+  ResumeSelection sel;
+  sel.checkpoint = load_checkpoint(base);
+  sel.source.file = base;
+  return sel;
+}
+
+int auto_resume_slot(const std::string& base, int rotate) {
+  const std::optional<ResumeSelection> sel = select_resume(base, rotate);
+  return sel.has_value() ? sel->checkpoint.next_slot : 0;
+}
+
 CheckpointRotator::CheckpointRotator(std::string base, int keep)
     : base_(std::move(base)), keep_(keep) {
   GC_CHECK_MSG(keep_ >= 1, "checkpoint rotation must keep >= 1 generations");

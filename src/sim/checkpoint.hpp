@@ -188,6 +188,21 @@ struct ResumeSelection {
 };
 std::optional<ResumeSelection> load_newest_valid(const std::string& base);
 
+// The checkpoint a resume from `base` loads — the one selection rule the
+// simulator, the supervising CLI and chaos_runner share. rotate > 0: the
+// newest valid generation (load_newest_valid); rotate == 0: the single
+// file at `base`. std::nullopt when nothing exists yet (a crash before the
+// first checkpoint: an auto-resume starts fresh). Throws CheckpointError
+// when checkpoints exist but none loads.
+std::optional<ResumeSelection> select_resume(const std::string& base,
+                                             int rotate);
+
+// The slot an auto-resume from `base` starts at: select_resume's next_slot,
+// 0 when nothing exists. An unreadable checkpoint is not a fresh start —
+// it throws CheckpointError like select_resume, and the resume it names
+// will refuse to run.
+int auto_resume_slot(const std::string& base, int rotate);
+
 // Writes rotating checkpoint generations. Continues the generation
 // numbering of whatever is already on disk, so a restarted run never
 // reuses (and thus never half-overwrites) a generation file.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -193,39 +192,23 @@ Metrics run_loop(const core::NetworkModel& model,
 
   int start_slot = 0;
   if (!options.resume_path.empty()) {
-    // Resolve what to resume from. With rotation, resume_path is the
-    // rotation base and the newest *valid* generation wins — corrupt or
-    // truncated tails fall back to older generations. resume_auto (the
-    // supervised-restart mode) tolerates a wholly absent checkpoint: the
-    // crash may have landed before the first checkpoint was written.
-    std::optional<Checkpoint> loaded;
-    std::string source = options.resume_path;
-    int skipped_corrupt = 0;
-    if (options.checkpoint_rotate > 0) {
-      std::optional<ResumeSelection> sel =
-          load_newest_valid(options.resume_path);
-      if (sel.has_value()) {
-        if (sel->skipped_corrupt > 0) {
-          robust_metrics().fallbacks.add(sel->skipped_corrupt);
-          skipped_corrupt = sel->skipped_corrupt;
-        }
-        source = sel->source.file;
-        loaded = std::move(sel->checkpoint);
-      } else {
-        GC_CHECK_MSG(options.resume_auto,
-                     "no checkpoint generations found at "
-                         << options.resume_path);
-      }
-    } else if (options.resume_auto &&
-               !std::ifstream(options.resume_path).good()) {
-      // Missing file under auto-resume = fresh start; a present-but-
-      // corrupt single checkpoint still throws below (there is no older
-      // generation to fall back to without rotation).
-    } else {
-      loaded = load_checkpoint(options.resume_path);
-    }
-    if (loaded.has_value()) {
-      const Checkpoint& checkpoint = *loaded;
+    // Resolve what to resume from (select_resume). With rotation,
+    // resume_path is the rotation base and the newest *valid* generation
+    // wins — corrupt or truncated tails fall back to older generations.
+    // resume_auto (the supervised-restart mode) tolerates a wholly absent
+    // checkpoint: the crash may have landed before the first checkpoint
+    // was written. A present-but-corrupt single checkpoint throws (there
+    // is no older generation to fall back to without rotation).
+    const std::optional<ResumeSelection> sel =
+        select_resume(options.resume_path, options.checkpoint_rotate);
+    GC_CHECK_MSG(sel.has_value() || options.resume_auto,
+                 "no checkpoint found at " << options.resume_path);
+    if (sel.has_value()) {
+      const Checkpoint& checkpoint = sel->checkpoint;
+      const std::string& source = sel->source.file;
+      const int skipped_corrupt = sel->skipped_corrupt;
+      if (skipped_corrupt > 0)
+        robust_metrics().fallbacks.add(skipped_corrupt);
       if (options.allow_swapped_scenario) {
         // Hot-reload resume: the workload fields may have been swapped;
         // only the structural identity must survive.
@@ -272,21 +255,17 @@ Metrics run_loop(const core::NetworkModel& model,
   controller.mutable_state().set_sanitize(!options.validate);
   std::unique_ptr<obs::TraceSink> trace;
   if (!options.trace_path.empty()) {
-    bool append = false;
-    if (options.sink_resume && start_slot > 0) {
-      // Cut the crashed run's trace back to the checkpointed slot (plus
-      // any torn tail) so appending from here reproduces an uninterrupted
-      // run's file byte for byte.
-      const util::JsonlTruncation cut =
-          util::truncate_jsonl_to_slot(options.trace_path, "t", start_slot);
-      if (cut.existed) {
-        append = cut.kept_lines > 0;
-        robust_metrics().truncated.add(cut.dropped_lines +
-                                       (cut.dropped_torn_tail ? 1 : 0));
-      }
-    }
-    trace = std::make_unique<obs::TraceSink>(options.trace_path, append);
-    if (!append)
+    // A resumed run cuts the crashed run's trace back to the checkpointed
+    // slot (plus any torn tail) so appending from here reproduces an
+    // uninterrupted run's file byte for byte.
+    const bool resume = options.sink_resume && start_slot > 0;
+    trace = std::make_unique<obs::TraceSink>(options.trace_path,
+                                             resume ? start_slot : -1);
+    const util::JsonlTruncation& cut = trace->resume_cut();
+    if (resume && cut.existed)
+      robust_metrics().truncated.add(cut.dropped_lines +
+                                     (cut.dropped_torn_tail ? 1 : 0));
+    if (!trace->appended())
       trace->write_header(options.scenario_name, options.scenario_hash);
   }
   const bool have_faults =
@@ -334,7 +313,7 @@ Metrics run_loop(const core::NetworkModel& model,
   if (!options.snapshot_path.empty())
     snapshots = std::make_unique<obs::SnapshotWriter>(options.snapshot_path,
                                                       options.snapshot_every);
-  const obs::StopWatch run_watch;
+  const obs::Span run_clock(nullptr);
   double grid_total_j = 0.0;
   for (double g : m.grid_j) grid_total_j += g;
   double last_cost = m.cost.empty() ? 0.0 : m.cost.back();
@@ -342,7 +321,7 @@ Metrics run_loop(const core::NetworkModel& model,
     obs::SnapshotData d;
     d.slot = completed_slots;
     d.total_slots = slots;
-    d.wall_s = run_watch.elapsed_seconds();
+    d.wall_s = run_clock.elapsed_s();
     const int done_here = completed_slots - start_slot;
     if (d.wall_s > 0.0 && done_here > 0) {
       d.slots_per_s = done_here / d.wall_s;
@@ -390,7 +369,7 @@ Metrics run_loop(const core::NetworkModel& model,
   double last_publish_wall_s = 0.0;
   const auto publish_ops = [&](int completed_slots) {
     if (options.exporter == nullptr) return;
-    const double now_s = run_watch.elapsed_seconds();
+    const double now_s = run_clock.elapsed_s();
     if (completed_slots > start_slot && now_s > last_publish_wall_s) {
       const double inst = 1.0 / (now_s - last_publish_wall_s);
       healthz_ema_slots_per_s = healthz_ema_slots_per_s == 0.0
@@ -598,7 +577,12 @@ Metrics run_loop(const core::NetworkModel& model,
       write_snapshot(t + 1);
     publish_ops(t + 1);
   }
-  if (!options.checkpoint_path.empty()) checkpoint_now(slots);
+  // Either way every sink ends flushed and checked: a full disk fails the
+  // run instead of a destructor dropping its last lines unnoticed.
+  if (!options.checkpoint_path.empty())
+    checkpoint_now(slots);
+  else
+    flush_sinks();
   if (snapshots) write_snapshot(slots);
   publish_ops(slots);
   fill_policy_stats();

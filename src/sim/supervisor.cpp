@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include "obs/registry.hpp"
+#include "sim/checkpoint.hpp"
 #include "util/check.hpp"
 
 namespace gc::sim {
@@ -200,6 +201,18 @@ SupervisorOutcome RunSupervisor::run(
       return outcome;
     }
   }
+}
+
+void append_supervisor_event(const std::string& events_path,
+                             const std::string& checkpoint_base, int rotate,
+                             obs::EventKind kind, double value) {
+  int cut = -1;  // unreadable: keep every slot event
+  try {
+    cut = auto_resume_slot(checkpoint_base, rotate);
+  } catch (const CheckError&) {
+  }
+  obs::append_lifecycle_event(events_path, cut, kind, cut < 0 ? 0 : cut,
+                              value);
 }
 
 }  // namespace gc::sim

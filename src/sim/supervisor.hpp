@@ -26,6 +26,8 @@
 #include <functional>
 #include <string>
 
+#include "obs/events.hpp"
+
 namespace gc::sim {
 
 // ---- Graceful shutdown (signal-safe flag) ----------------------------
@@ -64,6 +66,17 @@ struct SupervisorOutcome {
   int reloads = 0;       // SIGHUP-triggered graceful restarts
   bool gave_up = false;  // crashed more than max_restarts times
 };
+
+// The parent's lifecycle line (restart, hot_reload) for a supervised run
+// checkpointing to `checkpoint_base` with rotation `rotate`: appended to
+// the event journal at `events_path` at the slot the next attempt resumes
+// from (auto_resume_slot), after cutting the journal back to that slot —
+// the same cut the attempt will make. An unreadable checkpoint cuts no slot
+// event: the next attempt will refuse it, and the journal must outlive
+// that refusal.
+void append_supervisor_event(const std::string& events_path,
+                             const std::string& checkpoint_base, int rotate,
+                             obs::EventKind kind, double value);
 
 class RunSupervisor {
  public:

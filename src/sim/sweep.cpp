@@ -56,10 +56,10 @@ void SweepRunner::run_indexed(int n, const std::function<void(int)>& fn) {
         std::make_unique<obs::SnapshotWriter>(options_.snapshot_path, 1);
   std::mutex snapshot_mutex;
   std::atomic<int> jobs_done{0};
-  const obs::StopWatch fleet_watch;
+  const obs::Span fleet_clock(nullptr);
   const auto write_fleet = [&](int done, const obs::Registry* registry) {
     obs::SnapshotData d;
-    d.wall_s = fleet_watch.elapsed_seconds();
+    d.wall_s = fleet_clock.elapsed_s();
     d.jobs_done = done;
     d.jobs_total = n;
     if (d.wall_s > 0.0 && done > 0 && done < n)

@@ -3,11 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+
+#include "util/check.hpp"
 
 namespace gc::util {
 
@@ -19,6 +22,63 @@ bool fsync_fd_of(const std::string& path, int flags) {
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
+}
+
+// Cuts `path` as JsonlWriter's constructor documents.
+JsonlTruncation truncate_jsonl_to_slot(const std::string& path,
+                                       const std::string& key, int cut_slot) {
+  JsonlTruncation result;
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) return result;
+  result.existed = true;
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+
+  const std::string needle = "\"" + key + "\":";
+  std::size_t pos = 0;  // start of the first line that does not survive
+  bool damaged = false;
+  for (std::size_t nl; (nl = data.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    const std::string_view line(data.data() + pos, nl - pos);
+    const std::size_t k = line.find(needle);
+    if (k != std::string_view::npos) {
+      std::size_t v = k + needle.size();
+      while (v < line.size() && line[v] == ' ') ++v;
+      const std::string num(line.substr(v));
+      char* end = nullptr;
+      const long slot = std::strtol(num.c_str(), &end, 10);
+      // A line damaged where its slot should be starts the damaged tail; a
+      // record at or past the cut belongs to a slot the checkpoint never
+      // saw. Either way it goes, with everything after it.
+      if (num.empty() || end == num.c_str() ||
+          !(std::isdigit(static_cast<unsigned char>(num[0])) ||
+            num[0] == '-')) {
+        damaged = true;
+        break;
+      }
+      if (slot >= cut_slot) {
+        result.dropped_lines = std::count(data.begin() + pos, data.end(), '\n');
+        break;
+      }
+    }
+    ++result.kept_lines;
+  }
+  // A final line without its newline was torn by a crash mid-write.
+  result.dropped_torn_tail =
+      damaged || (pos < data.size() && data.back() != '\n');
+  if (pos < data.size()) {
+    std::error_code ec;
+    std::filesystem::resize_file(path, pos, ec);
+    if (ec) {  // fall back to rewriting the kept prefix
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(data.data(), static_cast<std::streamsize>(pos));
+      out.flush();
+      GC_CHECK_MSG(out.good(),
+                   "cannot cut " << path << " back to slot " << cut_slot);
+    }
+  }
+  return result;
 }
 
 }  // namespace
@@ -34,76 +94,32 @@ bool fsync_parent_dir(const std::string& path) {
   return fsync_fd_of(dir.string(), O_RDONLY);
 }
 
-JsonlTruncation truncate_jsonl_to_slot(const std::string& path,
-                                       const std::string& key, int cut_slot) {
-  JsonlTruncation result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return result;
-  result.existed = true;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-
-  const std::string needle = "\"" + key + "\":";
-  std::size_t cut_at = data.size();
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t nl = data.find('\n', pos);
-    if (nl == std::string::npos) {
-      // Torn final line: a crash mid-write left no terminator. Cut it.
-      result.dropped_torn_tail = true;
-      cut_at = pos;
-      break;
-    }
-    const std::string_view line(data.data() + pos, nl - pos);
-    const std::size_t k = line.find(needle);
-    if (k != std::string_view::npos) {
-      std::size_t v = k + needle.size();
-      while (v < line.size() && line[v] == ' ') ++v;
-      bool parsed = false;
-      long slot = 0;
-      if (v < line.size() &&
-          (std::isdigit(static_cast<unsigned char>(line[v])) ||
-           line[v] == '-')) {
-        char* end = nullptr;
-        const std::string num(line.substr(v));
-        slot = std::strtol(num.c_str(), &end, 10);
-        parsed = end != num.c_str();
-      }
-      if (!parsed || slot >= cut_slot) {
-        // Either the record belongs to a slot the checkpoint never saw, or
-        // the line is damaged where its slot should be — cut from here.
-        cut_at = pos;
-        if (parsed) {
-          // Count the remaining complete lines as dropped records.
-          std::size_t q = pos;
-          while (q < data.size()) {
-            const std::size_t qnl = data.find('\n', q);
-            if (qnl == std::string::npos) {
-              result.dropped_torn_tail = true;
-              break;
-            }
-            ++result.dropped_lines;
-            q = qnl + 1;
-          }
-        } else {
-          result.dropped_torn_tail = true;
-        }
-        break;
-      }
-    }
-    ++result.kept_lines;
-    pos = nl + 1;
-  }
-  if (cut_at < data.size()) {
+JsonlWriter::JsonlWriter(std::string path, const std::string& key,
+                         int resume_slot, std::string what)
+    : path_(std::move(path)), what_(std::move(what)) {
+  if (resume_slot >= 0) {
+    cut_ = truncate_jsonl_to_slot(path_, key, resume_slot);
+  } else {
     std::error_code ec;
-    std::filesystem::resize_file(path, cut_at, ec);
-    if (ec) {  // fall back to rewriting the kept prefix
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(data.data(), static_cast<std::streamsize>(cut_at));
-    }
+    cut_.existed = std::filesystem::exists(path_, ec);
   }
-  return result;
+  file_ = std::fopen(path_.c_str(), appended() ? "ab" : "wb");
+  GC_CHECK_MSG(file_ != nullptr, "cannot open " << what_ << ' ' << path_);
+}
+
+JsonlWriter::~JsonlWriter() { std::fclose(file_); }
+
+void JsonlWriter::write_line(std::string_view line) {
+  GC_CHECK_MSG(std::fwrite(line.data(), 1, line.size(), file_) ==
+                       line.size() &&
+                   std::fputc('\n', file_) != EOF,
+               what_ << " write failed on " << path_);
+}
+
+void JsonlWriter::flush() {
+  GC_CHECK_MSG(std::fflush(file_) == 0,
+               what_ << " flush failed on " << path_);
+  (void)::fsync(::fileno(file_));
 }
 
 }  // namespace gc::util

@@ -2,20 +2,23 @@
 //
 // Atomic tmp+rename writes protect readers from torn files, but they do not
 // make the data *durable*: after a power loss the rename may survive while
-// the file's blocks are still unwritten. Checkpoints and the output sinks
+// the file's blocks are still unwritten. Checkpoints and snapshots
 // therefore fsync file data before renaming (fsync_file) and, best-effort,
 // the containing directory after the rename (fsync_parent_dir) so the
 // directory entry itself reaches disk.
 //
-// truncate_jsonl_to_slot is the resume side of the same story: a crashed
-// run's JSONL sink (trace, LP solve log) may hold records past the last
-// durable checkpoint plus a torn final line. Cutting the file back to the
-// checkpointed slot before appending makes the killed+resumed run's output
+// JsonlWriter is the one file behind every per-slot JSONL sink (trace, LP
+// solve log, event journal) and the resume side of the same story: a
+// crashed run's sink may hold records past the last durable checkpoint plus
+// a torn final line. Opening at the checkpoint's slot (sim::auto_resume_slot)
+// cuts those off before appending, so the killed+resumed run's output is
 // identical to an uninterrupted run's.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace gc::util {
 
@@ -30,7 +33,7 @@ bool fsync_file(const std::string& path);
 // durable. Best-effort: returns false on failure.
 bool fsync_parent_dir(const std::string& path);
 
-// Result of cutting a JSONL file back to a slot boundary.
+// Result of cutting a JSONL file back to a slot boundary (JsonlWriter).
 struct JsonlTruncation {
   bool existed = false;        // false: nothing to do (fresh file)
   std::int64_t kept_lines = 0;     // complete lines before the cut
@@ -38,12 +41,42 @@ struct JsonlTruncation {
   bool dropped_torn_tail = false;  // a final unterminated line was cut
 };
 
-// Truncates `path` so it ends just before the first complete line whose
-// `"key":<int>` value is >= cut_slot. Lines without the key (e.g. the trace
-// header) are kept. A torn final line (no trailing newline) or a line whose
-// key cannot be parsed is treated as the start of the damaged tail and cut
-// with everything after it. Missing file = no-op ({existed: false}).
-JsonlTruncation truncate_jsonl_to_slot(const std::string& path,
-                                       const std::string& key, int cut_slot);
+// One JSONL output file, opened fresh or resumed at a slot cut. Every write
+// and flush is checked (a full disk throws instead of letting the next
+// checkpoint land ahead of its sinks); flush() also fsyncs. Not
+// thread-safe: the sinks that hold one serialize their own writes.
+class JsonlWriter {
+ public:
+  // resume_slot < 0 starts `path` fresh (truncated). resume_slot >= 0 cuts
+  // it so it ends just before the first complete line whose `"key":<int>`
+  // value is >= resume_slot — lines without the key (the trace header,
+  // lifecycle events) are kept; a torn final line (no trailing newline) or
+  // a line whose key cannot be parsed starts the damaged tail and is cut
+  // with everything after it — then appends after whatever survived.
+  // `what` names the file in errors ("trace file"). Throws gc::CheckError
+  // when the file cannot be opened or cut.
+  JsonlWriter(std::string path, const std::string& key, int resume_slot,
+              std::string what);
+  ~JsonlWriter();
+  JsonlWriter(const JsonlWriter&) = delete;
+  JsonlWriter& operator=(const JsonlWriter&) = delete;
+
+  // Appends `line` plus a newline.
+  void write_line(std::string_view line);
+  // Durability point: flushes, then fsyncs (best effort — some filesystems
+  // refuse fsync) so every complete line survives a SIGKILL.
+  void flush();
+
+  // What the resume cut found (a fresh open reports only `existed`).
+  const JsonlTruncation& cut() const { return cut_; }
+  // True when the file continues a kept prefix instead of starting empty.
+  bool appended() const { return cut_.kept_lines > 0; }
+
+ private:
+  std::string path_;
+  std::string what_;
+  JsonlTruncation cut_;
+  std::FILE* file_ = nullptr;
+};
 
 }  // namespace gc::util

@@ -13,6 +13,9 @@
 #include "lp/simplex.hpp"
 #include "lp/solve_log.hpp"
 #include "obs/json.hpp"
+#include "obs/registry.hpp"
+#include "obs/timer.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace gc::lp {
@@ -154,6 +157,42 @@ TEST(JsonlSolveLog, WritesOneParseableLinePerSolve) {
   EXPECT_EQ(lines, 2);
   EXPECT_TRUE(saw_warm);  // the second solve consumed the hint
   std::remove(path.c_str());
+}
+
+// A full disk fails the flush that precedes a checkpoint instead of
+// letting the checkpoint land ahead of a log that lost its lines.
+TEST(JsonlSolveLog, FullDiskThrows) {
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  JsonlSolveLog log("/dev/full");
+  Workspace ws;
+  ws.set_stats_sink(&log);
+  EXPECT_THROW(
+      {
+        solve(packing_lp(24, 9), {}, ws);
+        log.flush();
+      },
+      CheckError);
+  ws.set_stats_sink(nullptr);
+}
+
+// One timing primitive: the wall_s a solve reports is the very duration
+// its lp.solve span (and the lp.solve_seconds histogram) received.
+TEST(SolveStats, WallSecondsEqualTheLpSolveSpan) {
+  obs::SpanRecorder& rec = obs::SpanRecorder::instance();
+  rec.enable(64);
+  Workspace ws;
+  solve(packing_lp(24, 9), {}, ws);
+  rec.disable();
+  const std::vector<obs::SpanEvent> spans = rec.drain();
+  const double wall_s = ws.last_stats().wall_s;
+  EXPECT_GT(wall_s, 0.0);
+  if (!obs::kCompiledIn) {
+    EXPECT_TRUE(spans.empty());
+    return;
+  }
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "lp.solve");
+  EXPECT_EQ(spans[0].dur_s, wall_s);
 }
 
 }  // namespace

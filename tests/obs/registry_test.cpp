@@ -221,23 +221,40 @@ TEST(GlobalRegistry, IsASingleton) {
   EXPECT_EQ(&registry(), &registry());
 }
 
-TEST(ScopedTimer, ObservesElapsedIntoHistogramAndAccumulator) {
+// One clock read at each end of the scope: the histogram, the accumulator
+// and the recorded span all receive the same duration, bit for bit.
+TEST(Span, ObservesElapsedIntoHistogramAccumulatorAndRing) {
+  SpanRecorder& rec = SpanRecorder::instance();
+  rec.enable(16);
   Histogram h;
   double acc = 0.0;
+  double stopped_s = 0.0;
   {
-    ScopedTimer t(h, &acc);
+    Span t("registry_test.timed", h, &acc, 7);
     // Burn a little time so the sample is strictly positive.
     volatile double x = 0.0;
     for (int i = 0; i < 1000; ++i) x = x + std::sqrt(static_cast<double>(i));
     (void)x;
+    stopped_s = t.stop();
+    EXPECT_EQ(t.stop(), stopped_s);  // closing twice records nothing new
   }
+  rec.disable();
+  const std::vector<SpanEvent> spans = rec.drain();
+  EXPECT_GT(stopped_s, 0.0);  // elapsed time survives GC_OBS_DISABLE
   if (!kCompiledIn) {
     EXPECT_EQ(h.count(), 0);
+    EXPECT_EQ(acc, 0.0);
+    EXPECT_TRUE(spans.empty());
     return;
   }
   EXPECT_EQ(h.count(), 1);
   EXPECT_GT(h.sum(), 0.0);
-  EXPECT_DOUBLE_EQ(acc, h.sum());
+  EXPECT_EQ(acc, h.sum());
+  EXPECT_EQ(stopped_s, h.sum());
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "registry_test.timed");
+  EXPECT_EQ(spans[0].id, 7);
+  EXPECT_EQ(spans[0].dur_s, h.sum());
 }
 
 TEST(Report, RendersEveryInstrumentKind) {

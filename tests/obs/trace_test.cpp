@@ -115,6 +115,22 @@ TEST(TraceSink, UnwritablePathThrows) {
   EXPECT_THROW(TraceSink("/nonexistent-dir/trace.jsonl"), CheckError);
 }
 
+// A full disk must fail the run at the durability point: a flush that
+// silently lost lines would let the next checkpoint land ahead of its
+// trace.
+TEST(TraceSink, FullDiskThrows) {
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  TraceSink sink("/dev/full");
+  TraceRecord r;
+  EXPECT_THROW(
+      {
+        sink.write_header("full", 1);
+        sink.write(r);
+        sink.flush();
+      },
+      CheckError);
+}
+
 // write() is safe under concurrent callers: no torn or interleaved lines,
 // every record accounted for. (The parallel sweep gives each sim its own
 // sink, but nothing stops a caller from sharing one.)

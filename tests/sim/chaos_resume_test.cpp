@@ -18,6 +18,7 @@
 #include "core/controller.hpp"
 #include "fault/fault_schedule.hpp"
 #include "lp/simplex.hpp"
+#include "lp/solve_log.hpp"
 #include "obs/events.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/scenario.hpp"
@@ -148,22 +149,14 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
     faults.add(e);
   }
 
-  // The slot the next attempt will resume from — what the parent's
-  // restart line and the child's journal cut must both use.
-  const auto resume_slot = [&]() -> int {
-    const auto sel = load_newest_valid(base);
-    return sel ? sel->checkpoint.next_slot : 0;
-  };
-
   SupervisorOptions sup_opts;
   sup_opts.max_restarts = 5;
   sup_opts.backoff_ms = 1;  // keep the test fast
   sup_opts.quiet = true;
   sup_opts.on_crash_restart = [&](int crash_restarts) {
     // The parent appends the restart lifecycle line, exactly like the CLI.
-    const int cut = resume_slot();
-    obs::append_lifecycle_event(chaos_events, cut, obs::EventKind::kRestart,
-                                cut, crash_restarts);
+    append_supervisor_event(chaos_events, base, /*rotate=*/2,
+                            obs::EventKind::kRestart, crash_restarts);
   };
   RunSupervisor supervisor(sup_opts);
   const SupervisorOutcome outcome =
@@ -172,8 +165,9 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
         core::LyapunovController ctrl(model, 3.0,
                                       cfg.controller_options());
         obs::EventJournal journal;
-        journal.open_sink(chaos_events,
-                          crash_restarts > 0 ? resume_slot() : -1);
+        journal.open_sink(chaos_events, crash_restarts > 0
+                                            ? auto_resume_slot(base, 2)
+                                            : -1);
         SimOptions opts;
         opts.checkpoint_path = base;
         opts.checkpoint_every = 5;
@@ -230,6 +224,137 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
   std::remove(clean_events.c_str());
   std::remove(chaos_events.c_str());
   remove_rotation(base);
+}
+
+// Lines of `path` with the trailing wall-clock field (",\"wall_s\":...}")
+// cut off — the only nondeterministic part of an LP-log line.
+std::vector<std::string> read_lines_without_wall_s(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::vector<std::string> lines;
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    std::size_t nl = data.find('\n', pos);
+    if (nl == std::string::npos) nl = data.size();  // a torn tail shows
+    std::string line = data.substr(pos, nl - pos);
+    const std::size_t at = line.find(",\"wall_s\":");
+    if (at != std::string::npos) line = line.substr(0, at) + "}";
+    lines.push_back(line);
+    pos = nl + 1;
+  }
+  return lines;
+}
+
+// The --lp-log resume contract at library level: a crashed run's log holds
+// lines past its checkpoint plus a torn final line; reopening at the
+// resume slot cuts both, and the finished file matches an uninterrupted
+// run's byte for byte once wall_s is stripped.
+TEST(ChaosResume, LpLogCutAndAppendMatchesUninterruptedRun) {
+  const auto cfg = ScenarioConfig::paper();
+  const int horizon = 12, crash_after = 6;
+  const std::string clean_log = tmp_path("clean_lp.jsonl");
+  const std::string log_path = tmp_path("resumed_lp.jsonl");
+  const std::string ckpt = tmp_path("lp.ckpt");
+  std::remove(ckpt.c_str());
+
+  const auto run = [&](const std::string& lp_path, int resume_slot,
+                       int slots, SimOptions opts) {
+    const auto model = cfg.build();
+    lp::JsonlSolveLog log(lp_path, resume_slot);
+    core::ControllerOptions copts = cfg.controller_options();
+    copts.lp_stats = &log;
+    core::LyapunovController ctrl(model, 3.0, copts);
+    opts.lp_sink = &log;
+    run_simulation(model, ctrl, slots, opts);
+  };
+  run(clean_log, -1, horizon, {});
+  const std::vector<std::string> clean = read_lines_without_wall_s(clean_log);
+
+  SimOptions first;
+  first.checkpoint_path = ckpt;
+  run(log_path, -1, crash_after, first);
+  ASSERT_EQ(auto_resume_slot(ckpt, 0), crash_after);
+  {
+    // The crashed attempt got further than its checkpoint: two more slots
+    // of complete lines, then a line torn by the kill.
+    std::ifstream in(clean_log);
+    std::ofstream out(log_path, std::ios::app);
+    std::string line;
+    int past = 0;
+    while (std::getline(in, line)) {
+      if (line.find("\"slot\":" + std::to_string(crash_after) + ",") ==
+              std::string::npos &&
+          line.find("\"slot\":" + std::to_string(crash_after + 1) + ",") ==
+              std::string::npos)
+        continue;
+      out << line << '\n';
+      ++past;
+    }
+    ASSERT_GT(past, 0);
+    out << "{\"ctx\":\"s1\",\"slot\":" << crash_after + 2 << ",\"ro";
+  }
+
+  SimOptions resumed;
+  resumed.resume_path = ckpt;
+  run(log_path, auto_resume_slot(ckpt, 0), horizon, resumed);
+  const std::vector<std::string> got = read_lines_without_wall_s(log_path);
+  ASSERT_FALSE(clean.empty());
+  ASSERT_EQ(got.size(), clean.size());
+  for (std::size_t i = 0; i < clean.size(); ++i)
+    EXPECT_EQ(got[i], clean[i]) << "line " << i;
+
+  std::remove(clean_log.c_str());
+  std::remove(log_path.c_str());
+  std::remove(ckpt.c_str());
+}
+
+// A corrupt single (unrotated) checkpoint is not a fresh start: the
+// supervising parent must append its restart line without cutting the
+// journal, and the next attempt refuses the checkpoint instead of
+// replaying from slot 0.
+TEST(ChaosResume, CorruptSingleCheckpointKeepsJournalSlotEvents) {
+  const auto cfg = ScenarioConfig::tiny();
+  const std::string ckpt = tmp_path("corrupt_single.ckpt");
+  const std::string events = tmp_path("corrupt_single_events.jsonl");
+  {
+    const auto model = cfg.build();
+    core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
+    obs::EventJournal journal;
+    journal.open_sink(events, -1);
+    SimOptions opts;
+    opts.checkpoint_path = ckpt;
+    opts.checkpoint_every = 5;
+    opts.events = &journal;
+    run_simulation(model, ctrl, 10, opts);
+  }
+  const std::vector<std::string> before = read_slot_events(events);
+  ASSERT_FALSE(before.empty());
+
+  {  // Flip one payload bit; the CRC now refuses the file.
+    std::fstream f(ckpt, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(0, std::ios::end);
+    const std::streamoff mid = f.tellg() / 2;
+    f.seekg(mid);
+    const char c = static_cast<char>(f.get());
+    f.seekp(mid);
+    f.put(static_cast<char>(c ^ 0x40));
+  }
+  EXPECT_THROW(auto_resume_slot(ckpt, 0), CheckpointError);
+
+  append_supervisor_event(events, ckpt, 0, obs::EventKind::kRestart, 1);
+  EXPECT_EQ(read_slot_events(events), before);
+  EXPECT_EQ(count_lifecycle(events, "restart"), 1);
+
+  const auto model = cfg.build();
+  core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
+  SimOptions opts;
+  opts.resume_path = ckpt;
+  opts.resume_auto = true;
+  EXPECT_THROW(run_simulation(model, ctrl, 20, opts), CheckpointError);
+
+  std::remove(ckpt.c_str());
+  std::remove(events.c_str());
 }
 
 // A sink that requests graceful shutdown when the controller announces a

@@ -285,17 +285,12 @@ int run(const Options& opt) {
   sup.backoff_ms = 1;
   sup.quiet = opt.quiet;
   // Restart lifecycle lines come from the parent, with the journal first
-  // truncated to the slot the next attempt resumes from — the same
-  // contract greencell_sim --supervise uses.
-  const auto chaos_resume_slot = [&base]() {
-    const auto s = gc::sim::load_newest_valid(base);
-    return s.has_value() ? s->checkpoint.next_slot : 0;
-  };
+  // cut to the slot the next attempt resumes from — the same contract
+  // greencell_sim --supervise uses.
   sup.on_crash_restart = [&](int restarts) {
-    const int cut = chaos_resume_slot();
-    gc::obs::append_lifecycle_event(chaos_events, cut,
-                                    gc::obs::EventKind::kRestart, cut,
-                                    restarts);
+    gc::sim::append_supervisor_event(chaos_events, base,
+                                     opt.checkpoint_rotate,
+                                     gc::obs::EventKind::kRestart, restarts);
   };
   // Children inherit the pre-fork stdio buffer and flush it on exit;
   // drain it now so the banner prints exactly once.
@@ -320,7 +315,8 @@ int run(const Options& opt) {
         sopts.process_kill_skip = crash_restarts;
         sopts.faults = &faults;
         gc::obs::EventJournal journal;
-        journal.open_sink(chaos_events, chaos_resume_slot());
+        journal.open_sink(chaos_events, gc::sim::auto_resume_slot(
+                                            base, opt.checkpoint_rotate));
         sopts.events = &journal;
         gc::sim::run_simulation(model, ctrl, opt.slots, sopts);
         return 0;

@@ -6,7 +6,6 @@
 //   $ greencell_sim --multihop 0 --renewables 0 --quiet   # legacy baseline
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 
 #include "cli_options.hpp"
@@ -27,7 +26,6 @@
 #include "sim/sweep.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
-#include "util/fsio.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -291,25 +289,14 @@ int run_replicates(const gc::cli::Options& opt,
     copts.warm_across_slots = opt.lp_warm_slots;
     copts.intra_slot_threads = opt.intra_slot_threads;
     if (!opt.lp_log_path.empty()) {
-      const std::string lp_path = seed_suffixed(opt.lp_log_path, k);
-      bool append = false;
-      if (supervised) {
-        // Same contract as the single-run path: cut the crashed attempt's
-        // log back to this seed's checkpointed slot, then append.
-        int resume_slot = 0;
-        if (opt.checkpoint_rotate > 0) {
-          const auto sel = gc::sim::load_newest_valid(job.sim.resume_path);
-          if (sel.has_value()) resume_slot = sel->checkpoint.next_slot;
-        } else if (std::ifstream(job.sim.resume_path).good()) {
-          resume_slot =
-              gc::sim::load_checkpoint(job.sim.resume_path).next_slot;
-        }
-        const gc::util::JsonlTruncation cut =
-            gc::util::truncate_jsonl_to_slot(lp_path, "slot", resume_slot);
-        append = cut.existed && cut.kept_lines > 0;
-      }
-      lp_logs.push_back(
-          std::make_unique<gc::lp::JsonlSolveLog>(lp_path, append));
+      // Same contract as the single-run path: a supervised attempt cuts
+      // the crashed attempt's log back to this seed's checkpointed slot,
+      // then appends.
+      lp_logs.push_back(std::make_unique<gc::lp::JsonlSolveLog>(
+          seed_suffixed(opt.lp_log_path, k),
+          supervised ? gc::sim::auto_resume_slot(job.sim.resume_path,
+                                                 opt.checkpoint_rotate)
+                     : -1));
       copts.lp_stats = lp_logs.back().get();
       job.sim.lp_sink = lp_logs.back().get();
     }
@@ -419,36 +406,19 @@ int run(const gc::cli::Options& opt) {
   sup_opts.backoff_ms = opt.restart_backoff_ms;
   sup_opts.quiet = opt.quiet;
   // Event-journal lifecycle hooks: restart / hot_reload lines come from
-  // the PARENT (the process that survives the crash). Each hook first
-  // resolves the slot the next attempt will resume from — the same cut the
-  // child will make — so the crashed attempt's dead journal tail never
-  // buries the lifecycle line.
+  // the PARENT (the process that survives the crash), at the slot the next
+  // attempt resumes from (sim::append_supervisor_event).
   int reloads_seen = 0;
   if (!opt.events_path.empty()) {
-    const auto parent_resume_slot = [&opt]() {
-      try {
-        if (opt.checkpoint_rotate > 0) {
-          const auto sel = gc::sim::load_newest_valid(opt.checkpoint_path);
-          return sel.has_value() ? sel->checkpoint.next_slot : 0;
-        }
-        if (std::ifstream(opt.checkpoint_path).good())
-          return gc::sim::load_checkpoint(opt.checkpoint_path).next_slot;
-      } catch (const gc::CheckError&) {
-        // An unreadable checkpoint means the child starts over from 0.
-      }
-      return 0;
+    sup_opts.on_crash_restart = [&opt](int restarts) {
+      gc::sim::append_supervisor_event(
+          opt.events_path, opt.checkpoint_path, opt.checkpoint_rotate,
+          gc::obs::EventKind::kRestart, restarts);
     };
-    sup_opts.on_crash_restart = [&opt, parent_resume_slot](int restarts) {
-      const int cut = parent_resume_slot();
-      gc::obs::append_lifecycle_event(opt.events_path, cut,
-                                      gc::obs::EventKind::kRestart, cut,
-                                      restarts);
-    };
-    sup_opts.on_reload = [&opt, &reloads_seen, parent_resume_slot]() {
-      const int cut = parent_resume_slot();
-      gc::obs::append_lifecycle_event(opt.events_path, cut,
-                                      gc::obs::EventKind::kHotReload, cut,
-                                      ++reloads_seen);
+    sup_opts.on_reload = [&opt, &reloads_seen]() {
+      gc::sim::append_supervisor_event(
+          opt.events_path, opt.checkpoint_path, opt.checkpoint_rotate,
+          gc::obs::EventKind::kHotReload, ++reloads_seen);
     };
   }
   gc::sim::RunSupervisor supervisor(sup_opts);
@@ -546,33 +516,22 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   // A supervised attempt always auto-resumes from the checkpoint base (a
   // crash may have landed before the first checkpoint existed, so the
   // base may legitimately name nothing). Pre-resolve the resume slot here:
-  // the lp-log sink is constructed before the run and must be truncated
-  // back to the checkpointed slot for a resumed run's log to be
-  // byte-identical to an uninterrupted one's.
-  std::string resume_path = opt.resume_path;
-  int resume_slot = 0;
-  if (supervised) {
-    resume_path = opt.checkpoint_path;
-    if (opt.checkpoint_rotate > 0) {
-      const auto sel = gc::sim::load_newest_valid(resume_path);
-      if (sel.has_value()) resume_slot = sel->checkpoint.next_slot;
-    } else if (std::ifstream(resume_path).good()) {
-      resume_slot = gc::sim::load_checkpoint(resume_path).next_slot;
-    }
-  }
+  // the lp-log and event-journal sinks open before the run and must be cut
+  // back to the checkpointed slot for a resumed run's files to be
+  // byte-identical to an uninterrupted one's. -1 = open them fresh.
+  const std::string resume_path =
+      supervised ? opt.checkpoint_path : opt.resume_path;
+  const int sink_resume_slot =
+      supervised && opt.seeds == 1
+          ? gc::sim::auto_resume_slot(resume_path, opt.checkpoint_rotate)
+          : -1;
 
   // --lp-log (single run; replicate sweeps attach one per seed inside
   // run_replicates): stream every simplex solve's SolveStats as JSONL.
   std::unique_ptr<gc::lp::JsonlSolveLog> lp_log;
   if (!opt.lp_log_path.empty() && opt.seeds == 1) {
-    bool append = false;
-    if (supervised) {
-      const gc::util::JsonlTruncation cut = gc::util::truncate_jsonl_to_slot(
-          opt.lp_log_path, "slot", resume_slot);
-      append = cut.existed && cut.kept_lines > 0;
-    }
-    lp_log =
-        std::make_unique<gc::lp::JsonlSolveLog>(opt.lp_log_path, append);
+    lp_log = std::make_unique<gc::lp::JsonlSolveLog>(opt.lp_log_path,
+                                                     sink_resume_slot);
     controller_opts.lp_stats = lp_log.get();
   }
   gc::core::LyapunovController controller(model, opt.V, controller_opts);
@@ -627,12 +586,12 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   // All single-run-only (rejected with --seeds > 1 at parse) and
   // Metrics-neutral: a run with all three attached is bit-identical to
   // the same run without them. The journal's sink opens under the same
-  // resume-slot contract as the lp-log above; a non-supervised run (cut
-  // 0) starts it fresh, exactly like the trace.
+  // resume-slot contract as the lp-log above; a non-supervised run starts
+  // it fresh, exactly like the trace.
   gc::obs::EventJournal events;
   if (!opt.events_path.empty()) {
     const gc::obs::EventSinkResume er =
-        events.open_sink(opt.events_path, supervised ? resume_slot : -1);
+        events.open_sink(opt.events_path, sink_resume_slot);
     if (!opt.quiet && er.existed && er.kept_lines > 0)
       std::printf("event journal resumed: kept %lld line(s), dropped %lld, "
                   "next seq %llu\n",
@@ -668,7 +627,7 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   sim_opts.restart_count = crash_restarts;
 
   gc::sim::Metrics m;
-  const gc::obs::StopWatch run_watch;
+  const gc::obs::Span run_clock(nullptr);
   if (opt.mobility_mps > 0.0) {
     gc::sim::MobilityConfig mob;
     mob.speed_mps_lo = 0.0;
@@ -679,7 +638,7 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   } else {
     m = gc::sim::run_simulation(model, controller, opt.slots, sim_opts);
   }
-  const double run_wall_s = run_watch.elapsed_seconds();
+  const double run_wall_s = run_clock.elapsed_s();
 
   if (interrupted) {
     // Graceful shutdown: the run checkpointed and flushed at the slot
