@@ -2,10 +2,11 @@
 // across the declarative example scenarios (examples/scenarios/*.json).
 // Each spec is compiled through src/scenario, run single-threaded for
 // --slots slots, and the row (nodes, base stations, users, sessions,
-// wall_s, slots_per_s) lands in the "scale_scenarios" array of
-// BENCH_sweep.json. The file is read-modify-written: bench_baseline's
-// serial/parallel sweep section is preserved, only the scale_scenarios
-// member is replaced. docs/PERFORMANCE.md explains the fields.
+// setup_s, wall_s, slots_per_s, end_to_end_s) lands in the
+// "scale_scenarios" array of BENCH_sweep.json. The file is
+// read-modify-written: bench_baseline's serial/parallel sweep section is
+// preserved, only the scale_scenarios member is replaced.
+// docs/PERFORMANCE.md explains the fields.
 //
 // --profile-dir DIR additionally captures a hierarchical span profile per
 // scenario (obs/profile.hpp) at DIR/<name>.profile.json (+.collapsed), so
@@ -163,7 +164,9 @@ struct Row {
   std::string name;
   int nodes = 0, bs = 0, users = 0, sessions = 0, slots = 0;
   bool fast = false;  // run with the --fast performance levers
-  double wall_s = 0.0, slots_per_s = 0.0;
+  // setup_s: scenario load until the controller is ready (time to first
+  // slot); wall_s: the run; end_to_end_s = setup_s + wall_s.
+  double setup_s = 0.0, wall_s = 0.0, slots_per_s = 0.0, end_to_end_s = 0.0;
 };
 
 int count_allowed_links(const gc::core::NetworkModel& model) {
@@ -180,6 +183,7 @@ int count_allowed_links(const gc::core::NetworkModel& model) {
 // scenario, comparable across network sizes with tools/perf_report.
 Row run_one(const std::string& path, int slots,
             const std::string& profile_dir, bool fast) {
+  const auto t_load = std::chrono::steady_clock::now();
   const gc::scenario::ScenarioSpec spec =
       gc::scenario::load_scenario_file(path);
   gc::sim::ScenarioConfig config = spec.config;
@@ -191,6 +195,7 @@ Row run_one(const std::string& path, int slots,
     copts.intra_slot_threads = 0;  // all hardware threads
   }
   gc::core::LyapunovController controller(model, 3.0, copts);
+  const auto t_ready = std::chrono::steady_clock::now();
   gc::sim::SimOptions sim_opts;
   sim_opts.scenario_name = spec.name;
   sim_opts.scenario_hash = gc::scenario::scenario_hash(spec);
@@ -211,8 +216,10 @@ Row run_one(const std::string& path, int slots,
   row.users = model.topology().num_users();
   row.sessions = model.num_sessions();
   row.slots = m.slots;
+  row.setup_s = std::chrono::duration<double>(t_ready - t_load).count();
   row.wall_s = std::chrono::duration<double>(t1 - t0).count();
   row.slots_per_s = row.wall_s > 0.0 ? m.slots / row.wall_s : 0.0;
+  row.end_to_end_s = row.setup_s + row.wall_s;
   if (!profile_dir.empty()) {
     const std::int64_t dropped = rec.dropped();
     gc::obs::Profile p = gc::obs::build_profile(rec.drain());
@@ -256,9 +263,9 @@ int main(int argc, char** argv) {
       rows.push_back(run_one(f, args.slots, args.profile_dir, args.fast));
       const Row& r = rows.back();
       std::printf("  %s: %d nodes (%d BS + %d users), %d sessions, "
-                  "%.3f s wall, %.2f slots/s\n",
+                  "%.3f s setup, %.3f s wall, %.2f slots/s\n",
                   r.name.c_str(), r.nodes, r.bs, r.users, r.sessions,
-                  r.wall_s, r.slots_per_s);
+                  r.setup_s, r.wall_s, r.slots_per_s);
     }
     std::sort(rows.begin(), rows.end(),
               [](const Row& a, const Row& b) { return a.nodes < b.nodes; });
@@ -288,10 +295,12 @@ int main(int argc, char** argv) {
                     "    {\"scenario\": \"%s\", \"nodes\": %d, \"bs\": %d, "
                     "\"users\": %d, \"sessions\": %d, \"slots\": %d, "
                     "\"fast\": %s,\n"
-                    "     \"wall_s\": %.6f, \"slots_per_s\": %.3f}%s\n",
+                    "     \"setup_s\": %.6f, \"wall_s\": %.6f, "
+                    "\"slots_per_s\": %.3f, \"end_to_end_s\": %.6f}%s\n",
                     gc::obs::json_escape(r.name).c_str(), r.nodes, r.bs,
                     r.users, r.sessions, r.slots, r.fast ? "true" : "false",
-                    r.wall_s, r.slots_per_s, i + 1 < rows.size() ? "," : "");
+                    r.setup_s, r.wall_s, r.slots_per_s, r.end_to_end_s,
+                    i + 1 < rows.size() ? "," : "");
       body += buf;
     }
     body += "  ]\n}\n";

@@ -1,7 +1,11 @@
 #include "core/model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+
+#include "obs/timer.hpp"
 
 namespace gc::core {
 
@@ -36,13 +40,66 @@ NetworkModel::NetworkModel(net::Topology topology, net::Spectrum spectrum,
   }
 
   const int n = num_nodes();
+  is_destination_.assign(static_cast<std::size_t>(n), 0);
+  for (const auto& s : sessions_) is_destination_[s.destination] = 1;
 
-  // beta = max over links of the per-slot link service bound (Section
-  // IV-A; with multiple radios a link can be served on several bands at
-  // once, so the (29) constant scales accordingly).
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      if (i != j) beta_ = std::max(beta_, max_link_packets_all_radios(i, j));
+  obs::Span constants_span("setup.model_constants", -1, n);
+
+  // Every link constant below depends on a node only through its class:
+  // its band mask, radio count, base-station flag and destination flag
+  // (the last one only matters to link_allowed's one-hop rule). So bucket
+  // the nodes once and evaluate each ordered class pair once, on
+  // representative members. A class meets itself only when it has two
+  // distinct members; its first two are its representatives.
+  struct NodeClass {
+    std::uint32_t band_mask;
+    int radios;
+    bool base_station;
+    bool destination;
+    bool operator==(const NodeClass&) const = default;
+  };
+  std::vector<NodeClass> classes;
+  std::vector<int> class_of(static_cast<std::size_t>(n));
+  std::vector<std::array<int, 2>> reps;
+  std::vector<std::int64_t> members;
+  for (int i = 0; i < n; ++i) {
+    const NodeClass key{spectrum_.availability_mask(i), nodes_[i].num_radios,
+                        topo_.is_base_station(i), is_destination_[i] != 0};
+    const int c = static_cast<int>(
+        std::find(classes.begin(), classes.end(), key) - classes.begin());
+    if (c == static_cast<int>(classes.size())) {
+      classes.push_back(key);
+      reps.push_back({i, -1});
+      members.push_back(0);
+    } else if (reps[c][1] < 0) {
+      reps[c][1] = i;
+    }
+    class_of[i] = c;
+    ++members[c];
+  }
+  const int C = static_cast<int>(classes.size());
+
+  // Per class pair (a, b): the single-band and all-radios link bounds from
+  // a member of a to a member of b; per class: the most packets a member
+  // can send / receive on one link (the max over every other node).
+  std::vector<double> pair_all(static_cast<std::size_t>(C) * C, 0.0);
+  std::vector<double> out_max(static_cast<std::size_t>(C), 0.0);
+  std::vector<double> in_max(static_cast<std::size_t>(C), 0.0);
+  for (int a = 0; a < C; ++a)
+    for (int b = 0; b < C; ++b) {
+      const int tx = reps[a][0];
+      const int rx = a == b ? reps[a][1] : reps[b][0];
+      if (rx < 0) continue;  // a singleton class has no pair with itself
+      const double one = max_link_packets(tx, rx);
+      const double all = max_link_packets_all_radios(tx, rx);
+      out_max[a] = std::max(out_max[a], one);
+      in_max[b] = std::max(in_max[b], one);
+      pair_all[static_cast<std::size_t>(a) * C + b] = all;
+      // beta = max over links of the per-slot link service bound (Section
+      // IV-A; with multiple radios a link can be served on several bands
+      // at once, so the (29) constant scales accordingly).
+      beta_ = std::max(beta_, all);
+    }
   // A degenerate model with no usable link still needs beta > 0 for the
   // virtual-queue scaling to be well defined.
   beta_ = std::max(beta_, 1.0);
@@ -60,35 +117,37 @@ NetworkModel::NetworkModel(net::Topology topology, net::Spectrum spectrum,
 
   // B of eq. (34). l_s^max in the paper bounds the admission burst; the
   // source is always a base station, so the indicator contributes only for
-  // base-station nodes.
+  // base-station nodes. With R_i radios a node can serve/receive on up to
+  // R_i links at once, so the per-slot in/out bounds scale by R_i.
+  for (int c = 0; c < C; ++c) {
+    out_max[c] *= nodes_[reps[c][0]].num_radios;
+    in_max[c] *= nodes_[reps[c][0]].num_radios;
+  }
   const int S = num_sessions();
   double b1 = 0.0;  // data-queue term
   for (int s = 0; s < S; ++s) {
     for (int i = 0; i < n; ++i) {
-      // With R_i radios a node can serve/receive on up to R_i links at
-      // once, so the per-slot in/out bounds scale by R_i.
-      double out_max = 0.0, in_max = 0.0;
-      for (int j = 0; j < n; ++j) {
-        if (j == i) continue;
-        out_max = std::max(out_max, max_link_packets(i, j));
-        in_max = std::max(in_max, max_link_packets(j, i));
-      }
-      out_max *= nodes_[i].num_radios;
-      in_max *= nodes_[i].num_radios;
+      const double out = out_max[class_of[i]];
+      const double in = in_max[class_of[i]];
       const double admit =
           topo_.is_base_station(i) ? sessions_[s].max_admit_packets : 0.0;
-      b1 += out_max * out_max + (in_max + admit) * (in_max + admit);
+      b1 += out * out + (in + admit) * (in + admit);
     }
   }
   b1 *= 0.5;
 
-  double b2 = 0.0;  // virtual-queue term
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const double v = beta_ * max_link_packets_all_radios(i, j);
-      b2 += v * v;
+  // Virtual-queue term: the sum over ordered pairs of (beta * all)^2. Each
+  // term is integer-valued, so while the total stays below 2^53 every
+  // partial sum is exact and grouping the pairs by class changes nothing.
+  double b2 = 0.0;
+  for (int a = 0; a < C; ++a)
+    for (int b = 0; b < C; ++b) {
+      const std::int64_t pairs = members[a] * (members[b] - (a == b ? 1 : 0));
+      const double v = beta_ * pair_all[static_cast<std::size_t>(a) * C + b];
+      b2 += static_cast<double>(pairs) * (v * v);
     }
+  GC_CHECK_MSG(b2 < 0x1p53, "drift constant b2 = " << b2
+                                << " is past exact double integer range");
 
   double b3 = 0.0;  // energy-queue term
   for (const auto& node : nodes_)
@@ -102,6 +161,7 @@ NetworkModel::NetworkModel(net::Topology topology, net::Spectrum spectrum,
 const net::LinkPruneMap* NetworkModel::pruned_links() const {
   if (!config_.link_prune) return nullptr;
   if (prune_ == nullptr || prune_->topology_version() != topo_.version()) {
+    obs::Span span("net.prune_build", -1, num_nodes());
     std::vector<double> pmax(static_cast<std::size_t>(num_nodes()), 0.0);
     for (int i = 0; i < num_nodes(); ++i)
       pmax[i] = nodes_[i].energy.max_tx_power_w;
@@ -119,10 +179,8 @@ bool NetworkModel::link_allowed(int tx, int rx) const {
   // One-hop architecture: only the direct base-station -> destination
   // downlink. Packets sent to any other user would strand there (nobody
   // relays), so those links carry no usable traffic.
-  if (!topo_.is_base_station(tx) || topo_.is_base_station(rx)) return false;
-  for (const auto& s : sessions_)
-    if (s.destination == rx) return true;
-  return false;
+  return topo_.is_base_station(tx) && !topo_.is_base_station(rx) &&
+         is_destination_[rx] != 0;
 }
 
 double NetworkModel::max_bandwidth_hz(int band) const {

@@ -139,7 +139,9 @@ class NetworkModel {
 
   int num_radios(int node) const { return nodes_[check_node(node)].num_radios; }
 
-  // beta = max_ij c_ij^max * dt / delta (Section IV-A).
+  // beta (Section IV-A): the largest max_link_packets_all_radios over
+  // ordered node pairs (at least 1) — with several radios a link can move
+  // more than the single-band c_ij^max * dt / delta in one slot.
   double beta() const { return beta_; }
 
   // The drift bound constant B of eq. (34).
@@ -177,6 +179,8 @@ class NetworkModel {
   // Lazy link-prune cache (pruned_links()); mutable because building it is
   // observationally pure — the map is fully derived from topology/spectrum.
   mutable std::unique_ptr<net::LinkPruneMap> prune_;
+  // 1 for nodes that are some session's destination (link_allowed).
+  std::vector<char> is_destination_;
 
   double beta_ = 0.0;
   double max_tariff_ = 1.0;

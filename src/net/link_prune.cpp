@@ -1,5 +1,9 @@
 #include "net/link_prune.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 namespace gc::net {
 
 LinkPruneMap::LinkPruneMap(const Topology& topo, const Spectrum& spectrum,
@@ -24,14 +28,36 @@ LinkPruneMap::LinkPruneMap(const Topology& topo, const Spectrum& spectrum,
     need_w[m] = radio.sinr_threshold * radio.noise_psd_w_per_hz * w_min;
   }
 
+  // A pair passes iff received_max >= need_w[m] for some band m both ends
+  // have, i.e. iff received_max >= the minimum need over the shared bands.
+  // That minimum depends only on the two masks, so it is tabulated once
+  // per pair of distinct masks (+inf when no band is shared; p_max and the
+  // gains are finite, so +inf never passes).
+  std::vector<std::uint32_t> masks;
+  std::vector<int> mask_id(static_cast<std::size_t>(n_));
+  for (int i = 0; i < n_; ++i) {
+    GC_CHECK_MSG(std::isfinite(max_tx_power_w[i]),
+                 "max transmit power of node " << i << " is not finite");
+    const std::uint32_t mask = spectrum.availability_mask(i);
+    const auto it = std::find(masks.begin(), masks.end(), mask);
+    mask_id[i] = static_cast<int>(it - masks.begin());
+    if (it == masks.end()) masks.push_back(mask);
+  }
+  const std::size_t k = masks.size();
+  std::vector<double> min_need(k * k,
+                               std::numeric_limits<double>::infinity());
+  for (std::size_t a = 0; a < k; ++a)
+    for (std::size_t b = 0; b < k; ++b)
+      for (int m = 0; m < bands; ++m)
+        if ((masks[a] & masks[b]) >> m & 1u)
+          min_need[a * k + b] = std::min(min_need[a * k + b], need_w[m]);
+
   for (int tx = 0; tx < n_; ++tx) {
+    const double p_max = max_tx_power_w[tx];
+    const double* gain = topo.gain_row(tx);
+    const double* need = &min_need[static_cast<std::size_t>(mask_id[tx]) * k];
     for (int rx = 0; rx < n_; ++rx) {
-      if (rx == tx) continue;
-      const double received_max = max_tx_power_w[tx] * topo.gain(tx, rx);
-      bool ok = false;
-      for (int m = 0; m < bands && !ok; ++m)
-        ok = spectrum.link_band_ok(tx, rx, m) && received_max >= need_w[m];
-      if (!ok) continue;
+      if (rx == tx || !(p_max * gain[rx] >= need[mask_id[rx]])) continue;
       reach_[static_cast<std::size_t>(tx) * n_ + rx] = 1;
       out_[tx].push_back(rx);
       ++kept_;

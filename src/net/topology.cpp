@@ -20,13 +20,17 @@ Topology::Topology(std::vector<Vec2> base_stations, std::vector<Vec2> users,
 
   const int n = num_nodes();
   gain_.assign(static_cast<std::size_t>(n) * n, 0.0);
+  // g is symmetric (hypot of the negated differences is bit-equal), so
+  // each unordered pair is computed once and mirrored, as set_position
+  // does.
   for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
+    for (int j = i + 1; j < n; ++j) {
       const double d = std::max(gc::net::distance(pos_[i], pos_[j]),
                                 prop_.min_distance_m);
-      gain_[static_cast<std::size_t>(i) * n + j] =
+      const double g =
           prop_.antenna_constant * std::pow(d, -prop_.path_loss_exponent);
+      gain_[static_cast<std::size_t>(i) * n + j] = g;
+      gain_[static_cast<std::size_t>(j) * n + i] = g;
     }
   }
 }

@@ -49,6 +49,11 @@ class Topology {
   double distance(int i, int j) const;
   // Power propagation gain g_ij; symmetric; undefined for i == j.
   double gain(int i, int j) const;
+  // Row i of the gain cache: gain_row(i)[j] == gain(i, j) for j != i, 0 at
+  // j == i. Unchecked access for O(n^2) scans (net/link_prune).
+  const double* gain_row(int i) const {
+    return gain_.data() + static_cast<std::size_t>(check(i)) * num_nodes();
+  }
 
   // Moves a node and recomputes its gain row/column (O(N)). Used by the
   // mobility models; base stations stay where Section VI put them, but the

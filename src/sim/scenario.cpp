@@ -1,6 +1,7 @@
 #include "sim/scenario.hpp"
 
 #include "net/placement.hpp"
+#include "obs/timer.hpp"
 
 namespace gc::sim {
 
@@ -113,10 +114,15 @@ ScenarioConfig ScenarioConfig::tiny() {
 core::NetworkModel ScenarioConfig::build() const {
   GC_CHECK(num_users >= 1);
   GC_CHECK(num_sessions >= 1);
+  // Spans the whole build, including the model's constants (the
+  // NetworkModel constructor runs before this span closes).
+  obs::Span build_span("setup.model_build");
   Rng master(seed);
 
   Rng topo_rng = master.fork(0x7001);
+  obs::Span topo_span("setup.topology");
   net::Topology topo = build_topology(*this, topo_rng);
+  topo_span.stop();
 
   int tier_total = 0;
   for (const auto& t : bs_tiers) tier_total += t.count;

@@ -42,11 +42,27 @@ TEST(Topology, GainFollowsPowerLaw) {
 }
 
 TEST(Topology, GainIsSymmetric) {
+  // Bit for bit, after construction and after every set_position move.
   Rng rng(3);
-  const auto topo = Topology::paper_layout(10, 2000.0, paper_prop(), rng);
+  auto topo = Topology::paper_layout(30, 2000.0, paper_prop(), rng);
+  const auto expect_symmetric = [&topo] {
+    for (int i = 0; i < topo.num_nodes(); ++i)
+      for (int j = i + 1; j < topo.num_nodes(); ++j)
+        ASSERT_EQ(topo.gain(i, j), topo.gain(j, i)) << i << "," << j;
+  };
+  expect_symmetric();
+  for (int step = 0; step < 10; ++step) {
+    const int node = static_cast<int>(rng.uniform_int(0, topo.num_nodes() - 1));
+    topo.set_position(node, {rng.uniform(0.0, 2000.0),
+                             rng.uniform(0.0, 2000.0)});
+    expect_symmetric();
+  }
+  // gain_row is the same cache, row by row.
   for (int i = 0; i < topo.num_nodes(); ++i)
-    for (int j = i + 1; j < topo.num_nodes(); ++j)
-      EXPECT_DOUBLE_EQ(topo.gain(i, j), topo.gain(j, i));
+    for (int j = 0; j < topo.num_nodes(); ++j)
+      if (i != j) {
+        EXPECT_EQ(topo.gain_row(i)[j], topo.gain(i, j));
+      }
 }
 
 TEST(Topology, GainDecreasesWithDistance) {

@@ -13,6 +13,7 @@
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
+#include "sim/scenario.hpp"
 
 namespace gc::obs {
 namespace {
@@ -58,6 +59,45 @@ TEST(Span, NestedSpansDrainChronologically) {
             spans[0].start_s + spans[0].dur_s + 1e-9);
   // Draining cleared the ring.
   EXPECT_TRUE(SpanRecorder::instance().drain().empty());
+}
+
+TEST(Span, SetupSpansNestUnderModelBuild) {
+  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  RecorderReset reset;
+  SpanRecorder::instance().enable(64);
+  sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
+  cfg.link_prune = true;
+  const core::NetworkModel model = cfg.build();
+  ASSERT_NE(model.pruned_links(), nullptr);
+  model.pruned_links();  // cached: no second build span
+  SpanRecorder::instance().disable();
+  const auto spans = SpanRecorder::instance().drain();
+
+  const auto find = [&spans](const char* name) -> const SpanEvent* {
+    const SpanEvent* hit = nullptr;
+    for (const SpanEvent& e : spans)
+      if (std::string(e.name) == name) {
+        EXPECT_EQ(hit, nullptr) << name << " recorded twice";
+        hit = &e;
+      }
+    EXPECT_NE(hit, nullptr) << name << " not recorded";
+    return hit;
+  };
+  const auto contains = [](const SpanEvent& outer, const SpanEvent& inner) {
+    return outer.start_s <= inner.start_s &&
+           inner.start_s + inner.dur_s <= outer.start_s + outer.dur_s + 1e-9;
+  };
+  const SpanEvent* build = find("setup.model_build");
+  const SpanEvent* topo = find("setup.topology");
+  const SpanEvent* constants = find("setup.model_constants");
+  const SpanEvent* prune = find("net.prune_build");
+  ASSERT_TRUE(build && topo && constants && prune);
+  EXPECT_TRUE(contains(*build, *topo));
+  EXPECT_TRUE(contains(*build, *constants));
+  EXPECT_LE(topo->start_s + topo->dur_s, constants->start_s);
+  // The prune map is built on first use, after the model exists.
+  EXPECT_GE(prune->start_s, build->start_s + build->dur_s);
+  EXPECT_EQ(constants->dim, model.num_nodes());
 }
 
 TEST(Span, RingKeepsMostRecentAndCountsDrops) {

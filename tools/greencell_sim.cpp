@@ -501,6 +501,11 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   // parameters, never part of the spec or its hash).
   active_scenario.link_prune = opt.link_prune;
 
+  // Both the Chrome trace and the profile feed off the same span ring;
+  // it records from here so the profile attributes the model build too.
+  if (!opt.spans_path.empty() || !opt.profile_path.empty())
+    gc::obs::SpanRecorder::instance().enable();
+
   gc::core::NetworkModel model = active_scenario.build();
   // Per-BS sleep parameters (src/policy), expanded from the scenario's
   // bs.tiers / bs.sleep blocks plus any --policy overrides. Plain data; it
@@ -564,10 +569,6 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   // sink and exits cleanly; the second one kills the process.
   if (supervised || !opt.checkpoint_path.empty())
     gc::sim::install_shutdown_signals();
-
-  // Both the Chrome trace and the profile feed off the same span ring.
-  if (!opt.spans_path.empty() || !opt.profile_path.empty())
-    gc::obs::SpanRecorder::instance().enable();
 
   gc::fault::FaultSchedule faults(model.num_nodes(), opt.input_seed);
   if (!opt.faults_path.empty()) {
