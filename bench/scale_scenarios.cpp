@@ -33,6 +33,7 @@
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
+#include "util/fsio.hpp"
 
 namespace {
 
@@ -237,9 +238,9 @@ Row run_one(const std::string& path, int slots,
         (fs::path(profile_dir) /
          (spec.name + (fast ? ".fast.profile.json" : ".profile.json")))
             .string();
-    gc::obs::write_text_atomic(base, p.to_json(), "profile");
-    gc::obs::write_text_atomic(base + ".collapsed", p.to_collapsed(),
-                               "collapsed profile");
+    gc::util::write_file_atomic(base, p.to_json(), "profile");
+    gc::util::write_file_atomic(base + ".collapsed", p.to_collapsed(),
+                                "collapsed profile");
     std::printf("  profile written to %s\n", base.c_str());
   }
   return row;
@@ -305,9 +306,7 @@ int main(int argc, char** argv) {
     }
     body += "  ]\n}\n";
 
-    std::ofstream out(args.out, std::ios::trunc);
-    GC_CHECK_MSG(out.good(), "cannot open " << args.out);
-    out << body;
+    gc::util::write_file_atomic(args.out, body, "sweep result");
     std::printf("written to %s\n", args.out.c_str());
     return 0;
   } catch (const gc::CheckError& e) {

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "obs/json.hpp"
 #include "util/check.hpp"
-#include "util/fsio.hpp"
 
 namespace gc::obs {
 
@@ -291,22 +289,6 @@ std::string Profile::to_collapsed() const {
     append_collapsed(child, root.name, &body);
   }
   return body;
-}
-
-void write_text_atomic(const std::string& path, const std::string& body,
-                       const char* what) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    GC_CHECK_MSG(out.good(), "cannot open " << what << " file " << tmp);
-    out << body;
-    out.flush();
-    GC_CHECK_MSG(out.good(), what << " write failed on " << tmp);
-  }
-  util::fsync_file(tmp);
-  GC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot move " << what << " into place at " << path);
-  util::fsync_parent_dir(path);
 }
 
 }  // namespace gc::obs

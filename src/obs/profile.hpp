@@ -105,9 +105,4 @@ Profile build_profile(const std::vector<SpanEvent>& spans);
 std::map<std::int64_t, std::vector<SpanEvent>> partition_spans_by_job(
     const std::vector<SpanEvent>& spans);
 
-// Atomic text-file write (tmp + rename), shared by the profile exporters
-// and tools; `what` labels CheckError messages.
-void write_text_atomic(const std::string& path, const std::string& body,
-                       const char* what);
-
 }  // namespace gc::obs

@@ -1,7 +1,6 @@
 #include "obs/snapshot.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -37,25 +36,6 @@ void append_field(std::string& s, const char* key, double v,
   s += key;
   s += "\":";
   append_num(s, v);
-}
-
-// Writes `body` to `path` atomically: readers polling the path only ever
-// see a complete previous or complete new file, never a partial write.
-// The tmp file is fsync'd before the rename so a post-crash `path` never
-// names an entry whose blocks didn't reach disk (util/fsio.hpp).
-void atomic_write(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    GC_CHECK_MSG(out.good(), "cannot open snapshot file " << tmp);
-    out << body;
-    out.flush();
-    GC_CHECK_MSG(out.good(), "snapshot write failed on " << tmp);
-  }
-  util::fsync_file(tmp);
-  GC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot move snapshot into place at " << path);
-  util::fsync_parent_dir(path);
 }
 
 // Prometheus metric names allow [a-zA-Z0-9_:]; the registry's dotted names
@@ -315,8 +295,8 @@ SnapshotWriter::SnapshotWriter(std::string path, int every_slots)
 void SnapshotWriter::write(const SnapshotData& data) {
   SnapMetrics& m = metrics();
   Span timer(nullptr, m.write_seconds);
-  atomic_write(path_, render_json(data));
-  atomic_write(prom_path(), render_prom(data));
+  util::write_file_atomic(path_, render_json(data), "snapshot");
+  util::write_file_atomic(prom_path(), render_prom(data), "snapshot");
   m.writes.add();
 }
 

@@ -1,9 +1,9 @@
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "obs/timer.hpp"
 #include "util/check.hpp"
+#include "util/fsio.hpp"
 
 namespace gc::obs {
 
@@ -154,20 +154,6 @@ void append_chrome_events(const SpanEvent* events, std::size_t n,
   *body += "\n]}\n";
 }
 
-void write_atomically(const std::string& path, const std::string& body,
-                      const char* what) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    GC_CHECK_MSG(out.good(), "cannot open " << what << " file " << tmp);
-    out << body;
-    out.flush();
-    GC_CHECK_MSG(out.good(), what << " write failed on " << tmp);
-  }
-  GC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot move " << what << " into place at " << path);
-}
-
 }  // namespace
 
 void SpanRecorder::export_chrome_trace(const std::string& path) const {
@@ -184,7 +170,7 @@ void SpanRecorder::export_chrome_trace(const std::string& path) const {
                               ring_.size()]);
     append_chrome_events(ordered.data(), ordered.size(), &body);
   }
-  write_atomically(path, body, "span trace");
+  util::write_file_atomic(path, body, "span trace");
 }
 
 void write_chrome_trace(const std::string& path,
@@ -192,7 +178,7 @@ void write_chrome_trace(const std::string& path,
   std::string body;
   body.reserve(64 + spans.size() * 96);
   append_chrome_events(spans.data(), spans.size(), &body);
-  write_atomically(path, body, "span trace");
+  util::write_file_atomic(path, body, "span trace");
 }
 
 std::uint32_t SpanRecorder::thread_lane() {

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "obs/json.hpp"
 #include "util/fsio.hpp"
@@ -24,7 +22,7 @@ namespace {
 // table-driven, and catches the single-bit flips and truncations the fuzz
 // tests inject. Not cryptographic — the threat model is storage rot, not
 // an adversary.
-std::uint32_t crc32(const std::string& data) {
+std::uint32_t crc32(std::string_view data) {
   static const auto table = [] {
     std::array<std::uint32_t, 256> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -41,352 +39,275 @@ std::uint32_t crc32(const std::string& data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-// Fixed-width little-endian primitives. Doubles travel as their IEEE-754
-// bit patterns, so the round trip is bit-exact.
-void put_u64(std::ostream& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(b, 8);
-}
+// The payload codec. One field list (`fields` below) defines the format;
+// Writer walks it appending to a string, Reader walks it as a bounds-checked
+// cursor over the loaded bytes. Fields are fixed-width little-endian, doubles
+// as their IEEE-754 bit patterns (so the round trip is bit-exact), and every
+// variable-length section is a u64 count followed by its elements.
+class Writer {
+ public:
+  static constexpr bool kReading = false;
 
-void put_u32(std::ostream& out, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(b, 4);
-}
+  std::string out;
 
-void put_i64(std::ostream& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::ostream& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_vec(std::ostream& out, const std::vector<double>& v) {
-  put_u64(out, v.size());
-  for (double x : v) put_f64(out, x);
-}
-
-std::uint64_t get_u64(std::istream& in) {
-  char b[8];
-  in.read(b, 8);
-  if (!in.good()) corrupt("checkpoint truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i]))
-         << (8 * i);
-  return v;
-}
-
-std::uint32_t get_u32(std::istream& in) {
-  char b[4];
-  in.read(b, 4);
-  if (!in.good()) corrupt("checkpoint truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i]))
-         << (8 * i);
-  return v;
-}
-
-std::int64_t get_i64(std::istream& in) {
-  return static_cast<std::int64_t>(get_u64(in));
-}
-
-double get_f64(std::istream& in) {
-  return std::bit_cast<double>(get_u64(in));
-}
-
-std::vector<double> get_vec(std::istream& in) {
-  const std::uint64_t size = get_u64(in);
-  if (size > (1ull << 32)) corrupt("checkpoint vector size implausible");
-  std::vector<double> v(static_cast<std::size_t>(size));
-  for (auto& x : v) x = get_f64(in);
-  return v;
-}
-
-void put_rng(std::ostream& out, const RngState& r) {
-  for (std::uint64_t s : r.s) put_u64(out, s);
-  put_u64(out, r.seed);
-}
-
-RngState get_rng(std::istream& in) {
-  RngState r;
-  for (auto& s : r.s) s = get_u64(in);
-  r.seed = get_u64(in);
-  return r;
-}
-
-void put_tracker(std::ostream& out, const StabilityTracker& t) {
-  put_f64(out, t.abs_sum());
-  put_f64(out, t.sup_partial_average());
-  put_vec(out, t.partial_averages());
-}
-
-void get_tracker(std::istream& in, StabilityTracker& t) {
-  const double abs_sum = get_f64(in);
-  const double sup = get_f64(in);
-  t.restore(abs_sum, sup, get_vec(in));
-}
-
-std::string serialize_payload(const Checkpoint& checkpoint) {
-  std::ostringstream out(std::ios::binary);
-  put_u64(out, checkpoint.scenario_hash);
-  put_u64(out, checkpoint.scenario_structural_hash);
-  put_i64(out, checkpoint.next_slot);
-  put_rng(out, checkpoint.input_rng);
-  put_f64(out, checkpoint.last_grid_j);
-  put_vec(out, checkpoint.q);
-  put_vec(out, checkpoint.gq);
-  put_vec(out, checkpoint.battery_capacity_j);
-  put_vec(out, checkpoint.battery_level_j);
-
-  const Metrics& m = checkpoint.metrics;
-  put_vec(out, m.cost);
-  put_vec(out, m.grid_j);
-  put_vec(out, m.q_bs);
-  put_vec(out, m.q_users);
-  put_vec(out, m.battery_bs_j);
-  put_vec(out, m.battery_users_j);
-  put_f64(out, m.cost_avg.sum());
-  put_i64(out, m.cost_avg.slots());
-  put_tracker(out, m.q_total_stability);
-  put_tracker(out, m.h_total_stability);
-  put_f64(out, m.total_demand_shortfall);
-  put_f64(out, m.total_unserved_energy_j);
-  put_f64(out, m.total_curtailed_j);
-  put_f64(out, m.total_delivered_packets);
-  put_f64(out, m.total_admitted_packets);
-  put_f64(out, m.total_offered_packets);
-  put_i64(out, m.slots);
-  put_f64(out, m.timing.s1_s);
-  put_f64(out, m.timing.s2_s);
-  put_f64(out, m.timing.s3_s);
-  put_f64(out, m.timing.s4_s);
-  put_f64(out, m.timing.step_s);
-
-  put_u32(out, checkpoint.has_mobility ? 1 : 0);
-  if (checkpoint.has_mobility) {
-    put_u64(out, checkpoint.mobility.targets.size());
-    for (const auto& t : checkpoint.mobility.targets) {
-      put_f64(out, t.x);
-      put_f64(out, t.y);
-    }
-    put_vec(out, checkpoint.mobility.speeds_mps);
-    put_rng(out, checkpoint.mobility.rng);
-    put_u64(out, checkpoint.user_positions.size());
-    for (const auto& p : checkpoint.user_positions) {
-      put_f64(out, p.x);
-      put_f64(out, p.y);
-    }
+  template <class T>
+  void u32(const T& v) { le(static_cast<std::uint32_t>(v), 4); }
+  template <class T>
+  void u64(const T& v) { le(static_cast<std::uint64_t>(v), 8); }
+  template <class T>
+  void i64(const T& v) {
+    le(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)), 8);
+  }
+  void f64(double v) { le(std::bit_cast<std::uint64_t>(v), 8); }
+  void count(std::uint64_t n, std::uint64_t /*cap*/, std::size_t /*bytes*/,
+             const char* /*what*/) {
+    u64(n);
+  }
+  void blob(const std::vector<std::uint8_t>& v) {
+    u64(v.size());
+    out.append(reinterpret_cast<const char*>(v.data()), v.size());
   }
 
-  put_u32(out, checkpoint.has_audit ? 1 : 0);
-  if (checkpoint.has_audit) {
-    const obs::AuditorState& a = checkpoint.audit;
-    put_i64(out, a.slots);
-    put_f64(out, a.cost_sum);
-    put_f64(out, a.prev_lyapunov);
-    put_u32(out, a.have_prev_lyapunov ? 1 : 0);
-    put_i64(out, a.total_q_violations);
-    put_i64(out, a.total_z_violations);
-    put_i64(out, a.total_drift_violations);
-    put_i64(out, a.unstable_windows);
-    put_f64(out, a.run_worst_q_margin);
-    put_f64(out, a.run_worst_z_margin);
-    put_i64(out, a.window_fill);
-    put_i64(out, a.closed_windows);
-    put_f64(out, a.window_backlog_sum);
-    put_f64(out, a.window_cost_sum);
-    put_f64(out, a.prev_window_backlog_mean);
-    put_f64(out, a.prev_window_cost_mean);
-    put_u32(out, a.have_prev_window ? 1 : 0);
-    put_f64(out, a.window_cost_delta);
+ private:
+  void le(std::uint64_t v, int bytes) {
+    char b[8];
+    for (int i = 0; i < bytes; ++i)
+      b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    out.append(b, static_cast<std::size_t>(bytes));
+  }
+};
+
+class Reader {
+ public:
+  static constexpr bool kReading = true;
+
+  explicit Reader(std::string_view in) : in_(in) {}
+
+  template <class T>
+  void u32(T& v) { v = static_cast<T>(le(4)); }
+  template <class T>
+  void u64(T& v) { v = static_cast<T>(le(8)); }
+  template <class T>
+  void i64(T& v) { v = static_cast<T>(static_cast<std::int64_t>(le(8))); }
+  void f64(double& v) { v = std::bit_cast<double>(le(8)); }
+  // A section's element count: at most `cap`, and no more elements of at
+  // least `bytes` bytes each than the input still holds — checked before
+  // the caller allocates, so a damaged count cannot ask for gigabytes.
+  void count(std::uint64_t& n, std::uint64_t cap, std::size_t bytes,
+             const char* what) {
+    n = le(8);
+    if (n > cap) corrupt(what);
+    if (n > in_.size() / bytes) corrupt("checkpoint truncated");
+  }
+  void blob(std::vector<std::uint8_t>& v) {
+    std::uint64_t n = 0;
+    count(n, 1ull << 28, 1, "checkpoint byte-blob size implausible");
+    const std::string_view b = take(static_cast<std::size_t>(n));
+    v.assign(b.begin(), b.end());
   }
 
-  put_u32(out, checkpoint.has_warm ? 1 : 0);
-  if (checkpoint.has_warm) {
-    const auto& w = checkpoint.warm;
-    put_u64(out, w.s1_states.size());
-    out.write(reinterpret_cast<const char*>(w.s1_states.data()),
-              static_cast<std::streamsize>(w.s1_states.size()));
-    put_u64(out, w.s1_keys.size());
-    for (std::uint64_t k : w.s1_keys) put_u64(out, k);
-    put_u64(out, w.s4_states.size());
-    out.write(reinterpret_cast<const char*>(w.s4_states.data()),
-              static_cast<std::streamsize>(w.s4_states.size()));
+  std::string_view take(std::size_t n) {
+    if (n > in_.size()) corrupt("checkpoint truncated");
+    const std::string_view b = in_.substr(0, n);
+    in_.remove_prefix(n);
+    return b;
+  }
+  bool done() const { return in_.empty(); }
+
+ private:
+  std::uint64_t le(int bytes) {
+    const std::string_view b = take(static_cast<std::size_t>(bytes));
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i]))
+           << (8 * i);
+    return v;
   }
 
-  put_u32(out, checkpoint.has_policy ? 1 : 0);
-  if (checkpoint.has_policy) {
-    const policy::SleepControllerState& p = checkpoint.policy_state;
-    GC_CHECK(p.dwell.size() == p.mode.size() &&
-             p.wake_countdown.size() == p.mode.size());
-    put_u64(out, p.mode.size());
-    for (std::size_t i = 0; i < p.mode.size(); ++i) {
-      put_u32(out, p.mode[i]);
-      put_i64(out, p.dwell[i]);
-      put_i64(out, p.wake_countdown[i]);
-    }
-    put_u64(out, p.switches);
-    put_f64(out, p.switch_energy_j);
-    put_u64(out, p.sleep_slots);
-  }
+  std::string_view in_;
+};
 
-  put_u32(out, checkpoint.has_alerts ? 1 : 0);
-  if (checkpoint.has_alerts) {
-    const obs::AlertEngineState& a = checkpoint.alert_state;
-    put_u64(out, a.rules_hash);
-    put_u64(out, a.total_fires);
-    put_u64(out, a.rules.size());
-    for (const auto& r : a.rules) {
-      put_f64(out, r.cum);
-      put_u32(out, r.hold);
-      put_u32(out, r.firing ? 1 : 0);
-      put_vec(out, r.window);
-    }
-  }
-  return out.str();
+// A counted section: `bytes` is each element's smallest encoding.
+template <class Io, class V, class Each>
+void list(Io& io, V& v, std::uint64_t cap, std::size_t bytes,
+          const char* what, Each each) {
+  std::uint64_t n = v.size();
+  io.count(n, cap, bytes, what);
+  if constexpr (Io::kReading) v.resize(static_cast<std::size_t>(n));
+  for (auto& x : v) each(x);
 }
 
-std::vector<std::uint8_t> get_bytes(std::istream& in) {
-  const std::uint64_t size = get_u64(in);
-  if (size > (1ull << 28)) corrupt("checkpoint byte-blob size implausible");
-  std::vector<std::uint8_t> v(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(size));
-  if (!in.good() && size > 0) corrupt("checkpoint truncated");
-  return v;
+template <class Io, class V>
+void vec(Io& io, V& v) {
+  list(io, v, 1ull << 32, 8, "checkpoint vector size implausible",
+       [&](auto& x) { io.f64(x); });
 }
 
-Checkpoint parse_payload(std::istream& in) {
-  Checkpoint c;
-  c.scenario_hash = get_u64(in);
-  c.scenario_structural_hash = get_u64(in);
-  c.next_slot = static_cast<int>(get_i64(in));
-  c.input_rng = get_rng(in);
-  c.last_grid_j = get_f64(in);
-  c.q = get_vec(in);
-  c.gq = get_vec(in);
-  c.battery_capacity_j = get_vec(in);
-  c.battery_level_j = get_vec(in);
+template <class Io>
+void points(Io& io, std::vector<net::Vec2>& v) {
+  list(io, v, 1ull << 24, 16, "checkpoint user count implausible",
+       [&](net::Vec2& p) {
+         io.f64(p.x);
+         io.f64(p.y);
+       });
+}
+
+template <class Io>
+void rng(Io& io, RngState& r) {
+  for (std::uint64_t& s : r.s) io.u64(s);
+  io.u64(r.seed);
+}
+
+// The accumulators live behind accessors, so each direction goes its way.
+template <class Io>
+void time_average(Io& io, TimeAverage& t) {
+  double sum = t.sum();
+  std::int64_t slots = t.slots();
+  io.f64(sum);
+  io.i64(slots);
+  if constexpr (Io::kReading) t.restore(sum, slots);
+}
+
+template <class Io>
+void tracker(Io& io, StabilityTracker& t) {
+  double abs_sum = t.abs_sum();
+  double sup = t.sup_partial_average();
+  io.f64(abs_sum);
+  io.f64(sup);
+  if constexpr (Io::kReading) {
+    std::vector<double> partial;
+    vec(io, partial);
+    t.restore(abs_sum, sup, std::move(partial));
+  } else {
+    vec(io, t.partial_averages());
+  }
+}
+
+// The checkpoint payload, field by field: the one definition of the format
+// (docs/ROBUSTNESS.md "Format"). A Writer only reads `c`.
+template <class Io>
+void fields(Io& io, Checkpoint& c) {
+  io.u64(c.scenario_hash);
+  io.u64(c.scenario_structural_hash);
+  io.i64(c.next_slot);
+  rng(io, c.input_rng);
+  io.f64(c.last_grid_j);
+  vec(io, c.q);
+  vec(io, c.gq);
+  vec(io, c.battery_capacity_j);
+  vec(io, c.battery_level_j);
 
   Metrics& m = c.metrics;
-  m.cost = get_vec(in);
-  m.grid_j = get_vec(in);
-  m.q_bs = get_vec(in);
-  m.q_users = get_vec(in);
-  m.battery_bs_j = get_vec(in);
-  m.battery_users_j = get_vec(in);
-  const double cost_sum = get_f64(in);
-  const std::int64_t cost_slots = get_i64(in);
-  m.cost_avg.restore(cost_sum, cost_slots);
-  get_tracker(in, m.q_total_stability);
-  get_tracker(in, m.h_total_stability);
-  m.total_demand_shortfall = get_f64(in);
-  m.total_unserved_energy_j = get_f64(in);
-  m.total_curtailed_j = get_f64(in);
-  m.total_delivered_packets = get_f64(in);
-  m.total_admitted_packets = get_f64(in);
-  m.total_offered_packets = get_f64(in);
-  m.slots = static_cast<int>(get_i64(in));
-  m.timing.s1_s = get_f64(in);
-  m.timing.s2_s = get_f64(in);
-  m.timing.s3_s = get_f64(in);
-  m.timing.s4_s = get_f64(in);
-  m.timing.step_s = get_f64(in);
+  vec(io, m.cost);
+  vec(io, m.grid_j);
+  vec(io, m.q_bs);
+  vec(io, m.q_users);
+  vec(io, m.battery_bs_j);
+  vec(io, m.battery_users_j);
+  time_average(io, m.cost_avg);
+  tracker(io, m.q_total_stability);
+  tracker(io, m.h_total_stability);
+  io.f64(m.total_demand_shortfall);
+  io.f64(m.total_unserved_energy_j);
+  io.f64(m.total_curtailed_j);
+  io.f64(m.total_delivered_packets);
+  io.f64(m.total_admitted_packets);
+  io.f64(m.total_offered_packets);
+  io.i64(m.slots);
+  io.f64(m.timing.s1_s);
+  io.f64(m.timing.s2_s);
+  io.f64(m.timing.s3_s);
+  io.f64(m.timing.s4_s);
+  io.f64(m.timing.step_s);
 
-  c.has_mobility = get_u32(in) != 0;
+  io.u32(c.has_mobility);
   if (c.has_mobility) {
-    const std::uint64_t users = get_u64(in);
-    if (users > (1ull << 24)) corrupt("checkpoint user count implausible");
-    c.mobility.targets.resize(static_cast<std::size_t>(users));
-    for (auto& t : c.mobility.targets) {
-      t.x = get_f64(in);
-      t.y = get_f64(in);
-    }
-    c.mobility.speeds_mps = get_vec(in);
-    c.mobility.rng = get_rng(in);
-    const std::uint64_t positions = get_u64(in);
-    if (positions != users) corrupt("checkpoint mobility/position arity mismatch");
-    c.user_positions.resize(static_cast<std::size_t>(positions));
-    for (auto& p : c.user_positions) {
-      p.x = get_f64(in);
-      p.y = get_f64(in);
-    }
+    points(io, c.mobility.targets);
+    vec(io, c.mobility.speeds_mps);
+    rng(io, c.mobility.rng);
+    points(io, c.user_positions);
+    if (Io::kReading &&
+        c.user_positions.size() != c.mobility.targets.size())
+      corrupt("checkpoint mobility/position arity mismatch");
   }
 
-  c.has_audit = get_u32(in) != 0;
+  io.u32(c.has_audit);
   if (c.has_audit) {
     obs::AuditorState& a = c.audit;
-    a.slots = get_i64(in);
-    a.cost_sum = get_f64(in);
-    a.prev_lyapunov = get_f64(in);
-    a.have_prev_lyapunov = get_u32(in) != 0;
-    a.total_q_violations = get_i64(in);
-    a.total_z_violations = get_i64(in);
-    a.total_drift_violations = get_i64(in);
-    a.unstable_windows = get_i64(in);
-    a.run_worst_q_margin = get_f64(in);
-    a.run_worst_z_margin = get_f64(in);
-    a.window_fill = static_cast<int>(get_i64(in));
-    a.closed_windows = get_i64(in);
-    a.window_backlog_sum = get_f64(in);
-    a.window_cost_sum = get_f64(in);
-    a.prev_window_backlog_mean = get_f64(in);
-    a.prev_window_cost_mean = get_f64(in);
-    a.have_prev_window = get_u32(in) != 0;
-    a.window_cost_delta = get_f64(in);
+    io.i64(a.slots);
+    io.f64(a.cost_sum);
+    io.f64(a.prev_lyapunov);
+    io.u32(a.have_prev_lyapunov);
+    io.i64(a.total_q_violations);
+    io.i64(a.total_z_violations);
+    io.i64(a.total_drift_violations);
+    io.i64(a.unstable_windows);
+    io.f64(a.run_worst_q_margin);
+    io.f64(a.run_worst_z_margin);
+    io.i64(a.window_fill);
+    io.i64(a.closed_windows);
+    io.f64(a.window_backlog_sum);
+    io.f64(a.window_cost_sum);
+    io.f64(a.prev_window_backlog_mean);
+    io.f64(a.prev_window_cost_mean);
+    io.u32(a.have_prev_window);
+    io.f64(a.window_cost_delta);
   }
 
-  c.has_warm = get_u32(in) != 0;
+  io.u32(c.has_warm);
   if (c.has_warm) {
-    c.warm.s1_states = get_bytes(in);
-    const std::uint64_t keys = get_u64(in);
-    if (keys > (1ull << 28)) corrupt("checkpoint warm-key count implausible");
-    c.warm.s1_keys.resize(static_cast<std::size_t>(keys));
-    for (auto& k : c.warm.s1_keys) k = get_u64(in);
-    c.warm.s4_states = get_bytes(in);
+    io.blob(c.warm.s1_states);
+    list(io, c.warm.s1_keys, 1ull << 28, 8,
+         "checkpoint warm-key count implausible",
+         [&](std::uint64_t& k) { io.u64(k); });
+    io.blob(c.warm.s4_states);
   }
 
-  c.has_policy = get_u32(in) != 0;
+  io.u32(c.has_policy);
   if (c.has_policy) {
     policy::SleepControllerState& p = c.policy_state;
-    const std::uint64_t n_bs = get_u64(in);
-    if (n_bs > (1ull << 24)) corrupt("checkpoint policy BS count implausible");
-    p.mode.resize(static_cast<std::size_t>(n_bs));
-    p.dwell.resize(static_cast<std::size_t>(n_bs));
-    p.wake_countdown.resize(static_cast<std::size_t>(n_bs));
-    for (std::size_t i = 0; i < p.mode.size(); ++i) {
-      const std::uint32_t mode = get_u32(in);
-      if (mode > 2) corrupt("checkpoint policy mode out of range");
-      p.mode[i] = static_cast<std::uint8_t>(mode);
-      p.dwell[i] = static_cast<std::int32_t>(get_i64(in));
-      p.wake_countdown[i] = static_cast<std::int32_t>(get_i64(in));
+    std::uint64_t n_bs = p.mode.size();
+    io.count(n_bs, 1ull << 24, 4 + 8 + 8,
+             "checkpoint policy BS count implausible");
+    if constexpr (Io::kReading) {
+      p.mode.resize(static_cast<std::size_t>(n_bs));
+      p.dwell.resize(static_cast<std::size_t>(n_bs));
+      p.wake_countdown.resize(static_cast<std::size_t>(n_bs));
     }
-    p.switches = get_u64(in);
-    p.switch_energy_j = get_f64(in);
-    p.sleep_slots = get_u64(in);
+    GC_CHECK(p.dwell.size() == n_bs && p.wake_countdown.size() == n_bs);
+    for (std::size_t i = 0; i < p.mode.size(); ++i) {
+      std::uint32_t mode = p.mode[i];
+      io.u32(mode);
+      if (Io::kReading && mode > 2)
+        corrupt("checkpoint policy mode out of range");
+      if constexpr (Io::kReading) p.mode[i] = static_cast<std::uint8_t>(mode);
+      io.i64(p.dwell[i]);
+      io.i64(p.wake_countdown[i]);
+    }
+    io.u64(p.switches);
+    io.f64(p.switch_energy_j);
+    io.u64(p.sleep_slots);
   }
 
-  c.has_alerts = get_u32(in) != 0;
+  io.u32(c.has_alerts);
   if (c.has_alerts) {
     obs::AlertEngineState& a = c.alert_state;
-    a.rules_hash = get_u64(in);
-    a.total_fires = get_u64(in);
-    const std::uint64_t n_rules = get_u64(in);
-    if (n_rules > (1ull << 16)) corrupt("checkpoint alert rule count implausible");
-    a.rules.resize(static_cast<std::size_t>(n_rules));
-    for (auto& r : a.rules) {
-      r.cum = get_f64(in);
-      r.hold = get_u32(in);
-      r.firing = get_u32(in) != 0;
-      r.window = get_vec(in);
-    }
+    io.u64(a.rules_hash);
+    io.u64(a.total_fires);
+    list(io, a.rules, 1ull << 16, 8 + 4 + 4 + 8,
+         "checkpoint alert rule count implausible",
+         [&](obs::AlertEngineState::Rule& r) {
+           io.f64(r.cum);
+           io.u32(r.hold);
+           io.u32(r.firing);
+           vec(io, r.window);
+         });
   }
-  return c;
 }
+
+// Header: 8B magic + 4B version + 8B payload size + 4B payload CRC-32.
+constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 4;
+constexpr std::string_view kMagic(kCheckpointMagic, 8);
 
 }  // namespace
 
@@ -512,39 +433,34 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
 }
 
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
-  const std::string payload = serialize_payload(checkpoint);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    GC_CHECK_MSG(out.good(), "cannot open checkpoint file " << tmp);
-    out.write(kCheckpointMagic, 8);
-    put_u32(out, kCheckpointVersion);
-    put_u64(out, payload.size());
-    put_u32(out, crc32(payload));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    GC_CHECK_MSG(out.good(), "checkpoint write failed on " << tmp);
-  }
-  util::fsync_file(tmp);
-  GC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot move checkpoint into place at " << path);
-  util::fsync_parent_dir(path);
+  Writer w;
+  w.out.resize(kHeaderBytes);  // filled in once the payload is known
+  fields(w, const_cast<Checkpoint&>(checkpoint));
+  const std::string_view payload = std::string_view(w.out).substr(kHeaderBytes);
+  Writer header;
+  header.out = kMagic;
+  header.u32(kCheckpointVersion);
+  header.u64(payload.size());
+  header.u32(crc32(payload));
+  w.out.replace(0, kHeaderBytes, header.out);
+  util::write_file_atomic(path, w.out, "checkpoint");
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.good()) corrupt("cannot open checkpoint " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::string data(static_cast<std::size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  in.read(data.data(), static_cast<std::streamsize>(data.size()));
+  if (!in.good()) corrupt("cannot read checkpoint " + path);
   in.close();
 
-  // Header: 8B magic + 4B version + 8B payload size + 4B CRC-32.
-  constexpr std::size_t kHeader = 8 + 4 + 8 + 4;
-  if (data.size() < kHeader) corrupt("checkpoint truncated in " + path);
-  if (std::memcmp(data.data(), kCheckpointMagic, 8) != 0)
+  if (data.size() < kHeaderBytes) corrupt("checkpoint truncated in " + path);
+  Reader header(data);
+  if (header.take(kMagic.size()) != kMagic)
     corrupt("bad checkpoint magic in " + path);
-  std::istringstream hdr(data.substr(8, kHeader - 8), std::ios::binary);
-  const std::uint32_t version = get_u32(hdr);
+  std::uint32_t version = 0;
+  header.u32(version);
   if (version != kCheckpointVersion)
     corrupt("unsupported checkpoint version " + std::to_string(version) +
             " in " + path + " (this build reads v" +
@@ -552,30 +468,30 @@ Checkpoint load_checkpoint(const std::string& path) {
             " only; older checkpoints lack the CRC, structural-hash, "
             "auditor, warm-start-carry, sleep-policy and alert-state "
             "fields — re-run from slot 0)");
-  const std::uint64_t payload_size = get_u64(hdr);
-  const std::uint32_t stored_crc = get_u32(hdr);
-  if (data.size() - kHeader != payload_size)
+  std::uint64_t payload_size = 0;
+  std::uint32_t stored_crc = 0;
+  header.u64(payload_size);
+  header.u32(stored_crc);
+  const std::string_view payload = std::string_view(data).substr(kHeaderBytes);
+  if (payload.size() != payload_size)
     corrupt("checkpoint payload size mismatch in " + path + " (header says " +
             std::to_string(payload_size) + " bytes, file holds " +
-            std::to_string(data.size() - kHeader) + ")");
-  const std::string payload = data.substr(kHeader);
-  const std::uint32_t actual_crc = crc32(payload);
-  if (actual_crc != stored_crc)
+            std::to_string(payload.size()) + ")");
+  if (crc32(payload) != stored_crc)
     corrupt("checkpoint CRC mismatch in " + path +
             " (payload is corrupt — bit rot or torn write)");
 
-  std::istringstream body(payload, std::ios::binary);
+  Reader body(payload);
   Checkpoint c;
   try {
-    c = parse_payload(body);
+    fields(body, c);
   } catch (const CheckpointError&) {
     throw;
   } catch (const CheckError& e) {
     corrupt(std::string(e.what()) + " in " + path);
   }
   // The format is fully self-describing; trailing bytes mean corruption.
-  body.peek();
-  if (!body.eof()) corrupt("trailing bytes after checkpoint in " + path);
+  if (!body.done()) corrupt("trailing bytes after checkpoint in " + path);
   return c;
 }
 
@@ -726,19 +642,7 @@ void CheckpointRotator::write_manifest() const {
             ",\"slot\":" + std::to_string(generations_[i].slot) + "}";
   }
   body += "]}\n";
-  const std::string path = manifest_path(base_);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    GC_CHECK_MSG(out.good(), "cannot open checkpoint manifest " << tmp);
-    out << body;
-    out.flush();
-    GC_CHECK_MSG(out.good(), "checkpoint manifest write failed on " << tmp);
-  }
-  util::fsync_file(tmp);
-  GC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot move checkpoint manifest into place at " << path);
-  util::fsync_parent_dir(path);
+  util::write_file_atomic(manifest_path(base_), body, "checkpoint manifest");
 }
 
 }  // namespace gc::sim

@@ -23,21 +23,26 @@
 //    per-BS mode, dwell and wake countdowns plus the switching counters),
 //    so a killed + resumed run replays sleep/wake commands bit-identically.
 //
+//  * optionally the alert engine's debounce state (obs/alerts.hpp), so a
+//    resumed run's fire/clear edges replay exactly.
+//
 // Serialization is a versioned binary format: the 8-byte magic "GCCKPT01",
 // a u32 format version (currently 6), a u64 payload size, a CRC-32 of the
 // payload, then the payload itself as fixed-width little-endian fields
 // (doubles as their IEEE-754 bit patterns, so the round trip is bit-exact).
-// v3 added the size + CRC header, the structural scenario hash, and the
-// auditor state; v4 the warm-start carry; v5 the sleep-policy state; v6
-// the alert-engine state (obs/alerts.hpp), so a resumed run's debounce
-// counters and fire/clear edges replay exactly;
-// older files are refused loudly —
-// re-run from slot 0 rather than resuming with silently missing state. save_checkpoint writes to a
-// temp file, fsyncs it, and renames it into place, so neither a crash
-// mid-write nor a power loss after the rename corrupts the previous
-// checkpoint. Every load-time corruption (truncation, bit flip, wrong
-// magic, trailing bytes) throws CheckpointError — a typed gc::CheckError —
-// and never yields a partially loaded state.
+// The payload's field order is defined once, by the field list in
+// checkpoint.cpp that both save and load walk. v3 added the size + CRC
+// header, the structural scenario hash, and the auditor state; v4 the
+// warm-start carry; v5 the sleep-policy state; v6 the alert-engine state
+// (obs/alerts.hpp), so a resumed run's debounce counters and fire/clear
+// edges replay exactly. Older files are refused loudly — re-run from slot 0
+// rather than resuming with silently missing state. save_checkpoint goes
+// through util::write_file_atomic (temp file, fsync, rename, directory
+// fsync), so neither a crash mid-write nor a power loss after the rename
+// corrupts the previous checkpoint. Every load-time corruption (truncation,
+// bit flip, wrong magic, trailing bytes, a length field larger than the
+// bytes that follow) throws CheckpointError — a typed gc::CheckError — and
+// never yields a partially loaded state.
 //
 // Rotation (--checkpoint-rotate N): CheckpointRotator writes generation
 // files BASE.gen<K> with monotonically increasing K, keeps the newest N,
@@ -154,10 +159,10 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
                         policy::SleepController* sleep = nullptr,
                         obs::AlertEngine* alerts = nullptr);
 
-// Binary IO. save_checkpoint is atomic and durable (temp file + fsync +
-// rename + parent-dir fsync); load_checkpoint throws CheckpointError on a
-// missing file, bad magic, unsupported version, truncation, CRC mismatch,
-// or trailing bytes.
+// Binary IO. save_checkpoint is atomic and durable (util::write_file_atomic);
+// load_checkpoint throws CheckpointError on a missing file, bad magic,
+// unsupported version, truncation, CRC mismatch, an implausible length
+// field, or trailing bytes.
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path);
 Checkpoint load_checkpoint(const std::string& path);
 

@@ -276,12 +276,14 @@ Metrics run_loop(const core::NetworkModel& model,
     rotator = std::make_unique<CheckpointRotator>(options.checkpoint_path,
                                                   options.checkpoint_rotate);
   const auto flush_sinks = [&] {
+    obs::Span span("sim.sink_flush");
     if (trace) trace->flush();
     if (options.lp_sink != nullptr) options.lp_sink->flush();
     if (options.events != nullptr) options.events->flush();
   };
   int last_checkpoint_slot = start_slot;
   const auto checkpoint_now = [&](int next_slot) {
+    obs::Span span("sim.checkpoint", next_slot);
     // The checkpoint_write event precedes the flush on purpose: the event
     // line is durable before the checkpoint file exists, and resume-side
     // truncation (cut = the checkpoint's next_slot) keeps it because it is

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -16,13 +18,41 @@ namespace gc::util {
 
 namespace {
 
-bool fsync_fd_of(const std::string& path, int flags) {
-  const int fd = ::open(path.c_str(), flags);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
+// Fsyncs the directory containing `path` so a freshly renamed entry is
+// durable. Best-effort: a filesystem that refuses is not an error.
+void fsync_parent_dir(const std::string& path) {
+  std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return;
+  (void)::fsync(fd);
   ::close(fd);
-  return ok;
 }
+
+}  // namespace
+
+void write_file_atomic(const std::string& path, std::string_view bytes,
+                       std::string_view what) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  GC_CHECK_MSG(fd >= 0, "cannot open " << what << " file " << tmp);
+  bool ok = true;
+  while (ok && !bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  (void)::fsync(fd);
+  ok = ::close(fd) == 0 && ok;
+  GC_CHECK_MSG(ok, what << " write failed on " << tmp);
+  GC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+               "cannot move " << what << " into place at " << path);
+  fsync_parent_dir(path);
+}
+
+namespace {
 
 // Cuts `path` as JsonlWriter's constructor documents.
 JsonlTruncation truncate_jsonl_to_slot(const std::string& path,
@@ -70,29 +100,14 @@ JsonlTruncation truncate_jsonl_to_slot(const std::string& path,
   if (pos < data.size()) {
     std::error_code ec;
     std::filesystem::resize_file(path, pos, ec);
-    if (ec) {  // fall back to rewriting the kept prefix
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(data.data(), static_cast<std::streamsize>(pos));
-      out.flush();
-      GC_CHECK_MSG(out.good(),
-                   "cannot cut " << path << " back to slot " << cut_slot);
-    }
+    if (ec)  // fall back to rewriting the kept prefix
+      write_file_atomic(path, std::string_view(data).substr(0, pos),
+                        "JSONL file");
   }
   return result;
 }
 
 }  // namespace
-
-bool fsync_file(const std::string& path) {
-  return fsync_fd_of(path, O_WRONLY);
-}
-
-bool fsync_parent_dir(const std::string& path) {
-  std::filesystem::path p(path);
-  std::filesystem::path dir = p.parent_path();
-  if (dir.empty()) dir = ".";
-  return fsync_fd_of(dir.string(), O_RDONLY);
-}
 
 JsonlWriter::JsonlWriter(std::string path, const std::string& key,
                          int resume_slot, std::string what)

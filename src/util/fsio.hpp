@@ -1,10 +1,12 @@
 // Filesystem durability helpers (docs/ROBUSTNESS.md "Operating long runs").
 //
-// Atomic tmp+rename writes protect readers from torn files, but they do not
-// make the data *durable*: after a power loss the rename may survive while
-// the file's blocks are still unwritten. Checkpoints and snapshots
-// therefore fsync file data before renaming (fsync_file) and, best-effort,
-// the containing directory after the rename (fsync_parent_dir) so the
+// write_file_atomic is the one writer behind every whole-file output
+// (checkpoints and their rotation manifest, metrics snapshots, profiles,
+// span traces, the metrics-port file, BENCH_sweep.json). A tmp + rename
+// write protects readers from torn files but does not make the data
+// durable: after a power loss the rename may survive while the file's
+// blocks are still unwritten. It therefore fsyncs the data before the
+// rename and, best-effort, the containing directory after it, so the
 // directory entry itself reaches disk.
 //
 // JsonlWriter is the one file behind every per-slot JSONL sink (trace, LP
@@ -22,16 +24,14 @@
 
 namespace gc::util {
 
-// fflush-equivalent durability for a file already written through a
-// buffered stream: opens `path` and fsyncs its data to stable storage.
-// Returns false (without throwing) when the file cannot be opened or the
-// sync fails — callers treat durability as best-effort on filesystems that
-// refuse fsync, but never skip the attempt.
-bool fsync_file(const std::string& path);
-
-// Fsyncs the directory containing `path` so a freshly renamed entry is
-// durable. Best-effort: returns false on failure.
-bool fsync_parent_dir(const std::string& path);
+// Replaces `path` with `bytes`: writes `path`.tmp, checking every write,
+// fsyncs it through the same descriptor (best effort: some filesystems
+// refuse fsync), renames it over `path`, then fsyncs the parent directory.
+// Readers see the old file or the new one, never a mix. `what` names the
+// file in errors ("checkpoint"). Throws gc::CheckError when the file cannot
+// be written or moved into place; `path` is then left as it was.
+void write_file_atomic(const std::string& path, std::string_view bytes,
+                       std::string_view what);
 
 // Result of cutting a JSONL file back to a slot boundary (JsonlWriter).
 struct JsonlTruncation {

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/controller.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
 #include "sim/scenario.hpp"
+#include "sim/simulator.hpp"
 
 namespace gc::obs {
 namespace {
@@ -98,6 +100,30 @@ TEST(Span, SetupSpansNestUnderModelBuild) {
   // The prune map is built on first use, after the model exists.
   EXPECT_GE(prune->start_s, build->start_s + build->dur_s);
   EXPECT_EQ(constants->dim, model.num_nodes());
+}
+
+TEST(Span, CheckpointWritesAndSinkFlushesAreSpanned) {
+  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  RecorderReset reset;
+  SpanRecorder::instance().enable(1 << 16);
+  const sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
+  const core::NetworkModel model = cfg.build();
+  core::LyapunovController controller(model, 3.0, cfg.controller_options());
+  sim::SimOptions opts;
+  opts.checkpoint_path = testing::TempDir() + "gc_span_test.ckpt";
+  opts.checkpoint_every = 4;
+  sim::run_simulation(model, controller, 10, opts);
+  SpanRecorder::instance().disable();
+  EXPECT_EQ(SpanRecorder::instance().dropped(), 0);
+  int checkpoints = 0, flushes = 0;
+  for (const SpanEvent& e : SpanRecorder::instance().drain()) {
+    checkpoints += std::string(e.name) == "sim.checkpoint";
+    flushes += std::string(e.name) == "sim.sink_flush";
+  }
+  // Slots 4 and 8 plus the final checkpoint; each flushes its sinks first.
+  EXPECT_EQ(checkpoints, 3);
+  EXPECT_EQ(flushes, 3);
+  std::remove(opts.checkpoint_path.c_str());
 }
 
 TEST(Span, RingKeepsMostRecentAndCountsDrops) {

@@ -8,7 +8,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
+#include <string_view>
+#include <typeinfo>
 
 #include "core/controller.hpp"
 #include "obs/registry.hpp"
@@ -24,6 +27,133 @@ namespace {
 
 std::string tmp_path(const char* name) {
   return testing::TempDir() + "gc_checkpoint_test_" + name;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// CRC-32 (IEEE, reflected), bit by bit: the checkpoint header's checksum.
+std::uint32_t crc32(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (unsigned char b : bytes) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return ~crc;
+}
+
+std::string hex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 0xf];
+  }
+  return out;
+}
+
+// A hand-built checkpoint with every optional section present and a
+// distinctive value in every field, so any reordering, resizing or
+// dropped field in the codec changes the payload (and thus its CRC).
+Checkpoint pinned_checkpoint() {
+  Checkpoint c;
+  c.next_slot = 1234;
+  c.scenario_hash = 0x0123456789abcdefull;
+  c.scenario_structural_hash = 0xfedcba9876543210ull;
+  c.input_rng.s[0] = 1;
+  c.input_rng.s[1] = 0x8000000000000001ull;
+  c.input_rng.s[2] = 3;
+  c.input_rng.s[3] = 4;
+  c.input_rng.seed = 42;
+  c.last_grid_j = -3.25;
+  c.q = {1.5, -0.0, 1e300};
+  c.gq = {0.0, 2.5, 3.75, 0.0};
+  c.battery_capacity_j = {100.0, 200.0};
+  c.battery_level_j = {50.0, 0.125};
+
+  Metrics& m = c.metrics;
+  m.cost = {1.0, 2.0};
+  m.grid_j = {3.0};
+  m.q_bs = {4.0, 5.0, 6.0};
+  m.q_users = {7.0};
+  m.battery_bs_j = {8.0};
+  m.cost_avg.restore(12.5, 4);
+  m.q_total_stability.add(3.0);
+  m.q_total_stability.add(-5.0);
+  m.h_total_stability.add(0.5);
+  m.total_demand_shortfall = 1.25;
+  m.total_unserved_energy_j = 2.25;
+  m.total_curtailed_j = 3.25;
+  m.total_delivered_packets = 4.25;
+  m.total_admitted_packets = 5.25;
+  m.total_offered_packets = 6.25;
+  m.slots = 4;
+  m.timing.s1_s = 0.5;
+  m.timing.s2_s = 0.25;
+  m.timing.s3_s = 0.125;
+  m.timing.s4_s = 0.0625;
+  m.timing.step_s = 1.0;
+
+  c.has_mobility = true;
+  c.mobility.targets = {{1.0, 2.0}, {3.0, 4.0}};
+  c.mobility.speeds_mps = {1.5, 2.5};
+  c.mobility.rng.s[0] = 5;
+  c.mobility.rng.s[3] = 6;
+  c.mobility.rng.seed = 7;
+  c.user_positions = {{5.0, 6.0}, {7.0, 8.0}};
+
+  c.has_audit = true;
+  obs::AuditorState& a = c.audit;
+  a.slots = 9;
+  a.cost_sum = 10.5;
+  a.prev_lyapunov = 11.5;
+  a.have_prev_lyapunov = true;
+  a.total_q_violations = 12;
+  a.total_z_violations = 13;
+  a.total_drift_violations = 14;
+  a.unstable_windows = 15;
+  a.run_worst_q_margin = -16.5;
+  a.run_worst_z_margin = 17.5;
+  a.window_fill = 18;
+  a.closed_windows = 19;
+  a.window_backlog_sum = 20.5;
+  a.window_cost_sum = 21.5;
+  a.prev_window_backlog_mean = 22.5;
+  a.prev_window_cost_mean = 23.5;
+  a.have_prev_window = true;
+  a.window_cost_delta = -24.5;
+
+  c.has_warm = true;
+  c.warm.s1_states = {1, 2, 3, 250};
+  c.warm.s1_keys = {0xdeadbeefull, 7};
+  c.warm.s4_states = {9, 8};
+
+  c.has_policy = true;
+  c.policy_state.mode = {0, 1, 2};
+  c.policy_state.dwell = {5, -1, 7};
+  c.policy_state.wake_countdown = {0, 0, 3};
+  c.policy_state.switches = 11;
+  c.policy_state.switch_energy_j = 2.75;
+  c.policy_state.sleep_slots = 19;
+
+  c.has_alerts = true;
+  c.alert_state.rules_hash = 0xabcdef0123456789ull;
+  c.alert_state.total_fires = 3;
+  c.alert_state.rules.resize(2);
+  c.alert_state.rules[0].cum = 1.5;
+  c.alert_state.rules[0].hold = 2;
+  c.alert_state.rules[0].firing = true;
+  c.alert_state.rules[0].window = {0.5, 1.0};
+  return c;
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsBitExactly) {
@@ -294,6 +424,78 @@ TEST(Checkpoint, FuzzTruncationAndByteFlipsAlwaysThrowTyped) {
   EXPECT_THROW(load_checkpoint(victim), CheckpointError);
 
   std::remove(good.c_str());
+  std::remove(victim.c_str());
+}
+
+// The on-disk format is a contract: checkpoints written by one build must
+// load in the next. The 24-byte header (magic, version, payload size,
+// payload CRC-32) of a fully populated checkpoint pins every payload byte,
+// and a load -> save round trip reproduces the file exactly.
+TEST(Checkpoint, FormatIsPinned) {
+  const std::string path = tmp_path("pinned.ckpt");
+  save_checkpoint(pinned_checkpoint(), path);
+  const std::string bytes = read_bytes(path);
+  ASSERT_GE(bytes.size(), 24u);
+  EXPECT_EQ(hex(bytes.substr(0, 24)),
+            "4743434b5054303106000000f60300000000000046130be5");
+
+  const std::string again = tmp_path("pinned_again.ckpt");
+  save_checkpoint(load_checkpoint(path), again);
+  EXPECT_EQ(read_bytes(again), bytes);
+  std::remove(path.c_str());
+  std::remove(again.c_str());
+}
+
+// CRC-valid damage (a buggy writer rather than bit rot: the CRC was
+// recomputed after the bytes changed) must still load cleanly or throw
+// CheckpointError. Anything else — std::bad_alloc from a length field
+// taken at its word, say — would stop load_newest_valid from falling back
+// to an older generation.
+TEST(Checkpoint, CrcValidMutationsThrowTyped) {
+  const std::string path = tmp_path("mutate_base.ckpt");
+  save_checkpoint(pinned_checkpoint(), path);
+  const std::string data = read_bytes(path);
+  ASSERT_GT(data.size(), 24u);
+  const std::string victim = tmp_path("mutate_victim.ckpt");
+  const auto write_with_crc = [&](std::string bytes) {
+    const std::uint32_t crc = crc32(std::string_view(bytes).substr(24));
+    for (int i = 0; i < 4; ++i)
+      bytes[20 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+    write_bytes(victim, bytes);
+  };
+
+  // The q length sits after the two hashes, next_slot, the RNG state and
+  // P(t-1): payload offset 72. Patched to 2^32 and to 10^9 elements.
+  constexpr std::size_t kQLength = 24 + 72;
+  ASSERT_EQ(data[kQLength], 3);  // pinned_checkpoint's q has 3 entries
+  for (const std::uint64_t len : {1ull << 32, 1000000000ull}) {
+    std::string bytes = data;
+    for (int i = 0; i < 8; ++i)
+      bytes[kQLength + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    write_with_crc(bytes);
+    EXPECT_THROW(load_checkpoint(victim), CheckpointError) << "len=" << len;
+  }
+
+  // Seeded random payload edits: 1-3 bytes each, half of them 0xff so
+  // length fields grow large.
+  std::mt19937_64 gen(20140630);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string bytes = data;
+    const int edits = 1 + static_cast<int>(gen() % 3);
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t pos = 24 + gen() % (bytes.size() - 24);
+      bytes[pos] = static_cast<char>(gen() % 2 ? 0xff : gen() & 0xff);
+    }
+    write_with_crc(bytes);
+    try {
+      (void)load_checkpoint(victim);
+    } catch (const CheckpointError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trial " << trial << " threw " << typeid(e).name()
+                    << ": " << e.what();
+    }
+  }
+  std::remove(path.c_str());
   std::remove(victim.c_str());
 }
 

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "util/check.hpp"
+#include "util/fsio.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -163,8 +163,6 @@ int main(int argc, char** argv) {
     const double speedup =
         parallel.wall_s > 0.0 ? serial.wall_s / parallel.wall_s : 0.0;
 
-    std::ofstream out(args.out, std::ios::trunc);
-    GC_CHECK_MSG(out.good(), "cannot open " << args.out);
     char buf[2048];
     std::snprintf(
         buf, sizeof buf,
@@ -188,7 +186,7 @@ int main(int argc, char** argv) {
         parallel.wall_s > 0.0 ? total_slots / parallel.wall_s : 0.0,
         parallel.lp_solves, parallel.lp_iterations, speedup,
         deterministic ? "true" : "false");
-    out << buf;
+    gc::util::write_file_atomic(args.out, buf, "sweep result");
     std::printf("%s", buf);
     std::printf("written to %s\n", args.out.c_str());
     if (!deterministic) {

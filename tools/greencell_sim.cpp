@@ -26,6 +26,7 @@
 #include "sim/sweep.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/fsio.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -95,8 +96,99 @@ void write_csv(const std::string& path, const gc::sim::Metrics& m) {
              m.q_users[t], m.battery_bs_j[t], m.battery_users_j[t]});
 }
 
-std::string seed_suffixed(const std::string& path, int k) {
-  return path.empty() ? path : path + ".seed" + std::to_string(k);
+// Replicate k of a sweep: input seed S+k, and every per-run output path
+// (trace, snapshot, checkpoint, lp-log, csv, spans, profile) at
+// PATH.seed<k> — the one place the per-seed suffix is applied.
+gc::cli::Options replicate_options(gc::cli::Options opt, int k) {
+  opt.input_seed += static_cast<std::uint64_t>(k);
+  for (std::string* path :
+       {&opt.trace_path, &opt.snapshot_path, &opt.checkpoint_path,
+        &opt.lp_log_path, &opt.csv_path, &opt.spans_path, &opt.profile_path})
+    if (!path->empty()) *path += ".seed" + std::to_string(k);
+  return opt;
+}
+
+// What one attempt shares with every run it starts.
+struct Attempt {
+  const gc::fault::FaultSchedule* faults = nullptr;
+  const gc::policy::SleepSetup* sleep = nullptr;
+  int crash_restarts = 0;
+  bool supervised = false;
+};
+
+// The options of one run — the single run, or a replicate given
+// replicate_options: the controller's lever overrides, mobility, and the
+// SimOptions. `opt.scenario` already carries the link-prune lever. The
+// single-run-only live sinks (events, alerts, exporter) and the lp-log are
+// attached by the caller.
+gc::sim::SimJob make_job(const gc::cli::Options& opt, const Attempt& at) {
+  gc::sim::SimJob job;
+  job.scenario = opt.scenario;
+  job.V = opt.V;
+  job.slots = opt.slots;
+  gc::core::ControllerOptions copts = opt.scenario.controller_options();
+  copts.lp.sparse = opt.lp_sparse;
+  copts.warm_across_slots = opt.lp_warm_slots;
+  copts.intra_slot_threads = opt.intra_slot_threads;
+  job.controller = copts;
+  if (opt.mobility_mps > 0.0) {
+    gc::sim::MobilityConfig mob;
+    mob.speed_mps_lo = 0.0;
+    mob.speed_mps_hi = opt.mobility_mps;
+    mob.area_m = opt.scenario.area_m;
+    job.mobility = mob;
+  }
+
+  gc::sim::SimOptions& sim = job.sim;
+  sim.input_seed = opt.input_seed;
+  sim.validate = opt.validate;
+  sim.strict_bounds = opt.strict_bounds;
+  sim.trace_path = opt.trace_path;
+  sim.trace_top_k = opt.trace_top_k;
+  sim.snapshot_path = opt.snapshot_path;
+  sim.snapshot_every = opt.snapshot_every;
+  sim.scenario_name = opt.scenario_name;
+  sim.scenario_hash = opt.scenario_hash;
+  sim.scenario_structural_hash = opt.scenario_structural_hash;
+  sim.allow_swapped_scenario =
+      at.supervised && !opt.reload_scenario_path.empty();
+  sim.faults = at.faults;
+  sim.sleep = at.sleep;
+  sim.checkpoint_path = opt.checkpoint_path;
+  sim.checkpoint_every = opt.checkpoint_every;
+  sim.checkpoint_rotate = opt.checkpoint_rotate;
+  // A supervised attempt always auto-resumes from its checkpoint base (a
+  // crash may have landed before the first checkpoint existed, so the base
+  // may legitimately name nothing). In a sweep each seed resumes from its
+  // own base: seeds that already finished reload their final checkpoint
+  // and return instantly, so a crashed sweep only redoes the interrupted
+  // replicates' tails.
+  sim.resume_path = at.supervised ? opt.checkpoint_path : opt.resume_path;
+  sim.resume_auto = at.supervised;
+  sim.sink_resume = at.supervised;
+  sim.process_kill_skip = at.crash_restarts;
+  sim.restart_count = at.crash_restarts;
+  return job;
+}
+
+// The slot a run's pre-opened sinks (lp-log, event journal) are cut back
+// to: a supervised attempt's checkpointed slot, so a resumed run's files
+// are byte-identical to an uninterrupted one's. -1 = open them fresh.
+int sink_resume_slot(const gc::sim::SimJob& job) {
+  return job.sim.resume_auto
+             ? gc::sim::auto_resume_slot(job.sim.resume_path,
+                                         job.sim.checkpoint_rotate)
+             : -1;
+}
+
+// --lp-log: stream every simplex solve's SolveStats of `job` as JSONL.
+std::unique_ptr<gc::lp::JsonlSolveLog> attach_lp_log(const std::string& path,
+                                                     int resume_slot,
+                                                     gc::sim::SimJob& job) {
+  auto log = std::make_unique<gc::lp::JsonlSolveLog>(path, resume_slot);
+  job.controller->lp_stats = log.get();
+  job.sim.lp_sink = log.get();
+  return log;
 }
 
 // Ordered directed links the architecture allows — the profile's topology
@@ -128,9 +220,9 @@ gc::obs::ProfileMeta make_profile_meta(const gc::cli::Options& opt,
 }
 
 void write_profile_files(const std::string& path, const gc::obs::Profile& p) {
-  gc::obs::write_text_atomic(path, p.to_json(), "profile");
-  gc::obs::write_text_atomic(path + ".collapsed", p.to_collapsed(),
-                             "collapsed profile");
+  gc::util::write_file_atomic(path, p.to_json(), "profile");
+  gc::util::write_file_atomic(path + ".collapsed", p.to_collapsed(),
+                              "collapsed profile");
 }
 
 // The wall time of one sweep job = its sweep.job span (recorded around the
@@ -186,6 +278,7 @@ void export_single_run_obs(const gc::cli::Options& opt,
 // replicate's slice at PATH.seed<k> (the snapshot convention); the merged
 // profile is a deterministic fold in seed order.
 void export_sweep_obs(const gc::cli::Options& opt,
+                      const std::vector<gc::cli::Options>& replicates,
                       const gc::core::NetworkModel& model,
                       const std::vector<gc::sim::Metrics>& runs) {
   if (opt.spans_path.empty() && opt.profile_path.empty()) return;
@@ -200,7 +293,7 @@ void export_sweep_obs(const gc::cli::Options& opt,
     for (const auto& [job, slice] : by_job) {
       if (job < 0) continue;  // spans outside any job: combined file only
       gc::obs::write_chrome_trace(
-          seed_suffixed(opt.spans_path, static_cast<int>(job)), slice);
+          replicates[static_cast<std::size_t>(job)].spans_path, slice);
     }
     if (!opt.quiet) {
       std::printf("spans written to %s, per-seed at %s.seed<k>",
@@ -225,7 +318,7 @@ void export_sweep_obs(const gc::cli::Options& opt,
           make_profile_meta(opt, model, slots, job_wall_s(it->second), 0);
       if (k < static_cast<int>(runs.size()))
         stamp_policy_meta(p.meta, opt, runs[k]);
-      write_profile_files(seed_suffixed(opt.profile_path, k), p);
+      write_profile_files(replicates[k].profile_path, p);
       merged.merge_from(p);
     }
     merged.meta.spans_dropped = dropped;
@@ -241,74 +334,20 @@ void export_sweep_obs(const gc::cli::Options& opt,
 // through the parallel sweep engine; per-seed lines plus an aggregate
 // mean/min/max summary. Per-seed results are bit-identical at any
 // --threads value (sim/sweep.hpp).
-int run_replicates(const gc::cli::Options& opt,
-                   const gc::fault::FaultSchedule* faults,
-                   const gc::policy::SleepSetup* sleep,
-                   const gc::core::NetworkModel& model, int crash_restarts,
-                   bool supervised) {
+int run_replicates(const gc::cli::Options& opt, const Attempt& at,
+                   const gc::core::NetworkModel& model) {
   // Per-seed LP solve logs: each job gets its own sink and file (one
   // shared file would interleave replicates), kept alive past the sweep.
   std::vector<std::unique_ptr<gc::lp::JsonlSolveLog>> lp_logs;
+  std::vector<gc::cli::Options> replicates;
   std::vector<gc::sim::SimJob> jobs;
   for (int k = 0; k < opt.seeds; ++k) {
-    gc::sim::SimJob job;
-    job.scenario = opt.scenario;
-    // Run parameter, not a scenario-JSON field: applied on top of whatever
-    // scenario the replicate runs (see ScenarioConfig::link_prune).
-    job.scenario.link_prune = opt.link_prune;
-    job.V = opt.V;
-    job.slots = opt.slots;
-    job.sim.input_seed = opt.input_seed + static_cast<std::uint64_t>(k);
-    job.sim.validate = opt.validate;
-    job.sim.trace_path = seed_suffixed(opt.trace_path, k);
-    job.sim.trace_top_k = opt.trace_top_k;
-    job.sim.strict_bounds = opt.strict_bounds;
-    job.sim.snapshot_path = seed_suffixed(opt.snapshot_path, k);
-    job.sim.snapshot_every = opt.snapshot_every;
-    job.sim.scenario_name = opt.scenario_name;
-    job.sim.scenario_hash = opt.scenario_hash;
-    job.sim.scenario_structural_hash = opt.scenario_structural_hash;
-    job.sim.faults = faults;
-    job.sim.sleep = sleep;
-    // Per-seed checkpoints: each replicate rotates its own generations at
-    // BASE.seed<k>. A supervised sweep attempt auto-resumes every seed
-    // from its own base — seeds that already finished reload their final
-    // checkpoint and return instantly, so a crashed sweep only redoes the
-    // interrupted replicates' tails.
-    job.sim.checkpoint_path = seed_suffixed(opt.checkpoint_path, k);
-    job.sim.checkpoint_every = opt.checkpoint_every;
-    job.sim.checkpoint_rotate = opt.checkpoint_rotate;
-    if (supervised) {
-      job.sim.resume_path = job.sim.checkpoint_path;
-      job.sim.resume_auto = true;
-      job.sim.sink_resume = true;
-      job.sim.process_kill_skip = crash_restarts;
-    }
-    gc::core::ControllerOptions copts = opt.scenario.controller_options();
-    copts.lp.sparse = opt.lp_sparse;
-    copts.warm_across_slots = opt.lp_warm_slots;
-    copts.intra_slot_threads = opt.intra_slot_threads;
-    if (!opt.lp_log_path.empty()) {
-      // Same contract as the single-run path: a supervised attempt cuts
-      // the crashed attempt's log back to this seed's checkpointed slot,
-      // then appends.
-      lp_logs.push_back(std::make_unique<gc::lp::JsonlSolveLog>(
-          seed_suffixed(opt.lp_log_path, k),
-          supervised ? gc::sim::auto_resume_slot(job.sim.resume_path,
-                                                 opt.checkpoint_rotate)
-                     : -1));
-      copts.lp_stats = lp_logs.back().get();
-      job.sim.lp_sink = lp_logs.back().get();
-    }
-    job.controller = copts;
-    if (opt.mobility_mps > 0.0) {
-      gc::sim::MobilityConfig mob;
-      mob.speed_mps_lo = 0.0;
-      mob.speed_mps_hi = opt.mobility_mps;
-      mob.area_m = opt.scenario.area_m;
-      job.mobility = mob;
-    }
-    jobs.push_back(job);
+    const gc::cli::Options& rep =
+        replicates.emplace_back(replicate_options(opt, k));
+    gc::sim::SimJob& job = jobs.emplace_back(make_job(rep, at));
+    if (!rep.lp_log_path.empty())
+      lp_logs.push_back(
+          attach_lp_log(rep.lp_log_path, sink_resume_slot(job), job));
   }
 
   gc::sim::SweepOptions sweep_opts;
@@ -337,7 +376,7 @@ int run_replicates(const gc::cli::Options& opt,
                 static_cast<unsigned long long>(opt.input_seed + k),
                 m.cost_avg.average(), m.total_delivered_packets,
                 m.average_delay_slots(), final_backlog);
-    if (!opt.csv_path.empty()) write_csv(seed_suffixed(opt.csv_path, k), m);
+    if (!replicates[k].csv_path.empty()) write_csv(replicates[k].csv_path, m);
   }
   std::printf("aggregate avg_cost mean=%.6g min=%.6g max=%.6g\n",
               cost.mean(), cost.min(), cost.max());
@@ -378,7 +417,7 @@ int run_replicates(const gc::cli::Options& opt,
       std::printf("per-seed checkpoints written to %s.seed<k>\n",
                   opt.checkpoint_path.c_str());
   }
-  export_sweep_obs(opt, model, runs);
+  export_sweep_obs(opt, replicates, model, runs);
   if (opt.report) {
     // Worker registries were merged into the global registry by the sweep,
     // so the report covers all replicates; per-run timing is summed.
@@ -467,7 +506,7 @@ gc::scenario::ScenarioSpec load_swapped_scenario(
 
 int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
                 bool supervised) {
-  const gc::cli::Options& opt = opt_in;
+  gc::cli::Options opt = opt_in;
   // --print-scenario: dump the resolved spec (whether it came from a
   // --scenario file or from shaping flags) as canonical JSON and exit.
   if (opt.print_scenario) {
@@ -481,88 +520,38 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   // Resolve the active scenario: a supervised attempt with a reload file
   // swaps it in (structurally checked) on every (re)start, so a SIGHUP
   // restart picks up edits without losing checkpointed progress.
-  gc::sim::ScenarioConfig active_scenario = opt.scenario;
-  std::string active_name = opt.scenario_name;
-  std::uint64_t active_hash = opt.scenario_hash;
-  bool scenario_swapped = false;
-  if (supervised && !opt.reload_scenario_path.empty()) {
+  const bool scenario_swapped =
+      supervised && !opt.reload_scenario_path.empty();
+  if (scenario_swapped) {
     const gc::scenario::ScenarioSpec swapped = load_swapped_scenario(opt);
-    active_scenario = swapped.config;
-    active_name = swapped.name;
-    active_hash = gc::scenario::scenario_hash(swapped);
-    scenario_swapped = true;
-    if (!opt.quiet && active_hash != opt.scenario_hash)
+    opt.scenario = swapped.config;
+    opt.scenario_name = swapped.name;
+    opt.scenario_hash = gc::scenario::scenario_hash(swapped);
+    if (!opt.quiet && opt.scenario_hash != opt_in.scenario_hash)
       std::printf("scenario swapped in from %s (%s)\n",
                   opt.reload_scenario_path.c_str(),
-                  gc::scenario::hash_hex(active_hash).c_str());
+                  gc::scenario::hash_hex(opt.scenario_hash).c_str());
   }
 
   // Performance levers ride on top of the scenario (they are run
   // parameters, never part of the spec or its hash).
-  active_scenario.link_prune = opt.link_prune;
+  opt.scenario.link_prune = opt.link_prune;
 
   // Both the Chrome trace and the profile feed off the same span ring;
   // it records from here so the profile attributes the model build too.
   if (!opt.spans_path.empty() || !opt.profile_path.empty())
     gc::obs::SpanRecorder::instance().enable();
 
-  gc::core::NetworkModel model = active_scenario.build();
+  gc::core::NetworkModel model = opt.scenario.build();
   // Per-BS sleep parameters (src/policy), expanded from the scenario's
   // bs.tiers / bs.sleep blocks plus any --policy overrides. Plain data; it
   // must outlive the run (SimOptions holds a pointer) and is shared
   // read-only across replicate jobs.
-  const gc::policy::SleepSetup sleep_setup = active_scenario.sleep_setup();
-  gc::core::ControllerOptions controller_opts =
-      active_scenario.controller_options();
-  controller_opts.lp.sparse = opt.lp_sparse;
-  controller_opts.warm_across_slots = opt.lp_warm_slots;
-  controller_opts.intra_slot_threads = opt.intra_slot_threads;
-
-  // A supervised attempt always auto-resumes from the checkpoint base (a
-  // crash may have landed before the first checkpoint existed, so the
-  // base may legitimately name nothing). Pre-resolve the resume slot here:
-  // the lp-log and event-journal sinks open before the run and must be cut
-  // back to the checkpointed slot for a resumed run's files to be
-  // byte-identical to an uninterrupted one's. -1 = open them fresh.
-  const std::string resume_path =
-      supervised ? opt.checkpoint_path : opt.resume_path;
-  const int sink_resume_slot =
-      supervised && opt.seeds == 1
-          ? gc::sim::auto_resume_slot(resume_path, opt.checkpoint_rotate)
-          : -1;
-
-  // --lp-log (single run; replicate sweeps attach one per seed inside
-  // run_replicates): stream every simplex solve's SolveStats as JSONL.
-  std::unique_ptr<gc::lp::JsonlSolveLog> lp_log;
-  if (!opt.lp_log_path.empty() && opt.seeds == 1) {
-    lp_log = std::make_unique<gc::lp::JsonlSolveLog>(opt.lp_log_path,
-                                                     sink_resume_slot);
-    controller_opts.lp_stats = lp_log.get();
-  }
-  gc::core::LyapunovController controller(model, opt.V, controller_opts);
-  gc::sim::SimOptions sim_opts;
-  sim_opts.input_seed = opt.input_seed;
-  sim_opts.validate = opt.validate;
-  sim_opts.trace_path = opt.trace_path;
-  sim_opts.scenario_name = active_name;
-  sim_opts.scenario_hash = active_hash;
-  sim_opts.scenario_structural_hash = opt.scenario_structural_hash;
-  sim_opts.allow_swapped_scenario = scenario_swapped;
-  sim_opts.trace_top_k = opt.trace_top_k;
-  sim_opts.sleep = &sleep_setup;
-  sim_opts.checkpoint_path = opt.checkpoint_path;
-  sim_opts.checkpoint_every = opt.checkpoint_every;
-  sim_opts.checkpoint_rotate = opt.checkpoint_rotate;
-  sim_opts.resume_path = resume_path;
-  sim_opts.resume_auto = supervised;
-  sim_opts.sink_resume = supervised;
-  sim_opts.process_kill_skip = crash_restarts;
-  sim_opts.lp_sink = lp_log.get();
-  bool interrupted = false;
-  sim_opts.interrupted = &interrupted;
-  sim_opts.strict_bounds = opt.strict_bounds;
-  sim_opts.snapshot_path = opt.snapshot_path;
-  sim_opts.snapshot_every = opt.snapshot_every;
+  const gc::policy::SleepSetup sleep_setup = opt.scenario.sleep_setup();
+  Attempt at;
+  at.sleep = &sleep_setup;
+  at.crash_restarts = crash_restarts;
+  at.supervised = supervised;
 
   // Any checkpointing run gets signal-safe graceful shutdown: the first
   // SIGTERM/SIGINT finishes the slot, writes a checkpoint, flushes every
@@ -574,14 +563,22 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   if (!opt.faults_path.empty()) {
     faults = gc::fault::FaultSchedule::from_json_file(opt.faults_path,
                                                       model.num_nodes());
-    sim_opts.faults = &faults;
+    at.faults = &faults;
   }
 
   // Replicate sweep: fan the seeds out and aggregate (the FaultSchedule is
   // read-only during runs, so sharing it across jobs is safe).
-  if (opt.seeds > 1)
-    return run_replicates(opt, sim_opts.faults, &sleep_setup, model,
-                          crash_restarts, supervised);
+  if (opt.seeds > 1) return run_replicates(opt, at, model);
+
+  gc::sim::SimJob run = make_job(opt, at);
+  gc::sim::SimOptions& sim_opts = run.sim;
+  bool interrupted = false;
+  sim_opts.interrupted = &interrupted;
+  const int resume_slot = sink_resume_slot(run);
+  std::unique_ptr<gc::lp::JsonlSolveLog> lp_log;
+  if (!opt.lp_log_path.empty())
+    lp_log = attach_lp_log(opt.lp_log_path, resume_slot, run);
+  gc::core::LyapunovController controller(model, opt.V, *run.controller);
 
   // Live operations trio (docs/OBSERVABILITY.md "Operating live runs").
   // All single-run-only (rejected with --seeds > 1 at parse) and
@@ -592,7 +589,7 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   gc::obs::EventJournal events;
   if (!opt.events_path.empty()) {
     const gc::obs::EventSinkResume er =
-        events.open_sink(opt.events_path, sink_resume_slot);
+        events.open_sink(opt.events_path, resume_slot);
     if (!opt.quiet && er.existed && er.kept_lines > 0)
       std::printf("event journal resumed: kept %lld line(s), dropped %lld, "
                   "next seq %llu\n",
@@ -617,25 +614,20 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
     exporter = std::make_unique<gc::obs::HttpExporter>(opt.metrics_port,
                                                        sim_opts.events);
     if (!opt.metrics_port_file.empty())
-      gc::obs::write_text_atomic(opt.metrics_port_file,
-                                 std::to_string(exporter->port()) + "\n",
-                                 "metrics port file");
+      gc::util::write_file_atomic(opt.metrics_port_file,
+                                  std::to_string(exporter->port()) + "\n",
+                                  "metrics port file");
     if (!opt.quiet)
       std::printf("metrics exporter listening on http://127.0.0.1:%d\n",
                   exporter->port());
     sim_opts.exporter = exporter.get();
   }
-  sim_opts.restart_count = crash_restarts;
 
   gc::sim::Metrics m;
   const gc::obs::Span run_clock(nullptr);
-  if (opt.mobility_mps > 0.0) {
-    gc::sim::MobilityConfig mob;
-    mob.speed_mps_lo = 0.0;
-    mob.speed_mps_hi = opt.mobility_mps;
-    mob.area_m = active_scenario.area_m;
-    m = gc::sim::run_simulation_mobile(model, controller, opt.slots, mob,
-                                       sim_opts);
+  if (run.mobility) {
+    m = gc::sim::run_simulation_mobile(model, controller, opt.slots,
+                                       *run.mobility, sim_opts);
   } else {
     m = gc::sim::run_simulation(model, controller, opt.slots, sim_opts);
   }
@@ -662,15 +654,15 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
 
   if (!opt.quiet) {
     if (!opt.scenario_path.empty())
-      std::printf("scenario spec: %s (%s) from %s\n", active_name.c_str(),
-                  gc::scenario::hash_hex(active_hash).c_str(),
+      std::printf("scenario spec: %s (%s) from %s\n", opt.scenario_name.c_str(),
+                  gc::scenario::hash_hex(opt.scenario_hash).c_str(),
                   scenario_swapped ? opt.reload_scenario_path.c_str()
                                    : opt.scenario_path.c_str());
     std::printf("scenario: %d users, %d sessions @ %.0f kbps, %s, %s, V=%g\n",
-                active_scenario.num_users, active_scenario.num_sessions,
-                active_scenario.session_rate_bps / 1e3,
-                active_scenario.multihop ? "multi-hop" : "one-hop",
-                active_scenario.renewables ? "renewables" : "grid-only",
+                opt.scenario.num_users, opt.scenario.num_sessions,
+                opt.scenario.session_rate_bps / 1e3,
+                opt.scenario.multihop ? "multi-hop" : "one-hop",
+                opt.scenario.renewables ? "renewables" : "grid-only",
                 opt.V);
     std::printf("slots:                %d\n", m.slots);
     std::printf("avg energy cost:      %.6g\n", m.cost_avg.average());
@@ -691,7 +683,7 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
       std::printf("sleep policy:         %s — %d BS awake at end, %llu "
                   "switch(es), %.1f J switching, %llu BS-slots asleep\n",
                   gc::policy::sleep_policy_name(
-                      active_scenario.bs_sleep.policy),
+                      opt.scenario.bs_sleep.policy),
                   m.policy_awake_bs,
                   static_cast<unsigned long long>(m.policy_switches),
                   m.policy_switch_energy_j,
