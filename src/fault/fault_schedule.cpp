@@ -1,8 +1,6 @@
 #include "fault/fault_schedule.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
@@ -35,19 +33,15 @@ std::uint64_t event_seed(std::uint64_t seed, std::size_t event_idx) {
   return seed + 0x9E3779B97F4A7C15ull * (event_idx + 1);
 }
 
+// Indexed by FaultEvent::Kind: the spec's "kind" names.
+constexpr const char* kKindNames[] = {
+    "node_outage", "renewable_blackout", "grid_outage", "price_spike",
+    "battery_fade", "link_fade", "process_kill"};
+
 }  // namespace
 
 const char* to_string(FaultEvent::Kind k) {
-  switch (k) {
-    case FaultEvent::Kind::NodeOutage: return "node_outage";
-    case FaultEvent::Kind::RenewableBlackout: return "renewable_blackout";
-    case FaultEvent::Kind::GridOutage: return "grid_outage";
-    case FaultEvent::Kind::PriceSpike: return "price_spike";
-    case FaultEvent::Kind::BatteryFade: return "battery_fade";
-    case FaultEvent::Kind::LinkFade: return "link_fade";
-    case FaultEvent::Kind::ProcessKill: return "process_kill";
-  }
-  return "?";
+  return kKindNames[static_cast<int>(k)];
 }
 
 FaultSchedule::FaultSchedule(int num_nodes, std::uint64_t seed)
@@ -98,7 +92,7 @@ void FaultSchedule::add(const FaultEvent& event) {
 
 bool FaultSchedule::window_active(std::size_t event_idx, const FaultEvent& e,
                                   int t) const {
-  if (e.start >= 0) return t >= e.start && t < e.start + e.duration;
+  if (e.start >= 0) return t >= e.start && t - e.start < e.duration;
   // Stochastic: a window started at any u in (t - duration, t] covers t.
   // Each u's start draw is a pure function of (seed, event, u), so this
   // scan gives identical answers no matter where the run was resumed.
@@ -190,61 +184,33 @@ SlotFaults FaultSchedule::at(int t) const {
   return f;
 }
 
-namespace {
-
-FaultEvent::Kind kind_from_string(const std::string& s) {
-  if (s == "node_outage") return FaultEvent::Kind::NodeOutage;
-  if (s == "renewable_blackout") return FaultEvent::Kind::RenewableBlackout;
-  if (s == "grid_outage") return FaultEvent::Kind::GridOutage;
-  if (s == "price_spike") return FaultEvent::Kind::PriceSpike;
-  if (s == "battery_fade") return FaultEvent::Kind::BatteryFade;
-  if (s == "link_fade") return FaultEvent::Kind::LinkFade;
-  if (s == "process_kill") return FaultEvent::Kind::ProcessKill;
-  GC_CHECK_MSG(false, "unknown fault kind \"" << s << "\"");
-  return FaultEvent::Kind::NodeOutage;  // unreachable
-}
-
-}  // namespace
-
 FaultSchedule FaultSchedule::from_json(const std::string& json_text,
                                        int num_nodes) {
   const obs::JsonValue root = obs::json_parse(json_text);
-  GC_CHECK_MSG(root.is_object(), "fault spec must be a JSON object");
-  const auto seed =
-      static_cast<std::uint64_t>(root.number_or("seed", 0.0));
+  obs::JsonReader spec(root, "fault spec");
+  std::uint64_t seed = 0;
+  std::vector<FaultEvent> events;
+  spec.u64("seed", seed);
+  spec.array("events", events, [](obs::JsonReader& ev, FaultEvent& e) {
+    ev.choice(obs::required("kind"), e.kind, kKindNames);
+    ev.integer("node", e.node, -1);
+    ev.integer("peer", e.peer, -1);
+    ev.integer("start", e.start, -1);
+    ev.integer("duration", e.duration, 1);
+    ev.number("probability", e.probability, obs::Num::Unit);
+    ev.number("magnitude", e.magnitude);
+  });
+  spec.close();
   FaultSchedule schedule(num_nodes, seed);
-  if (!root.has("events")) return schedule;
-  for (const obs::JsonValue& ev : root.at("events").as_array()) {
-    GC_CHECK_MSG(ev.is_object(), "fault event must be a JSON object");
-    // Reject unknown keys so typos fail loudly instead of silently
-    // disarming a fault.
-    for (const auto& [key, value] : ev.as_object()) {
-      (void)value;
-      GC_CHECK_MSG(key == "kind" || key == "node" || key == "peer" ||
-                       key == "start" || key == "duration" ||
-                       key == "probability" || key == "magnitude",
-                   "unknown fault event field \"" << key << "\"");
-    }
-    FaultEvent e;
-    e.kind = kind_from_string(ev.at("kind").as_string());
-    e.node = static_cast<int>(ev.number_or("node", -1.0));
-    e.peer = static_cast<int>(ev.number_or("peer", -1.0));
-    e.start = static_cast<int>(ev.number_or("start", -1.0));
-    e.duration = static_cast<int>(ev.number_or("duration", 1.0));
-    e.probability = ev.number_or("probability", 0.0);
-    e.magnitude = ev.number_or("magnitude", 1.0);
-    schedule.add(e);
-  }
+  for (const FaultEvent& e : events) schedule.add(e);
   return schedule;
 }
 
 FaultSchedule FaultSchedule::from_json_file(const std::string& path,
                                             int num_nodes) {
-  std::ifstream in(path);
-  GC_CHECK_MSG(in.good(), "cannot open fault spec " << path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return from_json(text.str(), num_nodes);
+  return obs::read_json_file(path, "fault spec", [&](const std::string& t) {
+    return from_json(t, num_nodes);
+  });
 }
 
 void apply_slot_faults(const SlotFaults& faults, core::SlotInputs& inputs,

@@ -103,7 +103,8 @@ class FaultSchedule {
   //                "start": 100, "duration": 50},
   //               {"kind": "price_spike", "magnitude": 4.0,
   //                "probability": 0.005, "duration": 10}, ...]}
-  // Throws gc::CheckError on malformed JSON or unknown fields/kinds.
+  // Throws gc::CheckError naming the key path on malformed JSON, unknown
+  // keys or kinds, and int fields that are not integers in range.
   static FaultSchedule from_json(const std::string& json_text, int num_nodes);
   static FaultSchedule from_json_file(const std::string& path, int num_nodes);
 

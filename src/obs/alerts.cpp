@@ -1,8 +1,6 @@
 #include "obs/alerts.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "obs/events.hpp"
 #include "obs/json.hpp"
@@ -22,14 +20,11 @@ void fnv_mix(std::uint64_t* h, const std::string& s) {
   *h *= 1099511628211ull;
 }
 
-const char* kind_token(AlertRule::MetricKind k) {
-  switch (k) {
-    case AlertRule::MetricKind::kAuto: return "auto";
-    case AlertRule::MetricKind::kCounter: return "counter";
-    case AlertRule::MetricKind::kGauge: return "gauge";
-  }
-  return "auto";
-}
+// Name tables, indexed by their enum: the rule file's spellings, which
+// rules_hash() also digests.
+constexpr const char* kKindNames[] = {"auto", "counter", "gauge"};
+constexpr const char* kOpNames[] = {">", "<"};
+constexpr const char* kSeverityNames[] = {"warning", "critical"};
 
 }  // namespace
 
@@ -50,63 +45,26 @@ AlertEngine::AlertEngine(std::vector<AlertRule> rules)
   states_.resize(rules_.size());
 }
 
-AlertEngine AlertEngine::from_json_file(const std::string& path) {
-  std::ifstream in(path);
-  GC_CHECK_MSG(in.good(), "cannot open alert rules file " << path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  JsonValue root;
-  try {
-    root = json_parse(text.str());
-  } catch (const CheckError& e) {
-    GC_CHECK_MSG(false, "alert rules file " << path
-                                            << " is not valid JSON: "
-                                            << e.what());
-  }
-  GC_CHECK_MSG(root.is_object() && root.has("rules") &&
-                   root.at("rules").is_array(),
-               "alert rules file " << path
-                                   << " must be {\"rules\":[...]}");
+AlertEngine AlertEngine::from_json(const std::string& text) {
+  const JsonValue root = json_parse(text);
+  JsonReader spec(root, "alert rules");
   std::vector<AlertRule> rules;
-  for (const JsonValue& e : root.at("rules").as_array()) {
-    GC_CHECK_MSG(e.is_object(), "alert rule entries must be objects in "
-                                    << path);
-    AlertRule r;
-    GC_CHECK_MSG(e.has("name") && e.has("metric") && e.has("op") &&
-                     e.has("value") && e.has("severity"),
-                 "alert rule in " << path
-                                  << " needs name, metric, op, value and "
-                                     "severity");
-    r.name = e.at("name").as_string();
-    r.metric = e.at("metric").as_string();
-    const std::string& op = e.at("op").as_string();
-    GC_CHECK_MSG(op == ">" || op == "<",
-                 "alert rule " << r.name << ": op must be \">\" or \"<\", "
-                               << "got \"" << op << "\"");
-    r.op = op == ">" ? AlertRule::Op::kGreater : AlertRule::Op::kLess;
-    r.threshold = e.at("value").as_number();
-    r.window_slots = static_cast<int>(e.number_or("window_slots", 0.0));
-    r.for_slots = static_cast<int>(e.number_or("for_slots", 1.0));
-    const std::string& severity = e.at("severity").as_string();
-    GC_CHECK_MSG(severity == "warning" || severity == "critical",
-                 "alert rule " << r.name
-                               << ": severity must be \"warning\" or "
-                                  "\"critical\", got \""
-                               << severity << "\"");
-    r.critical = severity == "critical";
-    if (e.has("kind")) {
-      const std::string& kind = e.at("kind").as_string();
-      GC_CHECK_MSG(kind == "counter" || kind == "gauge",
-                   "alert rule " << r.name
-                                 << ": kind must be \"counter\" or "
-                                    "\"gauge\", got \""
-                                 << kind << "\"");
-      r.kind = kind == "counter" ? AlertRule::MetricKind::kCounter
-                                 : AlertRule::MetricKind::kGauge;
-    }
-    rules.push_back(std::move(r));
-  }
+  spec.array(required("rules"), rules, [](JsonReader& e, AlertRule& r) {
+    e.string(required("name"), r.name);
+    e.string(required("metric"), r.metric);
+    e.choice("kind", r.kind, kKindNames);
+    e.choice(required("op"), r.op, kOpNames);
+    e.number(required("value"), r.threshold);
+    e.integer("window_slots", r.window_slots, 0);
+    e.integer("for_slots", r.for_slots, 1);
+    e.choice(required("severity"), r.critical, kSeverityNames);
+  });
+  spec.close();
   return AlertEngine(std::move(rules));
+}
+
+AlertEngine AlertEngine::from_json_file(const std::string& path) {
+  return read_json_file(path, "alert rules file", from_json);
 }
 
 std::uint64_t AlertEngine::rules_hash() const {
@@ -114,14 +72,14 @@ std::uint64_t AlertEngine::rules_hash() const {
   for (const AlertRule& r : rules_) {
     fnv_mix(&h, r.name);
     fnv_mix(&h, r.metric);
-    fnv_mix(&h, kind_token(r.kind));
-    fnv_mix(&h, r.op == AlertRule::Op::kGreater ? ">" : "<");
+    fnv_mix(&h, kKindNames[static_cast<int>(r.kind)]);
+    fnv_mix(&h, kOpNames[static_cast<int>(r.op)]);
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.17g", r.threshold);
     fnv_mix(&h, buf);
     fnv_mix(&h, std::to_string(r.window_slots));
     fnv_mix(&h, std::to_string(r.for_slots));
-    fnv_mix(&h, r.critical ? "critical" : "warning");
+    fnv_mix(&h, kSeverityNames[r.critical]);
   }
   return h;
 }

@@ -9,8 +9,8 @@
 //     {"name":"lp_degraded",          // unique label, appears in events
 //      "metric":"lp.fallbacks",       // registry instrument (dotted name)
 //      "kind":"counter",              // optional: "counter" | "gauge";
-//                                     //   omitted = counters first, then
-//                                     //   gauges
+//                                     //   omitted or "auto" = counters
+//                                     //   first, then gauges
 //      "op":">",                      // ">" or "<"
 //      "value":0,                     // threshold
 //      "window_slots":0,              // 0 = cumulative / instantaneous;
@@ -77,8 +77,11 @@ class AlertEngine {
  public:
   explicit AlertEngine(std::vector<AlertRule> rules);
 
-  // Parses the --alerts rule file; throws gc::CheckError on a malformed
-  // file (unknown op/severity/kind, missing fields, duplicate names).
+  // Parses a rule file's text; throws gc::CheckError naming the key path
+  // on a malformed file (unknown key, op, severity or kind, missing or
+  // non-integer fields, duplicate names).
+  static AlertEngine from_json(const std::string& text);
+  // Reads and parses the --alerts rule file; errors name the file.
   static AlertEngine from_json_file(const std::string& path);
 
   const std::vector<AlertRule>& rules() const { return rules_; }

@@ -1,6 +1,7 @@
 #include "policy/sleep.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "energy/node_energy.hpp"
 #include "obs/registry.hpp"
@@ -28,24 +29,18 @@ PolicyMetrics& policy_metrics() {
 }  // namespace
 
 const char* sleep_policy_name(SleepPolicy p) {
-  switch (p) {
-    case SleepPolicy::AlwaysOn: return "always-on";
-    case SleepPolicy::Threshold: return "threshold";
-    case SleepPolicy::Hysteresis: return "hysteresis";
-    case SleepPolicy::DriftPlusPenalty: return "drift-plus-penalty";
-  }
-  return "?";
+  return kSleepPolicyNames[static_cast<int>(p)];
 }
 
 SleepPolicy parse_sleep_policy(const std::string& name) {
-  for (SleepPolicy p :
-       {SleepPolicy::AlwaysOn, SleepPolicy::Threshold, SleepPolicy::Hysteresis,
-        SleepPolicy::DriftPlusPenalty})
-    if (name == sleep_policy_name(p)) return p;
-  GC_CHECK_MSG(false, "unknown sleep policy \""
-                          << name
-                          << "\" (expected one of always-on, threshold, "
-                             "hysteresis, drift-plus-penalty)");
+  std::string names;
+  for (std::size_t i = 0; i < std::size(kSleepPolicyNames); ++i) {
+    if (name == kSleepPolicyNames[i]) return static_cast<SleepPolicy>(i);
+    names += std::string(i ? ", " : "") + kSleepPolicyNames[i];
+  }
+  GC_CHECK_MSG(false, "unknown sleep policy \"" << name
+                                                << "\" (expected one of "
+                                                << names << ")");
   return SleepPolicy::AlwaysOn;  // unreachable
 }
 

@@ -77,6 +77,12 @@ struct TierSpec {
 
 enum class SleepPolicy { AlwaysOn, Threshold, Hysteresis, DriftPlusPenalty };
 
+// The policies' names, indexed by SleepPolicy: the one table behind
+// sleep_policy_name, parse_sleep_policy, the scenario schema's
+// bs.sleep.policy and the --policy flag.
+inline constexpr const char* kSleepPolicyNames[] = {
+    "always-on", "threshold", "hysteresis", "drift-plus-penalty"};
+
 // Policy knobs (scenario schema bs.sleep; overridable per run with
 // --policy and friends). NOT structural: like the tariff, the sleep block
 // may be swapped at a hot-reload boundary without changing any state

@@ -1,866 +1,388 @@
 #include "scenario/spec.hpp"
 
-#include <cctype>
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "energy/tariff.hpp"
 #include "obs/json.hpp"
 #include "policy/sleep.hpp"
-#include "util/check.hpp"
 
 namespace gc::scenario {
 
 namespace {
 
-using obs::JsonValue;
+using obs::JsonKey;
+using obs::Num;
+using obs::required;
+using sim::ScenarioConfig;
 
-[[noreturn]] void fail(const std::string& path, const std::string& msg) {
-  GC_CHECK_MSG(false, (path.empty() ? std::string("scenario") : path)
-                          << ": " << msg);
-  std::abort();  // unreachable; GC_CHECK_MSG throws
+constexpr const char* kLayouts[] = {"paper", "hex_grid"};
+constexpr const char* kPlacements[] = {"uniform", "poisson", "clustered"};
+constexpr const char* kTrafficKinds[] = {"constant", "diurnal", "bursty",
+                                         "flash_crowd"};
+constexpr const char* kRenewableKinds[] = {"uniform", "solar", "wind"};
+constexpr const char* kTariffKinds[] = {"flat", "time_of_use", "trace"};
+constexpr const char* kPhyPolicies[] = {"min_power_fixed_rate",
+                                        "max_power_adaptive_rate"};
+
+// Which canonical dumps carry a field (its JsonKey tag). Structural fields
+// fix the run's state dimensions and decision structure: every dump has
+// them. Workload fields may be swapped at a hot-reload slot boundary, so
+// the structural dump drops them. The name is attribution, not
+// configuration: only to_json writes it.
+enum Tag : int { kStructural, kWorkload, kName };
+
+JsonKey workload(const char* key) { return JsonKey(key, kWorkload); }
+
+template <class Io>
+void battery(Io& io, double& capacity_j, double& charge_j,
+             double& discharge_j, double& initial_frac) {
+  io.number("capacity_j", capacity_j, Num::NonNegative);
+  io.number("charge_j", charge_j, Num::NonNegative);
+  io.number("discharge_j", discharge_j, Num::NonNegative);
+  io.number("initial_frac", initial_frac, Num::Unit);
 }
 
-std::string kind_name(const JsonValue& v) {
-  switch (v.kind()) {
-    case JsonValue::Kind::Null: return "null";
-    case JsonValue::Kind::Bool: return "bool";
-    case JsonValue::Kind::Number: return "number";
-    case JsonValue::Kind::String: return "string";
-    case JsonValue::Kind::Array: return "array";
-    case JsonValue::Kind::Object: return "object";
+// Every tariff resolves to its multiplier trace, or to flat: time_of_use
+// inputs are read but never written, so equal configs serialize equally.
+template <class Io>
+void tariff(Io& io, std::vector<double>& multipliers) {
+  enum { kFlat, kTimeOfUse, kTrace };
+  int kind = multipliers.empty() ? kFlat : kTrace;
+  io.choice("kind", kind, kTariffKinds);
+  if constexpr (!Io::kReading) {
+    if (kind == kTrace)
+      io.number_array("multipliers", multipliers, Num::Positive);
+  } else {
+    int slots_per_day = 24, peak_begin = 8, peak_end = 20;
+    double peak_mult = 2.0, offpeak_mult = 1.0;
+    std::vector<double> trace;
+    io.integer("slots_per_day", slots_per_day, 1);
+    io.integer("peak_begin", peak_begin, 0);
+    io.integer("peak_end", peak_end, 0);
+    io.number("peak_mult", peak_mult, Num::Positive);
+    io.number("offpeak_mult", offpeak_mult, Num::Positive);
+    io.number_array("multipliers", trace, Num::Positive);
+    if (kind == kFlat) {
+      multipliers.clear();
+    } else if (kind == kTimeOfUse) {
+      if (!(peak_begin <= peak_end && peak_end <= slots_per_day))
+        io.fail("time_of_use needs peak_begin <= peak_end <= slots_per_day");
+      multipliers = energy::time_of_use_tariff(
+          slots_per_day, peak_begin, peak_end, peak_mult, offpeak_mult);
+    } else {
+      if (trace.empty())
+        io.fail("multipliers",
+                "expected non-empty array of numbers > 0 for kind \"trace\"");
+      multipliers = trace;
+    }
   }
-  return "?";
 }
 
-// Numeric domain of a schema field, carrying its own error text.
-enum class Num {
-  Any,           // any finite number
-  Positive,      // > 0
-  NonNegative,   // >= 0
-  Unit,          // [0, 1]
-  UnitPositive,  // (0, 1]
-};
+// The scenario schema, field by field: the one definition of its keys,
+// their order in the canonical dump, their domains, their defaults (the
+// ScenarioConfig initializers) and their tags. A Writer only reads `spec`.
+template <class Io>
+void fields(Io& io, ScenarioSpec& spec) {
+  ScenarioConfig& c = spec.config;
+  io.identifier(JsonKey("name", kName), spec.name);
+  io.u64("seed", c.seed);
 
-const char* num_domain(Num d) {
-  switch (d) {
-    case Num::Any: return "expected number";
-    case Num::Positive: return "expected number > 0";
-    case Num::NonNegative: return "expected number >= 0";
-    case Num::Unit: return "expected number in [0, 1]";
-    case Num::UnitPositive: return "expected number in (0, 1]";
-  }
-  return "expected number";
+  io.object("topology", [&](Io& t) {
+    t.choice("layout", c.topology.layout, kLayouts);
+    t.number("area_m", c.area_m, Num::Positive);
+    t.object("cells", [&](Io& cells) {
+      cells.integer("rows", c.topology.rows, 1);
+      cells.integer("cols", c.topology.cols, 1);
+      cells.number("radius_m", c.topology.cell_radius_m, Num::Positive);
+    });
+    t.object("users", [&](Io& u) {
+      u.integer("count", c.num_users, 1);
+      u.choice("placement", c.topology.placement, kPlacements);
+      u.integer("hotspots", c.topology.hotspots, 1);
+      u.number("hotspot_sigma_m", c.topology.hotspot_sigma_m, Num::Positive);
+      u.number("hotspot_fraction", c.topology.hotspot_fraction, Num::Unit);
+    });
+  });
+
+  io.object("radio", [&](Io& r) {
+    r.number("sinr_threshold", c.radio.sinr_threshold, Num::Positive);
+    r.number("noise_psd_w_per_hz", c.radio.noise_psd_w_per_hz,
+             Num::Positive);
+  });
+
+  io.object("propagation", [&](Io& p) {
+    p.number("antenna_constant", c.propagation.antenna_constant,
+             Num::Positive);
+    p.number("path_loss_exponent", c.propagation.path_loss_exponent,
+             Num::Positive);
+    p.number("min_distance_m", c.propagation.min_distance_m, Num::Positive);
+  });
+
+  io.object("spectrum", [&](Io& s) {
+    s.number("cellular_bandwidth_hz", c.spectrum.cellular_bandwidth_hz,
+             Num::Positive);
+    s.integer("num_random_bands", c.spectrum.num_random_bands, 0);
+    s.number("random_bandwidth_lo_hz", c.spectrum.random_bandwidth_lo_hz,
+             Num::Positive);
+    s.number("random_bandwidth_hi_hz", c.spectrum.random_bandwidth_hi_hz,
+             Num::Positive);
+    s.number("user_band_probability", c.spectrum.user_band_probability,
+             Num::Unit);
+  });
+
+  io.object("time", [&](Io& t) {
+    t.number("slot_seconds", c.slot_seconds, Num::Positive);
+    t.number("packet_bits", c.packet_bits, Num::Positive);
+  });
+
+  // The session count is the per-user queue arity; the rest is its shape.
+  io.object("traffic", [&](Io& t) {
+    t.choice(workload("kind"), c.traffic.kind, kTrafficKinds);
+    t.integer("sessions", c.num_sessions, 1);
+    t.number(workload("rate_bps"), c.session_rate_bps, Num::Positive);
+    t.number(workload("admit_factor"), c.admit_factor, Num::Positive);
+    t.integer(workload("slots_per_day"), c.traffic.slots_per_day, 2);
+    t.number(workload("amplitude"), c.traffic.amplitude, Num::Unit);
+    t.number(workload("peak_phase"), c.traffic.peak_phase, Num::Unit);
+    t.number(workload("on_mult"), c.traffic.on_mult, Num::NonNegative);
+    t.number(workload("off_mult"), c.traffic.off_mult, Num::NonNegative);
+    t.number(workload("p_on_off"), c.traffic.p_on_off, Num::UnitPositive);
+    t.number(workload("p_off_on"), c.traffic.p_off_on, Num::UnitPositive);
+    t.integer(workload("block_slots"), c.traffic.block_slots, 1);
+    t.integer(workload("start_slot"), c.traffic.start_slot, 0);
+    t.integer(workload("duration_slots"), c.traffic.duration_slots, 1);
+    t.number(workload("spike_multiplier"), c.traffic.spike_multiplier,
+             Num::NonNegative);
+  });
+
+  io.object("renewables", [&](Io& r) {
+    r.choice("kind", c.renewable.kind, kRenewableKinds);
+    r.number("bs_peak_w", c.bs_renewable_peak_w, Num::NonNegative);
+    r.number("user_peak_w", c.user_renewable_peak_w, Num::NonNegative);
+    r.integer("slots_per_day", c.renewable.slots_per_day, 2);
+    r.number("clearness_lo", c.renewable.clearness_lo, Num::Unit);
+    r.number("weibull_shape", c.renewable.weibull_shape, Num::Positive);
+    r.number("rated_speed_ratio", c.renewable.rated_speed_ratio,
+             Num::Positive);
+  });
+
+  io.object(workload("tariff"),
+            [&](Io& t) { tariff(t, c.tariff_multipliers); });
+
+  io.object("energy", [&](Io& e) {
+    e.object("bs", [&](Io& bs) {
+      bs.number("const_w", c.bs_const_w, Num::NonNegative);
+      bs.number("idle_w", c.bs_idle_w, Num::NonNegative);
+      bs.number("recv_w", c.bs_recv_w, Num::NonNegative);
+      bs.number("tx_max_w", c.bs_tx_max_w, Num::Positive);
+      bs.number("grid_max_j", c.bs_grid_max_j, Num::NonNegative);
+      bs.object("battery", [&](Io& b) {
+        battery(b, c.bs_batt_capacity_j, c.bs_batt_charge_j,
+                c.bs_batt_discharge_j, c.bs_batt_initial_frac);
+      });
+    });
+    e.object("user", [&](Io& u) {
+      u.number("const_w", c.user_const_w, Num::NonNegative);
+      u.number("idle_w", c.user_idle_w, Num::NonNegative);
+      u.number("recv_w", c.user_recv_w, Num::NonNegative);
+      u.number("tx_max_w", c.user_tx_max_w, Num::Positive);
+      u.number("grid_max_j", c.user_grid_max_j, Num::NonNegative);
+      u.number("connect_probability", c.user_connect_probability, Num::Unit);
+      u.object("battery", [&](Io& b) {
+        battery(b, c.user_batt_capacity_j, c.user_batt_charge_j,
+                c.user_batt_discharge_j, c.user_batt_initial_frac);
+      });
+    });
+    e.object("cost", [&](Io& k) {
+      k.number("a", c.cost_a, Num::NonNegative);
+      k.number("b", c.cost_b, Num::NonNegative);
+      k.number("c", c.cost_c, Num::NonNegative);
+    });
+  });
+
+  // Base-station tiers and sleep policy (src/policy); absent means one
+  // homogeneous always-on tier, the paper scenario. Tiers override
+  // energy.bs for the BS indices they cover, so they are structural. The
+  // sleep block is written only when it is not the default, and the
+  // Writer drops the then-empty section, so pre-tier specs keep their hash.
+  io.object("bs", [&](Io& bs) {
+    bs.array("tiers", c.bs_tiers, [](Io& t, policy::TierSpec& tier) {
+      t.identifier("name", tier.name);
+      t.integer(required("count"), tier.count, 1);
+      t.number("const_w", tier.const_w, Num::NonNegative);
+      t.number("idle_w", tier.idle_w, Num::NonNegative);
+      t.number("recv_w", tier.recv_w, Num::NonNegative);
+      t.number("tx_max_w", tier.tx_max_w, Num::Positive);
+      t.number("sleep_power_w", tier.sleep_power_w, Num::NonNegative);
+      t.integer("wake_latency_slots", tier.wake_latency_slots, 0);
+      t.number("sleep_switch_j", tier.sleep_switch_j, Num::NonNegative);
+      t.number("wake_switch_j", tier.wake_switch_j, Num::NonNegative);
+      t.boolean("can_sleep", tier.can_sleep);
+    });
+    policy::SleepPolicyConfig& sleep = c.bs_sleep;
+    if (Io::kReading || sleep != policy::SleepPolicyConfig{})
+      bs.object(workload("sleep"), [&](Io& s) {
+        s.choice("policy", sleep.policy, policy::kSleepPolicyNames);
+        s.number("sleep_threshold", sleep.sleep_threshold, Num::NonNegative);
+        s.number("wake_threshold", sleep.wake_threshold, Num::NonNegative);
+        s.integer("min_dwell_slots", sleep.min_dwell_slots, 0);
+        s.integer("min_awake_bs", sleep.min_awake_bs, 1);
+        s.number("switch_cost_weight", sleep.switch_cost_weight,
+                 Num::NonNegative);
+        if constexpr (Io::kReading)
+          if (sleep.wake_threshold < sleep.sleep_threshold)
+            s.fail("wake_threshold must be >= sleep_threshold");
+      });
+  });
+
+  io.object("architecture", [&](Io& a) {
+    a.boolean("multihop", c.multihop);
+    a.boolean("renewables", c.renewables);
+    a.integer("bs_radios", c.bs_radios, 1);
+    a.integer("user_radios", c.user_radios, 1);
+    a.choice("phy_policy", c.phy_policy, kPhyPolicies);
+  });
+
+  io.object("algorithm",
+            [&](Io& a) { a.number("lambda", c.lambda, Num::NonNegative); });
 }
 
-bool num_ok(Num d, double v) {
-  if (!std::isfinite(v)) return false;
-  switch (d) {
-    case Num::Any: return true;
-    case Num::Positive: return v > 0.0;
-    case Num::NonNegative: return v >= 0.0;
-    case Num::Unit: return v >= 0.0 && v <= 1.0;
-    case Num::UnitPositive: return v > 0.0 && v <= 1.0;
-  }
-  return false;
-}
-
-// One (sub)object of the spec. Getters validate + default in one step and
-// record every schema key they are asked for, so close() can reject
-// unknown keys while listing the full accepted set. A Section built on an
-// absent member yields defaults everywhere — "{}" is the paper scenario.
-class Section {
+// The canonical writer: the field list's key order, 2-space indent, %.17g
+// numbers. It writes the fields tagged at most `widest` and leaves out
+// sections that end up empty. Given `leaves`, it also records each value
+// it writes, and each array's length, under the value's dotted path.
+class Writer {
  public:
-  Section(const JsonValue* v, std::string path)
-      : v_(v), path_(std::move(path)) {
-    if (v_ != nullptr && !v_->is_object())
-      fail(path_, "expected object, got " + kind_name(*v_));
+  static constexpr bool kReading = false;
+  using Leaf = std::pair<std::string, std::string>;  // path, value text
+
+  explicit Writer(Tag widest, std::vector<Leaf>* leaves = nullptr)
+      : widest_(widest), leaves_(leaves) {
+    frames_.push_back({nullptr, '}'});  // the root object
   }
 
-  bool present() const { return v_ != nullptr; }
-
-  Section sub(const char* key) {
-    note(key);
-    const JsonValue* child =
-        v_ != nullptr && v_->has(key) ? &v_->at(key) : nullptr;
-    return Section(child, join(key));
+  std::string finish() {
+    close();
+    out_ += '\n';
+    return std::move(out_);
   }
 
-  // Array of objects: each element becomes its own Section at path
-  // "key[i]". An absent key yields an empty vector.
-  std::vector<Section> sub_array(const char* key) {
-    note(key);
-    std::vector<Section> out;
-    if (v_ == nullptr || !v_->has(key)) return out;
-    const JsonValue& j = v_->at(key);
-    if (!j.is_array())
-      fail(join(key), "expected array of objects, got " + kind_name(j));
-    for (std::size_t i = 0; i < j.as_array().size(); ++i)
-      out.emplace_back(&j.as_array()[i],
-                       join(key) + "[" + std::to_string(i) + "]");
-    return out;
+  void number(JsonKey k, double v, Num = Num::Any) { leaf(k, fmt(v)); }
+  void integer(JsonKey k, int v, int /*min*/) {
+    leaf(k, std::to_string(v));
   }
-
-  double number(const char* key, double def, Num domain) {
-    note(key);
-    if (v_ == nullptr || !v_->has(key)) return def;
-    const JsonValue& j = v_->at(key);
-    if (!j.is_number())
-      fail(join(key), std::string(num_domain(domain)) + ", got " +
-                          kind_name(j));
-    const double v = j.as_number();
-    if (!num_ok(domain, v))
-      fail(join(key), std::string(num_domain(domain)) + ", got " + fmt(v));
-    return v;
+  void u64(JsonKey k, std::uint64_t v) { leaf(k, std::to_string(v)); }
+  void boolean(JsonKey k, bool v) { leaf(k, v ? "true" : "false"); }
+  void identifier(JsonKey k, const std::string& v) {
+    leaf(k, '"' + obs::json_escape(v) + '"');
   }
-
-  int integer(const char* key, int def, int min) {
-    note(key);
-    if (v_ == nullptr || !v_->has(key)) return def;
-    const JsonValue& j = v_->at(key);
-    const std::string domain = "expected int >= " + std::to_string(min);
-    if (!j.is_number()) fail(join(key), domain + ", got " + kind_name(j));
-    const double v = j.as_number();
-    if (v != std::floor(v) || v < min || v > 2147483647.0)
-      fail(join(key), domain + ", got " + fmt(v));
-    return static_cast<int>(v);
+  template <class E>
+  void choice(JsonKey k, E v, std::span<const char* const> names) {
+    leaf(k, '"' + std::string(names[static_cast<int>(v)]) + '"');
   }
-
-  std::uint64_t u64(const char* key, std::uint64_t def) {
-    note(key);
-    if (v_ == nullptr || !v_->has(key)) return def;
-    const JsonValue& j = v_->at(key);
-    const char* domain = "expected non-negative int";
-    if (!j.is_number())
-      fail(join(key), std::string(domain) + ", got " + kind_name(j));
-    const double v = j.as_number();
-    if (v != std::floor(v) || v < 0.0)
-      fail(join(key), std::string(domain) + ", got " + fmt(v));
-    return static_cast<std::uint64_t>(v);
-  }
-
-  bool boolean(const char* key, bool def) {
-    note(key);
-    if (v_ == nullptr || !v_->has(key)) return def;
-    const JsonValue& j = v_->at(key);
-    if (j.kind() != JsonValue::Kind::Bool)
-      fail(join(key), "expected bool, got " + kind_name(j));
-    return j.as_bool();
-  }
-
-  // String restricted to `allowed` (an enum); returns its index.
-  int choice(const char* key, int def,
-             const std::vector<std::string>& allowed) {
-    note(key);
-    if (v_ == nullptr || !v_->has(key)) return def;
-    const JsonValue& j = v_->at(key);
-    std::string domain = "expected one of ";
-    for (std::size_t i = 0; i < allowed.size(); ++i)
-      domain += (i ? ", \"" : "\"") + allowed[i] + "\"";
-    if (j.kind() != JsonValue::Kind::String)
-      fail(join(key), domain + ", got " + kind_name(j));
-    for (std::size_t i = 0; i < allowed.size(); ++i)
-      if (j.as_string() == allowed[i]) return static_cast<int>(i);
-    fail(join(key), domain + ", got \"" + j.as_string() + "\"");
-  }
-
-  std::vector<double> number_array(const char* key, Num domain) {
-    note(key);
-    std::vector<double> out;
-    if (v_ == nullptr || !v_->has(key)) return out;
-    const JsonValue& j = v_->at(key);
-    if (!j.is_array())
-      fail(join(key), "expected array of numbers, got " + kind_name(j));
-    for (std::size_t i = 0; i < j.as_array().size(); ++i) {
-      const JsonValue& e = j.as_array()[i];
-      const std::string epath = join(key) + "[" + std::to_string(i) + "]";
-      if (!e.is_number())
-        fail(epath, std::string(num_domain(domain)) + ", got " + kind_name(e));
-      if (!num_ok(domain, e.as_number()))
-        fail(epath,
-             std::string(num_domain(domain)) + ", got " + fmt(e.as_number()));
-      out.push_back(e.as_number());
+  void number_array(JsonKey k, const std::vector<double>& v, Num) {
+    std::string text = "[";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i) text += ", ";
+      text += fmt(v[i]);
     }
-    return out;
+    leaf(k, text + "]");
   }
 
-  std::string name_string(const char* key, const std::string& def) {
-    note(key);
-    if (v_ == nullptr || !v_->has(key)) return def;
-    const JsonValue& j = v_->at(key);
-    const char* domain =
-        "expected string of [A-Za-z0-9._-], at most 64 characters";
-    if (j.kind() != JsonValue::Kind::String)
-      fail(join(key), std::string(domain) + ", got " + kind_name(j));
-    const std::string& s = j.as_string();
-    bool ok = !s.empty() && s.size() <= 64;
-    for (char c : s)
-      ok = ok && (std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
-                  c == '_' || c == '-');
-    if (!ok) fail(join(key), std::string(domain) + ", got \"" + s + "\"");
-    return s;
+  template <class F>
+  void object(JsonKey k, F fields) {
+    if (k.tag > widest_) return;
+    frames_.push_back({k.name, '}'});
+    fields(*this);
+    close();
   }
-
-  // Rejects keys the schema never asked about. Call after every getter.
-  void close() {
-    if (v_ == nullptr) return;
-    for (const auto& [key, value] : v_->as_object()) {
-      bool known = false;
-      for (const auto& k : known_) known = known || k == key;
-      if (known) continue;
-      std::string allowed;
-      for (std::size_t i = 0; i < known_.size(); ++i)
-        allowed += (i ? ", " : "") + known_[i];
-      fail(path_.empty() ? "scenario" : path_,
-           "unknown key \"" + key + "\" (allowed: " + allowed + ")");
-    }
+  template <class T, class F>
+  void array(JsonKey k, std::vector<T>& v, F fields) {
+    if (k.tag > widest_) return;
+    if (leaves_)
+      leaves_->emplace_back(path(k.name), std::to_string(v.size()));
+    frames_.push_back({k.name, ']'});
+    for (T& e : v) object(nullptr, [&](Writer& w) { fields(w, e); });
+    close();
   }
 
  private:
-  std::string join(const char* key) const {
-    return path_.empty() ? std::string(key) : path_ + "." + key;
-  }
-  void note(const char* key) {
-    for (const auto& k : known_)
-      if (k == key) return;
-    known_.push_back(key);
-  }
+  // An open object or array. It is written out at its first value, so a
+  // section with nothing to write never appears.
+  struct Frame {
+    const char* key;  // nullptr: the root or an array element
+    char end;         // '}' or ']'
+    bool written = false;
+    bool first = true;
+  };
+
   static std::string fmt(double v) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
   }
 
-  const JsonValue* v_;
-  std::string path_;
-  std::vector<std::string> known_;
-};
-
-using sim::RenewableSpec;
-using sim::ScenarioConfig;
-using sim::TopologySpec;
-using sim::TrafficSpec;
-
-const std::vector<std::string> kLayouts = {"paper", "hex_grid"};
-const std::vector<std::string> kPlacements = {"uniform", "poisson",
-                                              "clustered"};
-const std::vector<std::string> kTrafficKinds = {"constant", "diurnal",
-                                                "bursty", "flash_crowd"};
-const std::vector<std::string> kRenewableKinds = {"uniform", "solar", "wind"};
-const std::vector<std::string> kTariffKinds = {"flat", "time_of_use",
-                                               "trace"};
-const std::vector<std::string> kPhyPolicies = {"min_power_fixed_rate",
-                                               "max_power_adaptive_rate"};
-// Must match policy::parse_sleep_policy / sleep_policy_name and the
-// SleepPolicy enum order.
-const std::vector<std::string> kSleepPolicies = {
-    "always-on", "threshold", "hysteresis", "drift-plus-penalty"};
-
-void parse_battery(Section& s, double& capacity_j, double& charge_j,
-                   double& discharge_j, double& initial_frac) {
-  capacity_j = s.number("capacity_j", capacity_j, Num::NonNegative);
-  charge_j = s.number("charge_j", charge_j, Num::NonNegative);
-  discharge_j = s.number("discharge_j", discharge_j, Num::NonNegative);
-  initial_frac = s.number("initial_frac", initial_frac, Num::Unit);
-  s.close();
-}
-
-ScenarioSpec parse_root(const JsonValue& root) {
-  ScenarioSpec spec;
-  ScenarioConfig& c = spec.config;
-  Section r(&root, "");
-
-  spec.name = r.name_string("name", spec.name);
-  c.seed = r.u64("seed", c.seed);
-
-  {
-    Section topo = r.sub("topology");
-    c.topology.layout = static_cast<TopologySpec::Layout>(
-        topo.choice("layout", static_cast<int>(c.topology.layout), kLayouts));
-    c.area_m = topo.number("area_m", c.area_m, Num::Positive);
-    {
-      Section cells = topo.sub("cells");
-      c.topology.rows = cells.integer("rows", c.topology.rows, 1);
-      c.topology.cols = cells.integer("cols", c.topology.cols, 1);
-      c.topology.cell_radius_m =
-          cells.number("radius_m", c.topology.cell_radius_m, Num::Positive);
-      cells.close();
+  void leaf(JsonKey k, const std::string& text) {
+    if (k.tag > widest_) return;
+    if (leaves_) leaves_->emplace_back(path(k.name), text);
+    for (std::size_t i = 0; i < frames_.size(); ++i) {
+      if (frames_[i].written) continue;
+      if (i > 0) item(i - 1, frames_[i].key);
+      out_ += frames_[i].end == '}' ? '{' : '[';
+      frames_[i].written = true;
     }
-    {
-      Section users = topo.sub("users");
-      c.num_users = users.integer("count", c.num_users, 1);
-      c.topology.placement = static_cast<TopologySpec::Placement>(
-          users.choice("placement", static_cast<int>(c.topology.placement),
-                       kPlacements));
-      c.topology.hotspots = users.integer("hotspots", c.topology.hotspots, 1);
-      c.topology.hotspot_sigma_m = users.number(
-          "hotspot_sigma_m", c.topology.hotspot_sigma_m, Num::Positive);
-      c.topology.hotspot_fraction = users.number(
-          "hotspot_fraction", c.topology.hotspot_fraction, Num::Unit);
-      users.close();
-    }
-    topo.close();
+    item(frames_.size() - 1, k.name);
+    out_ += text;
   }
 
-  {
-    Section radio = r.sub("radio");
-    c.radio.sinr_threshold =
-        radio.number("sinr_threshold", c.radio.sinr_threshold, Num::Positive);
-    c.radio.noise_psd_w_per_hz =
-        radio.number("noise_psd_w_per_hz", c.radio.noise_psd_w_per_hz, Num::Positive);
-    radio.close();
-  }
-
-  {
-    Section prop = r.sub("propagation");
-    c.propagation.antenna_constant = prop.number(
-        "antenna_constant", c.propagation.antenna_constant, Num::Positive);
-    c.propagation.path_loss_exponent =
-        prop.number("path_loss_exponent", c.propagation.path_loss_exponent,
-                    Num::Positive);
-    c.propagation.min_distance_m = prop.number(
-        "min_distance_m", c.propagation.min_distance_m, Num::Positive);
-    prop.close();
-  }
-
-  {
-    Section spectrum = r.sub("spectrum");
-    c.spectrum.cellular_bandwidth_hz =
-        spectrum.number("cellular_bandwidth_hz",
-                        c.spectrum.cellular_bandwidth_hz, Num::Positive);
-    c.spectrum.num_random_bands =
-        spectrum.integer("num_random_bands", c.spectrum.num_random_bands, 0);
-    c.spectrum.random_bandwidth_lo_hz =
-        spectrum.number("random_bandwidth_lo_hz",
-                        c.spectrum.random_bandwidth_lo_hz, Num::Positive);
-    c.spectrum.random_bandwidth_hi_hz =
-        spectrum.number("random_bandwidth_hi_hz",
-                        c.spectrum.random_bandwidth_hi_hz, Num::Positive);
-    c.spectrum.user_band_probability = spectrum.number(
-        "user_band_probability", c.spectrum.user_band_probability, Num::Unit);
-    spectrum.close();
-  }
-
-  {
-    Section time = r.sub("time");
-    c.slot_seconds = time.number("slot_seconds", c.slot_seconds, Num::Positive);
-    c.packet_bits = time.number("packet_bits", c.packet_bits, Num::Positive);
-    time.close();
-  }
-
-  {
-    Section traffic = r.sub("traffic");
-    c.traffic.kind = static_cast<TrafficSpec::Kind>(traffic.choice(
-        "kind", static_cast<int>(c.traffic.kind), kTrafficKinds));
-    c.num_sessions = traffic.integer("sessions", c.num_sessions, 1);
-    c.session_rate_bps =
-        traffic.number("rate_bps", c.session_rate_bps, Num::Positive);
-    c.admit_factor =
-        traffic.number("admit_factor", c.admit_factor, Num::Positive);
-    c.traffic.slots_per_day =
-        traffic.integer("slots_per_day", c.traffic.slots_per_day, 2);
-    c.traffic.amplitude =
-        traffic.number("amplitude", c.traffic.amplitude, Num::Unit);
-    c.traffic.peak_phase =
-        traffic.number("peak_phase", c.traffic.peak_phase, Num::Unit);
-    c.traffic.on_mult =
-        traffic.number("on_mult", c.traffic.on_mult, Num::NonNegative);
-    c.traffic.off_mult =
-        traffic.number("off_mult", c.traffic.off_mult, Num::NonNegative);
-    c.traffic.p_on_off =
-        traffic.number("p_on_off", c.traffic.p_on_off, Num::UnitPositive);
-    c.traffic.p_off_on =
-        traffic.number("p_off_on", c.traffic.p_off_on, Num::UnitPositive);
-    c.traffic.block_slots =
-        traffic.integer("block_slots", c.traffic.block_slots, 1);
-    c.traffic.start_slot =
-        traffic.integer("start_slot", c.traffic.start_slot, 0);
-    c.traffic.duration_slots =
-        traffic.integer("duration_slots", c.traffic.duration_slots, 1);
-    c.traffic.spike_multiplier = traffic.number(
-        "spike_multiplier", c.traffic.spike_multiplier, Num::NonNegative);
-    traffic.close();
-  }
-
-  {
-    Section renew = r.sub("renewables");
-    c.renewable.kind = static_cast<RenewableSpec::Kind>(renew.choice(
-        "kind", static_cast<int>(c.renewable.kind), kRenewableKinds));
-    c.bs_renewable_peak_w =
-        renew.number("bs_peak_w", c.bs_renewable_peak_w, Num::NonNegative);
-    c.user_renewable_peak_w =
-        renew.number("user_peak_w", c.user_renewable_peak_w, Num::NonNegative);
-    c.renewable.slots_per_day =
-        renew.integer("slots_per_day", c.renewable.slots_per_day, 2);
-    c.renewable.clearness_lo =
-        renew.number("clearness_lo", c.renewable.clearness_lo, Num::Unit);
-    c.renewable.weibull_shape =
-        renew.number("weibull_shape", c.renewable.weibull_shape, Num::Positive);
-    c.renewable.rated_speed_ratio = renew.number(
-        "rated_speed_ratio", c.renewable.rated_speed_ratio, Num::Positive);
-    renew.close();
-  }
-
-  {
-    Section tariff = r.sub("tariff");
-    const int kind = tariff.choice("kind", 0, kTariffKinds);
-    const int slots_per_day = tariff.integer("slots_per_day", 24, 1);
-    const int peak_begin = tariff.integer("peak_begin", 8, 0);
-    const int peak_end = tariff.integer("peak_end", 20, 0);
-    const double peak_mult = tariff.number("peak_mult", 2.0, Num::Positive);
-    const double offpeak_mult =
-        tariff.number("offpeak_mult", 1.0, Num::Positive);
-    const std::vector<double> multipliers =
-        tariff.number_array("multipliers", Num::Positive);
-    tariff.close();
-    switch (kind) {
-      case 0:  // flat
-        c.tariff_multipliers.clear();
-        break;
-      case 1:  // time_of_use
-        if (!(peak_begin <= peak_end && peak_end <= slots_per_day))
-          fail("tariff",
-               "time_of_use needs peak_begin <= peak_end <= slots_per_day");
-        c.tariff_multipliers = energy::time_of_use_tariff(
-            slots_per_day, peak_begin, peak_end, peak_mult, offpeak_mult);
-        break;
-      default:  // trace
-        if (multipliers.empty())
-          fail("tariff.multipliers",
-               "expected non-empty array of numbers > 0 for kind \"trace\"");
-        c.tariff_multipliers = multipliers;
-        break;
-    }
-  }
-
-  {
-    Section e = r.sub("energy");
-    {
-      Section bs = e.sub("bs");
-      c.bs_const_w = bs.number("const_w", c.bs_const_w, Num::NonNegative);
-      c.bs_idle_w = bs.number("idle_w", c.bs_idle_w, Num::NonNegative);
-      c.bs_recv_w = bs.number("recv_w", c.bs_recv_w, Num::NonNegative);
-      c.bs_tx_max_w = bs.number("tx_max_w", c.bs_tx_max_w, Num::Positive);
-      c.bs_grid_max_j =
-          bs.number("grid_max_j", c.bs_grid_max_j, Num::NonNegative);
-      {
-        Section batt = bs.sub("battery");
-        parse_battery(batt, c.bs_batt_capacity_j, c.bs_batt_charge_j,
-                      c.bs_batt_discharge_j, c.bs_batt_initial_frac);
-      }
-      bs.close();
-    }
-    {
-      Section user = e.sub("user");
-      c.user_const_w = user.number("const_w", c.user_const_w, Num::NonNegative);
-      c.user_idle_w = user.number("idle_w", c.user_idle_w, Num::NonNegative);
-      c.user_recv_w = user.number("recv_w", c.user_recv_w, Num::NonNegative);
-      c.user_tx_max_w =
-          user.number("tx_max_w", c.user_tx_max_w, Num::Positive);
-      c.user_grid_max_j =
-          user.number("grid_max_j", c.user_grid_max_j, Num::NonNegative);
-      c.user_connect_probability = user.number(
-          "connect_probability", c.user_connect_probability, Num::Unit);
-      {
-        Section batt = user.sub("battery");
-        parse_battery(batt, c.user_batt_capacity_j, c.user_batt_charge_j,
-                      c.user_batt_discharge_j, c.user_batt_initial_frac);
-      }
-      user.close();
-    }
-    {
-      Section cost = e.sub("cost");
-      c.cost_a = cost.number("a", c.cost_a, Num::NonNegative);
-      c.cost_b = cost.number("b", c.cost_b, Num::NonNegative);
-      c.cost_c = cost.number("c", c.cost_c, Num::NonNegative);
-      cost.close();
-    }
-    e.close();
-  }
-
-  {
-    // Base-station tiers + sleep policy (src/policy). The whole section is
-    // optional; absent means one homogeneous always-on tier, the paper
-    // scenario. Tier power fields override energy.bs for the covered BS
-    // indices and are structural; the sleep block is behavioral only.
-    Section bs = r.sub("bs");
-    for (Section& tier : bs.sub_array("tiers")) {
-      policy::TierSpec t;
-      t.name = tier.name_string("name", t.name);
-      t.count = tier.integer("count", t.count, 1);
-      t.const_w = tier.number("const_w", t.const_w, Num::NonNegative);
-      t.idle_w = tier.number("idle_w", t.idle_w, Num::NonNegative);
-      t.recv_w = tier.number("recv_w", t.recv_w, Num::NonNegative);
-      t.tx_max_w = tier.number("tx_max_w", t.tx_max_w, Num::Positive);
-      t.sleep_power_w =
-          tier.number("sleep_power_w", t.sleep_power_w, Num::NonNegative);
-      t.wake_latency_slots =
-          tier.integer("wake_latency_slots", t.wake_latency_slots, 0);
-      t.sleep_switch_j =
-          tier.number("sleep_switch_j", t.sleep_switch_j, Num::NonNegative);
-      t.wake_switch_j =
-          tier.number("wake_switch_j", t.wake_switch_j, Num::NonNegative);
-      t.can_sleep = tier.boolean("can_sleep", t.can_sleep);
-      tier.close();
-      c.bs_tiers.push_back(t);
-    }
-    {
-      Section sleep = bs.sub("sleep");
-      c.bs_sleep.policy = static_cast<policy::SleepPolicy>(sleep.choice(
-          "policy", static_cast<int>(c.bs_sleep.policy), kSleepPolicies));
-      c.bs_sleep.sleep_threshold = sleep.number(
-          "sleep_threshold", c.bs_sleep.sleep_threshold, Num::NonNegative);
-      c.bs_sleep.wake_threshold = sleep.number(
-          "wake_threshold", c.bs_sleep.wake_threshold, Num::NonNegative);
-      c.bs_sleep.min_dwell_slots =
-          sleep.integer("min_dwell_slots", c.bs_sleep.min_dwell_slots, 0);
-      c.bs_sleep.min_awake_bs =
-          sleep.integer("min_awake_bs", c.bs_sleep.min_awake_bs, 1);
-      c.bs_sleep.switch_cost_weight = sleep.number(
-          "switch_cost_weight", c.bs_sleep.switch_cost_weight, Num::NonNegative);
-      sleep.close();
-      if (c.bs_sleep.wake_threshold < c.bs_sleep.sleep_threshold)
-        fail("bs.sleep", "wake_threshold must be >= sleep_threshold");
-    }
-    bs.close();
-  }
-
-  {
-    Section arch = r.sub("architecture");
-    c.multihop = arch.boolean("multihop", c.multihop);
-    c.renewables = arch.boolean("renewables", c.renewables);
-    c.bs_radios = arch.integer("bs_radios", c.bs_radios, 1);
-    c.user_radios = arch.integer("user_radios", c.user_radios, 1);
-    c.phy_policy = static_cast<core::ModelConfig::PhyPolicy>(arch.choice(
-        "phy_policy", static_cast<int>(c.phy_policy), kPhyPolicies));
-    arch.close();
-  }
-
-  {
-    Section algo = r.sub("algorithm");
-    c.lambda = algo.number("lambda", c.lambda, Num::NonNegative);
-    algo.close();
-  }
-
-  r.close();
-  return spec;
-}
-
-// ---- Canonical writer ------------------------------------------------
-
-class Writer {
- public:
-  std::string take() { return std::move(out_); }
-
-  void open(const char* key) {
-    item(key);
-    out_ += '{';
-    ++depth_;
-    first_ = true;
-  }
-  void close() {
-    --depth_;
-    newline();
-    out_ += '}';
-    first_ = false;
-    if (depth_ == 0) out_ += '\n';
-  }
-  // Array of objects; elements open with open(nullptr).
-  void open_array(const char* key) {
-    item(key);
-    out_ += '[';
-    ++depth_;
-    first_ = true;
-  }
-  void close_array() {
-    --depth_;
-    newline();
-    out_ += ']';
-    first_ = false;
-  }
-  void field(const char* key, double v) {
-    item(key);
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out_ += buf;
-  }
-  void field(const char* key, int v) {
-    item(key);
-    out_ += std::to_string(v);
-  }
-  void field(const char* key, std::uint64_t v) {
-    item(key);
-    out_ += std::to_string(v);
-  }
-  void field(const char* key, bool v) {
-    item(key);
-    out_ += v ? "true" : "false";
-  }
-  void field(const char* key, const std::string& v) {
-    item(key);
-    out_ += '"';
-    out_ += obs::json_escape(v);
-    out_ += '"';
-  }
-  void field(const char* key, const std::vector<double>& v) {
-    item(key);
-    out_ += '[';
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i) out_ += ", ";
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.17g", v[i]);
-      out_ += buf;
-    }
-    out_ += ']';
-  }
-
- private:
-  void item(const char* key) {
-    if (depth_ == 0) {  // root object opens implicitly
-      out_ += '{';
-      ++depth_;
-      first_ = true;
-    }
-    if (!first_) out_ += ',';
-    first_ = false;
-    newline();
-    if (key != nullptr) {
-      out_ += '"';
-      out_ += key;
-      out_ += "\": ";
-    }
-  }
-  void newline() {
+  // Starts one entry of frames_[parent]: separator, newline, indent, key.
+  void item(std::size_t parent, const char* key) {
+    Frame& f = frames_[parent];
+    if (!f.first) out_ += ',';
+    f.first = false;
     out_ += '\n';
-    out_.append(static_cast<std::size_t>(depth_) * 2, ' ');
+    out_.append(2 * (parent + 1), ' ');
+    if (key == nullptr) return;
+    out_ += '"';
+    out_ += key;
+    out_ += "\": ";
   }
 
+  void close() {
+    const Frame f = frames_.back();
+    frames_.pop_back();
+    if (!f.written) return;
+    out_ += '\n';
+    out_.append(2 * frames_.size(), ' ');
+    out_ += f.end;
+  }
+
+  std::string path(const char* key) const {
+    std::string p;
+    for (const Frame& f : frames_) {
+      if (f.key == nullptr) continue;
+      p += f.key;
+      p += '.';
+    }
+    return p + key;
+  }
+
+  Tag widest_;
+  std::vector<Leaf>* leaves_;
+  std::vector<Frame> frames_;
   std::string out_;
-  int depth_ = 0;
-  bool first_ = true;
 };
 
-// structural_only drops the workload-shaping fields that hot-reload may
-// swap at a slot boundary: the traffic section keeps only "sessions" (the
-// per-user queue arity) and the tariff section vanishes. Everything else —
-// topology, radio, energy, architecture, algorithm — fixes state-vector
-// dimensions or decision structure and stays in.
-std::string serialize(const ScenarioSpec& spec, bool include_name,
-                      bool structural_only = false) {
-  const ScenarioConfig& c = spec.config;
-  Writer w;
-  if (include_name) w.field("name", spec.name);
-  w.field("seed", c.seed);
-
-  w.open("topology");
-  w.field("layout", kLayouts[static_cast<int>(c.topology.layout)]);
-  w.field("area_m", c.area_m);
-  w.open("cells");
-  w.field("rows", c.topology.rows);
-  w.field("cols", c.topology.cols);
-  w.field("radius_m", c.topology.cell_radius_m);
-  w.close();
-  w.open("users");
-  w.field("count", c.num_users);
-  w.field("placement", kPlacements[static_cast<int>(c.topology.placement)]);
-  w.field("hotspots", c.topology.hotspots);
-  w.field("hotspot_sigma_m", c.topology.hotspot_sigma_m);
-  w.field("hotspot_fraction", c.topology.hotspot_fraction);
-  w.close();
-  w.close();
-
-  w.open("radio");
-  w.field("sinr_threshold", c.radio.sinr_threshold);
-  w.field("noise_psd_w_per_hz", c.radio.noise_psd_w_per_hz);
-  w.close();
-
-  w.open("propagation");
-  w.field("antenna_constant", c.propagation.antenna_constant);
-  w.field("path_loss_exponent", c.propagation.path_loss_exponent);
-  w.field("min_distance_m", c.propagation.min_distance_m);
-  w.close();
-
-  w.open("spectrum");
-  w.field("cellular_bandwidth_hz", c.spectrum.cellular_bandwidth_hz);
-  w.field("num_random_bands", c.spectrum.num_random_bands);
-  w.field("random_bandwidth_lo_hz", c.spectrum.random_bandwidth_lo_hz);
-  w.field("random_bandwidth_hi_hz", c.spectrum.random_bandwidth_hi_hz);
-  w.field("user_band_probability", c.spectrum.user_band_probability);
-  w.close();
-
-  w.open("time");
-  w.field("slot_seconds", c.slot_seconds);
-  w.field("packet_bits", c.packet_bits);
-  w.close();
-
-  w.open("traffic");
-  if (structural_only) {
-    w.field("sessions", c.num_sessions);
-  } else {
-    w.field("kind", kTrafficKinds[static_cast<int>(c.traffic.kind)]);
-    w.field("sessions", c.num_sessions);
-    w.field("rate_bps", c.session_rate_bps);
-    w.field("admit_factor", c.admit_factor);
-    w.field("slots_per_day", c.traffic.slots_per_day);
-    w.field("amplitude", c.traffic.amplitude);
-    w.field("peak_phase", c.traffic.peak_phase);
-    w.field("on_mult", c.traffic.on_mult);
-    w.field("off_mult", c.traffic.off_mult);
-    w.field("p_on_off", c.traffic.p_on_off);
-    w.field("p_off_on", c.traffic.p_off_on);
-    w.field("block_slots", c.traffic.block_slots);
-    w.field("start_slot", c.traffic.start_slot);
-    w.field("duration_slots", c.traffic.duration_slots);
-    w.field("spike_multiplier", c.traffic.spike_multiplier);
-  }
-  w.close();
-
-  w.open("renewables");
-  w.field("kind", kRenewableKinds[static_cast<int>(c.renewable.kind)]);
-  w.field("bs_peak_w", c.bs_renewable_peak_w);
-  w.field("user_peak_w", c.user_renewable_peak_w);
-  w.field("slots_per_day", c.renewable.slots_per_day);
-  w.field("clearness_lo", c.renewable.clearness_lo);
-  w.field("weibull_shape", c.renewable.weibull_shape);
-  w.field("rated_speed_ratio", c.renewable.rated_speed_ratio);
-  w.close();
-
-  // The resolved form of every tariff is its multiplier trace (or flat):
-  // time_of_use inputs expand here, so equal configs serialize equally.
-  // Tariffs never shape state, so structural mode drops the section.
-  if (!structural_only) {
-    w.open("tariff");
-    if (c.tariff_multipliers.empty()) {
-      w.field("kind", std::string("flat"));
-    } else {
-      w.field("kind", std::string("trace"));
-      w.field("multipliers", c.tariff_multipliers);
-    }
-    w.close();
-  }
-
-  w.open("energy");
-  w.open("bs");
-  w.field("const_w", c.bs_const_w);
-  w.field("idle_w", c.bs_idle_w);
-  w.field("recv_w", c.bs_recv_w);
-  w.field("tx_max_w", c.bs_tx_max_w);
-  w.field("grid_max_j", c.bs_grid_max_j);
-  w.open("battery");
-  w.field("capacity_j", c.bs_batt_capacity_j);
-  w.field("charge_j", c.bs_batt_charge_j);
-  w.field("discharge_j", c.bs_batt_discharge_j);
-  w.field("initial_frac", c.bs_batt_initial_frac);
-  w.close();
-  w.close();
-  w.open("user");
-  w.field("const_w", c.user_const_w);
-  w.field("idle_w", c.user_idle_w);
-  w.field("recv_w", c.user_recv_w);
-  w.field("tx_max_w", c.user_tx_max_w);
-  w.field("grid_max_j", c.user_grid_max_j);
-  w.field("connect_probability", c.user_connect_probability);
-  w.open("battery");
-  w.field("capacity_j", c.user_batt_capacity_j);
-  w.field("charge_j", c.user_batt_charge_j);
-  w.field("discharge_j", c.user_batt_discharge_j);
-  w.field("initial_frac", c.user_batt_initial_frac);
-  w.close();
-  w.close();
-  w.open("cost");
-  w.field("a", c.cost_a);
-  w.field("b", c.cost_b);
-  w.field("c", c.cost_c);
-  w.close();
-  w.close();
-
-  // The bs section (tiers + sleep policy) is emitted only when non-default,
-  // so every pre-tier scenario keeps its hash. Tiers change the built
-  // NodeParams and stay in structural mode; the sleep block, like the
-  // tariff, is hot-swappable and drops out.
-  const bool sleep_default = c.bs_sleep == policy::SleepPolicyConfig{};
-  if (!c.bs_tiers.empty() || (!structural_only && !sleep_default)) {
-    w.open("bs");
-    if (!c.bs_tiers.empty()) {
-      w.open_array("tiers");
-      for (const auto& t : c.bs_tiers) {
-        w.open(nullptr);
-        w.field("name", t.name);
-        w.field("count", t.count);
-        w.field("const_w", t.const_w);
-        w.field("idle_w", t.idle_w);
-        w.field("recv_w", t.recv_w);
-        w.field("tx_max_w", t.tx_max_w);
-        w.field("sleep_power_w", t.sleep_power_w);
-        w.field("wake_latency_slots", t.wake_latency_slots);
-        w.field("sleep_switch_j", t.sleep_switch_j);
-        w.field("wake_switch_j", t.wake_switch_j);
-        w.field("can_sleep", t.can_sleep);
-        w.close();
-      }
-      w.close_array();
-    }
-    if (!structural_only && !sleep_default) {
-      w.open("sleep");
-      w.field("policy", std::string(policy::sleep_policy_name(
-                            c.bs_sleep.policy)));
-      w.field("sleep_threshold", c.bs_sleep.sleep_threshold);
-      w.field("wake_threshold", c.bs_sleep.wake_threshold);
-      w.field("min_dwell_slots", c.bs_sleep.min_dwell_slots);
-      w.field("min_awake_bs", c.bs_sleep.min_awake_bs);
-      w.field("switch_cost_weight", c.bs_sleep.switch_cost_weight);
-      w.close();
-    }
-    w.close();
-  }
-
-  w.open("architecture");
-  w.field("multihop", c.multihop);
-  w.field("renewables", c.renewables);
-  w.field("bs_radios", c.bs_radios);
-  w.field("user_radios", c.user_radios);
-  w.field("phy_policy", kPhyPolicies[static_cast<int>(c.phy_policy)]);
-  w.close();
-
-  w.open("algorithm");
-  w.field("lambda", c.lambda);
-  w.close();
-
-  w.close();  // root object
-  return w.take();
+std::string dump(const ScenarioSpec& spec, Tag widest,
+                 std::vector<Writer::Leaf>* leaves = nullptr) {
+  Writer w(widest, leaves);
+  fields(w, const_cast<ScenarioSpec&>(spec));
+  return w.finish();
 }
-
-}  // namespace
-
-ScenarioSpec parse_scenario_json(const std::string& text) {
-  const JsonValue root = obs::json_parse(text);
-  if (!root.is_object())
-    fail("scenario", "expected a top-level object");
-  return parse_root(root);
-}
-
-ScenarioSpec load_scenario_file(const std::string& path) {
-  std::ifstream in(path);
-  GC_CHECK_MSG(in.good(), "cannot open scenario file " << path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    return parse_scenario_json(buf.str());
-  } catch (const CheckError& e) {
-    GC_CHECK_MSG(false, "scenario file " << path << ": " << e.what());
-    throw;  // unreachable
-  }
-}
-
-std::string to_json(const ScenarioSpec& spec) {
-  return serialize(spec, /*include_name=*/true);
-}
-
-namespace {
 
 std::uint64_t fnv1a64(const std::string& text) {
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64 offset basis
@@ -871,97 +393,40 @@ std::uint64_t fnv1a64(const std::string& text) {
   return h;
 }
 
-// One canonical-JSON line, decomposed for the structural diff walker.
-struct CanonicalLine {
-  std::string key;   // "" for pure close lines
-  std::string body;  // the full trimmed line (comparison unit)
-  bool opens = false;
-  bool closes = false;
-};
-
-CanonicalLine split_line(const std::string& raw) {
-  CanonicalLine out;
-  std::size_t b = 0, e = raw.size();
-  while (b < e && raw[b] == ' ') ++b;
-  while (e > b && (raw[e - 1] == ' ' || raw[e - 1] == ',')) --e;
-  out.body = raw.substr(b, e - b);
-  if (out.body.size() >= 2 && out.body.front() == '"') {
-    const std::size_t endq = out.body.find('"', 1);
-    if (endq != std::string::npos) out.key = out.body.substr(1, endq - 1);
-  }
-  out.opens = !out.body.empty() &&
-              (out.body.back() == '{' || out.body.back() == '[');
-  out.closes = !out.body.empty() &&
-               (out.body.front() == '}' || out.body.front() == ']');
-  return out;
-}
-
-std::vector<CanonicalLine> split_lines(const std::string& text) {
-  std::vector<CanonicalLine> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    if (nl > pos) out.push_back(split_line(text.substr(pos, nl - pos)));
-    pos = nl + 1;
-  }
-  return out;
-}
-
-std::string joined_path(const std::vector<std::string>& stack,
-                        const std::string& leaf) {
-  std::string out;
-  for (const auto& s : stack) {
-    if (s.empty()) continue;  // keyless array-element brace
-    if (!out.empty()) out += '.';
-    out += s;
-  }
-  if (!leaf.empty()) {
-    if (!out.empty()) out += '.';
-    out += leaf;
-  }
-  return out.empty() ? "scenario" : out;
-}
-
 }  // namespace
 
+ScenarioSpec parse_scenario_json(const std::string& text) {
+  const obs::JsonValue root = obs::json_parse(text);
+  obs::JsonReader r(root, "scenario");
+  ScenarioSpec spec;
+  fields(r, spec);
+  r.close();
+  return spec;
+}
+
+ScenarioSpec load_scenario_file(const std::string& path) {
+  return obs::read_json_file(path, "scenario file", parse_scenario_json);
+}
+
+std::string to_json(const ScenarioSpec& spec) { return dump(spec, kName); }
+
 std::uint64_t scenario_hash(const ScenarioSpec& spec) {
-  return fnv1a64(serialize(spec, /*include_name=*/false));
+  return fnv1a64(dump(spec, kWorkload));
 }
 
 std::uint64_t scenario_structural_hash(const ScenarioSpec& spec) {
-  return fnv1a64(serialize(spec, /*include_name=*/false,
-                           /*structural_only=*/true));
+  return fnv1a64(dump(spec, kStructural));
 }
 
 std::string first_structural_difference(const ScenarioSpec& a,
                                         const ScenarioSpec& b) {
-  const std::vector<CanonicalLine> la =
-      split_lines(serialize(a, false, /*structural_only=*/true));
-  const std::vector<CanonicalLine> lb =
-      split_lines(serialize(b, false, /*structural_only=*/true));
-  // Both streams come from the same serializer, so keys appear in the same
-  // fixed order and any difference is a differing value (or, for arrays of
-  // different length via future fields, a differing body) at the same
-  // position. Walk in lockstep, tracking the object path.
-  std::vector<std::string> stack;
-  const std::size_t n = std::min(la.size(), lb.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const CanonicalLine& x = la[i];
-    if (x.body != lb[i].body) {
-      const std::string key = !x.key.empty() ? x.key : lb[i].key;
-      return joined_path(stack, key);
-    }
-    if (x.opens) {
-      stack.push_back(x.key);
-    } else if (x.closes && !stack.empty()) {
-      stack.pop_back();
-    }
-  }
-  if (la.size() != lb.size()) {
-    const CanonicalLine& extra = la.size() > lb.size() ? la[n] : lb[n];
-    return joined_path(stack, extra.key);
-  }
+  std::vector<Writer::Leaf> la, lb;
+  dump(a, kStructural, &la);
+  dump(b, kStructural, &lb);
+  // Array lengths are leaves too, so the two lists share their paths up to
+  // the first differing value.
+  for (std::size_t i = 0; i < std::min(la.size(), lb.size()); ++i)
+    if (la[i] != lb[i]) return la[i].first;
   return "";
 }
 

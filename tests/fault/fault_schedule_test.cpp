@@ -28,6 +28,14 @@ TEST(FaultSchedule, DeterministicWindowCoversExactlyItsSlots) {
       EXPECT_EQ(f.active_events, 1);
     }
   }
+  // A spec may put a window's end past INT_MAX; start + duration must not
+  // overflow.
+  FaultSchedule late(4);
+  e.start = 2147483000;
+  e.duration = 2147483000;
+  late.add(e);
+  EXPECT_FALSE(late.at(2147482999).any());
+  EXPECT_TRUE(late.at(2147483600).any());
 }
 
 TEST(FaultSchedule, AtIsPureAndOrderIndependent) {
@@ -142,6 +150,39 @@ TEST(FaultSchedule, JsonRejectsUnknownKindAndUnknownField) {
           R"({"events":[{"kind":"node_outage","node":1,"strat":0}]})", 4),
       CheckError);
   EXPECT_THROW(FaultSchedule::from_json("not json at all", 4), CheckError);
+  // A misspelt root key, a non-integer or out-of-range int: each one used
+  // to run with a fault silently dropped or truncated. The error names the
+  // key path.
+  const struct {
+    const char* spec;
+    const char* path;
+  } bad[] = {
+      {R"({"seed":3,"evnts":[{"kind":"node_outage","node":0,"start":0,
+           "duration":5}]})",
+       "unknown key \"evnts\""},
+      {R"({"events":[{"kind":"node_outage","node":0.9,"start":0}]})",
+       "events[0].node: expected int"},
+      {R"({"events":[{"kind":"node_outage","node":0,"start":0,
+           "duration":2.7}]})",
+       "events[0].duration: expected int"},
+      {R"({"events":[{"kind":"node_outage","node":0,"start":1e10}]})",
+       "events[0].start: expected int"},
+      {R"({"events":[{"kind":"link_fade","node":0,"peer":1.5,"start":0}]})",
+       "events[0].peer: expected int"},
+      {R"({"seed":0.5})", "seed: expected non-negative int"},
+      {R"({"seed":-1})", "seed: expected non-negative int"},
+      {R"({"seed":1e300})", "seed: expected non-negative int"},
+      {R"({"events":[{"node":1,"start":0}]})", "events[0].kind"},
+  };
+  for (const auto& c : bad) {
+    try {
+      FaultSchedule::from_json(c.spec, 4);
+      ADD_FAILURE() << "parsed: " << c.spec;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.path), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FaultSchedule, AddValidatesEventParameters) {

@@ -67,6 +67,20 @@ TEST(AlertEngine, FromJsonFileParsesEveryField) {
   std::remove(path.c_str());
 }
 
+// Checkpoint v6 keys alert state on rules_hash(), so how a rule file is
+// read must never move the hash of a valid file.
+TEST(AlertEngine, RulesHashIsPinned) {
+  const std::string path = write_rules("pin", R"({"rules":[
+    {"name":"degraded","metric":"ctrl.degraded_slots","op":">","value":0,
+     "severity":"critical","kind":"counter","window_slots":16,
+     "for_slots":3},
+    {"name":"stalled","metric":"policy.awake_bs","op":"<","value":1.5,
+     "severity":"warning"}]})");
+  EXPECT_EQ(AlertEngine::from_json_file(path).rules_hash(),
+            0x1efd955bfebf351bull);
+  std::remove(path.c_str());
+}
+
 TEST(AlertEngine, FromJsonFileRejectsMalformedFiles) {
   const struct {
     const char* tag;
@@ -86,12 +100,35 @@ TEST(AlertEngine, FromJsonFileRejectsMalformedFiles) {
           {"name":"x","metric":"n","op":">","value":0,"severity":"warning"}]})"},
       {"badfor", R"({"rules":[{"name":"x","metric":"m","op":">","value":0,
                      "severity":"warning","for_slots":0}]})"},
+      // A misspelt key used to be ignored, silently dropping the debounce.
+      {"typo", R"({"rules":[{"name":"x","metric":"m","op":">","value":0,
+                   "severity":"warning","for_slot":100}]})"},
+      {"rootkey", R"({"rules":[],"rule":[]})"},
+      {"fracwindow", R"({"rules":[{"name":"x","metric":"m","op":">",
+                         "value":0,"severity":"warning",
+                         "window_slots":2.5}]})"},
+      {"hugefor", R"({"rules":[{"name":"x","metric":"m","op":">","value":0,
+                      "severity":"warning","for_slots":1e10}]})"},
   };
   for (const auto& c : bad) {
     const std::string path = write_rules(c.tag, c.body);
     EXPECT_THROW(AlertEngine::from_json_file(path), CheckError) << c.tag;
     std::remove(path.c_str());
   }
+  // Errors name the file and the key path.
+  ASSERT_STREQ(bad[8].tag, "typo");
+  const std::string path = write_rules("typo", bad[8].body);
+  try {
+    AlertEngine::from_json_file(path);
+    ADD_FAILURE() << "a misspelt key parsed";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("gc_alerts_test_typo.json"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("rules[0]: unknown key \"for_slot\""),
+              std::string::npos)
+        << msg;
+  }
+  std::remove(path.c_str());
   EXPECT_THROW(AlertEngine::from_json_file(testing::TempDir() +
                                            "gc_alerts_test_nofile.json"),
                CheckError);

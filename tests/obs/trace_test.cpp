@@ -60,6 +60,9 @@ TEST(JsonParse, MalformedInputThrowsCheckError) {
   EXPECT_THROW(json_parse("[1,2,]"), CheckError);
   EXPECT_THROW(json_parse("{\"a\":1} trailing"), CheckError);
   EXPECT_THROW(json_parse("\"unterminated"), CheckError);
+  // Nesting is bounded, so a deep input is an error, not a stack overflow.
+  EXPECT_THROW(json_parse(std::string(100000, '[')), CheckError);
+  EXPECT_NO_THROW(json_parse(std::string(200, '[') + std::string(200, ']')));
 }
 
 TEST(TraceSink, WritesOneParseableLinePerRecord) {

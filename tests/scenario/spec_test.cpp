@@ -275,5 +275,84 @@ TEST(ScenarioSpec, GeneratorBlocksParse) {
   EXPECT_DOUBLE_EQ(s.config.renewable.weibull_shape, 1.8);
 }
 
+// Every committed spec's full and structural hash, recorded from the
+// canonical dump. The hashes stamp traces and checkpoints, so a schema
+// refactor must leave each of them unchanged.
+TEST(ScenarioSpec, HashesArePinned) {
+  const struct {
+    std::string path;
+    const char* full;
+    const char* structural;
+  } pins[] = {
+      {example_path("paper_baseline.json"),
+       "0xccee7e8a6c734b48", "0xad443838f3b4827f"},
+      {example_path("hex_16bs_500users.json"),
+       "0x34611722e8a36cea", "0xaf45a34e161437b9"},
+      {example_path("hex_16bs_500users_sleep.json"),
+       "0xdaa6493ef0c06182", "0x88e579f270a4dd3d"},
+      {example_path("hex_36bs_1000users.json"),
+       "0x2f07dd2d15f4e3f4", "0x485d1b8deeeff97f"},
+      {example_path("diurnal_solar_tou.json"),
+       "0x44328c61ba39fbfb", "0xc89087d00bc35158"},
+      {example_path("flash_crowd.json"),
+       "0x69fc81a7d0b1b008", "0xcf8a64ce0006ff42"},
+      {example_path("hetnet_sleep_tou.json"),
+       "0x662a862f21fcf90d", "0x1c9211897ee33eb9"},
+      {golden_path("golden_default.json"),
+       "0xccee7e8a6c734b48", "0xad443838f3b4827f"},
+      {golden_path("golden_diurnal_solar_tou.json"),
+       "0x44328c61ba39fbfb", "0xc89087d00bc35158"},
+      {golden_path("golden_hetnet_sleep_tou.json"),
+       "0x662a862f21fcf90d", "0x1c9211897ee33eb9"},
+  };
+  for (const auto& p : pins) {
+    const ScenarioSpec s = load_scenario_file(p.path);
+    EXPECT_EQ(hash_hex(scenario_hash(s)), p.full) << p.path;
+    EXPECT_EQ(hash_hex(scenario_structural_hash(s)), p.structural) << p.path;
+  }
+}
+
+// The --reload-scenario refusal names the first differing structural
+// field; workload-only edits (traffic shape, tariff, sleep) are no
+// difference at all.
+TEST(ScenarioSpec, FirstStructuralDifferenceNamesThePath) {
+  const auto diff = [](const std::string& a, const std::string& b) {
+    return first_structural_difference(parse_scenario_json(a),
+                                       parse_scenario_json(b));
+  };
+  EXPECT_EQ(diff("{}", "{}"), "");
+  EXPECT_EQ(diff("{}", R"({"seed":43})"), "seed");
+  EXPECT_EQ(diff("{}", R"({"topology":{"cells":{"rows":3}}})"),
+            "topology.cells.rows");
+  EXPECT_EQ(diff("{}", R"({"energy":{"bs":{"battery":{"capacity_j":9}}}})"),
+            "energy.bs.battery.capacity_j");
+  EXPECT_EQ(diff("{}", R"({"traffic":{"sessions":7}})"), "traffic.sessions");
+  const std::string one_tier =
+      R"({"bs":{"tiers":[{"count":1,"tx_max_w":20}]}})";
+  EXPECT_EQ(diff(one_tier, R"({"bs":{"tiers":[{"count":1,"tx_max_w":30}]}})"),
+            "bs.tiers.tx_max_w");
+  EXPECT_EQ(diff(one_tier, R"({"bs":{"tiers":[{"count":1,"tx_max_w":20},
+                                               {"count":2}]}})"),
+            "bs.tiers");
+  EXPECT_EQ(diff(R"({"name":"a","traffic":{"sessions":3}})",
+                 R"({"name":"b","traffic":{"sessions":3,"kind":"bursty",
+                     "rate_bps":5e4,"on_mult":2},
+                     "tariff":{"kind":"trace","multipliers":[1,3]},
+                     "bs":{"sleep":{"policy":"threshold"}}})"),
+            "");
+}
+
+// Adding the first tier is named as a tier change (bs.tiers), and a tier
+// must say how many base stations it covers.
+TEST(ScenarioSpec, TierCountIsStructuralAndRequired) {
+  EXPECT_EQ(first_structural_difference(
+                parse_scenario_json("{}"),
+                parse_scenario_json(R"({"bs":{"tiers":[{"count":1}]}})")),
+            "bs.tiers");
+  EXPECT_NE(parse_error(R"({"bs":{"tiers":[{"const_w":80}]}})")
+                .find("bs.tiers[0].count: required key missing"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace gc::scenario

@@ -499,10 +499,12 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       try {
         ov_policy = policy::parse_sleep_policy(v);
       } catch (const CheckError&) {
-        return err(bad(flag,
-                       "\"always-on\", \"threshold\", \"hysteresis\" or "
-                       "\"drift-plus-penalty\"",
-                       v));
+        std::string names;
+        const std::size_t n = std::size(policy::kSleepPolicyNames);
+        for (std::size_t i = 0; i < n; ++i)
+          names += std::string(i == 0 ? "" : i + 1 < n ? ", " : " or ") +
+                   '"' + policy::kSleepPolicyNames[i] + '"';
+        return err(bad(flag, names, v));
       }
     } else if (flag == "--sleep-threshold") {
       if (!parse_double(v, &dv) || dv < 0)
