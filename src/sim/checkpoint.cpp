@@ -508,7 +508,7 @@ std::string generation_file(const std::string& base, std::int64_t gen) {
 }
 
 // Manifest-driven listing; returns false when the manifest is missing or
-// does not parse (callers degrade to a directory scan).
+// is not a valid manifest (callers degrade to a directory scan).
 bool list_from_manifest(const std::string& base,
                         std::vector<GenerationInfo>* out) {
   std::ifstream in(manifest_path(base));
@@ -516,15 +516,7 @@ bool list_from_manifest(const std::string& base,
   std::ostringstream text;
   text << in.rdbuf();
   try {
-    const obs::JsonValue root = obs::json_parse(text.str());
-    if (!root.is_object() || !root.has("generations")) return false;
-    for (const obs::JsonValue& e : root.at("generations").as_array()) {
-      GenerationInfo g;
-      g.generation = static_cast<std::int64_t>(e.at("gen").as_number());
-      g.slot = static_cast<int>(e.number_or("slot", -1.0));
-      g.file = generation_file(base, g.generation);
-      out->push_back(g);
-    }
+    *out = parse_manifest(text.str(), base);
   } catch (const CheckError&) {
     out->clear();
     return false;  // damaged manifest: fall back to scanning the directory
@@ -563,6 +555,26 @@ void list_from_directory(const std::string& base,
 }
 
 }  // namespace
+
+std::vector<GenerationInfo> parse_manifest(const std::string& text,
+                                           const std::string& base) {
+  const obs::JsonValue root = obs::json_parse(text);
+  obs::JsonReader r(root, "checkpoint manifest");
+  int version = 1;
+  r.integer("version", version, 1);
+  if (version != 1) r.fail("version", "unsupported manifest version");
+  std::vector<GenerationInfo> gens;
+  r.array(obs::required("generations"), gens,
+          [&](obs::JsonReader& e, GenerationInfo& g) {
+            int gen = 0;
+            e.integer(obs::required("gen"), gen, 1);
+            e.integer("slot", g.slot, 0);
+            g.generation = gen;
+            g.file = generation_file(base, gen);
+          });
+  r.close();
+  return gens;
+}
 
 std::vector<GenerationInfo> list_generations(const std::string& base) {
   std::vector<GenerationInfo> out;

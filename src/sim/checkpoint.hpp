@@ -176,6 +176,13 @@ struct GenerationInfo {
   std::string file;             // BASE.gen<generation>
 };
 
+// The generations a BASE.manifest text lists, in manifest order. Throws
+// gc::CheckError naming the key path when `text` is not a manifest: bad
+// JSON, an unknown key, a "gen" that is not an int >= 1 or a "slot" that
+// is not an int >= 0.
+std::vector<GenerationInfo> parse_manifest(const std::string& text,
+                                           const std::string& base);
+
 // Generations known for `base`, oldest first: from BASE.manifest when it
 // parses, otherwise from scanning base's directory for BASE.gen<K> files.
 // Empty when none exist.

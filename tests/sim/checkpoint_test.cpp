@@ -594,6 +594,49 @@ TEST(Checkpoint, LoadNewestValidFallsBackPastCorruptGenerations) {
   EXPECT_FALSE(load_newest_valid(tmp_path("nothing.ckpt")).has_value());
 }
 
+// The manifest is plain JSON with no checksum. A "gen" or "slot" outside
+// its integer domain must not be cast (1e300 is undefined behaviour; 2.5
+// or -3 would name the wrong file): the manifest is rejected and listing
+// falls back to the directory scan, exactly as for unparsable JSON.
+TEST(Checkpoint, BadManifestFallsBackToDirectoryScan) {
+  const std::string base = tmp_path("manifest.ckpt");
+  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
+  std::ofstream(base + ".gen2") << "x";
+  std::ofstream(base + ".gen7") << "x";
+
+  const auto gens = parse_manifest(
+      "{\"version\":1,\"generations\":[{\"gen\":7,\"slot\":70},"
+      "{\"gen\":2,\"slot\":20}]}",
+      base);
+  ASSERT_EQ(gens.size(), 2u);
+  EXPECT_EQ(gens[0].generation, 7);
+  EXPECT_EQ(gens[0].slot, 70);
+  EXPECT_EQ(gens[0].file, base + ".gen7");
+
+  for (const char* bad :
+       {"{\"generations\":[{\"gen\":1e300,\"slot\":3}]}",
+        "{\"generations\":[{\"gen\":2.5,\"slot\":3}]}",
+        "{\"generations\":[{\"gen\":-3,\"slot\":3}]}",
+        "{\"generations\":[{\"gen\":2,\"slot\":1e300}]}",
+        "{\"generations\":[{\"gen\":2,\"slot\":-4}]}",
+        "{\"generations\":[{\"slot\":3}]}",
+        "{\"generations\":[{\"gen\":2,\"sloth\":3}]}",
+        "{\"version\":2,\"generations\":[]}", "{\"gens\":[]}", "[]",
+        "{\"generations\":["}) {
+    EXPECT_THROW(parse_manifest(bad, base), CheckError) << bad;
+    std::ofstream(base + ".manifest") << bad;
+    const auto listed = list_generations(base);
+    ASSERT_EQ(listed.size(), 2u) << bad;
+    EXPECT_EQ(listed[0].generation, 2) << bad;
+    EXPECT_EQ(listed[1].generation, 7) << bad;
+    EXPECT_EQ(listed[1].slot, -1) << bad;  // from the scan, not the manifest
+  }
+
+  std::remove((base + ".manifest").c_str());
+  std::remove((base + ".gen2").c_str());
+  std::remove((base + ".gen7").c_str());
+}
+
 // Rotated periodic checkpoints resume bit-identically through run_loop,
 // exactly like the single-file path.
 TEST(Checkpoint, RotatedResumeIsBitIdentical) {

@@ -17,9 +17,14 @@ std::string read_all(const std::string& path) {
   return os.str();
 }
 
+// One file per test: ctest -j runs the tests of this fixture as parallel
+// processes, so a shared path would let one read or delete another's file.
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "gc_csv_test.csv";
+  std::string path_ =
+      ::testing::TempDir() + "gc_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
