@@ -195,7 +195,10 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
       decision.schedule =
           greedy_schedule(state_, inputs, options_.fill_in, energy_price);
     }
-    assign_powers(*model_, inputs, decision.schedule);
+    {
+      obs::Span power_span("s1.power", state_.slot());
+      assign_powers(*model_, inputs, decision.schedule);
+    }
     span.set_dim(static_cast<std::int64_t>(decision.schedule.size()));
   }
 
@@ -301,7 +304,10 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
     m.curtailed_j.add(e.curtailed_j);
   }
 
-  state_.advance(decision);
+  {
+    obs::Span span("state.advance", state_.slot());
+    state_.advance(decision);
+  }
   return decision;
 }
 

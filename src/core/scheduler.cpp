@@ -9,6 +9,7 @@
 #include "lp/simplex.hpp"
 #include "net/power_control.hpp"
 #include "obs/registry.hpp"
+#include "obs/timer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gc::core {
@@ -115,6 +116,7 @@ class RadioUsage {
 
 std::vector<CandidateLinkBand> build_candidates(const NetworkState& state,
                                                 const SlotInputs& inputs) {
+  obs::Span span("s1.candidates", state.slot());
   const auto& model = state.model();
   const int n = model.num_nodes();
   const double pkts_per_bps = model.slot_seconds() / model.packet_bits();
@@ -238,6 +240,20 @@ void greedy_fill(const NetworkState& state,
     link.capacity_bps = c.capacity_bps;
     schedule.push_back(link);
   }
+}
+
+// Psi3-aware fill-in over radios the primary pass left idle (see
+// build_fill_in_candidates for why the paper's S1 alone deadlocks).
+void fill_in_pass(const NetworkState& state, const SlotInputs& inputs,
+                  double marginal_energy_price,
+                  std::vector<ScheduledLink>& schedule) {
+  obs::Span span("s1.fill_in", state.slot());
+  const std::size_t before = schedule.size();
+  greedy_fill(state,
+              build_fill_in_candidates(state, inputs, schedule,
+                                       marginal_energy_price),
+              schedule);
+  sched_metrics().fill_in.add(static_cast<double>(schedule.size() - before));
 }
 
 }  // namespace
@@ -376,19 +392,14 @@ std::vector<ScheduledLink> sequential_fix_schedule(
   // next pass. Without `warm_keys` the first pass is always cold.
   lp::Workspace local_ws;
   lp::Workspace& ws = workspace != nullptr ? *workspace : local_ws;
-  sf_series(state, build_candidates(state, inputs), usage, lp_options, ws,
-            schedule, warm_keys);
-  sched_metrics().primary.add(static_cast<double>(schedule.size()));
-  // Psi3-aware fill-in over radios SF left idle (see
-  // build_fill_in_candidates for why the paper's S1 alone deadlocks).
-  if (fill_in) {
-    const std::size_t before = schedule.size();
-    greedy_fill(state,
-                build_fill_in_candidates(state, inputs, schedule,
-                                         marginal_energy_price),
-                schedule);
-    sched_metrics().fill_in.add(static_cast<double>(schedule.size() - before));
+  std::vector<CandidateLinkBand> cands = build_candidates(state, inputs);
+  {
+    obs::Span span("s1.sf", state.slot());
+    sf_series(state, std::move(cands), usage, lp_options, ws, schedule,
+              warm_keys);
   }
+  sched_metrics().primary.add(static_cast<double>(schedule.size()));
+  if (fill_in) fill_in_pass(state, inputs, marginal_energy_price, schedule);
   return schedule;
 }
 
@@ -412,6 +423,7 @@ std::vector<ScheduledLink> sequential_fix_schedule_clustered(
   const auto& model = state.model();
   const std::vector<CandidateLinkBand> cands =
       build_candidates(state, inputs);
+  obs::Span sf_span("s1.sf", state.slot());
 
   // Connected components of the endpoint-sharing graph via union-find,
   // ordered by their smallest member node so cluster identity is a pure
@@ -485,16 +497,9 @@ std::vector<ScheduledLink> sequential_fix_schedule_clustered(
     if (stats_sink != nullptr)
       for (const auto& rec : sinks[c].records) stats_sink->on_solve(rec, "s1");
   }
+  sf_span.stop();
   sched_metrics().primary.add(static_cast<double>(schedule.size()));
-
-  if (fill_in) {
-    const std::size_t before = schedule.size();
-    greedy_fill(state,
-                build_fill_in_candidates(state, inputs, schedule,
-                                         marginal_energy_price),
-                schedule);
-    sched_metrics().fill_in.add(static_cast<double>(schedule.size() - before));
-  }
+  if (fill_in) fill_in_pass(state, inputs, marginal_energy_price, schedule);
   return schedule;
 }
 
@@ -505,14 +510,7 @@ std::vector<ScheduledLink> greedy_schedule(const NetworkState& state,
   std::vector<ScheduledLink> schedule;
   greedy_fill(state, build_candidates(state, inputs), schedule);
   sched_metrics().primary.add(static_cast<double>(schedule.size()));
-  if (fill_in) {
-    const std::size_t before = schedule.size();
-    greedy_fill(state,
-                build_fill_in_candidates(state, inputs, schedule,
-                                         marginal_energy_price),
-                schedule);
-    sched_metrics().fill_in.add(static_cast<double>(schedule.size() - before));
-  }
+  if (fill_in) fill_in_pass(state, inputs, marginal_energy_price, schedule);
   return schedule;
 }
 

@@ -447,9 +447,15 @@ Metrics run_loop(const core::NetworkModel& model,
       return m;
     }
     obs::Span slot_span("sim.slot", t, model.num_nodes());
-    if (mobility && t > 0)
+    if (mobility && t > 0) {
+      obs::Span span("sim.mobility", t);
       mobility->advance(model.slot_seconds(), *topology);
-    core::SlotInputs inputs = model.sample_inputs(t, input_rng);
+    }
+    core::SlotInputs inputs;
+    {
+      obs::Span span("sim.sample", t);
+      inputs = model.sample_inputs(t, input_rng);
+    }
     int fault_events = 0;
     if (have_faults) {
       const fault::SlotFaults faults = options.faults->at(t);
