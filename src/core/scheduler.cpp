@@ -164,30 +164,39 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
   const int n = model.num_nodes();
   const RadioUsage usage(model, already_scheduled);
 
+  // A delivery link ends at some session's destination: exempt from the
+  // energy penalty, since (18) makes delivery an obligation rather than an
+  // optimization choice.
+  std::vector<char> is_destination(static_cast<std::size_t>(n), 0);
+  for (const Session& s : model.sessions()) is_destination[s.destination] = 1;
+
   // Range pruning: beyond shrinking the scan, dropping out-of-range pairs
   // here IMPROVES the schedule — an unpruned infeasible fill-in link would
   // occupy two radios until power control deschedules it, crowding out
   // feasible links (docs/ALGORITHM.md "Why range pruning is exact").
   const net::LinkPruneMap* prune = model.pruned_links();
   std::vector<CandidateLinkBand> out;
+  std::vector<int> live;  // sessions transmitter i holds packets for
   for (int i = 0; i < n; ++i) {
     if (usage.node_saturated(i) || inputs.node_is_inactive(i)) continue;
+    // Only a backlogged session can make a differential positive: with
+    // q(i,s) = 0 it is -q(j,s) - beta*h <= 0 (docs/ALGORITHM.md "Why the
+    // fill-in scan visits only backlogged sessions").
+    live.clear();
+    for (int s = 0; s < model.num_sessions(); ++s)
+      if (model.session(s).destination != i && state.q(i, s) > 0.0)  // (17)
+        live.push_back(s);
+    if (live.empty()) continue;
     const auto scan_rx = [&](int j) {
       if (usage.node_saturated(j) || !model.link_allowed(i, j)) return;
       if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
-      // Best Psi3 differential any session could realize on (i, j), and
-      // whether j is some session's destination (a delivery link: exempt
-      // from the energy penalty, since (18) makes delivery an obligation
-      // rather than an optimization choice).
+      // Best Psi3 differential any session could realize on (i, j).
+      const double bh = model.beta() * state.h(i, j);
       double best_diff = 0.0;
-      bool delivery_link = false;
-      for (int s = 0; s < model.num_sessions(); ++s) {
-        if (i == model.session(s).destination) continue;  // (17)
-        if (j == model.session(s).destination) delivery_link = true;
-        best_diff = std::max(best_diff, state.q(i, s) - state.q(j, s) -
-                                            model.beta() * state.h(i, j));
-      }
+      for (int s : live)
+        best_diff = std::max(best_diff, state.q(i, s) - state.q(j, s) - bh);
       if (best_diff <= 0.0) return;
+      const bool delivery_link = is_destination[j] != 0;
       for (int m = 0; m < model.num_bands(); ++m) {
         if (!model.spectrum().link_band_ok(i, j, m)) continue;
         if (!usage.can_take(i, j, m)) continue;

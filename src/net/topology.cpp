@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace gc::net {
@@ -20,19 +21,7 @@ Topology::Topology(std::vector<Vec2> base_stations, std::vector<Vec2> users,
 
   const int n = num_nodes();
   gain_.assign(static_cast<std::size_t>(n) * n, 0.0);
-  // g is symmetric (hypot of the negated differences is bit-equal), so
-  // each unordered pair is computed once and mirrored, as set_position
-  // does.
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      const double d = std::max(gc::net::distance(pos_[i], pos_[j]),
-                                prop_.min_distance_m);
-      const double g =
-          prop_.antenna_constant * std::pow(d, -prop_.path_loss_exponent);
-      gain_[static_cast<std::size_t>(i) * n + j] = g;
-      gain_[static_cast<std::size_t>(j) * n + i] = g;
-    }
-  }
+  refresh_gains(0, n);
 }
 
 Topology Topology::paper_layout(int num_users, double area_m,
@@ -59,19 +48,32 @@ double Topology::gain(int i, int j) const {
   return gain_[static_cast<std::size_t>(i) * num_nodes() + j];
 }
 
-void Topology::set_position(int node, const Vec2& position) {
-  check(node);
+void Topology::set_positions(int first, std::span<const Vec2> positions) {
+  const int last = first + static_cast<int>(positions.size());
+  GC_CHECK_MSG(first >= 0 && first <= last && last <= num_nodes(),
+               "bad node block [" << first << ", " << last << ")");
   ++version_;
-  pos_[node] = position;
+  std::copy(positions.begin(), positions.end(), pos_.begin() + first);
+  refresh_gains(first, last);
+}
+
+void Topology::refresh_gains(int first, int last) {
+  // g is symmetric (hypot of the negated differences is bit-equal), so
+  // each unordered pair is computed once and mirrored. A pair inside the
+  // block is computed when its smaller endpoint is visited, after every
+  // position of the block has been written.
   const int n = num_nodes();
-  for (int other = 0; other < n; ++other) {
-    if (other == node) continue;
-    const double d = std::max(gc::net::distance(pos_[node], pos_[other]),
-                              prop_.min_distance_m);
+  const auto refresh = [&](int a, int o) {
+    const double d =
+        std::max(gc::net::distance(pos_[a], pos_[o]), prop_.min_distance_m);
     const double g =
         prop_.antenna_constant * std::pow(d, -prop_.path_loss_exponent);
-    gain_[static_cast<std::size_t>(node) * n + other] = g;
-    gain_[static_cast<std::size_t>(other) * n + node] = g;
+    gain_[static_cast<std::size_t>(a) * n + o] = g;
+    gain_[static_cast<std::size_t>(o) * n + a] = g;
+  };
+  for (int a = first; a < last; ++a) {
+    for (int o = 0; o < first; ++o) refresh(a, o);
+    for (int o = a + 1; o < n; ++o) refresh(a, o);
   }
 }
 

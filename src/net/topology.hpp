@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.hpp"
@@ -55,14 +56,19 @@ class Topology {
     return gain_.data() + static_cast<std::size_t>(check(i)) * num_nodes();
   }
 
-  // Moves a node and recomputes its gain row/column (O(N)). Used by the
-  // mobility models; base stations stay where Section VI put them, but the
-  // method itself is position-agnostic.
-  void set_position(int node, const Vec2& position);
+  // Moves nodes [first, first + positions.size()) to `positions`, then
+  // recomputes every pair with an endpoint in the block once, from the
+  // final positions (O(k * N) for k nodes). Used by the mobility models
+  // and the checkpoint restore; base stations stay where Section VI put
+  // them, but the method itself is position-agnostic.
+  void set_positions(int first, std::span<const Vec2> positions);
+  void set_position(int node, const Vec2& position) {
+    set_positions(node, {&position, 1});
+  }
 
   const PropagationParams& propagation() const { return prop_; }
 
-  // Monotone mutation counter, bumped by every set_position. Lets caches
+  // Monotone mutation counter, bumped by every set_positions. Lets caches
   // derived from positions (core::NetworkModel's link-prune map) detect
   // staleness lazily instead of rebuilding on every mobility step.
   std::uint64_t version() const { return version_; }
@@ -72,6 +78,10 @@ class Topology {
     GC_CHECK_MSG(node >= 0 && node < num_nodes(), "bad node index " << node);
     return node;
   }
+
+  // Recomputes gain(a, o) for every a in [first, last) and every o outside
+  // [first, a]: each unordered pair touching the block exactly once.
+  void refresh_gains(int first, int last);
 
   std::vector<Vec2> pos_;
   int num_bs_;

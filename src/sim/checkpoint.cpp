@@ -418,8 +418,7 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
     GC_CHECK_MSG(static_cast<int>(checkpoint.user_positions.size()) ==
                      topology->num_users(),
                  "checkpoint user-position arity mismatch");
-    for (int u = 0; u < topology->num_users(); ++u)
-      topology->set_position(first_user + u, checkpoint.user_positions[u]);
+    topology->set_positions(first_user, checkpoint.user_positions);
   }
   if (auditor != nullptr && checkpoint.has_audit)
     auditor->restore(checkpoint.audit);

@@ -48,9 +48,10 @@ void RandomWaypoint::advance(double dt, net::Topology& topology) {
   GC_CHECK(dt > 0.0);
   GC_CHECK(topology.num_base_stations() == first_user_);
   GC_CHECK(static_cast<std::size_t>(topology.num_users()) == trips_.size());
+  std::vector<net::Vec2> moved;
+  moved.reserve(trips_.size());
   for (std::size_t u = 0; u < trips_.size(); ++u) {
-    const int node = first_user_ + static_cast<int>(u);
-    net::Vec2 pos = topology.position(node);
+    net::Vec2 pos = topology.position(first_user_ + static_cast<int>(u));
     double budget = trips_[u].speed_mps * dt;
     // A fast user can finish a trip mid-slot and start the next one.
     while (budget > 0.0) {
@@ -68,8 +69,11 @@ void RandomWaypoint::advance(double dt, net::Topology& topology) {
         budget = 0.0;
       }
     }
-    topology.set_position(node, pos);
+    moved.push_back(pos);
   }
+  // One refresh for the whole walk: each moved pair's gain is computed
+  // once, from both final positions.
+  topology.set_positions(first_user_, moved);
 }
 
 }  // namespace gc::sim

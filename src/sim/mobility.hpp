@@ -3,8 +3,8 @@
 //
 // Random-waypoint model: each user walks toward a uniformly random target
 // at a per-trip uniform speed, picking a new target and speed on arrival.
-// Base stations never move. Positions update once per slot, and
-// Topology::set_position refreshes the affected gain rows, so the
+// Base stations never move. Positions update once per slot, and one
+// Topology::set_positions call refreshes the affected gains, so the
 // controller sees the new channel at the next observation — which is
 // exactly when the paper's slotted model re-observes the random state.
 //

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace gc::net {
 namespace {
@@ -63,6 +64,56 @@ TEST(Topology, GainIsSymmetric) {
       if (i != j) {
         EXPECT_EQ(topo.gain_row(i)[j], topo.gain(i, j));
       }
+}
+
+// A batch move computes each pair touching the block once; moving the same
+// nodes one at a time computes in-block pairs twice. Both must leave the
+// same gain matrix bit for bit, equal to a topology built at the final
+// positions, and every call must bump version().
+TEST(Topology, SetPositionsMatchesSequentialMoves) {
+  Rng rng(17);
+  auto batched = Topology::paper_layout(40, 2000.0, paper_prop(), rng);
+  auto sequential = batched;
+  const int n = batched.num_nodes();
+  for (int step = 0; step < 25; ++step) {
+    // Random blocks, base stations and the empty block included.
+    const int first = static_cast<int>(rng.uniform_int(0, n));
+    const int count = static_cast<int>(rng.uniform_int(0, n - first));
+    std::vector<Vec2> moved;
+    for (int k = 0; k < count; ++k) {
+      // Some nodes land on another node's spot (the distance floor).
+      moved.push_back(rng.uniform(0.0, 1.0) < 0.1
+                          ? batched.position(static_cast<int>(
+                                rng.uniform_int(0, n - 1)))
+                          : Vec2{rng.uniform(0.0, 2000.0),
+                                 rng.uniform(0.0, 2000.0)});
+    }
+    const std::uint64_t before = batched.version();
+    batched.set_positions(first, moved);
+    EXPECT_GT(batched.version(), before) << "step " << step;
+    for (int k = 0; k < count; ++k) {
+      const std::uint64_t v = sequential.version();
+      sequential.set_position(first + k, moved[k]);
+      EXPECT_GT(sequential.version(), v);
+    }
+
+    std::vector<Vec2> bs, users;
+    for (int i = 0; i < n; ++i)
+      (batched.is_base_station(i) ? bs : users)
+          .push_back(batched.position(i));
+    const Topology fresh(bs, users, paper_prop());
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        if (i == j) continue;
+        ASSERT_EQ(batched.gain(i, j), sequential.gain(i, j))
+            << "step " << step << " pair " << i << "," << j;
+        ASSERT_EQ(batched.gain(i, j), fresh.gain(i, j))
+            << "step " << step << " pair " << i << "," << j;
+      }
+  }
+  EXPECT_THROW(batched.set_positions(n - 1, std::vector<Vec2>(2)),
+               CheckError);
+  EXPECT_THROW(batched.set_positions(-1, std::vector<Vec2>(1)), CheckError);
 }
 
 TEST(Topology, GainDecreasesWithDistance) {
