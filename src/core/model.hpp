@@ -116,6 +116,10 @@ class NetworkModel {
 
   // Whether (tx -> rx) may ever carry traffic under the architecture.
   bool link_allowed(int tx, int rx) const;
+  // Whether `node` is some session's destination.
+  bool is_destination(int node) const {
+    return is_destination_[check_node(node)] != 0;
+  }
 
   // Range-pruned link neighborhood (ModelConfig::link_prune), or nullptr
   // when pruning is disabled. Built lazily and rebuilt when mobility moves
@@ -179,7 +183,7 @@ class NetworkModel {
   // Lazy link-prune cache (pruned_links()); mutable because building it is
   // observationally pure — the map is fully derived from topology/spectrum.
   mutable std::unique_ptr<net::LinkPruneMap> prune_;
-  // 1 for nodes that are some session's destination (link_allowed).
+  // 1 for nodes that are some session's destination.
   std::vector<char> is_destination_;
 
   double beta_ = 0.0;

@@ -164,12 +164,6 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
   const int n = model.num_nodes();
   const RadioUsage usage(model, already_scheduled);
 
-  // A delivery link ends at some session's destination: exempt from the
-  // energy penalty, since (18) makes delivery an obligation rather than an
-  // optimization choice.
-  std::vector<char> is_destination(static_cast<std::size_t>(n), 0);
-  for (const Session& s : model.sessions()) is_destination[s.destination] = 1;
-
   // Range pruning: beyond shrinking the scan, dropping out-of-range pairs
   // here IMPROVES the schedule — an unpruned infeasible fill-in link would
   // occupy two radios until power control deschedules it, crowding out
@@ -196,7 +190,10 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
       for (int s : live)
         best_diff = std::max(best_diff, state.q(i, s) - state.q(j, s) - bh);
       if (best_diff <= 0.0) return;
-      const bool delivery_link = is_destination[j] != 0;
+      // A delivery link ends at some session's destination: exempt from
+      // the energy penalty, since (18) makes delivery an obligation rather
+      // than an optimization choice.
+      const bool delivery_link = model.is_destination(j);
       for (int m = 0; m < model.num_bands(); ++m) {
         if (!model.spectrum().link_band_ok(i, j, m)) continue;
         if (!usage.can_take(i, j, m)) continue;
