@@ -3,7 +3,9 @@
 // Each spec is compiled through src/scenario, run single-threaded for
 // --slots slots, and the row (nodes, base stations, users, sessions,
 // setup_s, wall_s, slots_per_s, end_to_end_s) lands in the
-// "scale_scenarios" array of BENCH_sweep.json. The file is
+// "scale_scenarios" array of BENCH_sweep.json, with the ms/slot of the S1
+// sub-phases and the queue advance read from the run's spans
+// (phase_ms_per_slot). The file is
 // read-modify-written: bench_baseline's serial/parallel sweep section is
 // preserved, only the scale_scenarios member is replaced.
 // docs/PERFORMANCE.md explains the fields.
@@ -22,6 +24,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -161,6 +164,21 @@ void dump(const JsonValue& v, std::string* out, int indent) {
   }
 }
 
+// The phases a row reports in ms/slot, by span name
+// (docs/OBSERVABILITY.md).
+constexpr const char* kPhases[] = {"s1.candidates", "s1.sf", "s1.fill_in",
+                                   "s1.power", "state.advance"};
+constexpr std::size_t kNumPhases = std::size(kPhases);
+
+// Total seconds of the spans named `name` anywhere under `node`.
+double span_total_s(const gc::obs::ProfileNode& node, const char* name) {
+  if (node.name == name) return node.total_s;
+  double total = 0.0;
+  for (const auto& [child_name, child] : node.children)
+    total += span_total_s(child, name);
+  return total;
+}
+
 struct Row {
   std::string name;
   int nodes = 0, bs = 0, users = 0, sessions = 0, slots = 0;
@@ -168,6 +186,7 @@ struct Row {
   // setup_s: scenario load until the controller is ready (time to first
   // slot); wall_s: the run; end_to_end_s = setup_s + wall_s.
   double setup_s = 0.0, wall_s = 0.0, slots_per_s = 0.0, end_to_end_s = 0.0;
+  double phase_ms[kNumPhases] = {};  // per slot, in kPhases order
 };
 
 int count_allowed_links(const gc::core::NetworkModel& model) {
@@ -178,10 +197,10 @@ int count_allowed_links(const gc::core::NetworkModel& model) {
   return links;
 }
 
-// When profile_dir is non-empty the run is wrapped in a SpanRecorder
-// capture and the attribution tree lands at
-// profile_dir/<name>.profile.json (+.collapsed) — one artifact per
-// scenario, comparable across network sizes with tools/perf_report.
+// Every run is wrapped in a SpanRecorder capture, which yields the row's
+// per-phase times. When profile_dir is non-empty the attribution tree also
+// lands at profile_dir/<name>.profile.json (+.collapsed) — one artifact
+// per scenario, comparable across network sizes with tools/perf_report.
 Row run_one(const std::string& path, int slots,
             const std::string& profile_dir, bool fast) {
   const auto t_load = std::chrono::steady_clock::now();
@@ -201,10 +220,8 @@ Row run_one(const std::string& path, int slots,
   sim_opts.scenario_name = spec.name;
   sim_opts.scenario_hash = gc::scenario::scenario_hash(spec);
   auto& rec = gc::obs::SpanRecorder::instance();
-  if (!profile_dir.empty()) {
-    rec.enable();
-    rec.drain();  // start each scenario's capture from an empty ring
-  }
+  rec.enable();
+  rec.drain();  // start each scenario's capture from an empty ring
   const auto t0 = std::chrono::steady_clock::now();
   const gc::sim::Metrics m =
       gc::sim::run_simulation(model, controller, slots, sim_opts);
@@ -221,9 +238,17 @@ Row run_one(const std::string& path, int slots,
   row.wall_s = std::chrono::duration<double>(t1 - t0).count();
   row.slots_per_s = row.wall_s > 0.0 ? m.slots / row.wall_s : 0.0;
   row.end_to_end_s = row.setup_s + row.wall_s;
+  const std::int64_t dropped = rec.dropped();
+  gc::obs::Profile p = gc::obs::build_profile(rec.drain());
+  if (dropped > 0)
+    std::fprintf(stderr,
+                 "warning: %s: the span ring dropped %lld spans; its phase "
+                 "times are low\n",
+                 spec.name.c_str(), static_cast<long long>(dropped));
+  for (std::size_t k = 0; k < kNumPhases; ++k)
+    row.phase_ms[k] =
+        m.slots > 0 ? span_total_s(p.root, kPhases[k]) * 1e3 / m.slots : 0.0;
   if (!profile_dir.empty()) {
-    const std::int64_t dropped = rec.dropped();
-    gc::obs::Profile p = gc::obs::build_profile(rec.drain());
     p.meta.scenario = spec.name;
     p.meta.nodes = row.nodes;
     p.meta.links = count_allowed_links(model);
@@ -267,6 +292,10 @@ int main(int argc, char** argv) {
                   "%.3f s setup, %.3f s wall, %.2f slots/s\n",
                   r.name.c_str(), r.nodes, r.bs, r.users, r.sessions,
                   r.setup_s, r.wall_s, r.slots_per_s);
+      std::printf("  ms/slot:");
+      for (std::size_t k = 0; k < kNumPhases; ++k)
+        std::printf(" %s %.3f", kPhases[k], r.phase_ms[k]);
+      std::printf("\n");
     }
     std::sort(rows.begin(), rows.end(),
               [](const Row& a, const Row& b) { return a.nodes < b.nodes; });
@@ -297,12 +326,18 @@ int main(int argc, char** argv) {
                     "\"users\": %d, \"sessions\": %d, \"slots\": %d, "
                     "\"fast\": %s,\n"
                     "     \"setup_s\": %.6f, \"wall_s\": %.6f, "
-                    "\"slots_per_s\": %.3f, \"end_to_end_s\": %.6f}%s\n",
+                    "\"slots_per_s\": %.3f, \"end_to_end_s\": %.6f,\n"
+                    "     \"phase_ms_per_slot\": {",
                     gc::obs::json_escape(r.name).c_str(), r.nodes, r.bs,
                     r.users, r.sessions, r.slots, r.fast ? "true" : "false",
-                    r.setup_s, r.wall_s, r.slots_per_s, r.end_to_end_s,
-                    i + 1 < rows.size() ? "," : "");
+                    r.setup_s, r.wall_s, r.slots_per_s, r.end_to_end_s);
       body += buf;
+      for (std::size_t k = 0; k < kNumPhases; ++k) {
+        std::snprintf(buf, sizeof buf, "%s\"%s\": %.4f", k ? ", " : "",
+                      kPhases[k], r.phase_ms[k]);
+        body += buf;
+      }
+      body += i + 1 < rows.size() ? "}},\n" : "}}\n";
     }
     body += "  ]\n}\n";
 

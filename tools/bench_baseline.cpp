@@ -5,7 +5,7 @@
 // (wall time, slots/sec, speedup, LP solver volumes) as BENCH_sweep.json.
 // docs/PERFORMANCE.md explains every field.
 //
-//   $ bench_baseline --scenario tiny --seeds 4 --slots 20 --threads 2
+//   $ bench_baseline --scenario tiny --seeds 4 --slots 15000 --threads 2
 //   $ bench_baseline --out BENCH_sweep.json
 #include <bit>
 #include <chrono>
