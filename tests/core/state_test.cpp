@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "queueing/queues.hpp"
 #include "sim/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace gc::core {
 namespace {
@@ -145,6 +151,106 @@ TEST_F(StateTest, MultipleRoutesAggregatePerQueue) {
   EXPECT_DOUBLE_EQ(state_.q(3, 0), 10.0);
   EXPECT_DOUBLE_EQ(state_.q(4, 0), 15.0);
   EXPECT_DOUBLE_EQ(state_.g_queue(0, 3), 15.0);
+}
+
+// Law (28) as a dense sweep over every ordered pair i != j: service and
+// arrivals summed per link into n x n tables (schedule order, route order),
+// then one queue step per pair, sanitized like NetworkState does. Kept as
+// the oracle for advance(), which only steps the links a decision names.
+std::vector<double> dense_law_28(const std::vector<double>& g, int n,
+                                 const SlotDecision& d, bool sanitize) {
+  std::vector<double> service(g.size(), 0.0), arrivals(g.size(), 0.0);
+  for (const auto& sl : d.schedule)
+    service[static_cast<std::size_t>(sl.tx) * n + sl.rx] += sl.capacity_packets;
+  for (const auto& r : d.routes)
+    arrivals[static_cast<std::size_t>(r.tx) * n + r.rx] += r.packets;
+  std::vector<double> out = g;
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const std::size_t l = static_cast<std::size_t>(i) * n + j;
+      double v = queueing::queue_step(g[l], service[l], arrivals[l]);
+      if (sanitize && (std::isnan(v) || v < 0.0)) v = 0.0;
+      out[l] = v;
+    }
+  return out;
+}
+
+std::vector<double> read_g(const NetworkState& state, int n) {
+  std::vector<double> g(static_cast<std::size_t>(n) * n);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+      g[static_cast<std::size_t>(i) * n + j] = state.g_queue(i, j);
+  return g;
+}
+
+// Seeded decisions over a paper-sized model: pairs scheduled on several
+// bands, routes over unscheduled links, zero-capacity and fractional
+// links, self pairs (which law (28) never touches), sanitize on and off,
+// and -0.0 written through set_g_queue. G must match the dense law byte
+// for byte after every slot.
+TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
+  const NetworkModel model = sim::ScenarioConfig::paper().build();
+  NetworkState state(model, 2.0);
+  const int n = model.num_nodes();
+  const int S = model.num_sessions();
+  Rng rng(2828);
+  const auto node = [&] { return static_cast<int>(rng.uniform_int(0, n - 1)); };
+  for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const bool sanitize = step % 2 == 1;
+    state.set_sanitize(sanitize);
+    if (step % 5 == 0) {
+      // -0.0 on a random pair (often one the decision below leaves alone).
+      int i = node(), j = node();
+      if (i == j) j = (i + 1) % n;
+      state.set_g_queue(i, j, -0.0);
+    }
+    SlotDecision d;
+    d.admissions.assign(static_cast<std::size_t>(S), {});
+    d.energy.assign(static_cast<std::size_t>(n), {});
+    const int links = static_cast<int>(rng.uniform_int(0, 12));
+    for (int k = 0; k < links; ++k) {
+      ScheduledLink sl;
+      sl.tx = node();
+      sl.rx = rng.uniform01() < 0.05 ? sl.tx : node();
+      sl.band = static_cast<int>(rng.uniform_int(0, model.num_bands() - 1));
+      const double u = rng.uniform01();
+      sl.capacity_packets = u < 0.2    ? 0.0
+                            : u < 0.4  ? rng.uniform(0.0, 3.0)
+                                       : std::floor(rng.uniform(0.0, 40.0));
+      d.schedule.push_back(sl);
+      if (rng.uniform01() < 0.3) {  // the same pair on another band
+        sl.band = (sl.band + 1) % model.num_bands();
+        sl.capacity_packets = std::floor(rng.uniform(0.0, 25.0));
+        d.schedule.push_back(sl);
+      }
+    }
+    const int routes = static_cast<int>(rng.uniform_int(0, 15));
+    for (int k = 0; k < routes; ++k) {
+      RouteDecision r;
+      if (!d.schedule.empty() && rng.uniform01() < 0.5) {
+        const auto& sl = d.schedule[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(d.schedule.size()) - 1))];
+        r.tx = sl.tx;
+        r.rx = sl.rx;
+      } else {  // a link nothing scheduled
+        r.tx = node();
+        r.rx = rng.uniform01() < 0.05 ? r.tx : node();
+      }
+      r.session = static_cast<int>(rng.uniform_int(0, S - 1));
+      r.packets = rng.uniform01() < 0.2 ? 0.0 : std::floor(rng.uniform(0.0, 30.0));
+      d.routes.push_back(r);
+    }
+    const std::vector<double> expect =
+        dense_law_28(read_g(state, n), n, d, sanitize);
+    state.advance(d);
+    const std::vector<double> got = read_g(state, n);
+    ASSERT_EQ(std::memcmp(got.data(), expect.data(),
+                          got.size() * sizeof(double)),
+              0);
+  }
+  EXPECT_GT(state.total_virtual_queue(), 0.0);
 }
 
 }  // namespace

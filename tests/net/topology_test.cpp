@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -64,6 +65,48 @@ TEST(Topology, GainIsSymmetric) {
       if (i != j) {
         EXPECT_EQ(topo.gain_row(i)[j], topo.gain(i, j));
       }
+}
+
+// The closed form of Sec. II-B, written out here: g = C * max(d, d_min)^-gamma
+// with d the Euclidean distance between the two current positions.
+double closed_form_gain(const Topology& topo, int i, int j) {
+  const auto& prop = topo.propagation();
+  const Vec2& a = topo.position(i);
+  const Vec2& b = topo.position(j);
+  const double d = std::max(std::hypot(a.x - b.x, a.y - b.y), prop.min_distance_m);
+  return prop.antenna_constant * std::pow(d, -prop.path_loss_exponent);
+}
+
+// After every seeded batch of moves, gain(i, j) equals the closed form at
+// the current positions bit for bit, and equals gain(j, i).
+TEST(Topology, GainMatchesClosedFormAfterMoves) {
+  Rng rng(31);
+  PropagationParams prop;
+  prop.path_loss_exponent = 3.7;
+  prop.min_distance_m = 2.5;
+  auto topo = Topology::paper_layout(45, 1500.0, prop, rng);
+  const int n = topo.num_nodes();
+  for (int step = 0; step < 20; ++step) {
+    const int first = static_cast<int>(rng.uniform_int(0, n));
+    const int count = static_cast<int>(rng.uniform_int(0, n - first));
+    std::vector<Vec2> moved;
+    for (int k = 0; k < count; ++k)
+      // Every fourth node lands within the distance floor of node 0.
+      moved.push_back(k % 4 == 0
+                          ? Vec2{topo.position(0).x + rng.uniform(-1.0, 1.0),
+                                 topo.position(0).y}
+                          : Vec2{rng.uniform(0.0, 1500.0),
+                                 rng.uniform(0.0, 1500.0)});
+    topo.set_positions(first, moved);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        if (i == j) continue;
+        ASSERT_EQ(topo.gain(i, j), closed_form_gain(topo, i, j))
+            << "step " << step << " pair " << i << "," << j;
+        ASSERT_EQ(topo.gain(i, j), topo.gain(j, i))
+            << "step " << step << " pair " << i << "," << j;
+      }
+  }
 }
 
 // A batch move computes each pair touching the block once; moving the same
