@@ -592,6 +592,19 @@ double schedule_weight(const NetworkState& state,
 
 namespace {
 
+// Removes link v from a K x K net::band_gain_table in place: what remains
+// is the table of the other links, in order, without recomputing a gain.
+void erase_table_link(std::vector<double>& gain, std::size_t n,
+                      std::size_t v) {
+  std::size_t out = 0;
+  for (std::size_t l = 0; l < n; ++l) {
+    if (l == v) continue;
+    for (std::size_t k = 0; k < n; ++k)
+      if (k != v) gain[out++] = gain[l * n + k];
+  }
+  gain.resize(out);
+}
+
 // MaxPowerAdaptiveRate: every transmitter at P_max; links whose realized
 // SINR clears the threshold carry the Shannon rate of that SINR, the rest
 // are dropped (capacity 0 per eq. (1)). Dropping a link only raises the
@@ -602,29 +615,30 @@ void assign_powers_max_adaptive(const NetworkModel& model,
                                 const std::vector<ScheduledLink>& schedule,
                                 std::vector<ScheduledLink>& surviving) {
   const double w = inputs.bandwidth_hz[band];
-  while (!on_band.empty()) {
-    std::vector<net::Transmission> txs;
-    txs.reserve(on_band.size());
-    for (std::size_t idx : on_band) {
-      const auto& s = schedule[idx];
-      txs.push_back(net::Transmission{
-          s.tx, s.rx, model.node(s.tx).energy.max_tx_power_w});
-    }
+  std::vector<net::Transmission> txs;
+  txs.reserve(on_band.size());
+  for (std::size_t idx : on_band) {
+    const auto& s = schedule[idx];
+    txs.push_back(net::Transmission{
+        s.tx, s.rx, model.node(s.tx).energy.max_tx_power_w});
+  }
+  std::vector<double> gain = net::band_gain_table(model.topology(), txs);
+  while (!txs.empty()) {
     // Find the weakest link; if it clears the threshold, everyone does.
     double worst = 0.0;
     std::size_t worst_k = 0;
-    std::vector<double> sinrs(on_band.size());
-    for (std::size_t k = 0; k < on_band.size(); ++k) {
-      sinrs[k] = net::sinr(model.topology(), txs, k, w, model.radio());
+    std::vector<double> sinrs(txs.size());
+    for (std::size_t k = 0; k < txs.size(); ++k) {
+      sinrs[k] = net::sinr(gain, txs, k, w, model.radio());
       if (k == 0 || sinrs[k] < worst) {
         worst = sinrs[k];
         worst_k = k;
       }
     }
     if (worst >= model.radio().sinr_threshold) {
-      for (std::size_t k = 0; k < on_band.size(); ++k) {
+      for (std::size_t k = 0; k < txs.size(); ++k) {
         ScheduledLink s = schedule[on_band[k]];
-        s.power_w = model.node(s.tx).energy.max_tx_power_w;
+        s.power_w = txs[k].power_w;
         s.capacity_bps = w * std::log2(1.0 + sinrs[k]);
         s.capacity_packets = std::floor(
             s.capacity_bps * model.slot_seconds() / model.packet_bits());
@@ -632,6 +646,8 @@ void assign_powers_max_adaptive(const NetworkModel& model,
       }
       return;
     }
+    erase_table_link(gain, txs.size(), worst_k);
+    txs.erase(txs.begin() + static_cast<long>(worst_k));
     on_band.erase(on_band.begin() + static_cast<long>(worst_k));
   }
 }
@@ -655,19 +671,21 @@ void assign_powers(const NetworkModel& model, const SlotInputs& inputs,
     }
 
     // Deschedule the violating link and retry until feasible; each retry
-    // removes one link so this terminates.
-    while (!on_band.empty()) {
-      std::vector<net::CoBandLink> links;
-      links.reserve(on_band.size());
-      for (std::size_t idx : on_band) {
-        const auto& s = schedule[idx];
-        links.push_back(net::CoBandLink{
-            s.tx, s.rx, model.node(s.tx).energy.max_tx_power_w});
-      }
+    // removes one link so this terminates. One gain table serves every
+    // retry.
+    std::vector<net::CoBandLink> links;
+    links.reserve(on_band.size());
+    for (std::size_t idx : on_band) {
+      const auto& s = schedule[idx];
+      links.push_back(net::CoBandLink{
+          s.tx, s.rx, model.node(s.tx).energy.max_tx_power_w});
+    }
+    std::vector<double> gain = net::band_gain_table(model.topology(), links);
+    while (!links.empty()) {
       const auto pc = net::solve_min_powers(
-          model.topology(), links, inputs.bandwidth_hz[band], model.radio());
+          gain, links, inputs.bandwidth_hz[band], model.radio());
       if (pc.feasible) {
-        for (std::size_t k = 0; k < on_band.size(); ++k) {
+        for (std::size_t k = 0; k < links.size(); ++k) {
           ScheduledLink s = schedule[on_band[k]];
           s.power_w = pc.powers_w[k];
           s.capacity_bps = net::nominal_capacity_bps(
@@ -679,7 +697,10 @@ void assign_powers(const NetworkModel& model, const SlotInputs& inputs,
         break;
       }
       GC_CHECK(pc.violating_link >= 0);
-      on_band.erase(on_band.begin() + pc.violating_link);
+      const auto v = static_cast<std::size_t>(pc.violating_link);
+      erase_table_link(gain, links.size(), v);
+      links.erase(links.begin() + static_cast<long>(v));
+      on_band.erase(on_band.begin() + static_cast<long>(v));
     }
   }
   sched_metrics().descheduled.add(

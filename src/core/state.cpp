@@ -93,20 +93,36 @@ void NetworkState::advance(const SlotDecision& decision) {
   }
 
   // Virtual link queues, law (28). Service is the scheduled capacity in
-  // packets; arrivals are the routed packets.
-  std::vector<double> link_service(static_cast<std::size_t>(n) * n, 0.0);
-  std::vector<double> link_arrivals(static_cast<std::size_t>(n) * n, 0.0);
+  // packets; arrivals are the routed packets. A link with neither keeps
+  // its G (queue_step(G, 0, 0) == G for every G >= +0), so only the links
+  // the decision names are stepped: each once, its service summed in
+  // schedule order and its arrivals in route order, both from 0.0 as a
+  // dense n x n sweep would (docs/ALGORITHM.md "Why the sparse queue law is
+  // exact"). Self pairs carry no virtual queue.
+  struct Term {
+    int link;
+    int seq;  // schedule entries first, then routes: the summation order
+    double packets;
+  };
+  std::vector<Term> terms;
+  terms.reserve(decision.schedule.size() + decision.routes.size());
+  int seq = 0;
   for (const auto& sl : decision.schedule)
-    link_service[li(sl.tx, sl.rx)] += sl.capacity_packets;
+    if (sl.tx != sl.rx)
+      terms.push_back({li(sl.tx, sl.rx), seq++, sl.capacity_packets});
+  const int first_route = seq;
   for (const auto& r : decision.routes)
-    link_arrivals[li(r.tx, r.rx)] += r.packets;
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const int l = li(i, j);
-      gq_[l] = sanitize_queue_value(
-          queueing::queue_step(gq_[l], link_service[l], link_arrivals[l]));
-    }
+    if (r.tx != r.rx) terms.push_back({li(r.tx, r.rx), seq++, r.packets});
+  std::sort(terms.begin(), terms.end(), [](const Term& a, const Term& b) {
+    return a.link != b.link ? a.link < b.link : a.seq < b.seq;
+  });
+  for (std::size_t t = 0; t < terms.size();) {
+    const int l = terms[t].link;
+    double service = 0.0, arrivals = 0.0;
+    for (; t < terms.size() && terms[t].link == l; ++t)
+      (terms[t].seq < first_route ? service : arrivals) += terms[t].packets;
+    gq_[l] = sanitize_queue_value(queueing::queue_step(gq_[l], service, arrivals));
+  }
 
   // Batteries, law (4), with eqs. (9), (11), (12) enforced inside. When
   // sanitizing, a decision that escaped the solvers malformed (NaN, both
@@ -181,7 +197,9 @@ void NetworkState::set_q(int node, int session, double value) {
 
 void NetworkState::set_g_queue(int tx, int rx, double value) {
   GC_CHECK(value >= 0.0 && tx != rx);
-  gq_[li(tx, rx)] = value;
+  // Stored as +0.0 for -0.0: advance() leaves an idle link's G untouched,
+  // and checkpoints must hold the same bytes a queue step would produce.
+  gq_[li(tx, rx)] = value == 0.0 ? 0.0 : value;
 }
 
 void NetworkState::set_battery_j(int node, double value) {

@@ -66,9 +66,10 @@ std::vector<std::string> validate_decision(const NetworkState& pre_state,
     for (const auto& sl : decision.schedule)
       if (sl.band == band)
         txs.push_back(net::Transmission{sl.tx, sl.rx, sl.power_w});
+    const std::vector<double> gain = net::band_gain_table(model.topology(), txs);
     for (std::size_t k = 0; k < txs.size(); ++k) {
-      const double s = net::sinr(model.topology(), txs, k,
-                                 inputs.bandwidth_hz[band], model.radio());
+      const double s = net::sinr(gain, txs, k, inputs.bandwidth_hz[band],
+                                 model.radio());
       if (s < model.radio().sinr_threshold * (1.0 - 1e-6))
         fail(str("(24) violated: SINR ", s, " on ", txs[k].tx, "->", txs[k].rx,
                  " band ", band));

@@ -6,6 +6,7 @@
 //               0                                      otherwise.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -29,8 +30,30 @@ struct Transmission {
   double power_w = 0.0;
 };
 
+// Gains among one band's K links (anything with .tx and .rx):
+// table[l * K + k] = g(tx_k, rx_l), the direct gain g(tx_l, rx_l) on the
+// diagonal. A pair with tx_k == rx_l has no gain and holds NaN; the
+// solvers reject such a set before they would read it. Power control and
+// SINR checks reuse one table across retries instead of recomputing K^2
+// gains from positions.
+template <class Links>
+std::vector<double> band_gain_table(const Topology& topo, const Links& links) {
+  const std::size_t n = links.size();
+  std::vector<double> table(n * n, std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t l = 0; l < n; ++l)
+    for (std::size_t k = 0; k < n; ++k)
+      if (links[k].tx != links[l].rx)
+        table[l * n + k] = topo.gain(links[k].tx, links[l].rx);
+  return table;
+}
+
 // SINR of transmissions[which] given every other entry as interference
-// (the denominator of the expression below eq. (1)).
+// (the denominator of the expression below eq. (1)); `gain` is the
+// transmissions' band_gain_table.
+double sinr(std::span<const double> gain,
+            std::span<const Transmission> transmissions, std::size_t which,
+            double bandwidth_hz, const RadioParams& radio);
+// Tabulates the gains from `topo`, then evaluates as above.
 double sinr(const Topology& topo, std::span<const Transmission> transmissions,
             std::size_t which, double bandwidth_hz, const RadioParams& radio);
 

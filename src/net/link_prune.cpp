@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <utility>
 
 namespace gc::net {
 
@@ -12,7 +14,6 @@ LinkPruneMap::LinkPruneMap(const Topology& topo, const Spectrum& spectrum,
     : n_(topo.num_nodes()), built_version_(topo.version()) {
   GC_CHECK_MSG(static_cast<int>(max_tx_power_w.size()) == n_,
                "one max transmit power per node");
-  reach_.assign(static_cast<std::size_t>(n_) * n_, 0);
   out_.assign(static_cast<std::size_t>(n_), {});
 
   // Per band, the smallest received power that could ever meet the SINR
@@ -52,13 +53,48 @@ LinkPruneMap::LinkPruneMap(const Topology& topo, const Spectrum& spectrum,
         if ((masks[a] & masks[b]) >> m & 1u)
           min_need[a * k + b] = std::min(min_need[a * k + b], need_w[m]);
 
+  // The test p_max * g >= need with g = C * max(d, d_min)^-gamma is, in
+  // real arithmetic, s <= T on s = max(d^2, d_min^2) with
+  // T = (p_max * C / need)^(2/gamma). T depends on the transmitter class
+  // (p_max, mask) and the receiver mask, so it is tabulated per class. Pairs
+  // within a 1e-9 relative band of T, far wider than the few ulps either
+  // side rounds by, take the exact test; so does every receiver of a class
+  // whose T is not finite and positive (p_max = 0, need = 0, no shared
+  // band). docs/ALGORITHM.md "Why the distance screen is exact".
+  const auto& prop = topo.propagation();
+  const double s_floor = prop.min_distance_m * prop.min_distance_m;
+  constexpr double kBand = 1e-9;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::map<std::pair<double, int>, std::size_t> class_id;
+  std::vector<double> keep_below, drop_above;  // per class x receiver mask
+  const auto pos = topo.positions();
   for (int tx = 0; tx < n_; ++tx) {
     const double p_max = max_tx_power_w[tx];
-    const double* gain = topo.gain_row(tx);
     const double* need = &min_need[static_cast<std::size_t>(mask_id[tx]) * k];
+    const auto [it, added] =
+        class_id.try_emplace({p_max, mask_id[tx]}, class_id.size());
+    if (added) {
+      for (std::size_t b = 0; b < k; ++b) {
+        const double t = std::pow(p_max * prop.antenna_constant / need[b],
+                                  2.0 / prop.path_loss_exponent);
+        const bool screen = std::isfinite(t) && t > 0.0;
+        keep_below.push_back(screen ? t * (1.0 - kBand) : -kInf);
+        drop_above.push_back(screen ? t * (1.0 + kBand) : kInf);
+      }
+    }
+    const double* lo = &keep_below[it->second * k];
+    const double* hi = &drop_above[it->second * k];
+    const Vec2 a = pos[tx];
     for (int rx = 0; rx < n_; ++rx) {
-      if (rx == tx || !(p_max * gain[rx] >= need[mask_id[rx]])) continue;
-      reach_[static_cast<std::size_t>(tx) * n_ + rx] = 1;
+      if (rx == tx) continue;
+      const double dx = a.x - pos[rx].x;
+      const double dy = a.y - pos[rx].y;
+      const double sq = std::max(dx * dx + dy * dy, s_floor);
+      const int b = mask_id[rx];
+      const bool keep = sq < lo[b]   ? true
+                        : sq > hi[b] ? false
+                                     : p_max * topo.gain(tx, rx) >= need[b];
+      if (!keep) continue;
       out_[tx].push_back(rx);
       ++kept_;
     }

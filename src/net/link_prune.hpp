@@ -18,8 +18,14 @@
 // drops it below threshold at p_max outright. A pruned link therefore
 // carries zero rate always — removing it from the scans is exact, not
 // approximate (docs/ALGORITHM.md "Why range pruning is exact").
+//
+// The build decides most pairs on squared distance alone: with
+// g = C * max(d, d_min)^-gamma the test is d^2 <= (p_max * C / need)^(2/gamma),
+// and only pairs within a 1e-9 relative band of that threshold evaluate the
+// gain (docs/ALGORITHM.md "Why the distance screen is exact").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -37,8 +43,9 @@ class LinkPruneMap {
                const RadioParams& radio,
                const std::vector<double>& max_tx_power_w);
 
+  // Binary search over out_neighbors(tx); the scans use the lists.
   bool in_range(int tx, int rx) const {
-    return reach_[static_cast<std::size_t>(tx) * n_ + rx] != 0;
+    return std::binary_search(out_[tx].begin(), out_[tx].end(), rx);
   }
 
   // Receivers tx can reach, ascending — the same order the dense O(n^2)
@@ -60,7 +67,6 @@ class LinkPruneMap {
   int n_ = 0;
   std::int64_t kept_ = 0;
   std::uint64_t built_version_ = 0;
-  std::vector<char> reach_;
   std::vector<std::vector<int>> out_;
 };
 

@@ -5,21 +5,25 @@
 
 namespace gc::net {
 
-PowerControlResult solve_min_powers(const Topology& topo,
+PowerControlResult solve_min_powers(std::span<const double> gain,
                                     std::span<const CoBandLink> links,
                                     double bandwidth_hz,
                                     const RadioParams& radio,
                                     const PowerControlOptions& opt) {
   PowerControlResult result;
   const std::size_t n = links.size();
+  GC_CHECK(gain.size() == n * n);
   result.powers_w.assign(n, 0.0);
   if (n == 0) {
     result.feasible = true;
     return result;
   }
   for (const auto& l : links) {
-    GC_CHECK(l.tx != l.rx);
     GC_CHECK(l.max_power_w > 0.0);
+    // k == l is the link's own tx != rx.
+    for (const auto& k : links)
+      GC_CHECK_MSG(k.tx != l.rx, "node " << l.rx << " receives while "
+                                          << "transmitting on the band");
   }
 
   const double gamma = radio.sinr_threshold;
@@ -33,10 +37,9 @@ PowerControlResult solve_min_powers(const Topology& topo,
       double interference = 0.0;
       for (std::size_t k = 0; k < n; ++k) {
         if (k == l) continue;
-        interference += topo.gain(links[k].tx, links[l].rx) * result.powers_w[k];
+        interference += gain[l * n + k] * result.powers_w[k];
       }
-      const double p =
-          gamma * (noise + interference) / topo.gain(links[l].tx, links[l].rx);
+      const double p = gamma * (noise + interference) / gain[l * n + l];
       next[l] = p;
       if (p > links[l].max_power_w) {
         // Monotonicity from the zero start means the minimal solution (if
@@ -69,6 +72,15 @@ PowerControlResult solve_min_powers(const Topology& topo,
     }
   }
   return result;
+}
+
+PowerControlResult solve_min_powers(const Topology& topo,
+                                    std::span<const CoBandLink> links,
+                                    double bandwidth_hz,
+                                    const RadioParams& radio,
+                                    const PowerControlOptions& opt) {
+  const std::vector<double> gain = band_gain_table(topo, links);
+  return solve_min_powers(gain, links, bandwidth_hz, radio, opt);
 }
 
 }  // namespace gc::net

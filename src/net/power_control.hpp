@@ -40,6 +40,15 @@ struct CoBandLink {
   double max_power_w = 0.0;
 };
 
+// `gain` is the links' band_gain_table (net/capacity.hpp):
+// gain[l * K + k] = g(tx_k, rx_l) for K links.
+PowerControlResult solve_min_powers(std::span<const double> gain,
+                                    std::span<const CoBandLink> links,
+                                    double bandwidth_hz,
+                                    const RadioParams& radio,
+                                    const PowerControlOptions& opt = {});
+
+// Tabulates the gains from `topo`, then solves as above.
 PowerControlResult solve_min_powers(const Topology& topo,
                                     std::span<const CoBandLink> links,
                                     double bandwidth_hz,

@@ -18,10 +18,6 @@ Topology::Topology(std::vector<Vec2> base_stations, std::vector<Vec2> users,
   GC_CHECK(prop.min_distance_m > 0.0);
   pos_ = std::move(base_stations);
   pos_.insert(pos_.end(), users.begin(), users.end());
-
-  const int n = num_nodes();
-  gain_.assign(static_cast<std::size_t>(n) * n, 0.0);
-  refresh_gains(0, n);
 }
 
 Topology Topology::paper_layout(int num_users, double area_m,
@@ -45,7 +41,9 @@ double Topology::gain(int i, int j) const {
   check(i);
   check(j);
   GC_CHECK_MSG(i != j, "gain undefined for i == j");
-  return gain_[static_cast<std::size_t>(i) * num_nodes() + j];
+  const double d =
+      std::max(gc::net::distance(pos_[i], pos_[j]), prop_.min_distance_m);
+  return prop_.antenna_constant * std::pow(d, -prop_.path_loss_exponent);
 }
 
 void Topology::set_positions(int first, std::span<const Vec2> positions) {
@@ -54,27 +52,6 @@ void Topology::set_positions(int first, std::span<const Vec2> positions) {
                "bad node block [" << first << ", " << last << ")");
   ++version_;
   std::copy(positions.begin(), positions.end(), pos_.begin() + first);
-  refresh_gains(first, last);
-}
-
-void Topology::refresh_gains(int first, int last) {
-  // g is symmetric (hypot of the negated differences is bit-equal), so
-  // each unordered pair is computed once and mirrored. A pair inside the
-  // block is computed when its smaller endpoint is visited, after every
-  // position of the block has been written.
-  const int n = num_nodes();
-  const auto refresh = [&](int a, int o) {
-    const double d =
-        std::max(gc::net::distance(pos_[a], pos_[o]), prop_.min_distance_m);
-    const double g =
-        prop_.antenna_constant * std::pow(d, -prop_.path_loss_exponent);
-    gain_[static_cast<std::size_t>(a) * n + o] = g;
-    gain_[static_cast<std::size_t>(o) * n + a] = g;
-  };
-  for (int a = first; a < last; ++a) {
-    for (int o = 0; o < first; ++o) refresh(a, o);
-    for (int o = a + 1; o < n; ++o) refresh(a, o);
-  }
 }
 
 }  // namespace gc::net

@@ -1,6 +1,12 @@
 // Network geometry: node positions, base-station/user kinds, and the power
 // propagation gain g_ij = C * d(i,j)^-gamma of Section II-B.
 //
+// The gain is a function of two positions, so it is computed on demand
+// rather than cached: the topology holds O(n) state, and a mobility step or
+// a checkpoint restore only writes positions. Scans that touch many pairs
+// either screen on squared distance first (net/link_prune) or tabulate the
+// few gains they reuse (net/power_control).
+//
 // Node indexing convention used throughout the project: nodes
 // [0, num_base_stations) are base stations, [num_base_stations, num_nodes)
 // are mobile users.
@@ -47,20 +53,19 @@ class Topology {
   bool is_base_station(int node) const { return check(node) < num_bs_; }
   const Vec2& position(int node) const { return pos_[check(node)]; }
 
-  double distance(int i, int j) const;
-  // Power propagation gain g_ij; symmetric; undefined for i == j.
-  double gain(int i, int j) const;
-  // Row i of the gain cache: gain_row(i)[j] == gain(i, j) for j != i, 0 at
-  // j == i. Unchecked access for O(n^2) scans (net/link_prune).
-  const double* gain_row(int i) const {
-    return gain_.data() + static_cast<std::size_t>(check(i)) * num_nodes();
-  }
+  // Every position, indexed by node: unchecked access for O(n^2) scans.
+  std::span<const Vec2> positions() const { return pos_; }
 
-  // Moves nodes [first, first + positions.size()) to `positions`, then
-  // recomputes every pair with an endpoint in the block once, from the
-  // final positions (O(k * N) for k nodes). Used by the mobility models
-  // and the checkpoint restore; base stations stay where Section VI put
-  // them, but the method itself is position-agnostic.
+  double distance(int i, int j) const;
+  // Power propagation gain g_ij = C * max(d(i,j), d_min)^-gamma, computed
+  // from the two current positions. Symmetric bit for bit (hypot of the
+  // negated differences is bit-equal); undefined for i == j.
+  double gain(int i, int j) const;
+
+  // Moves nodes [first, first + positions.size()) to `positions` (O(k) for
+  // k nodes). Used by the mobility models and the checkpoint restore; base
+  // stations stay where Section VI put them, but the method itself is
+  // position-agnostic.
   void set_positions(int first, std::span<const Vec2> positions);
   void set_position(int node, const Vec2& position) {
     set_positions(node, {&position, 1});
@@ -79,14 +84,9 @@ class Topology {
     return node;
   }
 
-  // Recomputes gain(a, o) for every a in [first, last) and every o outside
-  // [first, a]: each unordered pair touching the block exactly once.
-  void refresh_gains(int first, int last);
-
   std::vector<Vec2> pos_;
   int num_bs_;
   PropagationParams prop_;
-  std::vector<double> gain_;  // cached num_nodes x num_nodes
   std::uint64_t version_ = 0;
 };
 

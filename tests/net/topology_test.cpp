@@ -59,12 +59,6 @@ TEST(Topology, GainIsSymmetric) {
                              rng.uniform(0.0, 2000.0)});
     expect_symmetric();
   }
-  // gain_row is the same cache, row by row.
-  for (int i = 0; i < topo.num_nodes(); ++i)
-    for (int j = 0; j < topo.num_nodes(); ++j)
-      if (i != j) {
-        EXPECT_EQ(topo.gain_row(i)[j], topo.gain(i, j));
-      }
 }
 
 // The closed form of Sec. II-B, written out here: g = C * max(d, d_min)^-gamma
@@ -109,10 +103,9 @@ TEST(Topology, GainMatchesClosedFormAfterMoves) {
   }
 }
 
-// A batch move computes each pair touching the block once; moving the same
-// nodes one at a time computes in-block pairs twice. Both must leave the
-// same gain matrix bit for bit, equal to a topology built at the final
-// positions, and every call must bump version().
+// A batch move and the same nodes moved one at a time must leave the same
+// gains bit for bit, equal to a topology built at the final positions, and
+// every call must bump version().
 TEST(Topology, SetPositionsMatchesSequentialMoves) {
   Rng rng(17);
   auto batched = Topology::paper_layout(40, 2000.0, paper_prop(), rng);
