@@ -68,6 +68,7 @@ LinkPruneMap::LinkPruneMap(const Topology& topo, const Spectrum& spectrum,
   std::map<std::pair<double, int>, std::size_t> class_id;
   std::vector<double> keep_below, drop_above;  // per class x receiver mask
   const auto pos = topo.positions();
+  std::vector<int> row(static_cast<std::size_t>(n_));
   for (int tx = 0; tx < n_; ++tx) {
     const double p_max = max_tx_power_w[tx];
     const double* need = &min_need[static_cast<std::size_t>(mask_id[tx]) * k];
@@ -85,19 +86,25 @@ LinkPruneMap::LinkPruneMap(const Topology& topo, const Spectrum& spectrum,
     const double* lo = &keep_below[it->second * k];
     const double* hi = &drop_above[it->second * k];
     const Vec2 a = pos[tx];
+    // About half the pairs survive at city scale, so the verdict is
+    // computed without branches (bitwise, not short-circuit, operators):
+    // every receiver is written and the count advances by the verdict.
+    // Only the rare pair inside the band branches, to the exact test.
+    std::size_t count = 0;
     for (int rx = 0; rx < n_; ++rx) {
-      if (rx == tx) continue;
       const double dx = a.x - pos[rx].x;
       const double dy = a.y - pos[rx].y;
       const double sq = std::max(dx * dx + dy * dy, s_floor);
       const int b = mask_id[rx];
-      const bool keep = sq < lo[b]   ? true
-                        : sq > hi[b] ? false
-                                     : p_max * topo.gain(tx, rx) >= need[b];
-      if (!keep) continue;
-      out_[tx].push_back(rx);
-      ++kept_;
+      const bool other = rx != tx;
+      bool keep = (sq < lo[b]) & other;
+      if (!(sq < lo[b]) & !(sq > hi[b]) & other)
+        keep = p_max * topo.gain(tx, rx) >= need[b];
+      row[count] = rx;
+      count += static_cast<std::size_t>(keep);
     }
+    out_[tx].assign(row.begin(), row.begin() + static_cast<long>(count));
+    kept_ += static_cast<std::int64_t>(count);
   }
 }
 
