@@ -498,7 +498,10 @@ Metrics run_loop(const core::NetworkModel& model,
       if (auditor) {
         // The Lemma-1 sample-path RHS, B + Psi1..Psi4 at the pre-state —
         // only affordable here, where the pre-state copy already exists.
-        pre_lyapunov = core::lyapunov(pre);
+        {
+          obs::Span span("audit.lyapunov", t);
+          pre_lyapunov = core::lyapunov(pre);
+        }
         drift_bound_rhs = model.drift_constant_B() +
                           core::psi1_hat(pre, decision.schedule) +
                           core::psi2_hat(pre, lambda, decision.admissions) +
@@ -508,7 +511,10 @@ Metrics run_loop(const core::NetworkModel& model,
     } else {
       decision = controller.step(inputs);
     }
-    record(m, model, controller.state(), inputs, decision);
+    {
+      obs::Span span("sim.record", t);
+      record(m, model, controller.state(), inputs, decision);
+    }
     last_cost = decision.cost;
     grid_total_j += decision.grid_total_j;
     if (decision.fallbacks > 0 && options.events != nullptr)
@@ -529,7 +535,10 @@ Metrics run_loop(const core::NetworkModel& model,
       audit.slot = t;
       audit.q = &audit_q;
       audit.z = &audit_z;
-      audit.lyapunov = core::lyapunov(st);
+      {
+        obs::Span span("audit.lyapunov", t);
+        audit.lyapunov = core::lyapunov(st);
+      }
       audit.cost = decision.cost;
       for (const auto& a : decision.admissions)
         audit.admitted_packets += a.packets;
