@@ -15,9 +15,9 @@ int main() {
               "V = " + num(V) + ", T = " + std::to_string(slots) + " slots");
   print_row({"lambda", "avg_cost", "delivered", "admitted", "final_backlog"});
   CsvWriter csv("ablation_lambda.csv",
-                with_timing_headers({"lambda", "avg_cost",
-                                     "delivered_packets", "admitted_packets",
-                                     "final_backlog_packets"}));
+                {"lambda", "avg_cost", "delivered_packets", "admitted_packets",
+                 "final_backlog_packets"});
+  CsvWriter timing = timing_csv(csv.path(), {"lambda"});
 
   // One independent run per lambda — fanned out through the sweep engine.
   const std::vector<double> lambdas = {1.0,  2.0,  5.0, 10.0,
@@ -40,11 +40,11 @@ int main() {
     print_row({num(lambda), num(m.cost_avg.average()),
                num(m.total_delivered_packets), num(m.total_admitted_packets),
                num(backlog)});
-    csv.row(with_timing({lambda, m.cost_avg.average(),
-                         m.total_delivered_packets,
-                         m.total_admitted_packets, backlog},
-                        m));
+    csv.row({lambda, m.cost_avg.average(), m.total_delivered_packets,
+             m.total_admitted_packets, backlog});
+    timing.row(with_timing({lambda}, m));
   }
-  std::printf("\nCSV written to ablation_lambda.csv\n");
+  std::printf("\nCSV written to ablation_lambda.csv (wall times in %s)\n",
+              timing.path().c_str());
   return 0;
 }

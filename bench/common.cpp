@@ -65,15 +65,21 @@ std::vector<double> timing_columns(const sim::Metrics& m) {
           m.timing.step_s * per_slot};
 }
 
-std::vector<double> with_timing(std::vector<double> base,
-                                const sim::Metrics& m) {
-  for (double v : timing_columns(m)) base.push_back(v);
-  return base;
+CsvWriter timing_csv(const std::string& csv_path,
+                     std::vector<std::string> keys) {
+  const std::string ext = ".csv";
+  GC_CHECK(csv_path.size() > ext.size() &&
+           csv_path.compare(csv_path.size() - ext.size(), ext.size(), ext) ==
+               0);
+  for (auto& h : timing_headers()) keys.push_back(h);
+  return CsvWriter(
+      csv_path.substr(0, csv_path.size() - ext.size()) + ".timing.csv", keys);
 }
 
-std::vector<std::string> with_timing_headers(std::vector<std::string> base) {
-  for (auto& h : timing_headers()) base.push_back(h);
-  return base;
+std::vector<double> with_timing(std::vector<double> keys,
+                                const sim::Metrics& m) {
+  for (double v : timing_columns(m)) keys.push_back(v);
+  return keys;
 }
 
 }  // namespace gc::bench
