@@ -185,8 +185,9 @@ std::vector<double> read_g(const NetworkState& state, int n) {
 }
 
 // Seeded decisions over a paper-sized model: pairs scheduled on several
-// bands, routes over unscheduled links, zero-capacity and fractional
-// links, self pairs (which law (28) never touches), sanitize on and off,
+// bands, several routes per link, routes over unscheduled links,
+// zero-capacity links, fractional capacities and packets (so a change of
+// summation order shows), self pairs (which law (28) never touches), sanitize on and off,
 // and -0.0 written through set_g_queue. G must match the dense law byte
 // for byte after every slot.
 TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
@@ -220,9 +221,9 @@ TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
                             : u < 0.4  ? rng.uniform(0.0, 3.0)
                                        : std::floor(rng.uniform(0.0, 40.0));
       d.schedule.push_back(sl);
-      if (rng.uniform01() < 0.3) {  // the same pair on another band
+      while (rng.uniform01() < 0.4) {  // the same pair on other bands
         sl.band = (sl.band + 1) % model.num_bands();
-        sl.capacity_packets = std::floor(rng.uniform(0.0, 25.0));
+        sl.capacity_packets = rng.uniform(0.0, 25.0);
         d.schedule.push_back(sl);
       }
     }
@@ -239,8 +240,31 @@ TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
         r.rx = rng.uniform01() < 0.05 ? r.tx : node();
       }
       r.session = static_cast<int>(rng.uniform_int(0, S - 1));
-      r.packets = rng.uniform01() < 0.2 ? 0.0 : std::floor(rng.uniform(0.0, 30.0));
+      // Fractional packets too, so the summation order shows in the bits.
+      const double u = rng.uniform01();
+      r.packets = u < 0.2   ? 0.0
+                  : u < 0.5 ? rng.uniform(0.0, 30.0)
+                            : std::floor(rng.uniform(0.0, 30.0));
       d.routes.push_back(r);
+    }
+    {
+      // A backlogged link served on several bands and routed over several
+      // times, all with fractional amounts: three or more terms per sum,
+      // so a different summation order changes the bits of G.
+      int tx = node(), rx = node();
+      if (tx == rx) rx = (tx + 1) % n;
+      state.set_g_queue(tx, rx, rng.uniform(500.0, 1000.0));
+      for (int k = 0; k < 4; ++k) {
+        ScheduledLink sl;
+        sl.tx = tx;
+        sl.rx = rx;
+        sl.band = k % model.num_bands();
+        sl.capacity_packets = rng.uniform(0.0, 40.0);
+        d.schedule.push_back(sl);
+        d.routes.push_back(
+            {tx, rx, static_cast<int>(rng.uniform_int(0, S - 1)),
+             rng.uniform(0.0, 30.0)});
+      }
     }
     const std::vector<double> expect =
         dense_law_28(read_g(state, n), n, d, sanitize);
