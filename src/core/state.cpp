@@ -121,7 +121,8 @@ void NetworkState::advance(const SlotDecision& decision) {
     double service = 0.0, arrivals = 0.0;
     for (; t < terms.size() && terms[t].link == l; ++t)
       (terms[t].seq < first_route ? service : arrivals) += terms[t].packets;
-    gq_[l] = sanitize_queue_value(queueing::queue_step(gq_[l], service, arrivals));
+    gq_[l] = sanitize_queue_value(
+        queueing::queue_step(gq_[l], service, arrivals));
   }
 
   // Batteries, law (4), with eqs. (9), (11), (12) enforced inside. When

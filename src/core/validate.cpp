@@ -66,7 +66,8 @@ std::vector<std::string> validate_decision(const NetworkState& pre_state,
     for (const auto& sl : decision.schedule)
       if (sl.band == band)
         txs.push_back(net::Transmission{sl.tx, sl.rx, sl.power_w});
-    const std::vector<double> gain = net::band_gain_table(model.topology(), txs);
+    const std::vector<double> gain =
+        net::band_gain_table(model.topology(), txs);
     for (std::size_t k = 0; k < txs.size(); ++k) {
       const double s = net::sinr(gain, txs, k, inputs.bandwidth_hz[band],
                                  model.radio());

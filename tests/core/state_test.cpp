@@ -187,9 +187,9 @@ std::vector<double> read_g(const NetworkState& state, int n) {
 // Seeded decisions over a paper-sized model: pairs scheduled on several
 // bands, several routes per link, routes over unscheduled links,
 // zero-capacity links, fractional capacities and packets (so a change of
-// summation order shows), self pairs (which law (28) never touches), sanitize on and off,
-// and -0.0 written through set_g_queue. G must match the dense law byte
-// for byte after every slot.
+// summation order shows), self pairs (which law (28) never touches),
+// sanitize on and off, and -0.0 written through set_g_queue. G must match
+// the dense law byte for byte after every slot.
 TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
   const NetworkModel model = sim::ScenarioConfig::paper().build();
   NetworkState state(model, 2.0);
@@ -232,7 +232,8 @@ TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
       RouteDecision r;
       if (!d.schedule.empty() && rng.uniform01() < 0.5) {
         const auto& sl = d.schedule[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(d.schedule.size()) - 1))];
+            rng.uniform_int(
+                0, static_cast<std::int64_t>(d.schedule.size()) - 1))];
         r.tx = sl.tx;
         r.rx = sl.rx;
       } else {  // a link nothing scheduled

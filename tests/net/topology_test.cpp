@@ -67,7 +67,8 @@ double closed_form_gain(const Topology& topo, int i, int j) {
   const auto& prop = topo.propagation();
   const Vec2& a = topo.position(i);
   const Vec2& b = topo.position(j);
-  const double d = std::max(std::hypot(a.x - b.x, a.y - b.y), prop.min_distance_m);
+  const double d =
+      std::max(std::hypot(a.x - b.x, a.y - b.y), prop.min_distance_m);
   return prop.antenna_constant * std::pow(d, -prop.path_loss_exponent);
 }
 
