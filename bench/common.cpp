@@ -67,13 +67,10 @@ std::vector<double> timing_columns(const sim::Metrics& m) {
 
 CsvWriter timing_csv(const std::string& csv_path,
                      std::vector<std::string> keys) {
-  const std::string ext = ".csv";
-  GC_CHECK(csv_path.size() > ext.size() &&
-           csv_path.compare(csv_path.size() - ext.size(), ext.size(), ext) ==
-               0);
+  GC_CHECK(csv_path.ends_with(".csv"));
   for (auto& h : timing_headers()) keys.push_back(h);
   return CsvWriter(
-      csv_path.substr(0, csv_path.size() - ext.size()) + ".timing.csv", keys);
+      csv_path.substr(0, csv_path.size() - 4) + ".timing.csv", keys);
 }
 
 std::vector<double> with_timing(std::vector<double> keys,
