@@ -50,8 +50,8 @@ struct Args {
   std::string out = "BENCH_sweep.json";
   std::string profile_dir;  // empty = no per-scenario profile capture
   // --fast: run with every performance lever on (range pruning, cross-slot
-  // LP warm starts, all intra-slot threads; sparse tableau and the S4
-  // decomposition engage on their own Auto thresholds). Profiles land at
+  // LP warm starts, all intra-slot threads; the S4 decomposition engages
+  // on its own Auto threshold). Profiles land at
   // <name>.fast.profile.json so the committed baseline artifacts stay
   // comparable (docs/PERFORMANCE.md "Scaling past 500 nodes").
   bool fast = false;

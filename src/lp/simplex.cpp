@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
 #include "obs/registry.hpp"
@@ -54,11 +53,6 @@ struct SimplexMetrics {
   obs::Counter& warmstart_cross_slot_accepted =
       obs::registry().counter("lp.warmstart_cross_slot_accepted");
   obs::Counter& numeric_repairs = obs::registry().counter("lp.numeric_repairs");
-  // Sparse-storage volume (Options::sparse): solves routed to the sparse
-  // engine, and the end-of-solve tableau fill in nonzero entries.
-  obs::Counter& sparse_solves = obs::registry().counter("lp.sparse_solves");
-  obs::Histogram& fill_nonzeros =
-      obs::registry().histogram("lp.fill_nonzeros");
   obs::Histogram& rows = obs::registry().histogram("lp.rows");
   obs::Histogram& cols = obs::registry().histogram("lp.cols");
   obs::Histogram& nonzeros = obs::registry().histogram("lp.nonzeros");
@@ -85,8 +79,7 @@ const char* to_string(Status s) {
   return "?";
 }
 
-// Friend-only door into Workspace internals shared by solve() and both
-// engine instantiations.
+// Friend-only door into Workspace internals used by solve().
 struct WorkspaceHooks {
   // Saves the structural variables' final states into the workspace (for
   // the next solve's warm start) and consumes the one-shot hint.
@@ -106,130 +99,32 @@ struct WorkspaceHooks {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Tableau storage policies.
-//
-// The driver (SimplexEngineT) never touches coefficients directly; it goes
-// through this interface:
+// Tableau storage: per-row sorted (column, value) entry lists plus a dense
+// rhs column (B^-1 b). The engine reads coefficients only through these
+// operations:
 //   reset/load_rows/append_unit  build-time population
-//   rhs/set_rhs/negate_row       rhs column + row orientation flips
+//   rhs/negate_row               rhs column + row orientation flips
 //   scan_row                     nonzero (col, value) pairs, ascending col
-//   price_accumulate             d[j] -= cb * a_ij over the row
+//   price_accumulate             d[j] -= cb * a_ij over the row's nonzeros
 //   gather_col                   nonzero (row, value) pairs, ascending row
 //   pivot                        elementary row operations for one pivot
 //
-// Bit-identity contract: the dense driver loops always skipped exact-zero
-// coefficients in every decision (pricing eligibility, ratio test,
-// basic-value updates, pivot row selection), and the skipped zero-term
-// arithmetic is an IEEE no-op except for the sign of zero, which no solver
-// predicate observes. Both storages therefore present the same nonzero
-// sequences in the same (ascending) order, the driver takes the same
-// decisions, and the two engines produce bit-identical solutions.
-// ---------------------------------------------------------------------------
-
-// Dense storage: the row-major tableau this solver has always used, column
-// ntot holding B^-1 b. Operation order matches the pre-policy code exactly.
-struct DenseTableau {
-  explicit DenseTableau(Workspace& ws) : tab(ws.tab_) {}
-
-  void reset(int m_, int ntot_) {
-    m = m_;
-    ntot = ntot_;
-    width = ntot_ + 1;
-    tab.assign(static_cast<std::size_t>(m) * width, 0.0);
-  }
-
-  void load_rows(const Model& model) {
-    for (int r = 0; r < m; ++r) {
-      for (auto [v, c] : model.row_entries(r)) at(r, v) = c;
-      at(r, ntot) = model.row_rhs(r);
-    }
-  }
-
-  void append_unit(int r, int j, double v) { at(r, j) = v; }
-
-  double rhs(int r) const { return at(r, ntot); }
-
-  void negate_row(int r) {
-    double* row = &tab[static_cast<std::size_t>(r) * width];
-    for (int j = 0; j < width; ++j) row[j] = -row[j];
-  }
-
-  template <class F>
-  void scan_row(int r, int jlimit, F&& f) const {
-    const double* row = &tab[static_cast<std::size_t>(r) * width];
-    for (int j = 0; j < jlimit; ++j) {
-      const double a = row[j];
-      if (a != 0.0) f(j, a);
-    }
-  }
-
-  void price_accumulate(int i, double cb, double* d) const {
-    const double* row = &tab[static_cast<std::size_t>(i) * width];
-    for (int j = 0; j < ntot; ++j) d[j] -= cb * row[j];
-  }
-
-  void gather_col(int e, std::vector<std::pair<int, double>>& out) const {
-    for (int i = 0; i < m; ++i) {
-      const double a = tab[static_cast<std::size_t>(i) * width + e];
-      if (a != 0.0) out.emplace_back(i, a);
-    }
-  }
-
-  // `col_cache` holds the entering column's nonzero entries as gathered
-  // before this pivot; other rows' entries in that column are unchanged by
-  // the pivot-row scaling, so the cached factors equal the live ones.
-  void pivot(int row, int col,
-             const std::vector<std::pair<int, double>>& col_cache) {
-    const double inv = 1.0 / at(row, col);
-    double* prow = &tab[static_cast<std::size_t>(row) * width];
-    for (int j = 0; j < width; ++j) prow[j] *= inv;
-    prow[col] = 1.0;  // kill roundoff
-    for (const auto& [i, f] : col_cache) {
-      if (i == row) continue;
-      double* irow = &tab[static_cast<std::size_t>(i) * width];
-      for (int j = 0; j < width; ++j) irow[j] -= f * prow[j];
-      irow[col] = 0.0;
-    }
-  }
-
-  std::int64_t nonzeros() const {
-    std::int64_t nnz = 0;
-    for (int i = 0; i < m; ++i) {
-      const double* row = &tab[static_cast<std::size_t>(i) * width];
-      for (int j = 0; j < ntot; ++j)
-        if (row[j] != 0.0) ++nnz;
-    }
-    return nnz;
-  }
-
-  std::vector<double>& tab;
-  int m = 0, ntot = 0, width = 0;
-
-  double& at(int i, int j) {
-    return tab[static_cast<std::size_t>(i) * width + j];
-  }
-  double at(int i, int j) const {
-    return tab[static_cast<std::size_t>(i) * width + j];
-  }
-};
-
-// Sparse storage: per-row sorted (column, value) entry lists plus a dense
-// rhs column. Exact-zero results of row updates are dropped instead of
-// stored — equivalent to the dense storage holding a 0.0 the driver skips
-// everywhere. Fill-in stays bounded on this project's block-structured
-// LPs (user blocks never couple to each other under pivoting), which is
-// where the asymptotic win over the dense tableau comes from.
-struct SparseTableau {
+// Exact-zero results of row updates are dropped instead of stored. A zero
+// coefficient contributes nothing to any engine decision (pricing
+// eligibility, ratio test, basic-value updates, pivot row selection), so
+// skipping it changes at most the sign of a zero the engine never reads.
+// Fill-in stays bounded on this project's block-structured LPs (user
+// blocks never couple to each other under pivoting), so the work per pivot
+// follows the nonzeros, not rows x columns.
+struct Tableau {
   using Entry = std::pair<int, double>;
   using Row = std::vector<Entry>;
 
-  explicit SparseTableau(Workspace& ws)
-      : rows(ws.sp_rows_), rhs_(ws.sp_rhs_), merge_(ws.sp_merge_) {}
+  explicit Tableau(Workspace& ws)
+      : rows(ws.rows_), rhs_(ws.rhs_), merge_(ws.merge_) {}
 
-  void reset(int m_, int ntot_) {
+  void reset(int m_) {
     m = m_;
-    ntot = ntot_;
     if (static_cast<int>(rows.size()) < m) rows.resize(m);
     for (int r = 0; r < m; ++r) rows[r].clear();
     rhs_.assign(m, 0.0);
@@ -241,7 +136,7 @@ struct SparseTableau {
       for (auto [v, c] : model.row_entries(r))
         if (c != 0.0) row.emplace_back(v, c);
       // Model merges duplicate coefficients, so columns are unique and the
-      // sort recovers the ascending order the dense scans walk in.
+      // sort puts them in ascending order.
       std::sort(row.begin(), row.end());
       rhs_[r] = model.row_rhs(r);
     }
@@ -280,6 +175,9 @@ struct SparseTableau {
     }
   }
 
+  // `col_cache` holds the entering column's nonzero entries as gathered
+  // before this pivot; other rows' entries in that column are unchanged by
+  // the pivot-row scaling, so the cached factors equal the live ones.
   void pivot(int row, int col, const std::vector<Entry>& col_cache) {
     Row& prow = rows[row];
     const double inv = 1.0 / value_at(prow, col);
@@ -293,16 +191,10 @@ struct SparseTableau {
     }
   }
 
-  std::int64_t nonzeros() const {
-    std::int64_t nnz = 0;
-    for (int r = 0; r < m; ++r) nnz += static_cast<std::int64_t>(rows[r].size());
-    return nnz;
-  }
-
   std::vector<Row>& rows;
   std::vector<double>& rhs_;
   Row& merge_;
-  int m = 0, ntot = 0;
+  int m = 0;
 
  private:
   static double value_at(const Row& row, int col) {
@@ -320,8 +212,8 @@ struct SparseTableau {
   }
 
   // irow -= f * prow as a sorted merge; the entering column `col` is
-  // zeroed exactly (the dense code writes irow[col] = 0.0), and entries
-  // whose update cancels to exactly 0.0 are dropped.
+  // zeroed exactly, and entries whose update cancels to exactly 0.0 are
+  // dropped.
   void merge_sub(Row& irow, double f, const Row& prow, int col) {
     merge_.clear();
     std::size_t a = 0, b = 0;
@@ -352,13 +244,12 @@ struct SparseTableau {
   }
 };
 
-// The solver proper, templated on tableau storage. All working vectors live
-// in the caller's Workspace (bound by reference) so a long-lived workspace
-// turns every per-solve allocation into an assign() over retained capacity.
-template <class Tableau>
-class SimplexEngineT {
+// The solver proper. All working vectors live in the caller's Workspace
+// (bound by reference) so a long-lived workspace turns every per-solve
+// allocation into an assign() over retained capacity.
+class SimplexEngine {
  public:
-  SimplexEngineT(const Model& model, const Options& opt, Workspace& ws)
+  SimplexEngine(const Model& model, const Options& opt, Workspace& ws)
       : model_(model),
         opt_(opt),
         ws_(ws),
@@ -374,11 +265,7 @@ class SimplexEngineT {
     build();
   }
 
-  Solution run() {
-    Solution sol = run_phases();
-    stats_.fill_nonzeros = tb_.nonzeros();
-    return sol;
-  }
+  Solution run();
 
   // Per-solve introspection collected while running (see SolveStats).
   // Dimensions, wall time and status are stamped by solve().
@@ -386,7 +273,6 @@ class SimplexEngineT {
 
  private:
   void build();
-  Solution run_phases();
   // One simplex phase on objective `cost_`.
   Status iterate(int* iter_budget);
   void recompute_basic_values();
@@ -429,8 +315,7 @@ class SimplexEngineT {
   }
 };
 
-template <class Tableau>
-void SimplexEngineT<Tableau>::build() {
+void SimplexEngine::build() {
   m_ = model_.num_rows();
   nstruct_ = model_.num_variables();
 
@@ -440,7 +325,7 @@ void SimplexEngineT<Tableau>::build() {
 
   first_artificial_ = nstruct_ + nslack;
   ntot_ = first_artificial_ + m_;
-  tb_.reset(m_, ntot_);
+  tb_.reset(m_);
 
   lo_.assign(ntot_, 0.0);
   hi_.assign(ntot_, kInf);
@@ -525,8 +410,7 @@ void SimplexEngineT<Tableau>::build() {
   }
 }
 
-template <class Tableau>
-double SimplexEngineT<Tableau>::current_cost() const {
+double SimplexEngine::current_cost() const {
   double c = 0.0;
   for (int j = 0; j < ntot_; ++j)
     if (state_[j] != VarState::Basic && cost_[j] != 0.0)
@@ -535,8 +419,7 @@ double SimplexEngineT<Tableau>::current_cost() const {
   return c;
 }
 
-template <class Tableau>
-void SimplexEngineT<Tableau>::recompute_basic_values() {
+void SimplexEngine::recompute_basic_values() {
   lp_metrics().refactorizations.add();
   ++stats_.refactorizations;
   // x_B = (B^-1 b) - sum_{nonbasic j} (B^-1 A_j) * xval_j; both factors live
@@ -552,8 +435,7 @@ void SimplexEngineT<Tableau>::recompute_basic_values() {
   }
 }
 
-template <class Tableau>
-int SimplexEngineT<Tableau>::price(bool bland) {
+int SimplexEngine::price(bool bland) {
   // Reduced costs d_j = c_j - c_B^T (B^-1 A_j), accumulated row-wise so the
   // tableau is walked storage-friendly.
   double* d = dscratch_.data();
@@ -585,8 +467,7 @@ int SimplexEngineT<Tableau>::price(bool bland) {
   return best;
 }
 
-template <class Tableau>
-Status SimplexEngineT<Tableau>::iterate(int* iter_budget) {
+Status SimplexEngine::iterate(int* iter_budget) {
   bool bland = false;
   int stall = 0;
   double best_obj = current_cost();
@@ -674,8 +555,8 @@ Status SimplexEngineT<Tableau>::iterate(int* iter_budget) {
       state_[leaving] = leave_at_upper ? VarState::AtUpper : VarState::AtLower;
       lp_metrics().pivots.add();
       ++stats_.pivots;
-      // A zero-length step is the degeneracy that stalls dense simplex on
-      // big scheduling LPs — worth its own count.
+      // A zero-length step is the degeneracy that stalls simplex on big
+      // scheduling LPs — worth its own count.
       if (t <= kTie) ++stats_.degenerate_pivots;
       tb_.pivot(leave_row, e, colbuf_);
       basis_[leave_row] = e;
@@ -700,8 +581,7 @@ Status SimplexEngineT<Tableau>::iterate(int* iter_budget) {
   }
 }
 
-template <class Tableau>
-Solution SimplexEngineT<Tableau>::run_phases() {
+Solution SimplexEngine::run() {
   Solution sol;
   int budget = opt_.max_iterations;
   if (opt_.max_seconds > 0.0) {
@@ -772,32 +652,6 @@ Solution SimplexEngineT<Tableau>::run_phases() {
   return sol;
 }
 
-namespace {
-
-// Storage selection (Options::sparse): Auto routes a solve to the sparse
-// engine when the dense tableau would be big (cells = rows x (total
-// columns + 1), counting slacks and artificials) AND the structural
-// coefficient matrix is thin. Pure speed heuristic — both engines produce
-// bit-identical results.
-bool pick_sparse(const Model& model, const Options& options,
-                 std::int64_t nnz) {
-  if (options.sparse == SparseMode::Force) return true;
-  if (options.sparse == SparseMode::Never) return false;
-  const std::int64_t rows = model.num_rows();
-  const std::int64_t cols = model.num_variables();
-  if (rows <= 0 || cols <= 0) return false;
-  std::int64_t nslack = 0;
-  for (int r = 0; r < rows; ++r)
-    if (model.row_sense(r) != Sense::Equal) ++nslack;
-  const std::int64_t cells = rows * (cols + nslack + rows + 1);
-  if (cells < options.sparse_min_cells) return false;
-  const double density =
-      static_cast<double>(nnz) / static_cast<double>(rows * cols);
-  return density <= options.sparse_max_density;
-}
-
-}  // namespace
-
 Solution solve(const Model& model, const Options& options,
                Workspace& workspace) {
   SimplexMetrics& m = lp_metrics();
@@ -806,22 +660,9 @@ Solution solve(const Model& model, const Options& options,
   obs::Span span("lp.solve", m.solve_seconds, nullptr, -1,
                  model.num_variables());
 
-  std::int64_t nnz = 0;
-  for (int r = 0; r < model.num_rows(); ++r)
-    nnz += static_cast<std::int64_t>(model.row_entries(r).size());
-  const bool use_sparse = pick_sparse(model, options, nnz);
-
-  Solution sol;
-  SolveStats stats;
-  if (use_sparse) {
-    SimplexEngineT<SparseTableau> s(model, options, workspace);
-    sol = s.run();
-    stats = s.stats();
-  } else {
-    SimplexEngineT<DenseTableau> s(model, options, workspace);
-    sol = s.run();
-    stats = s.stats();
-  }
+  SimplexEngine engine(model, options, workspace);
+  Solution sol = engine.run();
+  SolveStats stats = engine.stats();
   // Record the structural variables' final states for the next solve's
   // warm start and consume the (one-shot) hint that fed this one.
   WorkspaceHooks::record_warm_state(workspace, model.num_variables());
@@ -834,8 +675,8 @@ Solution solve(const Model& model, const Options& options,
   // instruments below compile out under GC_OBS_DISABLE).
   stats.rows = model.num_rows();
   stats.cols = model.num_variables();
-  stats.nonzeros = static_cast<int>(nnz);
-  stats.sparse = use_sparse;
+  for (int r = 0; r < stats.rows; ++r)
+    stats.nonzeros += static_cast<int>(model.row_entries(r).size());
   // Closes the span before the registry bookkeeping below, so wall_s, the
   // histogram and the ring all time the solve itself — the same value.
   stats.wall_s = span.stop();
@@ -857,8 +698,6 @@ Solution solve(const Model& model, const Options& options,
   if (warm_accepted && stats.warm_cross_slot)
     m.warmstart_cross_slot_accepted.add();
   m.numeric_repairs.add(stats.numeric_repairs);
-  if (use_sparse) m.sparse_solves.add();
-  m.fill_nonzeros.observe(static_cast<double>(stats.fill_nonzeros));
   m.rows.observe(stats.rows);
   m.cols.observe(stats.cols);
   m.nonzeros.observe(stats.nonzeros);

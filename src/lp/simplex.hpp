@@ -4,24 +4,20 @@
 // artificial variable per row forms the initial basis. Phase I minimizes the
 // sum of artificials (infeasibility); phase II minimizes the caller's
 // objective with the artificials pinned to zero. Nonbasic variables rest at
-// a finite bound; the dense tableau (B^-1 A, augmented with B^-1 b) is
-// updated by elementary row operations per pivot, with periodic
-// recomputation of basic values to control drift.
+// a finite bound; the tableau (B^-1 A, augmented with B^-1 b) is updated
+// by elementary row operations per pivot, with periodic recomputation of
+// basic values to control drift.
 //
 // Pricing is Dantzig (most negative reduced cost) with a permanent switch to
 // Bland's rule after a stall, which guarantees termination on degenerate
 // problems.
 //
-// Storage: the solver is one driver over two interchangeable tableau
-// storages. The dense storage (row-major array) wins on the small LPs the
-// paper topology produces; the sparse storage (per-row sorted column/value
-// entry lists) wins once the tableau grows past ~10^5 cells with low fill,
-// which is exactly what the block-structured S1/S4 LPs of 500+-node
-// scenarios look like. Options::sparse selects the storage (Auto picks by
-// size and nonzero density). Both storages expose the same nonzero
-// sequences in the same order to the driver, so the pivot sequence — and
-// therefore every status, objective and solution — is bit-identical
-// between them; the choice affects speed only.
+// Storage: each tableau row is a sorted list of its nonzero (column, value)
+// entries, so pricing and pivoting cost follows the nonzeros rather than
+// rows x columns. The serial S1 relaxation of a 492-node run grows to
+// ~1500 rows x ~1000 columns with ~12k nonzeros after fill-in, where a
+// row-major dense array is ~25x slower. On LPs of a few dozen dense rows
+// the dense array is 2-3x faster, but those solves take microseconds.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +43,6 @@ enum class Status {
 
 const char* to_string(Status s);
 
-// Tableau storage selection (see the header comment): Auto decides per
-// solve from the posed problem's size and density, Force always uses the
-// sparse storage, Never always uses the dense one. Purely a speed choice —
-// results are bit-identical either way.
-enum class SparseMode { Auto, Force, Never };
-
 struct Options {
   int max_iterations = 200000;
   // Wall-clock budget per solve in seconds; 0 (the default) = unlimited.
@@ -70,14 +60,6 @@ struct Options {
   int stall_limit = 200;
   // Recompute basic values from the tableau every this many pivots.
   int refresh_every = 128;
-  // Tableau storage (docs/PERFORMANCE.md "Scaling past 500 nodes"). Auto
-  // uses the sparse storage when the dense tableau would hold at least
-  // `sparse_min_cells` cells AND the structural coefficient density
-  // (nonzeros / (rows x cols)) is at most `sparse_max_density`; the
-  // thresholds keep every paper-scale LP on the dense fast path.
-  SparseMode sparse = SparseMode::Auto;
-  std::int64_t sparse_min_cells = 1 << 18;
-  double sparse_max_density = 0.02;
 };
 
 struct Solution {
@@ -108,7 +90,7 @@ struct SolveStats {
   int phase2_iterations = 0;
   int pivots = 0;
   // Pivots that moved the entering variable by (numerically) zero — the
-  // degeneracy that makes dense simplex stall on big scheduling LPs.
+  // degeneracy that makes simplex stall on big scheduling LPs.
   int degenerate_pivots = 0;
   int bound_flips = 0;
   int refactorizations = 0;  // periodic basic-value recomputations
@@ -124,13 +106,6 @@ struct SolveStats {
   // more than drift noise, plus NaN/inf detections (each also surfaces as
   // Status::NumericalError).
   int numeric_repairs = 0;
-
-  // Storage the solve actually ran on (Options::sparse selection) and the
-  // tableau's nonzero entry count when the solve ended. For the sparse
-  // storage fill_nonzeros measures fill-in (entries created by pivoting);
-  // fill_nonzeros << rows x cols is why the sparse engine wins.
-  bool sparse = false;
-  std::int64_t fill_nonzeros = 0;
 
   // The warm hint consumed by this solve was marked cross-slot (carried
   // from the previous slot's solve of the same subproblem rather than from
@@ -183,10 +158,9 @@ enum class VarState : std::uint8_t { AtLower, AtUpper, Basic };
 // starting-point change — the solver still proves optimality from scratch,
 // so statuses and objective values are unaffected; only the vertex reached
 // among ties and the iteration count may differ.
-struct DenseTableau;
-struct SparseTableau;
+struct Tableau;
 struct WorkspaceHooks;
-template <class Tableau> class SimplexEngineT;
+class SimplexEngine;
 
 class Workspace {
  public:
@@ -247,21 +221,20 @@ class Workspace {
   void set_stats_sink(SolveStatsSink* sink) { stats_sink_ = sink; }
 
  private:
-  template <class Tableau> friend class SimplexEngineT;
-  friend struct DenseTableau;
-  friend struct SparseTableau;
+  friend class SimplexEngine;
+  friend struct Tableau;
   friend struct WorkspaceHooks;
-  std::vector<double> tab_, lo_, hi_, cost_, xb_, dscratch_;
+  std::vector<double> lo_, hi_, cost_, xb_, dscratch_;
   std::vector<VarState> state_;
   std::vector<int> basis_;
-  // Sparse-storage buffers (SimplexEngineT<SparseTableau>): per-row sorted
-  // (column, value) entry lists, the rhs column, and a merge scratch row.
-  std::vector<std::vector<std::pair<int, double>>> sp_rows_;
-  std::vector<double> sp_rhs_;
-  std::vector<std::pair<int, double>> sp_merge_;
-  // Entering-column cache shared by both storages: gathered once per
-  // iteration, it serves the ratio test, bound flips, basic-value updates
-  // and the pivot's row eliminations.
+  // Tableau rows (sorted nonzero (column, value) lists), the rhs column,
+  // and a merge scratch row.
+  std::vector<std::vector<std::pair<int, double>>> rows_;
+  std::vector<double> rhs_;
+  std::vector<std::pair<int, double>> merge_;
+  // Entering-column cache: gathered once per iteration, it serves the
+  // ratio test, bound flips, basic-value updates and the pivot's row
+  // eliminations.
   std::vector<std::pair<int, double>> colbuf_;
   // Structural-variable states after the most recent solve + the pending
   // one-shot correspondence hint.

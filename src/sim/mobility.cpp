@@ -60,9 +60,13 @@ void RandomWaypoint::advance(double dt, net::Topology& topology) {
       const double dist = std::hypot(dx, dy);
       if (dist <= budget) {
         pos = trips_[u].target;
-        budget -= dist;
+        const double rest = budget - dist;
         new_trip(trips_[u]);
         if (trips_[u].speed_mps <= 0.0) break;  // parked
+        // A leg below the budget's ulp (an astronomic speed) cannot use
+        // the budget up: end the step at this waypoint.
+        if (rest >= budget) break;
+        budget = rest;
       } else {
         pos.x += dx / dist * budget;
         pos.y += dy / dist * budget;

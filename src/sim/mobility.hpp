@@ -13,6 +13,7 @@
 // only through per-slot feasibility and power control.
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -27,6 +28,7 @@ struct MobilityConfig {
 
   void validate() const {
     GC_CHECK(speed_mps_lo >= 0.0 && speed_mps_hi >= speed_mps_lo);
+    GC_CHECK(std::isfinite(speed_mps_hi));
     GC_CHECK(area_m > 0.0);
   }
 };

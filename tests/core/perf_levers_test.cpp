@@ -7,9 +7,8 @@
 //  * the forced S4 base-station/user decomposition reproduces the joint
 //    LP's optimum, and Auto keeps the historical joint path bit for bit
 //    below its node threshold.
-// The trajectory-level guarantees (sparse-vs-dense bit equality, cluster
-// thread-count invariance, warm-start resume) live in
-// tests/sim/perf_levers_test.cpp.
+// The trajectory-level guarantees (cluster thread-count invariance,
+// warm-start resume) live in tests/sim/perf_levers_test.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -4,6 +4,7 @@
 // rides on the fact that nothing here feeds back into the pivoting.
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,9 +146,20 @@ TEST(JsonlSolveLog, WritesOneParseableLinePerSolve) {
   std::string line;
   int lines = 0;
   bool saw_warm = false;
+  // The line schema is pinned: adding or dropping a key is a format change
+  // that docs/OBSERVABILITY.md and every reader of the log must follow.
+  const std::set<std::string> schema = {
+      "ctx", "slot", "rows", "cols", "nonzeros", "phase1_iters",
+      "phase2_iters", "pivots", "degenerate_pivots", "bound_flips",
+      "refactorizations", "bland", "warm_attempted", "warm_vars_reused",
+      "warm_cross_slot", "numeric_repairs", "status", "wall_s"};
+  ASSERT_EQ(schema.size(), 18u);
   while (std::getline(in, line)) {
     ++lines;
     const obs::JsonValue v = obs::json_parse(line);
+    std::set<std::string> keys;
+    for (const auto& [key, value] : v.as_object()) keys.insert(key);
+    EXPECT_EQ(keys, schema) << line;
     EXPECT_EQ(v.at("ctx").as_string(), "s3");
     EXPECT_DOUBLE_EQ(v.at("cols").as_number(), 24.0);
     EXPECT_EQ(v.at("status").as_string(), "Optimal");

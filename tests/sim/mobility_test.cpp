@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/controller.hpp"
 #include "core/validate.hpp"
@@ -95,6 +96,27 @@ TEST(Mobility, ZeroSpeedIsStatic) {
   walker.advance(60.0, topo);
   EXPECT_DOUBLE_EQ(topo.position(3).x, before.x);
   EXPECT_DOUBLE_EQ(topo.position(3).y, before.y);
+}
+
+TEST(Mobility, AstronomicSpeedStepEnds) {
+  // Every leg is below the ulp of a 1e300 m budget, so subtracting it
+  // never lowers the budget; the step must still end.
+  auto topo = make_topology(5, 600.0, 6);
+  RandomWaypoint walker({1e300, 1e300, 600.0}, topo, 15);
+  walker.advance(60.0, topo);
+  for (int u = 2; u < topo.num_nodes(); ++u) {
+    EXPECT_GE(topo.position(u).x, 0.0);
+    EXPECT_LE(topo.position(u).x, 600.0);
+  }
+}
+
+TEST(Mobility, NonFiniteSpeedIsRejected) {
+  auto topo = make_topology(5, 600.0, 6);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(RandomWaypoint({0.0, inf, 600.0}, topo, 1), CheckError);
+  EXPECT_THROW(RandomWaypoint({inf, inf, 600.0}, topo, 1), CheckError);
+  EXPECT_THROW(RandomWaypoint({0.0, std::nan(""), 600.0}, topo, 1),
+               CheckError);
 }
 
 TEST(Mobility, DeterministicUnderSeed) {

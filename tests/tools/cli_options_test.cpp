@@ -423,6 +423,38 @@ TEST(CliOptions, EveryFlagFailureNamesFlagAndDomain) {
   }
 }
 
+// Numbers from the command line are finite, integers are in range before
+// they are cast, and seeds are exact integers; every rejection names the
+// flag.
+TEST(CliOptions, RejectsNonFiniteAndOutOfRangeNumbers) {
+  const auto rejected = [](const std::string& flag, const std::string& v) {
+    const auto r = parse_args({flag, v});
+    EXPECT_FALSE(r.options) << flag << " " << v;
+    EXPECT_NE(r.error.find(flag), std::string::npos)
+        << flag << " " << v << ": " << r.error;
+  };
+  for (const char* flag : {"--V", "--mobility", "--lambda", "--rate-kbps",
+                           "--area", "--sleep-threshold", "--wake-threshold",
+                           "--switch-cost-weight"})
+    for (const char* v : {"nan", "inf", "-inf", "1e400"}) rejected(flag, v);
+  for (const char* flag : {"--slots", "--users", "--seeds", "--threads",
+                           "--trace-top-k", "--checkpoint-every",
+                           "--metrics-port"})
+    for (const char* v : {"nan", "inf", "1e10", "-1e10", "1.5", "2147483648"})
+      rejected(flag, v);
+  for (const char* flag : {"--seed", "--input-seed"})
+    for (const char* v : {"nan", "inf", "1e30", "1.5", "-1", "1e3", " 7",
+                          "18446744073709551616"})
+      rejected(flag, v);
+
+  const auto r = parse({"--slots", "2147483647", "--input-seed",
+                        "18446744073709551615", "--mobility", "1e300"});
+  ASSERT_TRUE(r.options) << r.error;
+  EXPECT_EQ(r.options->slots, 2147483647);
+  EXPECT_EQ(r.options->input_seed, 18446744073709551615u);
+  EXPECT_EQ(r.options->mobility_mps, 1e300);
+}
+
 TEST(CliOptions, LoadsScenarioFile) {
   const std::string path = write_temp(
       "ok.json", R"({"name":"from-file","seed":5,"traffic":{"sessions":7}})");

@@ -1,7 +1,10 @@
 #include "cli_options.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -180,18 +183,15 @@ performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes"):
                         unpruned scheduler wastes on doomed links perturbs
                         which equally-good schedule is picked, so the paper
                         baseline keeps it off
-  --lp-sparse auto|force|off
-                        simplex tableau storage (default auto: sparse when
-                        the problem is big AND sparse enough, dense
-                        otherwise). Bit-identical results either way —
-                        purely a speed choice
   --lp-warm-slots on|off
                         warm-start each slot's S1 LP from the previous
                         slot's final bases (default off). Statuses and
                         objectives are unaffected; a degenerate S1
                         relaxation may round a different equally-optimal
                         link. The carry is checkpointed, so --resume
-                        replays bit-identically
+                        replays bit-identically. No effect with
+                        --intra-slot-threads other than 1 under the
+                        default price S4 (cluster LPs start cold)
   --intra-slot-threads N
                         solve S1's independent interference clusters on N
                         worker threads within each slot (default 1 = the
@@ -214,17 +214,31 @@ parallel sweep (docs/PERFORMANCE.md):
 
 namespace {
 
+// Finite numbers only: "nan" and "inf" pass every `dv < 0` domain check
+// and would surface far from the flag that carried them.
 bool parse_double(const std::string& v, double* out) {
   char* end = nullptr;
   *out = std::strtod(v.c_str(), &end);
-  return end && *end == '\0' && !v.empty();
+  return end && *end == '\0' && !v.empty() && std::isfinite(*out);
 }
 
+// The range check comes before the cast: casting an out-of-range double
+// to int is undefined.
 bool parse_int(const std::string& v, int* out) {
   double d;
-  if (!parse_double(v, &d)) return false;
+  if (!parse_double(v, &d) || d != std::trunc(d) ||
+      d < std::numeric_limits<int>::min() ||
+      d > std::numeric_limits<int>::max())
+    return false;
   *out = static_cast<int>(d);
-  return static_cast<double>(*out) == d;
+  return true;
+}
+
+// Seeds: a plain decimal integer in [0, 2^64), exact at any width.
+bool parse_seed(const std::string& v, std::uint64_t* out) {
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, *out);
+  return ec == std::errc() && stop == end;
 }
 
 bool parse_bool01(const std::string& v, bool* out) {
@@ -273,7 +287,7 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       "--threads",  "--trace-top-k", "--snapshot",      "--snapshot-every",
       "--spans",    "--profile",  "--lp-log",           "--checkpoint-rotate",
       "--max-restarts", "--restart-backoff-ms", "--reload-scenario",
-      "--link-prune", "--lp-sparse", "--lp-warm-slots",
+      "--link-prune", "--lp-warm-slots",
       "--intra-slot-threads",
       "--policy", "--sleep-threshold", "--wake-threshold", "--sleep-dwell",
       "--min-awake-bs", "--switch-cost-weight",
@@ -359,9 +373,8 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       opt.scenario.area_m = dv;
     } else if (flag == "--seed") {
       shaping_seen.push_back(flag);
-      if (!parse_double(v, &dv) || dv < 0)
+      if (!parse_seed(v, &opt.scenario.seed))
         return err(bad(flag, "int >= 0", v));
-      opt.scenario.seed = static_cast<std::uint64_t>(dv);
     } else if (flag == "--multihop") {
       shaping_seen.push_back(flag);
       if (!parse_bool01(v, &bv)) return err(bad(flag, "0 or 1", v));
@@ -417,9 +430,8 @@ ParseResult parse_args(const std::vector<std::string>& args) {
         return err(bad(flag, "int >= 0", v));
       opt.slots = iv;
     } else if (flag == "--input-seed") {
-      if (!parse_double(v, &dv) || dv < 0)
+      if (!parse_seed(v, &opt.input_seed))
         return err(bad(flag, "int >= 0", v));
-      opt.input_seed = static_cast<std::uint64_t>(dv);
     } else if (flag == "--csv") {
       if (v.empty()) return err(bad(flag, "a non-empty file path", v));
       opt.csv_path = v;
@@ -478,15 +490,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       if (v != "on" && v != "off")
         return err(bad(flag, "\"on\" or \"off\"", v));
       opt.link_prune = v == "on";
-    } else if (flag == "--lp-sparse") {
-      if (v == "auto")
-        opt.lp_sparse = lp::SparseMode::Auto;
-      else if (v == "force")
-        opt.lp_sparse = lp::SparseMode::Force;
-      else if (v == "off")
-        opt.lp_sparse = lp::SparseMode::Never;
-      else
-        return err(bad(flag, "\"auto\", \"force\" or \"off\"", v));
     } else if (flag == "--lp-warm-slots") {
       if (v != "on" && v != "off")
         return err(bad(flag, "\"on\" or \"off\"", v));

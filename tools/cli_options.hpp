@@ -115,10 +115,9 @@ struct Options {
   // controller CAN decide, only how fast it gets there (--link-prune and
   // --intra-slot-threads may perturb which equally-good decision is made —
   // see ModelConfig::link_prune and scheduler.hpp).
-  bool link_prune = false;                       // --link-prune on
-  lp::SparseMode lp_sparse = lp::SparseMode::Auto;  // --lp-sparse
-  bool lp_warm_slots = false;                    // --lp-warm-slots on
-  int intra_slot_threads = 1;                    // --intra-slot-threads
+  bool link_prune = false;      // --link-prune on
+  bool lp_warm_slots = false;   // --lp-warm-slots on
+  int intra_slot_threads = 1;   // --intra-slot-threads
 
   bool help = false;  // --help was requested; usage() already printed
 };
