@@ -16,8 +16,11 @@
 // entries, so pricing and pivoting cost follows the nonzeros rather than
 // rows x columns. The serial S1 relaxation of a 492-node run grows to
 // ~1500 rows x ~1000 columns with ~12k nonzeros after fill-in, where a
-// row-major dense array is ~25x slower. On LPs of a few dozen dense rows
-// the dense array is 2-3x faster, but those solves take microseconds.
+// row-major dense array is ~25x slower. Small LPs that fill in favour the
+// dense array: the lower bound's 22-row matching LP takes 1.2-1.5 ms per
+// solve against 0.8-1.0 ms dense. Its S4 energy LP (1e4-1e5 cells) takes
+// 0.7-1.0 ms against 2.0-4.4 ms dense, so the lower-bound drivers run
+// faster overall (docs/PERFORMANCE.md "One simplex storage").
 #pragma once
 
 #include <cstddef>

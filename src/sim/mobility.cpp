@@ -53,20 +53,19 @@ void RandomWaypoint::advance(double dt, net::Topology& topology) {
   for (std::size_t u = 0; u < trips_.size(); ++u) {
     net::Vec2 pos = topology.position(first_user_ + static_cast<int>(u));
     double budget = trips_[u].speed_mps * dt;
-    // A fast user can finish a trip mid-slot and start the next one.
-    while (budget > 0.0) {
+    // A fast user can finish a trip mid-slot and start the next one. After
+    // kMaxLegs trips in one step a walker is spread uniformly over the area,
+    // so the step ends there: the work stays bounded for any finite speed.
+    constexpr int kMaxLegs = 1024;
+    for (int legs = 0; budget > 0.0 && legs < kMaxLegs; ++legs) {
       const double dx = trips_[u].target.x - pos.x;
       const double dy = trips_[u].target.y - pos.y;
       const double dist = std::hypot(dx, dy);
       if (dist <= budget) {
         pos = trips_[u].target;
-        const double rest = budget - dist;
+        budget -= dist;
         new_trip(trips_[u]);
         if (trips_[u].speed_mps <= 0.0) break;  // parked
-        // A leg below the budget's ulp (an astronomic speed) cannot use
-        // the budget up: end the step at this waypoint.
-        if (rest >= budget) break;
-        budget = rest;
       } else {
         pos.x += dx / dist * budget;
         pos.y += dy / dist * budget;

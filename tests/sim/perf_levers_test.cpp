@@ -47,19 +47,6 @@ TEST(PerfLevers, ClusteredRunIsThreadCountInvariant) {
                                run_with(cfg, 60, four));
 }
 
-TEST(PerfLevers, WarmAcrossSlotsIsInertUnderClusteredS1) {
-  // Only the serial S1 carries the cross-slot warm keys; every cluster LP
-  // starts cold, and the default price S4 solves no LP. So with worker
-  // threads the lever changes nothing.
-  const auto cfg = ScenarioConfig::paper();
-  auto cold = cfg.controller_options();
-  cold.intra_slot_threads = 2;
-  auto warm = cold;
-  warm.warm_across_slots = true;
-  expect_metrics_bit_identical(run_with(cfg, 60, warm),
-                               run_with(cfg, 60, cold));
-}
-
 TEST(PerfLevers, WarmAcrossSlotsRunIsBitReproducible) {
   const auto cfg = ScenarioConfig::tiny();
   auto warm = cfg.controller_options();
