@@ -45,7 +45,9 @@ int main() {
     }
 
     auto t0 = Clock::now();
-    const auto lp = core::lp_energy_manage(state, inputs, demands, 128);
+    const auto lp = core::lp_energy_manage(
+        state, inputs, demands,
+        {.pwl_segments = 128, .decompose = core::S4Decompose::Never});
     lp_ms += std::chrono::duration<double, std::milli>(Clock::now() - t0)
                  .count();
     t0 = Clock::now();

@@ -26,7 +26,7 @@ int main() {
                  "backlog_packets"});
 
   core::LyapunovController controller(model, V, cfg.controller_options());
-  core::LowerBoundSolver lb(model, V, cfg.lambda, 32);
+  core::LowerBoundSolver lb(model, V, cfg.lambda);
   Rng r1(7), r2(7);
   TimeAverage upper;
   int next_checkpoint = 25;

@@ -462,19 +462,6 @@ EnergyResult lp_energy_manage(const NetworkState& state,
   return assemble(state, inputs, std::move(decisions));
 }
 
-EnergyResult lp_energy_manage(const NetworkState& state,
-                              const SlotInputs& inputs,
-                              const std::vector<double>& demands_j,
-                              int pwl_segments,
-                              const lp::Options& lp_options,
-                              lp::Workspace* workspace) {
-  EnergyLpOptions options;
-  options.pwl_segments = pwl_segments;
-  options.decompose = S4Decompose::Never;
-  return lp_energy_manage(state, inputs, demands_j, options, lp_options,
-                          workspace);
-}
-
 double psi4(const NetworkState& state,
             const std::vector<NodeEnergyDecision>& decisions,
             double cost_multiplier) {

@@ -105,16 +105,6 @@ EnergyResult lp_energy_manage(const NetworkState& state,
                               const lp::Options& lp_options = {},
                               lp::Workspace* workspace = nullptr);
 
-// Legacy signature: a joint LP over all nodes (S4Decompose::Never) with
-// the given PWL resolution. Kept because the ablation benches and tests
-// pin this exact historical behavior.
-EnergyResult lp_energy_manage(const NetworkState& state,
-                              const SlotInputs& inputs,
-                              const std::vector<double>& demands_j,
-                              int pwl_segments = 64,
-                              const lp::Options& lp_options = {},
-                              lp::Workspace* workspace = nullptr);
-
 // Psi4 (eq. (38)) of a given decision vector, for tests. `cost_multiplier`
 // applies a price spike (pass inputs.cost_multiplier when comparing against
 // a faulted slot).

@@ -1,10 +1,8 @@
 #include "core/lower_bound.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/energy_manager.hpp"
-#include "lp/pwl.hpp"
 #include "lp/simplex.hpp"
 #include "net/capacity.hpp"
 #include "queueing/queues.hpp"
@@ -12,9 +10,11 @@
 namespace gc::core {
 
 LowerBoundSolver::LowerBoundSolver(const NetworkModel& model, double V,
-                                   double lambda, int pwl_segments)
-    : model_(&model), v_(V), lambda_(lambda), pwl_segments_(pwl_segments) {
-  GC_CHECK(V >= 0.0 && lambda >= 0.0 && pwl_segments >= 2);
+                                   double lambda)
+    : model_(&model), v_(V), lambda_(lambda) {
+  GC_CHECK_MSG(V > 0.0 && lambda >= 0.0,
+               "lower bound needs V > 0 and lambda >= 0 (V = "
+                   << V << ", lambda = " << lambda << ")");
   const int n = model.num_nodes();
   q_.assign(static_cast<std::size_t>(n) * model.num_sessions(), 0.0);
   g_.assign(static_cast<std::size_t>(n) * n, 0.0);
@@ -129,18 +129,14 @@ double LowerBoundSolver::step(const SlotInputs& inputs) {
   // --- Energy block ---------------------------------------------------------
   //
   // With the transmit/receive energy relaxed away, demand is the baseline
-  // E_const + E_idle per node and the block is exactly the S4 LP (charge
-  // XOR discharge dropped is a relaxation too) evaluated on the relaxed
-  // system's own batteries. A scratch NetworkState carries (x, V) so
-  // lp_energy_manage can be reused.
+  // E_const + E_idle per node (an empty schedule) and the block is exactly
+  // S4 on the relaxed system's own batteries, solved by the controller's
+  // exact price solver. A scratch NetworkState carries (x, V).
   NetworkState scratch(model, v_);
   scratch.set_slot(slot_);  // the tariff keys the cost off the slot index
   for (int i = 0; i < n; ++i) scratch.set_battery_j(i, x_[i]);
-  std::vector<double> demands(static_cast<std::size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i)
-    demands[i] = energy::baseline_energy_j(model.node(i).energy, dt);
-  const EnergyResult energy =
-      lp_energy_manage(scratch, inputs, demands, pwl_segments_);
+  const EnergyResult energy = price_energy_manage(
+      scratch, inputs, compute_energy_demands(model, {}));
 
   // --- Advance the relaxed system's queues ---------------------------------
   std::vector<double> served(q_.size(), 0.0), arrived(q_.size(), 0.0);
@@ -184,16 +180,7 @@ double LowerBoundSolver::step(const SlotInputs& inputs) {
 }
 
 double LowerBoundSolver::lower_bound() const {
-  GC_CHECK(v_ > 0.0);
-  // The per-slot energy block optimizes the tangent PWL surrogate of f; its
-  // reported true-f cost can exceed the f-optimum by at most the worst
-  // tangent gap a*(w/2)^2 (w = anchor spacing), which is subtracted so the
-  // bound stays a bound.
-  const double w =
-      model_->max_total_grid_j() / std::max(pwl_segments_ - 1, 1);
-  const double pwl_gap = model_->max_tariff_multiplier() *
-                         model_->cost().a() * (w / 2.0) * (w / 2.0);
-  return average_cost() - model_->drift_constant_B() / v_ - pwl_gap;
+  return average_cost() - model_->drift_constant_B() / v_;
 }
 
 }  // namespace gc::core

@@ -15,17 +15,19 @@
 //    to at most K_s^max, which subsumes "one source at K_s^max";
 //  * destination demand (18) dropped (delivery capped by link capacity
 //    only);
-//  * charge-XOR-discharge (9) dropped (LP);
-//  * f(P) under-approximated by tangent lines (lp/pwl.hpp); lower_bound()
-//    additionally subtracts the worst tangent gap so evaluating the
-//    PWL-optimal point at the true f cannot push the bound up.
+//  * charge-XOR-discharge (9) is NOT dropped, and keeping it costs the
+//    bound nothing: dropping (9) cannot lower the S4 optimum. Cancel
+//    m = min(c, d) from both sides and let the freed charge source serve
+//    demand instead; z(c - d) and P are unchanged and the caps only loosen
+//    (docs/ALGORITHM.md "Why dropping (9) never lowers Ψ4"). So the
+//    energy block runs the controller's exact price solver
+//    (price_energy_manage), which honors (9), on f itself.
 //
 // These relaxations make the per-slot problem decompose exactly into a
 // fractional-matching LP over links (the routing gain of a link is linear
 // in its own alpha once each link gives all capacity to its best session),
-// a closed-form admission rule, and the S4 energy LP — about 300x faster
-// than the monolithic LP while remaining a per-slot optimum of the relaxed
-// problem.
+// a closed-form admission rule, and the exact S4 energy block — a per-slot
+// optimum of the relaxed problem.
 //
 // The relaxed system evolves its own fractional queues by the same laws
 // (15)/(28)/(4), so the reported average is a genuine sample-path average
@@ -43,8 +45,8 @@ namespace gc::core {
 
 class LowerBoundSolver {
  public:
-  LowerBoundSolver(const NetworkModel& model, double V, double lambda,
-                   int pwl_segments = 16);
+  // Requires V > 0 (the bound subtracts B/V) and lambda >= 0.
+  LowerBoundSolver(const NetworkModel& model, double V, double lambda);
 
   // Solves the slot's relaxed LP, advances the fractional queues, and
   // returns f(P(t)).
@@ -68,7 +70,6 @@ class LowerBoundSolver {
   const NetworkModel* model_;
   double v_;
   double lambda_;
-  int pwl_segments_;
   int slot_ = 0;
   std::vector<double> q_;  // N x S fractional data queues
   std::vector<double> g_;  // N x N fractional virtual queues

@@ -227,7 +227,9 @@ TEST_P(PriceVsLp, ObjectivesAgree) {
                                              model.slot_seconds()));
   }
   const auto price = price_energy_manage(state, inputs, demands);
-  const auto lp = lp_energy_manage(state, inputs, demands, 128);
+  const auto lp = lp_energy_manage(
+      state, inputs, demands,
+      {.pwl_segments = 128, .decompose = S4Decompose::Never});
   // Same emergency behavior...
   EXPECT_NEAR(price.unserved_total_j, lp.unserved_total_j, 1e-6)
       << "seed " << GetParam();

@@ -25,17 +25,19 @@ TEST_F(LowerBoundTest, StepReturnsNonNegativeCost) {
   EXPECT_GE(lb.average_cost(), 0.0);
 }
 
-TEST_F(LowerBoundTest, LowerBoundIsAverageMinusBOverVMinusPwlGap) {
+TEST_F(LowerBoundTest, LowerBoundIsAverageMinusBOverV) {
   const double V = 4.0;
-  const int segments = 16;
-  LowerBoundSolver lb(model_, V, 1.0, segments);
+  LowerBoundSolver lb(model_, V, 1.0);
   Rng rng(4);
   for (int t = 0; t < 4; ++t) lb.step(model_.sample_inputs(t, rng));
-  const double w = model_.max_total_grid_j() / (segments - 1);
-  const double pwl_gap = model_.cost().a() * (w / 2) * (w / 2);
-  EXPECT_DOUBLE_EQ(lb.lower_bound(), lb.average_cost() -
-                                         model_.drift_constant_B() / V -
-                                         pwl_gap);
+  EXPECT_EQ(lb.lower_bound(),
+            lb.average_cost() - model_.drift_constant_B() / V);
+}
+
+TEST_F(LowerBoundTest, RejectsNonPositiveVAtConstruction) {
+  EXPECT_THROW(LowerBoundSolver(model_, 0.0, 1.0), CheckError);
+  EXPECT_THROW(LowerBoundSolver(model_, -1.0, 1.0), CheckError);
+  EXPECT_THROW(LowerBoundSolver(model_, 2.0, -1.0), CheckError);
 }
 
 TEST_F(LowerBoundTest, FractionalQueuesStayFiniteAndNonNegative) {

@@ -33,7 +33,12 @@ BoundPair run_bounds(const ScenarioConfig& cfg, double V, int slots) {
 TEST(Bounds, LowerNeverExceedsUpper) {
   for (double v : {0.5, 2.0, 8.0}) {
     const auto b = run_bounds(ScenarioConfig::tiny(), v, 30);
-    EXPECT_LE(b.lower, b.upper + 1e-9) << "V = " << v;
+    EXPECT_LE(b.lower, b.upper + 1e-9) << "tiny, V = " << v;
+  }
+  // The paper config over the Fig. 2(a) driver's default horizon.
+  for (double v : {1.0, 5.0, 10.0}) {
+    const auto b = run_bounds(ScenarioConfig::paper(), v, 40);
+    EXPECT_LE(b.lower, b.upper + 1e-9) << "paper, V = " << v;
   }
 }
 

@@ -1,10 +1,18 @@
-// S4 referee: the closed-form price solver (the controller's default S4)
-// against the exact oracle, the 128-segment joint energy LP, on seeded
-// random small instances. Each instance draws V, battery levels, renewable
-// and grid-connectivity realizations, and then layers on the overlays the
-// controller feeds S4: fault outages (down nodes), price spikes
-// (cost_multiplier), sleeping nodes paying policy_demand_j, switching
-// charges on awake nodes, and a time-of-use tariff cycle.
+// S4 referee: the closed-form price solver (the controller's default S4,
+// and the Theorem-5 lower bound's energy block) against the exact oracle,
+// the joint energy LP, on seeded random small instances. Each instance
+// draws V, battery levels, renewable and grid-connectivity realizations
+// and a time-of-use tariff cycle. Two instance shapes:
+//  * the controller's: on top of that, the overlays the controller feeds
+//    S4 — fault outages (down nodes), price spikes (cost_multiplier),
+//    sleeping nodes paying policy_demand_j and switching charges on awake
+//    nodes — against the 128-segment LP;
+//  * the lower bound's (core/lower_bound.cpp): baseline demand
+//    (compute_energy_demands over an empty schedule) and no overlays,
+//    against the LP at 16 and 128 segments, and at 2048 on every fifth
+//    seed. That the price solver is
+//    never above the LP at any resolution is what lets the lower bound use
+//    it with no tangent-gap correction.
 //
 // Per instance the price solver must
 //  * be no worse than the LP: objective <= LP objective + 1e-6 (1 + |obj|)
@@ -28,10 +36,13 @@
 namespace gc::core {
 namespace {
 
+enum class Shape { Controller, LowerBound };
+
 // One random S4 instance. The state points at the model, so the instance
 // is built in place and never moved.
 struct Instance {
-  Instance(sim::ScenarioConfig cfg, std::uint64_t seed)
+  Instance(sim::ScenarioConfig cfg, std::uint64_t seed,
+           Shape shape = Shape::Controller)
       : rng(seed * 7919 + 11),
         model(with_tou(std::move(cfg), seed, rng).build()),
         state(model, rng.uniform(0.1, 20.0)) {
@@ -43,11 +54,12 @@ struct Instance {
           i, rng.uniform(0.0, model.node(i).battery.capacity_j));
 
     inputs = model.sample_inputs(slot, rng);
+    demands = compute_energy_demands(model, {});
+    if (shape == Shape::LowerBound) return;
     if (rng.bernoulli(0.4)) inputs.cost_multiplier = rng.uniform(1.0, 5.0);
     inputs.node_down.assign(static_cast<std::size_t>(n), 0);
     inputs.node_asleep.assign(static_cast<std::size_t>(n), 0);
     inputs.policy_demand_j.assign(static_cast<std::size_t>(n), 0.0);
-    demands = compute_energy_demands(model, {});
     for (int i = 0; i < n; ++i) {
       const double base = demands[i];
       inputs.node_down[i] = rng.bernoulli(0.1) ? 1 : 0;
@@ -84,21 +96,28 @@ struct Instance {
   std::vector<double> demands;
 };
 
-void referee(const Instance& in) {
+void referee(const Instance& in, const std::vector<int>& lp_segments = {128}) {
   const auto& model = in.model;
   const EnergyResult price =
       price_energy_manage(in.state, in.inputs, in.demands);
-  const EnergyResult lp =
-      lp_energy_manage(in.state, in.inputs, in.demands, 128);
 
-  EXPECT_LE(price.unserved_total_j, lp.unserved_total_j + 1e-9);
-  // Demand the oracle covers is reported as exactly covered.
-  if (lp.unserved_total_j == 0.0) {
-    EXPECT_EQ(price.unserved_total_j, 0.0);
+  double lp_unserved = 0.0;
+  for (const int segments : lp_segments) {
+    const EnergyResult lp = lp_energy_manage(
+        in.state, in.inputs, in.demands,
+        {.pwl_segments = segments, .decompose = S4Decompose::Never});
+    lp_unserved = lp.unserved_total_j;
+    EXPECT_LE(price.unserved_total_j, lp.unserved_total_j + 1e-9)
+        << segments << " segments";
+    // Demand the oracle covers is reported as exactly covered.
+    if (lp.unserved_total_j == 0.0) {
+      EXPECT_EQ(price.unserved_total_j, 0.0) << segments << " segments";
+    }
+    EXPECT_LE(price.objective,
+              lp.objective + 1e-6 * (1.0 + std::abs(lp.objective)))
+        << "price " << price.objective << " vs LP " << lp.objective << " at "
+        << segments << " segments";
   }
-  EXPECT_LE(price.objective,
-            lp.objective + 1e-6 * (1.0 + std::abs(lp.objective)))
-      << "price " << price.objective << " vs LP " << lp.objective;
 
   for (int i = 0; i < model.num_nodes(); ++i) {
     const auto& e = price.decisions[i];
@@ -123,7 +142,7 @@ void referee(const Instance& in) {
   ValidateOptions vopt;
   // Off-grid nodes with empty batteries can be genuinely short; demand
   // full service exactly when the oracle achieves it.
-  vopt.require_energy_served = lp.unserved_total_j <= 1e-9;
+  vopt.require_energy_served = lp_unserved <= 1e-9;
   const auto violations = validate_decision(in.state, in.inputs, d, vopt);
   EXPECT_TRUE(violations.empty()) << violations.front();
 }
@@ -138,6 +157,28 @@ TEST_P(S4Referee, PriceSolverMatchesLpOracleOnTiny) {
 TEST_P(S4Referee, PriceSolverMatchesLpOracleOnPaper) {
   referee(Instance(sim::ScenarioConfig::paper(),
                    static_cast<std::uint64_t>(GetParam())));
+}
+
+// The lower-bound shape's segment sweep. A 2048-segment solve takes
+// 1.2-1.9 s (the simplex walks the epigraph's breakpoints, so its pivots
+// grow with the segment count, each over ~2k rows) against a few ms at 16
+// and 128, so the finest resolution runs on every fifth seed: 10
+// instances per config.
+std::vector<int> lower_bound_sweep(int seed) {
+  if (seed % 5 == 0) return {16, 128, 2048};
+  return {16, 128};
+}
+
+TEST_P(S4Referee, PriceSolverNeverAboveLpOnLowerBoundShapeTiny) {
+  referee(Instance(sim::ScenarioConfig::tiny(),
+                   static_cast<std::uint64_t>(GetParam()), Shape::LowerBound),
+          lower_bound_sweep(GetParam()));
+}
+
+TEST_P(S4Referee, PriceSolverNeverAboveLpOnLowerBoundShapePaper) {
+  referee(Instance(sim::ScenarioConfig::paper(),
+                   static_cast<std::uint64_t>(GetParam()), Shape::LowerBound),
+          lower_bound_sweep(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, S4Referee, ::testing::Range(0, 50));

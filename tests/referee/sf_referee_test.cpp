@@ -1,0 +1,141 @@
+// SF referee: the paper's sequential-fix (SF) heuristic, in both forms the
+// controller runs — the serial series (sequential_fix_schedule, the
+// default at --intra-slot-threads 1) and the clustered series
+// (sequential_fix_schedule_clustered, above that) — against the exact
+// branch-and-bound optimum (exhaustive_schedule), on the seeded small
+// instances bench/ablation_sf_vs_exact generates.
+//
+// Per instance each SF's Psi1 weight must not exceed the exact optimum's,
+// and the clustered series must return the same schedule, bit for bit, on
+// pools of 2 and 4 threads. Over the instances with a positive optimum,
+// each SF's mean optimality ratio (SF weight / exact weight) must stay at
+// or above a floor taken from the measured value, rounded down to two
+// decimals; both means are recorded as test properties.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "core/scheduler.hpp"
+#include "obs/registry.hpp"
+#include "sim/scenario.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
+#include "util/thread_pool.hpp"
+
+namespace gc::core {
+namespace {
+
+// bench/ablation_sf_vs_exact's default instance count.
+constexpr int kInstances = 60;
+
+// Instance k of bench/ablation_sf_vs_exact: the tiny layout with 4 users
+// and one random band, and up to six random positive virtual queues. The
+// state points at the model, so the instance is built in place and never
+// moved.
+struct Instance {
+  explicit Instance(int k) : model(config(k).build()), state(model, 1.0) {
+    Rng rng(static_cast<std::uint64_t>(k) * 977 + 3);
+    int loaded = 0;
+    for (int i = 0; i < model.num_nodes() && loaded < 6; ++i)
+      for (int j = 0; j < model.num_nodes() && loaded < 6; ++j) {
+        if (i == j) continue;
+        if (rng.bernoulli(0.3)) {
+          state.set_g_queue(i, j, rng.uniform(1.0, 100.0));
+          ++loaded;
+        }
+      }
+    Rng irng(static_cast<std::uint64_t>(k));
+    inputs = model.sample_inputs(0, irng);
+  }
+  Instance(const Instance&) = delete;
+  Instance& operator=(const Instance&) = delete;
+
+  static sim::ScenarioConfig config(int k) {
+    auto cfg = sim::ScenarioConfig::tiny();
+    cfg.num_users = 4;
+    cfg.spectrum.num_random_bands = 1;
+    cfg.seed = static_cast<std::uint64_t>(k) + 500;
+    return cfg;
+  }
+
+  NetworkModel model;
+  NetworkState state;
+  SlotInputs inputs;
+};
+
+// A pool whose workers each bump a private obs registry, so the cluster
+// jobs' instruments never race on the global one.
+util::ThreadPoolOptions pool_options(int threads) {
+  util::ThreadPoolOptions o;
+  o.num_threads = threads;
+  o.on_thread_start = [](int) {
+    static thread_local obs::Registry registry;
+    static thread_local obs::ThreadRegistryScope scope(&registry);
+  };
+  return o;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+bool identical(const std::vector<ScheduledLink>& a,
+               const std::vector<ScheduledLink>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k)
+    if (a[k].tx != b[k].tx || a[k].rx != b[k].rx || a[k].band != b[k].band ||
+        bits(a[k].power_w) != bits(b[k].power_w) ||
+        bits(a[k].capacity_bps) != bits(b[k].capacity_bps) ||
+        bits(a[k].capacity_packets) != bits(b[k].capacity_packets))
+      return false;
+  return true;
+}
+
+std::string fixed9(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9f", x);
+  return buf;
+}
+
+TEST(SfReferee, BothSeriesAgainstExhaustiveOptimum) {
+  util::ThreadPool pool2(pool_options(2));
+  util::ThreadPool pool4(pool_options(4));
+  RunningStat serial_ratio, clustered_ratio;
+  int weights_differ = 0;
+
+  for (int k = 0; k < kInstances; ++k) {
+    const Instance in(k);
+    const double w_exact = schedule_weight(
+        in.state, exhaustive_schedule(in.state, in.inputs), in.inputs);
+    const auto serial = sequential_fix_schedule(in.state, in.inputs);
+    const auto clustered2 =
+        sequential_fix_schedule_clustered(in.state, in.inputs, pool2);
+    const auto clustered4 =
+        sequential_fix_schedule_clustered(in.state, in.inputs, pool4);
+    EXPECT_TRUE(identical(clustered2, clustered4)) << "instance " << k;
+
+    const double w_serial = schedule_weight(in.state, serial, in.inputs);
+    const double w_clustered =
+        schedule_weight(in.state, clustered2, in.inputs);
+    EXPECT_LE(w_serial, w_exact * (1.0 + 1e-9)) << "instance " << k;
+    EXPECT_LE(w_clustered, w_exact * (1.0 + 1e-9)) << "instance " << k;
+    if (w_serial != w_clustered) ++weights_differ;
+    if (w_exact <= 0.0) continue;
+    serial_ratio.add(w_serial / w_exact);
+    clustered_ratio.add(w_clustered / w_exact);
+  }
+
+  RecordProperty("serial_sf_mean_ratio", fixed9(serial_ratio.mean()));
+  RecordProperty("clustered_sf_mean_ratio", fixed9(clustered_ratio.mean()));
+  RecordProperty("instances_with_positive_optimum",
+                 static_cast<int>(serial_ratio.count()));
+  RecordProperty("instances_where_series_weights_differ", weights_differ);
+  // Measured: 0.987527861 for both series over all 60 instances.
+  EXPECT_GE(serial_ratio.mean(), 0.98) << "serial mean ratio";
+  EXPECT_GE(clustered_ratio.mean(), 0.98) << "clustered mean ratio";
+}
+
+}  // namespace
+}  // namespace gc::core
