@@ -53,7 +53,7 @@ int main() {
     const auto inputs = model.sample_inputs(0, irng);
 
     auto t0 = Clock::now();
-    const auto sf = core::sequential_fix_schedule(state, inputs);
+    const auto sf = core::sf_schedule(state, inputs);
     sf_ms += ms_since(t0);
     t0 = Clock::now();
     const auto exact = core::exhaustive_schedule(state, inputs);

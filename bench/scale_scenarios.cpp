@@ -49,9 +49,9 @@ struct Args {
   int slots = 20;
   std::string out = "BENCH_sweep.json";
   std::string profile_dir;  // empty = no per-scenario profile capture
-  // --fast: run with every performance lever on (range pruning, cross-slot
-  // LP warm starts, all intra-slot threads; the S4 decomposition engages
-  // on its own Auto threshold). Profiles land at
+  // --fast: run with every performance lever on (range pruning and all
+  // intra-slot threads; the S4 decomposition engages on its own Auto
+  // threshold). Profiles land at
   // <name>.fast.profile.json so the committed baseline artifacts stay
   // comparable (docs/PERFORMANCE.md "Scaling past 500 nodes").
   bool fast = false;
@@ -210,10 +210,7 @@ Row run_one(const std::string& path, int slots,
   if (fast) config.link_prune = true;
   const gc::core::NetworkModel model = config.build();
   gc::core::ControllerOptions copts = config.controller_options();
-  if (fast) {
-    copts.warm_across_slots = true;
-    copts.intra_slot_threads = 0;  // all hardware threads
-  }
+  if (fast) copts.intra_slot_threads = 0;  // all hardware threads
   gc::core::LyapunovController controller(model, 3.0, copts);
   const auto t_ready = std::chrono::steady_clock::now();
   gc::sim::SimOptions sim_opts;

@@ -99,10 +99,8 @@ LyapunovController::LyapunovController(const NetworkModel& model, double V,
     : model_(&model), options_(options), state_(model, V) {
   // Label each workspace with its subproblem so SolveStats consumers (the
   // --lp-log stream, tests) can split the LP workload by solve class.
-  lp_ws_s1_.set_stats_context("s1");
   lp_ws_s3_.set_stats_context("s3");
   lp_ws_s4_.set_stats_context("s4");
-  lp_ws_s1_.set_stats_sink(options_.lp_stats);
   lp_ws_s3_.set_stats_sink(options_.lp_stats);
   lp_ws_s4_.set_stats_sink(options_.lp_stats);
   if (options_.intra_slot_threads != 1)
@@ -114,15 +112,13 @@ LyapunovController::~LyapunovController() = default;
 LyapunovController::WarmCarry LyapunovController::warm_carry() const {
   WarmCarry carry;
   if (!options_.warm_across_slots) return carry;
-  carry.s1_states = lp_ws_s1_.export_recorded_states();
-  carry.s1_keys = s1_warm_keys_;
   carry.s4_states = lp_ws_s4_.export_recorded_states();
   return carry;
 }
 
 void LyapunovController::restore_warm_carry(const WarmCarry& carry) {
-  lp_ws_s1_.import_recorded_states(carry.s1_states);
-  s1_warm_keys_ = carry.s1_keys;
+  // S1 keeps no cross-slot state; an older checkpoint's S1 hints are
+  // dropped.
   lp_ws_s4_.import_recorded_states(carry.s4_states);
 }
 
@@ -167,17 +163,13 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
                                .derivative(last_grid_j_)
             : 0.0;
     if (options_.scheduler == ControllerOptions::Scheduler::SequentialFix) {
-      // Clustered when a pool is active; otherwise the serial SF, carrying
-      // the cross-slot warm keys when warm_across_slots is on.
+      // One SF series per interference cluster; the pool, when there is
+      // one, only changes where the cluster jobs run.
       const auto run_sf = [&] {
-        if (pool_ != nullptr)
-          return sequential_fix_schedule_clustered(
-              state_, inputs, pool_->pool, options_.fill_in, energy_price,
-              options_.lp, options_.lp_stats);
-        return sequential_fix_schedule(
-            state_, inputs, options_.fill_in, energy_price, options_.lp,
-            &lp_ws_s1_,
-            options_.warm_across_slots ? &s1_warm_keys_ : nullptr);
+        return sf_schedule(state_, inputs,
+                           pool_ != nullptr ? &pool_->pool : nullptr,
+                           options_.fill_in, energy_price, options_.lp,
+                           options_.lp_stats);
       };
       if (options_.fallbacks) {
         try {

@@ -47,8 +47,8 @@ struct ControllerOptions {
   // (iterations and, if max_seconds > 0, wall-clock). The defaults are the
   // solver's own generous limits; long unattended runs tighten them.
   lp::Options lp;
-  // Per-solve LP introspection sink (e.g. lp::JsonlSolveLog), attached to
-  // the controller's three workspaces with contexts "s1"/"s3"/"s4".
+  // Per-solve LP introspection sink (e.g. lp::JsonlSolveLog), fed by the S1
+  // cluster series and the S3/S4 workspaces with contexts "s1"/"s3"/"s4".
   // Observation only — never changes decisions; nullptr = off. Must
   // outlive the controller and be thread-safe when controllers share it.
   lp::SolveStatsSink* lp_stats = nullptr;
@@ -58,23 +58,19 @@ struct ControllerOptions {
   // the node threshold.
   S4Decompose s4_decompose = S4Decompose::Auto;
   int s4_decompose_min_nodes = 64;
-  // Cross-slot LP warm starts (--lp-warm-slots): seed each slot's first S1
-  // relaxation (and, with energy_manager = Lp, the S4 LP) from the previous
-  // slot's final variable states. Off by default — a warm hint only moves
-  // the starting vertex, but a degenerate S1 relaxation may round a
-  // different (equally optimal) alpha than the cold run, so the default
-  // stays bit-identical to a run without the lever. The carry is part of
-  // the checkpointed state (warm_carry() / restore_warm_carry()), so
-  // resume replays exactly.
+  // Cross-slot LP warm starts for the opt-in energy_manager = Lp: seed each
+  // slot's S4 LP from the previous slot's final variable states. Off by
+  // default. The carry is part of the checkpointed state (warm_carry() /
+  // restore_warm_carry()), so resume replays exactly. S1 carries nothing
+  // across slots: every SF series starts cold (scheduler.hpp).
   bool warm_across_slots = false;
-  // Intra-slot parallelism (--intra-slot-threads): > 1 runs S1 as one SF
-  // series per interference cluster (sequential_fix_schedule_clustered)
-  // and (energy_manager = Lp) the decomposed S4 LP's per-user closed forms
-  // in chunks, on a controller-owned pool with per-worker obs registries
-  // merged deterministically each slot.
-  // Results are deterministic for any thread count, but the clustered S1
-  // is not bit-identical to the single-threaded SF (see scheduler.hpp);
-  // 0 = all hardware threads, 1 (default) = the historical serial path.
+  // Intra-slot parallelism (--intra-slot-threads): > 1 runs S1's
+  // per-interference-cluster SF series (sf_schedule) and (energy_manager =
+  // Lp) the decomposed S4 LP's per-user closed forms in chunks, on a
+  // controller-owned pool with per-worker obs registries merged
+  // deterministically each slot. Decisions are bit-identical at every
+  // thread count; only wall time changes. 0 = all hardware threads,
+  // 1 (default) = no pool, the cluster jobs run inline.
   int intra_slot_threads = 1;
   // Fallback ladder (docs/ROBUSTNESS.md): when an LP-based subproblem
   // solver fails (Infeasible / IterationLimit / TimeLimit / NumericalError,
@@ -94,11 +90,12 @@ class LyapunovController {
   ~LyapunovController();
 
   // The cross-slot warm-start carry (ControllerOptions::warm_across_slots):
-  // the S1/S4 workspaces' recorded variable states plus the (tx, rx, band)
-  // keys aligning S1's states with next slot's candidates. Serialized into
+  // the opt-in S4 LP workspace's recorded variable states. Serialized into
   // checkpoints (sim/checkpoint.cpp) so a resumed run feeds its first slot
   // the exact hints the uninterrupted run would have — replay stays
-  // bit-identical. Empty vectors when warm starts are off or no slot has
+  // bit-identical. The S1 fields are always empty (S1 carries nothing
+  // across slots) and are ignored on restore; they keep the checkpoint
+  // layout at v6. Empty vectors when warm starts are off or no slot has
   // run yet; restore with everything empty is a no-op cold start.
   struct WarmCarry {
     std::vector<std::uint8_t> s1_states;
@@ -129,16 +126,12 @@ class LyapunovController {
   ControllerOptions options_;
   NetworkState state_;
   double last_grid_j_ = 0.0;  // P(t-1), for energy-aware scheduling
-  // Reusable LP solver state, one workspace per LP-backed subproblem so
-  // each solves a single model family (S1 additionally warm-starts its
-  // sequential-fix series through lp_ws_s1_; see scheduler.hpp). Purely
+  // Reusable LP solver state for the opt-in LP solvers, one workspace per
+  // subproblem so each solves a single model family. Purely
   // solver-internal UNLESS warm_across_slots is on, in which case the
-  // recorded states of s1/s4 are checkpointed via warm_carry().
-  lp::Workspace lp_ws_s1_, lp_ws_s3_, lp_ws_s4_;
-  // Cross-slot S1 warm keys (scheduler.hpp `warm_keys`); only maintained in
-  // the serial SF path — the clustered scheduler solves through ephemeral
-  // per-cluster workspaces, so there is no state to carry.
-  std::vector<std::uint64_t> s1_warm_keys_;
+  // recorded S4 states are checkpointed via warm_carry(). (S1's SF series
+  // solve through per-cluster workspaces; see scheduler.hpp.)
+  lp::Workspace lp_ws_s3_, lp_ws_s4_;
   // Intra-slot worker pool + per-worker obs registries (nullptr when
   // intra_slot_threads <= 1). Owned here so the workers and their
   // registries live exactly as long as the controller.

@@ -262,59 +262,16 @@ void fill_in_pass(const NetworkState& state, const SlotInputs& inputs,
   sched_metrics().fill_in.add(static_cast<double>(schedule.size() - before));
 }
 
-}  // namespace
-
-namespace {
-
-// The (tx, rx, band) identity of a candidate, used to match this slot's
-// first-pass variables against the previous slot's last-pass variables for
-// the cross-slot warm start. 24/24/16 bits is room for 16M nodes.
-std::uint64_t candidate_key(const CandidateLinkBand& c) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.tx))
-          << 40) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.rx))
-          << 16) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.band));
-}
-
 // One SF relax-round-compact series over `cands`: fixes links into
-// `schedule`, consuming `usage`. The within-series warm maps flow through
-// `ws` exactly as before; `warm_keys` additionally seeds the first pass
-// from the previous slot's last relaxation (see scheduler.hpp) and carries
-// this series' last-pass keys back out — untouched when no LP was solved,
-// so an empty slot keeps the previous carry alive.
+// `schedule`, consuming `usage`. The first pass starts cold; each later
+// pass warm-starts through `ws` from the previous pass's bound states.
 void sf_series(const NetworkState& state,
                std::vector<CandidateLinkBand> cands, RadioUsage& usage,
                const lp::Options& lp_options, lp::Workspace& ws,
-               std::vector<ScheduledLink>& schedule,
-               std::vector<std::uint64_t>* warm_keys) {
+               std::vector<ScheduledLink>& schedule) {
   const auto& model = state.model();
-  bool first_pass = true;
-  std::vector<std::uint64_t> last_keys;
-
   while (!cands.empty()) {
     sched_metrics().lp_passes.add();
-    if (first_pass && warm_keys != nullptr && !warm_keys->empty()) {
-      // Cross-slot hint: map each candidate onto the same (tx, rx, band)
-      // variable of the previous slot's final relaxation, if it recurs.
-      std::unordered_map<std::uint64_t, int> prev;
-      prev.reserve(warm_keys->size());
-      for (std::size_t o = 0; o < warm_keys->size(); ++o)
-        prev.emplace((*warm_keys)[o], static_cast<int>(o));
-      std::vector<int> map(cands.size(), -1);
-      for (std::size_t v = 0; v < cands.size(); ++v) {
-        const auto it = prev.find(candidate_key(cands[v]));
-        if (it != prev.end()) map[v] = it->second;
-      }
-      ws.set_warm_start(std::move(map), /*cross_slot=*/true);
-    }
-    first_pass = false;
-    if (warm_keys != nullptr) {
-      last_keys.clear();
-      last_keys.reserve(cands.size());
-      for (const auto& c : cands) last_keys.push_back(candidate_key(c));
-    }
-
     // LP relaxation: maximize sum w_c alpha_c s.t. the remaining radio
     // budget per node and one activity per (node, band).
     lp::Model m;
@@ -381,35 +338,7 @@ void sf_series(const NetworkState& state,
     cands.resize(kept);
     if (!cands.empty()) ws.set_warm_start(std::move(warm_map));
   }
-  if (warm_keys != nullptr && !last_keys.empty())
-    *warm_keys = std::move(last_keys);
 }
-
-}  // namespace
-
-std::vector<ScheduledLink> sequential_fix_schedule(
-    const NetworkState& state, const SlotInputs& inputs, bool fill_in,
-    double marginal_energy_price, const lp::Options& lp_options,
-    lp::Workspace* workspace, std::vector<std::uint64_t>* warm_keys) {
-  std::vector<ScheduledLink> schedule;
-  RadioUsage usage(state.model());
-  // All passes solve through one workspace (caller's, or a local fallback)
-  // so buffers are reused; each compaction leaves a warm-start map for the
-  // next pass. Without `warm_keys` the first pass is always cold.
-  lp::Workspace local_ws;
-  lp::Workspace& ws = workspace != nullptr ? *workspace : local_ws;
-  std::vector<CandidateLinkBand> cands = build_candidates(state, inputs);
-  {
-    obs::Span span("s1.sf", state.slot());
-    sf_series(state, std::move(cands), usage, lp_options, ws, schedule,
-              warm_keys);
-  }
-  sched_metrics().primary.add(static_cast<double>(schedule.size()));
-  if (fill_in) fill_in_pass(state, inputs, marginal_energy_price, schedule);
-  return schedule;
-}
-
-namespace {
 
 // Buffers per-cluster SolveStats so the main thread can forward them to
 // the caller's sink in cluster order, independent of worker scheduling.
@@ -422,9 +351,9 @@ struct BufferedStatsSink : lp::SolveStatsSink {
 
 }  // namespace
 
-std::vector<ScheduledLink> sequential_fix_schedule_clustered(
+std::vector<ScheduledLink> sf_schedule(
     const NetworkState& state, const SlotInputs& inputs,
-    util::ThreadPool& pool, bool fill_in, double marginal_energy_price,
+    util::ThreadPool* pool, bool fill_in, double marginal_energy_price,
     const lp::Options& lp_options, lp::SolveStatsSink* stats_sink) {
   const auto& model = state.model();
   const std::vector<CandidateLinkBand> cands =
@@ -474,24 +403,31 @@ std::vector<ScheduledLink> sequential_fix_schedule_clustered(
     sched_metrics().cluster_cands.observe(static_cast<double>(cc.size()));
 
   // One SF series per cluster. Clusters are node-disjoint, so each job's
-  // fresh RadioUsage sees exactly the budget the joint series would.
+  // fresh RadioUsage sees exactly the budget the joint series would. Job c
+  // writes only entry c of fragments, sinks and errors, so submitting it
+  // and running it inline give the same result.
   std::vector<std::vector<ScheduledLink>> fragments(k);
   std::vector<BufferedStatsSink> sinks(k);
   std::vector<std::exception_ptr> errors(k);
-  for (std::size_t c = 0; c < k; ++c)
-    pool.submit([&, c] {
-      try {
-        lp::Workspace ws;
-        ws.set_stats_context("s1");
-        if (stats_sink != nullptr) ws.set_stats_sink(&sinks[c]);
-        RadioUsage usage(model);
-        sf_series(state, std::move(cluster_cands[c]), usage, lp_options, ws,
-                  fragments[c], nullptr);
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
-    });
-  pool.wait_idle();
+  const auto job = [&](std::size_t c) {
+    try {
+      lp::Workspace ws;
+      ws.set_stats_context("s1");
+      if (stats_sink != nullptr) ws.set_stats_sink(&sinks[c]);
+      RadioUsage usage(model);
+      sf_series(state, std::move(cluster_cands[c]), usage, lp_options, ws,
+                fragments[c]);
+    } catch (...) {
+      errors[c] = std::current_exception();
+    }
+  };
+  for (std::size_t c = 0; c < k; ++c) {
+    if (pool != nullptr)
+      pool->submit([&job, c] { job(c); });
+    else
+      job(c);
+  }
+  if (pool != nullptr) pool->wait_idle();
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 
@@ -507,6 +443,23 @@ std::vector<ScheduledLink> sequential_fix_schedule_clustered(
   sched_metrics().primary.add(static_cast<double>(schedule.size()));
   if (fill_in) fill_in_pass(state, inputs, marginal_energy_price, schedule);
   return schedule;
+}
+
+std::vector<ScheduledLink> sequential_fix_schedule(
+    const NetworkState& state, const SlotInputs& inputs, bool fill_in,
+    double marginal_energy_price, const lp::Options& lp_options,
+    lp::Workspace* workspace, std::vector<std::uint64_t>* /*unused*/) {
+  return sf_schedule(state, inputs, nullptr, fill_in, marginal_energy_price,
+                     lp_options,
+                     workspace != nullptr ? workspace->stats_sink() : nullptr);
+}
+
+std::vector<ScheduledLink> sequential_fix_schedule_clustered(
+    const NetworkState& state, const SlotInputs& inputs,
+    util::ThreadPool& pool, bool fill_in, double marginal_energy_price,
+    const lp::Options& lp_options, lp::SolveStatsSink* stats_sink) {
+  return sf_schedule(state, inputs, &pool, fill_in, marginal_energy_price,
+                     lp_options, stats_sink);
 }
 
 std::vector<ScheduledLink> greedy_schedule(const NetworkState& state,

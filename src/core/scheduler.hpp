@@ -8,8 +8,9 @@
 // prescribes).
 //
 // Three schedulers are provided:
-//  * sequential_fix_schedule — the paper's SF heuristic: repeatedly solve
-//    the LP relaxation and round the largest alpha to 1;
+//  * sf_schedule — the paper's SF heuristic: repeatedly solve the LP
+//    relaxation and round the largest alpha to 1, per interference
+//    cluster;
 //  * greedy_schedule — weight-sorted greedy (ablation baseline);
 //  * exhaustive_schedule — exact maximization by branch and bound, usable
 //    only on small instances (tests and ablations).
@@ -82,52 +83,44 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
 // throws gc::CheckError naming the simplex status and the slot, which the
 // controller's fallback ladder catches.
 //
-// `workspace` (optional) is the caller-owned lp::Workspace the relaxation
-// series solves through. Passing one amortizes the tableau allocations
-// across slots AND lets SF warm-start each pass after the first from the
-// previous pass's bound states (the surviving candidates' variables map
-// 1:1 onto the shrunk LP), which collapses most of phase I. Hints never
-// cross calls — the first pass of every call is cold, and the within-call
-// hints depend only on within-call history — so the same state always
-// yields the same schedule (checkpoint/resume replays exactly). Against a
-// workspace-free run, objectives and statuses match but a degenerate
-// relaxation may round a different (equally optimal) alpha.
-// `warm_keys` (optional, in/out) carries the cross-slot warm start
-// (ControllerOptions::warm_across_slots). On entry it holds the previous
-// slot's keys — one (tx, rx, band) key per variable of the LAST relaxation
-// that slot solved, aligned with the states `workspace` recorded. SF then
-// warm-starts its otherwise-cold first pass from every candidate whose key
-// recurs. On exit it holds this slot's last-pass keys. The hint only moves
-// the starting vertex, but a degenerate relaxation may round a different
-// (equally optimal) alpha than the cold run — which is why the controller
-// treats the carry as part of the checkpointed state: replay with the same
-// carry is exact. Pass nullptr (default) for the historical cold-start
-// behavior.
+// The SF relaxation couples candidates only through shared endpoint nodes
+// (the radio rows (22) and the per-(node, band) rows (20)/(21)), so the
+// connected components of the endpoint-sharing graph are independent LPs:
+// solving them separately loses nothing of the relaxation
+// (docs/ALGORITHM.md "Why the cluster split leaves the relaxation
+// unchanged"). sf_schedule partitions the candidates into those clusters,
+// runs one relax-round-compact series per cluster (each through its own
+// fresh lp::Workspace, so every series starts cold and warm-starts only
+// from its own previous pass), and merges the schedules in cluster order
+// — smallest node index first. With `pool` the cluster jobs are submitted
+// to it; without one they run inline on the calling thread, in cluster
+// order. That is the only difference, so the schedule is bit-identical at
+// every thread count and the pool changes wall time only. The fill-in
+// pass stays global (it is a cheap greedy and its candidates span
+// clusters by design).
+//
+// Per-cluster LP statistics are buffered and forwarded to `stats_sink` in
+// cluster order after the join (nullptr = off), so sinks see the same
+// record stream at any thread count. Callers that pass a pool are
+// responsible for per-worker obs registries on it (the controller installs
+// them); cluster jobs bump sched.* and lp.* instruments.
+std::vector<ScheduledLink> sf_schedule(
+    const NetworkState& state, const SlotInputs& inputs,
+    util::ThreadPool* pool = nullptr, bool fill_in = true,
+    double marginal_energy_price = 0.0, const lp::Options& lp_options = {},
+    lp::SolveStatsSink* stats_sink = nullptr);
+
+// Perfbench-only forwards to sf_schedule (perfbench/perfbench.cpp compiles
+// against these two names; everything else calls sf_schedule). The first
+// runs inline, sends its LP statistics to `workspace`'s stats sink, solves
+// nothing through `workspace` itself and never touches the key vector it
+// takes last (S1 carries nothing across slots); the second submits the
+// cluster jobs to `pool`.
 std::vector<ScheduledLink> sequential_fix_schedule(
     const NetworkState& state, const SlotInputs& inputs, bool fill_in = true,
     double marginal_energy_price = 0.0, const lp::Options& lp_options = {},
     lp::Workspace* workspace = nullptr,
-    std::vector<std::uint64_t>* warm_keys = nullptr);
-
-// Intra-slot cluster parallelism (docs/PERFORMANCE.md "Scaling past 500
-// nodes"). The SF relaxation couples candidates only through shared
-// endpoint nodes (the radio rows (22) and the per-(node, band) rows
-// (20)/(21)), so connected components of the endpoint-sharing graph are
-// independent LPs: solving them separately loses nothing of the
-// relaxation. This variant partitions the candidates into those
-// components, runs one SF series per cluster on `pool` (each with its own
-// workspace), and merges the schedules in cluster order — smallest node
-// index first — so the result is deterministic for ANY thread count. It is
-// not bit-identical to the unclustered SF: the heuristic's rounding step
-// picks the globally largest fractional alpha, the clustered one the
-// largest within each cluster. The fill-in pass stays global (it is a
-// cheap greedy and its candidates span clusters by design).
-//
-// Per-cluster LP statistics are buffered and forwarded to `stats_sink` in
-// cluster order after the join (nullptr = off), so sinks see the same
-// deterministic record stream at any thread count. Callers are responsible
-// for per-worker obs registries on `pool` (the controller installs them);
-// cluster jobs bump sched.* and lp.* instruments.
+    std::vector<std::uint64_t>* /*unused*/ = nullptr);
 std::vector<ScheduledLink> sequential_fix_schedule_clustered(
     const NetworkState& state, const SlotInputs& inputs,
     util::ThreadPool& pool, bool fill_in = true,

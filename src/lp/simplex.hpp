@@ -14,11 +14,13 @@
 //
 // Storage: each tableau row is a sorted list of its nonzero (column, value)
 // entries, so pricing and pivoting cost follows the nonzeros rather than
-// rows x columns. The serial S1 relaxation of a 492-node run grows to
-// ~1500 rows x ~1000 columns with ~12k nonzeros after fill-in, where a
-// row-major dense array is ~25x slower. Small LPs that fill in favour the
-// dense array: the lower bound's 22-row matching LP takes 1.2-1.5 ms per
-// solve against 0.8-1.0 ms dense. Its S4 energy LP (1e4-1e5 cells) takes
+// rows x columns. The former whole-network S1 relaxation of a 492-node
+// run grew to ~1500 rows x ~1000 columns with ~12k nonzeros after
+// fill-in, where a row-major dense array was ~25x slower; S1 now solves
+// one LP per interference cluster (at most 5 columns on the static
+// workloads, up to ~1200 with walking users at 492 nodes). Small LPs
+// that fill in favour the dense array: the lower bound's 22-row matching
+// LP takes 1.2-1.5 ms per solve against 0.8-1.0 ms dense. Its S4 energy LP (1e4-1e5 cells) takes
 // 0.7-1.0 ms against 2.0-4.4 ms dense, so the lower-bound drivers run
 // faster overall (docs/PERFORMANCE.md "One simplex storage").
 #pragma once
@@ -222,6 +224,7 @@ class Workspace {
   // Streams every solve's SolveStats to `sink` (nullptr detaches). The
   // sink observes only; solver results are unaffected.
   void set_stats_sink(SolveStatsSink* sink) { stats_sink_ = sink; }
+  SolveStatsSink* stats_sink() const { return stats_sink_; }
 
  private:
   friend class SimplexEngine;

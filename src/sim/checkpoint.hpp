@@ -14,10 +14,12 @@
 //  * optionally the StabilityAuditor's accumulated state, so a resumed
 //    run's stability digest matches an uninterrupted run's,
 //  * optionally the controller's cross-slot LP warm-start carry
-//    (ControllerOptions::warm_across_slots), so the resumed run's first
-//    slot warm-starts from exactly the hints the uninterrupted run would
-//    have used — replay stays bit-identical even though warm starts make
-//    each slot's schedule depend on the previous slot's LP bases.
+//    (ControllerOptions::warm_across_slots, the opt-in LP S4's chain), so
+//    the resumed run's first slot warm-starts from exactly the hints the
+//    uninterrupted run would have used — replay stays bit-identical even
+//    though warm starts make each slot's S4 LP depend on the previous
+//    slot's basis. The S1 fields are written empty; an older file's S1
+//    hints are read and dropped (S1 no longer carries state across slots).
 //
 //  * optionally the sleep-policy controller's mode state (src/policy:
 //    per-BS mode, dwell and wake countdowns plus the switching counters),
@@ -113,7 +115,8 @@ struct Checkpoint {
   obs::AuditorState audit;
 
   // Cross-slot LP warm-start carry (absent unless the run enables
-  // ControllerOptions::warm_across_slots).
+  // ControllerOptions::warm_across_slots). Only s4_states is ever
+  // non-empty in a file this build writes.
   bool has_warm = false;
   core::LyapunovController::WarmCarry warm;
 

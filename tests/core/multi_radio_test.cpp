@@ -64,7 +64,7 @@ TEST(MultiRadio, SchedulerUsesExtraRadios) {
   state.set_g_queue(0, 2, 50.0);
   state.set_g_queue(0, 3, 50.0);
   const auto inputs = fixed_inputs(model);
-  const auto sched = sequential_fix_schedule(state, inputs);
+  const auto sched = sf_schedule(state, inputs);
   int bs0_links = 0;
   std::set<int> bands;
   for (const auto& s : sched)
@@ -81,7 +81,7 @@ TEST(MultiRadio, SingleRadioStillSchedulesOne) {
   NetworkState state(model, 1.0);
   state.set_g_queue(0, 2, 50.0);
   state.set_g_queue(0, 3, 50.0);
-  const auto sched = sequential_fix_schedule(state, fixed_inputs(model));
+  const auto sched = sf_schedule(state, fixed_inputs(model));
   int bs0_links = 0;
   for (const auto& s : sched)
     if (s.tx == 0) ++bs0_links;
@@ -95,7 +95,7 @@ TEST(MultiRadio, PerBandExclusivityHolds) {
   for (int i = 0; i < model.num_nodes(); ++i)
     for (int j = 0; j < model.num_nodes(); ++j)
       if (i != j) state.set_g_queue(i, j, rng.uniform(1.0, 100.0));
-  const auto sched = sequential_fix_schedule(state, fixed_inputs(model));
+  const auto sched = sf_schedule(state, fixed_inputs(model));
   std::map<std::pair<int, int>, int> node_band;
   std::map<int, int> node_count;
   for (const auto& s : sched) {

@@ -31,7 +31,7 @@ TEST(PhyPolicy, AdaptiveTransmitsAtMaxPower) {
   const auto model = adaptive_cfg().build();
   NetworkState state(model, 1.0);
   state.set_g_queue(0, 2, 10.0);
-  auto sched = sequential_fix_schedule(state, fixed_inputs(model));
+  auto sched = sf_schedule(state, fixed_inputs(model));
   assign_powers(model, fixed_inputs(model), sched);
   ASSERT_FALSE(sched.empty());
   for (const auto& s : sched)
@@ -43,7 +43,7 @@ TEST(PhyPolicy, AdaptiveCapacityIsShannonOfRealizedSinr) {
   NetworkState state(model, 1.0);
   state.set_g_queue(0, 2, 10.0);
   const auto inputs = fixed_inputs(model);
-  auto sched = sequential_fix_schedule(state, inputs);
+  auto sched = sf_schedule(state, inputs);
   assign_powers(model, inputs, sched);
   ASSERT_EQ(sched.size(), 1u);
   const std::vector<net::Transmission> txs = {
@@ -85,8 +85,8 @@ TEST(PhyPolicy, AdaptiveUsesMoreTransmitEnergyThanMinPower) {
   smin.set_g_queue(0, 2, 10.0);
   sadp.set_g_queue(0, 2, 10.0);
   const auto inputs = fixed_inputs(min_model);
-  auto a = sequential_fix_schedule(smin, inputs);
-  auto b = sequential_fix_schedule(sadp, inputs);
+  auto a = sf_schedule(smin, inputs);
+  auto b = sf_schedule(sadp, inputs);
   assign_powers(min_model, inputs, a);
   assign_powers(adp_model, inputs, b);
   ASSERT_FALSE(a.empty());

@@ -33,7 +33,7 @@ class SchedulerTest : public ::testing::Test {
 
 TEST_F(SchedulerTest, NoBacklogNoCandidates) {
   EXPECT_TRUE(build_candidates(state_, inputs_).empty());
-  EXPECT_TRUE(sequential_fix_schedule(state_, inputs_).empty());
+  EXPECT_TRUE(sf_schedule(state_, inputs_).empty());
 }
 
 TEST_F(SchedulerTest, CandidatesRequirePositiveH) {
@@ -50,7 +50,7 @@ TEST_F(SchedulerTest, CandidatesRequirePositiveH) {
 
 TEST_F(SchedulerTest, SingleLinkGetsBestBand) {
   state_.set_g_queue(0, 1, 5.0);  // BS -> BS: every band common
-  const auto sched = sequential_fix_schedule(state_, inputs_);
+  const auto sched = sf_schedule(state_, inputs_);
   ASSERT_EQ(sched.size(), 1u);
   // Random bands have 1.5 MHz > 1 MHz cellular: any of bands 1..2 wins.
   EXPECT_GE(sched[0].band, 1);
@@ -62,7 +62,7 @@ TEST_F(SchedulerTest, SfRespectsSingleRadioConstraint22) {
   for (int i = 0; i < model_.num_nodes(); ++i)
     for (int j = 0; j < model_.num_nodes(); ++j)
       if (i != j) state_.set_g_queue(i, j, 1.0 + i + 2 * j);
-  const auto sched = sequential_fix_schedule(state_, inputs_);
+  const auto sched = sf_schedule(state_, inputs_);
   EXPECT_FALSE(sched.empty());
   std::set<int> used;
   for (const auto& s : sched) {
@@ -88,7 +88,7 @@ TEST_F(SchedulerTest, DisjointLinksAllScheduled) {
   state_.set_g_queue(0, 2, 10.0);
   state_.set_g_queue(1, 3, 10.0);
   state_.set_g_queue(4, 5, 10.0);
-  const auto sched = sequential_fix_schedule(state_, inputs_);
+  const auto sched = sf_schedule(state_, inputs_);
   std::set<std::pair<int, int>> links;
   for (const auto& s : sched) links.insert({s.tx, s.rx});
   EXPECT_EQ(links.size(), 3u);
@@ -101,7 +101,7 @@ TEST_F(SchedulerTest, ConflictingLinksPickHigherWeight) {
   // Both links need node 0: the heavier virtual queue wins.
   state_.set_g_queue(0, 2, 100.0);
   state_.set_g_queue(3, 0, 1.0);
-  const auto sched = sequential_fix_schedule(state_, inputs_);
+  const auto sched = sf_schedule(state_, inputs_);
   ASSERT_EQ(sched.size(), 1u);
   EXPECT_EQ(sched[0].tx, 0);
   EXPECT_EQ(sched[0].rx, 2);
@@ -130,7 +130,7 @@ TEST_P(SfVsExact, SfNearExhaustiveOptimum) {
     }
   SlotInputs inputs = fixed_inputs(model);
 
-  const auto sf = sequential_fix_schedule(state, inputs);
+  const auto sf = sf_schedule(state, inputs);
   const auto exact = exhaustive_schedule(state, inputs);
   const auto greedy = greedy_schedule(state, inputs);
   const double w_sf = schedule_weight(state, sf, inputs);
@@ -148,7 +148,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SfVsExact, ::testing::Range(0, 30));
 
 TEST_F(SchedulerTest, AssignPowersFillsCapacityAndPower) {
   state_.set_g_queue(0, 2, 10.0);
-  auto sched = sequential_fix_schedule(state_, inputs_);
+  auto sched = sf_schedule(state_, inputs_);
   ASSERT_EQ(sched.size(), 1u);
   assign_powers(model_, inputs_, sched);
   ASSERT_EQ(sched.size(), 1u);

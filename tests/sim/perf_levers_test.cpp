@@ -1,9 +1,11 @@
 // Trajectory-level guarantees of the scaling levers (docs/PERFORMANCE.md
 // "Scaling past 500 nodes"):
-//  * intra-slot cluster scheduling is invariant in the worker thread count;
-//  * cross-slot LP warm starts are deterministic and survive
-//    checkpoint/resume: a killed + resumed warm run replays the
-//    uninterrupted run bit for bit (checkpoint v4 carries the solver
+//  * --intra-slot-threads changes wall time only: S1 runs one SF series
+//    per interference cluster at every thread count, inline without a
+//    pool, so 1, 2 and 4 threads give bit-identical trajectories;
+//  * the opt-in LP S4's cross-slot warm starts are deterministic and
+//    survive checkpoint/resume: a killed + resumed warm run replays the
+//    uninterrupted run bit for bit (checkpoint v4+ carries the solver
 //    states).
 // The structural exactness arguments (range pruning, the S4 split) are
 // tested in tests/core/perf_levers_test.cpp.
@@ -14,6 +16,7 @@
 
 #include "core/controller.hpp"
 #include "obs/registry.hpp"
+#include "scenario/spec.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -35,36 +38,60 @@ Metrics run_with(const ScenarioConfig& cfg, int slots,
   return run_simulation(model, controller, slots, {});
 }
 
+// The options of a warm run: the cross-slot chain lives in the opt-in LP
+// energy manager's S4 solves.
+core::ControllerOptions warm_lp_options(const ScenarioConfig& cfg) {
+  auto opts = cfg.controller_options();
+  opts.warm_across_slots = true;
+  opts.energy_manager = core::ControllerOptions::EnergyManager::Lp;
+  return opts;
+}
+
 TEST(PerfLevers, ClusteredRunIsThreadCountInvariant) {
-  // Cluster jobs land on workers in arbitrary order; the merge is by
-  // cluster rank, so 2 and 4 workers must produce the same trajectory.
-  const auto cfg = ScenarioConfig::paper();
-  auto two = cfg.controller_options();
-  two.intra_slot_threads = 2;
-  auto four = cfg.controller_options();
-  four.intra_slot_threads = 4;
-  expect_metrics_bit_identical(run_with(cfg, 60, two),
-                               run_with(cfg, 60, four));
+  // Inline cluster jobs (1 thread) and jobs landing on workers in
+  // arbitrary order (2, 4) merge by cluster rank, so every thread count
+  // must produce the same trajectory. diurnal_solar_tou is where a
+  // whole-network SF series and the per-cluster one first diverged (slot
+  // 74 of 100).
+  const auto diurnal =
+      scenario::load_scenario_file(std::string(GC_SCENARIO_EXAMPLES_DIR) +
+                                   "/diurnal_solar_tou.json")
+          .config;
+  const struct {
+    const char* name;
+    ScenarioConfig cfg;
+    int slots;
+  } cases[] = {{"paper", ScenarioConfig::paper(), 60},
+               {"diurnal_solar_tou", diurnal, 100}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto one = c.cfg.controller_options();
+    one.intra_slot_threads = 1;
+    const Metrics ref = run_with(c.cfg, c.slots, one);
+    for (int threads : {2, 4}) {
+      SCOPED_TRACE(threads);
+      auto opts = one;
+      opts.intra_slot_threads = threads;
+      expect_metrics_bit_identical(run_with(c.cfg, c.slots, opts), ref);
+    }
+  }
 }
 
 TEST(PerfLevers, WarmAcrossSlotsRunIsBitReproducible) {
   const auto cfg = ScenarioConfig::tiny();
-  auto warm = cfg.controller_options();
-  warm.warm_across_slots = true;
-  const Metrics a = run_with(cfg, 80, warm);
-  const Metrics b = run_with(cfg, 80, warm);
+  const Metrics a = run_with(cfg, 80, warm_lp_options(cfg));
+  const Metrics b = run_with(cfg, 80, warm_lp_options(cfg));
   expect_metrics_bit_identical(a, b);
 }
 
 TEST(PerfLevers, WarmKillAndResumeIsBitIdentical) {
-  // The cross-slot warm chain makes slot t depend on solver state from
-  // slot t-1, so resume equality requires the checkpoint to carry that
-  // state (v4) and the controller to re-import it — cold-starting the
+  // The cross-slot warm chain makes slot t's S4 LP depend on solver state
+  // from slot t-1, so resume equality requires the checkpoint to carry
+  // that state (v4) and the controller to re-import it — cold-starting the
   // chain on resume could diverge. This is the serialized-basis contract
   // docs/ROBUSTNESS.md pins.
   const auto cfg = ScenarioConfig::tiny();
-  auto warm = cfg.controller_options();
-  warm.warm_across_slots = true;
+  const auto warm = warm_lp_options(cfg);
   const int horizon = 80, kill_at = 33;
   const std::string ckpt = tmp_path("warm.ckpt");
 
@@ -90,14 +117,45 @@ TEST(PerfLevers, WarmKillAndResumeIsBitIdentical) {
   std::remove(ckpt.c_str());
 }
 
+TEST(PerfLevers, OldCheckpointS1HintsAreDropped) {
+  // Files written before S1 stopped carrying state across slots may hold
+  // non-empty S1 hints. Resuming from one reads and drops them: the run
+  // replays the uninterrupted one bit for bit.
+  const auto cfg = ScenarioConfig::tiny();
+  const auto warm = warm_lp_options(cfg);
+  const int horizon = 40, kill_at = 20;
+  const std::string ckpt = tmp_path("old_s1.ckpt");
+
+  const auto ref_model = cfg.build();
+  core::LyapunovController ref_ctrl(ref_model, 3.0, warm);
+  const Metrics ref = run_simulation(ref_model, ref_ctrl, horizon, {});
+
+  {
+    const auto model = cfg.build();
+    core::LyapunovController ctrl(model, 3.0, warm);
+    SimOptions opts;
+    opts.checkpoint_path = ckpt;
+    run_simulation(model, ctrl, kill_at, opts);
+  }
+  Checkpoint old = load_checkpoint(ckpt);
+  ASSERT_TRUE(old.has_warm);
+  old.warm.s1_states = {0, 1, 2, 1};
+  old.warm.s1_keys = {0x0000010000020001ull, 7};
+  save_checkpoint(old, ckpt);
+
+  const auto model = cfg.build();
+  core::LyapunovController ctrl(model, 3.0, warm);
+  SimOptions opts;
+  opts.resume_path = ckpt;
+  expect_metrics_bit_identical(run_simulation(model, ctrl, horizon, opts),
+                               ref);
+  std::remove(ckpt.c_str());
+}
+
 TEST(PerfLevers, CheckpointRoundTripsWarmCarry) {
   const auto cfg = ScenarioConfig::tiny();
   const auto model = cfg.build();
-  auto warm_opts = cfg.controller_options();
-  warm_opts.warm_across_slots = true;
-  // The S4 half of the carry exists only on the opt-in LP energy manager.
-  warm_opts.energy_manager = core::ControllerOptions::EnergyManager::Lp;
-  core::LyapunovController ctrl(model, 3.0, warm_opts);
+  core::LyapunovController ctrl(model, 3.0, warm_lp_options(cfg));
   SimOptions opts;
   Metrics m = run_simulation(model, ctrl, 20, opts);
   Rng rng(opts.input_seed);
@@ -105,6 +163,8 @@ TEST(PerfLevers, CheckpointRoundTripsWarmCarry) {
   const Checkpoint a = make_checkpoint(20, rng, ctrl, m, nullptr, nullptr);
   ASSERT_TRUE(a.has_warm);
   EXPECT_FALSE(a.warm.s4_states.empty());  // S4 solves every slot
+  EXPECT_TRUE(a.warm.s1_states.empty());   // S1 carries nothing
+  EXPECT_TRUE(a.warm.s1_keys.empty());
 
   const std::string path = tmp_path("carry.ckpt");
   save_checkpoint(a, path);
@@ -128,11 +188,8 @@ TEST(PerfLevers, ClusterAndCrossSlotInstrumentsTick) {
   // Run through a single-threaded SweepRunner so the counters land in a
   // private registry (same reasoning as the checkpoint counter test: the
   // test main thread's instrument refs cannot be re-pointed).
-  auto copts = ScenarioConfig::tiny().controller_options();
+  auto copts = warm_lp_options(ScenarioConfig::tiny());
   copts.intra_slot_threads = 2;
-  copts.warm_across_slots = true;
-  // The S4 warm chain below is the opt-in LP energy manager's.
-  copts.energy_manager = core::ControllerOptions::EnergyManager::Lp;
   SimJob job;
   job.scenario = ScenarioConfig::tiny();
   job.V = 3.0;

@@ -183,22 +183,12 @@ performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes"):
                         unpruned scheduler wastes on doomed links perturbs
                         which equally-good schedule is picked, so the paper
                         baseline keeps it off
-  --lp-warm-slots on|off
-                        warm-start each slot's S1 LP from the previous
-                        slot's final bases (default off). Statuses and
-                        objectives are unaffected; a degenerate S1
-                        relaxation may round a different equally-optimal
-                        link. The carry is checkpointed, so --resume
-                        replays bit-identically. No effect with
-                        --intra-slot-threads other than 1 under the
-                        default price S4 (cluster LPs start cold)
   --intra-slot-threads N
                         solve S1's independent interference clusters on N
-                        worker threads within each slot (default 1 = the
-                        serial paper path; 0 = all hardware threads).
-                        Deterministic for any N, but the clustered S1 is
-                        not bit-identical to the serial one (per-cluster
-                        vs global rounding)
+                        worker threads within each slot (default 1 = no
+                        pool; 0 = all hardware threads; at most 256).
+                        Changes wall time only: decisions and per-slot
+                        results are bit-identical at any N
 
 parallel sweep (docs/PERFORMANCE.md):
   --seeds N             run N replicates (input seeds S, S+1, ...) through
@@ -208,11 +198,17 @@ parallel sweep (docs/PERFORMANCE.md):
                         and --checkpoint paths get a ".seed<k>" suffix per
                         replicate; not combinable with --resume
   --threads N           sweep worker threads (default 0 = all hardware
-                        threads)
+                        threads; at most 256)
 )";
 }
 
 namespace {
+
+// --threads and --intra-slot-threads size thread pools directly (the sweep
+// pool from --threads, not from the job count), so a typo must not ask the
+// OS for millions of threads.
+constexpr int kMaxThreads = 256;
+constexpr const char* kThreadsDomain = "int >= 0 and <= 256";
 
 // Finite numbers only: "nan" and "inf" pass every `dv < 0` domain check
 // and would surface far from the flag that carried them.
@@ -287,8 +283,7 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       "--threads",  "--trace-top-k", "--snapshot",      "--snapshot-every",
       "--spans",    "--profile",  "--lp-log",           "--checkpoint-rotate",
       "--max-restarts", "--restart-backoff-ms", "--reload-scenario",
-      "--link-prune", "--lp-warm-slots",
-      "--intra-slot-threads",
+      "--link-prune", "--intra-slot-threads",
       "--policy", "--sleep-threshold", "--wake-threshold", "--sleep-dwell",
       "--min-awake-bs", "--switch-cost-weight",
       "--metrics-port", "--metrics-port-file", "--events", "--alerts"};
@@ -490,13 +485,9 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       if (v != "on" && v != "off")
         return err(bad(flag, "\"on\" or \"off\"", v));
       opt.link_prune = v == "on";
-    } else if (flag == "--lp-warm-slots") {
-      if (v != "on" && v != "off")
-        return err(bad(flag, "\"on\" or \"off\"", v));
-      opt.lp_warm_slots = v == "on";
     } else if (flag == "--intra-slot-threads") {
-      if (!parse_int(v, &iv) || iv < 0)
-        return err(bad(flag, "int >= 0", v));
+      if (!parse_int(v, &iv) || iv < 0 || iv > kMaxThreads)
+        return err(bad(flag, kThreadsDomain, v));
       opt.intra_slot_threads = iv;
     } else if (flag == "--policy") {
       try {
@@ -547,8 +538,8 @@ ParseResult parse_args(const std::vector<std::string>& args) {
         return err(bad(flag, "int >= 1", v));
       opt.seeds = iv;
     } else if (flag == "--threads") {
-      if (!parse_int(v, &iv) || iv < 0)
-        return err(bad(flag, "int >= 0", v));
+      if (!parse_int(v, &iv) || iv < 0 || iv > kMaxThreads)
+        return err(bad(flag, kThreadsDomain, v));
       opt.threads = iv;
     }
   }

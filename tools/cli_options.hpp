@@ -111,12 +111,11 @@ struct Options {
   int threads = 0;
 
   // Performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes").
-  // All default to the paper-baseline behavior; none changes what the
-  // controller CAN decide, only how fast it gets there (--link-prune and
-  // --intra-slot-threads may perturb which equally-good decision is made —
-  // see ModelConfig::link_prune and scheduler.hpp).
+  // Both default to the paper-baseline behavior; neither changes what the
+  // controller CAN decide, only how fast it gets there. --link-prune may
+  // perturb which equally-good decision is made (ModelConfig::link_prune);
+  // --intra-slot-threads changes wall time only (scheduler.hpp).
   bool link_prune = false;      // --link-prune on
-  bool lp_warm_slots = false;   // --lp-warm-slots on
   int intra_slot_threads = 1;   // --intra-slot-threads
 
   bool help = false;  // --help was requested; usage() already printed

@@ -127,7 +127,6 @@ gc::sim::SimJob make_job(const gc::cli::Options& opt, const Attempt& at) {
   job.V = opt.V;
   job.slots = opt.slots;
   gc::core::ControllerOptions copts = opt.scenario.controller_options();
-  copts.warm_across_slots = opt.lp_warm_slots;
   copts.intra_slot_threads = opt.intra_slot_threads;
   job.controller = copts;
   if (opt.mobility_mps > 0.0) {
