@@ -13,7 +13,8 @@ using namespace gc::bench;
 using Clock = std::chrono::steady_clock;
 
 int main() {
-  const int instances = env_int("REPRO_INSTANCES", full_repro() ? 500 : 150);
+  const int instances =
+      env_int("REPRO_INSTANCES", full_repro() ? 500 : 150, 1);
   const auto cfg = sim::ScenarioConfig::paper();
   const auto model = cfg.build();
 

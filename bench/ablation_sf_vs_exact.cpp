@@ -23,7 +23,8 @@ double ms_since(Clock::time_point t0) {
 }  // namespace
 
 int main() {
-  const int instances = env_int("REPRO_INSTANCES", full_repro() ? 200 : 60);
+  const int instances =
+      env_int("REPRO_INSTANCES", full_repro() ? 200 : 60, 1);
 
   print_title("Ablation — SF scheduling vs exact vs greedy",
               std::to_string(instances) + " random small instances");

@@ -3,25 +3,29 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "flags.hpp"
+
 namespace gc::bench {
 
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  return std::atoi(v);
+int env_int(const char* name, int fallback, int lo, int hi) {
+  try {
+    return flags::env_int(name, fallback, lo, hi);
+  } catch (const flags::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
-bool full_repro() { return env_int("REPRO_FULL", 0) != 0; }
+bool full_repro() { return env_int("REPRO_FULL", 0, 0, 1) != 0; }
 
 int horizon(int fast) {
-  const int forced = env_int("REPRO_SLOTS", 0);
+  const int forced = env_int("REPRO_SLOTS", 0, 0);
   if (forced > 0) return forced;
   return full_repro() ? 100 : fast;
 }
 
 int bench_threads() {
-  const int forced = env_int("GC_THREADS", 0);
-  return forced > 0 ? forced : 0;  // 0 lets the runner use all cores
+  return env_int("GC_THREADS", 0, 0, flags::kMaxThreads);
 }
 
 sim::SweepRunner make_sweep_runner() {

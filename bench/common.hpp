@@ -6,10 +6,12 @@
 // set REPRO_FULL=1 for the paper's full T = 100-slot horizon everywhere,
 // or REPRO_SLOTS=<n> to pin the horizon explicitly.
 // Sweep-shaped benches fan their runs out through sim::SweepRunner;
-// GC_THREADS=<n> pins the worker count (default: all hardware threads).
-// Per-seed results are bit-identical at any thread count (sweep.hpp).
+// GC_THREADS=<n> pins the worker count, 0..256 (default 0: all hardware
+// threads). Per-seed results are bit-identical at any thread count
+// (sweep.hpp).
 #pragma once
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -20,16 +22,17 @@
 
 namespace gc::bench {
 
-// Environment overrides.
-int env_int(const char* name, int fallback);
+// Environment overrides: `name` as an int in [lo, hi], `fallback` when it
+// is unset or empty; any other value exits 2 (tools/flags.hpp).
+int env_int(const char* name, int fallback, int lo, int hi = INT_MAX);
+// REPRO_FULL, 0 or 1.
 bool full_repro();
 
-// Default horizon: `fast` normally, 100 (the paper's T) under REPRO_FULL=1,
-// REPRO_SLOTS always wins.
+// Default horizon: `fast` normally, 100 (the paper's T) under REPRO_FULL=1;
+// REPRO_SLOTS >= 1 always wins (0 keeps the default).
 int horizon(int fast);
 
-// Worker threads for sweep-shaped benches: GC_THREADS if set (> 0),
-// otherwise every hardware thread.
+// Worker threads for sweep-shaped benches: GC_THREADS (0 = all cores).
 int bench_threads();
 
 // A SweepRunner configured with bench_threads(), merging observability into

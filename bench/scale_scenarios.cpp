@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/controller.hpp"
+#include "flags.hpp"
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
 #include "obs/timer.hpp"
@@ -57,16 +58,19 @@ struct Args {
   bool fast = false;
 };
 
-bool parse_args(const std::vector<std::string>& argv, Args* out,
-                std::string* error) {
+constexpr const char* kUsage =
+    "usage: scale_scenarios [SPEC.json ...] [--dir DIR] [--slots N]\n"
+    "                       [--out PATH] [--profile-dir DIR] [--fast]\n"
+    "  --slots N   slots per scenario: int >= 1 (default 20)\n";
+
+// Fills `out` from the arguments; false on --help. A malformed, missing or
+// out-of-domain value, or no scenario file at all, throws
+// gc::flags::UsageError.
+bool parse_args(const std::vector<std::string>& argv, Args* out) {
+  namespace flags = gc::flags;
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& flag = argv[i];
-    if (flag == "--help") {
-      *error =
-          "usage: scale_scenarios [SPEC.json ...] [--dir DIR] [--slots N]\n"
-          "                       [--out PATH] [--profile-dir DIR] [--fast]";
-      return false;
-    }
+    if (flag == "--help") return false;
     if (flag == "--fast") {
       out->fast = true;
       continue;
@@ -75,38 +79,29 @@ bool parse_args(const std::vector<std::string>& argv, Args* out,
       out->files.push_back(flag);
       continue;
     }
-    if (i + 1 >= argv.size()) {
-      *error = "missing value for " + flag;
-      return false;
-    }
-    const std::string& v = argv[++i];
+    const std::string& v = flags::next_value(argv, i);
     if (flag == "--dir")
       out->dir = v;
     else if (flag == "--slots")
-      out->slots = std::atoi(v.c_str());
+      out->slots = flags::read_int(flag, v, 1);
     else if (flag == "--out")
       out->out = v;
     else if (flag == "--profile-dir")
       out->profile_dir = v;
-    else {
-      *error = "unknown flag " + flag;
-      return false;
-    }
-  }
-  if (out->slots < 1) {
-    *error = "need --slots >= 1";
-    return false;
+    else
+      throw flags::UsageError("unknown flag " + flag);
   }
   if (!out->dir.empty()) {
-    for (const auto& e : fs::directory_iterator(out->dir))
+    std::error_code ec;
+    for (const auto& e : fs::directory_iterator(out->dir, ec))
       if (e.path().extension() == ".json")
         out->files.push_back(e.path().string());
+    if (ec) flags::reject("--dir", "a readable directory", out->dir);
   }
   std::sort(out->files.begin(), out->files.end());
-  if (out->files.empty()) {
-    *error = "no scenario files (pass SPEC.json paths or --dir DIR)";
-    return false;
-  }
+  if (out->files.empty())
+    throw flags::UsageError(
+        "no scenario files (pass SPEC.json paths or --dir DIR)");
   return true;
 }
 
@@ -272,10 +267,14 @@ Row run_one(const std::string& path, int slots,
 
 int main(int argc, char** argv) {
   Args args;
-  std::string error;
-  if (!parse_args({argv + 1, argv + argc}, &args, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return error.rfind("usage:", 0) == 0 ? 0 : 2;
+  try {
+    if (!parse_args({argv + 1, argv + argc}, &args)) {
+      std::fprintf(stderr, "%s", kUsage);
+      return 0;
+    }
+  } catch (const gc::flags::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
+    return 2;
   }
 
   try {

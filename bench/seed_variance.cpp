@@ -35,7 +35,7 @@ double cost_per_packet(const sim::Metrics& m) {
 
 int main() {
   const int slots = horizon(100);
-  const int seeds = env_int("REPRO_SEEDS", full_repro() ? 20 : 10);
+  const int seeds = env_int("REPRO_SEEDS", full_repro() ? 20 : 10, 1);
 
   print_title("Seed robustness of the headline claims",
               std::to_string(seeds) + " independent topologies+paths, T = " +

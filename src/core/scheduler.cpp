@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <unordered_map>
 #include <utility>
 
 #include "lp/simplex.hpp"
@@ -263,8 +262,7 @@ void fill_in_pass(const NetworkState& state, const SlotInputs& inputs,
 }
 
 // One SF relax-round-compact series over `cands`: fixes links into
-// `schedule`, consuming `usage`. The first pass starts cold; each later
-// pass warm-starts through `ws` from the previous pass's bound states.
+// `schedule`, consuming `usage`. Every pass solves cold through `ws`.
 void sf_series(const NetworkState& state,
                std::vector<CandidateLinkBand> cands, RadioUsage& usage,
                const lp::Options& lp_options, lp::Workspace& ws,
@@ -324,19 +322,12 @@ void sf_series(const NetworkState& state,
       link.capacity_bps = f.capacity_bps;
       schedule.push_back(link);
     }
-    // Compact the surviving candidates, recording where each one sat in
-    // the LP just solved: that correspondence is exactly the warm-start
-    // map for the next (strictly smaller) relaxation.
-    std::vector<int> warm_map;
-    warm_map.reserve(cands.size());
+    // Compact the surviving candidates for the next (strictly smaller)
+    // relaxation.
     std::size_t kept = 0;
-    for (std::size_t v = 0; v < cands.size(); ++v) {
-      if (!usage.can_take(cands[v].tx, cands[v].rx, cands[v].band)) continue;
-      cands[kept++] = cands[v];
-      warm_map.push_back(static_cast<int>(v));
-    }
+    for (const auto& c : cands)
+      if (usage.can_take(c.tx, c.rx, c.band)) cands[kept++] = c;
     cands.resize(kept);
-    if (!cands.empty()) ws.set_warm_start(std::move(warm_map));
   }
 }
 
@@ -379,24 +370,16 @@ std::vector<ScheduledLink> sf_schedule(
     // deterministic cluster order for free.
     if (a != b) parent[std::max(a, b)] = std::min(a, b);
   }
-  std::vector<int> roots;  // ascending = cluster order
-  std::unordered_map<int, std::size_t> cluster_of;
-  for (const auto& c : cands) {
-    const int r = find(c.tx);
-    if (cluster_of.emplace(r, roots.size()).second) roots.push_back(r);
-  }
-  std::vector<std::size_t> order(roots.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return roots[a] < roots[b];
-  });
-  std::vector<std::size_t> rank(roots.size());
-  for (std::size_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
-
-  const std::size_t k = roots.size();
+  // Cluster index per root node: numbering the roots in ascending node
+  // order is the cluster order.
+  std::vector<int> cluster_of(static_cast<std::size_t>(n), -1);
+  for (const auto& c : cands) cluster_of[find(c.tx)] = 0;
+  std::size_t k = 0;
+  for (int& id : cluster_of)
+    if (id >= 0) id = static_cast<int>(k++);
   std::vector<std::vector<CandidateLinkBand>> cluster_cands(k);
   for (const auto& c : cands)
-    cluster_cands[rank[cluster_of[find(c.tx)]]].push_back(c);
+    cluster_cands[cluster_of[find(c.tx)]].push_back(c);
 
   sched_metrics().clusters.add(static_cast<double>(k));
   for (const auto& cc : cluster_cands)

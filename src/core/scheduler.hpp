@@ -90,11 +90,10 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
 // (docs/ALGORITHM.md "Why the cluster split leaves the relaxation
 // unchanged"). sf_schedule partitions the candidates into those clusters,
 // runs one relax-round-compact series per cluster (each through its own
-// fresh lp::Workspace, so every series starts cold and warm-starts only
-// from its own previous pass), and merges the schedules in cluster order
-// — smallest node index first. With `pool` the cluster jobs are submitted
-// to it; without one they run inline on the calling thread, in cluster
-// order. That is the only difference, so the schedule is bit-identical at
+// fresh lp::Workspace; every pass solves cold), and merges the schedules
+// in cluster order — smallest node index first. With `pool` the cluster
+// jobs are submitted to it; without one they run inline on the calling
+// thread, in cluster order. That is the only difference, so the schedule is bit-identical at
 // every thread count and the pool changes wall time only. The fill-in
 // pass stays global (it is a cheap greedy and its candidates span
 // clusters by design).

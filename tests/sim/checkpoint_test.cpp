@@ -281,10 +281,11 @@ TEST(Checkpoint, PeriodicCheckpointsResumeFromTheLastOne) {
   std::remove(ckpt.c_str());
 }
 
-// Solver introspection survives a crash: the S1 warm-start chain restarts
-// cold at every slot, so the lp.warmstart_* counter totals of a killed +
-// resumed run must equal the uninterrupted run's — the interruption falls
-// on a slot boundary and no cross-slot solver state is (or may be) lost.
+// Solver introspection survives a crash: S1 relaxations solve cold and
+// no default solver carries state across slots, so the lp.* counter
+// totals of a killed + resumed run must equal the uninterrupted run's —
+// the interruption falls on a slot boundary and no solver state is (or
+// may be) lost.
 // Each leg runs through a single-threaded SweepRunner so its counters land
 // in a private registry (worker threads resolve instruments fresh; the
 // test's main thread could not be re-pointed after its first LP solve).
@@ -318,12 +319,11 @@ TEST(Checkpoint, WarmStartCountersReplayAcrossResume) {
   second.sim.resume_path = ckpt;
   sweep_one(second, &resumed_reg);
 
-  // The warm trio is typically all-zero here (the SF relaxation's packing
-  // structure solves integrally in one pass on stock scenarios), but the
-  // equality must hold regardless — a resume that replayed warm state
-  // differently would break it the day a scenario does go multi-pass. The
-  // other introspection counters are hot on every slot and pin the replay
-  // non-vacuously.
+  // The warm trio is all-zero here (only the opt-in LP S4 sets hints),
+  // but the equality must hold regardless — a resume that replayed warm
+  // state differently would break it the day a default solver warm-starts
+  // again. The other introspection counters are hot on every slot and pin
+  // the replay non-vacuously.
   for (const char* name :
        {"lp.solves", "lp.iterations", "lp.phase1_iterations",
         "lp.phase2_iterations", "lp.degenerate_pivots", "lp.numeric_repairs",

@@ -10,10 +10,10 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "obs/registry.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
@@ -34,41 +34,36 @@ struct Args {
   std::string out = "BENCH_sweep.json";
 };
 
-bool parse_args(const std::vector<std::string>& argv, Args* out,
-                std::string* error) {
+constexpr const char* kUsage =
+    "usage: bench_baseline [--threads N] [--seeds N] [--slots N]\n"
+    "                      [--scenario paper|tiny] [--out PATH]\n"
+    "  --threads N   parallel-pass workers: int >= 0 and <= 256 (default 0 =\n"
+    "                all hardware threads)\n"
+    "  --seeds N     replicates: int >= 1 (default 8)\n"
+    "  --slots N     slots per replicate: int >= 1 (default 40)\n";
+
+// Fills `out` from the flags; false on --help. A malformed, missing or
+// out-of-domain value throws gc::flags::UsageError.
+bool parse_args(const std::vector<std::string>& argv, Args* out) {
+  namespace flags = gc::flags;
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& flag = argv[i];
-    if (flag == "--help") {
-      *error =
-          "usage: bench_baseline [--threads N] [--seeds N] [--slots N]\n"
-          "                      [--scenario paper|tiny] [--out PATH]";
-      return false;
-    }
-    if (i + 1 >= argv.size()) {
-      *error = "missing value for " + flag;
-      return false;
-    }
-    const std::string& v = argv[++i];
+    if (flag == "--help") return false;
+    const std::string& v = flags::next_value(argv, i);
     if (flag == "--threads")
-      out->threads = std::atoi(v.c_str());
+      out->threads = flags::read_threads(flag, v);
     else if (flag == "--seeds")
-      out->seeds = std::atoi(v.c_str());
+      out->seeds = flags::read_int(flag, v, 1);
     else if (flag == "--slots")
-      out->slots = std::atoi(v.c_str());
-    else if (flag == "--scenario")
+      out->slots = flags::read_int(flag, v, 1);
+    else if (flag == "--scenario") {
+      if (v != "paper" && v != "tiny")
+        flags::reject(flag, "\"paper\" or \"tiny\"", v);
       out->scenario = v;
-    else if (flag == "--out")
+    } else if (flag == "--out")
       out->out = v;
-    else {
-      *error = "unknown flag " + flag;
-      return false;
-    }
-  }
-  if (out->seeds < 1 || out->slots < 1 || out->threads < 0 ||
-      (out->scenario != "paper" && out->scenario != "tiny")) {
-    *error = "need --seeds >= 1, --slots >= 1, --threads >= 0, "
-             "--scenario paper|tiny";
-    return false;
+    else
+      throw flags::UsageError("unknown flag " + flag);
   }
   return true;
 }
@@ -130,10 +125,14 @@ Timed timed_sweep(const std::vector<SimJob>& jobs, int threads) {
 
 int main(int argc, char** argv) {
   Args args;
-  std::string error;
-  if (!parse_args({argv + 1, argv + argc}, &args, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return error.rfind("usage:", 0) == 0 ? 0 : 2;
+  try {
+    if (!parse_args({argv + 1, argv + argc}, &args)) {
+      std::fprintf(stderr, "%s", kUsage);
+      return 0;
+    }
+  } catch (const gc::flags::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
+    return 2;
   }
 
   std::vector<SimJob> jobs;

@@ -34,6 +34,7 @@
 
 #include "core/controller.hpp"
 #include "fault/fault_schedule.hpp"
+#include "flags.hpp"
 #include "obs/events.hpp"
 #include "obs/registry.hpp"
 #include "policy/sleep.hpp"
@@ -74,7 +75,14 @@ int usage(const char* argv0) {
       "\n"
       "Kill-chaos referee: SIGKILLs a supervised run K times at seeded\n"
       "random slots and requires the auto-resumed result to be\n"
-      "bit-identical to an uninterrupted run (docs/ROBUSTNESS.md).\n",
+      "bit-identical to an uninterrupted run (docs/ROBUSTNESS.md).\n"
+      "\n"
+      "  --slots N              int >= 2 (default 150)\n"
+      "  --kills K              int >= 0 (default 10)\n"
+      "  --chaos-seed S         int >= 0 (default 1)\n"
+      "  --v V                  number >= 0 (default 3)\n"
+      "  --checkpoint-every N   int >= 1 (default 7)\n"
+      "  --checkpoint-rotate N  int >= 1 (default 3)\n",
       argv0);
   return 2;
 }
@@ -405,36 +413,30 @@ int run(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace flags = gc::flags;
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      GC_CHECK_MSG(i + 1 < argc, a << " requires a value");
-      return argv[++i];
-    };
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
     try {
       if (a == "--scenario") {
-        opt.scenario_path = value();
+        opt.scenario_path = flags::next_value(args, i);
       } else if (a == "--slots") {
-        opt.slots = std::atoi(value());
-        GC_CHECK_MSG(opt.slots >= 2, "--slots: expected int >= 2");
+        opt.slots = flags::read_int(a, flags::next_value(args, i), 2);
       } else if (a == "--kills") {
-        opt.kills = std::atoi(value());
-        GC_CHECK_MSG(opt.kills >= 0, "--kills: expected int >= 0");
+        opt.kills = flags::read_int(a, flags::next_value(args, i), 0);
       } else if (a == "--chaos-seed") {
-        opt.chaos_seed = std::strtoull(value(), nullptr, 10);
+        opt.chaos_seed = flags::read_u64(a, flags::next_value(args, i));
       } else if (a == "--v") {
-        opt.V = std::atof(value());
+        opt.V = flags::read_number(a, flags::next_value(args, i), 0);
       } else if (a == "--checkpoint-every") {
-        opt.checkpoint_every = std::atoi(value());
-        GC_CHECK_MSG(opt.checkpoint_every >= 1,
-                     "--checkpoint-every: expected int >= 1");
+        opt.checkpoint_every =
+            flags::read_int(a, flags::next_value(args, i), 1);
       } else if (a == "--checkpoint-rotate") {
-        opt.checkpoint_rotate = std::atoi(value());
-        GC_CHECK_MSG(opt.checkpoint_rotate >= 1,
-                     "--checkpoint-rotate: expected int >= 1");
+        opt.checkpoint_rotate =
+            flags::read_int(a, flags::next_value(args, i), 1);
       } else if (a == "--policy") {
-        opt.policy = value();
+        opt.policy = flags::next_value(args, i);
         gc::policy::parse_sleep_policy(opt.policy);  // validate early
       } else if (a == "--keep") {
         opt.keep = true;
@@ -446,7 +448,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: unknown flag %s\n", a.c_str());
         return usage(argv[0]);
       }
-    } catch (const gc::CheckError& e) {
+    } catch (const std::exception& e) {  // UsageError or a bad --policy
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }

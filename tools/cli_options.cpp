@@ -1,14 +1,11 @@
 #include "cli_options.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
 #include <iterator>
-#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "energy/tariff.hpp"
+#include "flags.hpp"
 #include "policy/sleep.hpp"
 #include "scenario/spec.hpp"
 #include "util/check.hpp"
@@ -31,22 +28,23 @@ declarative scenarios (docs/SCENARIOS.md):
                         flag-built scenario, a migration path to specs)
 
 scenario flags (shorthand for the spec fields):
-  --users N             mobile users (default 20)
-  --sessions N          downlink sessions (default 4)
-  --rate-kbps R         per-session demand (default 100)
-  --area M              square side in meters (default 2000)
-  --seed S              scenario seed: topology/bands/destinations (default 42)
+  --users N             mobile users, N >= 1 (default 20)
+  --sessions N          downlink sessions, N >= 1 (default 4)
+  --rate-kbps R         per-session demand, R > 0 (default 100)
+  --area M              square side in meters, M > 0 (default 2000)
+  --seed S              scenario seed, an integer in [0, 2^64):
+                        topology/bands/destinations (default 42)
   --multihop 0|1        relaying on/off (default 1)
   --renewables 0|1      renewable sources on/off (default 1)
-  --bs-radios N         radios per base station (default 1)
-  --user-radios N       radios per user (default 1)
+  --bs-radios N         radios per base station, N >= 1 (default 1)
+  --user-radios N       radios per user, N >= 1 (default 1)
   --phy min|adaptive    min-power fixed rate (paper) or max-power Shannon rate
   --tariff B:E:M        time-of-use tariff: multiplier M during slots [B,E)
                         of each 24-slot day (e.g. 8:20:1.5)
 
 algorithm:
-  --V X                 drift-plus-penalty weight (default 3)
-  --lambda X            admission threshold coefficient (default 10)
+  --V X                 drift-plus-penalty weight, X >= 0 (default 3)
+  --lambda X            admission threshold coefficient, X >= 0 (default 10)
 
 sleep policy (src/policy, docs/SCENARIOS.md "bs" section):
   --policy P            base-station sleep policy: always-on (default; the
@@ -56,27 +54,32 @@ sleep policy (src/policy, docs/SCENARIOS.md "bs" section):
                         Lemma-1 penalty term). Run-level like --V: combines
                         with --scenario and overrides its bs.sleep.policy
   --sleep-threshold X   mean awake-BS backlog (packets) below which sleep
-                        candidates doze (default 1; threshold/hysteresis)
+                        candidates doze, X >= 0 (default 1;
+                        threshold/hysteresis)
   --wake-threshold X    backlog at which sleeping BS are woken (default 4;
                         hysteresis only; must be >= --sleep-threshold)
   --sleep-dwell N       minimum slots a BS stays in a mode before the
-                        policy may switch it again (default 3)
-  --min-awake-bs N      never sleep the network below N awake BS (default 1)
+                        policy may switch it again, N >= 0 (default 3)
+  --min-awake-bs N      never sleep the network below N >= 1 awake BS
+                        (default 1)
   --switch-cost-weight X
                         drift-plus-penalty: weight on the switching-energy
-                        term amortized over the dwell (default 1; 0 ignores
-                        switching cost)
+                        term amortized over the dwell, X >= 0 (default 1;
+                        0 ignores switching cost)
 
 run:
-  --mobility S          users walk (random waypoint) at up to S m/s (default 0)
-  --slots T             horizon in slots (default 100; 0 = build-only dry run)
-  --input-seed S        random-process seed (default 7)
+  --mobility S          users walk (random waypoint) at up to S >= 0 m/s
+                        (default 0)
+  --slots T             horizon in slots, T >= 0 (default 100; 0 = build-only
+                        dry run)
+  --input-seed S        random-process seed, an integer in [0, 2^64)
+                        (default 7)
   --validate            check every P1 constraint each slot (slower)
   --csv PATH            write the per-slot series as CSV
   --trace PATH          write a per-slot JSONL trace (queues, subproblem
                         wall times, decision summary, top-backlog nodes);
                         summarize with tools/trace_summarize
-  --trace-top-k N       worst-backlog nodes listed per trace record
+  --trace-top-k N       worst-backlog nodes listed per trace record, N >= 0
                         (default 3; 0 = none)
   --report              print the end-of-run observability report (time
                         breakdown per subproblem, counters, timers)
@@ -93,7 +96,7 @@ observability (docs/OBSERVABILITY.md):
                         Prometheus-text twin at PATH.prom) during the run;
                         with --seeds > 1 this is the fleet snapshot and
                         per-seed snapshots land at PATH.seed<k>
-  --snapshot-every N    snapshot after every N completed slots (default 0 =
+  --snapshot-every N    snapshot after every N >= 1 completed slots (default:
                         only the final snapshot); requires --snapshot
   --spans PATH          record nested spans (controller step, S1-S4, LP
                         solves, sweep jobs) and export Chrome trace-event
@@ -116,10 +119,11 @@ observability (docs/OBSERVABILITY.md):
 
 live operations (docs/OBSERVABILITY.md "Operating live runs"):
   --metrics-port N      serve /metrics (Prometheus text), /snapshot.json,
-                        /healthz and /events on 127.0.0.1:N from a
-                        dedicated thread; N = 0 binds an ephemeral port
-                        (requires --metrics-port-file). Reads never block
-                        the slot loop. Not combinable with --seeds > 1
+                        /healthz and /events on 127.0.0.1:N, N in
+                        [0, 65535], from a dedicated thread; N = 0 binds an
+                        ephemeral port (requires --metrics-port-file).
+                        Reads never block the slot loop. Not combinable
+                        with --seeds > 1
   --metrics-port-file PATH
                         write the bound port as one decimal line once the
                         listener is up (service discovery for ephemeral
@@ -164,9 +168,9 @@ crash-safe service mode (docs/ROBUSTNESS.md "Operating long runs"):
                         --reload-scenario file. Requires --checkpoint; not
                         combinable with --resume (supervision auto-resumes
                         from the checkpoint path)
-  --max-restarts N      crash restarts before the supervisor gives up
-                        (default 5)
-  --restart-backoff-ms N  first restart backoff in ms, doubling per
+  --max-restarts N      crash restarts before the supervisor gives up,
+                        N >= 0 (default 5)
+  --restart-backoff-ms N  first restart backoff in ms, N >= 0, doubling per
                         consecutive crash (default 500)
   --reload-scenario PATH  re-read this scenario spec on every supervised
                         (re)start; only structurally-identical swaps
@@ -191,7 +195,7 @@ performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes"):
                         results are bit-identical at any N
 
 parallel sweep (docs/PERFORMANCE.md):
-  --seeds N             run N replicates (input seeds S, S+1, ...) through
+  --seeds N             run N >= 1 replicates (input seeds S, S+1, ...) through
                         the parallel sweep engine and print per-seed lines
                         plus a mean/min/max summary; per-seed results are
                         bit-identical at any thread count. --trace/--csv
@@ -202,65 +206,10 @@ parallel sweep (docs/PERFORMANCE.md):
 )";
 }
 
-namespace {
-
-// --threads and --intra-slot-threads size thread pools directly (the sweep
-// pool from --threads, not from the job count), so a typo must not ask the
-// OS for millions of threads.
-constexpr int kMaxThreads = 256;
-constexpr const char* kThreadsDomain = "int >= 0 and <= 256";
-
-// Finite numbers only: "nan" and "inf" pass every `dv < 0` domain check
-// and would surface far from the flag that carried them.
-bool parse_double(const std::string& v, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(v.c_str(), &end);
-  return end && *end == '\0' && !v.empty() && std::isfinite(*out);
-}
-
-// The range check comes before the cast: casting an out-of-range double
-// to int is undefined.
-bool parse_int(const std::string& v, int* out) {
-  double d;
-  if (!parse_double(v, &d) || d != std::trunc(d) ||
-      d < std::numeric_limits<int>::min() ||
-      d > std::numeric_limits<int>::max())
-    return false;
-  *out = static_cast<int>(d);
-  return true;
-}
-
-// Seeds: a plain decimal integer in [0, 2^64), exact at any width.
-bool parse_seed(const std::string& v, std::uint64_t* out) {
-  const char* end = v.data() + v.size();
-  const auto [stop, ec] = std::from_chars(v.data(), end, *out);
-  return ec == std::errc() && stop == end;
-}
-
-bool parse_bool01(const std::string& v, bool* out) {
-  if (v == "0") {
-    *out = false;
-    return true;
-  }
-  if (v == "1") {
-    *out = true;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 ParseResult parse_args(const std::vector<std::string>& args) {
   Options opt;
   auto err = [](const std::string& msg) {
     return ParseResult{std::nullopt, msg};
-  };
-  // Every parse failure names the offending flag AND the accepted domain:
-  //   --users: expected int >= 1, got "abc"
-  auto bad = [](const std::string& flag, const std::string& domain,
-                const std::string& v) {
-    return flag + ": expected " + domain + ", got \"" + v + "\"";
   };
   // Scenario-shaping flags seen on the command line. They conflict with
   // --scenario (the spec file is the single source of truth); the check
@@ -273,275 +222,187 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   std::optional<double> ov_sleep_thr, ov_wake_thr, ov_switch_w;
   std::optional<int> ov_dwell, ov_min_awake;
 
-  static const char* kValueFlags[] = {
-      "--scenario", "--users",    "--sessions",         "--rate-kbps",
-      "--area",     "--seed",     "--multihop",         "--renewables",
-      "--bs-radios", "--user-radios", "--phy",          "--tariff",
-      "--mobility", "--V",        "--lambda",           "--slots",
-      "--input-seed", "--csv",    "--trace",            "--faults",
-      "--checkpoint", "--checkpoint-every", "--resume", "--seeds",
-      "--threads",  "--trace-top-k", "--snapshot",      "--snapshot-every",
-      "--spans",    "--profile",  "--lp-log",           "--checkpoint-rotate",
-      "--max-restarts", "--restart-backoff-ms", "--reload-scenario",
-      "--link-prune", "--intra-slot-threads",
-      "--policy", "--sleep-threshold", "--wake-threshold", "--sleep-dwell",
-      "--min-awake-bs", "--switch-cost-weight",
-      "--metrics-port", "--metrics-port-file", "--events", "--alerts"};
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--help") {
-      Options help;
-      help.help = true;
-      return ParseResult{help, ""};
-    }
-    if (flag == "--validate") {
-      opt.validate = true;
-      continue;
-    }
-    if (flag == "--quiet") {
-      opt.quiet = true;
-      continue;
-    }
-    if (flag == "--report") {
-      opt.report = true;
-      continue;
-    }
-    if (flag == "--print-scenario") {
-      opt.print_scenario = true;
-      continue;
-    }
-    if (flag == "--strict-bounds") {
-      opt.strict_bounds = true;
-      continue;
-    }
-    if (flag == "--supervise") {
-      opt.supervise = true;
-      continue;
-    }
-    if (flag == "--alerts-fatal") {
-      opt.alerts_fatal = true;
-      continue;
-    }
-    bool known = false;
-    for (const char* f : kValueFlags)
-      if (flag == f) known = true;
-    if (!known)
-      return err("unknown flag " + flag + " (see --help for accepted flags)");
-    if (i + 1 >= args.size()) return err(flag + ": missing value");
-    const std::string& v = args[++i];
-    int iv = 0;
-    double dv = 0.0;
-    bool bv = false;
-    if (flag == "--scenario") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      try {
-        scenario::ScenarioSpec spec = scenario::load_scenario_file(v);
-        opt.scenario_path = v;
-        opt.scenario = spec.config;
-        opt.scenario_name = spec.name;
-        opt.scenario_hash = scenario::scenario_hash(spec);
-        opt.scenario_structural_hash =
-            scenario::scenario_structural_hash(spec);
-      } catch (const CheckError& e) {
-        return err(e.what());
+  // Every malformed value throws flags::UsageError naming the offending
+  // flag AND the accepted domain:
+  //   --users: expected int >= 1, got "abc"
+  try {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string& flag = args[i];
+      // The flag's value; a UsageError when the flag is last.
+      const auto value = [&]() -> const std::string& {
+        return flags::next_value(args, i);
+      };
+      if (flag == "--help") {
+        Options help;
+        help.help = true;
+        return ParseResult{help, ""};
+      } else if (flag == "--validate") {
+        opt.validate = true;
+      } else if (flag == "--quiet") {
+        opt.quiet = true;
+      } else if (flag == "--report") {
+        opt.report = true;
+      } else if (flag == "--print-scenario") {
+        opt.print_scenario = true;
+      } else if (flag == "--strict-bounds") {
+        opt.strict_bounds = true;
+      } else if (flag == "--supervise") {
+        opt.supervise = true;
+      } else if (flag == "--alerts-fatal") {
+        opt.alerts_fatal = true;
+      } else if (flag == "--scenario") {
+        const std::string v = flags::read_path(flag, value());
+        try {
+          scenario::ScenarioSpec spec = scenario::load_scenario_file(v);
+          opt.scenario_path = v;
+          opt.scenario = spec.config;
+          opt.scenario_name = spec.name;
+          opt.scenario_hash = scenario::scenario_hash(spec);
+          opt.scenario_structural_hash =
+              scenario::scenario_structural_hash(spec);
+        } catch (const CheckError& e) {
+          return err(e.what());
+        }
+      } else if (flag == "--users") {
+        shaping_seen.push_back(flag);
+        opt.scenario.num_users = flags::read_int(flag, value(), 1);
+      } else if (flag == "--sessions") {
+        shaping_seen.push_back(flag);
+        opt.scenario.num_sessions = flags::read_int(flag, value(), 1);
+      } else if (flag == "--rate-kbps") {
+        shaping_seen.push_back(flag);
+        opt.scenario.session_rate_bps =
+            flags::read_number(flag, value(), 0, true) * 1e3;
+      } else if (flag == "--area") {
+        shaping_seen.push_back(flag);
+        opt.scenario.area_m = flags::read_number(flag, value(), 0, true);
+      } else if (flag == "--seed") {
+        shaping_seen.push_back(flag);
+        opt.scenario.seed = flags::read_u64(flag, value());
+      } else if (flag == "--multihop") {
+        shaping_seen.push_back(flag);
+        opt.scenario.multihop = flags::read_bool01(flag, value());
+      } else if (flag == "--renewables") {
+        shaping_seen.push_back(flag);
+        opt.scenario.renewables = flags::read_bool01(flag, value());
+      } else if (flag == "--bs-radios") {
+        shaping_seen.push_back(flag);
+        opt.scenario.bs_radios = flags::read_int(flag, value(), 1);
+      } else if (flag == "--user-radios") {
+        shaping_seen.push_back(flag);
+        opt.scenario.user_radios = flags::read_int(flag, value(), 1);
+      } else if (flag == "--phy") {
+        const std::string& v = value();
+        shaping_seen.push_back(flag);
+        if (v != "min" && v != "adaptive")
+          flags::reject(flag, "\"min\" or \"adaptive\"", v);
+        opt.scenario.phy_policy =
+            v == "min" ? core::ModelConfig::PhyPolicy::MinPowerFixedRate
+                       : core::ModelConfig::PhyPolicy::MaxPowerAdaptiveRate;
+      } else if (flag == "--tariff") {
+        const std::string& v = value();
+        shaping_seen.push_back(flag);
+        int begin = 0, end = 0;
+        double mult = 0.0;
+        std::istringstream ss(v);
+        char c1 = 0, c2 = 0;
+        if (!(ss >> begin >> c1 >> end >> c2 >> mult) || c1 != ':' ||
+            c2 != ':' || !ss.eof() || begin < 0 || end > 24 || begin > end ||
+            mult <= 0.0)
+          flags::reject(flag, "B:E:M with 0 <= B <= E <= 24 and M > 0", v);
+        opt.scenario.tariff_multipliers =
+            energy::time_of_use_tariff(24, begin, end, mult, 1.0);
+      } else if (flag == "--mobility") {
+        opt.mobility_mps = flags::read_number(flag, value(), 0);
+      } else if (flag == "--V") {
+        opt.V = flags::read_number(flag, value(), 0);
+      } else if (flag == "--lambda") {
+        shaping_seen.push_back(flag);
+        opt.scenario.lambda = flags::read_number(flag, value(), 0);
+      } else if (flag == "--slots") {
+        opt.slots = flags::read_int(flag, value(), 0);
+      } else if (flag == "--input-seed") {
+        opt.input_seed = flags::read_u64(flag, value());
+      } else if (flag == "--csv") {
+        opt.csv_path = flags::read_path(flag, value());
+      } else if (flag == "--trace") {
+        opt.trace_path = flags::read_path(flag, value());
+      } else if (flag == "--faults") {
+        opt.faults_path = flags::read_path(flag, value());
+      } else if (flag == "--checkpoint") {
+        opt.checkpoint_path = flags::read_path(flag, value());
+      } else if (flag == "--checkpoint-every") {
+        opt.checkpoint_every = flags::read_int(flag, value(), 1);
+      } else if (flag == "--checkpoint-rotate") {
+        opt.checkpoint_rotate = flags::read_int(flag, value(), 1);
+      } else if (flag == "--max-restarts") {
+        opt.max_restarts = flags::read_int(flag, value(), 0);
+      } else if (flag == "--restart-backoff-ms") {
+        opt.restart_backoff_ms = flags::read_int(flag, value(), 0);
+      } else if (flag == "--reload-scenario") {
+        opt.reload_scenario_path = flags::read_path(flag, value());
+      } else if (flag == "--resume") {
+        opt.resume_path = flags::read_path(flag, value());
+      } else if (flag == "--trace-top-k") {
+        opt.trace_top_k = flags::read_int(flag, value(), 0);
+      } else if (flag == "--snapshot") {
+        opt.snapshot_path = flags::read_path(flag, value());
+      } else if (flag == "--snapshot-every") {
+        opt.snapshot_every = flags::read_int(flag, value(), 1);
+      } else if (flag == "--spans") {
+        opt.spans_path = flags::read_path(flag, value());
+      } else if (flag == "--profile") {
+        opt.profile_path = flags::read_path(flag, value());
+      } else if (flag == "--lp-log") {
+        opt.lp_log_path = flags::read_path(flag, value());
+      } else if (flag == "--link-prune") {
+        const std::string& v = value();
+        if (v != "on" && v != "off")
+          flags::reject(flag, "\"on\" or \"off\"", v);
+        opt.link_prune = v == "on";
+      } else if (flag == "--intra-slot-threads") {
+        opt.intra_slot_threads = flags::read_threads(flag, value());
+      } else if (flag == "--policy") {
+        const std::string& v = value();
+        try {
+          ov_policy = policy::parse_sleep_policy(v);
+        } catch (const CheckError&) {
+          std::string names;
+          const std::size_t n = std::size(policy::kSleepPolicyNames);
+          for (std::size_t i = 0; i < n; ++i)
+            names += std::string(i == 0 ? "" : i + 1 < n ? ", " : " or ") +
+                     '"' + policy::kSleepPolicyNames[i] + '"';
+          flags::reject(flag, names, v);
+        }
+      } else if (flag == "--sleep-threshold") {
+        ov_sleep_thr = flags::read_number(flag, value(), 0);
+      } else if (flag == "--wake-threshold") {
+        ov_wake_thr = flags::read_number(flag, value(), 0);
+      } else if (flag == "--sleep-dwell") {
+        ov_dwell = flags::read_int(flag, value(), 0);
+      } else if (flag == "--min-awake-bs") {
+        ov_min_awake = flags::read_int(flag, value(), 1);
+      } else if (flag == "--switch-cost-weight") {
+        ov_switch_w = flags::read_number(flag, value(), 0);
+      } else if (flag == "--metrics-port") {
+        opt.metrics_port = flags::read_int(flag, value(), 0, 65535);
+      } else if (flag == "--metrics-port-file") {
+        opt.metrics_port_file = flags::read_path(flag, value());
+      } else if (flag == "--events") {
+        opt.events_path = flags::read_path(flag, value());
+      } else if (flag == "--alerts") {
+        opt.alerts_path = flags::read_path(flag, value());
+      } else if (flag == "--seeds") {
+        opt.seeds = flags::read_int(flag, value(), 1);
+      } else if (flag == "--threads") {
+        opt.threads = flags::read_threads(flag, value());
+      } else {
+        return err("unknown flag " + flag +
+                   " (see --help for accepted flags)");
       }
-    } else if (flag == "--users") {
-      shaping_seen.push_back(flag);
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      opt.scenario.num_users = iv;
-    } else if (flag == "--sessions") {
-      shaping_seen.push_back(flag);
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      opt.scenario.num_sessions = iv;
-    } else if (flag == "--rate-kbps") {
-      shaping_seen.push_back(flag);
-      if (!parse_double(v, &dv) || dv <= 0)
-        return err(bad(flag, "number > 0", v));
-      opt.scenario.session_rate_bps = dv * 1e3;
-    } else if (flag == "--area") {
-      shaping_seen.push_back(flag);
-      if (!parse_double(v, &dv) || dv <= 0)
-        return err(bad(flag, "number > 0", v));
-      opt.scenario.area_m = dv;
-    } else if (flag == "--seed") {
-      shaping_seen.push_back(flag);
-      if (!parse_seed(v, &opt.scenario.seed))
-        return err(bad(flag, "int >= 0", v));
-    } else if (flag == "--multihop") {
-      shaping_seen.push_back(flag);
-      if (!parse_bool01(v, &bv)) return err(bad(flag, "0 or 1", v));
-      opt.scenario.multihop = bv;
-    } else if (flag == "--renewables") {
-      shaping_seen.push_back(flag);
-      if (!parse_bool01(v, &bv)) return err(bad(flag, "0 or 1", v));
-      opt.scenario.renewables = bv;
-    } else if (flag == "--bs-radios") {
-      shaping_seen.push_back(flag);
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      opt.scenario.bs_radios = iv;
-    } else if (flag == "--user-radios") {
-      shaping_seen.push_back(flag);
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      opt.scenario.user_radios = iv;
-    } else if (flag == "--phy") {
-      shaping_seen.push_back(flag);
-      if (v != "min" && v != "adaptive")
-        return err(bad(flag, "\"min\" or \"adaptive\"", v));
-      opt.scenario.phy_policy =
-          v == "min" ? core::ModelConfig::PhyPolicy::MinPowerFixedRate
-                     : core::ModelConfig::PhyPolicy::MaxPowerAdaptiveRate;
-    } else if (flag == "--tariff") {
-      shaping_seen.push_back(flag);
-      int begin = 0, end = 0;
-      double mult = 0.0;
-      std::istringstream ss(v);
-      char c1 = 0, c2 = 0;
-      if (!(ss >> begin >> c1 >> end >> c2 >> mult) || c1 != ':' ||
-          c2 != ':' || !ss.eof() || begin < 0 || end > 24 || begin > end ||
-          mult <= 0.0)
-        return err(bad(flag, "B:E:M with 0 <= B <= E <= 24 and M > 0", v));
-      opt.scenario.tariff_multipliers =
-          energy::time_of_use_tariff(24, begin, end, mult, 1.0);
-    } else if (flag == "--mobility") {
-      if (!parse_double(v, &dv) || dv < 0)
-        return err(bad(flag, "number >= 0", v));
-      opt.mobility_mps = dv;
-    } else if (flag == "--V") {
-      if (!parse_double(v, &dv) || dv < 0)
-        return err(bad(flag, "number >= 0", v));
-      opt.V = dv;
-    } else if (flag == "--lambda") {
-      shaping_seen.push_back(flag);
-      if (!parse_double(v, &dv) || dv < 0)
-        return err(bad(flag, "number >= 0", v));
-      opt.scenario.lambda = dv;
-    } else if (flag == "--slots") {
-      if (!parse_int(v, &iv) || iv < 0)
-        return err(bad(flag, "int >= 0", v));
-      opt.slots = iv;
-    } else if (flag == "--input-seed") {
-      if (!parse_seed(v, &opt.input_seed))
-        return err(bad(flag, "int >= 0", v));
-    } else if (flag == "--csv") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.csv_path = v;
-    } else if (flag == "--trace") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.trace_path = v;
-    } else if (flag == "--faults") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.faults_path = v;
-    } else if (flag == "--checkpoint") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.checkpoint_path = v;
-    } else if (flag == "--checkpoint-every") {
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      opt.checkpoint_every = iv;
-    } else if (flag == "--checkpoint-rotate") {
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      opt.checkpoint_rotate = iv;
-    } else if (flag == "--max-restarts") {
-      if (!parse_int(v, &iv) || iv < 0)
-        return err(bad(flag, "int >= 0", v));
-      opt.max_restarts = iv;
-    } else if (flag == "--restart-backoff-ms") {
-      if (!parse_int(v, &iv) || iv < 0)
-        return err(bad(flag, "int >= 0", v));
-      opt.restart_backoff_ms = iv;
-    } else if (flag == "--reload-scenario") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.reload_scenario_path = v;
-    } else if (flag == "--resume") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.resume_path = v;
-    } else if (flag == "--trace-top-k") {
-      if (!parse_int(v, &iv) || iv < 0)
-        return err(bad(flag, "int >= 0", v));
-      opt.trace_top_k = iv;
-    } else if (flag == "--snapshot") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.snapshot_path = v;
-    } else if (flag == "--snapshot-every") {
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      opt.snapshot_every = iv;
-    } else if (flag == "--spans") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.spans_path = v;
-    } else if (flag == "--profile") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.profile_path = v;
-    } else if (flag == "--lp-log") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.lp_log_path = v;
-    } else if (flag == "--link-prune") {
-      if (v != "on" && v != "off")
-        return err(bad(flag, "\"on\" or \"off\"", v));
-      opt.link_prune = v == "on";
-    } else if (flag == "--intra-slot-threads") {
-      if (!parse_int(v, &iv) || iv < 0 || iv > kMaxThreads)
-        return err(bad(flag, kThreadsDomain, v));
-      opt.intra_slot_threads = iv;
-    } else if (flag == "--policy") {
-      try {
-        ov_policy = policy::parse_sleep_policy(v);
-      } catch (const CheckError&) {
-        std::string names;
-        const std::size_t n = std::size(policy::kSleepPolicyNames);
-        for (std::size_t i = 0; i < n; ++i)
-          names += std::string(i == 0 ? "" : i + 1 < n ? ", " : " or ") +
-                   '"' + policy::kSleepPolicyNames[i] + '"';
-        return err(bad(flag, names, v));
-      }
-    } else if (flag == "--sleep-threshold") {
-      if (!parse_double(v, &dv) || dv < 0)
-        return err(bad(flag, "number >= 0", v));
-      ov_sleep_thr = dv;
-    } else if (flag == "--wake-threshold") {
-      if (!parse_double(v, &dv) || dv < 0)
-        return err(bad(flag, "number >= 0", v));
-      ov_wake_thr = dv;
-    } else if (flag == "--sleep-dwell") {
-      if (!parse_int(v, &iv) || iv < 0)
-        return err(bad(flag, "int >= 0", v));
-      ov_dwell = iv;
-    } else if (flag == "--min-awake-bs") {
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      ov_min_awake = iv;
-    } else if (flag == "--switch-cost-weight") {
-      if (!parse_double(v, &dv) || dv < 0)
-        return err(bad(flag, "number >= 0", v));
-      ov_switch_w = dv;
-    } else if (flag == "--metrics-port") {
-      if (!parse_int(v, &iv) || iv < 0 || iv > 65535)
-        return err(bad(flag, "int in [0, 65535] (0 = ephemeral)", v));
-      opt.metrics_port = iv;
-    } else if (flag == "--metrics-port-file") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.metrics_port_file = v;
-    } else if (flag == "--events") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.events_path = v;
-    } else if (flag == "--alerts") {
-      if (v.empty()) return err(bad(flag, "a non-empty file path", v));
-      opt.alerts_path = v;
-    } else if (flag == "--seeds") {
-      if (!parse_int(v, &iv) || iv < 1)
-        return err(bad(flag, "int >= 1", v));
-      opt.seeds = iv;
-    } else if (flag == "--threads") {
-      if (!parse_int(v, &iv) || iv < 0 || iv > kMaxThreads)
-        return err(bad(flag, kThreadsDomain, v));
-      opt.threads = iv;
     }
+  } catch (const flags::UsageError& e) {
+    return err(e.what());
   }
   if (ov_policy) opt.scenario.bs_sleep.policy = *ov_policy;
   if (ov_sleep_thr) opt.scenario.bs_sleep.sleep_threshold = *ov_sleep_thr;

@@ -13,12 +13,12 @@
 // new process's ring starts over).
 //
 // Flags:
-//   --port N        exporter port (required unless --port-file)
+//   --port N        exporter port, 1..65535 (required unless --port-file)
 //   --port-file P   read the port from the discovery file --metrics-port-file
 //                   wrote (waits for it to appear, up to --wait-ms)
 //   --host H        exporter host (default 127.0.0.1)
 //   --since K       initial ring cursor (default 0 = everything still held)
-//   --poll-ms N     poll interval (default 500)
+//   --poll-ms N     poll interval, >= 1 (default 500)
 //   --wait-ms N     how long to wait for the port file / first connection
 //                   (default 10000)
 //   --once          one poll, print, exit (scripting; exit 0 even if empty)
@@ -27,16 +27,17 @@
 // finished run), 1 when it never became reachable.
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "flags.hpp"
 #include "obs/json.hpp"
 #include "util/check.hpp"
 
@@ -131,46 +132,49 @@ void print_event(const gc::obs::JsonValue& e) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace flags = gc::flags;
   int port = -1;
   std::string port_file, host = "127.0.0.1";
   unsigned long long since = 0;
   int poll_ms = 500, wait_ms = 10000;
   bool once = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s: missing value\n", a.c_str());
-        std::exit(2);
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  try {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string& a = args[i];
+      if (a == "--port") {
+        port = flags::read_int(a, flags::next_value(args, i), 1, 65535);
+      } else if (a == "--port-file") {
+        port_file = flags::next_value(args, i);
+      } else if (a == "--host") {
+        host = flags::next_value(args, i);
+      } else if (a == "--since") {
+        since = flags::read_u64(a, flags::next_value(args, i));
+      } else if (a == "--poll-ms") {
+        poll_ms = flags::read_int(a, flags::next_value(args, i), 1);
+      } else if (a == "--wait-ms") {
+        wait_ms = flags::read_int(a, flags::next_value(args, i), 0);
+      } else if (a == "--once") {
+        once = true;
+      } else {
+        std::fprintf(stderr,
+                     "usage: ops_tail (--port N | --port-file P) [--host H] "
+                     "[--since K] [--poll-ms N] [--wait-ms N] [--once]\n"
+                     "  --port N     int >= 1 and <= 65535\n"
+                     "  --since K    int >= 0 (default 0)\n"
+                     "  --poll-ms N  int >= 1 (default 500)\n"
+                     "  --wait-ms N  int >= 0 (default 10000)\n");
+        return 2;
       }
-      return argv[++i];
-    };
-    if (a == "--port") {
-      port = std::atoi(value());
-    } else if (a == "--port-file") {
-      port_file = value();
-    } else if (a == "--host") {
-      host = value();
-    } else if (a == "--since") {
-      since = std::strtoull(value(), nullptr, 10);
-    } else if (a == "--poll-ms") {
-      poll_ms = std::atoi(value());
-    } else if (a == "--wait-ms") {
-      wait_ms = std::atoi(value());
-    } else if (a == "--once") {
-      once = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: ops_tail (--port N | --port-file P) [--host H] "
-                   "[--since K] [--poll-ms N] [--wait-ms N] [--once]\n");
-      return 2;
     }
+  } catch (const flags::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
   if (port < 0 && port_file.empty()) {
     std::fprintf(stderr, "error: one of --port / --port-file is required\n");
     return 2;
   }
-  if (poll_ms < 1) poll_ms = 1;
 
   // Port discovery: wait for the file greencell_sim --metrics-port-file
   // writes (atomic rename, so a non-empty read is a complete port).

@@ -26,13 +26,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "obs/json.hpp"
 #include "util/check.hpp"
 
@@ -45,57 +45,35 @@ struct Args {
   int top = 10;             // profile mode: paths listed
 };
 
-bool parse_args(const std::vector<std::string>& argv, Args* out,
-                std::string* error) {
+constexpr const char* kUsage =
+    "usage: perf_report BASELINE CANDIDATE [--tolerance FRAC] [--top N]\n"
+    "compares two BENCH_sweep.json or gc.profile.v1 artifacts\n"
+    "(auto-detected). BENCH mode and same-scenario profile mode fail\n"
+    "(exit 1) when slots_per_s regressed by more than FRAC, a number >= 0\n"
+    "(default 0.10); profiles of different scenarios are attribution-only.\n"
+    "--top N caps the ranked path list, an int >= 1 (default 10)\n";
+
+// Fills `out` from the arguments; false on --help. A malformed, missing or
+// out-of-domain value throws gc::flags::UsageError.
+bool parse_args(const std::vector<std::string>& argv, Args* out) {
+  namespace flags = gc::flags;
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& flag = argv[i];
-    if (flag == "--help") {
-      *error =
-          "usage: perf_report BASELINE CANDIDATE [--tolerance FRAC] "
-          "[--top N]\n"
-          "compares two BENCH_sweep.json or gc.profile.v1 artifacts\n"
-          "(auto-detected). BENCH mode and same-scenario profile mode fail\n"
-          "(exit 1) when slots_per_s regressed by more than FRAC (default\n"
-          "0.10); profiles of different scenarios are attribution-only.\n"
-          "--top N caps the ranked path list (default 10)";
-      return false;
-    }
-    if (flag == "--tolerance") {
-      if (i + 1 >= argv.size()) {
-        *error = "--tolerance: missing value";
-        return false;
-      }
-      char* end = nullptr;
-      out->tolerance = std::strtod(argv[++i].c_str(), &end);
-      if (!end || *end != '\0' || out->tolerance < 0.0) {
-        *error = "--tolerance: expected number >= 0, got \"" + argv[i] + "\"";
-        return false;
-      }
-    } else if (flag == "--top") {
-      if (i + 1 >= argv.size()) {
-        *error = "--top: missing value";
-        return false;
-      }
-      char* end = nullptr;
-      const long v = std::strtol(argv[++i].c_str(), &end, 10);
-      if (!end || *end != '\0' || v < 1) {
-        *error = "--top: expected int >= 1, got \"" + argv[i] + "\"";
-        return false;
-      }
-      out->top = static_cast<int>(v);
-    } else if (!flag.empty() && flag[0] == '-') {
-      *error = "unknown flag " + flag;
-      return false;
-    } else {
+    if (flag == "--help") return false;
+    if (flag == "--tolerance")
+      out->tolerance = flags::read_number(flag, flags::next_value(argv, i), 0);
+    else if (flag == "--top")
+      out->top = flags::read_int(flag, flags::next_value(argv, i), 1);
+    else if (!flag.empty() && flag[0] == '-')
+      throw flags::UsageError("unknown flag " + flag);
+    else
       positional.push_back(flag);
-    }
   }
-  if (positional.size() != 2) {
-    *error = "expected exactly two files (baseline, candidate), got " +
-             std::to_string(positional.size());
-    return false;
-  }
+  if (positional.size() != 2)
+    throw flags::UsageError(
+        "expected exactly two files (baseline, candidate), got " +
+        std::to_string(positional.size()));
   out->baseline = positional[0];
   out->candidate = positional[1];
   return true;
@@ -413,11 +391,14 @@ bool is_profile(const gc::obs::JsonValue& v) {
 
 int main(int argc, char** argv) {
   Args args;
-  std::string error;
-  if (!parse_args({argv + 1, argv + argc}, &args, &error)) {
-    std::fprintf(error.rfind("usage:", 0) == 0 ? stdout : stderr, "%s\n",
-                 error.c_str());
-    return error.rfind("usage:", 0) == 0 ? 0 : 2;
+  try {
+    if (!parse_args({argv + 1, argv + argc}, &args)) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+  } catch (const gc::flags::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   try {

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "obs/json.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
@@ -76,18 +77,19 @@ int main(int argc, char** argv) {
   bool strict = false;
   std::string events_path;
   const char* trace_arg = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--strict") {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (args[i] == "--strict") {
       strict = true;
-    } else if (a == "--events") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --events: missing value\n");
+    } else if (args[i] == "--events") {
+      try {
+        events_path = gc::flags::next_value(args, i);
+      } catch (const gc::flags::UsageError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
       }
-      events_path = argv[++i];
     } else if (trace_arg == nullptr) {
-      trace_arg = argv[i];
+      trace_arg = args[i].c_str();
     } else {
       trace_arg = nullptr;  // a second positional: fall through to usage
       break;
