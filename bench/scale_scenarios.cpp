@@ -184,14 +184,6 @@ struct Row {
   double phase_ms[kNumPhases] = {};  // per slot, in kPhases order
 };
 
-int count_allowed_links(const gc::core::NetworkModel& model) {
-  int links = 0;
-  for (int i = 0; i < model.num_nodes(); ++i)
-    for (int j = 0; j < model.num_nodes(); ++j)
-      if (i != j && model.link_allowed(i, j)) ++links;
-  return links;
-}
-
 // Every run is wrapped in a SpanRecorder capture, which yields the row's
 // per-phase times. When profile_dir is non-empty the attribution tree also
 // lands at profile_dir/<name>.profile.json (+.collapsed) — one artifact
@@ -241,23 +233,13 @@ Row run_one(const std::string& path, int slots,
     row.phase_ms[k] =
         m.slots > 0 ? span_total_s(p.root, kPhases[k]) * 1e3 / m.slots : 0.0;
   if (!profile_dir.empty()) {
-    p.meta.scenario = spec.name;
-    p.meta.nodes = row.nodes;
-    p.meta.links = count_allowed_links(model);
-    if (const gc::net::LinkPruneMap* prune = model.pruned_links())
-      p.meta.links_pruned = prune->pruned_links();
-    p.meta.sessions = row.sessions;
-    p.meta.slots = row.slots;
-    p.meta.wall_s = row.wall_s;
-    p.meta.slots_per_s = row.slots_per_s;
-    p.meta.spans_dropped = dropped;
+    p.meta = gc::sim::make_profile_meta(spec.name, model, row.slots,
+                                        row.wall_s, dropped);
     const std::string base =
         (fs::path(profile_dir) /
          (spec.name + (fast ? ".fast.profile.json" : ".profile.json")))
             .string();
-    gc::util::write_file_atomic(base, p.to_json(), "profile");
-    gc::util::write_file_atomic(base + ".collapsed", p.to_collapsed(),
-                                "collapsed profile");
+    gc::sim::write_profile_files(base, p);
     std::printf("  profile written to %s\n", base.c_str());
   }
   return row;

@@ -1,64 +1,10 @@
 #include "core/controller.hpp"
 
+#include "obs/instrumented_pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
-
-// Intra-slot worker pool with per-worker obs registries, mirroring the
-// sweep engine's idiom (sim/sweep.cpp): on_thread_start installs a
-// worker-private registry so every instrument a cluster job touches is
-// race-free; after each step the controller thread folds the workers'
-// registries into its own thread-current registry in worker-index order
-// (FP sums are order-sensitive) and resets them.
-struct LyapunovController::IntraSlotPool {
-  std::vector<std::unique_ptr<obs::Registry>> registries;
-  // Declared before `pool` so the scopes outlive the joining workers
-  // (on_thread_stop resets each worker's scope during pool destruction).
-  std::vector<std::unique_ptr<obs::ThreadRegistryScope>> scopes;
-  util::ThreadPool pool;
-
-  explicit IntraSlotPool(int threads)
-      : registries(make_registries(threads)),
-        scopes(registries.size()),
-        pool(pool_options(threads)) {}
-
-  static std::vector<std::unique_ptr<obs::Registry>> make_registries(
-      int threads) {
-    std::vector<std::unique_ptr<obs::Registry>> out;
-    const int n = util::ThreadPool::resolve_num_threads(threads);
-    out.reserve(static_cast<std::size_t>(n));
-    for (int w = 0; w < n; ++w)
-      out.push_back(std::make_unique<obs::Registry>());
-    return out;
-  }
-
-  util::ThreadPool::Options pool_options(int threads) {
-    util::ThreadPool::Options o;
-    o.num_threads = threads;
-    o.on_thread_start = [this](int w) {
-      scopes[static_cast<std::size_t>(w)] =
-          std::make_unique<obs::ThreadRegistryScope>(
-              registries[static_cast<std::size_t>(w)].get());
-    };
-    o.on_thread_stop = [this](int w) {
-      scopes[static_cast<std::size_t>(w)].reset();
-    };
-    return o;
-  }
-
-  // Fold worker instruments into `target` deterministically, then clear
-  // the workers for the next slot. The thread_local instrument handles the
-  // workers cached stay valid across reset() (reset zeroes values, it does
-  // not destroy instruments).
-  void merge_into(obs::Registry& target) {
-    for (const auto& r : registries) {
-      target.merge_from(*r);
-      r->reset();
-    }
-  }
-};
 
 namespace {
 
@@ -104,7 +50,8 @@ LyapunovController::LyapunovController(const NetworkModel& model, double V,
   lp_ws_s3_.set_stats_sink(options_.lp_stats);
   lp_ws_s4_.set_stats_sink(options_.lp_stats);
   if (options_.intra_slot_threads != 1)
-    pool_ = std::make_unique<IntraSlotPool>(options_.intra_slot_threads);
+    pool_ =
+        std::make_unique<obs::InstrumentedPool>(options_.intra_slot_threads);
 }
 
 LyapunovController::~LyapunovController() = default;
@@ -167,7 +114,7 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
       // one, only changes where the cluster jobs run.
       const auto run_sf = [&] {
         return sf_schedule(state_, inputs,
-                           pool_ != nullptr ? &pool_->pool : nullptr,
+                           pool_ != nullptr ? &pool_->pool() : nullptr,
                            options_.fill_in, energy_price, options_.lp,
                            options_.lp_stats);
       };
@@ -252,7 +199,7 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
     eopt.decompose = options_.s4_decompose;
     eopt.decompose_min_nodes = options_.s4_decompose_min_nodes;
     eopt.warm_across_slots = options_.warm_across_slots;
-    eopt.pool = pool_ != nullptr ? &pool_->pool : nullptr;
+    eopt.pool = pool_ != nullptr ? &pool_->pool() : nullptr;
     if (options_.energy_manager == ControllerOptions::EnergyManager::Lp) {
       if (options_.fallbacks) {
         try {

@@ -22,6 +22,10 @@
 #include "core/scheduler.hpp"
 #include "core/state.hpp"
 
+namespace gc::obs {
+class InstrumentedPool;
+}
+
 namespace gc::core {
 
 struct ControllerOptions {
@@ -66,11 +70,12 @@ struct ControllerOptions {
   bool warm_across_slots = false;
   // Intra-slot parallelism (--intra-slot-threads): > 1 runs S1's
   // per-interference-cluster SF series (sf_schedule) and (energy_manager =
-  // Lp) the decomposed S4 LP's per-user closed forms in chunks, on a
-  // controller-owned pool with per-worker obs registries merged
-  // deterministically each slot. Decisions are bit-identical at every
-  // thread count; only wall time changes. 0 = all hardware threads,
-  // 1 (default) = no pool, the cluster jobs run inline.
+  // Lp) the decomposed S4 LP's per-user closed forms in chunks through
+  // util::parallel_for, on a controller-owned obs::InstrumentedPool whose
+  // per-worker registries are merged deterministically each slot.
+  // Decisions are bit-identical at every thread count; only wall time
+  // changes. 0 = all hardware threads, 1 (default) = no pool, the cluster
+  // jobs run inline.
   int intra_slot_threads = 1;
   // Fallback ladder (docs/ROBUSTNESS.md): when an LP-based subproblem
   // solver fails (Infeasible / IterationLimit / TimeLimit / NumericalError,
@@ -132,11 +137,10 @@ class LyapunovController {
   // recorded S4 states are checkpointed via warm_carry(). (S1's SF series
   // solve through per-cluster workspaces; see scheduler.hpp.)
   lp::Workspace lp_ws_s3_, lp_ws_s4_;
-  // Intra-slot worker pool + per-worker obs registries (nullptr when
-  // intra_slot_threads <= 1). Owned here so the workers and their
-  // registries live exactly as long as the controller.
-  struct IntraSlotPool;
-  std::unique_ptr<IntraSlotPool> pool_;
+  // Intra-slot worker pool (nullptr when intra_slot_threads == 1). Owned
+  // here so the workers and their registries live exactly as long as the
+  // controller.
+  std::unique_ptr<obs::InstrumentedPool> pool_;
 };
 
 }  // namespace gc::core

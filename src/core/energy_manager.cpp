@@ -332,35 +332,21 @@ EnergyResult lp_energy_manage(const NetworkState& state,
 
   std::vector<NodeEnergyDecision> decisions(static_cast<std::size_t>(n));
   if (k < n) {
-    const auto solve_users = [&](int lo, int hi) {
-      for (int i = lo; i < hi; ++i)
+    // Fixed chunk grain: the split depends only on (n, k, threads), so the
+    // work partition — and with it every FP result, each written to its own
+    // slot — is identical however the chunks land on workers. Without a
+    // pool, or with one worker, all users are one chunk run inline.
+    util::ThreadPool* pool = options.pool;
+    const int threads = pool != nullptr ? pool->num_threads() : 1;
+    const int users = n - k;
+    const int chunk =
+        threads > 1 ? std::max(64, (users + threads - 1) / threads) : users;
+    const int chunks = (users + chunk - 1) / chunk;
+    util::parallel_for(threads > 1 ? pool : nullptr, chunks, [&](int c) {
+      for (int i = k + c * chunk; i < std::min(k + (c + 1) * chunk, n); ++i)
         decisions[static_cast<std::size_t>(i)] =
             best_response(make_instance(state, inputs, demands_j, i), 0.0).d;
-    };
-    util::ThreadPool* pool = options.pool;
-    if (pool != nullptr && pool->num_threads() > 1) {
-      // Fixed chunk grain: the split depends only on (n, k, threads), so
-      // the work partition — and with it every FP result, each written to
-      // its own slot — is identical however the chunks land on workers.
-      const int chunk =
-          std::max(64, (n - k + pool->num_threads() - 1) / pool->num_threads());
-      std::vector<std::exception_ptr> errors;
-      errors.resize(static_cast<std::size_t>((n - k + chunk - 1) / chunk));
-      int job = 0;
-      for (int lo = k; lo < n; lo += chunk, ++job)
-        pool->submit([&, lo, job] {
-          try {
-            solve_users(lo, std::min(lo + chunk, n));
-          } catch (...) {
-            errors[static_cast<std::size_t>(job)] = std::current_exception();
-          }
-        });
-      pool->wait_idle();
-      for (const std::exception_ptr& e : errors)
-        if (e) std::rethrow_exception(e);
-    } else {
-      solve_users(k, n);
-    }
+    });
   }
 
   // Penalty dominating every per-joule gain so unserved energy is a last

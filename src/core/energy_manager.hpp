@@ -89,9 +89,11 @@ struct EnergyLpOptions {
   // decomposition mode. Requires a persistent `workspace`; purely a
   // starting-point change (statuses and objectives are unaffected).
   bool warm_across_slots = false;
-  // When set (and decomposing), per-user closed forms run as index chunks
-  // on this pool. Bit-identical at any thread count: each chunk writes a
-  // disjoint range of a preallocated decision vector.
+  // When set with more than one worker (and decomposing), the per-user
+  // closed forms run as index chunks on this pool through
+  // util::parallel_for; otherwise as one chunk inline. Bit-identical at any
+  // thread count: each chunk writes a disjoint range of a preallocated
+  // decision vector.
   util::ThreadPool* pool = nullptr;
 };
 

@@ -119,6 +119,8 @@ NetworkModel::NetworkModel(net::Topology topology, net::Spectrum spectrum,
   // source is always a base station, so the indicator contributes only for
   // base-station nodes. With R_i radios a node can serve/receive on up to
   // R_i links at once, so the per-slot in/out bounds scale by R_i.
+  max_in_link_packets_.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) max_in_link_packets_[i] = in_max[class_of[i]];
   for (int c = 0; c < C; ++c) {
     out_max[c] *= nodes_[reps[c][0]].num_radios;
     in_max[c] *= nodes_[reps[c][0]].num_radios;

@@ -143,6 +143,13 @@ class NetworkModel {
 
   int num_radios(int node) const { return nodes_[check_node(node)].num_radios; }
 
+  // The most packets one link into `node` can move in a slot on one band:
+  // max_link_packets(tx, node) maximized over every tx != node (taken per
+  // node class, so O(classes^2) to build).
+  double max_in_link_packets(int node) const {
+    return max_in_link_packets_[check_node(node)];
+  }
+
   // beta (Section IV-A): the largest max_link_packets_all_radios over
   // ordered node pairs (at least 1) — with several radios a link can move
   // more than the single-band c_ij^max * dt / delta in one slot.
@@ -185,6 +192,7 @@ class NetworkModel {
   mutable std::unique_ptr<net::LinkPruneMap> prune_;
   // 1 for nodes that are some session's destination.
   std::vector<char> is_destination_;
+  std::vector<double> max_in_link_packets_;
 
   double beta_ = 0.0;
   double max_tariff_ = 1.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <utility>
 
 #include "lp/simplex.hpp"
@@ -387,32 +386,18 @@ std::vector<ScheduledLink> sf_schedule(
 
   // One SF series per cluster. Clusters are node-disjoint, so each job's
   // fresh RadioUsage sees exactly the budget the joint series would. Job c
-  // writes only entry c of fragments, sinks and errors, so submitting it
-  // and running it inline give the same result.
+  // writes only entry c of fragments and sinks, so submitting it and
+  // running it inline give the same result.
   std::vector<std::vector<ScheduledLink>> fragments(k);
   std::vector<BufferedStatsSink> sinks(k);
-  std::vector<std::exception_ptr> errors(k);
-  const auto job = [&](std::size_t c) {
-    try {
-      lp::Workspace ws;
-      ws.set_stats_context("s1");
-      if (stats_sink != nullptr) ws.set_stats_sink(&sinks[c]);
-      RadioUsage usage(model);
-      sf_series(state, std::move(cluster_cands[c]), usage, lp_options, ws,
-                fragments[c]);
-    } catch (...) {
-      errors[c] = std::current_exception();
-    }
-  };
-  for (std::size_t c = 0; c < k; ++c) {
-    if (pool != nullptr)
-      pool->submit([&job, c] { job(c); });
-    else
-      job(c);
-  }
-  if (pool != nullptr) pool->wait_idle();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
+  util::parallel_for(pool, static_cast<int>(k), [&](int c) {
+    lp::Workspace ws;
+    ws.set_stats_context("s1");
+    if (stats_sink != nullptr) ws.set_stats_sink(&sinks[c]);
+    RadioUsage usage(model);
+    sf_series(state, std::move(cluster_cands[c]), usage, lp_options, ws,
+              fragments[c]);
+  });
 
   // Deterministic merge: cluster order, then the order the series fixed
   // links within each cluster.

@@ -91,18 +91,19 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
 // unchanged"). sf_schedule partitions the candidates into those clusters,
 // runs one relax-round-compact series per cluster (each through its own
 // fresh lp::Workspace; every pass solves cold), and merges the schedules
-// in cluster order — smallest node index first. With `pool` the cluster
-// jobs are submitted to it; without one they run inline on the calling
-// thread, in cluster order. That is the only difference, so the schedule is bit-identical at
-// every thread count and the pool changes wall time only. The fill-in
+// in cluster order — smallest node index first. The cluster jobs run
+// through util::parallel_for: as jobs on `pool`, or inline on the calling
+// thread, in cluster order, without one. That is the only difference, so
+// the schedule is bit-identical at every thread count and the pool changes
+// wall time only. The fill-in
 // pass stays global (it is a cheap greedy and its candidates span
 // clusters by design).
 //
 // Per-cluster LP statistics are buffered and forwarded to `stats_sink` in
 // cluster order after the join (nullptr = off), so sinks see the same
-// record stream at any thread count. Callers that pass a pool are
-// responsible for per-worker obs registries on it (the controller installs
-// them); cluster jobs bump sched.* and lp.* instruments.
+// record stream at any thread count. A pool passed here should give each
+// worker its own obs registry, as obs::InstrumentedPool does (the
+// controller owns one); cluster jobs bump sched.* and lp.* instruments.
 std::vector<ScheduledLink> sf_schedule(
     const NetworkState& state, const SlotInputs& inputs,
     util::ThreadPool* pool = nullptr, bool fill_in = true,

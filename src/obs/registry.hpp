@@ -17,10 +17,10 @@
 // Threading model (docs/PERFORMANCE.md): instrument updates are NOT
 // synchronized. Instead, `registry()` resolves to a thread-current registry
 // — the process-global one by default, or whatever a ThreadRegistryScope
-// installed on this thread. The parallel sweep engine (sim/sweep.hpp) gives
-// every worker thread its own registry and folds them into the caller's
-// with `merge_from` after the workers have joined, so hot-path updates stay
-// a few unsynchronized arithmetic ops.
+// installed on this thread. obs::InstrumentedPool (the pool behind the
+// sweep and the intra-slot jobs) gives every worker thread its own registry
+// and folds them into the caller's with `merge_from` once the jobs are
+// done, so hot-path updates stay a few unsynchronized arithmetic ops.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +84,8 @@ class Gauge {
   // merge takes the other's value whenever that registry ever set the
   // gauge, so after folding registries r_0, r_1, ..., r_k (in that order)
   // the gauge holds the value from the highest-index registry that set it.
-  // The sweep engine merges per-worker registries in worker-index order
-  // (sim/sweep.cpp), which pins the winner independently of thread timing.
+  // obs::InstrumentedPool merges per-worker registries in worker-index
+  // order, which pins the winner independently of thread timing.
   void merge_from(const Gauge& other) {
     if (other.set_) {
       value_ = other.value_;
@@ -164,9 +164,9 @@ class Registry {
   // Folds every instrument of `other` into this registry, creating
   // instruments this registry has not seen yet. Counters and histograms
   // accumulate; gauges follow deterministic merge-order last-writer-wins
-  // (see Gauge::merge_from). The parallel sweep engine calls this once per
-  // worker, in worker-index order, after joining its threads — the caller
-  // must guarantee `other` is no longer being written.
+  // (see Gauge::merge_from). obs::InstrumentedPool calls this once per
+  // worker, in worker-index order, while no job runs — the caller must
+  // guarantee `other` is not being written.
   void merge_from(const Registry& other);
 
  private:

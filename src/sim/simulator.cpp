@@ -16,6 +16,7 @@
 #include "obs/alerts.hpp"
 #include "obs/events.hpp"
 #include "obs/http_exporter.hpp"
+#include "obs/profile.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
@@ -625,13 +626,10 @@ obs::AuditConfig make_audit_config(const core::NetworkModel& model, double V,
   // multihop only sources and (always-empty) destinations hold packets.
   c.q_bound.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(S));
   for (int i = 0; i < n; ++i) {
-    double relay = 0.0;
-    if (model.config().multihop) {
-      double in_max = 0.0;
-      for (int j = 0; j < n; ++j)
-        if (j != i) in_max = std::max(in_max, model.max_link_packets(j, i));
-      relay = static_cast<double>(n) * model.num_radios(i) * in_max;
-    }
+    const double relay = model.config().multihop
+                             ? static_cast<double>(n) * model.num_radios(i) *
+                                   model.max_in_link_packets(i)
+                             : 0.0;
     for (int s = 0; s < S; ++s)
       c.q_bound[static_cast<std::size_t>(i * S + s)] =
           lambda * V + model.session(s).max_admit_packets + relay;
@@ -648,6 +646,32 @@ obs::AuditConfig make_audit_config(const core::NetworkModel& model, double V,
         model.node(i).battery.capacity_j - shift;
   }
   return c;
+}
+
+obs::ProfileMeta make_profile_meta(const std::string& scenario,
+                                   const core::NetworkModel& model, int slots,
+                                   double wall_s, std::int64_t spans_dropped) {
+  obs::ProfileMeta meta;
+  meta.scenario = scenario;
+  meta.nodes = model.num_nodes();
+  for (int i = 0; i < model.num_nodes(); ++i)
+    for (int j = 0; j < model.num_nodes(); ++j)
+      if (i != j && model.link_allowed(i, j)) ++meta.links;
+  if (const net::LinkPruneMap* prune = model.pruned_links())
+    meta.links_pruned = prune->pruned_links();
+  meta.sessions = model.num_sessions();
+  meta.slots = slots;
+  meta.wall_s = wall_s;
+  meta.slots_per_s = wall_s > 0.0 ? slots / wall_s : 0.0;
+  meta.spans_dropped = spans_dropped;
+  return meta;
+}
+
+void write_profile_files(const std::string& path,
+                         const obs::Profile& profile) {
+  util::write_file_atomic(path, profile.to_json(), "profile");
+  util::write_file_atomic(path + ".collapsed", profile.to_collapsed(),
+                          "collapsed profile");
 }
 
 Metrics run_simulation(const core::NetworkModel& model,

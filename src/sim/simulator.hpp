@@ -28,6 +28,8 @@ namespace gc::obs {
 class AlertEngine;
 class EventJournal;
 class HttpExporter;
+struct Profile;
+struct ProfileMeta;
 }  // namespace gc::obs
 
 namespace gc::sim {
@@ -228,6 +230,18 @@ struct SimOptions {
 // Queue index layout is node * num_sessions + session.
 obs::AuditConfig make_audit_config(const core::NetworkModel& model, double V,
                                    double lambda);
+
+// A run's profile meta: the scenario's name and size (nodes, the ordered
+// links the architecture allows, range-pruned pairs, sessions) and the
+// run's slots, wall time, rate and dropped spans.
+obs::ProfileMeta make_profile_meta(const std::string& scenario,
+                                   const core::NetworkModel& model, int slots,
+                                   double wall_s, std::int64_t spans_dropped);
+
+// Writes `profile` to `path` (JSON) and to `path`.collapsed, each
+// atomically.
+void write_profile_files(const std::string& path,
+                         const obs::Profile& profile);
 
 // Runs `controller` for `slots` slots against freshly sampled inputs.
 // `slots` may be 0 (useful for dry runs); all series stay empty.

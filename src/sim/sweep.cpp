@@ -1,13 +1,13 @@
 #include "sim/sweep.hpp"
 
 #include <atomic>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <utility>
 
+#include "obs/instrumented_pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/timer.hpp"
@@ -34,17 +34,6 @@ SweepRunner::SweepRunner(SweepOptions options)
 void SweepRunner::run_indexed(int n, const std::function<void(int)>& fn) {
   GC_CHECK_MSG(n >= 0, "sweep size must be >= 0");
   if (n == 0) return;
-
-  // One private registry per worker. The scope objects are constructed and
-  // destroyed ON the worker threads (ThreadPool's start/stop hooks) so the
-  // thread-current registry is installed before any instrumented code runs
-  // there; each worker only ever touches its own slot.
-  std::vector<std::unique_ptr<obs::Registry>> registries;
-  registries.reserve(static_cast<std::size_t>(threads_));
-  for (int w = 0; w < threads_; ++w)
-    registries.push_back(std::make_unique<obs::Registry>());
-  std::vector<std::unique_ptr<obs::ThreadRegistryScope>> scopes(
-      static_cast<std::size_t>(threads_));
 
   // Fleet telemetry: progress snapshots after each completed job (workers
   // race to finish, so a mutex serializes the writer), a full one with the
@@ -86,44 +75,40 @@ void SweepRunner::run_indexed(int n, const std::function<void(int)>& fn) {
     d.registry = registry;
     snapshots->write(d);
   };
+  // A progress snapshot after every job, failed ones included.
+  const auto job_done = [&] {
+    if (!snapshots) return;
+    const int done = jobs_done.fetch_add(1) + 1;
+    std::lock_guard<std::mutex> lock(snapshot_mutex);
+    write_fleet(done, nullptr);
+  };
 
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  {
-    util::ThreadPool::Options pool_options;
-    pool_options.num_threads = threads_;
-    pool_options.on_thread_start = [&](int w) {
-      scopes[w] = std::make_unique<obs::ThreadRegistryScope>(
-          registries[static_cast<std::size_t>(w)].get());
-    };
-    pool_options.on_thread_stop = [&](int w) { scopes[w].reset(); };
-    util::ThreadPool pool(pool_options);
-    for (int i = 0; i < n; ++i)
-      pool.submit([&, i] {
-        try {
-          obs::Span span("sweep.job", i);
-          fn(i);
-        } catch (...) {
-          errors[static_cast<std::size_t>(i)] = std::current_exception();
-        }
-        if (snapshots) {
-          const int done = jobs_done.fetch_add(1) + 1;
-          std::lock_guard<std::mutex> lock(snapshot_mutex);
-          write_fleet(done, nullptr);
-        }
-      });
-    pool.wait_idle();
-  }  // pool joins here; no worker is writing its registry anymore
-
-  // Fold in worker-index order so counter totals are reproducible (they
-  // would be regardless for commutative integer adds, but FP sums of
-  // doubles are order-sensitive).
+  // Every job runs on a worker, even at one thread: inline execution would
+  // write through the calling thread's instrument references. The workers'
+  // registries are merged before the first failure is rethrown.
+  obs::InstrumentedPool workers(threads_);
   obs::Registry& target =
       options_.merge_into ? *options_.merge_into : obs::global_registry();
-  for (const auto& r : registries) target.merge_from(*r);
-  if (snapshots) write_fleet(n, &target);
-
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
+  const auto merge = [&] {
+    workers.merge_into(target);
+    if (snapshots) write_fleet(n, &target);
+  };
+  try {
+    util::parallel_for(&workers.pool(), n, [&](int i) {
+      try {
+        obs::Span span("sweep.job", i);
+        fn(i);
+      } catch (...) {
+        job_done();
+        throw;
+      }
+      job_done();
+    });
+  } catch (...) {
+    merge();
+    throw;
+  }
+  merge();
 }
 
 std::vector<Metrics> SweepRunner::run(const std::vector<SimJob>& jobs) {

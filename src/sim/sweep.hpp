@@ -4,15 +4,15 @@
 // Every job is self-contained — its own NetworkModel, controller, and RNG
 // stream (SimOptions::input_seed) — so jobs share no mutable state and the
 // per-seed Metrics a sweep returns are bit-identical to running the same
-// jobs serially, at any thread count, in any completion order. The only
-// cross-thread state is observability: each worker thread gets a private
-// obs::Registry (installed via obs::ThreadRegistryScope before its first
-// job), and the workers' registries are folded into the target registry in
-// worker-index order after the pool joins. Counter/histogram totals are
-// therefore independent of the job-to-worker assignment; gauges follow
-// deterministic merge-order last-writer-wins — the highest-index worker
-// that set a gauge supplies its final value, independent of thread timing
-// (see obs::Gauge::merge_from).
+// jobs serially, at any thread count, in any completion order. The jobs
+// run through util::parallel_for, one per index, on an
+// obs::InstrumentedPool: the only cross-thread state is observability, and
+// each worker thread records into a private obs::Registry that is folded
+// into the target registry in worker-index order after the last job.
+// Counter/histogram totals are therefore independent of the job-to-worker
+// assignment; gauges follow deterministic merge-order last-writer-wins —
+// the highest-index worker that set a gauge supplies its final value,
+// independent of thread timing (see obs::Gauge::merge_from).
 //
 // docs/PERFORMANCE.md covers the threading model, the determinism
 // guarantees, and how the benches use this.
@@ -85,11 +85,11 @@ class SweepRunner {
   // been merged.
   std::vector<Metrics> run(const std::vector<SimJob>& jobs);
 
-  // The underlying engine: invokes fn(0..n-1), each call on a worker
-  // thread with a worker-private registry installed; joins, merges
-  // registries, then rethrows the first captured exception (in index
-  // order), if any. `fn` must be safe to call concurrently for distinct
-  // indices.
+  // The underlying engine: util::parallel_for over fn(0..n-1), each call
+  // on a worker thread with a worker-private registry installed; waits,
+  // merges registries, then rethrows the first captured exception (in
+  // index order), if any. `fn` must be safe to call concurrently for
+  // distinct indices.
   void run_indexed(int n, const std::function<void(int)>& fn);
 
   // run_indexed with a result slot per index: out[i] = fn(i). R must be

@@ -1,15 +1,16 @@
-// Minimal fixed-size thread pool for fan-out over independent jobs.
+// Minimal fixed-size thread pool and the one fan-out over it.
 //
-// Built for the parallel sweep engine (sim/sweep.hpp): a handful of
-// long-running simulation jobs per thread, not fine-grained tasking — so a
-// single mutex-protected FIFO queue is plenty, and there is no
-// work-stealing, no futures, no task graph.
+// parallel_for is how every parallel site runs its independent pieces: the
+// replicate sweep (sim/sweep.hpp), S1's interference-cluster SF series
+// (core::sf_schedule) and the opt-in S4 LP's per-user closed forms
+// (EnergyLpOptions::pool). The jobs are few and coarse, not fine-grained
+// tasking — so a single mutex-protected FIFO queue is plenty, and there is
+// no work-stealing, no futures, no task graph.
 //
 // The per-thread hooks are the load-bearing feature: on_thread_start runs
 // ON each worker thread before it takes its first job (and on_thread_stop
-// after its last), which is where the sweep installs the worker's
-// obs::ThreadRegistryScope so every instrument a job touches resolves to a
-// worker-private registry. Hooks receive the worker index in
+// after its last), which is where obs::InstrumentedPool installs each
+// worker's private obs::Registry. Hooks receive the worker index in
 // [0, num_threads).
 #pragma once
 
@@ -47,8 +48,7 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues a job. Jobs must not throw — wrap and capture exceptions at
-  // the call site (the sweep stores an std::exception_ptr per job).
+  // Enqueues a job. Jobs must not throw; parallel_for captures them.
   void submit(std::function<void()> job);
 
   // Blocks until the queue is empty and no job is executing.
@@ -69,5 +69,12 @@ class ThreadPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
+
+// Runs fn(0..n-1) and waits for every call: inline on the caller, in index
+// order, when `pool` is null; as one pool job per index otherwise. Each
+// index's exception is captured; after every index has run, the lowest
+// failing index's exception is rethrown. `fn` must be safe to call
+// concurrently for distinct indices. Not reentrant from a job of `pool`.
+void parallel_for(ThreadPool* pool, int n, const std::function<void(int)>& fn);
 
 }  // namespace gc::util

@@ -1,7 +1,8 @@
-// Referee for the model's drift-plus-penalty constants: beta (Section IV-A)
-// and B of eq. (34). NetworkModel computes them once per node class; the
-// oracle below is the pair-by-pair formula over every ordered node pair,
-// and the two must agree bit for bit.
+// Referee for the model's drift-plus-penalty constants: beta (Section IV-A),
+// B of eq. (34) and each node's in-link bound, which sets the stability
+// auditor's relay allowance. NetworkModel computes them once per node
+// class; the oracle below is the pair-by-pair formula over every ordered
+// node pair, and the two must agree bit for bit.
 #include "core/model.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/stability.hpp"
 #include "scenario/spec.hpp"
 #include "sim/scenario.hpp"
+#include "sim/simulator.hpp"
 
 namespace gc::core {
 namespace {
@@ -20,6 +23,7 @@ namespace {
 struct Constants {
   double beta = 0.0;
   double drift_b = 0.0;
+  std::vector<double> in_link;  // max_link_packets(j, i) over j != i
 };
 
 // The per-pair formula. Per-node in/out maxima do not depend on the
@@ -41,6 +45,7 @@ Constants oracle(const NetworkModel& m) {
       out_max[i] = std::max(out_max[i], m.max_link_packets(i, j));
       in_max[i] = std::max(in_max[i], m.max_link_packets(j, i));
     }
+    c.in_link.push_back(in_max[i]);
     out_max[i] *= m.num_radios(i);
     in_max[i] *= m.num_radios(i);
   }
@@ -79,6 +84,23 @@ void expect_matches_oracle(const NetworkModel& model, const std::string& what) {
   const Constants o = oracle(model);
   EXPECT_EQ(model.beta(), o.beta) << what;
   EXPECT_EQ(model.drift_constant_B(), o.drift_b) << what;
+  // The auditor's queue bound: lambda * V + K_s^max + the relay allowance
+  // n * R_i * in-link bound, with the in-link bound from the pair scan.
+  const double V = 3.0, lambda = 1.5;
+  const obs::AuditConfig audit = sim::make_audit_config(model, V, lambda);
+  const int n = model.num_nodes(), S = model.num_sessions();
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(model.max_in_link_packets(i), o.in_link[i])
+        << what << " node " << i;
+    const double relay = model.config().multihop
+                             ? static_cast<double>(n) * model.num_radios(i) *
+                                   o.in_link[i]
+                             : 0.0;
+    for (int s = 0; s < S; ++s)
+      EXPECT_EQ(audit.q_bound[static_cast<std::size_t>(i * S + s)],
+                lambda * V + model.session(s).max_admit_packets + relay)
+          << what << " node " << i << " session " << s;
+  }
 }
 
 TEST(ModelConstants, MatchOracleOnEveryExampleScenario) {

@@ -251,35 +251,41 @@ TEST(S4Decompose, AutoKeepsJointPathBitForBitBelowThreshold) {
 }
 
 TEST(S4Decompose, UserClosedFormsAreThreadCountInvariant) {
-  const auto model = sim::ScenarioConfig::tiny().build();
-  NetworkState state(model, 3.0);
-  const SlotInputs inputs = energy_inputs(model);
-  const auto demands = demands_with_traffic(model);
-
-  EnergyLpOptions serial;
-  serial.decompose = S4Decompose::Force;
-  EnergyLpOptions pooled = serial;
   util::ThreadPoolOptions popt;
   popt.num_threads = 3;
   util::ThreadPool pool(popt);
-  pooled.pool = &pool;
+  // 5 users fit in one chunk (the grain is at least 64 users); 300 users
+  // split into three chunks that run on the pool at once.
+  for (const int users : {5, 300}) {
+    sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
+    cfg.num_users = users;
+    const auto model = cfg.build();
+    NetworkState state(model, 3.0);
+    const SlotInputs inputs = energy_inputs(model);
+    const auto demands = demands_with_traffic(model);
 
-  const EnergyResult a = lp_energy_manage(state, inputs, demands, serial);
-  const EnergyResult b = lp_energy_manage(state, inputs, demands, pooled);
+    EnergyLpOptions serial;
+    serial.decompose = S4Decompose::Force;
+    EnergyLpOptions pooled = serial;
+    pooled.pool = &pool;
 
-  // Pooled user chunks write disjoint ranges of a preallocated vector, so
-  // the result is bit-identical to the serial split, not merely close.
-  ASSERT_EQ(a.decisions.size(), b.decisions.size());
-  EXPECT_EQ(bits(a.objective), bits(b.objective));
-  EXPECT_EQ(bits(a.grid_total_j), bits(b.grid_total_j));
-  EXPECT_EQ(bits(a.cost), bits(b.cost));
-  for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-    EXPECT_EQ(bits(a.decisions[i].serve_grid_j),
-              bits(b.decisions[i].serve_grid_j))
-        << "node " << i;
-    EXPECT_EQ(bits(a.decisions[i].discharge_j),
-              bits(b.decisions[i].discharge_j))
-        << "node " << i;
+    const EnergyResult a = lp_energy_manage(state, inputs, demands, serial);
+    const EnergyResult b = lp_energy_manage(state, inputs, demands, pooled);
+
+    // Pooled user chunks write disjoint ranges of a preallocated vector,
+    // so the result is bit-identical to the serial split, not merely close.
+    ASSERT_EQ(a.decisions.size(), b.decisions.size());
+    EXPECT_EQ(bits(a.objective), bits(b.objective)) << users;
+    EXPECT_EQ(bits(a.grid_total_j), bits(b.grid_total_j)) << users;
+    EXPECT_EQ(bits(a.cost), bits(b.cost)) << users;
+    for (std::size_t i = 0; i < a.decisions.size(); ++i) {
+      EXPECT_EQ(bits(a.decisions[i].serve_grid_j),
+                bits(b.decisions[i].serve_grid_j))
+          << users << " users, node " << i;
+      EXPECT_EQ(bits(a.decisions[i].discharge_j),
+                bits(b.decisions[i].discharge_j))
+          << users << " users, node " << i;
+    }
   }
 }
 

@@ -19,11 +19,10 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
-#include "obs/registry.hpp"
+#include "obs/instrumented_pool.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
 namespace {
@@ -66,18 +65,6 @@ struct Instance {
   SlotInputs inputs;
 };
 
-// A pool whose workers each bump a private obs registry, so the cluster
-// jobs' instruments never race on the global one.
-util::ThreadPoolOptions pool_options(int threads) {
-  util::ThreadPoolOptions o;
-  o.num_threads = threads;
-  o.on_thread_start = [](int) {
-    static thread_local obs::Registry registry;
-    static thread_local obs::ThreadRegistryScope scope(&registry);
-  };
-  return o;
-}
-
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 bool identical(const std::vector<ScheduledLink>& a,
@@ -99,8 +86,9 @@ std::string fixed9(double x) {
 }
 
 TEST(SfReferee, OneSeriesAgainstExhaustiveOptimumAtAnyThreadCount) {
-  util::ThreadPool pool2(pool_options(2));
-  util::ThreadPool pool4(pool_options(4));
+  // Workers with private obs registries, so the cluster jobs' instruments
+  // never race on the global one.
+  obs::InstrumentedPool pool2(2), pool4(4);
   RunningStat ratio;
 
   for (int k = 0; k < kInstances; ++k) {
@@ -108,8 +96,8 @@ TEST(SfReferee, OneSeriesAgainstExhaustiveOptimumAtAnyThreadCount) {
     const double w_exact = schedule_weight(
         in.state, exhaustive_schedule(in.state, in.inputs), in.inputs);
     const auto inline1 = sf_schedule(in.state, in.inputs);
-    const auto pooled2 = sf_schedule(in.state, in.inputs, &pool2);
-    const auto pooled4 = sf_schedule(in.state, in.inputs, &pool4);
+    const auto pooled2 = sf_schedule(in.state, in.inputs, &pool2.pool());
+    const auto pooled4 = sf_schedule(in.state, in.inputs, &pool4.pool());
     EXPECT_TRUE(identical(inline1, pooled2)) << "instance " << k;
     EXPECT_TRUE(identical(inline1, pooled4)) << "instance " << k;
 

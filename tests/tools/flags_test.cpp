@@ -35,18 +35,23 @@ TEST(Flags, RejectionNamesFlagDomainAndValue) {
             "--multihop: expected 0 or 1, got \"yes\"");
   EXPECT_EQ(error_of([] { read_path("--csv", ""); }),
             "--csv: expected a non-empty file path, got \"\"");
+  EXPECT_EQ(error_of([] { read_choice("--prune", "yes", {"on", "off"}); }),
+            "--prune: expected \"on\" or \"off\", got \"yes\"");
+  EXPECT_EQ(error_of([] { read_choice("--p", "d", {"a", "b", "c"}); }),
+            "--p: expected \"a\", \"b\" or \"c\", got \"d\"");
 }
 
 // Every reader takes the whole string: a numeric prefix ("2x"), an empty
 // value, non-finite numbers and overflow are all rejected rather than read
 // as a nearby number.
 TEST(Flags, RejectsMalformedValuesInEveryDomain) {
-  for (const char* v : {"2x", "", "7 ", "nan", "inf", "-inf", "1.5", "1e10",
-                        "2147483648", "-2147483649"}) {
+  for (const char* v : {"2x", "", "7 ", " 7", "0x10", "+7", "nan", "inf",
+                        "-inf", "1.5", "1e10", "2147483648", "-2147483649"}) {
     EXPECT_NE(error_of([&] { read_int("--n", v, INT_MIN); }), "") << v;
     EXPECT_NE(error_of([&] { read_threads("--threads", v); }), "") << v;
   }
-  for (const char* v : {"2x", "", "nan", "inf", "-inf", "1e400", "1,5"})
+  for (const char* v :
+       {"2x", "", "nan", "inf", "-inf", "1e400", "1,5", " 7", "0x10", "+7"})
     EXPECT_NE(error_of([&] { read_number("--x", v, -1e300); }), "") << v;
   for (const char* v : {"2x", "", "nan", "inf", "-1", "1.5", "1e3", " 7",
                         "+7", "18446744073709551616"})
@@ -69,6 +74,7 @@ TEST(Flags, AcceptsEveryValueInTheDomain) {
   EXPECT_TRUE(read_bool01("--b", "1"));
   EXPECT_FALSE(read_bool01("--b", "0"));
   EXPECT_EQ(read_path("--csv", "out.csv"), "out.csv");
+  EXPECT_EQ(read_choice("--prune", "off", {"on", "off"}), 1u);
 }
 
 TEST(Flags, EnforcesBoundsAndTheThreadCap) {

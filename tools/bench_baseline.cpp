@@ -57,8 +57,7 @@ bool parse_args(const std::vector<std::string>& argv, Args* out) {
     else if (flag == "--slots")
       out->slots = flags::read_int(flag, v, 1);
     else if (flag == "--scenario") {
-      if (v != "paper" && v != "tiny")
-        flags::reject(flag, "\"paper\" or \"tiny\"", v);
+      flags::read_choice(flag, v, {"paper", "tiny"});
       out->scenario = v;
     } else if (flag == "--out")
       out->out = v;

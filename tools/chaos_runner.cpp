@@ -437,7 +437,7 @@ int main(int argc, char** argv) {
             flags::read_int(a, flags::next_value(args, i), 1);
       } else if (a == "--policy") {
         opt.policy = flags::next_value(args, i);
-        gc::policy::parse_sleep_policy(opt.policy);  // validate early
+        flags::read_choice(a, opt.policy, gc::policy::kSleepPolicyNames);
       } else if (a == "--keep") {
         opt.keep = true;
       } else if (a == "--quiet") {
@@ -448,7 +448,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: unknown flag %s\n", a.c_str());
         return usage(argv[0]);
       }
-    } catch (const std::exception& e) {  // UsageError or a bad --policy
+    } catch (const flags::UsageError& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }

@@ -292,13 +292,12 @@ ParseResult parse_args(const std::vector<std::string>& args) {
         shaping_seen.push_back(flag);
         opt.scenario.user_radios = flags::read_int(flag, value(), 1);
       } else if (flag == "--phy") {
-        const std::string& v = value();
+        const std::size_t phy =
+            flags::read_choice(flag, value(), {"min", "adaptive"});
         shaping_seen.push_back(flag);
-        if (v != "min" && v != "adaptive")
-          flags::reject(flag, "\"min\" or \"adaptive\"", v);
         opt.scenario.phy_policy =
-            v == "min" ? core::ModelConfig::PhyPolicy::MinPowerFixedRate
-                       : core::ModelConfig::PhyPolicy::MaxPowerAdaptiveRate;
+            phy == 0 ? core::ModelConfig::PhyPolicy::MinPowerFixedRate
+                     : core::ModelConfig::PhyPolicy::MaxPowerAdaptiveRate;
       } else if (flag == "--tariff") {
         const std::string& v = value();
         shaping_seen.push_back(flag);
@@ -356,24 +355,12 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       } else if (flag == "--lp-log") {
         opt.lp_log_path = flags::read_path(flag, value());
       } else if (flag == "--link-prune") {
-        const std::string& v = value();
-        if (v != "on" && v != "off")
-          flags::reject(flag, "\"on\" or \"off\"", v);
-        opt.link_prune = v == "on";
+        opt.link_prune = flags::read_choice(flag, value(), {"on", "off"}) == 0;
       } else if (flag == "--intra-slot-threads") {
         opt.intra_slot_threads = flags::read_threads(flag, value());
       } else if (flag == "--policy") {
-        const std::string& v = value();
-        try {
-          ov_policy = policy::parse_sleep_policy(v);
-        } catch (const CheckError&) {
-          std::string names;
-          const std::size_t n = std::size(policy::kSleepPolicyNames);
-          for (std::size_t i = 0; i < n; ++i)
-            names += std::string(i == 0 ? "" : i + 1 < n ? ", " : " or ") +
-                     '"' + policy::kSleepPolicyNames[i] + '"';
-          flags::reject(flag, names, v);
-        }
+        ov_policy = static_cast<policy::SleepPolicy>(
+            flags::read_choice(flag, value(), policy::kSleepPolicyNames));
       } else if (flag == "--sleep-threshold") {
         ov_sleep_thr = flags::read_number(flag, value(), 0);
       } else if (flag == "--wake-threshold") {

@@ -9,12 +9,13 @@ namespace gc::flags {
 
 namespace {
 
-// Finite numbers only: "nan" and "inf" pass every `d < 0` domain check and
-// would surface far from the flag that carried them.
+// Finite decimal numbers only: "nan" and "inf" pass every `d < 0` domain
+// check and would surface far from the flag that carried them. from_chars
+// reads no leading whitespace, no '+' and no hexadecimal, unlike strtod.
 bool parse_double(const std::string& v, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(v.c_str(), &end);
-  return end && *end == '\0' && !v.empty() && std::isfinite(*out);
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, *out);
+  return ec == std::errc() && stop == end && std::isfinite(*out);
 }
 
 }  // namespace
@@ -63,6 +64,17 @@ std::uint64_t read_u64(const std::string& flag, const std::string& v) {
   const auto [stop, ec] = std::from_chars(v.data(), end, out);
   if (ec != std::errc() || stop != end) reject(flag, "int >= 0", v);
   return out;
+}
+
+std::size_t detail::read_choice(const std::string& flag, const std::string& v,
+                                const char* const* names, std::size_t n) {
+  std::string domain;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (v == names[i]) return i;
+    domain += std::string(i == 0 ? "" : i + 1 < n ? ", " : " or ") + '"' +
+              names[i] + '"';
+  }
+  reject(flag, domain, v);
 }
 
 bool read_bool01(const std::string& flag, const std::string& v) {

@@ -2,7 +2,8 @@
 // shared by every binary under tools/ and bench/.
 //
 // Each reader takes the whole string or nothing: "2x", "3 ", "" and "nan"
-// are malformed, never a prefix read as 2 or 0. A malformed or
+// are malformed, never a prefix read as 2 or 0. Numbers are plain decimal
+// ("3e2" is 300): " 3", "+3" and "0x10" are malformed too. A malformed or
 // out-of-domain value throws UsageError naming the flag (or variable) and
 // the accepted domain,
 //   --users: expected int >= 1, got "abc"
@@ -10,6 +11,7 @@
 #pragma once
 
 #include <climits>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -47,6 +49,17 @@ double read_number(const std::string& flag, const std::string& v, double lo,
 // A plain decimal integer in [0, 2^64), exact at any width (seeds,
 // cursors): "int >= 0".
 std::uint64_t read_u64(const std::string& flag, const std::string& v);
+// One of `names`, returned as its index:
+//   --link-prune: expected "on" or "off", got "yes"
+namespace detail {
+std::size_t read_choice(const std::string& flag, const std::string& v,
+                        const char* const* names, std::size_t n);
+}  // namespace detail
+template <std::size_t N>
+std::size_t read_choice(const std::string& flag, const std::string& v,
+                        const char* const (&names)[N]) {
+  return detail::read_choice(flag, v, names, N);
+}
 // "0" or "1".
 bool read_bool01(const std::string& flag, const std::string& v);
 // A non-empty file path.

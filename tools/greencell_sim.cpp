@@ -189,40 +189,6 @@ std::unique_ptr<gc::lp::JsonlSolveLog> attach_lp_log(const std::string& path,
   return log;
 }
 
-// Ordered directed links the architecture allows — the profile's topology
-// size next to num_nodes (how wide the S1/S3 subproblems can get).
-int count_allowed_links(const gc::core::NetworkModel& model) {
-  int links = 0;
-  for (int i = 0; i < model.num_nodes(); ++i)
-    for (int j = 0; j < model.num_nodes(); ++j)
-      if (i != j && model.link_allowed(i, j)) ++links;
-  return links;
-}
-
-gc::obs::ProfileMeta make_profile_meta(const gc::cli::Options& opt,
-                                       const gc::core::NetworkModel& model,
-                                       int slots, double wall_s,
-                                       long long dropped) {
-  gc::obs::ProfileMeta meta;
-  meta.scenario = opt.scenario_name;
-  meta.nodes = model.num_nodes();
-  meta.links = count_allowed_links(model);
-  if (const gc::net::LinkPruneMap* prune = model.pruned_links())
-    meta.links_pruned = prune->pruned_links();
-  meta.sessions = model.num_sessions();
-  meta.slots = slots;
-  meta.wall_s = wall_s;
-  meta.slots_per_s = wall_s > 0.0 ? slots / wall_s : 0.0;
-  meta.spans_dropped = dropped;
-  return meta;
-}
-
-void write_profile_files(const std::string& path, const gc::obs::Profile& p) {
-  gc::util::write_file_atomic(path, p.to_json(), "profile");
-  gc::util::write_file_atomic(path + ".collapsed", p.to_collapsed(),
-                              "collapsed profile");
-}
-
 // The wall time of one sweep job = its sweep.job span (recorded around the
 // whole run_job call on the worker thread).
 double job_wall_s(const std::vector<gc::obs::SpanEvent>& events) {
@@ -262,9 +228,10 @@ void export_single_run_obs(const gc::cli::Options& opt,
   }
   if (!opt.profile_path.empty()) {
     gc::obs::Profile p = gc::obs::build_profile(events);
-    p.meta = make_profile_meta(opt, model, m.slots, wall_s, dropped);
+    p.meta = gc::sim::make_profile_meta(opt.scenario_name, model, m.slots,
+                                        wall_s, dropped);
     stamp_policy_meta(p.meta, opt, m);
-    write_profile_files(opt.profile_path, p);
+    gc::sim::write_profile_files(opt.profile_path, p);
     if (!opt.quiet)
       std::printf("profile written to %s (+.collapsed)\n",
                   opt.profile_path.c_str());
@@ -312,15 +279,15 @@ void export_sweep_obs(const gc::cli::Options& opt,
           k < static_cast<int>(runs.size()) ? runs[k].slots : 0;
       // Per-seed drop attribution is unknowable (one shared ring), so the
       // merged profile carries the total and the slices carry zero.
-      p.meta =
-          make_profile_meta(opt, model, slots, job_wall_s(it->second), 0);
+      p.meta = gc::sim::make_profile_meta(opt.scenario_name, model, slots,
+                                          job_wall_s(it->second), 0);
       if (k < static_cast<int>(runs.size()))
         stamp_policy_meta(p.meta, opt, runs[k]);
-      write_profile_files(replicates[k].profile_path, p);
+      gc::sim::write_profile_files(replicates[k].profile_path, p);
       merged.merge_from(p);
     }
     merged.meta.spans_dropped = dropped;
-    write_profile_files(opt.profile_path, merged);
+    gc::sim::write_profile_files(opt.profile_path, merged);
     if (!opt.quiet)
       std::printf(
           "profile written to %s (+.collapsed), per-seed at %s.seed<k>\n",

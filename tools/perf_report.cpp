@@ -29,6 +29,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -81,7 +82,7 @@ bool parse_args(const std::vector<std::string>& argv, Args* out) {
 
 gc::obs::JsonValue load_json(const std::string& path) {
   std::ifstream in(path);
-  GC_CHECK_MSG(in.good(), "cannot open " << path);
+  if (!in.good()) throw std::runtime_error("cannot open " + path);
   std::ostringstream ss;
   ss << in.rdbuf();
   return gc::obs::json_parse(ss.str());
@@ -415,7 +416,7 @@ int main(int argc, char** argv) {
     }
     return bp ? run_profile_mode(base, cand, args)
               : run_bench_mode(base, cand, args);
-  } catch (const gc::CheckError& e) {
+  } catch (const std::exception& e) {  // CheckError, or an unreadable file
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
