@@ -38,6 +38,25 @@ ControllerMetrics& metrics() {
   return m;
 }
 
+// One rung of the fallback ladder (docs/ROBUSTNESS.md): the LP-based
+// solver `exact` when it is selected; with fallbacks on, a CheckError from
+// it (watchdog limit, infeasibility, numerical trouble) hands this slot to
+// the cheaper `cheap` instead of aborting the run, counted in `taken` and
+// `slot_fallbacks`.
+template <class Exact, class Cheap>
+auto run_ladder(bool use_exact, bool fallbacks, obs::Counter& taken,
+                int& slot_fallbacks, const Exact& exact, const Cheap& cheap) {
+  if (!use_exact) return cheap();
+  if (!fallbacks) return exact();
+  try {
+    return exact();
+  } catch (const CheckError&) {
+    taken.add();
+    ++slot_fallbacks;
+    return cheap();
+  }
+}
+
 }  // namespace
 
 LyapunovController::LyapunovController(const NetworkModel& model, double V,
@@ -87,6 +106,7 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // count (links scheduled, routes, energy demands).
   obs::Span step_span("controller.step", m.step, &decision.timing.step_s,
                       state_.slot(), model_->num_nodes());
+  util::ThreadPool* const pool = pool_ != nullptr ? &pool_->pool() : nullptr;
 
   // S2 — source selection + admission control.
   {
@@ -96,10 +116,8 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
         allocate_resources(state_, options_.allocator, &inputs);
   }
 
-  // S1 — link scheduling, then constraint (24) via minimal-power control.
-  // Under the fallback ladder, a failed SequentialFix relaxation (watchdog
-  // limit, infeasibility, numerical trouble) degrades to the greedy
-  // scheduler for this slot instead of aborting the run.
+  // S1 — link scheduling (ladder: SequentialFix -> Greedy), then
+  // constraint (24) via minimal-power control.
   {
     obs::Span span("controller.s1_schedule", m.s1, &decision.timing.s1_s,
                    state_.slot());
@@ -109,31 +127,19 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
                                .scaled(inputs.cost_multiplier)
                                .derivative(last_grid_j_)
             : 0.0;
-    if (options_.scheduler == ControllerOptions::Scheduler::SequentialFix) {
-      // One SF series per interference cluster; the pool, when there is
-      // one, only changes where the cluster jobs run.
-      const auto run_sf = [&] {
-        return sf_schedule(state_, inputs,
-                           pool_ != nullptr ? &pool_->pool() : nullptr,
-                           options_.fill_in, energy_price, options_.lp,
-                           options_.lp_stats);
-      };
-      if (options_.fallbacks) {
-        try {
-          decision.schedule = run_sf();
-        } catch (const CheckError&) {
-          m.fallback_s1.add();
-          ++decision.fallbacks;
-          decision.schedule =
-              greedy_schedule(state_, inputs, options_.fill_in, energy_price);
-        }
-      } else {
-        decision.schedule = run_sf();
-      }
-    } else {
-      decision.schedule =
-          greedy_schedule(state_, inputs, options_.fill_in, energy_price);
-    }
+    decision.schedule = run_ladder(
+        options_.scheduler == ControllerOptions::Scheduler::SequentialFix,
+        options_.fallbacks, m.fallback_s1, decision.fallbacks,
+        [&] {
+          // One SF series per interference cluster; the pool, when there
+          // is one, only changes where the cluster jobs run.
+          return sf_schedule(state_, inputs, pool, options_.fill_in,
+                             energy_price, options_.lp, options_.lp_stats);
+        },
+        [&] {
+          return greedy_schedule(state_, inputs, options_.fill_in,
+                                 energy_price);
+        });
     {
       obs::Span power_span("s1.power", state_.slot());
       assign_powers(*model_, inputs, decision.schedule);
@@ -148,75 +154,44 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
     const std::vector<double>* demand =
         inputs.session_demand_packets.empty() ? nullptr
                                               : &inputs.session_demand_packets;
-    RoutingResult routing;
-    if (options_.router == ControllerOptions::Router::Lp) {
-      if (options_.fallbacks) {
-        try {
-          routing = lp_route(state_, decision.schedule, decision.admissions,
-                             options_.lp, &lp_ws_s3_, demand);
-        } catch (const CheckError&) {
-          m.fallback_s3.add();
-          ++decision.fallbacks;
-          routing = greedy_route(state_, decision.schedule,
-                                 decision.admissions, demand);
-        }
-      } else {
-        routing = lp_route(state_, decision.schedule, decision.admissions,
-                           options_.lp, &lp_ws_s3_, demand);
-      }
-    } else {
-      routing = greedy_route(state_, decision.schedule, decision.admissions,
-                             demand);
-    }
+    RoutingResult routing = run_ladder(
+        options_.router == ControllerOptions::Router::Lp, options_.fallbacks,
+        m.fallback_s3, decision.fallbacks,
+        [&] {
+          return lp_route(state_, decision.schedule, decision.admissions,
+                          options_.lp, &lp_ws_s3_, demand);
+        },
+        [&] {
+          return greedy_route(state_, decision.schedule, decision.admissions,
+                              demand);
+        });
     decision.routes = std::move(routing.routes);
     decision.demand_shortfall = std::move(routing.demand_shortfall);
     span.set_dim(static_cast<std::int64_t>(decision.routes.size()));
   }
 
-  // S4 — energy management for the demand the schedule implies (ladder:
-  // Lp -> Price). A down node demands nothing, not even its baseline draw;
-  // an asleep node's demand is replaced by the policy layer's sleep power
-  // (plus switching energy), which it still purchases normally; an awake
-  // node with a pending switch charge (instant wake) pays it on top.
+  // S4 — energy management for the demand the schedule implies under the
+  // slot's fault and sleep overlays (compute_energy_demands; ladder:
+  // Lp -> Price).
   {
     obs::Span span("controller.s4_energy", m.s4, &decision.timing.s4_s,
                    state_.slot());
-    std::vector<double> demands =
-        compute_energy_demands(*model_, decision.schedule);
+    const std::vector<double> demands =
+        compute_energy_demands(*model_, decision.schedule, inputs);
     span.set_dim(static_cast<std::int64_t>(demands.size()));
-    if (inputs.any_node_inactive() || !inputs.policy_demand_j.empty())
-      for (std::size_t i = 0; i < demands.size(); ++i) {
-        const int node = static_cast<int>(i);
-        if (inputs.node_is_down(node))
-          demands[i] = 0.0;  // an outage silences even sleep power
-        else if (inputs.node_is_asleep(node))
-          demands[i] = inputs.policy_demand(node);
-        else
-          demands[i] += inputs.policy_demand(node);
-      }
-    EnergyResult energy;
     EnergyLpOptions eopt;
     eopt.decompose = options_.s4_decompose;
     eopt.decompose_min_nodes = options_.s4_decompose_min_nodes;
     eopt.warm_across_slots = options_.warm_across_slots;
-    eopt.pool = pool_ != nullptr ? &pool_->pool() : nullptr;
-    if (options_.energy_manager == ControllerOptions::EnergyManager::Lp) {
-      if (options_.fallbacks) {
-        try {
-          energy = lp_energy_manage(state_, inputs, demands, eopt,
-                                    options_.lp, &lp_ws_s4_);
-        } catch (const CheckError&) {
-          m.fallback_s4.add();
-          ++decision.fallbacks;
-          energy = price_energy_manage(state_, inputs, demands);
-        }
-      } else {
-        energy = lp_energy_manage(state_, inputs, demands, eopt, options_.lp,
+    eopt.pool = pool;
+    EnergyResult energy = run_ladder(
+        options_.energy_manager == ControllerOptions::EnergyManager::Lp,
+        options_.fallbacks, m.fallback_s4, decision.fallbacks,
+        [&] {
+          return lp_energy_manage(state_, inputs, demands, eopt, options_.lp,
                                   &lp_ws_s4_);
-      }
-    } else {
-      energy = price_energy_manage(state_, inputs, demands);
-    }
+        },
+        [&] { return price_energy_manage(state_, inputs, demands); });
     decision.energy = std::move(energy.decisions);
     decision.grid_total_j = energy.grid_total_j;
     decision.cost = energy.cost;

@@ -24,6 +24,17 @@ std::vector<double> compute_energy_demands(
   return demand;
 }
 
+std::vector<double> compute_energy_demands(
+    const NetworkModel& model, const std::vector<ScheduledLink>& schedule,
+    const SlotInputs& inputs) {
+  std::vector<double> d = compute_energy_demands(model, schedule);
+  for (int i = 0; i < model.num_nodes(); ++i)
+    d[i] = inputs.node_is_down(i)     ? 0.0
+           : inputs.node_is_asleep(i) ? inputs.policy_demand(i)
+                                      : d[i] + inputs.policy_demand(i);
+  return d;
+}
+
 namespace {
 
 struct NodeInstance {

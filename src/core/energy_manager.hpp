@@ -46,6 +46,15 @@ namespace gc::core {
 std::vector<double> compute_energy_demands(
     const NetworkModel& model, const std::vector<ScheduledLink>& schedule);
 
+// S4's demand for the slot: the above under `inputs`' overlays. A down
+// node (fault overlay) demands nothing, not even its baseline draw; an
+// asleep node (policy overlay) demands exactly its sleep power plus any
+// switching charge, which it still purchases normally; an awake node pays
+// any pending switching charge on top of its schedule draw.
+std::vector<double> compute_energy_demands(
+    const NetworkModel& model, const std::vector<ScheduledLink>& schedule,
+    const SlotInputs& inputs);
+
 struct EnergyResult {
   std::vector<NodeEnergyDecision> decisions;  // indexed by node
   double grid_total_j = 0.0;                  // P(t)

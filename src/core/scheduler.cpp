@@ -60,7 +60,8 @@ double activation_penalty(const NetworkModel& model, int tx, int rx,
 // Tracks the generalized radio constraints: at most num_radios(i)
 // simultaneous activities per node (eq. (22) with R radios), and at most
 // one activity per (node, band) (eqs. (20)/(21), which R = 1 makes
-// implicit).
+// implicit). Every entry belongs to one node, so jobs that own disjoint
+// node sets may take from one budget concurrently.
 class RadioUsage {
  public:
   explicit RadioUsage(const NetworkModel& model)
@@ -69,12 +70,6 @@ class RadioUsage {
         band_used_(static_cast<std::size_t>(model.num_nodes()) *
                        model.num_bands(),
                    0) {}
-
-  RadioUsage(const NetworkModel& model,
-             const std::vector<ScheduledLink>& schedule)
-      : RadioUsage(model) {
-    for (const auto& s : schedule) take(s.tx, s.rx, s.band);
-  }
 
   bool can_take(int tx, int rx, int band) const {
     return used_[tx] < model_->num_radios(tx) &&
@@ -110,63 +105,57 @@ class RadioUsage {
   std::vector<char> band_used_;
 };
 
-}  // namespace
+// What one band offers this slot, computed once per scan or power-control
+// pass rather than once per link: its nominal capacity at the SINR
+// threshold and the whole packets that capacity carries in one slot.
+struct BandCapacity {
+  double bps = 0.0;
+  double whole_packets = 0.0;  // floor(bps * dt / delta)
+};
 
-std::vector<CandidateLinkBand> build_candidates(const NetworkState& state,
-                                                const SlotInputs& inputs) {
-  obs::Span span("s1.candidates", state.slot());
-  const auto& model = state.model();
-  const int n = model.num_nodes();
-  const double pkts_per_bps = model.slot_seconds() / model.packet_bits();
-  // Range pruning (net/link_prune.hpp): the neighbor lists are ascending,
-  // so the pruned scan visits surviving pairs in the same order the dense
-  // scan would — candidate order (and everything downstream) is unchanged.
-  const net::LinkPruneMap* prune = model.pruned_links();
-  std::vector<CandidateLinkBand> out;
-  for (int i = 0; i < n; ++i) {
-    if (inputs.node_is_inactive(i)) continue;  // down or asleep: no radio
-    const auto scan_rx = [&](int j) {
-      if (!model.link_allowed(i, j)) return;
-      if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
-      const double h = state.h(i, j);
-      if (h <= 0.0) return;  // SF fixes alpha = 0 when H_ij = 0
-      for (int m = 0; m < model.num_bands(); ++m) {
-        if (!model.spectrum().link_band_ok(i, j, m)) continue;
-        const double c = net::nominal_capacity_bps(
-            inputs.bandwidth_hz[m], model.radio().sinr_threshold);
-        if (c <= 0.0) continue;
-        // Exact Psi1-hat drain (beta * H * cap_packets). Primary
-        // candidates are never energy-penalized: a positive H means
-        // packets were already committed to this link and (27) obliges
-        // serving them.
-        const double weight = model.beta() * h * c * pkts_per_bps;
-        if (weight <= 0.0) continue;
-        out.push_back(CandidateLinkBand{i, j, m, c, weight});
-      }
-    };
-    if (prune != nullptr) {
-      for (int j : prune->out_neighbors(i)) scan_rx(j);
-    } else {
-      for (int j = 0; j < n; ++j)
-        if (j != i) scan_rx(j);
-    }
+std::vector<BandCapacity> band_capacities(const NetworkModel& model,
+                                          const SlotInputs& inputs) {
+  std::vector<BandCapacity> out;
+  for (int m = 0; m < model.num_bands(); ++m) {
+    const double bps = net::nominal_capacity_bps(
+        inputs.bandwidth_hz[m], model.radio().sinr_threshold);
+    out.push_back(BandCapacity{
+        bps, std::floor(bps * model.slot_seconds() / model.packet_bits())});
   }
   return out;
 }
 
-std::vector<CandidateLinkBand> build_fill_in_candidates(
+ScheduledLink to_link(const CandidateLinkBand& c) {
+  return ScheduledLink{c.tx, c.rx, c.band, 0.0, c.capacity_bps};
+}
+
+// Visits every receiver i's candidate scan considers, in ascending order.
+// Range pruning (net/link_prune.hpp): the neighbor lists are ascending, so
+// the pruned scan visits surviving pairs in the order the dense scan would
+// — candidate order (and everything downstream) is unchanged.
+template <class F>
+void for_each_rx(const NetworkModel& model, int i, F&& scan_rx) {
+  if (const net::LinkPruneMap* prune = model.pruned_links()) {
+    for (int j : prune->out_neighbors(i)) scan_rx(j);
+  } else {
+    for (int j = 0; j < model.num_nodes(); ++j)
+      if (j != i) scan_rx(j);
+  }
+}
+
+// The fill-in scan (see build_fill_in_candidates) against the radio budget
+// the schedule so far has consumed.
+std::vector<CandidateLinkBand> fill_in_candidates(
     const NetworkState& state, const SlotInputs& inputs,
-    const std::vector<ScheduledLink>& already_scheduled,
-    double marginal_energy_price) {
+    const RadioUsage& usage, double marginal_energy_price) {
   const auto& model = state.model();
   const int n = model.num_nodes();
-  const RadioUsage usage(model, already_scheduled);
+  const std::vector<BandCapacity> bands = band_capacities(model, inputs);
 
   // Range pruning: beyond shrinking the scan, dropping out-of-range pairs
   // here IMPROVES the schedule — an unpruned infeasible fill-in link would
   // occupy two radios until power control deschedules it, crowding out
   // feasible links (docs/ALGORITHM.md "Why range pruning is exact").
-  const net::LinkPruneMap* prune = model.pruned_links();
   std::vector<CandidateLinkBand> out;
   std::vector<int> live;  // sessions transmitter i holds packets for
   for (int i = 0; i < n; ++i) {
@@ -179,7 +168,7 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
       if (model.session(s).destination != i && state.q(i, s) > 0.0)  // (17)
         live.push_back(s);
     if (live.empty()) continue;
-    const auto scan_rx = [&](int j) {
+    for_each_rx(model, i, [&](int j) {
       if (usage.node_saturated(j) || !model.link_allowed(i, j)) return;
       if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
       // Best Psi3 differential any session could realize on (i, j).
@@ -193,38 +182,26 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
       // than an optimization choice.
       const bool delivery_link = model.is_destination(j);
       for (int m = 0; m < model.num_bands(); ++m) {
+        if (bands[m].whole_packets < 1.0) continue;  // not a whole packet
         if (!model.spectrum().link_band_ok(i, j, m)) continue;
         if (!usage.can_take(i, j, m)) continue;
-        const double c = net::nominal_capacity_bps(
-            inputs.bandwidth_hz[m], model.radio().sinr_threshold);
-        const double pkts = c * model.slot_seconds() / model.packet_bits();
-        if (pkts < 1.0) continue;  // cannot carry a whole packet
         const double penalty =
             delivery_link ? 0.0
                           : activation_penalty(model, i, j,
                                                inputs.bandwidth_hz[m],
                                                marginal_energy_price);
-        const double weight = best_diff * std::floor(pkts) - penalty;
+        const double weight = best_diff * bands[m].whole_packets - penalty;
         if (weight <= 0.0) continue;
-        out.push_back(CandidateLinkBand{i, j, m, c, weight});
+        out.push_back(CandidateLinkBand{i, j, m, bands[m].bps, weight});
       }
-    };
-    if (prune != nullptr) {
-      for (int j : prune->out_neighbors(i)) scan_rx(j);
-    } else {
-      for (int j = 0; j < n; ++j)
-        if (j != i) scan_rx(j);
-    }
+    });
   }
   return out;
 }
 
-namespace {
-
-// Weight-sorted greedy over an explicit candidate list, respecting the
-// radio budget already consumed by `schedule`.
-void greedy_fill(const NetworkState& state,
-                 std::vector<CandidateLinkBand> cands,
+// Weight-sorted greedy over an explicit candidate list, taking from the
+// radio budget `usage` the schedule so far has left.
+void greedy_fill(std::vector<CandidateLinkBand> cands, RadioUsage& usage,
                  std::vector<ScheduledLink>& schedule) {
   std::sort(cands.begin(), cands.end(),
             [](const CandidateLinkBand& a, const CandidateLinkBand& b) {
@@ -233,38 +210,77 @@ void greedy_fill(const NetworkState& state,
               if (a.rx != b.rx) return a.rx < b.rx;
               return a.band < b.band;
             });
-  RadioUsage usage(state.model(), schedule);
   for (const auto& c : cands) {
     if (!usage.can_take(c.tx, c.rx, c.band)) continue;
     usage.take(c.tx, c.rx, c.band);
-    ScheduledLink link;
-    link.tx = c.tx;
-    link.rx = c.rx;
-    link.band = c.band;
-    link.capacity_bps = c.capacity_bps;
-    schedule.push_back(link);
+    schedule.push_back(to_link(c));
   }
 }
 
-// Psi3-aware fill-in over radios the primary pass left idle (see
-// build_fill_in_candidates for why the paper's S1 alone deadlocks).
+// Psi3-aware fill-in over radios the primary pass left idle in `usage`
+// (see build_fill_in_candidates for why the paper's S1 alone deadlocks).
 void fill_in_pass(const NetworkState& state, const SlotInputs& inputs,
-                  double marginal_energy_price,
+                  double marginal_energy_price, RadioUsage& usage,
                   std::vector<ScheduledLink>& schedule) {
   obs::Span span("s1.fill_in", state.slot());
   const std::size_t before = schedule.size();
-  greedy_fill(state,
-              build_fill_in_candidates(state, inputs, schedule,
-                                       marginal_energy_price),
-              schedule);
+  greedy_fill(
+      fill_in_candidates(state, inputs, usage, marginal_energy_price), usage,
+      schedule);
   sched_metrics().fill_in.add(static_cast<double>(schedule.size() - before));
 }
 
+}  // namespace
+
+std::vector<CandidateLinkBand> build_candidates(const NetworkState& state,
+                                                const SlotInputs& inputs) {
+  obs::Span span("s1.candidates", state.slot());
+  const auto& model = state.model();
+  const int n = model.num_nodes();
+  const double pkts_per_bps = model.slot_seconds() / model.packet_bits();
+  const std::vector<BandCapacity> bands = band_capacities(model, inputs);
+  std::vector<CandidateLinkBand> out;
+  for (int i = 0; i < n; ++i) {
+    if (inputs.node_is_inactive(i)) continue;  // down or asleep: no radio
+    for_each_rx(model, i, [&](int j) {
+      if (!model.link_allowed(i, j)) return;
+      if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
+      const double h = state.h(i, j);
+      if (h <= 0.0) return;  // SF fixes alpha = 0 when H_ij = 0
+      for (int m = 0; m < model.num_bands(); ++m) {
+        const double c = bands[m].bps;
+        if (c <= 0.0 || !model.spectrum().link_band_ok(i, j, m)) continue;
+        // Exact Psi1-hat drain (beta * H * cap_packets). Primary
+        // candidates are never energy-penalized: a positive H means
+        // packets were already committed to this link and (27) obliges
+        // serving them.
+        const double weight = model.beta() * h * c * pkts_per_bps;
+        if (weight <= 0.0) continue;
+        out.push_back(CandidateLinkBand{i, j, m, c, weight});
+      }
+    });
+  }
+  return out;
+}
+
+std::vector<CandidateLinkBand> build_fill_in_candidates(
+    const NetworkState& state, const SlotInputs& inputs,
+    const std::vector<ScheduledLink>& already_scheduled,
+    double marginal_energy_price) {
+  RadioUsage usage(state.model());
+  for (const auto& s : already_scheduled) usage.take(s.tx, s.rx, s.band);
+  return fill_in_candidates(state, inputs, usage, marginal_energy_price);
+}
+
+namespace {
+
 // One SF relax-round-compact series over `cands`: fixes links into
-// `schedule`, consuming `usage`. Every pass solves cold through `ws`.
+// `schedule`, consuming `usage`. Every pass solves cold through `ws`; with
+// `stats` set, each solve's statistics are appended to it.
 void sf_series(const NetworkState& state,
                std::vector<CandidateLinkBand> cands, RadioUsage& usage,
                const lp::Options& lp_options, lp::Workspace& ws,
+               std::vector<lp::SolveStats>* stats,
                std::vector<ScheduledLink>& schedule) {
   const auto& model = state.model();
   while (!cands.empty()) {
@@ -292,6 +308,7 @@ void sf_series(const NetworkState& state,
       }
     }
     const lp::Solution sol = lp::solve(m, lp_options, ws);
+    if (stats != nullptr) stats->push_back(ws.last_stats());
     GC_CHECK_MSG(sol.status == lp::Status::Optimal,
                  "SF relaxation not optimal at slot "
                      << state.slot() << ": " << lp::to_string(sol.status));
@@ -314,12 +331,7 @@ void sf_series(const NetworkState& state,
       // fractional may conflict with one fixed this same round.
       if (!usage.can_take(f.tx, f.rx, f.band)) continue;
       usage.take(f.tx, f.rx, f.band);
-      ScheduledLink link;
-      link.tx = f.tx;
-      link.rx = f.rx;
-      link.band = f.band;
-      link.capacity_bps = f.capacity_bps;
-      schedule.push_back(link);
+      schedule.push_back(to_link(f));
     }
     // Compact the surviving candidates for the next (strictly smaller)
     // relaxation.
@@ -329,15 +341,6 @@ void sf_series(const NetworkState& state,
     cands.resize(kept);
   }
 }
-
-// Buffers per-cluster SolveStats so the main thread can forward them to
-// the caller's sink in cluster order, independent of worker scheduling.
-struct BufferedStatsSink : lp::SolveStatsSink {
-  std::vector<lp::SolveStats> records;
-  void on_solve(const lp::SolveStats& stats, const char*) override {
-    records.push_back(stats);
-  }
-};
 
 }  // namespace
 
@@ -384,19 +387,18 @@ std::vector<ScheduledLink> sf_schedule(
   for (const auto& cc : cluster_cands)
     sched_metrics().cluster_cands.observe(static_cast<double>(cc.size()));
 
-  // One SF series per cluster. Clusters are node-disjoint, so each job's
-  // fresh RadioUsage sees exactly the budget the joint series would. Job c
-  // writes only entry c of fragments and sinks, so submitting it and
-  // running it inline give the same result.
+  // One SF series per cluster, all taking from the slot's one radio
+  // budget. Clusters are node-disjoint, so each job reads and writes only
+  // its own nodes' entries and sees exactly the budget the joint series
+  // would. Job c writes only entry c of fragments and stats, so submitting
+  // it and running it inline give the same result.
+  RadioUsage usage(model);
   std::vector<std::vector<ScheduledLink>> fragments(k);
-  std::vector<BufferedStatsSink> sinks(k);
+  std::vector<std::vector<lp::SolveStats>> stats(k);
   util::parallel_for(pool, static_cast<int>(k), [&](int c) {
     lp::Workspace ws;
-    ws.set_stats_context("s1");
-    if (stats_sink != nullptr) ws.set_stats_sink(&sinks[c]);
-    RadioUsage usage(model);
     sf_series(state, std::move(cluster_cands[c]), usage, lp_options, ws,
-              fragments[c]);
+              stats_sink != nullptr ? &stats[c] : nullptr, fragments[c]);
   });
 
   // Deterministic merge: cluster order, then the order the series fixed
@@ -404,12 +406,12 @@ std::vector<ScheduledLink> sf_schedule(
   std::vector<ScheduledLink> schedule;
   for (std::size_t c = 0; c < k; ++c) {
     schedule.insert(schedule.end(), fragments[c].begin(), fragments[c].end());
-    if (stats_sink != nullptr)
-      for (const auto& rec : sinks[c].records) stats_sink->on_solve(rec, "s1");
+    for (const auto& rec : stats[c]) stats_sink->on_solve(rec, "s1");
   }
   sf_span.stop();
   sched_metrics().primary.add(static_cast<double>(schedule.size()));
-  if (fill_in) fill_in_pass(state, inputs, marginal_energy_price, schedule);
+  if (fill_in)
+    fill_in_pass(state, inputs, marginal_energy_price, usage, schedule);
   return schedule;
 }
 
@@ -434,10 +436,12 @@ std::vector<ScheduledLink> greedy_schedule(const NetworkState& state,
                                            const SlotInputs& inputs,
                                            bool fill_in,
                                            double marginal_energy_price) {
+  RadioUsage usage(state.model());
   std::vector<ScheduledLink> schedule;
-  greedy_fill(state, build_candidates(state, inputs), schedule);
+  greedy_fill(build_candidates(state, inputs), usage, schedule);
   sched_metrics().primary.add(static_cast<double>(schedule.size()));
-  if (fill_in) fill_in_pass(state, inputs, marginal_energy_price, schedule);
+  if (fill_in)
+    fill_in_pass(state, inputs, marginal_energy_price, usage, schedule);
   return schedule;
 }
 
@@ -487,27 +491,18 @@ std::vector<ScheduledLink> exhaustive_schedule(const NetworkState& state,
   double best_weight = -1.0;
   exhaustive_rec(cands, 0, usage, chosen, 0.0, best_chosen, best_weight);
   std::vector<ScheduledLink> schedule;
-  for (std::size_t v : best_chosen) {
-    ScheduledLink link;
-    link.tx = cands[v].tx;
-    link.rx = cands[v].rx;
-    link.band = cands[v].band;
-    link.capacity_bps = cands[v].capacity_bps;
-    schedule.push_back(link);
-  }
+  for (std::size_t v : best_chosen) schedule.push_back(to_link(cands[v]));
   return schedule;
 }
 
 double schedule_weight(const NetworkState& state,
                        const std::vector<ScheduledLink>& schedule,
                        const SlotInputs& inputs) {
-  const auto& model = state.model();
+  const std::vector<BandCapacity> bands =
+      band_capacities(state.model(), inputs);
   double total = 0.0;
-  for (const auto& s : schedule) {
-    const double c = net::nominal_capacity_bps(inputs.bandwidth_hz[s.band],
-                                               model.radio().sinr_threshold);
-    total += state.h(s.tx, s.rx) * c;
-  }
+  for (const auto& s : schedule)
+    total += state.h(s.tx, s.rx) * bands[s.band].bps;
   return total;
 }
 
@@ -577,6 +572,7 @@ void assign_powers_max_adaptive(const NetworkModel& model,
 
 void assign_powers(const NetworkModel& model, const SlotInputs& inputs,
                    std::vector<ScheduledLink>& schedule) {
+  const std::vector<BandCapacity> bands = band_capacities(model, inputs);
   std::vector<ScheduledLink> surviving;
   for (int band = 0; band < model.num_bands(); ++band) {
     std::vector<std::size_t> on_band;
@@ -609,10 +605,8 @@ void assign_powers(const NetworkModel& model, const SlotInputs& inputs,
         for (std::size_t k = 0; k < links.size(); ++k) {
           ScheduledLink s = schedule[on_band[k]];
           s.power_w = pc.powers_w[k];
-          s.capacity_bps = net::nominal_capacity_bps(
-              inputs.bandwidth_hz[band], model.radio().sinr_threshold);
-          s.capacity_packets = std::floor(
-              s.capacity_bps * model.slot_seconds() / model.packet_bits());
+          s.capacity_bps = bands[band].bps;
+          s.capacity_packets = bands[band].whole_packets;
           surviving.push_back(s);
         }
         break;

@@ -95,14 +95,15 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
 // through util::parallel_for: as jobs on `pool`, or inline on the calling
 // thread, in cluster order, without one. That is the only difference, so
 // the schedule is bit-identical at every thread count and the pool changes
-// wall time only. The fill-in
-// pass stays global (it is a cheap greedy and its candidates span
-// clusters by design).
+// wall time only. The fill-in pass stays global (it is a cheap greedy and
+// its candidates span clusters by design). One radio budget (eqs.
+// (20)-(22)) serves the whole call: the cluster jobs take from it on their
+// own, disjoint nodes, and the fill-in takes what they left.
 //
-// Per-cluster LP statistics are buffered and forwarded to `stats_sink` in
-// cluster order after the join (nullptr = off), so sinks see the same
-// record stream at any thread count. A pool passed here should give each
-// worker its own obs registry, as obs::InstrumentedPool does (the
+// Each cluster job keeps its LP statistics; after the join they are
+// forwarded to `stats_sink` in cluster order (nullptr = off), so sinks see
+// the same record stream at any thread count. A pool passed here should
+// give each worker its own obs registry, as obs::InstrumentedPool does (the
 // controller owns one); cluster jobs bump sched.* and lp.* instruments.
 std::vector<ScheduledLink> sf_schedule(
     const NetworkState& state, const SlotInputs& inputs,

@@ -135,20 +135,10 @@ std::vector<std::string> validate_decision(const NetworkState& pre_state,
     fail("energy arity mismatch");
     return out;
   }
-  std::vector<double> demands =
-      compute_energy_demands(model, decision.schedule);
-  // A down node (fault overlay) consumes nothing — not even its baseline
-  // draw — and must not act at all this slot. A sleeping node (policy
-  // overlay) consumes exactly its sleep power plus any switching charge;
-  // an awake node pays any switching charge on top of its schedule draw.
-  for (int i = 0; i < n; ++i) {
-    if (inputs.node_is_down(i))
-      demands[i] = 0.0;
-    else if (inputs.node_is_asleep(i))
-      demands[i] = inputs.policy_demand(i);
-    else
-      demands[i] += inputs.policy_demand(i);
-  }
+  // The demand S4 had to meet, under the fault and sleep overlays; a down
+  // node must also not act at all this slot.
+  const std::vector<double> demands =
+      compute_energy_demands(model, decision.schedule, inputs);
   double p_total = 0.0;
   for (int i = 0; i < n; ++i) {
     const auto& e = decision.energy[i];

@@ -147,11 +147,12 @@ enum class VarState : std::uint8_t { AtLower, AtUpper, Basic };
 //
 // The tableau, bounds, cost, basis and scratch vectors live here and are
 // resized (std::vector::assign — capacity is kept) instead of freshly
-// allocated on every solve. A controller that issues thousands of mid-size
-// LPs per run (the S1 sequential-fix series, S3, S4) holds one Workspace
-// per call site and amortizes all per-solve allocation away after the first
-// slot. A Workspace must not be shared between concurrent solves; one per
-// thread/controller is the intended shape.
+// allocated on every solve. S1 solves each interference cluster's
+// sequential-fix series through a Workspace of its own, which keeps no
+// capacity beyond that cluster. The opt-in LP solvers of S3 and S4 each
+// hold one Workspace per controller call site and amortize all per-solve
+// allocation away after the first slot. A Workspace must not be shared
+// between concurrent solves.
 //
 // Warm start: after every solve the workspace remembers each structural
 // variable's final VarState. A caller whose next model reuses (a subset

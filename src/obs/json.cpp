@@ -79,12 +79,21 @@ class Parser {
   JsonValue parse() {
     const JsonValue v = value();
     skip_ws();
-    GC_CHECK_MSG(pos_ == s_.size(),
-                 "trailing JSON content at offset " << pos_);
+    require(pos_ == s_.size(), "trailing JSON content at offset ", pos_);
     return v;
   }
 
  private:
+  // Syntax errors say what was expected and where, as a plain CheckError:
+  // the text is usually a user's file, so no source location belongs in it.
+  template <class... Parts>
+  static void require(bool ok, const Parts&... parts) {
+    if (ok) return;
+    std::ostringstream os;
+    (os << ... << parts);
+    throw CheckError(os.str());
+  }
+
   void skip_ws() {
     while (pos_ < s_.size() &&
            (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
@@ -93,13 +102,13 @@ class Parser {
   }
 
   char peek() {
-    GC_CHECK_MSG(pos_ < s_.size(), "unexpected end of JSON");
+    require(pos_ < s_.size(), "unexpected end of JSON at offset ", pos_);
     return s_[pos_];
   }
 
   void expect(char c) {
-    GC_CHECK_MSG(pos_ < s_.size() && s_[pos_] == c,
-                 "expected '" << c << "' at offset " << pos_);
+    require(pos_ < s_.size() && s_[pos_] == c, "expected '", c,
+            "' at offset ", pos_);
     ++pos_;
   }
 
@@ -118,13 +127,13 @@ class Parser {
       case '[': return nested([this] { return array(); });
       case '"': return JsonValue(string());
       case 't':
-        GC_CHECK_MSG(consume_literal("true"), "bad literal at " << pos_);
+        require(consume_literal("true"), "bad literal at offset ", pos_);
         return JsonValue(true);
       case 'f':
-        GC_CHECK_MSG(consume_literal("false"), "bad literal at " << pos_);
+        require(consume_literal("false"), "bad literal at offset ", pos_);
         return JsonValue(false);
       case 'n':
-        GC_CHECK_MSG(consume_literal("null"), "bad literal at " << pos_);
+        require(consume_literal("null"), "bad literal at offset ", pos_);
         return JsonValue();
       default: return number();
     }
@@ -178,14 +187,14 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      GC_CHECK_MSG(pos_ < s_.size(), "unterminated JSON string");
+      require(pos_ < s_.size(), "unterminated JSON string");
       char c = s_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
         out += c;
         continue;
       }
-      GC_CHECK_MSG(pos_ < s_.size(), "unterminated JSON escape");
+      require(pos_ < s_.size(), "unterminated JSON escape");
       c = s_[pos_++];
       switch (c) {
         case '"': out += '"'; break;
@@ -197,7 +206,7 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          GC_CHECK_MSG(pos_ + 4 <= s_.size(), "bad \\u escape");
+          require(pos_ + 4 <= s_.size(), "bad \\u escape");
           const unsigned long cp =
               std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16);
           pos_ += 4;
@@ -208,10 +217,11 @@ class Parser {
             out += static_cast<char>(0xC0 | (cp >> 6));
             out += static_cast<char>(0x80 | (cp & 0x3F));
           }
-          GC_CHECK_MSG(cp <= 0xFF, "\\u escape beyond Latin-1 unsupported");
+          require(cp <= 0xFF, "\\u escape beyond Latin-1 unsupported");
           break;
         }
-        default: GC_CHECK_MSG(false, "bad JSON escape '\\" << c << "'");
+        default: require(false, "bad JSON escape '\\", c, "' at offset ",
+                         pos_ - 1);
       }
     }
   }
@@ -224,12 +234,12 @@ class Parser {
             s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
             s_[pos_] == '+' || s_[pos_] == '-'))
       ++pos_;
-    GC_CHECK_MSG(pos_ > start, "expected JSON number at offset " << start);
+    require(pos_ > start, "expected JSON number at offset ", start);
     char* end = nullptr;
     const std::string tok = s_.substr(start, pos_ - start);
     const double v = std::strtod(tok.c_str(), &end);
-    GC_CHECK_MSG(end && *end == '\0' && std::isfinite(v),
-                 "bad JSON number \"" << tok << '"');
+    require(end && *end == '\0' && std::isfinite(v), "bad JSON number \"",
+            tok, "\" at offset ", start);
     return JsonValue(v);
   }
 
@@ -237,8 +247,7 @@ class Parser {
   // than a stack overflow.
   template <class F>
   JsonValue nested(F parse) {
-    GC_CHECK_MSG(++depth_ <= 256, "JSON nested deeper than 256 at offset "
-                                      << pos_);
+    require(++depth_ <= 256, "JSON nested deeper than 256 at offset ", pos_);
     JsonValue v = parse();
     --depth_;
     return v;
@@ -460,7 +469,8 @@ void JsonReader::close() {
 
 std::string read_text_file(const std::string& path, const char* what) {
   std::ifstream in(path);
-  GC_CHECK_MSG(in.good(), "cannot open " << what << ' ' << path);
+  if (!in.good())
+    throw CheckError(std::string("cannot open ") + what + ' ' + path);
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();

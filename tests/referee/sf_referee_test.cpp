@@ -9,7 +9,8 @@
 // instances with a positive optimum, the mean optimality ratio (SF weight
 // / exact weight) must stay at or above a floor taken from the measured
 // value, rounded down to two decimals; the mean is recorded as a test
-// property.
+// property. The LP statistics the series forwards to a stats sink must
+// likewise be the same records, in the same order, at every thread count.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -79,6 +80,26 @@ bool identical(const std::vector<ScheduledLink>& a,
   return true;
 }
 
+// What a stats sink learns of one SF solve, less its wall time.
+struct SolveRecord {
+  std::string context;
+  int rows, cols, nonzeros;
+  int phase1_iterations, phase2_iterations, pivots, degenerate_pivots,
+      bound_flips, refactorizations;
+  lp::Status status;
+  bool operator==(const SolveRecord&) const = default;
+};
+
+struct CapturingSink : lp::SolveStatsSink {
+  std::vector<SolveRecord> records;
+  void on_solve(const lp::SolveStats& s, const char* context) override {
+    records.push_back(SolveRecord{
+        context, s.rows, s.cols, s.nonzeros, s.phase1_iterations,
+        s.phase2_iterations, s.pivots, s.degenerate_pivots, s.bound_flips,
+        s.refactorizations, s.status});
+  }
+};
+
 std::string fixed9(double x) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.9f", x);
@@ -112,6 +133,24 @@ TEST(SfReferee, OneSeriesAgainstExhaustiveOptimumAtAnyThreadCount) {
                  static_cast<int>(ratio.count()));
   // Measured: 0.987527861 over all 60 instances.
   EXPECT_GE(ratio.mean(), 0.98) << "SF mean ratio";
+}
+
+TEST(SfReferee, StatsStreamIsThreadCountInvariant) {
+  obs::InstrumentedPool pool2(2), pool4(4);
+  std::size_t solves = 0;
+  for (int k = 0; k < kInstances; ++k) {
+    const Instance in(k);
+    CapturingSink inline1, pooled2, pooled4;
+    sf_schedule(in.state, in.inputs, nullptr, true, 0.0, {}, &inline1);
+    sf_schedule(in.state, in.inputs, &pool2.pool(), true, 0.0, {}, &pooled2);
+    sf_schedule(in.state, in.inputs, &pool4.pool(), true, 0.0, {}, &pooled4);
+    EXPECT_TRUE(inline1.records == pooled2.records) << "instance " << k;
+    EXPECT_TRUE(inline1.records == pooled4.records) << "instance " << k;
+    for (const SolveRecord& r : inline1.records)
+      EXPECT_EQ(r.context, "s1") << "instance " << k;
+    solves += inline1.records.size();
+  }
+  EXPECT_GT(solves, 0u);
 }
 
 }  // namespace

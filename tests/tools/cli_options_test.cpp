@@ -7,6 +7,9 @@
 #include <string>
 
 #include "policy/sleep.hpp"
+#include "scenario/spec.hpp"
+#include "sim/sweep.hpp"
+#include "util/check.hpp"
 
 namespace gc::cli {
 namespace {
@@ -601,6 +604,57 @@ TEST(CliOptions, ParsedScenarioBuilds) {
   EXPECT_EQ(model.num_nodes(), 8);
   EXPECT_EQ(model.num_radios(0), 2);
   EXPECT_DOUBLE_EQ(model.tariff_multiplier(0), 2.0);
+}
+
+// A flag-built run is identified like a --scenario file: by the hash of
+// the spec --print-scenario prints for it.
+TEST(CliOptions, FlagBuiltScenarioIsHashed) {
+  const auto none = parse({});
+  const auto seed = parse({"--seed", "2"});
+  const auto lambda = parse({"--lambda", "4"});
+  ASSERT_TRUE(none.options && seed.options && lambda.options);
+  const scenario::ScenarioSpec empty = scenario::parse_scenario_json("{}");
+  EXPECT_EQ(none.options->scenario_hash, scenario::scenario_hash(empty));
+  EXPECT_EQ(none.options->scenario_structural_hash,
+            scenario::scenario_structural_hash(empty));
+  const std::uint64_t hashes[] = {none.options->scenario_hash,
+                                  seed.options->scenario_hash,
+                                  lambda.options->scenario_hash};
+  for (std::size_t a = 0; a < std::size(hashes); ++a) {
+    EXPECT_NE(hashes[a], 0u) << a;
+    for (std::size_t b = a + 1; b < std::size(hashes); ++b)
+      EXPECT_NE(hashes[a], hashes[b]) << a << " vs " << b;
+  }
+}
+
+// A checkpoint of one flag set cannot be resumed under another: the
+// second run would otherwise continue under a different topology and
+// admission threshold.
+TEST(CliOptions, ResumeUnderDifferentScenarioFlagsIsRefused) {
+  const std::string ckpt = testing::TempDir() + "gc_cli_test_flags.ckpt";
+  // The run greencell_sim makes of a flag set: its scenario and identity.
+  const auto job = [](std::initializer_list<std::string> args) {
+    const auto r = parse(args);
+    EXPECT_TRUE(r.options) << r.error;
+    sim::SimJob j;
+    j.scenario = r.options->scenario;
+    j.V = r.options->V;
+    j.slots = r.options->slots;
+    j.sim.scenario_hash = r.options->scenario_hash;
+    j.sim.scenario_structural_hash = r.options->scenario_structural_hash;
+    return j;
+  };
+  sim::SimJob first = job({"--seed", "1", "--slots", "4"});
+  first.sim.checkpoint_path = ckpt;
+  sim::run_job(first);
+
+  sim::SimJob other = job({"--seed", "2", "--lambda", "4", "--slots", "8"});
+  other.sim.resume_path = ckpt;
+  EXPECT_THROW(sim::run_job(other), CheckError);
+  sim::SimJob same = job({"--seed", "1", "--slots", "8"});
+  same.sim.resume_path = ckpt;
+  EXPECT_NO_THROW(sim::run_job(same));
+  std::remove(ckpt.c_str());
 }
 
 }  // namespace

@@ -257,9 +257,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
           opt.scenario_path = v;
           opt.scenario = spec.config;
           opt.scenario_name = spec.name;
-          opt.scenario_hash = scenario::scenario_hash(spec);
-          opt.scenario_structural_hash =
-              scenario::scenario_structural_hash(spec);
         } catch (const CheckError& e) {
           return err(e.what());
         }
@@ -391,6 +388,12 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   } catch (const flags::UsageError& e) {
     return err(e.what());
   }
+  // The run's identity: the hash of its spec, as loaded by --scenario or
+  // as --print-scenario prints the flag-built one, taken before the sleep
+  // overrides merge.
+  const scenario::ScenarioSpec spec{opt.scenario_name, opt.scenario};
+  opt.scenario_hash = scenario::scenario_hash(spec);
+  opt.scenario_structural_hash = scenario::scenario_structural_hash(spec);
   if (ov_policy) opt.scenario.bs_sleep.policy = *ov_policy;
   if (ov_sleep_thr) opt.scenario.bs_sleep.sleep_threshold = *ov_sleep_thr;
   if (ov_wake_thr) opt.scenario.bs_sleep.wake_threshold = *ov_wake_thr;

@@ -19,13 +19,13 @@ struct Options {
   // scenario_path is set, `scenario` was loaded from that JSON file and
   // the scenario-shaping flags (--users, --seed, --tariff, ...) are
   // rejected: the file is the single source of truth. name/hash carry the
-  // spec's identity into trace headers and checkpoints.
+  // spec's identity, or a flag-built run's, into traces and checkpoints.
   std::string scenario_path;
   std::string scenario_name = "default";
   std::uint64_t scenario_hash = 0;
   // Structure-only subset of scenario_hash (topology/energy/algorithm
   // fields; traffic shape and tariff excluded) — what --reload-scenario
-  // compares to decide whether a swap is safe. 0 for flag-built scenarios.
+  // compares to decide whether a swap is safe.
   std::uint64_t scenario_structural_hash = 0;
   // --print-scenario: dump the resolved scenario JSON to stdout and exit.
   bool print_scenario = false;

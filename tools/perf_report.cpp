@@ -85,7 +85,11 @@ gc::obs::JsonValue load_json(const std::string& path) {
   if (!in.good()) throw std::runtime_error("cannot open " + path);
   std::ostringstream ss;
   ss << in.rdbuf();
-  return gc::obs::json_parse(ss.str());
+  try {
+    return gc::obs::json_parse(ss.str());
+  } catch (const gc::CheckError& e) {
+    throw gc::CheckError(path + ": " + e.what());
+  }
 }
 
 // ---------------------------------------------------------------- BENCH --
