@@ -75,19 +75,6 @@ LyapunovController::LyapunovController(const NetworkModel& model, double V,
 
 LyapunovController::~LyapunovController() = default;
 
-LyapunovController::WarmCarry LyapunovController::warm_carry() const {
-  WarmCarry carry;
-  if (!options_.warm_across_slots) return carry;
-  carry.s4_states = lp_ws_s4_.export_recorded_states();
-  return carry;
-}
-
-void LyapunovController::restore_warm_carry(const WarmCarry& carry) {
-  // S1 keeps no cross-slot state; an older checkpoint's S1 hints are
-  // dropped.
-  lp_ws_s4_.import_recorded_states(carry.s4_states);
-}
-
 SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   GC_CHECK(static_cast<int>(inputs.bandwidth_hz.size()) ==
            model_->num_bands());
@@ -182,7 +169,6 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
     EnergyLpOptions eopt;
     eopt.decompose = options_.s4_decompose;
     eopt.decompose_min_nodes = options_.s4_decompose_min_nodes;
-    eopt.warm_across_slots = options_.warm_across_slots;
     eopt.pool = pool;
     EnergyResult energy = run_ladder(
         options_.energy_manager == ControllerOptions::EnergyManager::Lp,

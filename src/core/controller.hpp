@@ -62,11 +62,8 @@ struct ControllerOptions {
   // the node threshold.
   S4Decompose s4_decompose = S4Decompose::Auto;
   int s4_decompose_min_nodes = 64;
-  // Cross-slot LP warm starts for the opt-in energy_manager = Lp: seed each
-  // slot's S4 LP from the previous slot's final variable states. Off by
-  // default. The carry is part of the checkpointed state (warm_carry() /
-  // restore_warm_carry()), so resume replays exactly. S1 carries nothing
-  // across slots: every SF series starts cold (scheduler.hpp).
+  // Inert: nothing reads it, as no LP solver warm-starts.
+  // perfbench only; ROADMAP item 1 deletes it.
   bool warm_across_slots = false;
   // Intra-slot parallelism (--intra-slot-threads): > 1 runs S1's
   // per-interference-cluster SF series (sf_schedule) and (energy_manager =
@@ -94,21 +91,15 @@ class LyapunovController {
                      ControllerOptions options = {});
   ~LyapunovController();
 
-  // The cross-slot warm-start carry (ControllerOptions::warm_across_slots):
-  // the opt-in S4 LP workspace's recorded variable states. Serialized into
-  // checkpoints (sim/checkpoint.cpp) so a resumed run feeds its first slot
-  // the exact hints the uninterrupted run would have — replay stays
-  // bit-identical. The S1 fields are always empty (S1 carries nothing
-  // across slots) and are ignored on restore; they keep the checkpoint
-  // layout at v6. Empty vectors when warm starts are off or no slot has
-  // run yet; restore with everything empty is a no-op cold start.
+  // Inert: the controller keeps no LP state across slots, so there is
+  // nothing to carry or restore.
+  // perfbench only; ROADMAP item 1 deletes both.
   struct WarmCarry {
     std::vector<std::uint8_t> s1_states;
     std::vector<std::uint64_t> s1_keys;
     std::vector<std::uint8_t> s4_states;
   };
-  WarmCarry warm_carry() const;
-  void restore_warm_carry(const WarmCarry& carry);
+  void restore_warm_carry(const WarmCarry& /*carry*/) {}
 
   const NetworkState& state() const { return state_; }
   // Mutable access for checkpoint restore and for the simulator's
@@ -131,11 +122,10 @@ class LyapunovController {
   ControllerOptions options_;
   NetworkState state_;
   double last_grid_j_ = 0.0;  // P(t-1), for energy-aware scheduling
-  // Reusable LP solver state for the opt-in LP solvers, one workspace per
+  // Reusable LP solver buffers for the opt-in LP solvers, one workspace per
   // subproblem so each solves a single model family. Purely
-  // solver-internal UNLESS warm_across_slots is on, in which case the
-  // recorded S4 states are checkpointed via warm_carry(). (S1's SF series
-  // solve through per-cluster workspaces; see scheduler.hpp.)
+  // solver-internal. (S1's SF series solve through per-cluster
+  // workspaces; see scheduler.hpp.)
   lp::Workspace lp_ws_s3_, lp_ws_s4_;
   // Intra-slot worker pool (nullptr when intra_slot_threads == 1). Owned
   // here so the workers and their registries live exactly as long as the

@@ -421,15 +421,6 @@ EnergyResult lp_energy_manage(const NetworkState& state,
     m.set_coeff(row, yvar, -1.0);
   }
 
-  // Cross-slot warm start: the layout above is a pure function of k, so an
-  // identity map carries each variable's final state into the next slot.
-  if (options.warm_across_slots && workspace != nullptr) {
-    std::vector<int> ident(static_cast<std::size_t>(m.num_variables()));
-    for (std::size_t j = 0; j < ident.size(); ++j)
-      ident[j] = static_cast<int>(j);
-    workspace->set_warm_start(std::move(ident), /*cross_slot=*/true);
-  }
-
   lp::Workspace local_ws;
   const lp::Solution sol =
       lp::solve(m, lp_options, workspace != nullptr ? *workspace : local_ws);

@@ -92,11 +92,8 @@ struct EnergyLpOptions {
   // for bit.
   S4Decompose decompose = S4Decompose::Auto;
   int decompose_min_nodes = 64;
-  // Cross-slot warm start (ControllerOptions::warm_across_slots): hint the
-  // LP with the previous slot's final variable states through an identity
-  // map — the S4 variable layout is fixed across slots for a fixed
-  // decomposition mode. Requires a persistent `workspace`; purely a
-  // starting-point change (statuses and objectives are unaffected).
+  // Inert: nothing reads it, as the LP has no warm starts.
+  // perfbench only; ROADMAP item 1 deletes it.
   bool warm_across_slots = false;
   // When set with more than one worker (and decomposing), the per-user
   // closed forms run as index chunks on this pool through
@@ -107,8 +104,7 @@ struct EnergyLpOptions {
 };
 
 // lp_energy_manage's `workspace` (optional) reuses solver buffers across
-// slots; unless warm_across_slots is set no warm-start hint is passed, and
-// results are identical with or without one.
+// slots; results are identical with or without one.
 EnergyResult lp_energy_manage(const NetworkState& state,
                               const SlotInputs& inputs,
                               const std::vector<double>& demands_j,

@@ -43,8 +43,7 @@ RoutingResult greedy_route(const NetworkState& state,
 // bounds the solve (watchdog); a non-Optimal status throws gc::CheckError
 // naming the simplex status and the slot, which the controller's fallback
 // ladder catches (Lp -> Greedy). `workspace` (optional) reuses solver
-// buffers across slots; no warm-start hint is ever set, so results are
-// identical with or without one.
+// buffers across slots; results are identical with or without one.
 RoutingResult lp_route(const NetworkState& state,
                        const std::vector<ScheduledLink>& schedule,
                        const std::vector<AdmissionDecision>& admissions,

@@ -32,26 +32,14 @@ struct SimplexMetrics {
   obs::Histogram& solve_seconds =
       obs::registry().histogram("lp.solve_seconds");
   // Introspection split (SolveStats; docs/PERFORMANCE.md "Profiling
-  // workflow"): phase-1 vs phase-2 work, degeneracy, warm-start accounting,
-  // numeric repairs, and the posed problem's dimensions.
+  // workflow"): phase-1 vs phase-2 work, degeneracy, numeric repairs, and
+  // the posed problem's dimensions.
   obs::Counter& phase1_iterations =
       obs::registry().counter("lp.phase1_iterations");
   obs::Counter& phase2_iterations =
       obs::registry().counter("lp.phase2_iterations");
   obs::Counter& degenerate_pivots =
       obs::registry().counter("lp.degenerate_pivots");
-  obs::Counter& warmstart_attempted =
-      obs::registry().counter("lp.warmstart_attempted");
-  obs::Counter& warmstart_accepted =
-      obs::registry().counter("lp.warmstart_accepted");
-  obs::Counter& warmstart_vars_reused =
-      obs::registry().counter("lp.warmstart_vars_reused");
-  // Cross-slot warm starts (ControllerOptions::warm_across_slots): the
-  // subset of warm attempts/accepts whose hint crossed a slot boundary.
-  obs::Counter& warmstart_cross_slot_attempted =
-      obs::registry().counter("lp.warmstart_cross_slot_attempted");
-  obs::Counter& warmstart_cross_slot_accepted =
-      obs::registry().counter("lp.warmstart_cross_slot_accepted");
   obs::Counter& numeric_repairs = obs::registry().counter("lp.numeric_repairs");
   obs::Histogram& rows = obs::registry().histogram("lp.rows");
   obs::Histogram& cols = obs::registry().histogram("lp.cols");
@@ -81,15 +69,6 @@ const char* to_string(Status s) {
 
 // Friend-only door into Workspace internals used by solve().
 struct WorkspaceHooks {
-  // Saves the structural variables' final states into the workspace (for
-  // the next solve's warm start) and consumes the one-shot hint.
-  static void record_warm_state(Workspace& ws, int nstruct) {
-    ws.prev_struct_state_.assign(ws.state_.begin(),
-                                 ws.state_.begin() + nstruct);
-    ws.warm_map_.clear();
-    ws.warm_cross_slot_ = false;
-  }
-
   // Stores the finished solve's stats in the workspace and notifies its
   // sink, if any.
   static void publish_stats(Workspace& ws, const SolveStats& stats) {
@@ -252,7 +231,6 @@ class SimplexEngine {
   SimplexEngine(const Model& model, const Options& opt, Workspace& ws)
       : model_(model),
         opt_(opt),
-        ws_(ws),
         tb_(ws),
         lo_(ws.lo_),
         hi_(ws.hi_),
@@ -285,7 +263,6 @@ class SimplexEngine {
 
   const Model& model_;
   const Options& opt_;
-  Workspace& ws_;
   Tableau tb_;
 
   int m_ = 0;        // rows
@@ -318,23 +295,12 @@ class SimplexEngine {
 void SimplexEngine::build() {
   m_ = model_.num_rows();
   nstruct_ = model_.num_variables();
-
-  int nslack = 0;
-  for (int r = 0; r < m_; ++r)
-    if (model_.row_sense(r) != Sense::Equal) ++nslack;
-
-  first_artificial_ = nstruct_ + nslack;
-  ntot_ = first_artificial_ + m_;
   tb_.reset(m_);
-
-  lo_.assign(ntot_, 0.0);
-  hi_.assign(ntot_, kInf);
-  cost_.assign(ntot_, 0.0);
-  state_.assign(ntot_, VarState::AtLower);
   basis_.assign(m_, -1);
   xb_.assign(m_, 0.0);
-  dscratch_.assign(ntot_, 0.0);
 
+  lo_.assign(nstruct_, 0.0);
+  hi_.assign(nstruct_, kInf);
   for (int j = 0; j < nstruct_; ++j) {
     lo_[j] = model_.lower(j);
     hi_[j] = model_.upper(j);
@@ -342,71 +308,53 @@ void SimplexEngine::build() {
                  "variable " << j << " lacks a finite lower bound");
   }
 
-  // Warm start (one-shot; see Workspace): rest mapped structural variables
-  // at the bound they ended the previous solve on. The artificial-basis
-  // residuals below are computed from nonbasic_value(), so the hint feeds
-  // straight into a (near-)feasible starting point for phase I. A variable
-  // that was basic before has no bound to rest at and stays at its lower
-  // bound like any cold variable.
-  if (!ws_.warm_map_.empty() && !ws_.prev_struct_state_.empty()) {
-    GC_CHECK_MSG(static_cast<int>(ws_.warm_map_.size()) == nstruct_,
-                 "warm-start map covers " << ws_.warm_map_.size()
-                                          << " variables, model has "
-                                          << nstruct_);
-    stats_.warm_attempted = true;
-    stats_.warm_cross_slot = ws_.warm_cross_slot_;
-    const int nprev = static_cast<int>(ws_.prev_struct_state_.size());
-    for (int j = 0; j < nstruct_; ++j) {
-      const int o = ws_.warm_map_[j];
-      if (o < 0 || o >= nprev) continue;
-      // A mapped variable that ended the previous solve at a bound rests
-      // there again (AtLower coincides with the cold default but is still a
-      // carried-over state); one that was basic has no bound to carry.
-      if (ws_.prev_struct_state_[o] == VarState::AtUpper &&
-          std::isfinite(hi_[j])) {
-        state_[j] = VarState::AtUpper;
-        ++stats_.warm_vars_reused;
-      } else if (ws_.prev_struct_state_[o] == VarState::AtLower) {
-        ++stats_.warm_vars_reused;
-      }
-    }
-  }
-
   tb_.load_rows(model_);
 
   // Slacks: "<=" gets a +1 slack in [0, inf); ">=" a -1 surplus in [0, inf).
+  // Slack crash: with every structural at its lower bound, a row whose
+  // slack (surplus) takes a non-negative value starts with it basic; a ">="
+  // row is negated first so its surplus enters the basis at +1. Every other
+  // row is marked (basis_ -1) for an artificial, negated when its residual
+  // is negative so the artificial starts non-negative too.
   int s = nstruct_;
-  for (int r = 0; r < m_; ++r) {
-    switch (model_.row_sense(r)) {
-      case Sense::LessEqual:
-        tb_.append_unit(r, s++, 1.0);
-        break;
-      case Sense::GreaterEqual:
-        tb_.append_unit(r, s++, -1.0);
-        break;
-      case Sense::Equal:
-        break;
-    }
-  }
-  GC_CHECK(s == first_artificial_);
-
-  // Artificial basis. Basic columns must form an identity, so rows whose
-  // starting residual is negative are negated wholesale (the equation is
-  // unchanged; only its orientation flips) before the +1 artificial enters.
+  int nart = 0;
   for (int r = 0; r < m_; ++r) {
     double resid = tb_.rhs(r);
-    tb_.scan_row(r, first_artificial_, [&](int j, double a) {
-      resid -= a * nonbasic_value(j);
-    });
-    if (resid < 0.0) {
-      tb_.negate_row(r);
-      resid = -resid;
+    tb_.scan_row(r, nstruct_, [&](int j, double a) { resid -= a * lo_[j]; });
+    const Sense sense = model_.row_sense(r);
+    if (sense != Sense::Equal) {
+      const double sign = sense == Sense::LessEqual ? 1.0 : -1.0;
+      tb_.append_unit(r, s, sign);
+      if (sign * resid >= 0.0) {
+        if (sign < 0.0) tb_.negate_row(r);
+        basis_[r] = s;
+        xb_[r] = sign * resid;
+      }
+      ++s;
     }
-    const int art = first_artificial_ + r;
-    tb_.append_unit(r, art, 1.0);
-    basis_[r] = art;
-    state_[art] = VarState::Basic;
-    xb_[r] = resid;
+    if (basis_[r] < 0) {
+      if (resid < 0.0) tb_.negate_row(r);
+      xb_[r] = std::abs(resid);
+      ++nart;
+    }
+  }
+
+  first_artificial_ = s;
+  ntot_ = first_artificial_ + nart;
+  lo_.resize(ntot_, 0.0);
+  hi_.resize(ntot_, kInf);
+  cost_.assign(ntot_, 0.0);
+  state_.assign(ntot_, VarState::AtLower);
+  dscratch_.assign(ntot_, 0.0);
+
+  // Artificials: columns above every slack, so appending keeps rows sorted.
+  int art = first_artificial_;
+  for (int r = 0; r < m_; ++r) {
+    if (basis_[r] < 0) {
+      tb_.append_unit(r, art, 1.0);
+      basis_[r] = art++;
+    }
+    state_[basis_[r]] = VarState::Basic;
   }
 }
 
@@ -591,37 +539,41 @@ Solution SimplexEngine::run() {
                     std::chrono::duration<double>(opt_.max_seconds));
   }
 
-  // Phase I: minimize the sum of artificials.
-  for (int j = 0; j < ntot_; ++j) cost_[j] = 0.0;
-  for (int r = 0; r < m_; ++r) cost_[first_artificial_ + r] = 1.0;
-  Status st = iterate(&budget);
-  recompute_basic_values();
-  const double infeas = current_cost();
-  sol.infeasibility = infeas;
-  sol.iterations = opt_.max_iterations - budget;
-  stats_.phase1_iterations = sol.iterations;
-  if (!std::isfinite(infeas) || values_corrupt()) {
-    st = Status::NumericalError;
-    ++stats_.numeric_repairs;
-  }
-  if (st == Status::IterationLimit || st == Status::TimeLimit ||
-      st == Status::NumericalError) {
-    sol.status = st;
-    return sol;
-  }
-  GC_CHECK_MSG(st != Status::Unbounded, "phase I cannot be unbounded");
-  if (infeas > opt_.feas_tol * (1.0 + std::abs(infeas))) {
-    sol.status = Status::Infeasible;
-    return sol;
+  // Phase I: minimize the sum of artificials. Without any, the slack crash
+  // basis is already feasible.
+  Status st = Status::Optimal;
+  if (first_artificial_ < ntot_) {
+    for (int j = first_artificial_; j < ntot_; ++j) cost_[j] = 1.0;
+    st = iterate(&budget);
+    recompute_basic_values();
+    const double infeas = current_cost();
+    sol.infeasibility = infeas;
+    sol.iterations = opt_.max_iterations - budget;
+    stats_.phase1_iterations = sol.iterations;
+    if (!std::isfinite(infeas) || values_corrupt()) {
+      st = Status::NumericalError;
+      ++stats_.numeric_repairs;
+    }
+    if (st == Status::IterationLimit || st == Status::TimeLimit ||
+        st == Status::NumericalError) {
+      sol.status = st;
+      return sol;
+    }
+    GC_CHECK_MSG(st != Status::Unbounded, "phase I cannot be unbounded");
+    if (infeas > opt_.feas_tol * (1.0 + std::abs(infeas))) {
+      sol.status = Status::Infeasible;
+      return sol;
+    }
+
+    // Phase II pins the artificials at zero.
+    for (int a = first_artificial_; a < ntot_; ++a) {
+      hi_[a] = 0.0;
+      if (state_[a] == VarState::AtUpper) state_[a] = VarState::AtLower;
+      cost_[a] = 0.0;
+    }
   }
 
-  // Phase II: pin artificials at zero; minimize the caller's objective.
-  for (int r = 0; r < m_; ++r) {
-    const int a = first_artificial_ + r;
-    hi_[a] = 0.0;
-    if (state_[a] == VarState::AtUpper) state_[a] = VarState::AtLower;
-  }
-  for (int j = 0; j < ntot_; ++j) cost_[j] = 0.0;
+  // Phase II: minimize the caller's objective.
   for (int j = 0; j < nstruct_; ++j) cost_[j] = model_.objective_coeff(j);
   st = iterate(&budget);
   recompute_basic_values();
@@ -663,9 +615,6 @@ Solution solve(const Model& model, const Options& options,
   SimplexEngine engine(model, options, workspace);
   Solution sol = engine.run();
   SolveStats stats = engine.stats();
-  // Record the structural variables' final states for the next solve's
-  // warm start and consume the (one-shot) hint that fed this one.
-  WorkspaceHooks::record_warm_state(workspace, model.num_variables());
   m.solves.add();
   m.iterations.add(sol.iterations);
   if (sol.status == Status::TimeLimit) m.time_limits.add();
@@ -681,22 +630,9 @@ Solution solve(const Model& model, const Options& options,
   // histogram and the ring all time the solve itself — the same value.
   stats.wall_s = span.stop();
   stats.status = sol.status;
-  // "Accepted" = the hint survived to the engine and mapped at least one
-  // variable onto a carried-over bound state.
-  const bool warm_accepted = stats.warm_attempted && stats.warm_vars_reused > 0;
-
   m.phase1_iterations.add(stats.phase1_iterations);
   m.phase2_iterations.add(stats.phase2_iterations);
   m.degenerate_pivots.add(stats.degenerate_pivots);
-  if (stats.warm_attempted) m.warmstart_attempted.add();
-  if (warm_accepted) m.warmstart_accepted.add();
-  // Only warm solves contribute, so events() counts attempts, not solves.
-  if (stats.warm_attempted)
-    m.warmstart_vars_reused.add(stats.warm_vars_reused);
-  if (stats.warm_attempted && stats.warm_cross_slot)
-    m.warmstart_cross_slot_attempted.add();
-  if (warm_accepted && stats.warm_cross_slot)
-    m.warmstart_cross_slot_accepted.add();
   m.numeric_repairs.add(stats.numeric_repairs);
   m.rows.observe(stats.rows);
   m.cols.observe(stats.cols);

@@ -1,12 +1,19 @@
 // Two-phase primal simplex for bounded-variable linear programs.
 //
-// Method: rows are converted to equalities with slack variables; an
-// artificial variable per row forms the initial basis. Phase I minimizes the
-// sum of artificials (infeasibility); phase II minimizes the caller's
-// objective with the artificials pinned to zero. Nonbasic variables rest at
-// a finite bound; the tableau (B^-1 A, augmented with B^-1 b) is updated
-// by elementary row operations per pivot, with periodic recomputation of
-// basic values to control drift.
+// Method: rows are converted to equalities with slack variables, and every
+// structural variable starts nonbasic at its lower bound. The starting
+// basis is a slack crash (Bixby, "Solving real-world linear programs",
+// Oper. Res. 2002): a <= row whose residual at that start is >= 0 starts
+// with its slack basic, and a >= row whose residual is <= 0 starts with
+// its surplus basic (the row negated so the surplus enters at +1). Only
+// the other rows -- "=" rows and rows whose residual has the wrong sign --
+// get an artificial variable. Phase I minimizes the sum of artificials
+// (infeasibility) and runs only when at least one exists, so a packing LP
+// (<= rows, b >= 0, x >= 0) goes straight to phase II. Phase II minimizes
+// the caller's objective with the artificials pinned to zero. Nonbasic
+// variables rest at a finite bound; the tableau (B^-1 A, augmented with
+// B^-1 b) is updated by elementary row operations per pivot, with periodic
+// recomputation of basic values to control drift.
 //
 // Pricing is Dantzig (most negative reduced cost) with a permanent switch to
 // Bland's rule after a stall, which guarantees termination on degenerate
@@ -19,10 +26,11 @@
 // fill-in, where a row-major dense array was ~25x slower; S1 now solves
 // one LP per interference cluster (at most 5 columns on the static
 // workloads, up to ~1200 with walking users at 492 nodes). Small LPs
-// that fill in favour the dense array: the lower bound's 22-row matching
-// LP takes 1.2-1.5 ms per solve against 0.8-1.0 ms dense. Its S4 energy LP (1e4-1e5 cells) takes
-// 0.7-1.0 ms against 2.0-4.4 ms dense, so the lower-bound drivers run
-// faster overall (docs/PERFORMANCE.md "One simplex storage").
+// that fill in favour a dense array, but the slack crash start removes
+// most of their pivots: the lower bound's 22-row matching LP takes
+// 0.36-0.64 ms per solve, against 1.0-1.6 ms from an all-artificial
+// start and 0.8-1.0 ms with the former dense tableau (docs/PERFORMANCE.md
+// "One simplex storage").
 #pragma once
 
 #include <cstddef>
@@ -101,9 +109,8 @@ struct SolveStats {
   int refactorizations = 0;  // periodic basic-value recomputations
   bool bland = false;        // the stall guard switched to Bland's rule
 
-  // Warm start (see Workspace): attempted = a hint was pending when the
-  // solve began; reused = how many structural variables actually rested at
-  // a bound state carried over from the previous solve.
+  // Inert: always false and 0, as the solver has no warm starts.
+  // perfbench only; ROADMAP item 1 deletes them.
   bool warm_attempted = false;
   int warm_vars_reused = 0;
 
@@ -111,11 +118,6 @@ struct SolveStats {
   // more than drift noise, plus NaN/inf detections (each also surfaces as
   // Status::NumericalError).
   int numeric_repairs = 0;
-
-  // The warm hint consumed by this solve was marked cross-slot (carried
-  // from the previous slot's solve of the same subproblem rather than from
-  // the same slot's sequential-fix series). See Workspace::set_warm_start.
-  bool warm_cross_slot = false;
 
   double wall_s = 0.0;
   Status status = Status::IterationLimit;
@@ -138,9 +140,7 @@ class SolveStatsSink {
   virtual void flush() {}
 };
 
-// Where a variable rests between pivots. Exposed (rather than kept private
-// to the solver) because the Workspace records the structural variables'
-// final states for warm starts.
+// Where a variable rests between pivots (part of the Workspace's storage).
 enum class VarState : std::uint8_t { AtLower, AtUpper, Basic };
 
 // Caller-owned, reusable solver state.
@@ -153,62 +153,15 @@ enum class VarState : std::uint8_t { AtLower, AtUpper, Basic };
 // hold one Workspace per controller call site and amortize all per-solve
 // allocation away after the first slot. A Workspace must not be shared
 // between concurrent solves.
-//
-// Warm start: after every solve the workspace remembers each structural
-// variable's final VarState. A caller whose next model reuses (a subset
-// of) the previous model's variables can pass that correspondence through
-// set_warm_start(); the next solve then starts mapped nonbasic variables at
-// their previous bound instead of the default lower bound, which makes the
-// initial artificial basis nearly feasible and collapses phase I. The hint
-// is one-shot (cleared by the solve that consumes it) and purely a
-// starting-point change — the solver still proves optimality from scratch,
-// so statuses and objective values are unaffected; only the vertex reached
-// among ties and the iteration count may differ.
 struct Tableau;
 struct WorkspaceHooks;
 class SimplexEngine;
 
 class Workspace {
  public:
-  // `map[j]` = index of the variable in the PREVIOUS solve that variable j
-  // of the NEXT model corresponds to, or -1 for a brand-new variable. The
-  // map's size must equal the next model's variable count. `cross_slot`
-  // tags the hint as carried across a slot boundary (rather than within a
-  // slot's solve series) so SolveStats and the lp.warmstart_cross_slot_*
-  // instruments can account for it separately; it does not change solver
-  // behavior.
-  void set_warm_start(std::vector<int> map, bool cross_slot = false) {
-    warm_map_ = std::move(map);
-    warm_cross_slot_ = cross_slot;
-  }
-
-  // Drops the recorded states and any pending hint (buffers keep their
-  // capacity). Use when switching the workspace to an unrelated model
-  // family mid-stream; not needed otherwise — without set_warm_start the
-  // recorded states are inert.
-  void clear_warm_start() {
-    warm_map_.clear();
-    prev_struct_state_.clear();
-    warm_cross_slot_ = false;
-  }
-
-  // Cross-slot warm-start carry (ControllerOptions::warm_across_slots;
-  // sim/checkpoint.cpp). The recorded structural states from the most
-  // recent solve, exported as raw bytes for checkpointing and re-imported
-  // on resume, so a resumed run feeds the exact same warm hints to its
-  // first slot that the uninterrupted run would have — replay stays
-  // bit-identical. The encoding is VarState's underlying byte.
-  std::vector<std::uint8_t> export_recorded_states() const {
-    std::vector<std::uint8_t> out(prev_struct_state_.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] = static_cast<std::uint8_t>(prev_struct_state_[i]);
-    return out;
-  }
-  void import_recorded_states(const std::vector<std::uint8_t>& states) {
-    prev_struct_state_.resize(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i)
-      prev_struct_state_[i] = static_cast<VarState>(states[i]);
-  }
+  // Inert: always empty, as the solver keeps no state between solves.
+  // perfbench only; ROADMAP item 1 deletes it.
+  std::vector<std::uint8_t> export_recorded_states() const { return {}; }
 
   // Introspection (docs/PERFORMANCE.md "Profiling workflow"): the most
   // recent solve's statistics, refreshed by every solve through this
@@ -243,11 +196,6 @@ class Workspace {
   // ratio test, bound flips, basic-value updates and the pivot's row
   // eliminations.
   std::vector<std::pair<int, double>> colbuf_;
-  // Structural-variable states after the most recent solve + the pending
-  // one-shot correspondence hint.
-  std::vector<VarState> prev_struct_state_;
-  std::vector<int> warm_map_;
-  bool warm_cross_slot_ = false;
   // Introspection state (observation only).
   SolveStats last_stats_;
   const char* stats_context_ = "";
@@ -257,8 +205,7 @@ class Workspace {
 Solution solve(const Model& model, const Options& options = {});
 
 // Same solver, but all working memory lives in (and persists through)
-// `workspace`. Results are identical to the workspace-free overload unless
-// a warm-start hint is pending (see Workspace).
+// `workspace`. Results are identical to the workspace-free overload.
 Solution solve(const Model& model, const Options& options,
                Workspace& workspace);
 

@@ -1,7 +1,7 @@
 // JSONL stream of per-solve simplex statistics (--lp-log FILE).
 //
 // JsonlSolveLog is a SolveStatsSink that appends one JSON object per solve
-// — context label, problem dimensions, phase split, pivot/degeneracy/warm
+// — context label, problem dimensions, phase split, pivot/degeneracy
 // accounting, status and wall time — so a run's LP workload can be replayed
 // through jq / pandas without re-running the simulation:
 //

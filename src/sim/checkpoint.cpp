@@ -254,15 +254,6 @@ void fields(Io& io, Checkpoint& c) {
     io.f64(a.window_cost_delta);
   }
 
-  io.u32(c.has_warm);
-  if (c.has_warm) {
-    io.blob(c.warm.s1_states);
-    list(io, c.warm.s1_keys, 1ull << 28, 8,
-         "checkpoint warm-key count implausible",
-         [&](std::uint64_t& k) { io.u64(k); });
-    io.blob(c.warm.s4_states);
-  }
-
   io.u32(c.has_policy);
   if (c.has_policy) {
     policy::SleepControllerState& p = c.policy_state;
@@ -355,10 +346,6 @@ Checkpoint make_checkpoint(int next_slot, const Rng& input_rng,
     c.has_audit = true;
     c.audit = auditor->state_snapshot();
   }
-  if (controller.options().warm_across_slots) {
-    c.has_warm = true;
-    c.warm = controller.warm_carry();
-  }
   if (sleep != nullptr) {
     c.has_policy = true;
     c.policy_state = sleep->snapshot();
@@ -381,18 +368,20 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
   const core::NetworkModel& model = state.model();
   const int n = model.num_nodes();
   const int S = model.num_sessions();
-  GC_CHECK_MSG(
-      static_cast<int>(checkpoint.q.size()) == n * S &&
-          static_cast<int>(checkpoint.gq.size()) == n * n &&
-          static_cast<int>(checkpoint.battery_capacity_j.size()) == n &&
-          static_cast<int>(checkpoint.battery_level_j.size()) == n,
-      "checkpoint does not match the model (node/session arity)");
-  GC_CHECK_MSG(checkpoint.has_mobility == (mobility != nullptr),
-               "checkpoint mobility presence does not match the run");
-  GC_CHECK_MSG(checkpoint.has_policy == (sleep != nullptr),
-               "checkpoint sleep-policy presence does not match the run "
-               "(resume with the same --policy the checkpoint was written "
-               "under)");
+  // A mismatch refuses the resume with a plain message (CheckpointError).
+  if (static_cast<int>(checkpoint.q.size()) != n * S ||
+      static_cast<int>(checkpoint.gq.size()) != n * n ||
+      static_cast<int>(checkpoint.battery_capacity_j.size()) != n ||
+      static_cast<int>(checkpoint.battery_level_j.size()) != n)
+    throw CheckpointError(
+        "checkpoint does not match the model (node/session arity)");
+  if (checkpoint.has_mobility != (mobility != nullptr))
+    throw CheckpointError(
+        "checkpoint mobility presence does not match the run");
+  if (checkpoint.has_policy != (sleep != nullptr))
+    throw CheckpointError(
+        "checkpoint sleep-policy presence does not match the run (resume "
+        "with the same --policy the checkpoint was written under)");
 
   input_rng.set_state(checkpoint.input_rng);
   controller.set_last_grid_j(checkpoint.last_grid_j);
@@ -415,17 +404,13 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
     GC_CHECK(topology != nullptr);
     mobility->restore(checkpoint.mobility);
     const int first_user = topology->num_base_stations();
-    GC_CHECK_MSG(static_cast<int>(checkpoint.user_positions.size()) ==
-                     topology->num_users(),
-                 "checkpoint user-position arity mismatch");
+    if (static_cast<int>(checkpoint.user_positions.size()) !=
+        topology->num_users())
+      throw CheckpointError("checkpoint user-position arity mismatch");
     topology->set_positions(first_user, checkpoint.user_positions);
   }
   if (auditor != nullptr && checkpoint.has_audit)
     auditor->restore(checkpoint.audit);
-  // Warm-carry restore is unconditional: a carry-free checkpoint resets
-  // the controller to a cold start (all vectors empty), so a warm-off
-  // checkpoint resumed by a warm-on run does not inherit stale hints.
-  controller.restore_warm_carry(checkpoint.warm);
   if (sleep != nullptr) sleep->restore(checkpoint.policy_state);
   if (alerts != nullptr && checkpoint.has_alerts)
     alerts->restore(checkpoint.alert_state);
@@ -464,8 +449,9 @@ Checkpoint load_checkpoint(const std::string& path) {
     corrupt("unsupported checkpoint version " + std::to_string(version) +
             " in " + path + " (this build reads v" +
             std::to_string(kCheckpointVersion) +
-            " only; older checkpoints lack the CRC, structural-hash, "
-            "auditor, warm-start-carry, sleep-policy and alert-state "
+            " only; v6 carries an LP warm-start section this build no "
+            "longer reads, and older checkpoints lack the CRC, "
+            "structural-hash, auditor, sleep-policy and alert-state "
             "fields — re-run from slot 0)");
   std::uint64_t payload_size = 0;
   std::uint32_t stored_crc = 0;

@@ -13,14 +13,6 @@
 //  * optionally the mobility walker (trips + RNG) and the user positions,
 //  * optionally the StabilityAuditor's accumulated state, so a resumed
 //    run's stability digest matches an uninterrupted run's,
-//  * optionally the controller's cross-slot LP warm-start carry
-//    (ControllerOptions::warm_across_slots, the opt-in LP S4's chain), so
-//    the resumed run's first slot warm-starts from exactly the hints the
-//    uninterrupted run would have used — replay stays bit-identical even
-//    though warm starts make each slot's S4 LP depend on the previous
-//    slot's basis. The S1 fields are written empty; an older file's S1
-//    hints are read and dropped (S1 no longer carries state across slots).
-//
 //  * optionally the sleep-policy controller's mode state (src/policy:
 //    per-BS mode, dwell and wake countdowns plus the switching counters),
 //    so a killed + resumed run replays sleep/wake commands bit-identically.
@@ -29,22 +21,23 @@
 //    resumed run's fire/clear edges replay exactly.
 //
 // Serialization is a versioned binary format: the 8-byte magic "GCCKPT01",
-// a u32 format version (currently 6), a u64 payload size, a CRC-32 of the
+// a u32 format version (currently 7), a u64 payload size, a CRC-32 of the
 // payload, then the payload itself as fixed-width little-endian fields
 // (doubles as their IEEE-754 bit patterns, so the round trip is bit-exact).
 // The payload's field order is defined once, by the field list in
 // checkpoint.cpp that both save and load walk. v3 added the size + CRC
 // header, the structural scenario hash, and the auditor state; v4 the
-// warm-start carry; v5 the sleep-policy state; v6 the alert-engine state
+// LP warm-start carry; v5 the sleep-policy state; v6 the alert-engine state
 // (obs/alerts.hpp), so a resumed run's debounce counters and fire/clear
-// edges replay exactly. Older files are refused loudly — re-run from slot 0
-// rather than resuming with silently missing state. save_checkpoint goes
-// through util::write_file_atomic (temp file, fsync, rename, directory
-// fsync), so neither a crash mid-write nor a power loss after the rename
-// corrupts the previous checkpoint. Every load-time corruption (truncation,
-// bit flip, wrong magic, trailing bytes, a length field larger than the
-// bytes that follow) throws CheckpointError — a typed gc::CheckError — and
-// never yields a partially loaded state.
+// edges replay exactly; v7 dropped the warm-start carry again (the solver
+// keeps no state between solves). Older files are refused loudly — re-run
+// from slot 0 rather than resuming with silently missing state.
+// save_checkpoint goes through util::write_file_atomic (temp file, fsync,
+// rename, directory fsync), so neither a crash mid-write nor a power loss
+// after the rename corrupts the previous checkpoint. Every load-time
+// corruption (truncation, bit flip, wrong magic, trailing bytes, a length
+// field larger than the bytes that follow) throws CheckpointError — a typed
+// gc::CheckError — and never yields a partially loaded state.
 //
 // Rotation (--checkpoint-rotate N): CheckpointRotator writes generation
 // files BASE.gen<K> with monotonically increasing K, keeps the newest N,
@@ -73,10 +66,12 @@
 namespace gc::sim {
 
 inline constexpr char kCheckpointMagic[9] = "GCCKPT01";
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 // Load-time corruption (missing file, bad magic, unsupported version,
-// truncation, CRC mismatch, trailing bytes). A CheckError subtype so
+// truncation, CRC mismatch, trailing bytes), and every refusal to resume
+// (restore_checkpoint's arity and presence checks, the simulator's hash
+// and horizon checks), each with a plain message. A CheckError subtype so
 // existing catch sites keep working, while rotation fallback can
 // distinguish "this generation is damaged, try an older one" from
 // programming errors.
@@ -113,12 +108,6 @@ struct Checkpoint {
   // Stability auditor accumulators (absent for audit-off runs).
   bool has_audit = false;
   obs::AuditorState audit;
-
-  // Cross-slot LP warm-start carry (absent unless the run enables
-  // ControllerOptions::warm_across_slots). Only s4_states is ever
-  // non-empty in a file this build writes.
-  bool has_warm = false;
-  core::LyapunovController::WarmCarry warm;
 
   // Sleep-policy controller state (absent unless the run drives an active
   // policy::SleepController). v5.

@@ -49,6 +49,12 @@ RobustMetrics& robust_metrics() {
   return m;
 }
 
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v;
+  return os.str();
+}
+
 void record(Metrics& m, const core::NetworkModel& model,
             const core::NetworkState& state, const core::SlotInputs& inputs,
             const core::SlotDecision& decision) {
@@ -202,8 +208,9 @@ Metrics run_loop(const core::NetworkModel& model,
     // is no older generation to fall back to without rotation).
     const std::optional<ResumeSelection> sel =
         select_resume(options.resume_path, options.checkpoint_rotate);
-    GC_CHECK_MSG(sel.has_value() || options.resume_auto,
-                 "no checkpoint found at " << options.resume_path);
+    // Every refusal below is a CheckpointError with a plain message.
+    if (!sel.has_value() && !options.resume_auto)
+      throw CheckpointError("no checkpoint found at " + options.resume_path);
     if (sel.has_value()) {
       const Checkpoint& checkpoint = sel->checkpoint;
       const std::string& source = sel->source.file;
@@ -213,33 +220,32 @@ Metrics run_loop(const core::NetworkModel& model,
       if (options.allow_swapped_scenario) {
         // Hot-reload resume: the workload fields may have been swapped;
         // only the structural identity must survive.
-        GC_CHECK_MSG(
-            checkpoint.scenario_structural_hash ==
-                options.scenario_structural_hash,
-            "checkpoint " << source << " has structural scenario hash 0x"
-                          << std::hex << checkpoint.scenario_structural_hash
-                          << " but this run's scenario is structurally 0x"
-                          << options.scenario_structural_hash << std::dec
-                          << "; only traffic/tariff fields may be swapped "
-                             "at a resume boundary");
-      } else {
-        GC_CHECK_MSG(
-            checkpoint.scenario_hash == options.scenario_hash,
-            "checkpoint " << source << " was written for scenario "
-                          << "hash 0x" << std::hex << checkpoint.scenario_hash
-                          << " but this run is scenario hash 0x"
-                          << options.scenario_hash << std::dec
-                          << "; resuming under a different scenario spec is "
-                             "refused (rebuild the checkpoint or match "
-                             "specs)");
+        if (checkpoint.scenario_structural_hash !=
+            options.scenario_structural_hash)
+          throw CheckpointError(
+              "checkpoint " + source + " has structural scenario hash " +
+              hex(checkpoint.scenario_structural_hash) +
+              " but this run's scenario is structurally " +
+              hex(options.scenario_structural_hash) +
+              "; only traffic/tariff fields may be swapped at a resume "
+              "boundary");
+      } else if (checkpoint.scenario_hash != options.scenario_hash) {
+        throw CheckpointError(
+            "checkpoint " + source + " was written for scenario hash " +
+            hex(checkpoint.scenario_hash) + " but this run is scenario hash " +
+            hex(options.scenario_hash) +
+            "; resuming under a different scenario spec is refused "
+            "(rebuild the checkpoint or match specs)");
       }
       restore_checkpoint(checkpoint, input_rng, controller, m, mobility,
                          topology, auditor.get(), sleep.get(),
                          options.alerts);
       start_slot = checkpoint.next_slot;
-      GC_CHECK_MSG(start_slot <= slots,
-                   "checkpoint at slot "
-                       << start_slot << " is beyond the horizon " << slots);
+      if (start_slot > slots)
+        throw CheckpointError("checkpoint at slot " +
+                              std::to_string(start_slot) +
+                              " is beyond the horizon " +
+                              std::to_string(slots));
       robust_metrics().resumes.add();
       robust_metrics().resumed_slot.set(start_slot);
       // Lifecycle event (no seq, so the slot-event stream stays

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -241,6 +242,71 @@ TEST(Simplex, SolutionIsPrimalFeasible) {
   EXPECT_LE(m.max_violation(s.x), 1e-7);
 }
 
+// --- slack crash basis ------------------------------------------------------
+//
+// max 2x + y over x, y in [0, 10] with one row of each start kind:
+//   x + y <= cap   slack basic (residual cap >= 0)
+//   y >= -2        surplus basic after negation (residual -2 <= 0)
+//   x >= 1         artificial (a >= row with a positive residual)
+//   -x - y <= -2   artificial (a <= row with a negative residual)
+//   x - y = 1      artificial (an equality)
+// At cap = 4 the optimum is x = 2.5, y = 1.5, objective -6.5. At cap = 1.5
+// the twin is infeasible: x - y = 1 and x + y >= 2 need x + y > 1.5.
+Model mixed_start_lp(double cap) {
+  Model m;
+  const int x = m.add_variable(0.0, 10.0, -2.0);
+  const int y = m.add_variable(0.0, 10.0, -1.0);
+  const auto row = [&](Sense sense, double rhs, double ax, double ay) {
+    const int r = m.add_row(sense, rhs);
+    if (ax != 0.0) m.set_coeff(r, x, ax);
+    if (ay != 0.0) m.set_coeff(r, y, ay);
+  };
+  row(Sense::LessEqual, cap, 1.0, 1.0);
+  row(Sense::GreaterEqual, -2.0, 0.0, 1.0);
+  row(Sense::GreaterEqual, 1.0, 1.0, 0.0);
+  row(Sense::LessEqual, -2.0, -1.0, -1.0);
+  row(Sense::Equal, 1.0, 1.0, -1.0);
+  return m;
+}
+
+TEST(SlackCrash, MixedStartReachesKnownOptimum) {
+  const Model m = mixed_start_lp(4.0);
+  Workspace ws;
+  const auto s = solve(m, {}, ws);
+  ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_NEAR(s.objective, -6.5, 1e-9);
+  EXPECT_NEAR(s.x[0], 2.5, 1e-9);
+  EXPECT_NEAR(s.x[1], 1.5, 1e-9);
+  EXPECT_LE(m.max_violation(s.x), 1e-9);
+  // Three rows start on artificials, so phase I runs.
+  EXPECT_GT(ws.last_stats().phase1_iterations, 0);
+}
+
+TEST(SlackCrash, MixedStartInfeasibleTwin) {
+  EXPECT_EQ(solve(mixed_start_lp(1.5)).status, Status::Infeasible);
+}
+
+// Only crashed rows (a slack and a negated surplus), with a nonzero lower
+// bound shifting the residuals: phase I is skipped outright.
+TEST(SlackCrash, AllRowsCrashSkipsPhaseOne) {
+  Model m;
+  const int x = m.add_variable(1.0, 6.0, -1.0);
+  const int y = m.add_variable(0.0, 4.0, -1.0);
+  const int cap = m.add_row(Sense::LessEqual, 5.0);  // residual 4
+  m.set_coeff(cap, x, 1.0);
+  m.set_coeff(cap, y, 1.0);
+  const int floor = m.add_row(Sense::GreaterEqual, 0.5);  // residual -0.5
+  m.set_coeff(floor, x, 1.0);
+  m.set_coeff(floor, y, -1.0);
+  Workspace ws;
+  const auto s = solve(m, {}, ws);
+  ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_NEAR(s.objective, -5.0, 1e-9);
+  EXPECT_LE(m.max_violation(s.x), 1e-9);
+  EXPECT_EQ(ws.last_stats().phase1_iterations, 0);
+  EXPECT_EQ(s.infeasibility, 0.0);
+}
+
 // --- property tests: random LPs with a KKT-certified optimum ---------------
 //
 // Construction: draw a random point x*, random constraint normals a_i. Make
@@ -250,10 +316,30 @@ TEST(Simplex, SolutionIsPrimalFeasible) {
 // rows as a.x <= b and c = -sum lambda_i a_i so that -c is in the active
 // cone). Then the LP min c.x over {a.x <= b, 0 <= x <= u} has optimal value
 // c.x* by LP duality, and the solver's objective must match it.
-class RandomKktLp : public ::testing::TestWithParam<int> {};
+//
+// The Packing instantiation draws a_i >= 0, so b >= 0 and every row is a
+// packing row like the S1 relaxation's: the slack crash basis is feasible
+// and the solve must run no phase I.
+struct KktCase {
+  int seed = 0;
+  bool packing = false;
+};
+
+// Prints the seed alone, so each case keeps the name "<suite>/<seed>".
+void PrintTo(const KktCase& c, std::ostream* os) { *os << c.seed; }
+
+std::vector<KktCase> kkt_cases(bool packing) {
+  std::vector<KktCase> cases;
+  for (int seed = 0; seed < 60; ++seed) cases.push_back({seed, packing});
+  return cases;
+}
+
+class RandomKktLp : public ::testing::TestWithParam<KktCase> {};
 
 TEST_P(RandomKktLp, SolverMatchesCertifiedOptimum) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
+  const int seed = GetParam().seed;
+  const bool packing = GetParam().packing;
+  Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 13);
   const int n = static_cast<int>(rng.uniform_int(2, 7));
   const int rows = static_cast<int>(rng.uniform_int(1, 6));
 
@@ -269,7 +355,7 @@ TEST_P(RandomKktLp, SolverMatchesCertifiedOptimum) {
   for (int i = 0; i < rows; ++i) {
     double dot = 0.0;
     for (int j = 0; j < n; ++j) {
-      a[i][j] = rng.uniform(-2.0, 2.0);
+      a[i][j] = rng.uniform(packing ? 0.0 : -2.0, 2.0);
       dot += a[i][j] * xstar[j];
     }
     if (rng.bernoulli(0.5)) {  // active row with positive dual
@@ -306,14 +392,21 @@ TEST_P(RandomKktLp, SolverMatchesCertifiedOptimum) {
   double expect = 0.0;
   for (int j = 0; j < n; ++j) expect += c[j] * xstar[j];
 
-  const auto s = solve(m);
-  ASSERT_EQ(s.status, Status::Optimal) << "seed " << GetParam();
+  Workspace ws;
+  const auto s = solve(m, {}, ws);
+  ASSERT_EQ(s.status, Status::Optimal) << "seed " << seed;
   EXPECT_NEAR(s.objective, expect, 1e-6 * (1.0 + std::abs(expect)))
-      << "seed " << GetParam();
+      << "seed " << seed;
   EXPECT_LE(m.max_violation(s.x), 1e-6);
+  if (packing) {
+    EXPECT_EQ(ws.last_stats().phase1_iterations, 0) << "seed " << seed;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomKktLp, ::testing::Range(0, 60));
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomKktLp,
+                         ::testing::ValuesIn(kkt_cases(false)));
+INSTANTIATE_TEST_SUITE_P(Packing, RandomKktLp,
+                         ::testing::ValuesIn(kkt_cases(true)));
 
 // Random feasible LPs: whatever the optimum is, the solution must satisfy
 // all constraints and weakly beat a sample of random feasible points.

@@ -35,12 +35,6 @@ Model packing_lp(int n, std::uint64_t seed) {
   return m;
 }
 
-std::vector<int> identity_map(int n) {
-  std::vector<int> map(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) map[static_cast<std::size_t>(j)] = j;
-  return map;
-}
-
 int model_nonzeros(const Model& m) {
   int nnz = 0;
   for (int r = 0; r < m.num_rows(); ++r)
@@ -76,24 +70,6 @@ TEST(SolveStats, RefreshedByEverySolve) {
   solve(packing_lp(12, 5), {}, ws);
   EXPECT_EQ(cols_first, 32);
   EXPECT_EQ(ws.last_stats().cols, 12);
-}
-
-TEST(SolveStats, WarmStartAccounting) {
-  const Model m = packing_lp(48, 7);
-  Workspace ws;
-  solve(m, {}, ws);
-  ws.set_warm_start(identity_map(m.num_variables()));
-  const Solution warm = solve(m, {}, ws);
-  ASSERT_EQ(warm.status, Status::Optimal);
-  EXPECT_TRUE(ws.last_stats().warm_attempted);
-  // The packing optimum rests several variables on bounds, so an identity
-  // correspondence must carry at least one state over.
-  EXPECT_GT(ws.last_stats().warm_vars_reused, 0);
-  EXPECT_LE(ws.last_stats().warm_vars_reused, m.num_variables());
-  // The hint is one-shot: the next solve is cold again.
-  solve(m, {}, ws);
-  EXPECT_FALSE(ws.last_stats().warm_attempted);
-  EXPECT_EQ(ws.last_stats().warm_vars_reused, 0);
 }
 
 // A sink attached to the workspace sees one callback per solve, labeled
@@ -138,22 +114,19 @@ TEST(JsonlSolveLog, WritesOneParseableLinePerSolve) {
     ws.set_stats_sink(&log);
     const Model m = packing_lp(24, 9);
     solve(m, {}, ws);
-    ws.set_warm_start(identity_map(m.num_variables()));
     solve(m, {}, ws);
     EXPECT_EQ(log.lines_written(), 2);
   }  // destructor flushes
   std::ifstream in(path);
   std::string line;
   int lines = 0;
-  bool saw_warm = false;
   // The line schema is pinned: adding or dropping a key is a format change
   // that docs/OBSERVABILITY.md and every reader of the log must follow.
   const std::set<std::string> schema = {
       "ctx", "slot", "rows", "cols", "nonzeros", "phase1_iters",
       "phase2_iters", "pivots", "degenerate_pivots", "bound_flips",
-      "refactorizations", "bland", "warm_attempted", "warm_vars_reused",
-      "warm_cross_slot", "numeric_repairs", "status", "wall_s"};
-  ASSERT_EQ(schema.size(), 18u);
+      "refactorizations", "bland", "numeric_repairs", "status", "wall_s"};
+  ASSERT_EQ(schema.size(), 15u);
   while (std::getline(in, line)) {
     ++lines;
     const obs::JsonValue v = obs::json_parse(line);
@@ -164,10 +137,10 @@ TEST(JsonlSolveLog, WritesOneParseableLinePerSolve) {
     EXPECT_DOUBLE_EQ(v.at("cols").as_number(), 24.0);
     EXPECT_EQ(v.at("status").as_string(), "Optimal");
     EXPECT_GT(v.at("wall_s").as_number(), 0.0);
-    if (v.at("warm_attempted").as_bool()) saw_warm = true;
+    // A packing LP starts on its slack basis: no phase I.
+    EXPECT_EQ(v.at("phase1_iters").as_number(), 0.0);
   }
   EXPECT_EQ(lines, 2);
-  EXPECT_TRUE(saw_warm);  // the second solve consumed the hint
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,6 @@
-// lp::Workspace: buffer reuse across solves and the one-shot warm-start
-// hint (see Workspace in lp/simplex.hpp). The hot consumer is the S1
-// sequential-fix series, but these tests exercise the contract directly on
-// hand-built LPs.
+// lp::Workspace: buffer reuse across solves (see Workspace in
+// lp/simplex.hpp). The hot consumers are the S3/S4 LP solvers, but this
+// test exercises the contract directly on hand-built LPs.
 #include <cmath>
 #include <vector>
 
@@ -15,8 +14,7 @@ namespace gc::lp {
 namespace {
 
 // A packing LP shaped like the S1 relaxation: n variables in [0, 1],
-// maximize sum w_j x_j subject to a few <= rows. At the optimum several
-// variables sit at their upper bound — the states a warm start propagates.
+// maximize sum w_j x_j subject to a few <= rows.
 Model packing_lp(int n, std::uint64_t seed) {
   Model m;
   Rng rng(seed);
@@ -30,14 +28,7 @@ Model packing_lp(int n, std::uint64_t seed) {
   return m;
 }
 
-std::vector<int> identity_map(int n) {
-  std::vector<int> map(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) map[static_cast<std::size_t>(j)] = j;
-  return map;
-}
-
-// Without a warm-start hint, solving through a reused workspace is
-// indistinguishable from fresh solves — across a sequence of different
+// Solving through a reused workspace is indistinguishable from fresh solves — across a sequence of different
 // models.
 TEST(Workspace, ReusedWorkspaceMatchesFreshSolves) {
   Workspace ws;
@@ -53,88 +44,6 @@ TEST(Workspace, ReusedWorkspaceMatchesFreshSolves) {
     for (std::size_t j = 0; j < fresh.x.size(); ++j)
       EXPECT_EQ(with_ws.x[j], fresh.x[j]) << "x[" << j << "]";
   }
-}
-
-// Re-solving the same model with an identity correspondence must reach the
-// same optimum in fewer simplex iterations: the bound states recorded by
-// the first solve make the warm build's artificial basis nearly feasible.
-TEST(Workspace, WarmStartSameModelSameOptimumFewerIterations) {
-  const Model m = packing_lp(48, 7);
-  Workspace ws;
-  const Solution cold = solve(m, {}, ws);
-  ASSERT_EQ(cold.status, Status::Optimal);
-
-  ws.set_warm_start(identity_map(m.num_variables()));
-  const Solution warm = solve(m, {}, ws);
-  ASSERT_EQ(warm.status, Status::Optimal);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * std::abs(cold.objective));
-  EXPECT_LT(warm.iterations, cold.iterations);
-}
-
-// The hint is one-shot: the solve that consumed it leaves the next solve
-// cold again.
-TEST(Workspace, WarmStartHintIsOneShot) {
-  const Model m = packing_lp(48, 7);
-  Workspace ws;
-  const Solution cold = solve(m, {}, ws);
-  ws.set_warm_start(identity_map(m.num_variables()));
-  solve(m, {}, ws);
-  const Solution after = solve(m, {}, ws);  // no hint pending
-  ASSERT_EQ(after.status, Status::Optimal);
-  EXPECT_EQ(after.iterations, cold.iterations);
-  EXPECT_EQ(after.objective, cold.objective);
-}
-
-// Subset correspondence — the S1 sequential-fix shape: the next model keeps
-// a subset of the previous variables (map entry = old index) plus the
-// constraints restricted to them.
-TEST(Workspace, WarmStartAcrossShrunkModel) {
-  // First model: 3 vars, maximize x0 + 2 x1 + 3 x2, sum <= 2 -> x1, x2 at 1.
-  Model first;
-  first.add_variable(0.0, 1.0, -1.0);
-  first.add_variable(0.0, 1.0, -2.0);
-  first.add_variable(0.0, 1.0, -3.0);
-  const int row = first.add_row(Sense::LessEqual, 2.0);
-  for (int j = 0; j < 3; ++j) first.set_coeff(row, j, 1.0);
-
-  Workspace ws;
-  ASSERT_EQ(solve(first, {}, ws).status, Status::Optimal);
-
-  // Second model keeps old vars {1, 2} (both at their upper bound above).
-  Model second;
-  second.add_variable(0.0, 1.0, -2.0);
-  second.add_variable(0.0, 1.0, -3.0);
-  const int row2 = second.add_row(Sense::LessEqual, 2.0);
-  second.set_coeff(row2, 0, 1.0);
-  second.set_coeff(row2, 1, 1.0);
-
-  ws.set_warm_start({1, 2});
-  const Solution warm = solve(second, {}, ws);
-  ASSERT_EQ(warm.status, Status::Optimal);
-  EXPECT_NEAR(warm.objective, -5.0, 1e-9);
-  EXPECT_NEAR(warm.x[0], 1.0, 1e-9);
-  EXPECT_NEAR(warm.x[1], 1.0, 1e-9);
-}
-
-// A hint whose size does not match the next model is a caller bug.
-TEST(Workspace, WarmMapSizeMismatchThrows) {
-  const Model m = packing_lp(16, 3);
-  Workspace ws;
-  solve(m, {}, ws);
-  ws.set_warm_start(identity_map(8));  // wrong size
-  EXPECT_THROW(solve(m, {}, ws), CheckError);
-}
-
-// clear_warm_start drops both the pending hint and the recorded states.
-TEST(Workspace, ClearWarmStartMakesNextSolveCold) {
-  const Model m = packing_lp(48, 7);
-  Workspace ws;
-  const Solution cold = solve(m, {}, ws);
-  ws.set_warm_start(identity_map(m.num_variables()));
-  ws.clear_warm_start();
-  const Solution after = solve(m, {}, ws);
-  ASSERT_EQ(after.status, Status::Optimal);
-  EXPECT_EQ(after.iterations, cold.iterations);
 }
 
 }  // namespace

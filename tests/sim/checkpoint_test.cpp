@@ -132,11 +132,6 @@ Checkpoint pinned_checkpoint() {
   a.have_prev_window = true;
   a.window_cost_delta = -24.5;
 
-  c.has_warm = true;
-  c.warm.s1_states = {1, 2, 3, 250};
-  c.warm.s1_keys = {0xdeadbeefull, 7};
-  c.warm.s4_states = {9, 8};
-
   c.has_policy = true;
   c.policy_state.mode = {0, 1, 2};
   c.policy_state.dwell = {5, -1, 7};
@@ -281,18 +276,17 @@ TEST(Checkpoint, PeriodicCheckpointsResumeFromTheLastOne) {
   std::remove(ckpt.c_str());
 }
 
-// Solver introspection survives a crash: S1 relaxations solve cold and
-// no default solver carries state across slots, so the lp.* counter
-// totals of a killed + resumed run must equal the uninterrupted run's —
-// the interruption falls on a slot boundary and no solver state is (or
-// may be) lost.
+// Solver introspection survives a crash: no solver carries state across
+// slots, so the lp.* counter totals of a killed + resumed run must equal
+// the uninterrupted run's — the interruption falls on a slot boundary and
+// no solver state is (or may be) lost.
 // Each leg runs through a single-threaded SweepRunner so its counters land
 // in a private registry (worker threads resolve instruments fresh; the
 // test's main thread could not be re-pointed after its first LP solve).
-TEST(Checkpoint, WarmStartCountersReplayAcrossResume) {
+TEST(Checkpoint, LpCountersReplayAcrossResume) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const int horizon = 60, kill_at = 25;
-  const std::string ckpt = tmp_path("warm_counters.ckpt");
+  const std::string ckpt = tmp_path("lp_counters.ckpt");
 
   auto make_job = [](int slots) {
     SimJob job;
@@ -319,22 +313,19 @@ TEST(Checkpoint, WarmStartCountersReplayAcrossResume) {
   second.sim.resume_path = ckpt;
   sweep_one(second, &resumed_reg);
 
-  // The warm trio is all-zero here (only the opt-in LP S4 sets hints),
-  // but the equality must hold regardless — a resume that replayed warm
-  // state differently would break it the day a default solver warm-starts
-  // again. The other introspection counters are hot on every slot and pin
-  // the replay non-vacuously.
+  // The S1 packing LPs start on their slack basis, so phase I is
+  // legitimately 0 here; lp.solves and lp.phase2_iterations are hot on
+  // every slot and pin the replay non-vacuously.
   for (const char* name :
        {"lp.solves", "lp.iterations", "lp.phase1_iterations",
-        "lp.phase2_iterations", "lp.degenerate_pivots", "lp.numeric_repairs",
-        "lp.warmstart_attempted", "lp.warmstart_accepted",
-        "lp.warmstart_vars_reused"}) {
+        "lp.phase2_iterations", "lp.degenerate_pivots",
+        "lp.numeric_repairs"}) {
     EXPECT_EQ(ref_reg.counter(name).total(),
               resumed_reg.counter(name).total())
         << name;
   }
   EXPECT_GT(ref_reg.counter("lp.solves").total(), 0.0);
-  EXPECT_GT(ref_reg.counter("lp.phase1_iterations").total(), 0.0);
+  EXPECT_GT(ref_reg.counter("lp.phase2_iterations").total(), 0.0);
   std::remove(ckpt.c_str());
 }
 
@@ -437,7 +428,7 @@ TEST(Checkpoint, FormatIsPinned) {
   const std::string bytes = read_bytes(path);
   ASSERT_GE(bytes.size(), 24u);
   EXPECT_EQ(hex(bytes.substr(0, 24)),
-            "4743434b5054303106000000f60300000000000046130be5");
+            "4743434b5054303107000000c40300000000000004c77548");
 
   const std::string again = tmp_path("pinned_again.ckpt");
   save_checkpoint(load_checkpoint(path), again);
@@ -691,9 +682,10 @@ TEST(Checkpoint, VersionRefusalNamesFoundAndSupportedVersions) {
                    std::istreambuf_iterator<char>());
   in.close();
   // The u32 format version sits right after the 8-byte magic
-  // (little-endian); rewrite v6 -> v5 to fake a pre-alerts checkpoint.
-  ASSERT_EQ(data[8], 6);
-  data[8] = 5;
+  // (little-endian); rewrite v7 -> v6 to fake a checkpoint that still
+  // carries the retired LP warm-start section.
+  ASSERT_EQ(data[8], 7);
+  data[8] = 6;
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
@@ -703,8 +695,8 @@ TEST(Checkpoint, VersionRefusalNamesFoundAndSupportedVersions) {
     FAIL() << "expected CheckpointError";
   } catch (const CheckpointError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("version 5"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("reads v6"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("version 6"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("reads v7"), std::string::npos) << msg;
     EXPECT_NE(msg.find(path), std::string::npos) << msg;
   }
   std::remove(path.c_str());
@@ -761,16 +753,23 @@ TEST(Checkpoint, PolicySectionRoundTripsAndPresenceMismatchIsRefused) {
   Metrics m2;
   Rng rng2(1);
   // Policy checkpoint into a policy-free resume: refused.
-  EXPECT_THROW(restore_checkpoint(b, rng2, ctrl2, m2, nullptr, nullptr,
-                                  nullptr, nullptr),
-               CheckError);
+  // Each refusal is a CheckpointError with a plain message: no GC_CHECK
+  // report, which would print a source path.
+  try {
+    restore_checkpoint(b, rng2, ctrl2, m2, nullptr, nullptr, nullptr,
+                       nullptr);
+    ADD_FAILURE() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(std::string(e.what()).find("GC_CHECK"), std::string::npos)
+        << e.what();
+  }
   // Policy-free checkpoint into a policy-driven resume: refused too.
   const Checkpoint plain =
       make_checkpoint(2, rng, ctrl, m, nullptr, nullptr);
   policy::SleepController sleep2(model, setup, 3.0);
   EXPECT_THROW(restore_checkpoint(plain, rng2, ctrl2, m2, nullptr, nullptr,
                                   nullptr, &sleep2),
-               CheckError);
+               CheckpointError);
   // The matching pair restores and the machine continues mid-wake.
   restore_checkpoint(b, rng2, ctrl2, m2, nullptr, nullptr, nullptr, &sleep2);
   EXPECT_EQ(sleep2.mode(1), policy::SleepController::Mode::Waking);

@@ -627,6 +627,30 @@ TEST(CliOptions, FlagBuiltScenarioIsHashed) {
   }
 }
 
+// The sleep-policy overrides are hashed with the spec they merge into
+// (the spec --print-scenario prints), so a checkpoint of one policy is not
+// resumed under another. They are workload fields: a hot-reload may keep
+// the structure while the policy differs.
+TEST(CliOptions, SleepFlagsArePartOfTheScenarioHash) {
+  const auto none = parse({});
+  const auto thr = parse({"--policy", "threshold"});
+  const auto thr3 = parse({"--policy", "threshold", "--sleep-threshold", "3",
+                           "--wake-threshold", "5"});
+  ASSERT_TRUE(none.options && thr.options && thr3.options);
+  EXPECT_NE(thr.options->scenario_hash, none.options->scenario_hash);
+  EXPECT_NE(thr3.options->scenario_hash, thr.options->scenario_hash);
+  EXPECT_EQ(thr.options->scenario_hash, parse({"--policy", "threshold"})
+                                            .options->scenario_hash);
+  EXPECT_EQ(thr.options->scenario_hash,
+            scenario::scenario_hash(
+                {thr.options->scenario_name, thr.options->scenario}));
+  EXPECT_EQ(thr3.options->scenario_structural_hash,
+            none.options->scenario_structural_hash);
+  // The default policy spelled out is the default spec.
+  EXPECT_EQ(parse({"--policy", "always-on"}).options->scenario_hash,
+            none.options->scenario_hash);
+}
+
 // A checkpoint of one flag set cannot be resumed under another: the
 // second run would otherwise continue under a different topology and
 // admission threshold.

@@ -113,8 +113,8 @@ observability (docs/OBSERVABILITY.md):
                         profiles with tools/perf_report
   --lp-log PATH         stream one JSON line per simplex solve (context
                         s1/s3/s4, rows/cols/nonzeros, phase-1/2 iterations,
-                        pivots, degenerate pivots, warm-start reuse,
-                        numeric repairs, status, wall time); with
+                        pivots, degenerate pivots, numeric repairs,
+                        status, wall time); with
                         --seeds > 1 each replicate writes PATH.seed<k>
 
 live operations (docs/OBSERVABILITY.md "Operating live runs"):
@@ -206,6 +206,15 @@ parallel sweep (docs/PERFORMANCE.md):
 )";
 }
 
+void Options::SleepOverrides::apply(policy::SleepPolicyConfig& sleep) const {
+  if (policy) sleep.policy = *policy;
+  if (sleep_threshold) sleep.sleep_threshold = *sleep_threshold;
+  if (wake_threshold) sleep.wake_threshold = *wake_threshold;
+  if (min_dwell_slots) sleep.min_dwell_slots = *min_dwell_slots;
+  if (min_awake_bs) sleep.min_awake_bs = *min_awake_bs;
+  if (switch_cost_weight) sleep.switch_cost_weight = *switch_cost_weight;
+}
+
 ParseResult parse_args(const std::vector<std::string>& args) {
   Options opt;
   auto err = [](const std::string& msg) {
@@ -218,9 +227,7 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   // Sleep-policy overrides. Run-level like --V (they combine with
   // --scenario), but --scenario replaces opt.scenario wholesale, so they
   // are merged into scenario.bs_sleep after the loop, order-independently.
-  std::optional<policy::SleepPolicy> ov_policy;
-  std::optional<double> ov_sleep_thr, ov_wake_thr, ov_switch_w;
-  std::optional<int> ov_dwell, ov_min_awake;
+  Options::SleepOverrides& ov = opt.sleep_overrides;
 
   // Every malformed value throws flags::UsageError naming the offending
   // flag AND the accepted domain:
@@ -356,18 +363,18 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       } else if (flag == "--intra-slot-threads") {
         opt.intra_slot_threads = flags::read_threads(flag, value());
       } else if (flag == "--policy") {
-        ov_policy = static_cast<policy::SleepPolicy>(
+        ov.policy = static_cast<policy::SleepPolicy>(
             flags::read_choice(flag, value(), policy::kSleepPolicyNames));
       } else if (flag == "--sleep-threshold") {
-        ov_sleep_thr = flags::read_number(flag, value(), 0);
+        ov.sleep_threshold = flags::read_number(flag, value(), 0);
       } else if (flag == "--wake-threshold") {
-        ov_wake_thr = flags::read_number(flag, value(), 0);
+        ov.wake_threshold = flags::read_number(flag, value(), 0);
       } else if (flag == "--sleep-dwell") {
-        ov_dwell = flags::read_int(flag, value(), 0);
+        ov.min_dwell_slots = flags::read_int(flag, value(), 0);
       } else if (flag == "--min-awake-bs") {
-        ov_min_awake = flags::read_int(flag, value(), 1);
+        ov.min_awake_bs = flags::read_int(flag, value(), 1);
       } else if (flag == "--switch-cost-weight") {
-        ov_switch_w = flags::read_number(flag, value(), 0);
+        ov.switch_cost_weight = flags::read_number(flag, value(), 0);
       } else if (flag == "--metrics-port") {
         opt.metrics_port = flags::read_int(flag, value(), 0, 65535);
       } else if (flag == "--metrics-port-file") {
@@ -388,18 +395,12 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   } catch (const flags::UsageError& e) {
     return err(e.what());
   }
-  // The run's identity: the hash of its spec, as loaded by --scenario or
-  // as --print-scenario prints the flag-built one, taken before the sleep
-  // overrides merge.
+  // The run's identity: the hash of the merged spec, the one
+  // --print-scenario prints.
+  ov.apply(opt.scenario.bs_sleep);
   const scenario::ScenarioSpec spec{opt.scenario_name, opt.scenario};
   opt.scenario_hash = scenario::scenario_hash(spec);
   opt.scenario_structural_hash = scenario::scenario_structural_hash(spec);
-  if (ov_policy) opt.scenario.bs_sleep.policy = *ov_policy;
-  if (ov_sleep_thr) opt.scenario.bs_sleep.sleep_threshold = *ov_sleep_thr;
-  if (ov_wake_thr) opt.scenario.bs_sleep.wake_threshold = *ov_wake_thr;
-  if (ov_dwell) opt.scenario.bs_sleep.min_dwell_slots = *ov_dwell;
-  if (ov_min_awake) opt.scenario.bs_sleep.min_awake_bs = *ov_min_awake;
-  if (ov_switch_w) opt.scenario.bs_sleep.switch_cost_weight = *ov_switch_w;
   if (opt.scenario.bs_sleep.wake_threshold <
       opt.scenario.bs_sleep.sleep_threshold)
     return err("--wake-threshold must be >= --sleep-threshold (the "

@@ -27,6 +27,20 @@ struct Options {
   // fields; traffic shape and tariff excluded) — what --reload-scenario
   // compares to decide whether a swap is safe.
   std::uint64_t scenario_structural_hash = 0;
+  // --policy and the --sleep-* / --wake-threshold / --min-awake-bs /
+  // --switch-cost-weight flags: run-level overrides of the spec's
+  // bs.sleep block. They sit on top of whichever spec the run uses (a
+  // --scenario file, the flag-built one, or a hot-reloaded swap), and
+  // both hashes are taken of the merged spec, so they are part of the
+  // run's identity.
+  struct SleepOverrides {
+    std::optional<policy::SleepPolicy> policy;
+    std::optional<double> sleep_threshold, wake_threshold,
+        switch_cost_weight;
+    std::optional<int> min_dwell_slots, min_awake_bs;
+    void apply(policy::SleepPolicyConfig& sleep) const;
+  };
+  SleepOverrides sleep_overrides;
   // --print-scenario: dump the resolved scenario JSON to stdout and exit.
   bool print_scenario = false;
   double V = 3.0;
@@ -58,7 +72,7 @@ struct Options {
   // PATH.collapsed, built from the same span stream.
   std::string profile_path;
   // Per-LP-solve JSONL stream (lp::JsonlSolveLog): one line per simplex
-  // solve with context, dimensions, phase split and warm-start accounting.
+  // solve with context, dimensions, phase split and pivot accounting.
   std::string lp_log_path;
 
   // Live operations layer (docs/OBSERVABILITY.md "Operating live runs").

@@ -445,27 +445,33 @@ int run(const gc::cli::Options& opt) {
   return outcome.exit_code;
 }
 
-// Scenario hot-reload: re-read the swap file and accept it only when the
-// structural fields (topology, energy model, algorithm) are untouched —
+// Scenario hot-reload: re-read the swap file, lay the run's sleep-policy
+// overrides over it (the swap must not drop them), and accept it only when
+// the structural fields (topology, energy model, algorithm) are untouched —
 // traffic shape and tariff may change. Refusals name the first differing
 // structural field.
 gc::scenario::ScenarioSpec load_swapped_scenario(
     const gc::cli::Options& opt) {
   gc::scenario::ScenarioSpec swapped =
       gc::scenario::load_scenario_file(opt.reload_scenario_path);
+  opt.sleep_overrides.apply(swapped.config.bs_sleep);
   if (gc::scenario::scenario_structural_hash(swapped) !=
       opt.scenario_structural_hash) {
     const gc::scenario::ScenarioSpec original =
         gc::scenario::load_scenario_file(opt.scenario_path);
     const std::string field =
         gc::scenario::first_structural_difference(original, swapped);
-    GC_CHECK_MSG(false,
-                 "--reload-scenario " << opt.reload_scenario_path
-                     << ": structural field \"" << field
-                     << "\" differs from " << opt.scenario_path
-                     << "; only traffic shape and tariff may be swapped at "
-                        "a reload (docs/ROBUSTNESS.md)");
+    throw gc::CheckError("--reload-scenario " + opt.reload_scenario_path +
+                         ": structural field \"" + field + "\" differs from " +
+                         opt.scenario_path +
+                         "; only traffic shape and tariff may be swapped at "
+                         "a reload (docs/ROBUSTNESS.md)");
   }
+  if (swapped.config.bs_sleep.wake_threshold <
+      swapped.config.bs_sleep.sleep_threshold)
+    throw gc::CheckError("--reload-scenario " + opt.reload_scenario_path +
+                         ": wake threshold below sleep threshold once the "
+                         "--sleep-* overrides apply");
   return swapped;
 }
 
