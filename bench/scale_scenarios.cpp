@@ -50,9 +50,7 @@ struct Args {
   int slots = 20;
   std::string out = "BENCH_sweep.json";
   std::string profile_dir;  // empty = no per-scenario profile capture
-  // --fast: run with every performance lever on (range pruning and all
-  // intra-slot threads; the S4 decomposition engages on its own Auto
-  // threshold). Profiles land at
+  // --fast: run with link pruning on (--link-prune on). Profiles land at
   // <name>.fast.profile.json so the committed baseline artifacts stay
   // comparable (docs/PERFORMANCE.md "Scaling past 500 nodes").
   bool fast = false;
@@ -61,7 +59,8 @@ struct Args {
 constexpr const char* kUsage =
     "usage: scale_scenarios [SPEC.json ...] [--dir DIR] [--slots N]\n"
     "                       [--out PATH] [--profile-dir DIR] [--fast]\n"
-    "  --slots N   slots per scenario: int >= 1 (default 20)\n";
+    "  --slots N   slots per scenario: int >= 1 (default 20)\n"
+    "  --fast      run with link pruning on (--link-prune on)\n";
 
 // Fills `out` from the arguments; false on --help. A malformed, missing or
 // out-of-domain value, or no scenario file at all, throws
@@ -123,7 +122,8 @@ void dump(const JsonValue& v, std::string* out, int indent) {
       break;
     }
     case JsonValue::Kind::String:
-      *out += "\"" + gc::obs::json_escape(v.as_string()) + "\"";
+      out->append("\"").append(gc::obs::json_escape(v.as_string()))
+          .append("\"");
       break;
     case JsonValue::Kind::Array: {
       const auto& a = v.as_array();
@@ -133,11 +133,11 @@ void dump(const JsonValue& v, std::string* out, int indent) {
       }
       *out += "[\n";
       for (std::size_t i = 0; i < a.size(); ++i) {
-        *out += pad + "  ";
+        out->append(pad).append("  ");
         dump(a[i], out, indent + 1);
         *out += i + 1 < a.size() ? ",\n" : "\n";
       }
-      *out += pad + "]";
+      out->append(pad).append("]");
       break;
     }
     case JsonValue::Kind::Object: {
@@ -149,11 +149,12 @@ void dump(const JsonValue& v, std::string* out, int indent) {
       *out += "{\n";
       std::size_t i = 0;
       for (const auto& [k, val] : o) {
-        *out += pad + "  \"" + gc::obs::json_escape(k) + "\": ";
+        out->append(pad).append("  \"").append(gc::obs::json_escape(k))
+            .append("\": ");
         dump(val, out, indent + 1);
         *out += ++i < o.size() ? ",\n" : "\n";
       }
-      *out += pad + "}";
+      out->append(pad).append("}");
       break;
     }
   }
@@ -177,7 +178,7 @@ double span_total_s(const gc::obs::ProfileNode& node, const char* name) {
 struct Row {
   std::string name;
   int nodes = 0, bs = 0, users = 0, sessions = 0, slots = 0;
-  bool fast = false;  // run with the --fast performance levers
+  bool fast = false;  // run with --fast (link pruning on)
   // setup_s: scenario load until the controller is ready (time to first
   // slot); wall_s: the run; end_to_end_s = setup_s + wall_s.
   double setup_s = 0.0, wall_s = 0.0, slots_per_s = 0.0, end_to_end_s = 0.0;
@@ -196,9 +197,8 @@ Row run_one(const std::string& path, int slots,
   gc::sim::ScenarioConfig config = spec.config;
   if (fast) config.link_prune = true;
   const gc::core::NetworkModel model = config.build();
-  gc::core::ControllerOptions copts = config.controller_options();
-  if (fast) copts.intra_slot_threads = 0;  // all hardware threads
-  gc::core::LyapunovController controller(model, 3.0, copts);
+  gc::core::LyapunovController controller(model, 3.0,
+                                          config.controller_options());
   const auto t_ready = std::chrono::steady_clock::now();
   gc::sim::SimOptions sim_opts;
   sim_opts.scenario_name = spec.name;

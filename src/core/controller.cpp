@@ -1,6 +1,5 @@
 #include "core/controller.hpp"
 
-#include "obs/instrumented_pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
 
@@ -68,12 +67,7 @@ LyapunovController::LyapunovController(const NetworkModel& model, double V,
   lp_ws_s4_.set_stats_context("s4");
   lp_ws_s3_.set_stats_sink(options_.lp_stats);
   lp_ws_s4_.set_stats_sink(options_.lp_stats);
-  if (options_.intra_slot_threads != 1)
-    pool_ =
-        std::make_unique<obs::InstrumentedPool>(options_.intra_slot_threads);
 }
-
-LyapunovController::~LyapunovController() = default;
 
 SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   GC_CHECK(static_cast<int>(inputs.bandwidth_hz.size()) ==
@@ -93,7 +87,6 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // count (links scheduled, routes, energy demands).
   obs::Span step_span("controller.step", m.step, &decision.timing.step_s,
                       state_.slot(), model_->num_nodes());
-  util::ThreadPool* const pool = pool_ != nullptr ? &pool_->pool() : nullptr;
 
   // S2 — source selection + admission control.
   {
@@ -118,10 +111,9 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
         options_.scheduler == ControllerOptions::Scheduler::SequentialFix,
         options_.fallbacks, m.fallback_s1, decision.fallbacks,
         [&] {
-          // One SF series per interference cluster; the pool, when there
-          // is one, only changes where the cluster jobs run.
-          return sf_schedule(state_, inputs, pool, options_.fill_in,
-                             energy_price, options_.lp, options_.lp_stats);
+          // One SF series per interference cluster, in cluster order.
+          return sf_schedule(state_, inputs, options_.fill_in, energy_price,
+                             options_.lp, options_.lp_stats);
         },
         [&] {
           return greedy_schedule(state_, inputs, options_.fill_in,
@@ -169,7 +161,6 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
     EnergyLpOptions eopt;
     eopt.decompose = options_.s4_decompose;
     eopt.decompose_min_nodes = options_.s4_decompose_min_nodes;
-    eopt.pool = pool;
     EnergyResult energy = run_ladder(
         options_.energy_manager == ControllerOptions::EnergyManager::Lp,
         options_.fallbacks, m.fallback_s4, decision.fallbacks,
@@ -184,12 +175,6 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
     decision.unserved_energy_j = energy.unserved_total_j;
     last_grid_j_ = energy.grid_total_j;
   }
-
-  // Fold anything the intra-slot workers recorded (sched.* / lp.* from
-  // cluster jobs and S4 user chunks) into this thread's registry, in
-  // worker-index order, so snapshots and sweeps see one coherent registry
-  // per controller thread at any intra-slot thread count.
-  if (pool_ != nullptr) pool_->merge_into(obs::registry());
 
   decision.degraded = decision.fallbacks > 0;
   if (decision.degraded) m.degraded.add();

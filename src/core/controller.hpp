@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/allocator.hpp"
@@ -21,10 +20,6 @@
 #include "core/router.hpp"
 #include "core/scheduler.hpp"
 #include "core/state.hpp"
-
-namespace gc::obs {
-class InstrumentedPool;
-}
 
 namespace gc::core {
 
@@ -65,14 +60,8 @@ struct ControllerOptions {
   // Inert: nothing reads it, as no LP solver warm-starts.
   // perfbench only; ROADMAP item 1 deletes it.
   bool warm_across_slots = false;
-  // Intra-slot parallelism (--intra-slot-threads): > 1 runs S1's
-  // per-interference-cluster SF series (sf_schedule) and (energy_manager =
-  // Lp) the decomposed S4 LP's per-user closed forms in chunks through
-  // util::parallel_for, on a controller-owned obs::InstrumentedPool whose
-  // per-worker registries are merged deterministically each slot.
-  // Decisions are bit-identical at every thread count; only wall time
-  // changes. 0 = all hardware threads, 1 (default) = no pool, the cluster
-  // jobs run inline.
+  // Inert: nothing reads it, as every slot runs on the thread that calls
+  // step(). perfbench only; ROADMAP item 1 deletes it.
   int intra_slot_threads = 1;
   // Fallback ladder (docs/ROBUSTNESS.md): when an LP-based subproblem
   // solver fails (Infeasible / IterationLimit / TimeLimit / NumericalError,
@@ -89,7 +78,6 @@ class LyapunovController {
  public:
   LyapunovController(const NetworkModel& model, double V,
                      ControllerOptions options = {});
-  ~LyapunovController();
 
   // Inert: the controller keeps no LP state across slots, so there is
   // nothing to carry or restore.
@@ -127,10 +115,6 @@ class LyapunovController {
   // solver-internal. (S1's SF series solve through per-cluster
   // workspaces; see scheduler.hpp.)
   lp::Workspace lp_ws_s3_, lp_ws_s4_;
-  // Intra-slot worker pool (nullptr when intra_slot_threads == 1). Owned
-  // here so the workers and their registries live exactly as long as the
-  // controller.
-  std::unique_ptr<obs::InstrumentedPool> pool_;
 };
 
 }  // namespace gc::core

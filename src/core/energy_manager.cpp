@@ -6,7 +6,6 @@
 
 #include "lp/pwl.hpp"
 #include "lp/simplex.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
 
@@ -342,23 +341,9 @@ EnergyResult lp_energy_manage(const NetworkState& state,
   const int k = decompose ? model.num_base_stations() : n;
 
   std::vector<NodeEnergyDecision> decisions(static_cast<std::size_t>(n));
-  if (k < n) {
-    // Fixed chunk grain: the split depends only on (n, k, threads), so the
-    // work partition — and with it every FP result, each written to its own
-    // slot — is identical however the chunks land on workers. Without a
-    // pool, or with one worker, all users are one chunk run inline.
-    util::ThreadPool* pool = options.pool;
-    const int threads = pool != nullptr ? pool->num_threads() : 1;
-    const int users = n - k;
-    const int chunk =
-        threads > 1 ? std::max(64, (users + threads - 1) / threads) : users;
-    const int chunks = (users + chunk - 1) / chunk;
-    util::parallel_for(threads > 1 ? pool : nullptr, chunks, [&](int c) {
-      for (int i = k + c * chunk; i < std::min(k + (c + 1) * chunk, n); ++i)
-        decisions[static_cast<std::size_t>(i)] =
-            best_response(make_instance(state, inputs, demands_j, i), 0.0).d;
-    });
-  }
+  for (int i = k; i < n; ++i)
+    decisions[static_cast<std::size_t>(i)] =
+        best_response(make_instance(state, inputs, demands_j, i), 0.0).d;
 
   // Penalty dominating every per-joule gain so unserved energy is a last
   // resort. Computed over ALL nodes so the objective scale is identical

@@ -37,7 +37,7 @@
 #include "lp/simplex.hpp"
 
 namespace gc::util {
-class ThreadPool;
+class ThreadPool;  // perfbench only (EnergyLpOptions::pool)
 }
 
 namespace gc::core {
@@ -95,11 +95,8 @@ struct EnergyLpOptions {
   // Inert: nothing reads it, as the LP has no warm starts.
   // perfbench only; ROADMAP item 1 deletes it.
   bool warm_across_slots = false;
-  // When set with more than one worker (and decomposing), the per-user
-  // closed forms run as index chunks on this pool through
-  // util::parallel_for; otherwise as one chunk inline. Bit-identical at any
-  // thread count: each chunk writes a disjoint range of a preallocated
-  // decision vector.
+  // Inert: nothing reads it, as the per-user closed forms run as one loop
+  // on the calling thread. perfbench only; ROADMAP item 1 deletes it.
   util::ThreadPool* pool = nullptr;
 };
 

@@ -8,7 +8,6 @@
 #include "net/power_control.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
 
@@ -24,8 +23,8 @@ struct SchedulerMetrics {
   obs::Counter& fill_in = obs::registry().counter("sched.fill_in_links");
   obs::Counter& descheduled =
       obs::registry().counter("sched.power_descheduled_links");
-  // Intra-slot cluster parallelism: clusters solved and the size of the
-  // largest one (the parallel critical path).
+  // The cluster split: clusters solved per slot and a histogram of
+  // candidates per cluster (the largest is S1's slowest LP series).
   obs::Counter& clusters = obs::registry().counter("sched.sf_clusters");
   obs::Histogram& cluster_cands =
       obs::registry().histogram("sched.sf_cluster_candidates");
@@ -274,13 +273,12 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
 
 namespace {
 
-// One SF relax-round-compact series over `cands`: fixes links into
-// `schedule`, consuming `usage`. Every pass solves cold through `ws`; with
-// `stats` set, each solve's statistics are appended to it.
+// One SF relax-round-compact series over `cands`: appends the links it
+// fixes to `schedule`, consuming `usage`. Every pass solves cold through
+// `ws`, which forwards each solve's statistics to its sink.
 void sf_series(const NetworkState& state,
                std::vector<CandidateLinkBand> cands, RadioUsage& usage,
                const lp::Options& lp_options, lp::Workspace& ws,
-               std::vector<lp::SolveStats>* stats,
                std::vector<ScheduledLink>& schedule) {
   const auto& model = state.model();
   while (!cands.empty()) {
@@ -308,7 +306,6 @@ void sf_series(const NetworkState& state,
       }
     }
     const lp::Solution sol = lp::solve(m, lp_options, ws);
-    if (stats != nullptr) stats->push_back(ws.last_stats());
     GC_CHECK_MSG(sol.status == lp::Status::Optimal,
                  "SF relaxation not optimal at slot "
                      << state.slot() << ": " << lp::to_string(sol.status));
@@ -345,9 +342,9 @@ void sf_series(const NetworkState& state,
 }  // namespace
 
 std::vector<ScheduledLink> sf_schedule(
-    const NetworkState& state, const SlotInputs& inputs,
-    util::ThreadPool* pool, bool fill_in, double marginal_energy_price,
-    const lp::Options& lp_options, lp::SolveStatsSink* stats_sink) {
+    const NetworkState& state, const SlotInputs& inputs, bool fill_in,
+    double marginal_energy_price, const lp::Options& lp_options,
+    lp::SolveStatsSink* stats_sink) {
   const auto& model = state.model();
   const std::vector<CandidateLinkBand> cands =
       build_candidates(state, inputs);
@@ -387,26 +384,17 @@ std::vector<ScheduledLink> sf_schedule(
   for (const auto& cc : cluster_cands)
     sched_metrics().cluster_cands.observe(static_cast<double>(cc.size()));
 
-  // One SF series per cluster, all taking from the slot's one radio
-  // budget. Clusters are node-disjoint, so each job reads and writes only
-  // its own nodes' entries and sees exactly the budget the joint series
-  // would. Job c writes only entry c of fragments and stats, so submitting
-  // it and running it inline give the same result.
+  // One SF series per cluster, in cluster order, all taking from the
+  // slot's one radio budget. Clusters are node-disjoint, so each series
+  // reads and writes only its own nodes' entries and sees exactly the
+  // budget the joint series would.
   RadioUsage usage(model);
-  std::vector<std::vector<ScheduledLink>> fragments(k);
-  std::vector<std::vector<lp::SolveStats>> stats(k);
-  util::parallel_for(pool, static_cast<int>(k), [&](int c) {
-    lp::Workspace ws;
-    sf_series(state, std::move(cluster_cands[c]), usage, lp_options, ws,
-              stats_sink != nullptr ? &stats[c] : nullptr, fragments[c]);
-  });
-
-  // Deterministic merge: cluster order, then the order the series fixed
-  // links within each cluster.
   std::vector<ScheduledLink> schedule;
-  for (std::size_t c = 0; c < k; ++c) {
-    schedule.insert(schedule.end(), fragments[c].begin(), fragments[c].end());
-    for (const auto& rec : stats[c]) stats_sink->on_solve(rec, "s1");
+  for (auto& cc : cluster_cands) {
+    lp::Workspace ws;
+    ws.set_stats_context("s1");
+    ws.set_stats_sink(stats_sink);
+    sf_series(state, std::move(cc), usage, lp_options, ws, schedule);
   }
   sf_span.stop();
   sched_metrics().primary.add(static_cast<double>(schedule.size()));
@@ -419,16 +407,16 @@ std::vector<ScheduledLink> sequential_fix_schedule(
     const NetworkState& state, const SlotInputs& inputs, bool fill_in,
     double marginal_energy_price, const lp::Options& lp_options,
     lp::Workspace* workspace, std::vector<std::uint64_t>* /*unused*/) {
-  return sf_schedule(state, inputs, nullptr, fill_in, marginal_energy_price,
+  return sf_schedule(state, inputs, fill_in, marginal_energy_price,
                      lp_options,
                      workspace != nullptr ? workspace->stats_sink() : nullptr);
 }
 
 std::vector<ScheduledLink> sequential_fix_schedule_clustered(
     const NetworkState& state, const SlotInputs& inputs,
-    util::ThreadPool& pool, bool fill_in, double marginal_energy_price,
+    util::ThreadPool& /*pool*/, bool fill_in, double marginal_energy_price,
     const lp::Options& lp_options, lp::SolveStatsSink* stats_sink) {
-  return sf_schedule(state, inputs, &pool, fill_in, marginal_energy_price,
+  return sf_schedule(state, inputs, fill_in, marginal_energy_price,
                      lp_options, stats_sink);
 }
 

@@ -24,7 +24,7 @@
 #include "lp/simplex.hpp"
 
 namespace gc::util {
-class ThreadPool;
+class ThreadPool;  // perfbench only (sequential_fix_schedule_clustered)
 }
 
 namespace gc::core {
@@ -88,35 +88,24 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
 // connected components of the endpoint-sharing graph are independent LPs:
 // solving them separately loses nothing of the relaxation
 // (docs/ALGORITHM.md "Why the cluster split leaves the relaxation
-// unchanged"). sf_schedule partitions the candidates into those clusters,
-// runs one relax-round-compact series per cluster (each through its own
-// fresh lp::Workspace; every pass solves cold), and merges the schedules
-// in cluster order — smallest node index first. The cluster jobs run
-// through util::parallel_for: as jobs on `pool`, or inline on the calling
-// thread, in cluster order, without one. That is the only difference, so
-// the schedule is bit-identical at every thread count and the pool changes
-// wall time only. The fill-in pass stays global (it is a cheap greedy and
-// its candidates span clusters by design). One radio budget (eqs.
-// (20)-(22)) serves the whole call: the cluster jobs take from it on their
-// own, disjoint nodes, and the fill-in takes what they left.
-//
-// Each cluster job keeps its LP statistics; after the join they are
-// forwarded to `stats_sink` in cluster order (nullptr = off), so sinks see
-// the same record stream at any thread count. A pool passed here should
-// give each worker its own obs registry, as obs::InstrumentedPool does (the
-// controller owns one); cluster jobs bump sched.* and lp.* instruments.
+// unchanged"). sf_schedule partitions the candidates into those clusters
+// and runs one relax-round-compact series per cluster, in cluster order —
+// smallest node index first — each through its own fresh lp::Workspace
+// (every pass solves cold). Each series appends the links it fixes to the
+// schedule and forwards every solve's LP statistics to `stats_sink` with
+// context "s1" (nullptr = off). The fill-in pass stays global (it is a
+// cheap greedy and its candidates span clusters by design). One radio
+// budget (eqs. (20)-(22)) serves the whole call: each series takes from
+// it on its own, disjoint nodes, and the fill-in takes what they left.
 std::vector<ScheduledLink> sf_schedule(
-    const NetworkState& state, const SlotInputs& inputs,
-    util::ThreadPool* pool = nullptr, bool fill_in = true,
+    const NetworkState& state, const SlotInputs& inputs, bool fill_in = true,
     double marginal_energy_price = 0.0, const lp::Options& lp_options = {},
     lp::SolveStatsSink* stats_sink = nullptr);
 
-// Perfbench-only forwards to sf_schedule (perfbench/perfbench.cpp compiles
-// against these two names; everything else calls sf_schedule). The first
-// runs inline, sends its LP statistics to `workspace`'s stats sink, solves
+// Forwards to sf_schedule. perfbench only; ROADMAP item 1 deletes both.
+// The first sends its LP statistics to `workspace`'s stats sink, solves
 // nothing through `workspace` itself and never touches the key vector it
-// takes last (S1 carries nothing across slots); the second submits the
-// cluster jobs to `pool`.
+// takes last (S1 carries nothing across slots); the second ignores `pool`.
 std::vector<ScheduledLink> sequential_fix_schedule(
     const NetworkState& state, const SlotInputs& inputs, bool fill_in = true,
     double marginal_energy_price = 0.0, const lp::Options& lp_options = {},
@@ -124,7 +113,7 @@ std::vector<ScheduledLink> sequential_fix_schedule(
     std::vector<std::uint64_t>* /*unused*/ = nullptr);
 std::vector<ScheduledLink> sequential_fix_schedule_clustered(
     const NetworkState& state, const SlotInputs& inputs,
-    util::ThreadPool& pool, bool fill_in = true,
+    util::ThreadPool& /*pool*/, bool fill_in = true,
     double marginal_energy_price = 0.0, const lp::Options& lp_options = {},
     lp::SolveStatsSink* stats_sink = nullptr);
 std::vector<ScheduledLink> greedy_schedule(const NetworkState& state,

@@ -1,8 +1,9 @@
 // A util::ThreadPool whose workers each record into a private
 // obs::Registry, so the instruments a pool job bumps never race with the
 // owner's or another worker's: the start hook installs worker w's registry
-// on its thread before its first job. LyapunovController owns one for its
-// intra-slot jobs, sim::SweepRunner one per sweep.
+// on its thread before its first job. sim::SweepRunner runs each sweep on
+// one; the controller itself runs every slot on the thread that calls
+// step().
 #pragma once
 
 #include <optional>

@@ -17,8 +17,8 @@
 // Threading model (docs/PERFORMANCE.md): instrument updates are NOT
 // synchronized. Instead, `registry()` resolves to a thread-current registry
 // — the process-global one by default, or whatever a ThreadRegistryScope
-// installed on this thread. obs::InstrumentedPool (the pool behind the
-// sweep and the intra-slot jobs) gives every worker thread its own registry
+// installed on this thread. obs::InstrumentedPool (the replicate sweep's
+// pool) gives every worker thread its own registry
 // and folds them into the caller's with `merge_from` once the jobs are
 // done, so hot-path updates stay a few unsynchronized arithmetic ops.
 #pragma once

@@ -1,4 +1,4 @@
-// Dynamic base-station sleep / HetNet tier control layer (ROADMAP item 3).
+// Dynamic base-station sleep / HetNet tier control layer.
 //
 // A SleepController sits ABOVE the per-slot Lyapunov controller: once per
 // slot, before LyapunovController::step observes the inputs, it decides

@@ -1,11 +1,10 @@
 // Minimal fixed-size thread pool and the one fan-out over it.
 //
-// parallel_for is how every parallel site runs its independent pieces: the
-// replicate sweep (sim/sweep.hpp), S1's interference-cluster SF series
-// (core::sf_schedule) and the opt-in S4 LP's per-user closed forms
-// (EnergyLpOptions::pool). The jobs are few and coarse, not fine-grained
-// tasking — so a single mutex-protected FIFO queue is plenty, and there is
-// no work-stealing, no futures, no task graph.
+// parallel_for runs the one parallel site, the replicate sweep
+// (sim/sweep.hpp): one job per (scenario, seed) run, while each run's slots
+// execute on the thread that runs the job. The jobs are few and coarse,
+// not fine-grained tasking — so a single mutex-protected FIFO queue is
+// plenty, and there is no work-stealing, no futures, no task graph.
 //
 // The per-thread hooks are the load-bearing feature: on_thread_start runs
 // ON each worker thread before it takes its first job (and on_thread_stop

@@ -7,8 +7,8 @@
 //  * the forced S4 base-station/user decomposition reproduces the joint
 //    LP's optimum, and Auto keeps the historical joint path bit for bit
 //    below its node threshold.
-// The trajectory-level guarantees (cluster thread-count invariance,
-// warm-start resume) live in tests/sim/perf_levers_test.cpp.
+// The trajectory-level guarantees (LP-S4 reproducibility and resume)
+// live in tests/sim/perf_levers_test.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,7 +19,6 @@
 #include "core/scheduler.hpp"
 #include "net/link_prune.hpp"
 #include "sim/scenario.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
 namespace {
@@ -247,45 +246,6 @@ TEST(S4Decompose, AutoKeepsJointPathBitForBitBelowThreshold) {
               bits(b.decisions[i].curtailed_j));
     EXPECT_EQ(bits(a.decisions[i].unserved_j),
               bits(b.decisions[i].unserved_j));
-  }
-}
-
-TEST(S4Decompose, UserClosedFormsAreThreadCountInvariant) {
-  util::ThreadPoolOptions popt;
-  popt.num_threads = 3;
-  util::ThreadPool pool(popt);
-  // 5 users fit in one chunk (the grain is at least 64 users); 300 users
-  // split into three chunks that run on the pool at once.
-  for (const int users : {5, 300}) {
-    sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
-    cfg.num_users = users;
-    const auto model = cfg.build();
-    NetworkState state(model, 3.0);
-    const SlotInputs inputs = energy_inputs(model);
-    const auto demands = demands_with_traffic(model);
-
-    EnergyLpOptions serial;
-    serial.decompose = S4Decompose::Force;
-    EnergyLpOptions pooled = serial;
-    pooled.pool = &pool;
-
-    const EnergyResult a = lp_energy_manage(state, inputs, demands, serial);
-    const EnergyResult b = lp_energy_manage(state, inputs, demands, pooled);
-
-    // Pooled user chunks write disjoint ranges of a preallocated vector,
-    // so the result is bit-identical to the serial split, not merely close.
-    ASSERT_EQ(a.decisions.size(), b.decisions.size());
-    EXPECT_EQ(bits(a.objective), bits(b.objective)) << users;
-    EXPECT_EQ(bits(a.grid_total_j), bits(b.grid_total_j)) << users;
-    EXPECT_EQ(bits(a.cost), bits(b.cost)) << users;
-    for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-      EXPECT_EQ(bits(a.decisions[i].serve_grid_j),
-                bits(b.decisions[i].serve_grid_j))
-          << users << " users, node " << i;
-      EXPECT_EQ(bits(a.decisions[i].discharge_j),
-                bits(b.decisions[i].discharge_j))
-          << users << " users, node " << i;
-    }
   }
 }
 

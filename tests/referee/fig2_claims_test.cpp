@@ -6,6 +6,14 @@
 // the achieved upper bound, and the gap between them shrinks strictly as V
 // grows. The lower bound comes from the matching LP (core/lower_bound.cpp)
 // solved by the same simplex as every S1 relaxation.
+//
+// Fig. 2(b), fig2bc_data_queues.csv: the BS backlog orders by V — its
+// second-half mean (the plateau past the cold-start ramp) rises strictly
+// with V.
+//
+// Fig. 2(d), fig2de_energy_buffers.csv: the BS energy buffers order by V at
+// every slot — a larger V never holds less, since the z shift makes the
+// battery target V(gamma_max - f'(P)) grow with V.
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -56,6 +64,73 @@ TEST(Fig2Claims, BoundsAreOrderedAndGapShrinksInV) {
     if (i == 0) continue;
     EXPECT_GT(v[i], v[i - 1]) << "rows must be sorted by V";
     EXPECT_LT(gap[i], gap[i - 1]) << "V=" << v[i - 1] << " -> " << v[i];
+  }
+}
+
+// The rows of a per-slot CSV (columns t, V, `value`) as V -> t -> value.
+std::map<double, std::map<int, double>> by_v_and_slot(
+    const std::string& path, const std::string& value) {
+  auto cols = read_csv(path);
+  const std::vector<double>& t = cols["t"];
+  const std::vector<double>& v = cols["V"];
+  const std::vector<double>& x = cols[value];
+  EXPECT_EQ(v.size(), t.size()) << path;
+  EXPECT_EQ(x.size(), t.size()) << path;
+  std::map<double, std::map<int, double>> out;
+  for (std::size_t i = 0; i < t.size() && i < v.size() && i < x.size(); ++i)
+    EXPECT_TRUE(out[v[i]].emplace(static_cast<int>(t[i]), x[i]).second)
+        << path << ": duplicate row t=" << t[i] << " V=" << v[i];
+  return out;
+}
+
+TEST(Fig2Claims, BsBacklogPlateauRisesStrictlyWithV) {
+  const std::string path =
+      std::string(GC_SOURCE_DIR) + "/fig2bc_data_queues.csv";
+  const auto runs = by_v_and_slot(path, "q_bs_packets");
+  ASSERT_GE(runs.size(), 2u) << path;
+  double prev_v = 0.0, prev_mean = 0.0;
+  bool first = true;
+  for (const auto& [v, series] : runs) {
+    ASSERT_GE(series.size(), 2u) << "V=" << v;
+    const int horizon = series.rbegin()->first;
+    double sum = 0.0;
+    int n = 0;
+    for (const auto& [t, q] : series)
+      if (t > horizon / 2) {
+        sum += q;
+        ++n;
+      }
+    const double mean = sum / n;
+    if (!first) {
+      EXPECT_GT(mean, prev_mean)
+          << "second-half mean BS backlog, V=" << prev_v << " -> " << v;
+    }
+    prev_v = v;
+    prev_mean = mean;
+    first = false;
+  }
+}
+
+TEST(Fig2Claims, BsBuffersAreOrderedByVAtEverySlot) {
+  const std::string path =
+      std::string(GC_SOURCE_DIR) + "/fig2de_energy_buffers.csv";
+  const auto runs = by_v_and_slot(path, "battery_bs_kj");
+  ASSERT_GE(runs.size(), 2u) << path;
+  const std::map<int, double>* prev = nullptr;
+  double prev_v = 0.0;
+  for (const auto& [v, series] : runs) {
+    ASSERT_FALSE(series.empty()) << "V=" << v;
+    if (prev != nullptr) {
+      ASSERT_EQ(series.size(), prev->size()) << "V=" << v;
+      for (const auto& [t, kj] : series) {
+        const auto it = prev->find(t);
+        ASSERT_NE(it, prev->end()) << "V=" << v << " has slot " << t;
+        EXPECT_GE(kj, it->second)
+            << "slot " << t << ": BS buffers, V=" << prev_v << " -> " << v;
+      }
+    }
+    prev = &series;
+    prev_v = v;
   }
 }
 

@@ -1,11 +1,8 @@
 // Trajectory-level guarantees of the scaling levers (docs/PERFORMANCE.md
-// "Scaling past 500 nodes"):
-//  * --intra-slot-threads changes wall time only: S1 runs one SF series
-//    per interference cluster at every thread count, inline without a
-//    pool, so 1, 2 and 4 threads give bit-identical trajectories;
-//  * the opt-in LP S4 is deterministic and survives checkpoint/resume: a
-//    killed + resumed LP-S4 run replays the uninterrupted run bit for bit
-//    (no solver state crosses a slot boundary, so none is checkpointed).
+// "Scaling past 500 nodes"): the opt-in LP S4 is deterministic and
+// survives checkpoint/resume: a killed + resumed LP-S4 run replays the
+// uninterrupted run bit for bit (no solver state crosses a slot boundary,
+// so none is checkpointed), and S1's cluster split ticks its instruments.
 // The structural exactness arguments (range pruning, the S4 split) are
 // tested in tests/core/perf_levers_test.cpp.
 #include <gtest/gtest.h>
@@ -15,7 +12,6 @@
 
 #include "core/controller.hpp"
 #include "obs/registry.hpp"
-#include "scenario/spec.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
@@ -41,36 +37,6 @@ core::ControllerOptions lp_s4_options(const ScenarioConfig& cfg) {
   auto opts = cfg.controller_options();
   opts.energy_manager = core::ControllerOptions::EnergyManager::Lp;
   return opts;
-}
-
-TEST(PerfLevers, ClusteredRunIsThreadCountInvariant) {
-  // Inline cluster jobs (1 thread) and jobs landing on workers in
-  // arbitrary order (2, 4) merge by cluster rank, so every thread count
-  // must produce the same trajectory. diurnal_solar_tou is where a
-  // whole-network SF series and the per-cluster one first diverged (slot
-  // 74 of 100).
-  const auto diurnal =
-      scenario::load_scenario_file(std::string(GC_SCENARIO_EXAMPLES_DIR) +
-                                   "/diurnal_solar_tou.json")
-          .config;
-  const struct {
-    const char* name;
-    ScenarioConfig cfg;
-    int slots;
-  } cases[] = {{"paper", ScenarioConfig::paper(), 60},
-               {"diurnal_solar_tou", diurnal, 100}};
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    auto one = c.cfg.controller_options();
-    one.intra_slot_threads = 1;
-    const Metrics ref = run_with(c.cfg, c.slots, one);
-    for (int threads : {2, 4}) {
-      SCOPED_TRACE(threads);
-      auto opts = one;
-      opts.intra_slot_threads = threads;
-      expect_metrics_bit_identical(run_with(c.cfg, c.slots, opts), ref);
-    }
-  }
 }
 
 TEST(PerfLevers, LpS4RunIsBitReproducible) {
@@ -115,13 +81,11 @@ TEST(PerfLevers, ClusterAndCrossSlotInstrumentsTick) {
   // Run through a single-threaded SweepRunner so the counters land in a
   // private registry (same reasoning as the checkpoint counter test: the
   // test main thread's instrument refs cannot be re-pointed).
-  auto copts = lp_s4_options(ScenarioConfig::tiny());
-  copts.intra_slot_threads = 2;
   SimJob job;
   job.scenario = ScenarioConfig::tiny();
   job.V = 3.0;
   job.slots = 40;
-  job.controller = copts;
+  job.controller = lp_s4_options(ScenarioConfig::tiny());
 
   obs::Registry reg;
   SweepOptions opt;

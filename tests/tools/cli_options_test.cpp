@@ -252,23 +252,18 @@ TEST(CliOptions, ParsesSweepFlags) {
   EXPECT_FALSE(parse({"--threads", "-1"}).options);
 }
 
-// Both thread flags size real thread pools, so values above the cap are
-// refused at parse time. Parse-only: no pool is started here.
+// --threads sizes the sweep's real thread pool, so values above the cap
+// are refused at parse time. Parse-only: no pool is started here.
 TEST(CliOptions, RejectsThreadCountsAboveCap) {
-  for (const char* flag : {"--threads", "--intra-slot-threads"}) {
-    const auto at_cap = parse({flag, "256"});
-    ASSERT_TRUE(at_cap.options) << flag << ": " << at_cap.error;
-    for (const char* v : {"257", "100000", "2147483647"}) {
-      const auto r = parse({flag, v});
-      EXPECT_FALSE(r.options) << flag << " " << v;
-      EXPECT_NE(r.error.find(flag), std::string::npos) << r.error;
-      EXPECT_NE(r.error.find("<= 256"), std::string::npos) << r.error;
-    }
+  const auto at_cap = parse({"--threads", "256"});
+  ASSERT_TRUE(at_cap.options) << at_cap.error;
+  EXPECT_EQ(at_cap.options->threads, 256);
+  for (const char* v : {"257", "100000", "2147483647"}) {
+    const auto r = parse({"--threads", v});
+    EXPECT_FALSE(r.options) << v;
+    EXPECT_NE(r.error.find("--threads"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("<= 256"), std::string::npos) << r.error;
   }
-  const auto r = parse({"--threads", "256", "--intra-slot-threads", "256"});
-  ASSERT_TRUE(r.options) << r.error;
-  EXPECT_EQ(r.options->threads, 256);
-  EXPECT_EQ(r.options->intra_slot_threads, 256);
 }
 
 // A replicate sweep checkpoints per seed (BASE.seed<k>), but an explicit
@@ -417,7 +412,6 @@ TEST(CliOptions, EveryFlagFailureNamesFlagAndDomain) {
       {"--resume", "", "non-empty file path"},
       {"--seeds", "0", "int >= 1"},
       {"--threads", "-1", "int >= 0"},
-      {"--intra-slot-threads", "-1", "int >= 0"},
       {"--scenario", "", "non-empty file path"},
       {"--trace-top-k", "-1", "int >= 0"},
       {"--trace-top-k", "many", "int >= 0"},

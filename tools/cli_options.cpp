@@ -179,7 +179,7 @@ crash-safe service mode (docs/ROBUSTNESS.md "Operating long runs"):
                         the first differing field. Requires --scenario and
                         --supervise
 
-performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes"):
+performance lever (docs/PERFORMANCE.md "Scaling past 500 nodes"):
   --link-prune on|off   drop provably-dead links (out of radio range even
                         at max power into zero interference) before the
                         subproblems build their models (default off). Exact
@@ -187,12 +187,6 @@ performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes"):
                         unpruned scheduler wastes on doomed links perturbs
                         which equally-good schedule is picked, so the paper
                         baseline keeps it off
-  --intra-slot-threads N
-                        solve S1's independent interference clusters on N
-                        worker threads within each slot (default 1 = no
-                        pool; 0 = all hardware threads; at most 256).
-                        Changes wall time only: decisions and per-slot
-                        results are bit-identical at any N
 
 parallel sweep (docs/PERFORMANCE.md):
   --seeds N             run N >= 1 replicates (input seeds S, S+1, ...) through
@@ -360,8 +354,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
         opt.lp_log_path = flags::read_path(flag, value());
       } else if (flag == "--link-prune") {
         opt.link_prune = flags::read_choice(flag, value(), {"on", "off"}) == 0;
-      } else if (flag == "--intra-slot-threads") {
-        opt.intra_slot_threads = flags::read_threads(flag, value());
       } else if (flag == "--policy") {
         ov.policy = static_cast<policy::SleepPolicy>(
             flags::read_choice(flag, value(), policy::kSleepPolicyNames));

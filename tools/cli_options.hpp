@@ -124,13 +124,11 @@ struct Options {
   int seeds = 1;
   int threads = 0;
 
-  // Performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes").
-  // Both default to the paper-baseline behavior; neither changes what the
-  // controller CAN decide, only how fast it gets there. --link-prune may
-  // perturb which equally-good decision is made (ModelConfig::link_prune);
-  // --intra-slot-threads changes wall time only (scheduler.hpp).
-  bool link_prune = false;      // --link-prune on
-  int intra_slot_threads = 1;   // --intra-slot-threads
+  // Performance lever (docs/PERFORMANCE.md "Scaling past 500 nodes").
+  // Off is the paper-baseline behavior; it does not change what the
+  // controller CAN decide, only how fast it gets there, but it may perturb
+  // which equally-good decision is made (ModelConfig::link_prune).
+  bool link_prune = false;  // --link-prune on
 
   bool help = false;  // --help was requested; usage() already printed
 };

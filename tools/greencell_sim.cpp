@@ -126,9 +126,7 @@ gc::sim::SimJob make_job(const gc::cli::Options& opt, const Attempt& at) {
   job.scenario = opt.scenario;
   job.V = opt.V;
   job.slots = opt.slots;
-  gc::core::ControllerOptions copts = opt.scenario.controller_options();
-  copts.intra_slot_threads = opt.intra_slot_threads;
-  job.controller = copts;
+  job.controller = opt.scenario.controller_options();
   if (opt.mobility_mps > 0.0) {
     gc::sim::MobilityConfig mob;
     mob.speed_mps_lo = 0.0;
