@@ -124,7 +124,6 @@ struct NodeEnergyDecision {
 
 // Wall-clock seconds the controller spent in each subproblem this slot
 // (S1 includes power control, S4 includes the energy-demand computation).
-// All zero when the library is built with GC_OBS_DISABLE.
 struct SlotTimings {
   double s1_s = 0.0;
   double s2_s = 0.0;

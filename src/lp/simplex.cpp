@@ -620,8 +620,7 @@ Solution solve(const Model& model, const Options& options,
   if (sol.status == Status::TimeLimit) m.time_limits.add();
   if (sol.status == Status::NumericalError) m.numerical_errors.add();
 
-  // Per-solve introspection (always collected; only the registry
-  // instruments below compile out under GC_OBS_DISABLE).
+  // Per-solve introspection (always collected).
   stats.rows = model.num_rows();
   stats.cols = model.num_variables();
   for (int r = 0; r < stats.rows; ++r)

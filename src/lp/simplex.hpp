@@ -87,9 +87,8 @@ struct Solution {
 // Per-solve introspection record, filled by every solve (workspace or not)
 // and kept in Workspace::last_stats(). Collection is a handful of integer
 // increments inside loops that already do O(rows*cols) arithmetic, so it is
-// always on — only the lp.* registry instruments are compiled out under
-// GC_OBS_DISABLE. Purely observational: nothing here feeds back into the
-// solve, so results are bit-identical with or without a sink attached.
+// always on. Purely observational: nothing here feeds back into the solve,
+// so results are bit-identical with or without a sink attached.
 struct SolveStats {
   // Problem dimensions as the caller posed them (structural variables;
   // slacks/artificials excluded).

@@ -1,7 +1,9 @@
 #include "obs/http_exporter.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -40,6 +42,21 @@ void write_all(int fd, const std::string& data) {
     if (n <= 0) return;
     off += static_cast<std::size_t>(n);
   }
+}
+
+// The ring cursor of an /events request: 0 for bare "/events", the value
+// of "/events?since=N" when N is a decimal that fits in 64 bits, and
+// nothing for any other query.
+std::optional<std::uint64_t> events_since(const std::string& path) {
+  if (path == "/events") return 0;
+  constexpr std::string_view prefix = "/events?since=";
+  if (path.rfind(prefix, 0) != 0) return std::nullopt;
+  const char* first = path.data() + prefix.size();
+  const char* last = path.data() + path.size();
+  std::uint64_t since = 0;
+  const auto [end, ec] = std::from_chars(first, last, since);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return since;
 }
 
 }  // namespace
@@ -110,15 +127,14 @@ std::string HttpExporter::handle(const std::string& path) const {
     return http_response(p->healthy ? "200 OK" : "503 Service Unavailable",
                          "application/json", p->healthz_json);
   if (path == "/events" || path.rfind("/events?", 0) == 0) {
-    std::uint64_t since = 0;
-    const std::string::size_type q = path.find("since=");
-    if (q != std::string::npos)
-      since = std::strtoull(path.c_str() + q + 6, nullptr, 10);
+    const std::optional<std::uint64_t> since = events_since(path);
+    if (!since)
+      return http_response("400 Bad Request", "text/plain", "bad request\n");
     std::uint64_t next = 0;
     std::string body = "{\"events\":[";
     if (journal_ != nullptr) {
       const std::vector<std::string> events =
-          journal_->ring_since(since, &next);
+          journal_->ring_since(*since, &next);
       for (std::size_t i = 0; i < events.size(); ++i) {
         if (i) body += ',';
         body += events[i];

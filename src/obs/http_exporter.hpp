@@ -10,7 +10,9 @@
 //                   any critical alert is firing
 //   /snapshot.json  the SnapshotWriter JSON body
 //   /events?since=K the EventJournal ring from cursor K on, plus the next
-//                   cursor ({"events":[...],"next_seq":N})
+//                   cursor ({"events":[...],"next_seq":N}); K is a decimal
+//                   u64, bare /events means K = 0, and any other query is
+//                   a 400
 //
 // Concurrency contract: the slot loop NEVER blocks on a reader. At each
 // slot boundary the simulator renders an immutable Payload and publish()es

@@ -23,10 +23,6 @@ double bucket_midpoint(int i) {
 }  // namespace
 
 void Histogram::observe(double v) {
-  if constexpr (!kCompiledIn) {
-    (void)v;
-    return;
-  }
   if (buckets_.empty()) buckets_.assign(kNumBuckets, 0);
   if (count_ == 0) {
     min_ = max_ = v;

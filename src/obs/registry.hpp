@@ -6,9 +6,6 @@
 //  * near-zero hot-path cost: an instrument update is a few arithmetic ops
 //    on a pre-resolved reference — the name lookup happens only at
 //    registration;
-//  * zero cost when compiled out: building with -DGC_OBS_DISABLE (see the
-//    top-level CMakeLists option) turns every update into an empty inline
-//    function the optimizer deletes;
 //  * no dependencies above util, so lp/net/core/sim can all link it.
 //
 // Instruments are cumulative; `Registry::reset()` zeroes them (keeping
@@ -32,22 +29,16 @@
 
 namespace gc::obs {
 
-#ifdef GC_OBS_DISABLE
-inline constexpr bool kCompiledIn = false;
-#else
+// Inert: always true, as the layer is always compiled in.
+// perfbench only; ROADMAP item 1 deletes it.
 inline constexpr bool kCompiledIn = true;
-#endif
 
 // Monotonic accumulator (doubles, so packet/joule totals fit too).
 class Counter {
  public:
   void add(double v = 1.0) {
-    if constexpr (kCompiledIn) {
-      sum_ += v;
-      ++n_;
-    } else {
-      (void)v;
-    }
+    sum_ += v;
+    ++n_;
   }
   double total() const { return sum_; }
   std::int64_t events() const { return n_; }
@@ -67,17 +58,13 @@ class Counter {
 class Gauge {
  public:
   void set(double v) {
-    if constexpr (kCompiledIn) {
-      value_ = v;
-      set_ = true;
-    } else {
-      (void)v;
-    }
+    value_ = v;
+    set_ = true;
   }
   double value() const { return value_; }
-  // Distinguishes "never set" (registration alone, or a GC_OBS_DISABLE
-  // build where set() is a no-op) from a genuine 0 — consumers that treat
-  // presence as meaning (the fleet snapshot's policy section) key on this.
+  // Distinguishes "never set" (registration alone) from a genuine 0 —
+  // consumers that treat presence as meaning (the fleet snapshot's policy
+  // section) key on this.
   bool was_set() const { return set_; }
   void reset() { value_ = 0.0; }
   // Merge semantics are deterministic last-writer-wins in MERGE order: the

@@ -32,7 +32,7 @@ void SpanRecorder::enable(std::size_t capacity) {
   // Register the drop counter up front so it appears (at zero) in registry
   // dumps of clean runs too — an absent counter and a truncated profile
   // must not look the same.
-  if (kCompiledIn) spans_dropped_counter();
+  spans_dropped_counter();
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.assign(capacity, SpanEvent{});
   next_ = size_ = 0;
@@ -58,10 +58,6 @@ double SpanRecorder::since_epoch_s(
 
 void SpanRecorder::record(const char* name, double start_s, double dur_s,
                           std::int64_t id, std::int64_t dim) {
-  if constexpr (!kCompiledIn) {
-    (void)name, (void)start_s, (void)dur_s, (void)id, (void)dim;
-    return;
-  }
   if (!enabled()) return;
   const std::uint32_t tid = thread_lane();
   bool dropped_one = false;

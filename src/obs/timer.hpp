@@ -18,10 +18,6 @@
 //  * stop(), which closes the span early and returns that duration
 //    (SolveStats::wall_s), and elapsed_s() for free-running clocks (a
 //    null name keeps the span out of the ring: the run-rate clocks).
-//
-// Building with -DGC_OBS_DISABLE compiles the recording out — no ring,
-// histogram or accumulator writes — while elapsed_s() and stop() still
-// measure, so SolveStats::wall_s and the run rate keep working.
 #pragma once
 
 #include <atomic>
@@ -52,8 +48,7 @@ struct SpanEvent {
 // Process-wide bounded span store: a mutex-protected ring buffer that keeps
 // the most recent `capacity` spans (older ones are overwritten; dropped()
 // counts them). Recording is gated on an atomic flag so instrumented hot
-// paths pay one relaxed load when tracing is off. Built with
-// -DGC_OBS_DISABLE, record() compiles to nothing.
+// paths pay one relaxed load when tracing is off.
 class SpanRecorder {
  public:
   static SpanRecorder& instance();
@@ -167,17 +162,14 @@ class Span {
   }
 
  private:
-  // Under GC_OBS_DISABLE the sinks are dropped here, so the destructor
-  // never reads the clock and stop() only measures.
   Span(const char* name, Histogram* hist, double* accumulate_s,
        std::int64_t id, std::int64_t dim)
       : name_(name),
-        hist_(kCompiledIn ? hist : nullptr),
-        acc_(kCompiledIn ? accumulate_s : nullptr),
+        hist_(hist),
+        acc_(accumulate_s),
         id_(id),
         dim_(dim),
-        live_(kCompiledIn && name != nullptr &&
-              SpanRecorder::instance().enabled()),
+        live_(name != nullptr && SpanRecorder::instance().enabled()),
         start_(clock::now()) {}
 
   const char* name_;

@@ -87,17 +87,15 @@ void TraceSink::write(const TraceRecord& r) {
   append_field(s, "degraded", r.degraded ? 1.0 : 0.0);
   append_field(s, "faults", r.fault_events);
   s += "}";
-  if (r.has_stability) {
-    s += ",\"stability\":{";
-    append_field(s, "lyapunov", r.lyapunov, /*first=*/true);
-    append_field(s, "drift", r.drift);
-    append_field(s, "dpp", r.dpp);
-    append_field(s, "worst_q_margin", r.worst_q_margin);
-    append_field(s, "worst_z_margin_j", r.worst_z_margin_j);
-    append_field(s, "violations", r.stability_violations);
-    append_field(s, "window_unstable", r.window_unstable ? 1.0 : 0.0);
-    s += "}";
-  }
+  s += ",\"stability\":{";
+  append_field(s, "lyapunov", r.lyapunov, /*first=*/true);
+  append_field(s, "drift", r.drift);
+  append_field(s, "dpp", r.dpp);
+  append_field(s, "worst_q_margin", r.worst_q_margin);
+  append_field(s, "worst_z_margin_j", r.worst_z_margin_j);
+  append_field(s, "violations", r.stability_violations);
+  append_field(s, "window_unstable", r.window_unstable ? 1.0 : 0.0);
+  s += "}";
   if (r.has_policy) {
     s += ",\"policy\":{";
     append_field(s, "awake_bs", r.awake_bs, /*first=*/true);

@@ -50,9 +50,7 @@ struct TraceRecord {
   int fault_events = 0;
   // Stability auditor (src/obs/stability.hpp): the slot's Lyapunov value,
   // one-slot drift, drift-plus-penalty, worst bound margins, and violation
-  // flags. Serialized as a "stability" group only when has_stability is
-  // set (audit-off runs keep the old schema byte for byte).
-  bool has_stability = false;
+  // flags. Serialized as a "stability" group.
   double lyapunov = 0.0;
   double drift = 0.0;
   double dpp = 0.0;

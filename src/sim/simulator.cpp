@@ -110,8 +110,8 @@ std::vector<std::pair<int, double>> top_backlog_nodes(
 void trace_slot(obs::TraceSink& sink, int t, const core::NetworkModel& model,
                 const core::NetworkState& state,
                 const core::SlotDecision& decision, int fault_events,
-                int top_k, const obs::SlotAudit* audit,
-                const obs::SlotVerdict* verdict,
+                int top_k, const obs::SlotAudit& audit,
+                const obs::SlotVerdict& verdict,
                 const policy::SleepController* sleep) {
   obs::TraceRecord r;
   r.slot = t;
@@ -123,17 +123,14 @@ void trace_slot(obs::TraceSink& sink, int t, const core::NetworkModel& model,
     r.policy_switches = static_cast<double>(sleep->switch_count());
     r.switch_energy_j = sleep->switch_energy_j();
   }
-  if (audit != nullptr && verdict != nullptr) {
-    r.has_stability = true;
-    r.lyapunov = audit->lyapunov;
-    r.drift = verdict->drift;
-    r.dpp = verdict->dpp;
-    r.worst_q_margin = verdict->worst_q_margin;
-    r.worst_z_margin_j = verdict->worst_z_margin;
-    r.stability_violations =
-        verdict->q_violations + verdict->z_violations + verdict->drift_violations;
-    r.window_unstable = verdict->window_unstable;
-  }
+  r.lyapunov = audit.lyapunov;
+  r.drift = verdict.drift;
+  r.dpp = verdict.dpp;
+  r.worst_q_margin = verdict.worst_q_margin;
+  r.worst_z_margin_j = verdict.worst_z_margin;
+  r.stability_violations =
+      verdict.q_violations + verdict.z_violations + verdict.drift_violations;
+  r.window_unstable = verdict.window_unstable;
   r.fallbacks = decision.fallbacks;
   r.degraded = decision.degraded;
   r.fault_events = fault_events;
@@ -171,22 +168,16 @@ Metrics run_loop(const core::NetworkModel& model,
   Metrics m;
   Rng input_rng(options.input_seed);
 
-  // Theory auditor (docs/OBSERVABILITY.md): strict_bounds forces the audit
-  // on even in GC_OBS_DISABLE builds (the verdict is what aborts the run;
-  // only the stability.* instruments are compiled out there). Built before
-  // the resume below so checkpoint v3 can reinstate its accumulators.
-  const bool audit_on = options.audit || options.strict_bounds;
+  // Theory auditor (docs/OBSERVABILITY.md). Built before the resume below
+  // so checkpoint v3 can reinstate its accumulators.
   const double lambda = controller.options().allocator.lambda;
-  std::unique_ptr<obs::StabilityAuditor> auditor;
-  std::vector<double> audit_q, audit_z;
-  if (audit_on) {
-    obs::AuditConfig cfg = make_audit_config(model, controller.V(), lambda);
-    cfg.window_slots = options.audit_window_slots;
-    auditor = std::make_unique<obs::StabilityAuditor>(std::move(cfg));
-    audit_q.resize(static_cast<std::size_t>(model.num_nodes()) *
-                   static_cast<std::size_t>(model.num_sessions()));
-    audit_z.resize(static_cast<std::size_t>(model.num_nodes()));
-  }
+  obs::AuditConfig audit_cfg =
+      make_audit_config(model, controller.V(), lambda);
+  audit_cfg.window_slots = options.audit_window_slots;
+  obs::StabilityAuditor auditor(std::move(audit_cfg));
+  std::vector<double> audit_q(static_cast<std::size_t>(model.num_nodes()) *
+                              static_cast<std::size_t>(model.num_sessions()));
+  std::vector<double> audit_z(static_cast<std::size_t>(model.num_nodes()));
 
   // Sleep-policy layer (src/policy). Built before the resume below so a
   // v5 checkpoint can reinstate its mode state. An AlwaysOn (or absent)
@@ -238,7 +229,7 @@ Metrics run_loop(const core::NetworkModel& model,
             "(rebuild the checkpoint or match specs)");
       }
       restore_checkpoint(checkpoint, input_rng, controller, m, mobility,
-                         topology, auditor.get(), sleep.get(),
+                         topology, &auditor, sleep.get(),
                          options.alerts);
       start_slot = checkpoint.next_slot;
       if (start_slot > slots)
@@ -303,7 +294,7 @@ Metrics run_loop(const core::NetworkModel& model,
     // would leave a checkpoint ahead of its sinks.
     flush_sinks();
     Checkpoint c = make_checkpoint(next_slot, input_rng, controller, m,
-                                   mobility, topology, auditor.get(),
+                                   mobility, topology, &auditor,
                                    sleep.get(), options.alerts);
     c.scenario_hash = options.scenario_hash;
     c.scenario_structural_hash = options.scenario_structural_hash;
@@ -347,15 +338,15 @@ Metrics run_loop(const core::NetworkModel& model,
     d.cost_last = last_cost;
     d.cost_time_avg = m.cost_avg.average();
     d.grid_total_j = grid_total_j;
-    if (auditor && auditor->audited_slots() > 0) {
+    if (auditor.audited_slots() > 0) {
       d.have_stability = true;
-      d.worst_q_margin = auditor->run_worst_q_margin();
-      d.worst_z_margin_j = auditor->run_worst_z_margin();
-      d.q_violations = static_cast<double>(auditor->total_q_violations());
-      d.z_violations = static_cast<double>(auditor->total_z_violations());
+      d.worst_q_margin = auditor.run_worst_q_margin();
+      d.worst_z_margin_j = auditor.run_worst_z_margin();
+      d.q_violations = static_cast<double>(auditor.total_q_violations());
+      d.z_violations = static_cast<double>(auditor.total_z_violations());
       d.drift_violations =
-          static_cast<double>(auditor->total_drift_violations());
-      d.unstable_windows = static_cast<double>(auditor->unstable_windows());
+          static_cast<double>(auditor.total_drift_violations());
+      d.unstable_windows = static_cast<double>(auditor.unstable_windows());
     }
     if (sleep) {
       d.policy_awake_bs = sleep->awake_count();
@@ -502,19 +493,17 @@ Metrics run_loop(const core::NetworkModel& model,
         for (const auto& v : violations) os << "\n  " << v;
         GC_CHECK_MSG(false, os.str());
       }
-      if (auditor) {
-        // The Lemma-1 sample-path RHS, B + Psi1..Psi4 at the pre-state —
-        // only affordable here, where the pre-state copy already exists.
-        {
-          obs::Span span("audit.lyapunov", t);
-          pre_lyapunov = core::lyapunov(pre);
-        }
-        drift_bound_rhs = model.drift_constant_B() +
-                          core::psi1_hat(pre, decision.schedule) +
-                          core::psi2_hat(pre, lambda, decision.admissions) +
-                          core::psi3_hat(pre, decision.routes) +
-                          core::psi4_hat(pre, decision.energy);
+      // The Lemma-1 sample-path RHS, B + Psi1..Psi4 at the pre-state —
+      // only affordable here, where the pre-state copy already exists.
+      {
+        obs::Span span("audit.lyapunov", t);
+        pre_lyapunov = core::lyapunov(pre);
       }
+      drift_bound_rhs = model.drift_constant_B() +
+                        core::psi1_hat(pre, decision.schedule) +
+                        core::psi2_hat(pre, lambda, decision.admissions) +
+                        core::psi3_hat(pre, decision.routes) +
+                        core::psi4_hat(pre, decision.energy);
     } else {
       decision = controller.step(inputs);
     }
@@ -530,64 +519,60 @@ Metrics run_loop(const core::NetworkModel& model,
                                 decision.degraded ? "degraded" : "recovered");
 
     obs::SlotAudit audit;
-    obs::SlotVerdict verdict;
-    if (auditor) {
-      const core::NetworkState& st = controller.state();
-      const int S = model.num_sessions();
-      for (int i = 0; i < model.num_nodes(); ++i) {
-        for (int s = 0; s < S; ++s)
-          audit_q[static_cast<std::size_t>(i * S + s)] = st.q(i, s);
-        audit_z[static_cast<std::size_t>(i)] = st.z(i);
-      }
-      audit.slot = t;
-      audit.q = &audit_q;
-      audit.z = &audit_z;
-      {
-        obs::Span span("audit.lyapunov", t);
-        audit.lyapunov = core::lyapunov(st);
-      }
-      audit.cost = decision.cost;
-      for (const auto& a : decision.admissions)
-        audit.admitted_packets += a.packets;
-      audit.total_backlog =
-          st.total_data_queue_bs() + st.total_data_queue_users();
-      audit.drift_bound_rhs = drift_bound_rhs;
-      audit.pre_lyapunov = pre_lyapunov;
-      verdict = auditor->observe(audit);
-      if (verdict.any_violation() && options.events != nullptr)
-        options.events->emit_slot(
-            obs::EventKind::kBoundViolation, t,
-            verdict.q_violations + verdict.z_violations +
-                verdict.drift_violations,
-            verdict.window_unstable ? "window_unstable" : "");
-      if (options.strict_bounds && verdict.any_violation()) {
-        // Annotate masked (sleeping/waking) base stations: their queues
-        // are frozen by the policy layer, so a bound violation there
-        // points at the policy interaction, not the controller.
-        const auto masked = [&](int node) {
-          return sleep && node < sleep->num_bs() &&
-                 sleep->mode(node) != policy::SleepController::Mode::Awake;
-        };
-        GC_CHECK_MSG(
-            false,
-            auditor->describe_violation(
-                audit, verdict,
-                [S, &masked](int i) {
-                  return "node " + std::to_string(i / S) + " session " +
-                         std::to_string(i % S) +
-                         (masked(i / S) ? " (BS masked by sleep policy)"
-                                        : "");
-                },
-                [&masked](int i) {
-                  return "node " + std::to_string(i) +
-                         (masked(i) ? " (BS masked by sleep policy)" : "");
-                }));
-      }
+    const core::NetworkState& st = controller.state();
+    const int S = model.num_sessions();
+    for (int i = 0; i < model.num_nodes(); ++i) {
+      for (int s = 0; s < S; ++s)
+        audit_q[static_cast<std::size_t>(i * S + s)] = st.q(i, s);
+      audit_z[static_cast<std::size_t>(i)] = st.z(i);
+    }
+    audit.slot = t;
+    audit.q = &audit_q;
+    audit.z = &audit_z;
+    {
+      obs::Span span("audit.lyapunov", t);
+      audit.lyapunov = core::lyapunov(st);
+    }
+    audit.cost = decision.cost;
+    for (const auto& a : decision.admissions)
+      audit.admitted_packets += a.packets;
+    audit.total_backlog =
+        st.total_data_queue_bs() + st.total_data_queue_users();
+    audit.drift_bound_rhs = drift_bound_rhs;
+    audit.pre_lyapunov = pre_lyapunov;
+    const obs::SlotVerdict verdict = auditor.observe(audit);
+    if (verdict.any_violation() && options.events != nullptr)
+      options.events->emit_slot(
+          obs::EventKind::kBoundViolation, t,
+          verdict.q_violations + verdict.z_violations +
+              verdict.drift_violations,
+          verdict.window_unstable ? "window_unstable" : "");
+    if (options.strict_bounds && verdict.any_violation()) {
+      // Annotate masked (sleeping/waking) base stations: their queues
+      // are frozen by the policy layer, so a bound violation there
+      // points at the policy interaction, not the controller.
+      const auto masked = [&](int node) {
+        return sleep && node < sleep->num_bs() &&
+               sleep->mode(node) != policy::SleepController::Mode::Awake;
+      };
+      GC_CHECK_MSG(
+          false,
+          auditor.describe_violation(
+              audit, verdict,
+              [S, &masked](int i) {
+                return "node " + std::to_string(i / S) + " session " +
+                       std::to_string(i % S) +
+                       (masked(i / S) ? " (BS masked by sleep policy)"
+                                      : "");
+              },
+              [&masked](int i) {
+                return "node " + std::to_string(i) +
+                       (masked(i) ? " (BS masked by sleep policy)" : "");
+              }));
     }
     if (trace)
       trace_slot(*trace, t, model, controller.state(), decision,
-                 fault_events, options.trace_top_k,
-                 auditor ? &audit : nullptr, auditor ? &verdict : nullptr,
+                 fault_events, options.trace_top_k, audit, verdict,
                  sleep.get());
     // Alert evaluation closes the slot BEFORE any checkpoint is cut, so
     // the checkpointed engine state always reflects every completed slot

@@ -57,9 +57,8 @@ void SweepRunner::run_indexed(int n, const std::function<void(int)>& fn) {
       // Fleet policy aggregates (src/policy): the awake_bs gauge is only
       // ever SET by an active SleepController, so a set gauge in the merged
       // registry says a policy ran; the counters then carry the fleet-wide
-      // totals. Policy-free sweeps — and GC_OBS_DISABLE builds, where set()
-      // is a no-op and the gauge's 0 would masquerade as "every BS asleep"
-      // — keep the -1 sentinel and no policy section is rendered.
+      // totals. Policy-free sweeps keep the -1 sentinel and no policy
+      // section is rendered.
       for (const auto& [name, g] : registry->gauges())
         if (name == "policy.awake_bs" && g->was_set())
           d.policy_awake_bs = static_cast<int>(g->value());

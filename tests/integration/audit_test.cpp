@@ -52,11 +52,10 @@ TEST(Audit, PaperBaselineAuditsCleanOverTwoThousandSlots) {
   const auto model = cfg.build();
   core::LyapunovController controller(model, 3.0, cfg.controller_options());
   SimOptions opt;
-  opt.strict_bounds = true;  // forces the audit on in every build flavor
+  opt.strict_bounds = true;
   const StabilityTotals before = StabilityTotals::read();
   const Metrics m = run_simulation(model, controller, 2000, opt);
   EXPECT_EQ(m.slots, 2000);
-  if (!obs::kCompiledIn) return;
   const StabilityTotals after = StabilityTotals::read();
   EXPECT_DOUBLE_EQ(after.audited - before.audited, 2000.0);
   EXPECT_DOUBLE_EQ(after.q - before.q, 0.0);
@@ -119,12 +118,10 @@ TEST(Audit, ConfigMatchesPaperFormulasExactly) {
 // queue bounds themselves scale with lambda = 1e7 and stay formally
 // satisfied — growth detection is exactly what the windows are for.)
 TEST(Audit, DestabilizedRunTripsUnstableWindowCounters) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto cfg = overloaded_tiny();
   const auto model = cfg.build();
   core::LyapunovController controller(model, 2.0, cfg.controller_options());
   SimOptions opt;
-  opt.audit = true;
   opt.audit_window_slots = 32;
   const StabilityTotals before = StabilityTotals::read();
   run_simulation(model, controller, 300, opt);
@@ -152,23 +149,40 @@ TEST(Audit, StrictBoundsAbortsOnDestabilizedRun) {
   }
 }
 
-// The audit is a pure observer: the same run with and without it yields
-// identical decisions (spot-checked via the cost series and final state).
+// The audit is a pure observer: an audited run_simulation produces the
+// same per-slot series as a hand-driven loop over the same inputs that
+// runs no auditor.
 TEST(Audit, AuditingDoesNotPerturbTheRun) {
   const auto cfg = ScenarioConfig::tiny();
   const auto model = cfg.build();
-  SimOptions with, without;
-  with.audit = true;
-  without.audit = false;
-  core::LyapunovController c1(model, 2.0, cfg.controller_options());
-  const Metrics m1 = run_simulation(model, c1, 120, with);
-  core::LyapunovController c2(model, 2.0, cfg.controller_options());
-  const Metrics m2 = run_simulation(model, c2, 120, without);
-  ASSERT_EQ(m1.cost.size(), m2.cost.size());
-  for (std::size_t t = 0; t < m1.cost.size(); ++t)
-    EXPECT_EQ(m1.cost[t], m2.cost[t]) << t;
-  EXPECT_EQ(m1.total_delivered_packets, m2.total_delivered_packets);
-  EXPECT_EQ(m1.total_admitted_packets, m2.total_admitted_packets);
+  const SimOptions opt;
+  const int slots = 120;
+  core::LyapunovController audited(model, 2.0, cfg.controller_options());
+  const StabilityTotals before = StabilityTotals::read();
+  const Metrics m = run_simulation(model, audited, slots, opt);
+  EXPECT_DOUBLE_EQ(StabilityTotals::read().audited - before.audited, slots);
+  ASSERT_EQ(m.slots, slots);
+
+  core::LyapunovController bare(model, 2.0, cfg.controller_options());
+  bare.mutable_state().set_sanitize(true);
+  Rng rng(opt.input_seed);
+  double delivered = 0.0, admitted = 0.0;
+  for (int t = 0; t < slots; ++t) {
+    const core::SlotDecision d = bare.step(model.sample_inputs(t, rng));
+    const core::NetworkState& st = bare.state();
+    EXPECT_EQ(d.cost, m.cost[t]) << t;
+    EXPECT_EQ(d.grid_total_j, m.grid_j[t]) << t;
+    EXPECT_EQ(st.total_data_queue_bs(), m.q_bs[t]) << t;
+    EXPECT_EQ(st.total_data_queue_users(), m.q_users[t]) << t;
+    EXPECT_EQ(st.total_battery_bs_j(), m.battery_bs_j[t]) << t;
+    EXPECT_EQ(st.total_battery_users_j(), m.battery_users_j[t]) << t;
+    for (const auto& r : d.routes)
+      if (r.rx == model.session(r.session).destination)
+        delivered += r.packets;
+    for (const auto& a : d.admissions) admitted += a.packets;
+  }
+  EXPECT_EQ(delivered, m.total_delivered_packets);
+  EXPECT_EQ(admitted, m.total_admitted_packets);
 }
 
 }  // namespace

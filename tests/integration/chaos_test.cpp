@@ -93,7 +93,6 @@ TEST(Chaos, PaperScenarioSurvives2000SlotsOfEveryFaultType) {
   sim::SimOptions sim_opts;
   sim_opts.faults = &faults;
 
-#ifndef GC_OBS_DISABLE
   const double fault_events_before =
       obs::registry().counter("fault.active_events").total();
   const double fallbacks_before =
@@ -102,7 +101,6 @@ TEST(Chaos, PaperScenarioSurvives2000SlotsOfEveryFaultType) {
       obs::registry().counter("ctrl.fallback_s4").total();
   const double degraded_before =
       obs::registry().counter("ctrl.degraded_slots").total();
-#endif
 
   const sim::Metrics m = run_simulation(model, controller, 2000, sim_opts);
 
@@ -121,7 +119,6 @@ TEST(Chaos, PaperScenarioSurvives2000SlotsOfEveryFaultType) {
   EXPECT_TRUE(std::isfinite(m.q_total_stability.sup_partial_average()));
   EXPECT_TRUE(std::isfinite(m.h_total_stability.sup_partial_average()));
 
-#ifndef GC_OBS_DISABLE
   // The run was genuinely chaotic: faults landed and the ladder fired.
   EXPECT_GT(obs::registry().counter("fault.active_events").total(),
             fault_events_before);
@@ -131,7 +128,6 @@ TEST(Chaos, PaperScenarioSurvives2000SlotsOfEveryFaultType) {
             fallbacks_before);
   EXPECT_GT(obs::registry().counter("ctrl.degraded_slots").total(),
             degraded_before);
-#endif
 }
 
 TEST(Chaos, FaultedRunResumesBitIdentically) {

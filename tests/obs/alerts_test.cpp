@@ -135,7 +135,6 @@ TEST(AlertEngine, FromJsonFileRejectsMalformedFiles) {
 }
 
 TEST(AlertEngine, CounterRulesSeeOnlyInLoopDeltas) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Counter& c = reg.counter("t.fallbacks");
   c.add(100.0);  // pre-loop history (a resumed process's counter bump)
@@ -167,7 +166,6 @@ TEST(AlertEngine, CounterRulesSeeOnlyInLoopDeltas) {
 }
 
 TEST(AlertEngine, GaugeRulesAreInstantaneousAndClear) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Gauge& g = reg.gauge("t.level");
   AlertEngine engine({gauge_rule("level", "t.level", 3.0,
@@ -195,7 +193,6 @@ TEST(AlertEngine, GaugeRulesAreInstantaneousAndClear) {
 }
 
 TEST(AlertEngine, ForSlotsDebouncesConsecutiveHolds) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Gauge& g = reg.gauge("t.level");
   AlertEngine engine({gauge_rule("level", "t.level", 0.0,
@@ -223,7 +220,6 @@ TEST(AlertEngine, ForSlotsDebouncesConsecutiveHolds) {
 }
 
 TEST(AlertEngine, WindowRuleFiresOnRateNotTotal) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Counter& c = reg.counter("t.c");
   AlertRule r;
@@ -269,7 +265,6 @@ TEST(AlertEngine, AbsentMetricReadsZero) {
 }
 
 TEST(AlertEngine, StateRoundTripsAndRefusesForeignRules) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Gauge& g = reg.gauge("t.level");
   const std::vector<AlertRule> rules = {

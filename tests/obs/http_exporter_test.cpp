@@ -137,6 +137,28 @@ TEST(HttpExporter, EventsEndpointServesRingAndCursor) {
   EXPECT_NE(r.body.find("\"next_seq\":3"), std::string::npos);
 }
 
+// The cursor is a decimal u64 in a `since` parameter and nothing else:
+// no sign, no trailing text, no other parameter name, no overflow.
+TEST(HttpExporter, EventsRejectsMalformedSince) {
+  EventJournal journal;
+  journal.emit_slot(EventKind::kLpFallback, 3, 1, "degraded");
+  HttpExporter exporter(0, &journal);
+  for (const char* path :
+       {"/events?since=-1", "/events?since=2x", "/events?since=abc",
+        "/events?since=", "/events?since=+1",
+        "/events?nosince=5", "/events?x=1&since=0", "/events?since=0&x=1",
+        "/events?", "/events?since=18446744073709551616"}) {
+    const HttpReply r = http_get(exporter.port(), path);
+    EXPECT_EQ(r.status, 400) << path;
+    EXPECT_EQ(r.body, "bad request\n") << path;
+  }
+  // The largest u64 is a valid cursor past the end of the ring.
+  const HttpReply r =
+      http_get(exporter.port(), "/events?since=18446744073709551615");
+  EXPECT_EQ(r.status, 200);
+  EXPECT_NE(r.body.find("\"events\":[]"), std::string::npos) << r.body;
+}
+
 TEST(HttpExporter, EventsWithoutJournalServesEmptyRing) {
   HttpExporter exporter(0, nullptr);
   const HttpReply r = http_get(exporter.port(), "/events?since=0");

@@ -45,10 +45,6 @@ TEST(Span, NestedSpansDrainChronologically) {
   }
   SpanRecorder::instance().disable();
   const auto spans = SpanRecorder::instance().drain();
-  if (!kCompiledIn) {
-    EXPECT_TRUE(spans.empty());
-    return;
-  }
   ASSERT_EQ(spans.size(), 2u);
   // Oldest-first by start time: the outer scope opened before the inner.
   EXPECT_STREQ(spans[0].name, "span_test.outer");
@@ -64,7 +60,6 @@ TEST(Span, NestedSpansDrainChronologically) {
 }
 
 TEST(Span, SetupSpansNestUnderModelBuild) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(64);
   sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
@@ -103,7 +98,6 @@ TEST(Span, SetupSpansNestUnderModelBuild) {
 }
 
 TEST(Span, CheckpointWritesAndSinkFlushesAreSpanned) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(1 << 16);
   const sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
@@ -127,7 +121,6 @@ TEST(Span, CheckpointWritesAndSinkFlushesAreSpanned) {
 }
 
 TEST(Span, RingKeepsMostRecentAndCountsDrops) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(4);
   for (std::int64_t i = 0; i < 10; ++i)
@@ -141,7 +134,6 @@ TEST(Span, RingKeepsMostRecentAndCountsDrops) {
 }
 
 TEST(Span, ReenableClearsPreviousContents) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(8);
   SpanRecorder::instance().record("span_test.old", 0.0, 1.0, 1);
@@ -153,7 +145,6 @@ TEST(Span, ReenableClearsPreviousContents) {
 }
 
 TEST(Span, ExportsParseableChromeTrace) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(16);
   SpanRecorder::instance().record("span_test.export \"q\"", 1.0, 0.25, 42);
@@ -181,7 +172,6 @@ TEST(Span, ExportsParseableChromeTrace) {
 }
 
 TEST(Span, ExportsDimAnnotationInTraceArgs) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(16);
   SpanRecorder::instance().record("span_test.dim", 1.0, 0.5, 7, 480);
@@ -204,7 +194,6 @@ TEST(Span, ExportsDimAnnotationInTraceArgs) {
 }
 
 TEST(Span, SpanCarriesDimSetInsideScope) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(8);
   {
@@ -222,7 +211,6 @@ TEST(Span, SpanCarriesDimSetInsideScope) {
 // fresh thread with a private registry installed — the test main thread's
 // cached instrument reference cannot be re-pointed.
 TEST(Span, DropsAreMirroredIntoRegistryCounter) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(4);
   const std::int64_t total_before = SpanRecorder::instance().dropped_total();
@@ -243,7 +231,6 @@ TEST(Span, DropsAreMirroredIntoRegistryCounter) {
 }
 
 TEST(Span, EnablePreRegistersDropCounterAtZero) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   Registry private_reg;
   std::thread worker([&] {
@@ -263,7 +250,6 @@ TEST(Span, EnablePreRegistersDropCounterAtZero) {
 }
 
 TEST(Span, LiveSpanMeasuresElapsedTime) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(8);
   {

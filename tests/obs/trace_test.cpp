@@ -197,13 +197,11 @@ TEST(TraceIntegration, SimulationEmitsOneRecordPerSlot) {
     EXPECT_DOUBLE_EQ(v.at("queues").at("q_users").as_number(), m.q_users[t]);
     EXPECT_DOUBLE_EQ(v.at("energy").at("grid_j").as_number(), m.grid_j[t]);
     const auto& times = v.at("time_s");
-    if (kCompiledIn) {
-      EXPECT_GT(times.at("step").as_number(), 0.0);
-      // Subproblem times are measured inside the step timer's scope.
-      EXPECT_LE(times.at("s1").as_number() + times.at("s2").as_number() +
-                    times.at("s3").as_number() + times.at("s4").as_number(),
-                times.at("step").as_number() * 1.001);
-    }
+    EXPECT_GT(times.at("step").as_number(), 0.0);
+    // Subproblem times are measured inside the step timer's scope.
+    EXPECT_LE(times.at("s1").as_number() + times.at("s2").as_number() +
+                  times.at("s3").as_number() + times.at("s4").as_number(),
+              times.at("step").as_number() * 1.001);
     EXPECT_LE(v.at("top_backlog").as_array().size(), 2u);
   }
 }

@@ -14,18 +14,31 @@
 // Fig. 2(d), fig2de_energy_buffers.csv: the BS energy buffers order by V at
 // every slot — a larger V never holds less, since the z shift makes the
 // battery target V(gamma_max - f'(P)) grow with V.
+//
+// Fig. 2(f), fig2f_architectures.csv (EXPERIMENTS.md §4): per delivered
+// packet at the paper's 100 kbps load the paper's architecture ordering
+// holds at every V; in raw cost at 50 kbps "ours" is cheapest, and within
+// each hop class renewables are cheaper at both loads.
+//
+// §5c, ablation_radios.csv: a second BS radio buys more delivered packets
+// for more energy.
+#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace {
 
-// A numeric CSV with a header row: column name -> values, top to bottom.
-std::map<std::string, std::vector<double>> read_csv(const std::string& path) {
+// A CSV with a header row: column name -> values, top to bottom. Cells of
+// the named text columns are skipped; every other cell must be a number.
+std::map<std::string, std::vector<double>> read_csv(
+    const std::string& path, const std::set<std::string>& text_columns = {}) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
   std::string line;
@@ -41,7 +54,13 @@ std::map<std::string, std::vector<double>> read_csv(const std::string& path) {
     std::size_t i = 0;
     for (std::string cell; std::getline(row, cell, ','); ++i) {
       EXPECT_LT(i, names.size()) << path << ": " << line;
-      if (i < names.size()) cols[names[i]].push_back(std::stod(cell));
+      if (i >= names.size() || text_columns.count(names[i]) > 0) continue;
+      char* end = nullptr;
+      const double x = std::strtod(cell.c_str(), &end);
+      EXPECT_TRUE(!cell.empty() && *end == '\0')
+          << path << ": column " << names[i] << ": not a number: \"" << cell
+          << "\"";
+      cols[names[i]].push_back(x);
     }
     EXPECT_EQ(i, names.size()) << path << ": " << line;
   }
@@ -132,6 +151,70 @@ TEST(Fig2Claims, BsBuffersAreOrderedByVAtEverySlot) {
     prev = &series;
     prev_v = v;
   }
+}
+
+// fig2f_architectures.csv as (session rate, V) -> architecture ->
+// {avg_cost, delivered_packets}. An architecture is its (multihop,
+// renewables) pair; kArchs lists them in the paper's order.
+using Arch = std::pair<int, int>;
+constexpr Arch kArchs[] = {{1, 1}, {1, 0}, {0, 1}, {0, 0}};
+std::map<std::pair<double, double>, std::map<Arch, std::pair<double, double>>>
+fig2f_runs() {
+  auto cols = read_csv(std::string(GC_SOURCE_DIR) + "/fig2f_architectures.csv",
+                       {"arch"});
+  std::map<std::pair<double, double>,
+           std::map<Arch, std::pair<double, double>>> out;
+  for (std::size_t i = 0; i < cols["V"].size(); ++i) {
+    auto& archs = out[{cols["session_rate_bps"].at(i), cols["V"].at(i)}];
+    const bool fresh =
+        archs.emplace(Arch(cols["multihop"].at(i), cols["renewables"].at(i)),
+                      std::pair(cols["avg_cost"].at(i),
+                                cols["delivered_packets"].at(i)))
+            .second;
+    EXPECT_TRUE(fresh) << "duplicate row " << i;
+  }
+  EXPECT_EQ(out.size(), 6u) << "expected 2 loads x 3 values of V";
+  return out;
+}
+
+TEST(Fig2Claims, ArchitecturesOrderPerDeliveredPacketAtEveryV) {
+  for (const auto& [rate_v, archs] : fig2f_runs()) {
+    if (rate_v.first != 100000.0) continue;
+    ASSERT_EQ(archs.size(), 4u) << "V=" << rate_v.second;
+    for (std::size_t k = 1; k < 4; ++k) {
+      const auto& [cost_a, delivered_a] = archs.at(kArchs[k - 1]);
+      const auto& [cost_b, delivered_b] = archs.at(kArchs[k]);
+      EXPECT_LT(cost_a / delivered_a, cost_b / delivered_b)
+          << "V=" << rate_v.second << ": cost per delivered packet, rank "
+          << k - 1 << " vs " << k;
+    }
+  }
+}
+
+TEST(Fig2Claims, RawCostOursCheapestAndRenewablesCheaperPerHopClass) {
+  for (const auto& [rate_v, archs] : fig2f_runs()) {
+    const auto& [rate, v] = rate_v;
+    ASSERT_EQ(archs.size(), 4u) << rate << " bps, V=" << v;
+    const auto cost = [&](Arch a) { return archs.at(a).first; };
+    EXPECT_LT(cost({1, 1}), cost({1, 0})) << rate << " bps, V=" << v;
+    EXPECT_LT(cost({0, 1}), cost({0, 0})) << rate << " bps, V=" << v;
+    for (std::size_t k = 1; rate == 50000.0 && k < 4; ++k)
+      EXPECT_LT(cost(kArchs[0]), cost(kArchs[k])) << "V=" << v << ", " << k;
+  }
+}
+
+TEST(Fig2Claims, SecondBsRadioDeliversMoreForMoreEnergy) {
+  auto cols = read_csv(std::string(GC_SOURCE_DIR) + "/ablation_radios.csv");
+  // (bs_radios, user_radios) -> (delivered, avg_cost)
+  std::map<std::pair<double, double>, std::pair<double, double>> runs;
+  for (std::size_t i = 0; i < cols["avg_cost"].size(); ++i)
+    runs[{cols["bs_radios"].at(i), cols["user_radios"].at(i)}] = {
+        cols["delivered"].at(i), cols["avg_cost"].at(i)};
+  ASSERT_TRUE(runs.count({1, 1}) && runs.count({2, 1}));
+  const auto& [delivered_1, cost_1] = runs[{1, 1}];
+  const auto& [delivered_2, cost_2] = runs[{2, 1}];
+  EXPECT_GT(delivered_2, delivered_1);
+  EXPECT_GT(cost_2, cost_1);
 }
 
 }  // namespace

@@ -284,7 +284,6 @@ TEST(Checkpoint, PeriodicCheckpointsResumeFromTheLastOne) {
 // in a private registry (worker threads resolve instruments fresh; the
 // test's main thread could not be re-pointed after its first LP solve).
 TEST(Checkpoint, LpCountersReplayAcrossResume) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const int horizon = 60, kill_at = 25;
   const std::string ckpt = tmp_path("lp_counters.ckpt");
 
@@ -833,8 +832,7 @@ TEST(Checkpoint, AlertStateRoundTripsThroughV6) {
   Rng rng(opts.input_seed);
 
   // Rules that hold without any registry instrument (an absent metric
-  // reads 0, and 0 < 1 holds), so the state is deterministic in both the
-  // default and the GC_OBS_DISABLE build.
+  // reads 0, and 0 < 1 holds), so the state is deterministic.
   obs::AlertRule fires;
   fires.name = "fires";
   fires.metric = "no.such.metric";

@@ -66,8 +66,7 @@ HttpReply http_get(int port, const std::string& path) {
 }
 
 // A rule that holds from slot 0 without any registry instrument (an absent
-// metric reads 0 and 0 < 1 holds), so it behaves identically in the
-// default and GC_OBS_DISABLE builds.
+// metric reads 0 and 0 < 1 holds).
 obs::AlertRule always_firing(bool critical) {
   obs::AlertRule r;
   r.name = critical ? "crit" : "warn";

@@ -77,7 +77,6 @@ TEST(PerfLevers, LpS4KillAndResumeIsBitIdentical) {
 }
 
 TEST(PerfLevers, ClusterAndCrossSlotInstrumentsTick) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   // Run through a single-threaded SweepRunner so the counters land in a
   // private registry (same reasoning as the checkpoint counter test: the
   // test main thread's instrument refs cannot be re-pointed).

@@ -81,7 +81,6 @@ TEST(Sweep, SweepMatchesInlineRunJob) {
 // counters (energy totals) are only reproducible for a fixed thread count,
 // so they are not asserted here.
 TEST(Sweep, MergedCountersAreThreadCountInvariant) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto jobs = grid_jobs();
   obs::Registry r1, r3;
   run_with_threads(jobs, 1, &r1);
@@ -145,7 +144,6 @@ TEST(Sweep, SnapshotsAreMetricsNeutralAndFleetTotalsMatchMergedRegistry) {
 
   auto jobs = plain;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].sim.audit = obs::kCompiledIn;
     jobs[i].sim.snapshot_path = ::testing::TempDir() + "gc_sweep_snap_" +
                                 std::to_string(i) + ".json";
     jobs[i].sim.snapshot_every = 2;
@@ -177,21 +175,19 @@ TEST(Sweep, SnapshotsAreMetricsNeutralAndFleetTotalsMatchMergedRegistry) {
                    static_cast<double>(jobs.size()));
   EXPECT_DOUBLE_EQ(v.at("fleet").at("jobs_total").as_number(),
                    static_cast<double>(jobs.size()));
-  if (obs::kCompiledIn) {
-    const obs::JsonValue& counters = v.at("registry").at("counters");
-    for (const char* name :
-         {"ctrl.slots", "lp.solves", "stability.audited_slots"}) {
-      ASSERT_TRUE(counters.has(name)) << name;
-      EXPECT_DOUBLE_EQ(counters.at(name).at("total").as_number(),
-                       r4.counter(name).total())
-          << name;
-    }
-    const int expected_slots =
-        static_cast<int>(jobs.size()) * jobs[0].slots;
-    EXPECT_DOUBLE_EQ(
-        counters.at("stability.audited_slots").at("total").as_number(),
-        expected_slots);
+  const obs::JsonValue& counters = v.at("registry").at("counters");
+  for (const char* name :
+       {"ctrl.slots", "lp.solves", "stability.audited_slots"}) {
+    ASSERT_TRUE(counters.has(name)) << name;
+    EXPECT_DOUBLE_EQ(counters.at(name).at("total").as_number(),
+                     r4.counter(name).total())
+        << name;
   }
+  const int expected_slots =
+      static_cast<int>(jobs.size()) * jobs[0].slots;
+  EXPECT_DOUBLE_EQ(
+      counters.at("stability.audited_slots").at("total").as_number(),
+      expected_slots);
   for (const auto& job : jobs) {
     std::remove(job.sim.snapshot_path.c_str());
     std::remove((job.sim.snapshot_path + ".prom").c_str());
@@ -248,15 +244,6 @@ TEST(Sweep, FleetSnapshotPolicyAggregatesMatchMergedRegistry) {
   opt.snapshot_path = fleet_path;
   const auto metrics = SweepRunner(opt).run(jobs);
   const obs::JsonValue v = obs::json_parse(read_whole_file(fleet_path));
-
-  if (!obs::kCompiledIn) {
-    // Without instruments the fleet writer cannot see that a policy ran;
-    // the section is (correctly) absent rather than full of zeros.
-    EXPECT_FALSE(v.has("policy"));
-    std::remove(fleet_path.c_str());
-    std::remove((fleet_path + ".prom").c_str());
-    return;
-  }
 
   ASSERT_TRUE(v.has("policy")) << read_whole_file(fleet_path);
   const obs::JsonValue& p = v.at("policy");
@@ -361,38 +348,36 @@ TEST(Sweep, ResumedSweepMatchesUninterruptedRegistryAndFleetSnapshot) {
   for (std::size_t i = 0; i < ref.size(); ++i)
     expect_metrics_bit_identical(ref[i], resumed[i]);
 
-  if (obs::kCompiledIn) {
-    // Both legs merged into resumed_reg; with no replayed slots the
-    // integral totals must equal the uninterrupted sweep's exactly.
-    for (const char* name : {"ctrl.slots", "lp.solves", "lp.iterations"}) {
-      EXPECT_EQ(ref_reg.counter(name).total(),
-                resumed_reg.counter(name).total())
-          << name;
-      EXPECT_EQ(ref_reg.counter(name).events(),
-                resumed_reg.counter(name).events())
-          << name;
-    }
-    // Every job in leg 2 resumed (finished ones included), none fell back.
-    EXPECT_EQ(resumed_reg.counter("robust.resumes").total(),
-              static_cast<double>(ref_jobs.size()));
-    EXPECT_EQ(resumed_reg.counter("robust.checkpoint_fallbacks").total(), 0);
+  // Both legs merged into resumed_reg; with no replayed slots the
+  // integral totals must equal the uninterrupted sweep's exactly.
+  for (const char* name : {"ctrl.slots", "lp.solves", "lp.iterations"}) {
+    EXPECT_EQ(ref_reg.counter(name).total(),
+              resumed_reg.counter(name).total())
+        << name;
+    EXPECT_EQ(ref_reg.counter(name).events(),
+              resumed_reg.counter(name).events())
+        << name;
+  }
+  // Every job in leg 2 resumed (finished ones included), none fell back.
+  EXPECT_EQ(resumed_reg.counter("robust.resumes").total(),
+            static_cast<double>(ref_jobs.size()));
+  EXPECT_EQ(resumed_reg.counter("robust.checkpoint_fallbacks").total(), 0);
 
-    // The fleet snapshot is written from the merged registry, so its
-    // counters equal the uninterrupted sweep's too.
-    std::ifstream in(fleet_path);
-    ASSERT_TRUE(in.good()) << fleet_path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const obs::JsonValue v = obs::json_parse(ss.str());
-    EXPECT_DOUBLE_EQ(v.at("fleet").at("jobs_done").as_number(),
-                     static_cast<double>(ref_jobs.size()));
-    const obs::JsonValue& counters = v.at("registry").at("counters");
-    for (const char* name : {"ctrl.slots", "lp.solves"}) {
-      ASSERT_TRUE(counters.has(name)) << name;
-      EXPECT_DOUBLE_EQ(counters.at(name).at("total").as_number(),
-                       ref_reg.counter(name).total())
-          << name;
-    }
+  // The fleet snapshot is written from the merged registry, so its
+  // counters equal the uninterrupted sweep's too.
+  std::ifstream in(fleet_path);
+  ASSERT_TRUE(in.good()) << fleet_path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const obs::JsonValue v = obs::json_parse(ss.str());
+  EXPECT_DOUBLE_EQ(v.at("fleet").at("jobs_done").as_number(),
+                   static_cast<double>(ref_jobs.size()));
+  const obs::JsonValue& counters = v.at("registry").at("counters");
+  for (const char* name : {"ctrl.slots", "lp.solves"}) {
+    ASSERT_TRUE(counters.has(name)) << name;
+    EXPECT_DOUBLE_EQ(counters.at(name).at("total").as_number(),
+                     ref_reg.counter(name).total())
+        << name;
   }
 
   for (const auto& base : bases) remove_rotation(base);
@@ -449,11 +434,9 @@ TEST(Sweep, SweepResumeFallsBackPastCorruptNewestGeneration) {
   ASSERT_EQ(resumed.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i)
     expect_metrics_bit_identical(ref[i], resumed[i]);
-  if (obs::kCompiledIn) {
-    // Exactly one generation was skipped as corrupt, by job 1's resume.
-    EXPECT_EQ(resumed_reg.counter("robust.checkpoint_fallbacks").total(), 1);
-    EXPECT_EQ(resumed_reg.counter("robust.resumes").total(), 1);
-  }
+  // Exactly one generation was skipped as corrupt, by job 1's resume.
+  EXPECT_EQ(resumed_reg.counter("robust.checkpoint_fallbacks").total(), 1);
+  EXPECT_EQ(resumed_reg.counter("robust.resumes").total(), 1);
   for (const auto& base : bases) remove_rotation(base);
 }
 

@@ -135,7 +135,6 @@ TEST(ParallelFor, ZeroIndicesIsANoOp) {
 }
 
 TEST(InstrumentedPool, MergedCountersMatchAtEveryWorkerCount) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "instruments compiled out";
   for (int workers : {1, 2, 4}) {
     obs::InstrumentedPool instrumented(workers);
     EXPECT_EQ(instrumented.pool().num_threads(), workers);

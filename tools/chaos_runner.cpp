@@ -36,7 +36,6 @@
 #include "fault/fault_schedule.hpp"
 #include "flags.hpp"
 #include "obs/events.hpp"
-#include "obs/registry.hpp"
 #include "policy/sleep.hpp"
 #include "scenario/spec.hpp"
 #include "sim/checkpoint.hpp"
@@ -184,8 +183,8 @@ void check_metrics(const Metrics& a, const Metrics& b) {
 }
 
 void check_audit(const Checkpoint& a, const Checkpoint& b) {
-  check(a.has_audit == b.has_audit, "audit: presence");
-  if (!a.has_audit || !b.has_audit) return;
+  // Every run audits, so both checkpoints carry the auditor's state.
+  check(a.has_audit && b.has_audit, "audit: presence");
   check(a.audit.slots == b.audit.slots &&
             bits(a.audit.cost_sum) == bits(b.audit.cost_sum) &&
             bits(a.audit.prev_lyapunov) == bits(b.audit.prev_lyapunov) &&
@@ -265,7 +264,6 @@ int run(const Options& opt) {
     sopts.trace_path = clean_trace;
     sopts.scenario_name = spec.name;
     sopts.scenario_hash = hash;
-    sopts.audit = gc::obs::kCompiledIn;
     sopts.sleep = &sleep_setup;
     gc::obs::EventJournal journal;
     journal.open_sink(clean_events, /*cut_slot=*/-1);
@@ -318,7 +316,6 @@ int run(const Options& opt) {
         sopts.trace_path = chaos_trace;
         sopts.scenario_name = spec.name;
         sopts.scenario_hash = hash;
-        sopts.audit = gc::obs::kCompiledIn;
         sopts.sleep = &sleep_setup;
         sopts.process_kill_skip = crash_restarts;
         sopts.faults = &faults;

@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
   Series s1, s2, s3, s4, step, backlog, h_total, grid, cost, curtailed,
       unserved, admitted, delivered, shortfall, links, fallbacks, degraded,
       faults;
-  // Stability auditor group (present when the producing run had the theory
-  // auditor on; docs/OBSERVABILITY.md).
+  // Stability auditor group (every simulator run writes it;
+  // docs/OBSERVABILITY.md).
   Series lyapunov, drift, dpp, q_margin, z_margin, violations,
       unstable_windows;
   // Sleep-policy group (present when the producing run had an active
