@@ -21,8 +21,8 @@
 //      "severity":"critical"}]}       // "warning" | "critical"
 //
 // Semantics the byte-identity guarantees depend on:
-//  * Counter rules observe IN-LOOP deltas only. rebase() — called once at
-//    the top of run_loop, in fresh and resumed runs alike — latches the
+//  * Counter rules observe IN-LOOP deltas only. rebase() — called once
+//    before the first slot, in fresh and resumed runs alike — latches the
 //    current raw totals, so resume-time bumps (robust.resumes, truncation
 //    counters) never feed a rule. A rule's cumulative value is therefore a
 //    pure function of the slots executed since slot 0 (the value survives

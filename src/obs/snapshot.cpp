@@ -286,6 +286,34 @@ std::string render_snapshot_prom(const SnapshotData& data) {
   return render_prom(data);
 }
 
+std::string render_healthz_json(const HealthzData& d) {
+  char rate[32];
+  std::snprintf(rate, sizeof rate, "%.6g", d.slots_per_s);
+  std::string h = "{\"status\":\"";
+  h += d.healthy ? "ok" : "alerting";
+  h += "\",\"slot\":" + std::to_string(d.slot);
+  h += ",\"total_slots\":" + std::to_string(d.total_slots);
+  h += ",\"slots_per_s\":";
+  h += rate;
+  h += ",\"checkpoint_age_slots\":" + std::to_string(d.checkpoint_age_slots);
+  h += ",\"restarts\":" + std::to_string(d.restarts);
+  h += ",\"alerts_firing\":" + std::to_string(d.alerts_firing);
+  h += ",\"critical_firing\":" + std::to_string(d.critical_firing);
+  h += "}\n";
+  return h;
+}
+
+double SlotRate::observe(int completed_slots, double now_s) {
+  if (last_slots_ >= 0 && completed_slots <= last_slots_) return ema_;
+  if (last_slots_ >= 0 && now_s > last_s_) {
+    const double inst = (completed_slots - last_slots_) / (now_s - last_s_);
+    ema_ = ema_ == 0.0 ? inst : 0.2 * inst + 0.8 * ema_;
+  }
+  last_slots_ = completed_slots;
+  last_s_ = now_s;
+  return ema_;
+}
+
 SnapshotWriter::SnapshotWriter(std::string path, int every_slots)
     : path_(std::move(path)), every_(every_slots) {
   GC_CHECK_MSG(!path_.empty(), "snapshot path must not be empty");

@@ -84,6 +84,38 @@ struct SnapshotData {
 std::string render_snapshot_json(const SnapshotData& data);
 std::string render_snapshot_prom(const SnapshotData& data);
 
+// The HTTP exporter's /healthz body (obs/http_exporter.hpp).
+struct HealthzData {
+  bool healthy = true;  // no critical alert firing; "ok", else "alerting"
+  int slot = 0;         // completed slots
+  int total_slots = 0;
+  double slots_per_s = 0.0;       // SlotRate's moving average
+  int checkpoint_age_slots = -1;  // -1 = the run writes no checkpoints
+  int restarts = 0;               // supervised crash restarts so far
+  int alerts_firing = 0;
+  int critical_firing = 0;
+};
+
+// One JSON object terminated by a newline, fields in declaration order,
+// slots_per_s printed with %.6g.
+std::string render_healthz_json(const HealthzData& data);
+
+// Slots/s as an exponential moving average (weight 0.2 on the newest
+// step) over the slot boundaries a run publishes. It advances only when
+// the completed-slot count grew, so publishing the same boundary twice
+// leaves the rate unchanged.
+class SlotRate {
+ public:
+  // Feeds one publish: `completed_slots` at `now_s` on the run's clock.
+  // Returns the current average.
+  double observe(int completed_slots, double now_s);
+
+ private:
+  int last_slots_ = -1;
+  double last_s_ = 0.0;
+  double ema_ = 0.0;
+};
+
 class SnapshotWriter {
  public:
   // `every_slots`: a snapshot is due after every N completed slots; 0 means

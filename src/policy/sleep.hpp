@@ -120,9 +120,8 @@ struct SleepSetup {
   SleepPolicyConfig config;
   std::vector<BsSleepParams> bs;  // indexed by BS; empty = defaults
 
-  // AlwaysOn is inert by construction: run_loop skips the controller, the
-  // trace carries no policy group and the checkpoint no policy section, so
-  // the run is bit-identical to one with no policy at all.
+  // AlwaysOn is inert by construction: a run builds no controller for it,
+  // so the run is bit-identical to one with no policy at all.
   bool active() const { return config.policy != SleepPolicy::AlwaysOn; }
 };
 

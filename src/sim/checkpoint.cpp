@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "obs/events.hpp"
 #include "obs/json.hpp"
 #include "util/fsio.hpp"
 
@@ -17,6 +18,12 @@ namespace gc::sim {
 namespace {
 
 [[noreturn]] void corrupt(const std::string& msg) { throw CheckpointError(msg); }
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v;
+  return os.str();
+}
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320) over the payload bytes: cheap,
 // table-driven, and catches the single-bit flips and truncations the fuzz
@@ -600,6 +607,63 @@ std::optional<ResumeSelection> select_resume(const std::string& base,
 int auto_resume_slot(const std::string& base, int rotate) {
   const std::optional<ResumeSelection> sel = select_resume(base, rotate);
   return sel.has_value() ? sel->checkpoint.next_slot : 0;
+}
+
+RobustMetrics& robust_metrics() {
+  static thread_local RobustMetrics m;
+  return m;
+}
+
+int resume_run(const SimOptions& options, int slots, Rng& input_rng,
+               core::LyapunovController& controller, Metrics& metrics,
+               RandomWaypoint* mobility, net::Topology* topology,
+               obs::StabilityAuditor* auditor, policy::SleepController* sleep) {
+  if (options.resume_path.empty()) return 0;
+  const std::optional<ResumeSelection> sel =
+      select_resume(options.resume_path, options.checkpoint_rotate);
+  if (!sel.has_value()) {
+    if (options.resume_auto) return 0;
+    throw CheckpointError("no checkpoint found at " + options.resume_path);
+  }
+  const Checkpoint& checkpoint = sel->checkpoint;
+  const std::string& source = sel->source.file;
+  if (sel->skipped_corrupt > 0)
+    robust_metrics().fallbacks.add(sel->skipped_corrupt);
+  if (options.allow_swapped_scenario) {
+    // Hot-reload resume: the workload fields may have been swapped; only
+    // the structural identity must survive.
+    if (checkpoint.scenario_structural_hash !=
+        options.scenario_structural_hash)
+      throw CheckpointError(
+          "checkpoint " + source + " has structural scenario hash " +
+          hex(checkpoint.scenario_structural_hash) +
+          " but this run's scenario is structurally " +
+          hex(options.scenario_structural_hash) +
+          "; only traffic/tariff fields may be swapped at a resume "
+          "boundary");
+  } else if (checkpoint.scenario_hash != options.scenario_hash) {
+    throw CheckpointError(
+        "checkpoint " + source + " was written for scenario hash " +
+        hex(checkpoint.scenario_hash) + " but this run is scenario hash " +
+        hex(options.scenario_hash) +
+        "; resuming under a different scenario spec is refused "
+        "(rebuild the checkpoint or match specs)");
+  }
+  restore_checkpoint(checkpoint, input_rng, controller, metrics, mobility,
+                     topology, auditor, sleep, options.alerts);
+  const int start_slot = checkpoint.next_slot;
+  if (start_slot > slots)
+    throw CheckpointError("checkpoint at slot " + std::to_string(start_slot) +
+                          " is beyond the horizon " + std::to_string(slots));
+  robust_metrics().resumes.add();
+  robust_metrics().resumed_slot.set(start_slot);
+  // Lifecycle event (no seq, so the slot-event stream stays byte-identical
+  // to an uninterrupted run's): a newer generation had to be skipped as
+  // corrupt to resume here.
+  if (sel->skipped_corrupt > 0 && options.events != nullptr)
+    options.events->emit_lifecycle(obs::EventKind::kCheckpointFallback,
+                                   start_slot, sel->skipped_corrupt, source);
+  return start_slot;
 }
 
 CheckpointRotator::CheckpointRotator(std::string base, int keep)

@@ -56,6 +56,7 @@
 #include "core/controller.hpp"
 #include "net/topology.hpp"
 #include "obs/alerts.hpp"
+#include "obs/registry.hpp"
 #include "obs/stability.hpp"
 #include "policy/sleep.hpp"
 #include "sim/mobility.hpp"
@@ -70,7 +71,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 // Load-time corruption (missing file, bad magic, unsupported version,
 // truncation, CRC mismatch, trailing bytes), and every refusal to resume
-// (restore_checkpoint's arity and presence checks, the simulator's hash
+// (restore_checkpoint's arity and presence checks, resume_run's hash
 // and horizon checks), each with a plain message. A CheckError subtype so
 // existing catch sites keep working, while rotation fallback can
 // distinguish "this generation is damaged, try an older one" from
@@ -82,7 +83,7 @@ class CheckpointError : public CheckError {
 struct Checkpoint {
   int next_slot = 0;  // first slot the resumed run executes
   // Scenario identity hash (src/scenario); 0 for runs without a scenario
-  // spec. run_loop refuses to resume when it differs from the run's.
+  // spec. resume_run refuses to resume when it differs from the run's.
   std::uint64_t scenario_hash = 0;
   // Structural subset of the scenario hash (scenario_structural_hash):
   // what must match for a hot-reloaded scenario to resume this state.
@@ -158,6 +159,22 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path);
 Checkpoint load_checkpoint(const std::string& path);
 
+// Run-lifecycle robustness metrics (docs/ROBUSTNESS.md): resumes,
+// corrupt-generation fallbacks, resume-side trace truncation and graceful
+// shutdowns, registered together at first use. The supervisor's
+// parent-side counters (sim/supervisor.cpp) share the robust.* group.
+struct RobustMetrics {
+  obs::Counter& resumes = obs::registry().counter("robust.resumes");
+  obs::Counter& fallbacks =
+      obs::registry().counter("robust.checkpoint_fallbacks");
+  obs::Counter& truncated =
+      obs::registry().counter("robust.sink_truncated_records");
+  obs::Counter& shutdowns =
+      obs::registry().counter("robust.graceful_shutdowns");
+  obs::Gauge& resumed_slot = obs::registry().gauge("robust.resumed_slot");
+};
+RobustMetrics& robust_metrics();
+
 // ---- Rotation --------------------------------------------------------
 
 // One on-disk checkpoint generation.
@@ -206,6 +223,21 @@ std::optional<ResumeSelection> select_resume(const std::string& base,
 // it throws CheckpointError like select_resume, and the resume it names
 // will refuse to run.
 int auto_resume_slot(const std::string& base, int rotate);
+
+// Resumes a run from options.resume_path into the live loop objects
+// (restore_checkpoint) and returns the slot it continues from; 0 when
+// resume_path is empty, or when resume_auto finds nothing to resume (a
+// supervised first attempt may crash before its first checkpoint).
+// Refused with CheckpointError: nothing found without resume_auto, a
+// scenario hash other than the run's (only the structural hash must match
+// under allow_swapped_scenario), and a checkpoint beyond `slots`. Counts
+// robust.resumes and robust.checkpoint_fallbacks, and journals a
+// checkpoint_fallback lifecycle event when corrupt generations were
+// skipped.
+int resume_run(const SimOptions& options, int slots, Rng& input_rng,
+               core::LyapunovController& controller, Metrics& metrics,
+               RandomWaypoint* mobility, net::Topology* topology,
+               obs::StabilityAuditor* auditor, policy::SleepController* sleep);
 
 // Writes rotating checkpoint generations. Continues the generation
 // numbering of whatever is already on disk, so a restarted run never

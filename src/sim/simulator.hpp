@@ -104,12 +104,11 @@ struct SimOptions {
   const fault::FaultSchedule* faults = nullptr;
 
   // Sleep-policy layer (src/policy): when non-null and active (policy !=
-  // AlwaysOn), run_loop builds a private policy::SleepController that
-  // decides the awake set each slot, after the fault overlay and before
-  // the controller observes the inputs. A null or AlwaysOn setup leaves
-  // the run bit-identical to a policy-free one (no trace group, no
-  // checkpoint section). Not owned; plain data, so sweeps, supervised
-  // restarts and resumes each construct their own controller.
+  // AlwaysOn), each run builds a private policy::SleepController that
+  // decides the awake set every slot. A null or AlwaysOn setup leaves the
+  // run bit-identical to a policy-free one. Not owned; plain data, so
+  // sweeps, supervised restarts and resumes each construct their own
+  // controller.
   const policy::SleepSetup* sleep = nullptr;
 
   // Checkpoint/resume (sim/checkpoint.hpp). When checkpoint_path is set, a
@@ -117,8 +116,7 @@ struct SimOptions {
   // (0 = only at the end of the run; a final checkpoint is always
   // written). When resume_path is set, the run restores that checkpoint
   // and continues from its slot; the resulting Metrics are bit-identical
-  // to an uninterrupted run's (wall-clock timing excluded). A trace file,
-  // if requested, only covers the resumed portion.
+  // to an uninterrupted run's (wall-clock timing excluded).
   std::string checkpoint_path;
   int checkpoint_every = 0;
   std::string resume_path;
@@ -131,26 +129,25 @@ struct SimOptions {
   // older generations, counted in robust.checkpoint_fallbacks).
   int checkpoint_rotate = 0;
 
-  // Tolerate a missing checkpoint on resume: when resume_path names
-  // nothing on disk (or an empty rotation set), start from slot 0 instead
-  // of failing. This is what a supervised first attempt needs — the crash
-  // may land before the first checkpoint was ever written.
+  // The supervised-restart mode. Tolerate a missing checkpoint on resume:
+  // when resume_path names nothing on disk (or an empty rotation set),
+  // start from slot 0 instead of failing — the crash may land before the
+  // first checkpoint was ever written. And cut the trace back to the
+  // checkpoint's slot and append, as the caller does for the lp-log and
+  // the event journal, so a killed+resumed run's JSONL outputs are
+  // byte-identical to an uninterrupted run's. Without it a resumed trace
+  // only covers the resumed portion.
   bool resume_auto = false;
 
-  // On resume, truncate the trace file (and let the CLI truncate the
-  // lp-log) back to the checkpoint's slot and append instead of
-  // truncating from scratch, so a killed+resumed run's JSONL outputs are
-  // byte-identical to an uninterrupted run's.
-  bool sink_resume = false;
-
-  // Kill-chaos injection (fault::FaultEvent::Kind::ProcessKill): the
-  // number of already-survived kills to skip. The run loop raises SIGKILL
-  // at slot t iff the slot's kill ordinal >= this. Supervised restarts
-  // pass their crash count here so each scheduled kill fires exactly once.
+  // Supervised crash restarts before this attempt (/healthz "restarts"),
+  // which is also the number of kill-chaos kills
+  // (fault::FaultEvent::Kind::ProcessKill) already survived: the run
+  // raises SIGKILL at slot t iff the slot's kill ordinal >= this, so each
+  // scheduled kill fires exactly once.
   int process_kill_skip = 0;
 
   // LP solve-stats sink shared with the controller (lp::JsonlSolveLog).
-  // Not owned; may be null. run_loop only flushes it at checkpoint
+  // Not owned; may be null. The run only flushes it at checkpoint
   // boundaries — wiring it into the controller stays the CLI's job.
   lp::SolveStatsSink* lp_sink = nullptr;
 
@@ -192,27 +189,17 @@ struct SimOptions {
 
   // Live operations layer (docs/OBSERVABILITY.md "Operating live runs").
   // None of these affect Metrics: a run with all three attached is
-  // metrics-bit-identical to the same run without them.
+  // metrics-bit-identical to the same run without them. Each is not
+  // owned and may be null; sim/slot_output.hpp drives them.
   //
-  // Structured event journal (obs/events.hpp). Not owned; may be null. The
-  // caller opens the JSONL sink (with the resume-slot cut) before the run;
-  // run_loop emits lp_fallback / policy_switch / bound_violation /
-  // checkpoint_write / alert events into it and flushes it at every
-  // checkpoint boundary.
+  // Structured event journal (obs/events.hpp). The caller opens the JSONL
+  // sink (with the resume-slot cut) before the run.
   obs::EventJournal* events = nullptr;
-
-  // Alert rule engine (obs/alerts.hpp). Not owned; may be null. Rebased at
-  // loop start (rules see in-loop counter deltas only) and evaluated at
-  // every slot boundary; its debounce state rides checkpoint v6.
+  // Alert rule engine (obs/alerts.hpp); its debounce state rides
+  // checkpoint v6.
   obs::AlertEngine* alerts = nullptr;
-
-  // HTTP exporter (obs/http_exporter.hpp). Not owned; may be null.
-  // run_loop publishes an immutable payload (metrics text, snapshot JSON,
-  // healthz) at every slot boundary; readers never block the loop.
+  // HTTP exporter (obs/http_exporter.hpp).
   obs::HttpExporter* exporter = nullptr;
-
-  // Supervised crash restarts before this attempt; surfaced in /healthz.
-  int restart_count = 0;
 };
 
 // The audit contract the paper's analysis implies for `model` at drift

@@ -48,8 +48,7 @@ void install(int sig, void (*handler)(int), int flags) {
 }
 
 // Parent-side supervision counters. robust.* is the run-lifecycle metrics
-// group; the child-side members (resumes, fallbacks, truncations) are
-// bumped inside run_loop.
+// group; the child-side members are sim::RobustMetrics.
 struct SupervisorMetrics {
   obs::Counter& restarts =
       obs::registry().counter("robust.supervisor_restarts");

@@ -251,5 +251,38 @@ TEST(SnapshotWriter, SurvivesMidWriteKillWithoutTearing) {
   std::remove((path + ".prom.tmp").c_str());
 }
 
+TEST(Healthz, BodyBytesArePinned) {
+  HealthzData h;
+  h.healthy = false;
+  h.slot = 12;
+  h.total_slots = 100;
+  h.slots_per_s = 1234.56789;
+  h.checkpoint_age_slots = 2;
+  h.restarts = 3;
+  h.alerts_firing = 2;
+  h.critical_firing = 1;
+  EXPECT_EQ(render_healthz_json(h),
+            "{\"status\":\"alerting\",\"slot\":12,\"total_slots\":100,"
+            "\"slots_per_s\":1234.57,\"checkpoint_age_slots\":2,"
+            "\"restarts\":3,\"alerts_firing\":2,\"critical_firing\":1}\n");
+  EXPECT_EQ(render_healthz_json(HealthzData{}),
+            "{\"status\":\"ok\",\"slot\":0,\"total_slots\":0,"
+            "\"slots_per_s\":0,\"checkpoint_age_slots\":-1,"
+            "\"restarts\":0,\"alerts_firing\":0,\"critical_firing\":0}\n");
+}
+
+TEST(SlotRate, AdvancesOnlyWhenSlotsGrow) {
+  SlotRate rate;
+  EXPECT_EQ(rate.observe(5, 1.0), 0.0);  // the first boundary seeds it
+  EXPECT_DOUBLE_EQ(rate.observe(6, 1.5), 2.0);
+  // A second publish of the same boundary, later on the clock, is no
+  // phantom slot.
+  EXPECT_DOUBLE_EQ(rate.observe(6, 1.9), 2.0);
+  EXPECT_DOUBLE_EQ(rate.observe(6, 3.0), 2.0);
+  // The next slot's step runs from the boundary's first publish.
+  EXPECT_DOUBLE_EQ(rate.observe(7, 2.0), 0.2 * 2.0 + 0.8 * 2.0);
+  EXPECT_DOUBLE_EQ(rate.observe(9, 2.5), 0.2 * 4.0 + 0.8 * 2.0);
+}
+
 }  // namespace
 }  // namespace gc::obs

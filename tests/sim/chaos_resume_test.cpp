@@ -6,7 +6,9 @@
 // children (sim::RunSupervisor), exactly like production crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
+#include <cstdlib>
 #include <cstdio>
 #include <fstream>
 #include <signal.h>
@@ -174,7 +176,6 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
         opts.checkpoint_rotate = 2;
         opts.resume_path = base;
         opts.resume_auto = true;
-        opts.sink_resume = true;
         opts.trace_path = chaos_trace;
         opts.events = &journal;
         opts.process_kill_skip = crash_restarts;
@@ -408,6 +409,85 @@ TEST(ChaosResume, GracefulShutdownThenResumeIsBitIdentical) {
   const Metrics resumed = run_simulation(model, ctrl, horizon, opts);
   expect_metrics_bit_identical(resumed, ref);
   std::remove(ckpt.c_str());
+}
+
+// The shutdown path and the end of a run share one finish: the final
+// checkpoint after flushing every output, then the snapshot. A resumed
+// run with a resume_auto trace and a journal opened at the resume cut
+// then reproduces the uninterrupted run's trace byte for byte and its
+// slot events line for line; the only extra line is the shutdown's own
+// checkpoint_write.
+TEST(ChaosResume, GracefulShutdownThenResumeKeepsOutputsIdentical) {
+  const auto cfg = ScenarioConfig::tiny();
+  const int horizon = 50, stop_at = 21;
+  const auto run_leg = [&](const std::string& name, lp::SolveStatsSink* sink,
+                           bool* interrupted) {
+    const std::string ckpt = tmp_path((name + ".ckpt").c_str());
+    const auto model = cfg.build();
+    core::ControllerOptions copts = cfg.controller_options();
+    copts.lp_stats = sink;
+    core::LyapunovController ctrl(model, 3.0, copts);
+    obs::EventJournal journal;
+    journal.open_sink(tmp_path((name + ".events").c_str()),
+                      auto_resume_slot(ckpt, 0));
+    SimOptions opts;
+    opts.checkpoint_path = ckpt;
+    opts.checkpoint_every = 10;
+    opts.resume_path = ckpt;
+    opts.resume_auto = true;
+    opts.trace_path = tmp_path((name + ".trace").c_str());
+    opts.events = &journal;
+    opts.snapshot_path = tmp_path((name + ".snap").c_str());
+    opts.interrupted = interrupted;
+    return run_simulation(model, ctrl, horizon, opts);
+  };
+  const auto slot_of_snapshot = [](const std::string& path) {
+    std::ifstream in(path);
+    std::string body;
+    std::getline(in, body);
+    return std::atoi(body.c_str() + body.find("\"slot\":") + 7);
+  };
+  // Slot events without their seq: the shutdown's extra line shifts every
+  // later seq by one.
+  const auto events_without_seq = [](const std::string& path) {
+    std::vector<std::string> out;
+    for (std::string line : read_slot_events(path))
+      out.push_back(line.erase(1, line.find(',')));
+    return out;
+  };
+  for (const char* name : {"finish_ref", "finish_cut"}) {
+    remove_rotation(tmp_path(name));
+    for (const char* ext : {".ckpt", ".events", ".trace", ".snap"})
+      std::remove(tmp_path((std::string(name) + ext).c_str()).c_str());
+  }
+  clear_shutdown_request();
+  const Metrics ref = run_leg("finish_ref", nullptr, nullptr);
+
+  bool interrupted = false;
+  ShutdownAtSlot stop(stop_at);
+  EXPECT_EQ(run_leg("finish_cut", &stop, &interrupted).slots, stop_at + 1);
+  EXPECT_TRUE(interrupted);
+  clear_shutdown_request();
+  EXPECT_EQ(slot_of_snapshot(tmp_path("finish_cut.snap")), stop_at + 1);
+  interrupted = false;
+  expect_metrics_bit_identical(run_leg("finish_cut", nullptr, &interrupted),
+                               ref);
+  EXPECT_FALSE(interrupted);
+  EXPECT_EQ(slot_of_snapshot(tmp_path("finish_cut.snap")), horizon);
+
+  const auto ref_trace = read_stripped_lines(tmp_path("finish_ref.trace"));
+  ASSERT_EQ(ref_trace.size(), static_cast<std::size_t>(horizon) + 1);
+  EXPECT_EQ(read_stripped_lines(tmp_path("finish_cut.trace")), ref_trace);
+
+  std::vector<std::string> cut = events_without_seq(tmp_path("finish_cut.events"));
+  const std::string shutdown_line =
+      "{\"slot\":" + std::to_string(stop_at) +
+      ",\"kind\":\"checkpoint_write\",\"value\":" +
+      std::to_string(stop_at + 1) + "}";
+  const auto it = std::find(cut.begin(), cut.end(), shutdown_line);
+  ASSERT_NE(it, cut.end());
+  cut.erase(it);
+  EXPECT_EQ(cut, events_without_seq(tmp_path("finish_ref.events")));
 }
 
 // Nonzero child exits are deterministic failures — the supervisor must

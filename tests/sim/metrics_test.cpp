@@ -3,10 +3,28 @@
 #include <gtest/gtest.h>
 
 #include "core/controller.hpp"
+#include "obs/profile.hpp"
 #include "sim/scenario.hpp"
 
 namespace gc::sim {
 namespace {
+
+// The profile meta's closed-form link count against the n^2 loop over
+// NetworkModel::link_allowed, on a multihop and a one-hop model.
+TEST(ProfileMeta, AllowedLinksMatchThePairLoop) {
+  for (const bool multihop : {true, false}) {
+    ScenarioConfig cfg = ScenarioConfig::paper();
+    cfg.multihop = multihop;
+    const auto model = cfg.build();
+    int oracle = 0;
+    for (int i = 0; i < model.num_nodes(); ++i)
+      for (int j = 0; j < model.num_nodes(); ++j)
+        if (model.link_allowed(i, j)) ++oracle;
+    ASSERT_GT(oracle, 0);
+    EXPECT_EQ(make_profile_meta("x", model, 0, 0.0, 0).links, oracle)
+        << (multihop ? "multihop" : "one-hop");
+  }
+}
 
 TEST(AverageDelay, ZeroSlotsIsZero) {
   Metrics m;

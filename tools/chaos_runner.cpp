@@ -312,7 +312,6 @@ int run(const Options& opt) {
         sopts.checkpoint_rotate = opt.checkpoint_rotate;
         sopts.resume_path = base;
         sopts.resume_auto = true;
-        sopts.sink_resume = true;
         sopts.trace_path = chaos_trace;
         sopts.scenario_name = spec.name;
         sopts.scenario_hash = hash;

@@ -161,9 +161,7 @@ gc::sim::SimJob make_job(const gc::cli::Options& opt, const Attempt& at) {
   // replicates' tails.
   sim.resume_path = at.supervised ? opt.checkpoint_path : opt.resume_path;
   sim.resume_auto = at.supervised;
-  sim.sink_resume = at.supervised;
   sim.process_kill_skip = at.crash_restarts;
-  sim.restart_count = at.crash_restarts;
   return job;
 }
 
