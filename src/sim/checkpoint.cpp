@@ -10,7 +10,6 @@
 #include <string_view>
 
 #include "obs/events.hpp"
-#include "obs/json.hpp"
 #include "util/fsio.hpp"
 
 namespace gc::sim {
@@ -487,90 +486,38 @@ Checkpoint load_checkpoint(const std::string& path) {
   return c;
 }
 
-// ---- Rotation --------------------------------------------------------
+// ---- Generations -----------------------------------------------------
 
 namespace {
-
-std::string manifest_path(const std::string& base) {
-  return base + ".manifest";
-}
 
 std::string generation_file(const std::string& base, std::int64_t gen) {
   return base + ".gen" + std::to_string(gen);
 }
 
-// Manifest-driven listing; returns false when the manifest is missing or
-// is not a valid manifest (callers degrade to a directory scan).
-bool list_from_manifest(const std::string& base,
-                        std::vector<GenerationInfo>* out) {
-  std::ifstream in(manifest_path(base));
-  if (!in.good()) return false;
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    *out = parse_manifest(text.str(), base);
-  } catch (const CheckError&) {
-    out->clear();
-    return false;  // damaged manifest: fall back to scanning the directory
-  }
-  std::sort(out->begin(), out->end(),
-            [](const GenerationInfo& a, const GenerationInfo& b) {
-              return a.generation < b.generation;
-            });
-  return true;
-}
+}  // namespace
 
-void list_from_directory(const std::string& base,
-                         std::vector<GenerationInfo>* out) {
+std::vector<GenerationInfo> list_generations(const std::string& base) {
   const std::filesystem::path base_path(base);
   std::filesystem::path dir = base_path.parent_path();
   if (dir.empty()) dir = ".";
   const std::string prefix = base_path.filename().string() + ".gen";
+  std::vector<GenerationInfo> out;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix))
       continue;
     const std::string suffix = name.substr(prefix.size());
-    if (suffix.empty() ||
-        suffix.find_first_not_of("0123456789") != std::string::npos)
-      continue;
+    if (suffix.find_first_not_of("0123456789") != std::string::npos) continue;
     GenerationInfo g;
     g.generation = std::strtoll(suffix.c_str(), nullptr, 10);
     g.file = entry.path().string();
-    out->push_back(g);
+    out.push_back(g);
   }
-  std::sort(out->begin(), out->end(),
+  std::sort(out.begin(), out.end(),
             [](const GenerationInfo& a, const GenerationInfo& b) {
               return a.generation < b.generation;
             });
-}
-
-}  // namespace
-
-std::vector<GenerationInfo> parse_manifest(const std::string& text,
-                                           const std::string& base) {
-  const obs::JsonValue root = obs::json_parse(text);
-  obs::JsonReader r(root, "checkpoint manifest");
-  int version = 1;
-  r.integer("version", version, 1);
-  if (version != 1) r.fail("version", "unsupported manifest version");
-  std::vector<GenerationInfo> gens;
-  r.array(obs::required("generations"), gens,
-          [&](obs::JsonReader& e, GenerationInfo& g) {
-            int gen = 0;
-            e.integer(obs::required("gen"), gen, 1);
-            e.integer("slot", g.slot, 0);
-            g.generation = gen;
-            g.file = generation_file(base, gen);
-          });
-  r.close();
-  return gens;
-}
-
-std::vector<GenerationInfo> list_generations(const std::string& base) {
-  std::vector<GenerationInfo> out;
-  if (!list_from_manifest(base, &out)) list_from_directory(base, &out);
   return out;
 }
 
@@ -594,18 +541,8 @@ std::optional<ResumeSelection> load_newest_valid(const std::string& base) {
           " are corrupt; newest error: " + newest_error);
 }
 
-std::optional<ResumeSelection> select_resume(const std::string& base,
-                                             int rotate) {
-  if (rotate > 0) return load_newest_valid(base);
-  if (!std::ifstream(base).good()) return std::nullopt;
-  ResumeSelection sel;
-  sel.checkpoint = load_checkpoint(base);
-  sel.source.file = base;
-  return sel;
-}
-
-int auto_resume_slot(const std::string& base, int rotate) {
-  const std::optional<ResumeSelection> sel = select_resume(base, rotate);
+int auto_resume_slot(const std::string& base) {
+  const std::optional<ResumeSelection> sel = load_newest_valid(base);
   return sel.has_value() ? sel->checkpoint.next_slot : 0;
 }
 
@@ -620,7 +557,7 @@ int resume_run(const SimOptions& options, int slots, Rng& input_rng,
                obs::StabilityAuditor* auditor, policy::SleepController* sleep) {
   if (options.resume_path.empty()) return 0;
   const std::optional<ResumeSelection> sel =
-      select_resume(options.resume_path, options.checkpoint_rotate);
+      load_newest_valid(options.resume_path);
   if (!sel.has_value()) {
     if (options.resume_auto) return 0;
     throw CheckpointError("no checkpoint found at " + options.resume_path);
@@ -666,44 +603,19 @@ int resume_run(const SimOptions& options, int slots, Rng& input_rng,
   return start_slot;
 }
 
-CheckpointRotator::CheckpointRotator(std::string base, int keep)
-    : base_(std::move(base)), keep_(keep) {
-  GC_CHECK_MSG(keep_ >= 1, "checkpoint rotation must keep >= 1 generations");
-  generations_ = list_generations(base_);
-}
-
-void CheckpointRotator::write(const Checkpoint& checkpoint) {
-  GenerationInfo g;
-  g.generation =
-      generations_.empty() ? 1 : generations_.back().generation + 1;
-  g.slot = checkpoint.next_slot;
-  g.file = generation_file(base_, g.generation);
-  save_checkpoint(checkpoint, g.file);
-  generations_.push_back(g);
-
-  // Manifest before prune: a crash between the two leaves extra files on
-  // disk (harmless), never a manifest pointing at deleted generations.
-  std::vector<GenerationInfo> pruned;
-  while (static_cast<int>(generations_.size()) > keep_) {
-    pruned.push_back(generations_.front());
-    generations_.erase(generations_.begin());
-  }
-  write_manifest();
-  for (const GenerationInfo& p : pruned) {
+void CheckpointRotator::write(const Checkpoint& checkpoint) const {
+  const std::vector<GenerationInfo> gens = list_generations(base_);
+  save_checkpoint(checkpoint,
+                  generation_file(base_, gens.empty()
+                                             ? 1
+                                             : gens.back().generation + 1));
+  // Save before prune: a crash between the two leaves an extra file on
+  // disk, never fewer than one good generation.
+  const std::size_t keep_old = kCheckpointGenerations - 1;
+  for (std::size_t i = 0; i + keep_old < gens.size(); ++i) {
     std::error_code ec;
-    std::filesystem::remove(p.file, ec);  // best-effort
+    std::filesystem::remove(gens[i].file, ec);  // best-effort
   }
-}
-
-void CheckpointRotator::write_manifest() const {
-  std::string body = "{\"version\":1,\"generations\":[";
-  for (std::size_t i = 0; i < generations_.size(); ++i) {
-    if (i) body += ',';
-    body += "{\"gen\":" + std::to_string(generations_[i].generation) +
-            ",\"slot\":" + std::to_string(generations_[i].slot) + "}";
-  }
-  body += "]}\n";
-  util::write_file_atomic(manifest_path(base_), body, "checkpoint manifest");
 }
 
 }  // namespace gc::sim

@@ -39,18 +39,19 @@
 // field larger than the bytes that follow) throws CheckpointError — a typed
 // gc::CheckError — and never yields a partially loaded state.
 //
-// Rotation (--checkpoint-rotate N): CheckpointRotator writes generation
-// files BASE.gen<K> with monotonically increasing K, keeps the newest N,
-// and maintains an atomic JSON manifest BASE.manifest. load_newest_valid
-// resolves a resume by trying the newest generation first and falling back
-// to older ones when the tail is truncated or corrupt; a corrupt or
-// missing manifest degrades to a directory scan, so the manifest is an
-// index, never a single point of failure.
+// Generations: a run checkpointing to BASE writes BASE.gen<K> files with
+// K one above the highest on disk (CheckpointRotator), so a restarted run
+// never reuses a file, and keeps the newest kCheckpointGenerations.
+// Generations are listed by scanning BASE's directory, never from an
+// index that a crash could leave stale. load_newest_valid resolves a
+// resume by trying the newest generation first and falling back to older
+// ones when the tail is truncated or corrupt.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -175,33 +176,29 @@ struct RobustMetrics {
 };
 RobustMetrics& robust_metrics();
 
-// ---- Rotation --------------------------------------------------------
+// ---- Generations -----------------------------------------------------
+
+// Generations a CheckpointRotator keeps: the newest plus one to fall back
+// to when the newest is torn or corrupt.
+inline constexpr int kCheckpointGenerations = 2;
 
 // One on-disk checkpoint generation.
 struct GenerationInfo {
   std::int64_t generation = 0;  // monotonically increasing across restarts
-  int slot = -1;                // next_slot recorded at write time (-1 when
-                                // recovered from a directory scan)
   std::string file;             // BASE.gen<generation>
 };
 
-// The generations a BASE.manifest text lists, in manifest order. Throws
-// gc::CheckError naming the key path when `text` is not a manifest: bad
-// JSON, an unknown key, a "gen" that is not an int >= 1 or a "slot" that
-// is not an int >= 0.
-std::vector<GenerationInfo> parse_manifest(const std::string& text,
-                                           const std::string& base);
-
-// Generations known for `base`, oldest first: from BASE.manifest when it
-// parses, otherwise from scanning base's directory for BASE.gen<K> files.
-// Empty when none exist.
+// The BASE.gen<K> files in base's directory, oldest first. Empty when none
+// exist.
 std::vector<GenerationInfo> list_generations(const std::string& base);
 
-// The newest generation that loads cleanly. `skipped_corrupt` counts newer
-// generations that had to be passed over (each one is a successful
-// corruption fallback — the robust.* metrics report them). Returns
-// std::nullopt when no generation files exist at all (fresh start);
-// throws CheckpointError when generations exist but every one is corrupt.
+// The newest generation that loads cleanly — the one selection rule the
+// simulator, the supervising CLI and chaos_runner share. `skipped_corrupt`
+// counts newer generations that had to be passed over (each one is a
+// successful corruption fallback — the robust.* metrics report them).
+// Returns std::nullopt when no generation files exist at all (a fresh
+// start, or a crash before the first checkpoint); throws CheckpointError
+// when generations exist but every one is corrupt.
 struct ResumeSelection {
   Checkpoint checkpoint;
   GenerationInfo source;
@@ -209,56 +206,40 @@ struct ResumeSelection {
 };
 std::optional<ResumeSelection> load_newest_valid(const std::string& base);
 
-// The checkpoint a resume from `base` loads — the one selection rule the
-// simulator, the supervising CLI and chaos_runner share. rotate > 0: the
-// newest valid generation (load_newest_valid); rotate == 0: the single
-// file at `base`. std::nullopt when nothing exists yet (a crash before the
-// first checkpoint: an auto-resume starts fresh). Throws CheckpointError
-// when checkpoints exist but none loads.
-std::optional<ResumeSelection> select_resume(const std::string& base,
-                                             int rotate);
+// The slot an auto-resume from `base` starts at: load_newest_valid's
+// next_slot, 0 when nothing exists. An unreadable checkpoint is not a
+// fresh start — it throws CheckpointError like load_newest_valid, and the
+// resume it names will refuse to run.
+int auto_resume_slot(const std::string& base);
 
-// The slot an auto-resume from `base` starts at: select_resume's next_slot,
-// 0 when nothing exists. An unreadable checkpoint is not a fresh start —
-// it throws CheckpointError like select_resume, and the resume it names
-// will refuse to run.
-int auto_resume_slot(const std::string& base, int rotate);
-
-// Resumes a run from options.resume_path into the live loop objects
-// (restore_checkpoint) and returns the slot it continues from; 0 when
-// resume_path is empty, or when resume_auto finds nothing to resume (a
-// supervised first attempt may crash before its first checkpoint).
-// Refused with CheckpointError: nothing found without resume_auto, a
-// scenario hash other than the run's (only the structural hash must match
-// under allow_swapped_scenario), and a checkpoint beyond `slots`. Counts
-// robust.resumes and robust.checkpoint_fallbacks, and journals a
-// checkpoint_fallback lifecycle event when corrupt generations were
-// skipped.
+// Resumes a run from the generations at options.resume_path into the live
+// loop objects (restore_checkpoint) and returns the slot it continues
+// from; 0 when resume_path is empty, or when resume_auto finds nothing to
+// resume (a supervised first attempt may crash before its first
+// checkpoint). Refused with CheckpointError: nothing found without
+// resume_auto, a scenario hash other than the run's (only the structural
+// hash must match under allow_swapped_scenario), and a checkpoint beyond
+// `slots`. Counts robust.resumes and robust.checkpoint_fallbacks, and
+// journals a checkpoint_fallback lifecycle event when corrupt generations
+// were skipped.
 int resume_run(const SimOptions& options, int slots, Rng& input_rng,
                core::LyapunovController& controller, Metrics& metrics,
                RandomWaypoint* mobility, net::Topology* topology,
                obs::StabilityAuditor* auditor, policy::SleepController* sleep);
 
-// Writes rotating checkpoint generations. Continues the generation
-// numbering of whatever is already on disk, so a restarted run never
-// reuses (and thus never half-overwrites) a generation file.
+// Writes checkpoint generations of `base`. Each write numbers the new
+// generation one above the highest the directory scan finds, saves it,
+// then prunes every generation but the newest kCheckpointGenerations
+// (orphans of a crashed run included). A crash between the save and the
+// prune leaves one extra file, which the next write removes.
 class CheckpointRotator {
  public:
-  // keep >= 1: number of newest generations retained after each write.
-  CheckpointRotator(std::string base, int keep);
+  explicit CheckpointRotator(std::string base) : base_(std::move(base)) {}
 
-  // Saves `checkpoint` as the next generation, rewrites the manifest
-  // atomically, then prunes generations beyond `keep`.
-  void write(const Checkpoint& checkpoint);
-
-  const std::string& base() const { return base_; }
+  void write(const Checkpoint& checkpoint) const;
 
  private:
-  void write_manifest() const;
-
   std::string base_;
-  int keep_;
-  std::vector<GenerationInfo> generations_;  // oldest first
 };
 
 }  // namespace gc::sim

@@ -112,31 +112,26 @@ struct SimOptions {
   const policy::SleepSetup* sleep = nullptr;
 
   // Checkpoint/resume (sim/checkpoint.hpp). When checkpoint_path is set, a
-  // checkpoint is written after every `checkpoint_every` completed slots
-  // (0 = only at the end of the run; a final checkpoint is always
-  // written). When resume_path is set, the run restores that checkpoint
-  // and continues from its slot; the resulting Metrics are bit-identical
-  // to an uninterrupted run's (wall-clock timing excluded).
+  // checkpoint generation PATH.gen<K> is written after every
+  // `checkpoint_every` completed slots (0 = only at the end of the run; a
+  // final checkpoint is always written), keeping the newest
+  // kCheckpointGenerations. When resume_path is set, the run restores the
+  // newest generation of that base that loads cleanly (corrupt tails fall
+  // back to older generations, counted in robust.checkpoint_fallbacks) and
+  // continues from its slot; the resulting Metrics are bit-identical to an
+  // uninterrupted run's (wall-clock timing excluded).
   std::string checkpoint_path;
   int checkpoint_every = 0;
   std::string resume_path;
 
-  // Rotating checkpoints (sim::CheckpointRotator, docs/ROBUSTNESS.md):
-  // > 0 keeps the newest N durable generations PATH.gen<K> plus a manifest
-  // instead of overwriting one file; 0 = legacy single-file behavior. With
-  // rotation, resume_path is treated as the rotation base and resolves to
-  // the newest generation that loads cleanly (corrupt tails fall back to
-  // older generations, counted in robust.checkpoint_fallbacks).
-  int checkpoint_rotate = 0;
-
   // The supervised-restart mode. Tolerate a missing checkpoint on resume:
-  // when resume_path names nothing on disk (or an empty rotation set),
-  // start from slot 0 instead of failing — the crash may land before the
-  // first checkpoint was ever written. And cut the trace back to the
-  // checkpoint's slot and append, as the caller does for the lp-log and
-  // the event journal, so a killed+resumed run's JSONL outputs are
-  // byte-identical to an uninterrupted run's. Without it a resumed trace
-  // only covers the resumed portion.
+  // when resume_path names no generation on disk, start from slot 0
+  // instead of failing — the crash may land before the first checkpoint
+  // was ever written. And cut the trace back to the checkpoint's slot and
+  // append, as the caller does for the lp-log and the event journal, so a
+  // killed+resumed run's JSONL outputs are byte-identical to an
+  // uninterrupted run's. Without it a resumed trace only covers the
+  // resumed portion.
   bool resume_auto = false;
 
   // Supervised crash restarts before this attempt (/healthz "restarts"),

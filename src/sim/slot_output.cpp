@@ -1,6 +1,7 @@
 #include "sim/slot_output.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -226,11 +227,10 @@ class CheckpointWriter : public SlotOutput {
  public:
   CheckpointWriter(const SimOptions& options, const RunState& run,
                    SlotOutputs& outputs)
-      : options_(options), run_(run), outputs_(outputs) {
-    if (!options.checkpoint_path.empty() && options.checkpoint_rotate > 0)
-      rotator_ = std::make_unique<CheckpointRotator>(
-          options.checkpoint_path, options.checkpoint_rotate);
-  }
+      : options_(options),
+        run_(run),
+        outputs_(outputs),
+        rotator_(options.checkpoint_path) {}
 
   void after_slot(const SlotView& v) override {
     const int next = v.t + 1;
@@ -264,16 +264,13 @@ class CheckpointWriter : public SlotOutput {
                                    &run_.auditor, run_.sleep, options_.alerts);
     c.scenario_hash = options_.scenario_hash;
     c.scenario_structural_hash = options_.scenario_structural_hash;
-    if (rotator_)
-      rotator_->write(c);
-    else
-      save_checkpoint(c, options_.checkpoint_path);
+    rotator_.write(c);
   }
 
   const SimOptions& options_;
   const RunState run_;
   SlotOutputs& outputs_;
-  std::unique_ptr<CheckpointRotator> rotator_;
+  const CheckpointRotator rotator_;
 };
 
 // What a snapshot reports between slot boundaries. The wall-clock rate
@@ -348,39 +345,20 @@ class SnapshotFeed {
   SlotTotals totals_;
 };
 
-// --snapshot: every `snapshot_every` slots and once at the end.
-class SnapshotOutput : public SlotOutput {
- public:
-  SnapshotOutput(const SimOptions& options, const RunState& run)
-      : feed_(options, run),
-        writer_(options.snapshot_path, options.snapshot_every),
-        slots_(run.slots) {}
-
-  void begin(int resume_slot) override { feed_.begin(resume_slot); }
-  void after_slot(const SlotView& v) override {
-    feed_.observe(v);
-    if (writer_.due(v.t + 1) && v.t + 1 < slots_)
-      writer_.write(feed_.data(v.t + 1));
-  }
-  void finish(int completed_slots, bool) override {
-    writer_.write(feed_.data(completed_slots));
-  }
-
- private:
-  SnapshotFeed feed_;
-  obs::SnapshotWriter writer_;
-  int slots_;
-};
-
-// --metrics-port: an immutable payload (metrics text, snapshot JSON,
-// healthz) swapped in at every slot boundary; readers never block the
+// --snapshot and --metrics-port, read from one SnapshotFeed. Each
+// boundary writes the snapshot when it is due (every `snapshot_every`
+// slots and once at the end), then swaps in the exporter's immutable
+// payload (metrics text, snapshot JSON, healthz); readers never block the
 // loop. The slots/s average lives only here — wall clock never touches
 // Metrics — and /healthz flips to 503 on the alert engine's critical
 // count.
-class ExporterOutput : public SlotOutput {
+class LiveOutput : public SlotOutput {
  public:
-  ExporterOutput(const SimOptions& options, const RunState& run)
-      : options_(options), feed_(options, run), slots_(run.slots) {}
+  LiveOutput(const SimOptions& options, const RunState& run)
+      : options_(options), feed_(options, run), slots_(run.slots) {
+    if (!options.snapshot_path.empty())
+      writer_.emplace(options.snapshot_path, options.snapshot_every);
+  }
 
   void begin(int resume_slot) override {
     feed_.begin(resume_slot);
@@ -389,15 +367,22 @@ class ExporterOutput : public SlotOutput {
   }
   void after_slot(const SlotView& v) override {
     feed_.observe(v);
-    publish(v.t + 1);
+    const int done = v.t + 1;
+    if (writer_ && writer_->due(done) && done < slots_)
+      writer_->write(feed_.data(done));
+    publish(done);
   }
   void before_checkpoint(int next_slot) override {
     last_checkpoint_slot_ = next_slot;
   }
-  void finish(int completed_slots, bool) override { publish(completed_slots); }
+  void finish(int completed_slots, bool) override {
+    if (writer_) writer_->write(feed_.data(completed_slots));
+    publish(completed_slots);
+  }
 
  private:
   void publish(int completed_slots) {
+    if (options_.exporter == nullptr) return;
     obs::HealthzData h;
     h.slots_per_s = rate_.observe(completed_slots, feed_.elapsed_s());
     const obs::SnapshotData d = feed_.data(completed_slots);
@@ -420,6 +405,7 @@ class ExporterOutput : public SlotOutput {
 
   const SimOptions& options_;
   SnapshotFeed feed_;
+  std::optional<obs::SnapshotWriter> writer_;
   obs::SlotRate rate_;
   int slots_;
   int last_checkpoint_slot_ = 0;
@@ -478,10 +464,8 @@ std::unique_ptr<SlotOutputs> make_slot_outputs(const SimOptions& options,
     outputs->add(
         std::make_unique<AlertOutput>(*options.alerts, options.events));
   outputs->add(std::make_unique<CheckpointWriter>(options, run, *outputs));
-  if (!options.snapshot_path.empty())
-    outputs->add(std::make_unique<SnapshotOutput>(options, run));
-  if (options.exporter != nullptr)
-    outputs->add(std::make_unique<ExporterOutput>(options, run));
+  if (!options.snapshot_path.empty() || options.exporter != nullptr)
+    outputs->add(std::make_unique<LiveOutput>(options, run));
   return outputs;
 }
 

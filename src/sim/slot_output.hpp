@@ -107,7 +107,8 @@ class SlotOutputs {
 // The outputs `options` asks for, in contract order: event journal,
 // strict-bounds abort, trace, lp-log flush, alert engine, checkpoint
 // writer (it also does the final flush of a run without checkpoints),
-// snapshot writer, HTTP exporter.
+// then the snapshot writer and HTTP exporter as one output (snapshot
+// first).
 std::unique_ptr<SlotOutputs> make_slot_outputs(const SimOptions& options,
                                                const RunState& run);
 

@@ -203,11 +203,11 @@ SupervisorOutcome RunSupervisor::run(
 }
 
 void append_supervisor_event(const std::string& events_path,
-                             const std::string& checkpoint_base, int rotate,
+                             const std::string& checkpoint_base,
                              obs::EventKind kind, double value) {
   int cut = -1;  // unreadable: keep every slot event
   try {
-    cut = auto_resume_slot(checkpoint_base, rotate);
+    cut = auto_resume_slot(checkpoint_base);
   } catch (const CheckError&) {
   }
   obs::append_lifecycle_event(events_path, cut, kind, cut < 0 ? 0 : cut,

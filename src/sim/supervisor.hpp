@@ -68,14 +68,14 @@ struct SupervisorOutcome {
 };
 
 // The parent's lifecycle line (restart, hot_reload) for a supervised run
-// checkpointing to `checkpoint_base` with rotation `rotate`: appended to
-// the event journal at `events_path` at the slot the next attempt resumes
-// from (auto_resume_slot), after cutting the journal back to that slot —
-// the same cut the attempt will make. An unreadable checkpoint cuts no slot
+// checkpointing to `checkpoint_base`: appended to the event journal at
+// `events_path` at the slot the next attempt resumes from
+// (auto_resume_slot), after cutting the journal back to that slot — the
+// same cut the attempt will make. An unreadable checkpoint cuts no slot
 // event: the next attempt will refuse it, and the journal must outlive
 // that refusal.
 void append_supervisor_event(const std::string& events_path,
-                             const std::string& checkpoint_base, int rotate,
+                             const std::string& checkpoint_base,
                              obs::EventKind kind, double value);
 
 class RunSupervisor {

@@ -1,7 +1,7 @@
 // Filesystem durability helpers (docs/ROBUSTNESS.md "Operating long runs").
 //
 // write_file_atomic is the one writer behind every whole-file output
-// (checkpoints and their rotation manifest, metrics snapshots, profiles,
+// (checkpoint generations, metrics snapshots, profiles,
 // span traces, the metrics-port file, BENCH_sweep.json). A tmp + rename
 // write protects readers from torn files but does not make the data
 // durable: after a power loss the rename may survive while the file's

@@ -159,7 +159,7 @@ TEST(Chaos, FaultedRunResumesBitIdentically) {
   const sim::Metrics resumed = run_simulation(model, ctrl, horizon, opts);
 
   sim::expect_metrics_bit_identical(resumed, ref);
-  std::remove(ckpt.c_str());
+  sim::remove_generations(ckpt);
 }
 
 }  // namespace

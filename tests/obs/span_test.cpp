@@ -14,6 +14,7 @@
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 
@@ -117,7 +118,8 @@ TEST(Span, CheckpointWritesAndSinkFlushesAreSpanned) {
   // Slots 4 and 8 plus the final checkpoint; each flushes its sinks first.
   EXPECT_EQ(checkpoints, 3);
   EXPECT_EQ(flushes, 3);
-  std::remove(opts.checkpoint_path.c_str());
+  for (const auto& g : sim::list_generations(opts.checkpoint_path))
+    std::remove(g.file.c_str());
 }
 
 TEST(Span, RingKeepsMostRecentAndCountsDrops) {

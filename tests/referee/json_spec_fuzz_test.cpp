@@ -1,5 +1,5 @@
 // Mutation fuzzer for the JSON spec readers (obs::JsonReader behind the
-// scenario, fault and alert specs and the checkpoint rotation manifest). Seeded and deterministic, with no
+// scenario, fault and alert specs). Seeded and deterministic, with no
 // external engine: each seed document is mutated by byte edits,
 // truncation, numeric swaps to edge values and misspelt keys. Every mutant
 // must either parse or throw gc::CheckError; anything else (another
@@ -8,9 +8,8 @@
 // re-parses to the same hash and the same dump.
 //
 // Seeds: every committed example scenario, the fault spec example in
-// docs/ROBUSTNESS.md, the alert rules example in docs/OBSERVABILITY.md and
-// a manifest as CheckpointRotator writes it, so the documented examples
-// are checked to parse as well.
+// docs/ROBUSTNESS.md and the alert rules example in docs/OBSERVABILITY.md,
+// so the documented examples are checked to parse as well.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -24,7 +23,6 @@
 #include "fault/fault_schedule.hpp"
 #include "obs/alerts.hpp"
 #include "scenario/spec.hpp"
-#include "sim/checkpoint.hpp"
 #include "util/check.hpp"
 
 namespace gc {
@@ -98,7 +96,7 @@ std::string mutate(const std::string& text, std::mt19937_64& gen) {
       switch (gen() % 3) {
         case 0: s.erase(at, 1); break;
         case 1: s.insert(at, 1, s[at]); break;
-        default: s.insert(e, "s"); break;
+        default: s.insert(e, 1, 's'); break;
       }
       return s;
     }
@@ -181,16 +179,6 @@ TEST(JsonSpecFuzz, AlertRulesParseOrThrow) {
   const std::string doc = doc_example("OBSERVABILITY.md", "### Alert rules");
   fuzz({doc}, 3000, [](const std::string& text) {
     (void)obs::AlertEngine::from_json(text).rules_hash();
-  });
-}
-
-TEST(JsonSpecFuzz, CheckpointManifestsParseOrThrow) {
-  const std::string manifest =
-      "{\"version\":1,\"generations\":[{\"gen\":12,\"slot\":480},"
-      "{\"gen\":13,\"slot\":520},{\"gen\":14,\"slot\":560}]}\n";
-  fuzz({manifest}, 3000, [](const std::string& text) {
-    for (const sim::GenerationInfo& g : sim::parse_manifest(text, "run.ckpt"))
-      EXPECT_EQ(g.file, "run.ckpt.gen" + std::to_string(g.generation));
   });
 }
 

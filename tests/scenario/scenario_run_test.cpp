@@ -109,7 +109,7 @@ TEST(ScenarioRun, ResumeUnderDifferentScenarioHashIsRefused) {
   matched.resume_path = ckpt;
   const sim::Metrics resumed = run_config(spec.config, 10, matched);
   EXPECT_EQ(resumed.slots, 10);
-  std::remove(ckpt.c_str());
+  sim::remove_generations(ckpt);
 }
 
 }  // namespace

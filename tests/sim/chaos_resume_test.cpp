@@ -36,11 +36,6 @@ std::string tmp_path(const char* name) {
   return testing::TempDir() + "gc_chaos_test_" + name;
 }
 
-void remove_rotation(const std::string& base) {
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
-  std::remove((base + ".manifest").c_str());
-}
-
 // Strips the per-record wall-clock object ("time_s":{...}) — the only
 // nondeterministic part of a trace line.
 std::string strip_time(const std::string& line) {
@@ -121,7 +116,8 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
   const std::string chaos_trace = tmp_path("chaos_trace.jsonl");
   const std::string clean_events = tmp_path("clean_events.jsonl");
   const std::string chaos_events = tmp_path("chaos_events.jsonl");
-  remove_rotation(base);
+  remove_generations(clean_ckpt);
+  remove_generations(base);
   std::remove(chaos_trace.c_str());
   std::remove(chaos_events.c_str());
 
@@ -157,8 +153,8 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
   sup_opts.quiet = true;
   sup_opts.on_crash_restart = [&](int crash_restarts) {
     // The parent appends the restart lifecycle line, exactly like the CLI.
-    append_supervisor_event(chaos_events, base, /*rotate=*/2,
-                            obs::EventKind::kRestart, crash_restarts);
+    append_supervisor_event(chaos_events, base, obs::EventKind::kRestart,
+                            crash_restarts);
   };
   RunSupervisor supervisor(sup_opts);
   const SupervisorOutcome outcome =
@@ -168,12 +164,11 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
                                       cfg.controller_options());
         obs::EventJournal journal;
         journal.open_sink(chaos_events, crash_restarts > 0
-                                            ? auto_resume_slot(base, 2)
+                                            ? auto_resume_slot(base)
                                             : -1);
         SimOptions opts;
         opts.checkpoint_path = base;
         opts.checkpoint_every = 5;
-        opts.checkpoint_rotate = 2;
         opts.resume_path = base;
         opts.resume_auto = true;
         opts.trace_path = chaos_trace;
@@ -191,7 +186,7 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
   const auto sel = load_newest_valid(base);
   ASSERT_TRUE(sel.has_value());
   EXPECT_EQ(sel->checkpoint.next_slot, horizon);
-  const Checkpoint clean = load_checkpoint(clean_ckpt);
+  const Checkpoint clean = newest_checkpoint(clean_ckpt);
   expect_metrics_bit_identical(sel->checkpoint.metrics, clean.metrics);
   expect_audit_bit_identical(sel->checkpoint, clean);
   EXPECT_EQ(bits(sel->checkpoint.last_grid_j), bits(clean.last_grid_j));
@@ -219,12 +214,12 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
   EXPECT_EQ(count_lifecycle(chaos_events, "restart"), 3);
   EXPECT_EQ(count_lifecycle(clean_events, "restart"), 0);
 
-  std::remove(clean_ckpt.c_str());
+  remove_generations(clean_ckpt);
   std::remove(clean_trace.c_str());
   std::remove(chaos_trace.c_str());
   std::remove(clean_events.c_str());
   std::remove(chaos_events.c_str());
-  remove_rotation(base);
+  remove_generations(base);
 }
 
 // Lines of `path` with the trailing wall-clock field (",\"wall_s\":...}")
@@ -257,7 +252,7 @@ TEST(ChaosResume, LpLogCutAndAppendMatchesUninterruptedRun) {
   const std::string clean_log = tmp_path("clean_lp.jsonl");
   const std::string log_path = tmp_path("resumed_lp.jsonl");
   const std::string ckpt = tmp_path("lp.ckpt");
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 
   const auto run = [&](const std::string& lp_path, int resume_slot,
                        int slots, SimOptions opts) {
@@ -275,7 +270,7 @@ TEST(ChaosResume, LpLogCutAndAppendMatchesUninterruptedRun) {
   SimOptions first;
   first.checkpoint_path = ckpt;
   run(log_path, -1, crash_after, first);
-  ASSERT_EQ(auto_resume_slot(ckpt, 0), crash_after);
+  ASSERT_EQ(auto_resume_slot(ckpt), crash_after);
   {
     // The crashed attempt got further than its checkpoint: two more slots
     // of complete lines, then a line torn by the kill.
@@ -298,7 +293,7 @@ TEST(ChaosResume, LpLogCutAndAppendMatchesUninterruptedRun) {
 
   SimOptions resumed;
   resumed.resume_path = ckpt;
-  run(log_path, auto_resume_slot(ckpt, 0), horizon, resumed);
+  run(log_path, auto_resume_slot(ckpt), horizon, resumed);
   const std::vector<std::string> got = read_lines_without_wall_s(log_path);
   ASSERT_FALSE(clean.empty());
   ASSERT_EQ(got.size(), clean.size());
@@ -307,17 +302,18 @@ TEST(ChaosResume, LpLogCutAndAppendMatchesUninterruptedRun) {
 
   std::remove(clean_log.c_str());
   std::remove(log_path.c_str());
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
-// A corrupt single (unrotated) checkpoint is not a fresh start: the
-// supervising parent must append its restart line without cutting the
+// Checkpoints that exist but none of which loads are not a fresh start:
+// the supervising parent must append its restart line without cutting the
 // journal, and the next attempt refuses the checkpoint instead of
 // replaying from slot 0.
 TEST(ChaosResume, CorruptSingleCheckpointKeepsJournalSlotEvents) {
   const auto cfg = ScenarioConfig::tiny();
   const std::string ckpt = tmp_path("corrupt_single.ckpt");
   const std::string events = tmp_path("corrupt_single_events.jsonl");
+  remove_generations(ckpt);
   {
     const auto model = cfg.build();
     core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
@@ -332,8 +328,9 @@ TEST(ChaosResume, CorruptSingleCheckpointKeepsJournalSlotEvents) {
   const std::vector<std::string> before = read_slot_events(events);
   ASSERT_FALSE(before.empty());
 
-  {  // Flip one payload bit; the CRC now refuses the file.
-    std::fstream f(ckpt, std::ios::in | std::ios::out | std::ios::binary);
+  // Flip one payload bit in each generation; the CRC now refuses them all.
+  for (const GenerationInfo& g : list_generations(ckpt)) {
+    std::fstream f(g.file, std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(0, std::ios::end);
     const std::streamoff mid = f.tellg() / 2;
     f.seekg(mid);
@@ -341,9 +338,9 @@ TEST(ChaosResume, CorruptSingleCheckpointKeepsJournalSlotEvents) {
     f.seekp(mid);
     f.put(static_cast<char>(c ^ 0x40));
   }
-  EXPECT_THROW(auto_resume_slot(ckpt, 0), CheckpointError);
+  EXPECT_THROW(auto_resume_slot(ckpt), CheckpointError);
 
-  append_supervisor_event(events, ckpt, 0, obs::EventKind::kRestart, 1);
+  append_supervisor_event(events, ckpt, obs::EventKind::kRestart, 1);
   EXPECT_EQ(read_slot_events(events), before);
   EXPECT_EQ(count_lifecycle(events, "restart"), 1);
 
@@ -354,7 +351,7 @@ TEST(ChaosResume, CorruptSingleCheckpointKeepsJournalSlotEvents) {
   opts.resume_auto = true;
   EXPECT_THROW(run_simulation(model, ctrl, 20, opts), CheckpointError);
 
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
   std::remove(events.c_str());
 }
 
@@ -400,7 +397,7 @@ TEST(ChaosResume, GracefulShutdownThenResumeIsBitIdentical) {
   }
   EXPECT_TRUE(interrupted);
   clear_shutdown_request();
-  EXPECT_EQ(load_checkpoint(ckpt).next_slot, stop_at + 1);
+  EXPECT_EQ(newest_checkpoint(ckpt).next_slot, stop_at + 1);
 
   const auto model = cfg.build();
   core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
@@ -408,7 +405,7 @@ TEST(ChaosResume, GracefulShutdownThenResumeIsBitIdentical) {
   opts.resume_path = ckpt;
   const Metrics resumed = run_simulation(model, ctrl, horizon, opts);
   expect_metrics_bit_identical(resumed, ref);
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
 // The shutdown path and the end of a run share one finish: the final
@@ -429,7 +426,7 @@ TEST(ChaosResume, GracefulShutdownThenResumeKeepsOutputsIdentical) {
     core::LyapunovController ctrl(model, 3.0, copts);
     obs::EventJournal journal;
     journal.open_sink(tmp_path((name + ".events").c_str()),
-                      auto_resume_slot(ckpt, 0));
+                      auto_resume_slot(ckpt));
     SimOptions opts;
     opts.checkpoint_path = ckpt;
     opts.checkpoint_every = 10;
@@ -456,8 +453,8 @@ TEST(ChaosResume, GracefulShutdownThenResumeKeepsOutputsIdentical) {
     return out;
   };
   for (const char* name : {"finish_ref", "finish_cut"}) {
-    remove_rotation(tmp_path(name));
-    for (const char* ext : {".ckpt", ".events", ".trace", ".snap"})
+    remove_generations(tmp_path((std::string(name) + ".ckpt").c_str()));
+    for (const char* ext : {".events", ".trace", ".snap"})
       std::remove(tmp_path((std::string(name) + ext).c_str()).c_str());
   }
   clear_shutdown_request();

@@ -206,7 +206,7 @@ TEST(Checkpoint, KillAndResumeStaticRunIsBitIdentical) {
   const Metrics resumed = run_simulation(model, ctrl, horizon, opts);
 
   expect_metrics_bit_identical(resumed, ref);
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
 TEST(Checkpoint, KillAndResumeMobileRunIsBitIdentical) {
@@ -240,7 +240,7 @@ TEST(Checkpoint, KillAndResumeMobileRunIsBitIdentical) {
       run_simulation_mobile(model, ctrl, horizon, mob, opts);
 
   expect_metrics_bit_identical(resumed, ref);
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
 TEST(Checkpoint, PeriodicCheckpointsResumeFromTheLastOne) {
@@ -254,8 +254,8 @@ TEST(Checkpoint, PeriodicCheckpointsResumeFromTheLastOne) {
   const Metrics ref = run_simulation(ref_model, ref_ctrl, horizon, {});
 
   // A run with --checkpoint-every 7 exercises the periodic writes (after
-  // slots 7, 14, 21, 28 — each atomically replacing the previous file)
-  // before the final checkpoint at its 31-slot horizon replaces them.
+  // slots 7, 14, 21, 28 — each a new generation, pruned to the newest two)
+  // before the final checkpoint at its 31-slot horizon.
   {
     const auto model = cfg.build();
     core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
@@ -265,7 +265,8 @@ TEST(Checkpoint, PeriodicCheckpointsResumeFromTheLastOne) {
     run_simulation(model, ctrl, 31, opts);
   }
   // The final checkpoint of the truncated run is at its horizon (31).
-  EXPECT_EQ(load_checkpoint(ckpt).next_slot, 31);
+  EXPECT_EQ(newest_checkpoint(ckpt).next_slot, 31);
+  EXPECT_EQ(list_generations(ckpt).size(), 2u);
 
   const auto model = cfg.build();
   core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
@@ -273,7 +274,7 @@ TEST(Checkpoint, PeriodicCheckpointsResumeFromTheLastOne) {
   opts.resume_path = ckpt;
   const Metrics resumed = run_simulation(model, ctrl, horizon, opts);
   expect_metrics_bit_identical(resumed, ref);
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
 // Solver introspection survives a crash: no solver carries state across
@@ -325,7 +326,7 @@ TEST(Checkpoint, LpCountersReplayAcrossResume) {
   }
   EXPECT_GT(ref_reg.counter("lp.solves").total(), 0.0);
   EXPECT_GT(ref_reg.counter("lp.phase2_iterations").total(), 0.0);
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
 TEST(Checkpoint, LoadRejectsMissingFileBadMagicAndTruncation) {
@@ -489,19 +490,19 @@ TEST(Checkpoint, CrcValidMutationsThrowTyped) {
   std::remove(victim.c_str());
 }
 
-// Rotation (sim::CheckpointRotator): keeps the newest N generations plus a
-// manifest; load_newest_valid picks the newest loadable one.
-TEST(Checkpoint, RotatorKeepsNewestGenerationsAndManifest) {
+// Generations (sim::CheckpointRotator): each write adds BASE.gen<K> and
+// prunes to the newest two; load_newest_valid picks the newest loadable
+// one.
+TEST(Checkpoint, RotatorKeepsNewestTwoGenerations) {
   const auto cfg = ScenarioConfig::tiny();
   const auto model = cfg.build();
   core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
   const Metrics m = run_simulation(model, ctrl, 5, {});
   Rng rng(7);
   const std::string base = tmp_path("rotate.ckpt");
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
-  std::remove((base + ".manifest").c_str());
+  remove_generations(base);
 
-  CheckpointRotator rotator(base, /*keep=*/2);
+  const CheckpointRotator rotator(base);
   for (int slot = 1; slot <= 4; ++slot) {
     Checkpoint c = make_checkpoint(slot, rng, ctrl, m, nullptr, nullptr);
     rotator.write(c);
@@ -509,9 +510,8 @@ TEST(Checkpoint, RotatorKeepsNewestGenerationsAndManifest) {
   const std::vector<GenerationInfo> gens = list_generations(base);
   ASSERT_EQ(gens.size(), 2u);  // pruned down to the newest two
   EXPECT_EQ(gens[0].generation, 3);
-  EXPECT_EQ(gens[0].slot, 3);
+  EXPECT_EQ(gens[0].file, base + ".gen3");
   EXPECT_EQ(gens[1].generation, 4);
-  EXPECT_EQ(gens[1].slot, 4);
   // Pruned generation files are actually gone.
   EXPECT_FALSE(std::ifstream(base + ".gen1").good());
   EXPECT_FALSE(std::ifstream(base + ".gen2").good());
@@ -523,16 +523,64 @@ TEST(Checkpoint, RotatorKeepsNewestGenerationsAndManifest) {
 
   // A new rotator over the same base continues the numbering rather than
   // colliding with surviving generations.
-  CheckpointRotator reopened(base, 2);
+  const CheckpointRotator reopened(base);
   Checkpoint c = make_checkpoint(9, rng, ctrl, m, nullptr, nullptr);
   reopened.write(c);
   const auto after = list_generations(base);
   ASSERT_EQ(after.size(), 2u);
   EXPECT_EQ(after[1].generation, 5);
-  EXPECT_EQ(after[1].slot, 9);
+  EXPECT_EQ(newest_checkpoint(base).next_slot, 9);
 
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
-  std::remove((base + ".manifest").c_str());
+  remove_generations(base);
+}
+
+// The two crash windows of a save-then-index store. (1) A crash after a
+// generation is saved but before anything else records it: the scan still
+// finds it, so resume picks it and the next write does not reuse its
+// number. (2) A crash after the save but before the prune: the extra old
+// generation is removed by the next write.
+TEST(Checkpoint, GenerationsSurviveCrashesBetweenSaveAndPrune) {
+  const auto cfg = ScenarioConfig::tiny();
+  const auto model = cfg.build();
+  core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
+  const Metrics m = run_simulation(model, ctrl, 5, {});
+  Rng rng(7);
+  const std::string base = tmp_path("crash_window.ckpt");
+  remove_generations(base);
+
+  const CheckpointRotator rotator(base);
+  rotator.write(make_checkpoint(10, rng, ctrl, m, nullptr, nullptr));
+  rotator.write(make_checkpoint(20, rng, ctrl, m, nullptr, nullptr));
+  // The process dies right after saving gen3: nothing but the file itself
+  // records it.
+  save_checkpoint(make_checkpoint(30, rng, ctrl, m, nullptr, nullptr),
+                  base + ".gen3");
+
+  const auto sel = load_newest_valid(base);
+  ASSERT_TRUE(sel.has_value());
+  EXPECT_EQ(sel->source.generation, 3);
+  EXPECT_EQ(sel->checkpoint.next_slot, 30);
+  EXPECT_EQ(auto_resume_slot(base), 30);
+
+  const CheckpointRotator restarted(base);
+  restarted.write(make_checkpoint(40, rng, ctrl, m, nullptr, nullptr));
+  std::vector<GenerationInfo> gens = list_generations(base);
+  ASSERT_EQ(gens.size(), 2u);  // gen1 and gen2 pruned, gen3 kept
+  EXPECT_EQ(gens[0].generation, 3);
+  EXPECT_EQ(gens[1].generation, 4);
+  EXPECT_EQ(newest_checkpoint(base).next_slot, 40);
+
+  // An orphan older generation a crashed prune left behind goes with the
+  // next write.
+  save_checkpoint(make_checkpoint(5, rng, ctrl, m, nullptr, nullptr),
+                  base + ".gen1");
+  restarted.write(make_checkpoint(50, rng, ctrl, m, nullptr, nullptr));
+  gens = list_generations(base);
+  ASSERT_EQ(gens.size(), 2u);
+  EXPECT_EQ(gens[0].generation, 4);
+  EXPECT_EQ(gens[1].generation, 5);
+
+  remove_generations(base);
 }
 
 TEST(Checkpoint, LoadNewestValidFallsBackPastCorruptGenerations) {
@@ -542,14 +590,17 @@ TEST(Checkpoint, LoadNewestValidFallsBackPastCorruptGenerations) {
   const Metrics m = run_simulation(model, ctrl, 5, {});
   Rng rng(7);
   const std::string base = tmp_path("fallback.ckpt");
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
-  std::remove((base + ".manifest").c_str());
+  remove_generations(base);
 
-  CheckpointRotator rotator(base, 3);
-  for (int slot = 1; slot <= 3; ++slot) {
+  // Three generations on disk: two from the rotator plus a third saved
+  // behind its back (it keeps only two).
+  const CheckpointRotator rotator(base);
+  for (int slot = 1; slot <= 2; ++slot) {
     Checkpoint c = make_checkpoint(slot, rng, ctrl, m, nullptr, nullptr);
     rotator.write(c);
   }
+  save_checkpoint(make_checkpoint(3, rng, ctrl, m, nullptr, nullptr),
+                  base + ".gen3");
   // Corrupt the newest generation; the selection must fall back to gen2
   // and report the skip.
   {
@@ -563,13 +614,6 @@ TEST(Checkpoint, LoadNewestValidFallsBackPastCorruptGenerations) {
   EXPECT_EQ(sel->source.generation, 2);
   EXPECT_EQ(sel->skipped_corrupt, 1);
 
-  // A stale manifest is advisory: delete it and selection still works off
-  // the directory scan.
-  std::remove((base + ".manifest").c_str());
-  const auto scanned = load_newest_valid(base);
-  ASSERT_TRUE(scanned.has_value());
-  EXPECT_EQ(scanned->checkpoint.next_slot, 2);
-
   // All generations corrupt -> a typed error naming the base.
   for (const auto& g : list_generations(base)) {
     std::ofstream out(g.file, std::ios::binary | std::ios::trunc);
@@ -577,64 +621,42 @@ TEST(Checkpoint, LoadNewestValidFallsBackPastCorruptGenerations) {
   }
   EXPECT_THROW(load_newest_valid(base), CheckpointError);
 
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
+  remove_generations(base);
 
   // No generations at all -> nullopt (the caller decides whether a fresh
   // start is acceptable).
   EXPECT_FALSE(load_newest_valid(tmp_path("nothing.ckpt")).has_value());
 }
 
-// The manifest is plain JSON with no checksum. A "gen" or "slot" outside
-// its integer domain must not be cast (1e300 is undefined behaviour; 2.5
-// or -3 would name the wrong file): the manifest is rejected and listing
-// falls back to the directory scan, exactly as for unparsable JSON.
-TEST(Checkpoint, BadManifestFallsBackToDirectoryScan) {
-  const std::string base = tmp_path("manifest.ckpt");
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
+// The scan lists only BASE.gen<digits>: other bases in the same directory
+// (a replicate's BASE.seed<k>) and write_file_atomic's temp files are not
+// generations.
+TEST(Checkpoint, ScanListsOnlyThisBasesGenerations) {
+  const std::string base = tmp_path("scan.ckpt");
+  remove_generations(base);
   std::ofstream(base + ".gen2") << "x";
-  std::ofstream(base + ".gen7") << "x";
+  std::ofstream(base + ".gen10") << "x";
+  std::ofstream(base + ".gen3.tmp") << "x";
+  std::ofstream(base + ".seed0.gen4") << "x";
+  std::ofstream(base + ".gen") << "x";
 
-  const auto gens = parse_manifest(
-      "{\"version\":1,\"generations\":[{\"gen\":7,\"slot\":70},"
-      "{\"gen\":2,\"slot\":20}]}",
-      base);
-  ASSERT_EQ(gens.size(), 2u);
-  EXPECT_EQ(gens[0].generation, 7);
-  EXPECT_EQ(gens[0].slot, 70);
-  EXPECT_EQ(gens[0].file, base + ".gen7");
+  const auto listed = list_generations(base);
+  ASSERT_EQ(listed.size(), 2u);
+  EXPECT_EQ(listed[0].generation, 2);
+  EXPECT_EQ(listed[1].generation, 10);  // numeric order, not lexical
+  EXPECT_EQ(listed[1].file, base + ".gen10");
 
-  for (const char* bad :
-       {"{\"generations\":[{\"gen\":1e300,\"slot\":3}]}",
-        "{\"generations\":[{\"gen\":2.5,\"slot\":3}]}",
-        "{\"generations\":[{\"gen\":-3,\"slot\":3}]}",
-        "{\"generations\":[{\"gen\":2,\"slot\":1e300}]}",
-        "{\"generations\":[{\"gen\":2,\"slot\":-4}]}",
-        "{\"generations\":[{\"slot\":3}]}",
-        "{\"generations\":[{\"gen\":2,\"sloth\":3}]}",
-        "{\"version\":2,\"generations\":[]}", "{\"gens\":[]}", "[]",
-        "{\"generations\":["}) {
-    EXPECT_THROW(parse_manifest(bad, base), CheckError) << bad;
-    std::ofstream(base + ".manifest") << bad;
-    const auto listed = list_generations(base);
-    ASSERT_EQ(listed.size(), 2u) << bad;
-    EXPECT_EQ(listed[0].generation, 2) << bad;
-    EXPECT_EQ(listed[1].generation, 7) << bad;
-    EXPECT_EQ(listed[1].slot, -1) << bad;  // from the scan, not the manifest
-  }
-
-  std::remove((base + ".manifest").c_str());
-  std::remove((base + ".gen2").c_str());
-  std::remove((base + ".gen7").c_str());
+  remove_generations(base);
+  for (const char* stray : {".gen3.tmp", ".seed0.gen4", ".gen"})
+    std::remove((base + stray).c_str());
 }
 
-// Rotated periodic checkpoints resume bit-identically through run_loop,
-// exactly like the single-file path.
+// Periodic generations resume bit-identically through run_loop.
 TEST(Checkpoint, RotatedResumeIsBitIdentical) {
   const auto cfg = ScenarioConfig::tiny();
   const int horizon = 60, kill_at = 27;
   const std::string base = tmp_path("rotated_resume.ckpt");
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
-  std::remove((base + ".manifest").c_str());
+  remove_generations(base);
 
   const auto ref_model = cfg.build();
   core::LyapunovController ref_ctrl(ref_model, 3.0,
@@ -647,7 +669,6 @@ TEST(Checkpoint, RotatedResumeIsBitIdentical) {
     SimOptions opts;
     opts.checkpoint_path = base;
     opts.checkpoint_every = 10;
-    opts.checkpoint_rotate = 2;
     run_simulation(model, ctrl, kill_at, opts);
   }
 
@@ -655,12 +676,10 @@ TEST(Checkpoint, RotatedResumeIsBitIdentical) {
   core::LyapunovController ctrl(model, 3.0, cfg.controller_options());
   SimOptions opts;
   opts.resume_path = base;
-  opts.checkpoint_rotate = 2;
   const Metrics resumed = run_simulation(model, ctrl, horizon, opts);
   expect_metrics_bit_identical(resumed, ref);
 
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
-  std::remove((base + ".manifest").c_str());
+  remove_generations(base);
 }
 
 // The version gate must name BOTH the version it found and the one this
@@ -818,7 +837,7 @@ TEST(Checkpoint, KillAndResumePolicyRunIsBitIdentical) {
   EXPECT_EQ(bits(resumed.policy_switch_energy_j),
             bits(ref.policy_switch_energy_j));
   EXPECT_EQ(resumed.policy_sleep_slots, ref.policy_sleep_slots);
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
 // v6: the alert-engine state rides the checkpoint, so a resumed run's
@@ -962,7 +981,7 @@ TEST(Checkpoint, ResumeBeyondHorizonIsRejected) {
   SimOptions opts;
   opts.resume_path = ckpt;
   EXPECT_THROW(run_simulation(model, ctrl, /*slots=*/10, opts), CheckError);
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
 }  // namespace

@@ -4,14 +4,19 @@
 // difference fails loudly), because the resume guarantee in
 // docs/ROBUSTNESS.md is bit-level, not epsilon-level. Wall-clock timing is
 // excluded — it is the one inherently nondeterministic Metrics member.
+// Also the two checkpoint-generation helpers those tests share.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/checkpoint.hpp"
 #include "sim/simulator.hpp"
 
 namespace gc::sim {
@@ -60,6 +65,20 @@ inline void expect_metrics_bit_identical(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(bits(a.total_delivered_packets), bits(b.total_delivered_packets));
   EXPECT_EQ(bits(a.total_admitted_packets), bits(b.total_admitted_packets));
   // Metrics::timing is wall-clock and deliberately not compared.
+}
+
+// The newest generation a run checkpointing to `base` left that loads;
+// throws CheckpointError when there is none.
+inline Checkpoint newest_checkpoint(const std::string& base) {
+  auto sel = load_newest_valid(base);
+  if (!sel.has_value())
+    throw CheckpointError("no checkpoint found at " + base);
+  return std::move(sel->checkpoint);
+}
+
+inline void remove_generations(const std::string& base) {
+  for (const GenerationInfo& g : list_generations(base))
+    std::remove(g.file.c_str());
 }
 
 }  // namespace gc::sim

@@ -180,7 +180,7 @@ TEST(OpsLayer, MetricsEndpointServesLiveSlotCount) {
   const HttpReply h = http_get(exporter.port(), "/healthz");
   EXPECT_NE(h.body.find("\"checkpoint_age_slots\":0"), std::string::npos)
       << h.body;
-  std::remove(opts.checkpoint_path.c_str());
+  remove_generations(opts.checkpoint_path);
 }
 
 // The journal records the run's checkpoint cadence as slot events: the
@@ -216,7 +216,7 @@ TEST(OpsLayer, JournalRecordsCheckpointCadence) {
             std::string::npos)
       << ckpts[3];
   std::remove(events_path.c_str());
-  std::remove(opts.checkpoint_path.c_str());
+  remove_generations(opts.checkpoint_path);
 }
 
 }  // namespace

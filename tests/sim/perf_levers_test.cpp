@@ -73,7 +73,7 @@ TEST(PerfLevers, LpS4KillAndResumeIsBitIdentical) {
   opts.resume_path = ckpt;
   const Metrics resumed = run_simulation(model, ctrl, horizon, opts);
   expect_metrics_bit_identical(resumed, ref);
-  std::remove(ckpt.c_str());
+  remove_generations(ckpt);
 }
 
 TEST(PerfLevers, ClusterAndCrossSlotInstrumentsTick) {

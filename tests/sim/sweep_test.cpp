@@ -47,13 +47,6 @@ std::vector<Metrics> run_with_threads(const std::vector<SimJob>& jobs,
   return SweepRunner(opt).run(jobs);
 }
 
-// Drop any rotation state a previous (possibly failed) test run left at
-// `base`, so generation numbering and manifests start clean.
-void remove_rotation(const std::string& base) {
-  for (const auto& g : list_generations(base)) std::remove(g.file.c_str());
-  std::remove((base + ".manifest").c_str());
-}
-
 // The tentpole guarantee: the same (scenario, seed) grid run at 1 and N
 // worker threads yields bit-identical per-seed Metrics.
 TEST(Sweep, ParallelMatchesSerialBitIdentically) {
@@ -294,7 +287,7 @@ TEST(Sweep, JobSnapshotPathCollidingWithFleetRejected) {
 }
 
 // Satellite: resume-under-sweep. One seed's worker stops partway through
-// the grid (its rotating checkpoints surviving on disk); relaunching the
+// the grid (its checkpoint generations surviving on disk); relaunching the
 // whole grid with resume_auto converges to the uninterrupted sweep —
 // per-seed Metrics bit-identical, and, because the stop landed exactly on
 // a checkpoint boundary (run_loop always writes a final checkpoint), no
@@ -311,10 +304,9 @@ TEST(Sweep, ResumedSweepMatchesUninterruptedRegistryAndFleetSnapshot) {
   for (std::size_t i = 0; i < leg1.size(); ++i) {
     bases.push_back(::testing::TempDir() + "gc_sweep_resume_" +
                     std::to_string(i) + ".ckpt");
-    remove_rotation(bases[i]);
+    remove_generations(bases[i]);
     leg1[i].sim.checkpoint_path = bases[i];
     leg1[i].sim.checkpoint_every = 4;
-    leg1[i].sim.checkpoint_rotate = 2;
   }
   // Job 1's worker is lost after slot 8; the rest of the fleet finishes.
   leg1[1].slots = 8;
@@ -332,7 +324,6 @@ TEST(Sweep, ResumedSweepMatchesUninterruptedRegistryAndFleetSnapshot) {
   for (std::size_t i = 0; i < leg2.size(); ++i) {
     leg2[i].sim.checkpoint_path = bases[i];
     leg2[i].sim.checkpoint_every = 4;
-    leg2[i].sim.checkpoint_rotate = 2;
     leg2[i].sim.resume_path = bases[i];
     leg2[i].sim.resume_auto = true;
   }
@@ -380,7 +371,7 @@ TEST(Sweep, ResumedSweepMatchesUninterruptedRegistryAndFleetSnapshot) {
         << name;
   }
 
-  for (const auto& base : bases) remove_rotation(base);
+  for (const auto& base : bases) remove_generations(base);
   std::remove(fleet_path.c_str());
   std::remove((fleet_path + ".prom").c_str());
 }
@@ -399,7 +390,7 @@ TEST(Sweep, SweepResumeFallsBackPastCorruptNewestGeneration) {
   for (std::size_t i = 0; i < ref_jobs.size(); ++i) {
     bases.push_back(::testing::TempDir() + "gc_sweep_fallback_" +
                     std::to_string(i) + ".ckpt");
-    remove_rotation(bases[i]);
+    remove_generations(bases[i]);
   }
 
   // Only job 1 ran before the crash: checkpoints at slots 4 and 8.
@@ -407,13 +398,12 @@ TEST(Sweep, SweepResumeFallsBackPastCorruptNewestGeneration) {
   partial.slots = 8;
   partial.sim.checkpoint_path = bases[1];
   partial.sim.checkpoint_every = 4;
-  partial.sim.checkpoint_rotate = 2;
   obs::Registry resumed_reg;
   run_with_threads({partial}, 1, &resumed_reg);
 
   const auto gens = list_generations(bases[1]);
   ASSERT_EQ(gens.size(), 2u);
-  EXPECT_EQ(gens.back().slot, 8);
+  EXPECT_EQ(load_checkpoint(gens.back().file).next_slot, 8);
   {
     // Truncate the newest generation mid-header: unambiguously corrupt.
     std::ofstream torn(gens.back().file,
@@ -425,7 +415,6 @@ TEST(Sweep, SweepResumeFallsBackPastCorruptNewestGeneration) {
   for (std::size_t i = 0; i < leg2.size(); ++i) {
     leg2[i].sim.checkpoint_path = bases[i];
     leg2[i].sim.checkpoint_every = 4;
-    leg2[i].sim.checkpoint_rotate = 2;
     leg2[i].sim.resume_path = bases[i];
     leg2[i].sim.resume_auto = true;
   }
@@ -437,7 +426,7 @@ TEST(Sweep, SweepResumeFallsBackPastCorruptNewestGeneration) {
   // Exactly one generation was skipped as corrupt, by job 1's resume.
   EXPECT_EQ(resumed_reg.counter("robust.checkpoint_fallbacks").total(), 1);
   EXPECT_EQ(resumed_reg.counter("robust.resumes").total(), 1);
-  for (const auto& base : bases) remove_rotation(base);
+  for (const auto& base : bases) remove_generations(base);
 }
 
 TEST(Sweep, PropagatesFirstFailureAfterFinishing) {

@@ -8,6 +8,7 @@
 
 #include "policy/sleep.hpp"
 #include "scenario/spec.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/sweep.hpp"
 #include "util/check.hpp"
 
@@ -276,26 +277,23 @@ TEST(CliOptions, SeedsComposeWithCheckpointButNotResume) {
   EXPECT_NE(b.error.find("--seeds"), std::string::npos);
   EXPECT_NE(b.error.find("--resume"), std::string::npos);
   EXPECT_TRUE(parse({"--seeds", "1", "--checkpoint", "run.ckpt"}).options);
-  // Supervised sweep: per-seed rotation under one supervisor.
-  EXPECT_TRUE(parse({"--seeds", "4", "--checkpoint", "run.ckpt",
-                     "--checkpoint-rotate", "2", "--supervise"})
-                  .options);
+  // Supervised sweep: per-seed generations under one supervisor.
+  EXPECT_TRUE(
+      parse({"--seeds", "4", "--checkpoint", "run.ckpt", "--supervise"})
+          .options);
 }
 
 // Crash-safe service mode flags (docs/ROBUSTNESS.md "Operating long
 // runs"): each dependency violation is rejected naming both flags.
 TEST(CliOptions, ParsesServiceModeFlags) {
-  const auto r = parse({"--checkpoint", "run.ckpt", "--checkpoint-rotate",
-                        "3", "--supervise", "--max-restarts", "7",
-                        "--restart-backoff-ms", "250"});
+  const auto r = parse({"--checkpoint", "run.ckpt", "--supervise",
+                        "--max-restarts", "7", "--restart-backoff-ms", "250"});
   ASSERT_TRUE(r.options) << r.error;
-  EXPECT_EQ(r.options->checkpoint_rotate, 3);
   EXPECT_TRUE(r.options->supervise);
   EXPECT_EQ(r.options->max_restarts, 7);
   EXPECT_EQ(r.options->restart_backoff_ms, 250);
   const auto d = parse({});
   ASSERT_TRUE(d.options);
-  EXPECT_EQ(d.options->checkpoint_rotate, 0);
   EXPECT_FALSE(d.options->supervise);
   EXPECT_EQ(d.options->max_restarts, 5);
   EXPECT_EQ(d.options->restart_backoff_ms, 500);
@@ -303,22 +301,16 @@ TEST(CliOptions, ParsesServiceModeFlags) {
 }
 
 TEST(CliOptions, CheckpointCadenceFlagsRequireCheckpoint) {
-  // A zero cadence/rotation is meaningless — the former "0 = final only"
-  // spelling is simply omitting the flag.
+  // A zero cadence is meaningless — the former "0 = final only" spelling is
+  // simply omitting the flag.
   const auto a = parse({"--checkpoint", "c", "--checkpoint-every", "0"});
   EXPECT_FALSE(a.options);
   EXPECT_NE(a.error.find("--checkpoint-every"), std::string::npos);
   EXPECT_NE(a.error.find("int >= 1"), std::string::npos) << a.error;
-  EXPECT_FALSE(
-      parse({"--checkpoint", "c", "--checkpoint-rotate", "0"}).options);
   const auto b = parse({"--checkpoint-every", "10"});
   EXPECT_FALSE(b.options);
   EXPECT_NE(b.error.find("--checkpoint-every"), std::string::npos);
   EXPECT_NE(b.error.find("--checkpoint"), std::string::npos) << b.error;
-  const auto c = parse({"--checkpoint-rotate", "3"});
-  EXPECT_FALSE(c.options);
-  EXPECT_NE(c.error.find("--checkpoint-rotate"), std::string::npos);
-  EXPECT_NE(c.error.find("--checkpoint"), std::string::npos) << c.error;
 }
 
 TEST(CliOptions, SuperviseRequiresCheckpointAndRejectsResume) {
@@ -370,8 +362,8 @@ TEST(CliOptions, ScenarioFileCarriesStructuralHash) {
 TEST(CliOptions, UsageMentionsServiceModeFlags) {
   const std::string u = usage();
   for (const char* flag :
-       {"--checkpoint-rotate", "--supervise", "--max-restarts",
-        "--restart-backoff-ms", "--reload-scenario"})
+       {"--supervise", "--max-restarts", "--restart-backoff-ms",
+        "--reload-scenario"})
     EXPECT_NE(u.find(flag), std::string::npos) << flag;
   EXPECT_NE(u.find("Operating long runs"), std::string::npos);
 }
@@ -405,7 +397,6 @@ TEST(CliOptions, EveryFlagFailureNamesFlagAndDomain) {
       {"--faults", "", "non-empty file path"},
       {"--checkpoint", "", "non-empty file path"},
       {"--checkpoint-every", "x", "int >= 1"},
-      {"--checkpoint-rotate", "0", "int >= 1"},
       {"--max-restarts", "-1", "int >= 0"},
       {"--restart-backoff-ms", "x", "int >= 0"},
       {"--reload-scenario", "", "non-empty file path"},
@@ -672,7 +663,8 @@ TEST(CliOptions, ResumeUnderDifferentScenarioFlagsIsRefused) {
   sim::SimJob same = job({"--seed", "1", "--slots", "8"});
   same.sim.resume_path = ckpt;
   EXPECT_NO_THROW(sim::run_job(same));
-  std::remove(ckpt.c_str());
+  for (const auto& g : sim::list_generations(ckpt))
+    std::remove(g.file.c_str());
 }
 
 }  // namespace

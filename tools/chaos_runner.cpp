@@ -2,7 +2,7 @@
 // (docs/ROBUSTNESS.md "Operating long runs"). It runs an uninterrupted
 // reference simulation, then the same simulation under sim::RunSupervisor
 // with SIGKILLs scheduled at pseudo-random slots (children really die;
-// every restart auto-resumes from the newest valid rotating checkpoint),
+// every restart auto-resumes from the newest valid checkpoint generation),
 // and verifies bit-identical convergence:
 //
 //   * Metrics — every per-slot series and accumulator by IEEE-754 bits,
@@ -56,7 +56,6 @@ struct Options {
   std::uint64_t chaos_seed = 1;
   double V = 3.0;
   int checkpoint_every = 7;
-  int checkpoint_rotate = 3;
   // Sleep policy imposed on BOTH the clean and the chaos run (src/policy):
   // empty keeps the scenario's own bs.sleep block. The referee then also
   // proves the v5 policy checkpoint section resumes bit-identically.
@@ -70,7 +69,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--scenario FILE] [--slots N] [--kills K]\n"
       "          [--chaos-seed S] [--v V] [--checkpoint-every N]\n"
-      "          [--checkpoint-rotate N] [--policy NAME] [--keep] [--quiet]\n"
+      "          [--policy NAME] [--keep] [--quiet]\n"
       "\n"
       "Kill-chaos referee: SIGKILLs a supervised run K times at seeded\n"
       "random slots and requires the auto-resumed result to be\n"
@@ -80,8 +79,7 @@ int usage(const char* argv0) {
       "  --kills K              int >= 0 (default 10)\n"
       "  --chaos-seed S         int >= 0 (default 1)\n"
       "  --v V                  number >= 0 (default 3)\n"
-      "  --checkpoint-every N   int >= 1 (default 7)\n"
-      "  --checkpoint-rotate N  int >= 1 (default 3)\n",
+      "  --checkpoint-every N   int >= 1 (default 7)\n",
       argv0);
   return 2;
 }
@@ -212,10 +210,9 @@ void check_policy(const Checkpoint& a, const Checkpoint& b) {
         "policy: carried switch counters");
 }
 
-void remove_rotation(const std::string& base) {
+void remove_generations(const std::string& base) {
   for (const auto& g : gc::sim::list_generations(base))
     std::remove(g.file.c_str());
-  std::remove((base + ".manifest").c_str());
 }
 
 int run(const Options& opt) {
@@ -241,7 +238,8 @@ int run(const Options& opt) {
   const std::string base = prefix + "chaos.ckpt";
   const std::string chaos_trace = prefix + "chaos.jsonl";
   const std::string chaos_events = prefix + "chaos.events.jsonl";
-  remove_rotation(base);
+  remove_generations(clean_ckpt);
+  remove_generations(base);
   std::remove(chaos_trace.c_str());
   std::remove(chaos_events.c_str());
 
@@ -258,8 +256,8 @@ int run(const Options& opt) {
                                       cfg.controller_options());
     gc::sim::SimOptions sopts;
     sopts.checkpoint_path = clean_ckpt;
-    // Same cadence as the chaos run (single-file, no rotation): the
-    // checkpoint_write slot events must line up for the journal compare.
+    // Same cadence as the chaos run: the checkpoint_write slot events must
+    // line up for the journal compare.
     sopts.checkpoint_every = opt.checkpoint_every;
     sopts.trace_path = clean_trace;
     sopts.scenario_name = spec.name;
@@ -295,7 +293,6 @@ int run(const Options& opt) {
   // greencell_sim --supervise uses.
   sup.on_crash_restart = [&](int restarts) {
     gc::sim::append_supervisor_event(chaos_events, base,
-                                     opt.checkpoint_rotate,
                                      gc::obs::EventKind::kRestart, restarts);
   };
   // Children inherit the pre-fork stdio buffer and flush it on exit;
@@ -309,7 +306,6 @@ int run(const Options& opt) {
         gc::sim::SimOptions sopts;
         sopts.checkpoint_path = base;
         sopts.checkpoint_every = opt.checkpoint_every;
-        sopts.checkpoint_rotate = opt.checkpoint_rotate;
         sopts.resume_path = base;
         sopts.resume_auto = true;
         sopts.trace_path = chaos_trace;
@@ -319,8 +315,7 @@ int run(const Options& opt) {
         sopts.process_kill_skip = crash_restarts;
         sopts.faults = &faults;
         gc::obs::EventJournal journal;
-        journal.open_sink(chaos_events, gc::sim::auto_resume_slot(
-                                            base, opt.checkpoint_rotate));
+        journal.open_sink(chaos_events, gc::sim::auto_resume_slot(base));
         sopts.events = &journal;
         gc::sim::run_simulation(model, ctrl, opt.slots, sopts);
         return 0;
@@ -336,16 +331,18 @@ int run(const Options& opt) {
 
   // The referee reads only the files the children left behind — the
   // attempts ran in forked processes, so the disk IS the shared state.
-  const Checkpoint clean = gc::sim::load_checkpoint(clean_ckpt);
+  const auto clean = gc::sim::load_newest_valid(clean_ckpt);
   const auto sel = gc::sim::load_newest_valid(base);
+  check(clean.has_value(), "clean run left a loadable checkpoint generation");
   check(sel.has_value(), "chaos run left a loadable checkpoint generation");
-  if (sel.has_value()) {
+  if (clean.has_value() && sel.has_value()) {
+    const Checkpoint& want = clean->checkpoint;
     check(sel->checkpoint.next_slot == opt.slots,
           "final checkpoint reached the horizon");
-    check_metrics(sel->checkpoint.metrics, clean.metrics);
-    check_audit(sel->checkpoint, clean);
-    check_policy(sel->checkpoint, clean);
-    check(bits(sel->checkpoint.last_grid_j) == bits(clean.last_grid_j),
+    check_metrics(sel->checkpoint.metrics, want.metrics);
+    check_audit(sel->checkpoint, want);
+    check_policy(sel->checkpoint, want);
+    check(bits(sel->checkpoint.last_grid_j) == bits(want.last_grid_j),
           "controller P(t-1) memory");
   }
 
@@ -388,12 +385,12 @@ int run(const Options& opt) {
   if (opt.keep) {
     std::printf("work files kept under %s*\n", prefix.c_str());
   } else {
-    std::remove(clean_ckpt.c_str());
+    remove_generations(clean_ckpt);
     std::remove(clean_trace.c_str());
     std::remove(clean_events.c_str());
     std::remove(chaos_trace.c_str());
     std::remove(chaos_events.c_str());
-    remove_rotation(base);
+    remove_generations(base);
   }
 
   if (g_failures == 0) {
@@ -427,9 +424,6 @@ int main(int argc, char** argv) {
         opt.V = flags::read_number(a, flags::next_value(args, i), 0);
       } else if (a == "--checkpoint-every") {
         opt.checkpoint_every =
-            flags::read_int(a, flags::next_value(args, i), 1);
-      } else if (a == "--checkpoint-rotate") {
-        opt.checkpoint_rotate =
             flags::read_int(a, flags::next_value(args, i), 1);
       } else if (a == "--policy") {
         opt.policy = flags::next_value(args, i);

@@ -146,18 +146,15 @@ robustness (docs/ROBUSTNESS.md):
   --faults PATH         inject faults from a JSON spec (node outages,
                         renewable blackouts, grid outages, price spikes,
                         battery fade, link deep fades)
-  --checkpoint PATH     write resumable checkpoints to PATH (a final one is
-                        always written at the end of the run); with
-                        --seeds > 1 each replicate checkpoints to
-                        PATH.seed<k>
+  --checkpoint PATH     write resumable checkpoint generations PATH.gen<K>
+                        (a final one is always written at the end of the
+                        run), keeping the newest two; with --seeds > 1
+                        each replicate checkpoints to PATH.seed<k>.gen<K>
   --checkpoint-every N  also checkpoint after every N completed slots
                         (N >= 1; requires --checkpoint)
-  --checkpoint-rotate N keep the newest N durable checkpoint generations
-                        PATH.gen<K> plus a manifest instead of overwriting
-                        one file; resume picks the newest generation that
-                        loads cleanly (N >= 1; requires --checkpoint)
-  --resume PATH         restore a checkpoint and continue; the combined
-                        series is bit-identical to an uninterrupted run
+  --resume PATH         restore the newest generation PATH.gen<K> that
+                        loads cleanly and continue; the combined series is
+                        bit-identical to an uninterrupted run
 
 crash-safe service mode (docs/ROBUSTNESS.md "Operating long runs"):
   --supervise           fork the run into a supervised child: if it dies
@@ -330,8 +327,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
         opt.checkpoint_path = flags::read_path(flag, value());
       } else if (flag == "--checkpoint-every") {
         opt.checkpoint_every = flags::read_int(flag, value(), 1);
-      } else if (flag == "--checkpoint-rotate") {
-        opt.checkpoint_rotate = flags::read_int(flag, value(), 1);
       } else if (flag == "--max-restarts") {
         opt.max_restarts = flags::read_int(flag, value(), 0);
       } else if (flag == "--restart-backoff-ms") {
@@ -414,9 +409,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   if (opt.checkpoint_every > 0 && opt.checkpoint_path.empty())
     return err("--checkpoint-every requires --checkpoint (it sets the "
                "cadence of the checkpoint file)");
-  if (opt.checkpoint_rotate > 0 && opt.checkpoint_path.empty())
-    return err("--checkpoint-rotate requires --checkpoint (it rotates the "
-               "checkpoint file's generations)");
   if (opt.supervise && opt.checkpoint_path.empty())
     return err("--supervise requires --checkpoint (crash restarts resume "
                "from the newest valid checkpoint)");

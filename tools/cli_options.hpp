@@ -91,13 +91,9 @@ struct Options {
 
   // Robustness (docs/ROBUSTNESS.md).
   std::string faults_path;      // JSON fault spec; empty = no fault injection
-  std::string checkpoint_path;  // empty = no checkpoints
+  std::string checkpoint_path;  // generation base; empty = no checkpoints
   int checkpoint_every = 0;     // 0 = only the final checkpoint
   std::string resume_path;      // empty = start from slot 0
-  // Rotating checkpoint generations (sim::CheckpointRotator): keep the
-  // newest N durable generations PATH.gen<K> plus a manifest; 0 = the
-  // legacy single-file checkpoint. Requires --checkpoint.
-  int checkpoint_rotate = 0;
 
   // Crash-safe service mode (docs/ROBUSTNESS.md "Operating long runs").
   // --supervise forks the run into a supervised child: abnormal deaths

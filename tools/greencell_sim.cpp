@@ -152,7 +152,6 @@ gc::sim::SimJob make_job(const gc::cli::Options& opt, const Attempt& at) {
   sim.sleep = at.sleep;
   sim.checkpoint_path = opt.checkpoint_path;
   sim.checkpoint_every = opt.checkpoint_every;
-  sim.checkpoint_rotate = opt.checkpoint_rotate;
   // A supervised attempt always auto-resumes from its checkpoint base (a
   // crash may have landed before the first checkpoint existed, so the base
   // may legitimately name nothing). In a sweep each seed resumes from its
@@ -170,8 +169,7 @@ gc::sim::SimJob make_job(const gc::cli::Options& opt, const Attempt& at) {
 // are byte-identical to an uninterrupted one's. -1 = open them fresh.
 int sink_resume_slot(const gc::sim::SimJob& job) {
   return job.sim.resume_auto
-             ? gc::sim::auto_resume_slot(job.sim.resume_path,
-                                         job.sim.checkpoint_rotate)
+             ? gc::sim::auto_resume_slot(job.sim.resume_path)
              : -1;
 }
 
@@ -375,7 +373,7 @@ int run_replicates(const gc::cli::Options& opt, const Attempt& at,
       std::printf("per-seed LP solve logs written to %s.seed<k>\n",
                   opt.lp_log_path.c_str());
     if (!opt.checkpoint_path.empty())
-      std::printf("per-seed checkpoints written to %s.seed<k>\n",
+      std::printf("per-seed checkpoints written to %s.seed<k>.gen<K>\n",
                   opt.checkpoint_path.c_str());
   }
   export_sweep_obs(opt, replicates, model, runs);
@@ -412,13 +410,13 @@ int run(const gc::cli::Options& opt) {
   if (!opt.events_path.empty()) {
     sup_opts.on_crash_restart = [&opt](int restarts) {
       gc::sim::append_supervisor_event(
-          opt.events_path, opt.checkpoint_path, opt.checkpoint_rotate,
-          gc::obs::EventKind::kRestart, restarts);
+          opt.events_path, opt.checkpoint_path, gc::obs::EventKind::kRestart,
+          restarts);
     };
     sup_opts.on_reload = [&opt, &reloads_seen]() {
       gc::sim::append_supervisor_event(
-          opt.events_path, opt.checkpoint_path, opt.checkpoint_rotate,
-          gc::obs::EventKind::kHotReload, ++reloads_seen);
+          opt.events_path, opt.checkpoint_path, gc::obs::EventKind::kHotReload,
+          ++reloads_seen);
     };
   }
   gc::sim::RunSupervisor supervisor(sup_opts);
@@ -660,7 +658,8 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
     if (!opt.trace_path.empty())
       std::printf("trace written to %s\n", opt.trace_path.c_str());
     if (!opt.checkpoint_path.empty())
-      std::printf("checkpoint written to %s\n", opt.checkpoint_path.c_str());
+      std::printf("checkpoint written to %s.gen<K>\n",
+                  opt.checkpoint_path.c_str());
     if (!opt.snapshot_path.empty())
       std::printf("snapshot written to %s (+.prom)\n",
                   opt.snapshot_path.c_str());
