@@ -2,7 +2,7 @@
 //
 // write_file_atomic is the one writer behind every whole-file output
 // (checkpoint generations, metrics snapshots, profiles,
-// span traces, the metrics-port file, BENCH_sweep.json). A tmp + rename
+// span traces and the metrics-port file). A tmp + rename
 // write protects readers from torn files but does not make the data
 // durable: after a power loss the rename may survive while the file's
 // blocks are still unwritten. It therefore fsyncs the data before the

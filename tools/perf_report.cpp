@@ -1,15 +1,11 @@
 // perf_report: performance comparison and regression attribution over two
-// artifacts — either BENCH_sweep.json files (bench_baseline /
-// bench/scale_scenarios output) or gc.profile.v1 files (greencell_sim
-// --profile). The mode is auto-detected from the artifact's shape.
+// gc.profile.v1 profiles (greencell_sim --profile), the one performance
+// artifact (docs/PERFORMANCE.md "Per-tier profiles"). Any other input is
+// refused (exit 1).
 //
-// BENCH mode (the old bench_diff, kept verbatim in behavior): compares
-// every section reporting slots_per_s — "serial", "parallel", and each
-// scale-scenario row — and fails when any slowed down past the tolerance.
-//
-// Profile mode: normalizes both attribution trees to seconds per slot,
-// ranks the tree paths (slot -> controller step -> S1..S4 -> lp.solve) by
-// their share of the per-slot wall-time delta, prints each path's problem
+// It normalizes both attribution trees to seconds per slot, ranks the
+// tree paths (slot -> controller step -> S1..S4 -> lp.solve) by their
+// share of the per-slot wall-time delta, prints each path's problem
 // dimensions (LP columns, link counts) from both sides, and reports what
 // fraction of the slots/s gap the tree explains. When the two profiles
 // come from the SAME scenario the slots_per_s delta is gated by the
@@ -19,7 +15,6 @@
 //
 //   $ perf_report old.profile.json new.profile.json --tolerance 0.05
 //   $ perf_report paper.profile.json hex.profile.json --top 12
-//   $ perf_report BENCH_old.json BENCH_new.json
 //
 // Exit codes: 0 = no regression (or attribution-only), 1 = regression or
 // malformed input, 2 = usage error.
@@ -43,15 +38,15 @@ struct Args {
   std::string baseline;
   std::string candidate;
   double tolerance = 0.10;  // fractional slowdown allowed
-  int top = 10;             // profile mode: paths listed
+  int top = 10;             // paths listed
 };
 
 constexpr const char* kUsage =
     "usage: perf_report BASELINE CANDIDATE [--tolerance FRAC] [--top N]\n"
-    "compares two BENCH_sweep.json or gc.profile.v1 artifacts\n"
-    "(auto-detected). BENCH mode and same-scenario profile mode fail\n"
-    "(exit 1) when slots_per_s regressed by more than FRAC, a number >= 0\n"
-    "(default 0.10); profiles of different scenarios are attribution-only.\n"
+    "compares two gc.profile.v1 profiles (greencell_sim --profile).\n"
+    "Profiles of the same scenario fail (exit 1) when slots_per_s\n"
+    "regressed by more than FRAC, a number >= 0 (default 0.10); profiles\n"
+    "of different scenarios are attribution-only.\n"
     "--top N caps the ranked path list, an int >= 1 (default 10)\n";
 
 // Fills `out` from the arguments; false on --help. A malformed, missing or
@@ -91,99 +86,6 @@ gc::obs::JsonValue load_json(const std::string& path) {
     throw gc::CheckError(path + ": " + e.what());
   }
 }
-
-// ---------------------------------------------------------------- BENCH --
-
-// One comparable throughput reading: "serial", "parallel", or
-// "scale:<name>".
-struct Section {
-  std::string key;
-  double slots_per_s = 0.0;
-};
-
-std::vector<Section> collect_sections(const gc::obs::JsonValue& bench) {
-  std::vector<Section> out;
-  for (const char* top : {"serial", "parallel"}) {
-    if (!bench.has(top)) continue;
-    const gc::obs::JsonValue& sec = bench.at(top);
-    if (sec.is_object() && sec.has("slots_per_s"))
-      out.push_back({top, sec.at("slots_per_s").as_number()});
-  }
-  if (bench.has("scale_scenarios")) {
-    for (const gc::obs::JsonValue& row :
-         bench.at("scale_scenarios").as_array()) {
-      if (!row.is_object() || !row.has("slots_per_s")) continue;
-      // bench/scale_scenarios keys its rows "scenario"; accept the older
-      // "name" too (the old bench_diff looked only for "name" and silently
-      // skipped every scale row).
-      const char* key = row.has("scenario") ? "scenario"
-                        : row.has("name")   ? "name"
-                                            : nullptr;
-      if (key == nullptr) continue;
-      out.push_back({"scale:" + row.at(key).as_string(),
-                     row.at("slots_per_s").as_number()});
-    }
-  }
-  return out;
-}
-
-int run_bench_mode(const gc::obs::JsonValue& base_json,
-                   const gc::obs::JsonValue& cand_json, const Args& args) {
-  const std::vector<Section> base = collect_sections(base_json);
-  const std::vector<Section> cand = collect_sections(cand_json);
-
-  int compared = 0;
-  int regressions = 0;
-  for (const Section& b : base) {
-    const Section* c = nullptr;
-    for (const Section& s : cand)
-      if (s.key == b.key) c = &s;
-    if (c == nullptr) {
-      std::printf("%-24s baseline %.3f slots/s, absent in candidate — "
-                  "skipped\n",
-                  b.key.c_str(), b.slots_per_s);
-      continue;
-    }
-    ++compared;
-    // A baseline of 0 slots/s carries no information to regress from.
-    const double change =
-        b.slots_per_s > 0.0
-            ? (c->slots_per_s - b.slots_per_s) / b.slots_per_s
-            : 0.0;
-    const bool regressed = change < -args.tolerance;
-    if (regressed) ++regressions;
-    std::printf("%-24s %.3f -> %.3f slots/s (%+.1f%%)%s\n", b.key.c_str(),
-                b.slots_per_s, c->slots_per_s, 100.0 * change,
-                regressed ? "  REGRESSION" : "");
-  }
-  for (const Section& c : cand) {
-    bool in_base = false;
-    for (const Section& b : base)
-      if (b.key == c.key) in_base = true;
-    if (!in_base)
-      std::printf("%-24s new in candidate (%.3f slots/s)\n", c.key.c_str(),
-                  c.slots_per_s);
-  }
-
-  if (compared == 0) {
-    std::fprintf(stderr,
-                 "error: no section present in both files — nothing to "
-                 "compare\n");
-    return 1;
-  }
-  if (regressions > 0) {
-    std::fprintf(stderr,
-                 "error: %d section(s) regressed beyond the %.0f%% "
-                 "tolerance\n",
-                 regressions, 100.0 * args.tolerance);
-    return 1;
-  }
-  std::printf("ok: %d section(s) within %.0f%% of baseline\n", compared,
-              100.0 * args.tolerance);
-  return 0;
-}
-
-// -------------------------------------------------------------- profile --
 
 // One flattened tree node: the ";"-joined path from the root.
 struct PathStats {
@@ -232,30 +134,49 @@ void flatten_node(const gc::obs::JsonValue& node, const std::string& prefix,
       flatten_node(child, path, out);
 }
 
-FlatProfile flatten_profile(const gc::obs::JsonValue& profile,
-                            const std::string& file) {
-  GC_CHECK_MSG(profile.has("root") && profile.has("slots_per_s"),
-               file << " is not a gc.profile.v1 artifact");
+// Reads and flattens the profile at `path`. Anything that is not a
+// well-formed gc.profile.v1 profile with slots to normalize by is refused
+// with a plain message naming the file.
+FlatProfile load_profile(const std::string& path) {
+  const gc::obs::JsonValue profile = load_json(path);
+  const auto refuse = [&path]() -> std::runtime_error {
+    return std::runtime_error(path + " is not a gc.profile.v1 profile");
+  };
+  if (!profile.is_object() || !profile.has("schema") ||
+      profile.at("schema").kind() != gc::obs::JsonValue::Kind::String ||
+      profile.at("schema").as_string() != "gc.profile.v1" ||
+      !profile.has("root") || !profile.at("root").is_object())
+    throw refuse();
   FlatProfile out;
-  if (profile.has("scenario")) out.scenario = profile.at("scenario").as_string();
-  out.nodes = profile.number_or("nodes", 0.0);
-  out.links = profile.number_or("links", 0.0);
-  out.links_pruned = profile.number_or("links_pruned", 0.0);
-  out.slots = profile.number_or("slots", 0.0);
-  out.wall_s = profile.number_or("wall_s", 0.0);
-  out.slots_per_s = profile.number_or("slots_per_s", 0.0);
-  out.spans_dropped = profile.number_or("spans_dropped", 0.0);
-  if (profile.has("policy")) {
-    const gc::obs::JsonValue& pol = profile.at("policy");
-    if (pol.has("name")) out.policy = pol.at("name").as_string();
-    out.policy_switches = pol.number_or("switches", 0.0);
-    out.policy_sleep_slots = pol.number_or("sleep_slots", 0.0);
+  try {
+    if (profile.has("scenario"))
+      out.scenario = profile.at("scenario").as_string();
+    out.nodes = profile.number_or("nodes", 0.0);
+    out.links = profile.number_or("links", 0.0);
+    out.links_pruned = profile.number_or("links_pruned", 0.0);
+    out.slots = profile.number_or("slots", 0.0);
+    out.wall_s = profile.number_or("wall_s", 0.0);
+    out.slots_per_s = profile.number_or("slots_per_s", 0.0);
+    out.spans_dropped = profile.number_or("spans_dropped", 0.0);
+    if (profile.has("policy")) {
+      const gc::obs::JsonValue& pol = profile.at("policy");
+      if (pol.has("name")) out.policy = pol.at("name").as_string();
+      out.policy_switches = pol.number_or("switches", 0.0);
+      out.policy_sleep_slots = pol.number_or("sleep_slots", 0.0);
+    }
+    const gc::obs::JsonValue& root = profile.at("root");
+    out.root_total_s = root.number_or("total_s", 0.0);
+    if (root.has("children"))
+      for (const gc::obs::JsonValue& child : root.at("children").as_array())
+        flatten_node(child, "", &out);
+  } catch (const gc::CheckError&) {  // a member missing or of the wrong kind
+    throw refuse();
   }
-  const gc::obs::JsonValue& root = profile.at("root");
-  out.root_total_s = root.number_or("total_s", 0.0);
-  if (root.has("children"))
-    for (const gc::obs::JsonValue& child : root.at("children").as_array())
-      flatten_node(child, "", &out);
+  // Everything is compared in seconds PER SLOT.
+  if (out.slots <= 0.0 || out.slots_per_s <= 0.0)
+    throw std::runtime_error(path +
+                             ": needs slots > 0 and slots_per_s > 0 to "
+                             "normalize per slot");
   return out;
 }
 
@@ -270,13 +191,10 @@ std::string dims_label(const PathStats& s) {
   return buf;
 }
 
-int run_profile_mode(const gc::obs::JsonValue& base_json,
-                     const gc::obs::JsonValue& cand_json, const Args& args) {
-  const FlatProfile base = flatten_profile(base_json, args.baseline);
-  const FlatProfile cand = flatten_profile(cand_json, args.candidate);
-  GC_CHECK_MSG(base.slots > 0 && cand.slots > 0,
-               "both profiles need slots > 0 to normalize per slot");
-
+// Prints the attribution of the per-slot delta; 1 when a same-scenario
+// comparison regressed past the tolerance.
+int compare(const FlatProfile& base, const FlatProfile& cand,
+            const Args& args) {
   // The pruned count attributes a speedup that comes from a smaller scan
   // rather than a faster solver (--link-prune; net/link_prune.hpp).
   const auto print_side = [](const char* label, const FlatProfile& p) {
@@ -303,9 +221,6 @@ int run_profile_mode(const gc::obs::JsonValue& base_json,
                 "(baseline %.0f, candidate %.0f) — trees may be partial\n",
                 base.spans_dropped, cand.spans_dropped);
 
-  // Everything below compares seconds PER SLOT, the scale-free unit.
-  GC_CHECK_MSG(base.slots_per_s > 0.0 && cand.slots_per_s > 0.0,
-               "both profiles need slots_per_s > 0");
   const double base_slot_s = 1.0 / base.slots_per_s;
   const double cand_slot_s = 1.0 / cand.slots_per_s;
   const double wall_delta = cand_slot_s - base_slot_s;
@@ -387,11 +302,6 @@ int run_profile_mode(const gc::obs::JsonValue& base_json,
   return 0;
 }
 
-bool is_profile(const gc::obs::JsonValue& v) {
-  return v.is_object() && v.has("schema") &&
-         v.at("schema").as_string() == "gc.profile.v1";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -407,20 +317,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const gc::obs::JsonValue base = load_json(args.baseline);
-    const gc::obs::JsonValue cand = load_json(args.candidate);
-    const bool bp = is_profile(base), cp = is_profile(cand);
-    if (bp != cp) {
-      std::fprintf(stderr,
-                   "error: cannot compare a profile with a BENCH file "
-                   "(%s is %s, %s is %s)\n",
-                   args.baseline.c_str(), bp ? "a profile" : "BENCH",
-                   args.candidate.c_str(), cp ? "a profile" : "BENCH");
-      return 1;
-    }
-    return bp ? run_profile_mode(base, cand, args)
-              : run_bench_mode(base, cand, args);
-  } catch (const std::exception& e) {  // CheckError, or an unreadable file
+    const FlatProfile base = load_profile(args.baseline);
+    return compare(base, load_profile(args.candidate), args);
+  } catch (const std::exception& e) {  // unreadable, not JSON, or refused
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
