@@ -17,7 +17,6 @@ int main() {
   CsvWriter csv("ablation_lambda.csv",
                 {"lambda", "avg_cost", "delivered_packets", "admitted_packets",
                  "final_backlog_packets"});
-  CsvWriter timing = timing_csv(csv.path(), {"lambda"});
 
   // One independent run per lambda — fanned out through the sweep engine.
   const std::vector<double> lambdas = {1.0,  2.0,  5.0, 10.0,
@@ -42,9 +41,7 @@ int main() {
                num(backlog)});
     csv.row({lambda, m.cost_avg.average(), m.total_delivered_packets,
              m.total_admitted_packets, backlog});
-    timing.row(with_timing({lambda}, m));
   }
-  std::printf("\nCSV written to ablation_lambda.csv (wall times in %s)\n",
-              timing.path().c_str());
+  std::printf("\nCSV written to ablation_lambda.csv\n");
   return 0;
 }

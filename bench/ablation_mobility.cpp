@@ -19,7 +19,6 @@ int main() {
              "avg_delay"}, 16);
   CsvWriter csv("ablation_mobility.csv",
                 {"speed_mps", "delivered", "avg_cost", "delay_slots"});
-  CsvWriter timing = timing_csv(csv.path(), {"speed_mps"});
 
   for (double speed : {0.0, 1.5, 5.0, 15.0, 30.0}) {
     auto cfg = sim::ScenarioConfig::paper();
@@ -39,9 +38,7 @@ int main() {
                num(m.average_delay_slots())}, 16);
     csv.row({speed, m.total_delivered_packets, m.cost_avg.average(),
              m.average_delay_slots()});
-    timing.row(with_timing({speed}, m));
   }
-  std::printf("\nCSV written to ablation_mobility.csv (wall times in %s)\n",
-              timing.path().c_str());
+  std::printf("\nCSV written to ablation_mobility.csv\n");
   return 0;
 }

@@ -58,29 +58,4 @@ sim::Metrics run_controller(const sim::ScenarioConfig& cfg, double V,
   return sim::run_simulation(model, controller, slots);
 }
 
-std::vector<std::string> timing_headers() {
-  return {"s1_ms", "s2_ms", "s3_ms", "s4_ms", "step_ms"};
-}
-
-std::vector<double> timing_columns(const sim::Metrics& m) {
-  const double per_slot = m.slots > 0 ? 1e3 / m.slots : 0.0;
-  return {m.timing.s1_s * per_slot, m.timing.s2_s * per_slot,
-          m.timing.s3_s * per_slot, m.timing.s4_s * per_slot,
-          m.timing.step_s * per_slot};
-}
-
-CsvWriter timing_csv(const std::string& csv_path,
-                     std::vector<std::string> keys) {
-  GC_CHECK(csv_path.ends_with(".csv"));
-  for (auto& h : timing_headers()) keys.push_back(h);
-  return CsvWriter(
-      csv_path.substr(0, csv_path.size() - 4) + ".timing.csv", keys);
-}
-
-std::vector<double> with_timing(std::vector<double> keys,
-                                const sim::Metrics& m) {
-  for (double v : timing_columns(m)) keys.push_back(v);
-  return keys;
-}
-
 }  // namespace gc::bench

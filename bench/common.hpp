@@ -51,19 +51,4 @@ std::string num(double v);
 sim::Metrics run_controller(const sim::ScenarioConfig& cfg, double V,
                             int slots);
 
-// Observability columns of the bench runs: mean per-slot wall time in
-// milliseconds for each subproblem and the whole controller step. Wall
-// time differs run to run, so the drivers write it to a sibling
-// `<name>.timing.csv` (gitignored), one row per run, and the value CSVs
-// stay a pure function of the seed.
-std::vector<std::string> timing_headers();
-std::vector<double> timing_columns(const sim::Metrics& m);
-// Opens the sibling of `csv_path` ("x.csv" -> "x.timing.csv") with the
-// run's key columns followed by timing_headers().
-CsvWriter timing_csv(const std::string& csv_path,
-                     std::vector<std::string> keys);
-// `keys` with the run's timing columns appended: a timing_csv row.
-std::vector<double> with_timing(std::vector<double> keys,
-                                const sim::Metrics& m);
-
 }  // namespace gc::bench

@@ -44,14 +44,11 @@ int main() {
 
   CsvWriter csv("fig2bc_data_queues.csv",
                 {"t", "V", "q_bs_packets", "q_users_packets"});
-  CsvWriter timing = timing_csv(csv.path(), {"V"});
   for (std::size_t i = 0; i < vs.size(); ++i) {
     for (int t = 0; t < slots; ++t)
       csv.row({static_cast<double>(t + 1), vs[i], runs[i].q_bs[t],
                runs[i].q_users[t]});
-    timing.row(with_timing({vs[i]}, runs[i]));
   }
-  std::printf("\nCSV written to fig2bc_data_queues.csv (wall times in %s)\n",
-              timing.path().c_str());
+  std::printf("\nCSV written to fig2bc_data_queues.csv\n");
   return 0;
 }

@@ -47,15 +47,12 @@ int main() {
 
   CsvWriter csv("fig2de_energy_buffers.csv",
                 {"t", "V", "battery_bs_kj", "battery_users_kj"});
-  CsvWriter timing = timing_csv(csv.path(), {"V"});
   for (std::size_t i = 0; i < vs.size(); ++i) {
     for (int t = 0; t < slots; ++t)
       csv.row({static_cast<double>(t + 1), vs[i],
                runs[i].battery_bs_j[t] / 1e3,
                runs[i].battery_users_j[t] / 1e3});
-    timing.row(with_timing({vs[i]}, runs[i]));
   }
-  std::printf("\nCSV written to fig2de_energy_buffers.csv (wall times in %s)\n",
-              timing.path().c_str());
+  std::printf("\nCSV written to fig2de_energy_buffers.csv\n");
   return 0;
 }

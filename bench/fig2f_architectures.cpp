@@ -40,7 +40,7 @@ const std::vector<Arch> kArchs = {
 
 void run_table(const char* title, double session_rate_bps, int num_sessions,
                int slots, const std::vector<double>& vs, CsvWriter& csv,
-               CsvWriter& timing, bool per_packet) {
+               bool per_packet) {
   print_title(title, "T = " + std::to_string(slots) +
                          " slots; identical sample paths; " +
                          std::to_string(num_sessions) + " sessions at " +
@@ -86,10 +86,6 @@ void run_table(const char* title, double session_rate_bps, int num_sessions,
                        num(v), num(m.cost_avg.average()),
                        num(m.total_delivered_packets),
                        num(m.total_demand_shortfall)});
-      std::vector<std::string> cells = {arch.name, num(session_rate_bps),
-                                        num(v)};
-      for (double c : timing_columns(m)) cells.push_back(num(c));
-      timing.row_strings(cells);
     }
     row.push_back(num(delivered));
     print_row(row, 32);
@@ -105,18 +101,16 @@ int main() {
   CsvWriter csv("fig2f_architectures.csv",
                 {"arch", "multihop", "renewables", "session_rate_bps", "V",
                  "avg_cost", "delivered_packets", "shortfall_packets"});
-  CsvWriter timing = timing_csv(csv.path(), {"arch", "session_rate_bps", "V"});
 
   run_table(
       "Fig. 2(f) — energy cost per delivered packet (paper offered load)",
-      100e3, 4, slots, vs, csv, timing, /*per_packet=*/true);
+      100e3, 4, slots, vs, csv, /*per_packet=*/true);
   // Two sessions so the one-hop network (two single-radio base stations =
   // at most two destinations per slot) can carry the full demand.
   run_table(
       "Fig. 2(f) — raw time-averaged energy cost (throughput-equalized load)",
-      50e3, 2, slots, vs, csv, timing, /*per_packet=*/false);
+      50e3, 2, slots, vs, csv, /*per_packet=*/false);
 
-  std::printf("\nCSV written to fig2f_architectures.csv (wall times in %s)\n",
-              timing.path().c_str());
+  std::printf("\nCSV written to fig2f_architectures.csv\n");
   return 0;
 }

@@ -85,13 +85,12 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // Span dims annotate problem sizes for the profiler (obs/profile.hpp):
   // the step carries the topology size, each subproblem its own decision
   // count (links scheduled, routes, energy demands).
-  obs::Span step_span("controller.step", m.step, &decision.timing.step_s,
-                      state_.slot(), model_->num_nodes());
+  obs::Span step_span("controller.step", m.step, state_.slot(),
+                      model_->num_nodes());
 
   // S2 — source selection + admission control.
   {
-    obs::Span span("controller.s2_admission", m.s2, &decision.timing.s2_s,
-                   state_.slot());
+    obs::Span span("controller.s2_admission", m.s2, state_.slot());
     decision.admissions =
         allocate_resources(state_, options_.allocator, &inputs);
   }
@@ -99,8 +98,7 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // S1 — link scheduling (ladder: SequentialFix -> Greedy), then
   // constraint (24) via minimal-power control.
   {
-    obs::Span span("controller.s1_schedule", m.s1, &decision.timing.s1_s,
-                   state_.slot());
+    obs::Span span("controller.s1_schedule", m.s1, state_.slot());
     const double energy_price =
         options_.energy_aware_scheduling
             ? state_.V() * model_->cost_at(state_.slot())
@@ -128,8 +126,7 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
 
   // S3 — routing over the realized capacities (ladder: Lp -> Greedy).
   {
-    obs::Span span("controller.s3_routing", m.s3, &decision.timing.s3_s,
-                   state_.slot());
+    obs::Span span("controller.s3_routing", m.s3, state_.slot());
     const std::vector<double>* demand =
         inputs.session_demand_packets.empty() ? nullptr
                                               : &inputs.session_demand_packets;
@@ -153,8 +150,7 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // slot's fault and sleep overlays (compute_energy_demands; ladder:
   // Lp -> Price).
   {
-    obs::Span span("controller.s4_energy", m.s4, &decision.timing.s4_s,
-                   state_.slot());
+    obs::Span span("controller.s4_energy", m.s4, state_.slot());
     const std::vector<double> demands =
         compute_energy_demands(*model_, decision.schedule, inputs);
     span.set_dim(static_cast<std::int64_t>(demands.size()));

@@ -122,18 +122,6 @@ struct NodeEnergyDecision {
   double grid_draw_j() const { return serve_grid_j + charge_grid_j; }
 };
 
-// Wall-clock seconds the controller spent in each subproblem this slot
-// (S1 includes power control, S4 includes the energy-demand computation).
-struct SlotTimings {
-  double s1_s = 0.0;
-  double s2_s = 0.0;
-  double s3_s = 0.0;
-  double s4_s = 0.0;
-  double step_s = 0.0;  // the whole LyapunovController::step call
-
-  double subproblem_total_s() const { return s1_s + s2_s + s3_s + s4_s; }
-};
-
 // The full outcome of one slot of the online algorithm.
 struct SlotDecision {
   std::vector<ScheduledLink> schedule;
@@ -146,8 +134,6 @@ struct SlotDecision {
   // demand shortfall in energy (joules); both 0 in normal operation.
   std::vector<double> demand_shortfall;
   double unserved_energy_j = 0.0;
-  // Observability: where this slot's wall-clock time went.
-  SlotTimings timing;
   // Graceful degradation (docs/ROBUSTNESS.md): how many subproblem solvers
   // fell down the fallback ladder this slot (S1 SequentialFix -> Greedy,
   // S3 Lp -> Greedy, S4 Lp -> Price), and whether any did.

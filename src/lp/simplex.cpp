@@ -609,8 +609,7 @@ Solution solve(const Model& model, const Options& options,
   SimplexMetrics& m = lp_metrics();
   // Span dim = structural columns, so the profiler can attribute wall time
   // to LP size classes (obs/profile.hpp).
-  obs::Span span("lp.solve", m.solve_seconds, nullptr, -1,
-                 model.num_variables());
+  obs::Span span("lp.solve", m.solve_seconds, -1, model.num_variables());
 
   SimplexEngine engine(model, options, workspace);
   Solution sol = engine.run();

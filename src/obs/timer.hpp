@@ -5,16 +5,15 @@
 // that one duration feeds everything the scope is timed into:
 //
 //   {
-//     obs::Span t("controller.s2_admission", m.s2, &timing.s2_s, slot);
+//     obs::Span t("controller.s2_admission", m.s2, slot);
 //     ... hot work ...
-//   }   // <- one clock read: histogram, accumulator and span ring
+//   }   // <- one clock read: histogram and span ring
 //
 //  * the process-wide SpanRecorder ring (when recording is enabled),
 //    exportable as Chrome trace-event JSON (chrome://tracing, Perfetto) and
 //    folded into profiles (obs/profile.hpp). Spans nest naturally — the
 //    viewer reconstructs the stack from containment on one thread lane;
-//  * optionally a registry Histogram and a caller-owned double accumulator
-//    (per-slot SlotTimings);
+//  * optionally a registry Histogram (the ctrl.*_seconds timers);
 //  * stop(), which closes the span early and returns that duration
 //    (SolveStats::wall_s), and elapsed_s() for free-running clocks (a
 //    null name keeps the span out of the ring: the run-rate clocks).
@@ -121,17 +120,16 @@ class Span {
   using clock = std::chrono::steady_clock;
 
   explicit Span(const char* name, std::int64_t id = -1, std::int64_t dim = -1)
-      : Span(name, nullptr, nullptr, id, dim) {}
+      : Span(name, nullptr, id, dim) {}
 
-  // Also observes the duration into `hist` and, when `accumulate_s` is
-  // non-null, adds it to *accumulate_s.
-  Span(const char* name, Histogram& hist, double* accumulate_s = nullptr,
-       std::int64_t id = -1, std::int64_t dim = -1)
-      : Span(name, &hist, accumulate_s, id, dim) {}
+  // Also observes the duration into `hist`.
+  Span(const char* name, Histogram& hist, std::int64_t id = -1,
+       std::int64_t dim = -1)
+      : Span(name, &hist, id, dim) {}
 
   // Closes the span unless nothing would observe the duration.
   ~Span() {
-    if (open_ && (hist_ != nullptr || acc_ != nullptr || live_)) stop();
+    if (open_ && (hist_ != nullptr || live_)) stop();
   }
 
   Span(const Span&) = delete;
@@ -146,14 +144,13 @@ class Span {
   }
 
   // Closes the span now and returns its duration — the exact value the
-  // histogram, the accumulator and the ring receive. Later calls return
-  // the same value and record nothing.
+  // histogram and the ring receive. Later calls return the same value and
+  // record nothing.
   double stop() {
     if (!open_) return dur_s_;
     open_ = false;
     dur_s_ = elapsed_s();
     if (hist_ != nullptr) hist_->observe(dur_s_);
-    if (acc_ != nullptr) *acc_ += dur_s_;
     if (live_) {
       SpanRecorder& r = SpanRecorder::instance();
       r.record(name_, r.since_epoch_s(start_), dur_s_, id_, dim_);
@@ -162,11 +159,9 @@ class Span {
   }
 
  private:
-  Span(const char* name, Histogram* hist, double* accumulate_s,
-       std::int64_t id, std::int64_t dim)
+  Span(const char* name, Histogram* hist, std::int64_t id, std::int64_t dim)
       : name_(name),
         hist_(hist),
-        acc_(accumulate_s),
         id_(id),
         dim_(dim),
         live_(name != nullptr && SpanRecorder::instance().enabled()),
@@ -174,7 +169,6 @@ class Span {
 
   const char* name_;
   Histogram* hist_;
-  double* acc_;
   std::int64_t id_;
   std::int64_t dim_;
   bool live_;

@@ -59,13 +59,7 @@ void TraceSink::write(const TraceRecord& r) {
   s.clear();
   s += "{\"t\":";
   append_num(s, r.slot);
-  s += ",\"time_s\":{";
-  append_field(s, "s1", r.s1_s, /*first=*/true);
-  append_field(s, "s2", r.s2_s);
-  append_field(s, "s3", r.s3_s);
-  append_field(s, "s4", r.s4_s);
-  append_field(s, "step", r.step_s);
-  s += "},\"queues\":{";
+  s += ",\"queues\":{";
   append_field(s, "q_bs", r.q_bs, /*first=*/true);
   append_field(s, "q_users", r.q_users);
   append_field(s, "h_total", r.h_total);

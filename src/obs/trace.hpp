@@ -4,7 +4,6 @@
 //
 // Schema (docs/OBSERVABILITY.md has the authoritative description):
 //   {"t":12,
-//    "time_s":{"s1":..,"s2":..,"s3":..,"s4":..,"step":..},
 //    "queues":{"q_bs":..,"q_users":..,"h_total":..,
 //              "battery_bs_j":..,"battery_users_j":..},
 //    "energy":{"grid_j":..,"cost":..,"curtailed_j":..,"unserved_j":..},
@@ -29,10 +28,6 @@ namespace gc::obs {
 
 struct TraceRecord {
   int slot = 0;
-  // Subproblem wall-clock seconds for this slot (S1 scheduling + power
-  // control, S2 admission, S3 routing, S4 energy management) and the whole
-  // controller step.
-  double s1_s = 0.0, s2_s = 0.0, s3_s = 0.0, s4_s = 0.0, step_s = 0.0;
   // Queue totals after the slot's queue-law update.
   double q_bs = 0.0, q_users = 0.0, h_total = 0.0;
   double battery_bs_j = 0.0, battery_users_j = 0.0;

@@ -220,11 +220,6 @@ void fields(Io& io, Checkpoint& c) {
   io.f64(m.total_admitted_packets);
   io.f64(m.total_offered_packets);
   io.i64(m.slots);
-  io.f64(m.timing.s1_s);
-  io.f64(m.timing.s2_s);
-  io.f64(m.timing.s3_s);
-  io.f64(m.timing.s4_s);
-  io.f64(m.timing.step_s);
 
   io.u32(c.has_mobility);
   if (c.has_mobility) {
@@ -455,8 +450,9 @@ Checkpoint load_checkpoint(const std::string& path) {
     corrupt("unsupported checkpoint version " + std::to_string(version) +
             " in " + path + " (this build reads v" +
             std::to_string(kCheckpointVersion) +
-            " only; v6 carries an LP warm-start section this build no "
-            "longer reads, and older checkpoints lack the CRC, "
+            " only; v7 carries wall-clock timing fields and v6 an LP "
+            "warm-start section this build no longer reads, and older "
+            "checkpoints lack the CRC, "
             "structural-hash, auditor, sleep-policy and alert-state "
             "fields — re-run from slot 0)");
   std::uint64_t payload_size = 0;

@@ -9,7 +9,8 @@
 //    capacity + level — capacity matters under battery-fade faults) and its
 //    P(t-1) memory,
 //  * the accumulated Metrics (series, averages, stability trackers, totals;
-//    wall-clock timing is carried along but is inherently nondeterministic),
+//    no wall-clock time, so two runs of one build, or a resumed run and an
+//    uninterrupted one, write byte-identical checkpoints),
 //  * optionally the mobility walker (trips + RNG) and the user positions,
 //  * optionally the StabilityAuditor's accumulated state, so a resumed
 //    run's stability digest matches an uninterrupted run's,
@@ -21,7 +22,7 @@
 //    resumed run's fire/clear edges replay exactly.
 //
 // Serialization is a versioned binary format: the 8-byte magic "GCCKPT01",
-// a u32 format version (currently 7), a u64 payload size, a CRC-32 of the
+// a u32 format version (currently 8), a u64 payload size, a CRC-32 of the
 // payload, then the payload itself as fixed-width little-endian fields
 // (doubles as their IEEE-754 bit patterns, so the round trip is bit-exact).
 // The payload's field order is defined once, by the field list in
@@ -30,8 +31,10 @@
 // LP warm-start carry; v5 the sleep-policy state; v6 the alert-engine state
 // (obs/alerts.hpp), so a resumed run's debounce counters and fire/clear
 // edges replay exactly; v7 dropped the warm-start carry again (the solver
-// keeps no state between solves). Older files are refused loudly — re-run
-// from slot 0 rather than resuming with silently missing state.
+// keeps no state between solves); v8 dropped the Metrics wall-clock
+// timing fields (wall time lives only in obs::Span's outputs). Older files
+// are refused loudly — re-run from slot 0 rather than resuming with
+// silently missing state.
 // save_checkpoint goes through util::write_file_atomic (temp file, fsync,
 // rename, directory fsync), so neither a crash mid-write nor a power loss
 // after the rename corrupts the previous checkpoint. Every load-time
@@ -68,7 +71,7 @@
 namespace gc::sim {
 
 inline constexpr char kCheckpointMagic[9] = "GCCKPT01";
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 // Load-time corruption (missing file, bad magic, unsupported version,
 // truncation, CRC mismatch, trailing bytes), and every refusal to resume

@@ -44,12 +44,6 @@ void record(Metrics& m, const core::NetworkModel& model,
   for (const auto& a : decision.admissions) m.total_admitted_packets += a.packets;
   for (int s = 0; s < model.num_sessions(); ++s)
     m.total_offered_packets += model.demand_packets(s, inputs);
-
-  m.timing.s1_s += decision.timing.s1_s;
-  m.timing.s2_s += decision.timing.s2_s;
-  m.timing.s3_s += decision.timing.s3_s;
-  m.timing.s4_s += decision.timing.s4_s;
-  m.timing.step_s += decision.timing.step_s;
   ++m.slots;
 }
 

@@ -57,11 +57,6 @@ struct Metrics {
   double total_offered_packets = 0.0;
   int slots = 0;
 
-  // Accumulated controller wall-clock (seconds) across the run, split by
-  // subproblem. Divide by `slots` for per-slot means (see
-  // bench::timing_columns).
-  core::SlotTimings timing;
-
   // Sleep-policy aggregates (src/policy), copied from the run's
   // SleepController when it exits the loop. Correct across resume: the
   // controller's cumulative counters ride in checkpoints, so a resumed
@@ -91,9 +86,8 @@ struct SimOptions {
   // Validate every slot's decision against the P1 constraints; throws
   // CheckError listing the violations if any are found.
   bool validate = false;
-  // When non-empty, write one JSONL record per slot (queue vectors,
-  // per-subproblem wall time, decision summary) to this path; see
-  // obs::TraceSink for the schema.
+  // When non-empty, write one JSONL record per slot (queue totals, energy,
+  // decision summary) to this path; see obs::TraceSink for the schema.
   std::string trace_path;
   // How many worst-backlog nodes each trace record drills into.
   int trace_top_k = 3;
@@ -119,7 +113,7 @@ struct SimOptions {
   // newest generation of that base that loads cleanly (corrupt tails fall
   // back to older generations, counted in robust.checkpoint_fallbacks) and
   // continues from its slot; the resulting Metrics are bit-identical to an
-  // uninterrupted run's (wall-clock timing excluded).
+  // uninterrupted run's.
   std::string checkpoint_path;
   int checkpoint_every = 0;
   std::string resume_path;

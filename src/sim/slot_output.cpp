@@ -157,11 +157,6 @@ class TraceOutput : public SlotOutput {
     r.fallbacks = decision.fallbacks;
     r.degraded = decision.degraded;
     r.fault_events = v.fault_events;
-    r.s1_s = decision.timing.s1_s;
-    r.s2_s = decision.timing.s2_s;
-    r.s3_s = decision.timing.s3_s;
-    r.s4_s = decision.timing.s4_s;
-    r.step_s = decision.timing.step_s;
     const SlotTotals& totals = v.totals;
     r.q_bs = totals.q_bs;
     r.q_users = totals.q_users;

@@ -65,17 +65,24 @@ TEST(JsonParse, MalformedInputThrowsCheckError) {
   EXPECT_NO_THROW(json_parse(std::string(200, '[') + std::string(200, ']')));
 }
 
+// A policy-free slot record's groups, in key order. Wall-clock time is
+// not among them: it lives in the ctrl.*_seconds timers and the spans.
+const std::vector<std::string> kSlotRecordKeys = {
+    "decisions", "energy", "queues", "robust", "stability", "t",
+    "top_backlog"};
+
+std::vector<std::string> top_level_keys(const JsonValue& v) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : v.as_object()) keys.push_back(key);
+  return keys;
+}
+
 TEST(TraceSink, WritesOneParseableLinePerRecord) {
   const std::string path = ::testing::TempDir() + "gc_trace_sink_test.jsonl";
   {
     TraceSink sink(path);
     TraceRecord r;
     r.slot = 0;
-    r.s1_s = 1e-4;
-    r.s2_s = 2e-4;
-    r.s3_s = 3e-4;
-    r.s4_s = 4e-4;
-    r.step_s = 1.1e-3;
     r.q_bs = 12.0;
     r.q_users = 8.5;
     r.h_total = 20.5;
@@ -99,8 +106,7 @@ TEST(TraceSink, WritesOneParseableLinePerRecord) {
 
   const JsonValue v = json_parse(lines[0]);
   EXPECT_DOUBLE_EQ(v.at("t").as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(v.at("time_s").at("s2").as_number(), 2e-4);
-  EXPECT_DOUBLE_EQ(v.at("time_s").at("step").as_number(), 1.1e-3);
+  EXPECT_EQ(top_level_keys(v), kSlotRecordKeys);
   EXPECT_DOUBLE_EQ(v.at("queues").at("q_bs").as_number(), 12.0);
   EXPECT_DOUBLE_EQ(v.at("queues").at("battery_users_j").as_number(), 450.0);
   EXPECT_DOUBLE_EQ(v.at("energy").at("cost").as_number(), 2.5);
@@ -196,12 +202,8 @@ TEST(TraceIntegration, SimulationEmitsOneRecordPerSlot) {
     EXPECT_DOUBLE_EQ(v.at("queues").at("q_bs").as_number(), m.q_bs[t]);
     EXPECT_DOUBLE_EQ(v.at("queues").at("q_users").as_number(), m.q_users[t]);
     EXPECT_DOUBLE_EQ(v.at("energy").at("grid_j").as_number(), m.grid_j[t]);
-    const auto& times = v.at("time_s");
-    EXPECT_GT(times.at("step").as_number(), 0.0);
-    // Subproblem times are measured inside the step timer's scope.
-    EXPECT_LE(times.at("s1").as_number() + times.at("s2").as_number() +
-                  times.at("s3").as_number() + times.at("s4").as_number(),
-              times.at("step").as_number() * 1.001);
+    // No wall-clock group: a slot record is a pure function of the run.
+    EXPECT_EQ(top_level_keys(v), kSlotRecordKeys);
     EXPECT_LE(v.at("top_backlog").as_array().size(), 2u);
   }
 }

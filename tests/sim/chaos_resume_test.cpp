@@ -2,7 +2,7 @@
 // supervised run SIGKILLed at scheduled slots must auto-resume from its
 // rotating checkpoints and converge to a final state bit-identical to an
 // uninterrupted run's — metrics, stability-audit accumulators, and the
-// JSONL trace (modulo wall-clock timing). The kills happen in forked
+// JSONL trace, byte for byte. The kills happen in forked
 // children (sim::RunSupervisor), exactly like production crashes.
 #include <gtest/gtest.h>
 
@@ -36,20 +36,11 @@ std::string tmp_path(const char* name) {
   return testing::TempDir() + "gc_chaos_test_" + name;
 }
 
-// Strips the per-record wall-clock object ("time_s":{...}) — the only
-// nondeterministic part of a trace line.
-std::string strip_time(const std::string& line) {
-  const std::size_t begin = line.find("\"time_s\":{");
-  if (begin == std::string::npos) return line;
-  const std::size_t end = line.find('}', begin);
-  return line.substr(0, begin) + line.substr(end + 1);
-}
-
-std::vector<std::string> read_stripped_lines(const std::string& path) {
+std::vector<std::string> read_lines(const std::string& path) {
   std::ifstream in(path);
   std::vector<std::string> lines;
   std::string line;
-  while (std::getline(in, line)) lines.push_back(strip_time(line));
+  while (std::getline(in, line)) lines.push_back(line);
   return lines;
 }
 
@@ -191,9 +182,9 @@ TEST(ChaosResume, SupervisedKillChaosConvergesBitIdentically) {
   expect_audit_bit_identical(sel->checkpoint, clean);
   EXPECT_EQ(bits(sel->checkpoint.last_grid_j), bits(clean.last_grid_j));
 
-  // The resumed trace must be byte-identical modulo wall-clock.
-  const auto clean_lines = read_stripped_lines(clean_trace);
-  const auto chaos_lines = read_stripped_lines(chaos_trace);
+  // The resumed trace must be byte-identical.
+  const auto clean_lines = read_lines(clean_trace);
+  const auto chaos_lines = read_lines(chaos_trace);
   ASSERT_EQ(chaos_lines.size(), clean_lines.size());
   ASSERT_EQ(clean_lines.size(), static_cast<std::size_t>(horizon + 1));
   for (std::size_t i = 0; i < clean_lines.size(); ++i)
@@ -472,9 +463,9 @@ TEST(ChaosResume, GracefulShutdownThenResumeKeepsOutputsIdentical) {
   EXPECT_FALSE(interrupted);
   EXPECT_EQ(slot_of_snapshot(tmp_path("finish_cut.snap")), horizon);
 
-  const auto ref_trace = read_stripped_lines(tmp_path("finish_ref.trace"));
+  const auto ref_trace = read_lines(tmp_path("finish_ref.trace"));
   ASSERT_EQ(ref_trace.size(), static_cast<std::size_t>(horizon) + 1);
-  EXPECT_EQ(read_stripped_lines(tmp_path("finish_cut.trace")), ref_trace);
+  EXPECT_EQ(read_lines(tmp_path("finish_cut.trace")), ref_trace);
 
   std::vector<std::string> cut = events_without_seq(tmp_path("finish_cut.events"));
   const std::string shutdown_line =

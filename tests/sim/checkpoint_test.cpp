@@ -97,11 +97,6 @@ Checkpoint pinned_checkpoint() {
   m.total_admitted_packets = 5.25;
   m.total_offered_packets = 6.25;
   m.slots = 4;
-  m.timing.s1_s = 0.5;
-  m.timing.s2_s = 0.25;
-  m.timing.s3_s = 0.125;
-  m.timing.s4_s = 0.0625;
-  m.timing.step_s = 1.0;
 
   c.has_mobility = true;
   c.mobility.targets = {{1.0, 2.0}, {3.0, 4.0}};
@@ -428,11 +423,25 @@ TEST(Checkpoint, FormatIsPinned) {
   const std::string bytes = read_bytes(path);
   ASSERT_GE(bytes.size(), 24u);
   EXPECT_EQ(hex(bytes.substr(0, 24)),
-            "4743434b5054303107000000c40300000000000004c77548");
+            "4743434b50543031080000009c030000000000004bc6e0e8");
 
   const std::string again = tmp_path("pinned_again.ckpt");
   save_checkpoint(load_checkpoint(path), again);
   EXPECT_EQ(read_bytes(again), bytes);
+
+  // A v7 header (the format that still carried wall-clock timing) is
+  // refused, naming both versions.
+  std::string v7 = bytes;
+  v7[8] = 7;
+  write_bytes(again, v7);
+  try {
+    load_checkpoint(again);
+    ADD_FAILURE() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("version 7"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("reads v8"), std::string::npos) << msg;
+  }
   std::remove(path.c_str());
   std::remove(again.c_str());
 }
@@ -700,9 +709,9 @@ TEST(Checkpoint, VersionRefusalNamesFoundAndSupportedVersions) {
                    std::istreambuf_iterator<char>());
   in.close();
   // The u32 format version sits right after the 8-byte magic
-  // (little-endian); rewrite v7 -> v6 to fake a checkpoint that still
+  // (little-endian); rewrite v8 -> v6 to fake a checkpoint that still
   // carries the retired LP warm-start section.
-  ASSERT_EQ(data[8], 7);
+  ASSERT_EQ(data[8], 8);
   data[8] = 6;
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -714,7 +723,7 @@ TEST(Checkpoint, VersionRefusalNamesFoundAndSupportedVersions) {
   } catch (const CheckpointError& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("version 6"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("reads v7"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("reads v8"), std::string::npos) << msg;
     EXPECT_NE(msg.find(path), std::string::npos) << msg;
   }
   std::remove(path.c_str());

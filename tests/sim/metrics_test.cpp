@@ -64,14 +64,5 @@ TEST(ZeroSlotRun, ProducesEmptySeriesWithoutCrashing) {
   EXPECT_EQ(m.average_delay_slots(), 0.0);
 }
 
-TEST(TimingAccumulation, SumsPerSlotTimings) {
-  const auto cfg = ScenarioConfig::tiny();
-  const auto model = cfg.build();
-  core::LyapunovController controller(model, 3.0, cfg.controller_options());
-  const auto m = run_simulation(model, controller, /*slots=*/5);
-  EXPECT_GT(m.timing.step_s, 0.0);
-  EXPECT_LE(m.timing.subproblem_total_s(), m.timing.step_s * 1.001);
-}
-
 }  // namespace
 }  // namespace gc::sim

@@ -2,9 +2,9 @@
 // checkpoint/resume tests. "Bit-identical" is literal: every double is
 // compared by its IEEE-754 bit pattern (so -0.0 != 0.0 and any NaN
 // difference fails loudly), because the resume guarantee in
-// docs/ROBUSTNESS.md is bit-level, not epsilon-level. Wall-clock timing is
-// excluded — it is the one inherently nondeterministic Metrics member.
-// Also the two checkpoint-generation helpers those tests share.
+// docs/ROBUSTNESS.md is bit-level, not epsilon-level. Metrics holds no
+// wall-clock time, so nothing needs excluding. Also the two
+// checkpoint-generation helpers those tests share.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -64,7 +64,7 @@ inline void expect_metrics_bit_identical(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(bits(a.total_curtailed_j), bits(b.total_curtailed_j));
   EXPECT_EQ(bits(a.total_delivered_packets), bits(b.total_delivered_packets));
   EXPECT_EQ(bits(a.total_admitted_packets), bits(b.total_admitted_packets));
-  // Metrics::timing is wall-clock and deliberately not compared.
+  EXPECT_EQ(bits(a.total_offered_packets), bits(b.total_offered_packets));
 }
 
 // The newest generation a run checkpointing to `base` left that loads;

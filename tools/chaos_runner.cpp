@@ -5,9 +5,10 @@
 // every restart auto-resumes from the newest valid checkpoint generation),
 // and verifies bit-identical convergence:
 //
-//   * Metrics — every per-slot series and accumulator by IEEE-754 bits,
-//   * the stability auditor's carried state,
-//   * the JSONL trace, byte for byte modulo per-record wall-clock,
+//   * the newest checkpoint generation, byte for byte: every field a
+//     resume restores (queues, batteries, RNG streams, mobility, metrics,
+//     the stability auditor's and the sleep policy's carried state),
+//   * the JSONL trace, byte for byte,
 //   * the structured event journal's slot-event stream ({"seq":... lines),
 //     byte for byte modulo the trailing wall_s field. Lifecycle lines
 //     (restart, checkpoint_fallback) are by-design the DIFFERENCE between
@@ -15,18 +16,20 @@
 //     carries exactly one restart line per survived kill.
 //
 // Exit code 0 means every check passed AND every scheduled kill actually
-// fired. CI runs this against the paper scenario and
-// examples/scenarios/diurnal_solar_tou.json.
+// fired. CI runs this against the paper scenario,
+// examples/scenarios/diurnal_solar_tou.json and, with --policy hysteresis,
+// examples/scenarios/hetnet_sleep_tou.json.
 //
 //   $ chaos_runner --kills 10 --slots 150
 //   $ chaos_runner --scenario examples/scenarios/diurnal_solar_tou.json
 //         --kills 2 --chaos-seed 7
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -45,9 +48,6 @@
 #include "util/check.hpp"
 
 namespace {
-
-using gc::sim::Checkpoint;
-using gc::sim::Metrics;
 
 struct Options {
   std::string scenario_path;  // empty -> paper baseline (ScenarioConfig{})
@@ -93,23 +93,9 @@ std::uint64_t next_rand(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-// Strips the per-record wall-clock object ("time_s":{...}) — the only
-// nondeterministic part of a trace line.
-std::string strip_time(const std::string& line) {
-  const std::size_t begin = line.find("\"time_s\":{");
-  if (begin == std::string::npos) return line;
-  const std::size_t end = line.find('}', begin);
-  return line.substr(0, begin) + line.substr(end + 1);
-}
-
-std::vector<std::string> read_stripped_lines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(strip_time(line));
-  return lines;
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 // Event-journal comparison (obs/events.hpp): slot events are replay state
@@ -148,66 +134,20 @@ void check(bool ok, const char* what) {
   if (!ok) ++g_failures;
 }
 
-void check_series(const std::vector<double>& a, const std::vector<double>& b,
-                  const char* name) {
-  bool ok = a.size() == b.size();
-  for (std::size_t i = 0; ok && i < a.size(); ++i) ok = bits(a[i]) == bits(b[i]);
-  check(ok, name);
-}
-
-void check_metrics(const Metrics& a, const Metrics& b) {
-  check(a.slots == b.slots, "metrics: slots");
-  check_series(a.cost, b.cost, "metrics: cost series");
-  check_series(a.grid_j, b.grid_j, "metrics: grid energy series");
-  check_series(a.q_bs, b.q_bs, "metrics: BS queue series");
-  check_series(a.q_users, b.q_users, "metrics: user queue series");
-  check_series(a.battery_bs_j, b.battery_bs_j, "metrics: BS battery series");
-  check_series(a.battery_users_j, b.battery_users_j,
-               "metrics: user battery series");
-  check(a.cost_avg.slots() == b.cost_avg.slots() &&
-            bits(a.cost_avg.sum()) == bits(b.cost_avg.sum()),
-        "metrics: cost average accumulator");
-  check(bits(a.q_total_stability.sup_partial_average()) ==
-                bits(b.q_total_stability.sup_partial_average()) &&
-            bits(a.h_total_stability.sup_partial_average()) ==
-                bits(b.h_total_stability.sup_partial_average()),
-        "metrics: stability partial-average sups");
-  check(bits(a.total_demand_shortfall) == bits(b.total_demand_shortfall) &&
-            bits(a.total_unserved_energy_j) == bits(b.total_unserved_energy_j) &&
-            bits(a.total_curtailed_j) == bits(b.total_curtailed_j) &&
-            bits(a.total_delivered_packets) == bits(b.total_delivered_packets) &&
-            bits(a.total_admitted_packets) == bits(b.total_admitted_packets),
-        "metrics: run totals");
-}
-
-void check_audit(const Checkpoint& a, const Checkpoint& b) {
-  // Every run audits, so both checkpoints carry the auditor's state.
-  check(a.has_audit && b.has_audit, "audit: presence");
-  check(a.audit.slots == b.audit.slots &&
-            bits(a.audit.cost_sum) == bits(b.audit.cost_sum) &&
-            bits(a.audit.prev_lyapunov) == bits(b.audit.prev_lyapunov) &&
-            a.audit.total_q_violations == b.audit.total_q_violations &&
-            a.audit.total_z_violations == b.audit.total_z_violations &&
-            a.audit.total_drift_violations == b.audit.total_drift_violations &&
-            a.audit.unstable_windows == b.audit.unstable_windows &&
-            bits(a.audit.run_worst_q_margin) == bits(b.audit.run_worst_q_margin) &&
-            bits(a.audit.run_worst_z_margin) == bits(b.audit.run_worst_z_margin),
-        "audit: carried accumulators");
-}
-
-void check_policy(const Checkpoint& a, const Checkpoint& b) {
-  check(a.has_policy == b.has_policy, "policy: presence");
-  if (!a.has_policy || !b.has_policy) return;
-  bool state_equal = a.policy_state.mode == b.policy_state.mode &&
-                     a.policy_state.dwell == b.policy_state.dwell &&
-                     a.policy_state.wake_countdown ==
-                         b.policy_state.wake_countdown;
-  check(state_equal, "policy: per-BS mode/dwell/countdown state");
-  check(a.policy_state.switches == b.policy_state.switches &&
-            bits(a.policy_state.switch_energy_j) ==
-                bits(b.policy_state.switch_energy_j) &&
-            a.policy_state.sleep_slots == b.policy_state.sleep_slots,
-        "policy: carried switch counters");
+// Neither run's output holds wall-clock time, so the chaos run's file
+// must equal the clean run's byte for byte; a mismatch names the first
+// differing byte.
+void check_same_bytes(const std::string& clean_path,
+                      const std::string& chaos_path, const char* what) {
+  const std::string want = read_bytes(clean_path);
+  const std::string got = read_bytes(chaos_path);
+  check(!want.empty() && got == want, what);
+  if (got != want) {
+    const auto diff = std::mismatch(want.begin(), want.end(), got.begin(),
+                                    got.end());
+    std::printf("       (%zu vs %zu bytes, first difference at byte %td)\n",
+                want.size(), got.size(), diff.first - want.begin());
+  }
 }
 
 void remove_generations(const std::string& base) {
@@ -336,31 +276,12 @@ int run(const Options& opt) {
   check(clean.has_value(), "clean run left a loadable checkpoint generation");
   check(sel.has_value(), "chaos run left a loadable checkpoint generation");
   if (clean.has_value() && sel.has_value()) {
-    const Checkpoint& want = clean->checkpoint;
     check(sel->checkpoint.next_slot == opt.slots,
           "final checkpoint reached the horizon");
-    check_metrics(sel->checkpoint.metrics, want.metrics);
-    check_audit(sel->checkpoint, want);
-    check_policy(sel->checkpoint, want);
-    check(bits(sel->checkpoint.last_grid_j) == bits(want.last_grid_j),
-          "controller P(t-1) memory");
+    check_same_bytes(clean->source.file, sel->source.file,
+                     "newest checkpoint generation byte-identical");
   }
-
-  const auto clean_lines = read_stripped_lines(clean_trace);
-  const auto chaos_lines = read_stripped_lines(chaos_trace);
-  bool traces_equal = clean_lines.size() == chaos_lines.size() &&
-                      clean_lines.size() ==
-                          static_cast<std::size_t>(opt.slots) + 1;
-  std::size_t first_diff = 0;
-  for (std::size_t i = 0; traces_equal && i < clean_lines.size(); ++i)
-    if (clean_lines[i] != chaos_lines[i]) {
-      traces_equal = false;
-      first_diff = i;
-    }
-  check(traces_equal, "trace byte-identical modulo wall-clock");
-  if (!traces_equal)
-    std::printf("       (lines %zu vs %zu, first divergence at line %zu)\n",
-                clean_lines.size(), chaos_lines.size(), first_diff);
+  check_same_bytes(clean_trace, chaos_trace, "trace byte-identical");
 
   // Event journals: the slot-event stream must replay bit-identically;
   // lifecycle lines are the recovery story — exactly one restart per

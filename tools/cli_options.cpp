@@ -1,5 +1,6 @@
 #include "cli_options.hpp"
 
+#include <filesystem>
 #include <iterator>
 #include <sstream>
 #include <utility>
@@ -76,8 +77,8 @@ run:
                         (default 7)
   --validate            check every P1 constraint each slot (slower)
   --csv PATH            write the per-slot series as CSV
-  --trace PATH          write a per-slot JSONL trace (queues, subproblem
-                        wall times, decision summary, top-backlog nodes);
+  --trace PATH          write a per-slot JSONL trace (queues, energy,
+                        decision summary, top-backlog nodes);
                         summarize with tools/trace_summarize
   --trace-top-k N       worst-backlog nodes listed per trace record, N >= 0
                         (default 3; 0 = none)
@@ -450,7 +451,9 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   }
   // Output paths must be pairwise distinct, checked up front: two flags
   // aimed at one file would silently clobber each other (and under
-  // --seeds > 1 the shared ring's per-seed slices would interleave).
+  // --seeds > 1 the shared ring's per-seed slices would interleave). Each
+  // must also land in a directory that exists, so a typo fails before
+  // slot 0 rather than after the last slot has run.
   {
     const std::pair<const char*, const std::string*> outputs[] = {
         {"--csv", &opt.csv_path},
@@ -471,6 +474,15 @@ ParseResult parse_args(const std::vector<std::string>& args) {
                      outputs[b].first + " both write to \"" +
                      *outputs[a].second + "\"; give each output its own path");
       }
+    }
+    for (const auto& [flag, path] : outputs) {
+      if (path->empty()) continue;
+      const std::filesystem::path dir =
+          std::filesystem::path(*path).parent_path();
+      std::error_code ec;
+      if (!dir.empty() && !std::filesystem::is_directory(dir, ec))
+        return err(std::string(flag) + ": directory \"" + dir.string() +
+                   "\" does not exist; create it first");
     }
   }
   return ParseResult{opt, ""};

@@ -55,8 +55,8 @@ struct Options {
   // How many worst-backlog nodes each trace record drills into (the
   // trace's top_backlog array); 0 = none.
   int trace_top_k = 3;
-  // End-of-run observability report: per-subproblem time breakdown plus
-  // every registered counter/timer (see src/obs).
+  // End-of-run observability report: every registered counter/timer
+  // (see src/obs).
   bool report = false;
   // Theory auditor (docs/OBSERVABILITY.md): abort on the first violated
   // stability bound instead of counting it.

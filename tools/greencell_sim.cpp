@@ -31,28 +31,9 @@
 
 namespace {
 
-// End-of-run observability: subproblem wall-time breakdown, then every
-// registered counter and timer.
-void print_report(const gc::sim::Metrics& m) {
-  const gc::core::SlotTimings& t = m.timing;
-  std::printf("\n-- report: subproblem time breakdown --\n");
-  std::printf("  %-16s%12s%12s%9s\n", "subproblem", "total_ms", "mean_ms",
-              "share");
-  const double step = t.step_s > 0.0 ? t.step_s : 1e-30;
-  const int slots = m.slots > 0 ? m.slots : 1;
-  const struct {
-    const char* name;
-    double s;
-  } rows[] = {{"S1 scheduling", t.s1_s},
-              {"S2 admission", t.s2_s},
-              {"S3 routing", t.s3_s},
-              {"S4 energy", t.s4_s},
-              {"step total", t.step_s}};
-  for (const auto& r : rows)
-    std::printf("  %-16s%12.3f%12.4f%8.1f%%\n", r.name, r.s * 1e3,
-                r.s * 1e3 / slots, 100.0 * r.s / step);
-  std::printf("  (S1+S2+S3+S4 cover %.1f%% of step time)\n",
-              100.0 * t.subproblem_total_s() / step);
+// End-of-run observability: every registered counter and timer (the
+// ctrl.*_seconds timers carry the per-subproblem wall time).
+void print_report() {
   std::printf("\n-- report: registry --\n%s",
               gc::obs::render_report(gc::obs::registry()).c_str());
 }
@@ -377,20 +358,9 @@ int run_replicates(const gc::cli::Options& opt, const Attempt& at,
                   opt.checkpoint_path.c_str());
   }
   export_sweep_obs(opt, replicates, model, runs);
-  if (opt.report) {
-    // Worker registries were merged into the global registry by the sweep,
-    // so the report covers all replicates; per-run timing is summed.
-    gc::sim::Metrics total;
-    for (const auto& m : runs) {
-      total.slots += m.slots;
-      total.timing.s1_s += m.timing.s1_s;
-      total.timing.s2_s += m.timing.s2_s;
-      total.timing.s3_s += m.timing.s3_s;
-      total.timing.s4_s += m.timing.s4_s;
-      total.timing.step_s += m.timing.step_s;
-    }
-    print_report(total);
-  }
+  // Worker registries were merged into the global registry by the sweep,
+  // so the report covers all replicates.
+  if (opt.report) print_report();
   return 0;
 }
 
@@ -681,7 +651,7 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
                 m.cost_avg.average(), m.total_delivered_packets,
                 m.average_delay_slots(), final_backlog);
   }
-  if (opt.report) print_report(m);
+  if (opt.report) print_report();
   export_single_run_obs(opt, model, m, run_wall_s);
   // --alerts-fatal: a completed run during which any rule fired exits 3,
   // distinct from usage errors (2) and deterministic failures (1). The

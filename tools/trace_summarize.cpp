@@ -1,17 +1,16 @@
 // trace_summarize: aggregates a greencell_sim --trace JSONL file into a
-// human-readable stability / performance report.
+// human-readable stability report.
 //
 //   $ greencell_sim --slots 200 --trace run.jsonl
 //   $ trace_summarize run.jsonl
 //
-// Sections: horizon, per-subproblem wall-time breakdown (total, mean,
-// p50/p95/p99 quantiles, max, and share of the controller step), queue
-// stability (partial-average probe of Definition 2 over the traced backlog
-// series), the stability auditor's group when the trace carries one
-// (Lyapunov drift, bound margins, violation counts), the sleep-policy group
-// when one is present (awake-set occupancy, switch totals), energy totals,
-// traffic totals, and the nodes that dominated the per-slot top-backlog
-// drill-down.
+// Sections: horizon, queue stability (partial-average probe of Definition
+// 2 over the traced backlog series), the stability auditor's group when
+// the trace carries one (Lyapunov drift, bound margins, violation counts),
+// the sleep-policy group when one is present (awake-set occupancy, switch
+// totals), energy totals, traffic totals, and the nodes that dominated the
+// per-slot top-backlog drill-down. Wall time is not in a trace; the
+// greencell_sim --report timers and --profile carry it.
 //
 // --strict turns the malformed-line warnings into a failure: any skipped
 // record (torn tail included) exits 1, so CI can assert a trace is whole.
@@ -64,13 +63,6 @@ struct Series {
   double last() const { return v.empty() ? 0.0 : v.back(); }
 };
 
-void time_row(const char* name, const Series& s, double step_total) {
-  std::printf("  %-14s%12.3f%12.4f%12.4f%12.4f%12.4f%12.4f%8.1f%%\n", name,
-              s.total() * 1e3, s.mean() * 1e3, s.quantile(0.50) * 1e3,
-              s.quantile(0.95) * 1e3, s.quantile(0.99) * 1e3, s.max() * 1e3,
-              100.0 * s.total() / (step_total > 0.0 ? step_total : 1e-30));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,7 +99,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Series s1, s2, s3, s4, step, backlog, h_total, grid, cost, curtailed,
+  Series backlog, h_total, grid, cost, curtailed,
       unserved, admitted, delivered, shortfall, links, fallbacks, degraded,
       faults;
   // Stability auditor group (every simulator run writes it;
@@ -149,15 +141,9 @@ int main(int argc, char** argv) {
         scenario_hash = sc.at("hash").as_string();
         continue;
       }
-      const JsonValue& t = rec.at("time_s");
       const JsonValue& q = rec.at("queues");
       const JsonValue& e = rec.at("energy");
       const JsonValue& d = rec.at("decisions");
-      s1.add(t.number_or("s1", 0.0));
-      s2.add(t.number_or("s2", 0.0));
-      s3.add(t.number_or("s3", 0.0));
-      s4.add(t.number_or("s4", 0.0));
-      step.add(t.number_or("step", 0.0));
       const double b = q.number_or("q_bs", 0.0) + q.number_or("q_users", 0.0);
       backlog.add(b);
       backlog_stability.add(b);
@@ -244,7 +230,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const int slots = static_cast<int>(step.v.size());
+  const int slots = static_cast<int>(backlog.v.size());
   if (slots == 0) {
     std::fprintf(stderr, "error: %s holds no trace records\n", trace_arg);
     return 1;
@@ -254,19 +240,6 @@ int main(int argc, char** argv) {
   if (!scenario_name.empty())
     std::printf("scenario: %s (hash %s)\n", scenario_name.c_str(),
                 scenario_hash.c_str());
-
-  std::printf("\n-- subproblem wall time --\n");
-  std::printf("  %-14s%12s%12s%12s%12s%12s%12s%9s\n", "subproblem",
-              "total_ms", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms",
-              "share");
-  time_row("S1 scheduling", s1, step.total());
-  time_row("S2 admission", s2, step.total());
-  time_row("S3 routing", s3, step.total());
-  time_row("S4 energy", s4, step.total());
-  time_row("step total", step, step.total());
-  std::printf("  (S1+S2+S3+S4 cover %.1f%% of step time)\n",
-              100.0 * (s1.total() + s2.total() + s3.total() + s4.total()) /
-                  (step.total() > 0.0 ? step.total() : 1e-30));
 
   std::printf("\n-- queue stability (Definition 2 probe) --\n");
   std::printf("  backlog packets:   mean %.1f, p95 %.1f, max %.1f, final %.1f\n",
