@@ -149,32 +149,56 @@ std::vector<CandidateLinkBand> fill_in_candidates(
     const RadioUsage& usage, double marginal_energy_price) {
   const auto& model = state.model();
   const int n = model.num_nodes();
+  const int num_sessions = model.num_sessions();
   const std::vector<BandCapacity> bands = band_capacities(model, inputs);
+
+  // Whether node j holds a packet of any session (q reads 0 at a session's
+  // destination). A receiver that holds none has q(j,s) = 0 in every
+  // session, so its best differential needs no per-session loop.
+  std::vector<char> holds(static_cast<std::size_t>(n), 0);
+  for (int j = 0; j < n; ++j)
+    for (int s = 0; s < num_sessions && !holds[j]; ++s)
+      holds[j] = state.q(j, s) != 0.0;
 
   // Range pruning: beyond shrinking the scan, dropping out-of-range pairs
   // here IMPROVES the schedule — an unpruned infeasible fill-in link would
   // occupy two radios until power control deschedules it, crowding out
   // feasible links (docs/ALGORITHM.md "Why range pruning is exact").
   std::vector<CandidateLinkBand> out;
-  std::vector<int> live;  // sessions transmitter i holds packets for
+  // Sessions transmitter i holds packets for, with q(i,s).
+  std::vector<std::pair<int, double>> live;
   for (int i = 0; i < n; ++i) {
     if (usage.node_saturated(i) || inputs.node_is_inactive(i)) continue;
     // Only a backlogged session can make a differential positive: with
     // q(i,s) = 0 it is -q(j,s) - beta*h <= 0 (docs/ALGORITHM.md "Why the
     // fill-in scan visits only backlogged sessions").
     live.clear();
-    for (int s = 0; s < model.num_sessions(); ++s)
-      if (model.session(s).destination != i && state.q(i, s) > 0.0)  // (17)
-        live.push_back(s);
+    double max_live_q = 0.0;
+    for (int s = 0; s < num_sessions; ++s) {
+      if (model.session(s).destination == i) continue;
+      const double q = state.q(i, s);
+      if (q > 0.0) {  // (17)
+        live.emplace_back(s, q);
+        max_live_q = std::max(max_live_q, q);
+      }
+    }
     if (live.empty()) continue;
     for_each_rx(model, i, [&](int j) {
       if (usage.node_saturated(j) || !model.link_allowed(i, j)) return;
       if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
-      // Best Psi3 differential any session could realize on (i, j).
+      // Best Psi3 differential any session could realize on (i, j). For
+      // an empty receiver q - 0.0 = q, and rounding q - bh is monotone in
+      // q, so the largest q gives the largest differential exactly
+      // (docs/ALGORITHM.md "Why the fill-in scan visits only backlogged
+      // sessions").
       const double bh = model.beta() * state.h(i, j);
       double best_diff = 0.0;
-      for (int s : live)
-        best_diff = std::max(best_diff, state.q(i, s) - state.q(j, s) - bh);
+      if (!holds[j]) {
+        best_diff = std::max(best_diff, max_live_q - bh);
+      } else {
+        for (const auto& [s, q] : live)
+          best_diff = std::max(best_diff, q - state.q(j, s) - bh);
+      }
       if (best_diff <= 0.0) return;
       // A delivery link ends at some session's destination: exempt from
       // the energy penalty, since (18) makes delivery an obligation rather
@@ -198,21 +222,56 @@ std::vector<CandidateLinkBand> fill_in_candidates(
   return out;
 }
 
+// The greedy's strict total order: weight descending, then tx, rx, band
+// ascending. As a heap comparator it reads "a surfaces after b".
+bool surfaces_after(const CandidateLinkBand& a, const CandidateLinkBand& b) {
+  if (a.weight != b.weight) return a.weight < b.weight;
+  if (a.tx != b.tx) return a.tx > b.tx;
+  if (a.rx != b.rx) return a.rx > b.rx;
+  return a.band > b.band;
+}
+
 // Weight-sorted greedy over an explicit candidate list, taking from the
-// radio budget `usage` the schedule so far has left.
+// radio budget `usage` the schedule so far has left: it takes every
+// candidate, in the order above, that the budget still admits. Instead of
+// sorting the whole list it makes each maximal run of equal tx a heap and
+// merges the run heads, so a run whose tx saturates is dropped whole
+// (docs/ALGORITHM.md "Why the lazy greedy picks the same links").
 void greedy_fill(std::vector<CandidateLinkBand> cands, RadioUsage& usage,
                  std::vector<ScheduledLink>& schedule) {
-  std::sort(cands.begin(), cands.end(),
-            [](const CandidateLinkBand& a, const CandidateLinkBand& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              if (a.tx != b.tx) return a.tx < b.tx;
-              if (a.rx != b.rx) return a.rx < b.rx;
-              return a.band < b.band;
-            });
-  for (const auto& c : cands) {
-    if (!usage.can_take(c.tx, c.rx, c.band)) continue;
-    usage.take(c.tx, c.rx, c.band);
-    schedule.push_back(to_link(c));
+  struct Run {
+    std::size_t begin, end;  // a heap of cands[begin, end); head at begin
+  };
+  std::vector<Run> runs;
+  for (std::size_t b = 0, e = 0; b < cands.size(); b = e) {
+    while (e < cands.size() && cands[e].tx == cands[b].tx) ++e;
+    std::make_heap(cands.begin() + b, cands.begin() + e, surfaces_after);
+    runs.push_back(Run{b, e});
+  }
+  const auto run_after = [&](const Run& x, const Run& y) {
+    return surfaces_after(cands[x.begin], cands[y.begin]);
+  };
+  std::make_heap(runs.begin(), runs.end(), run_after);
+  while (!runs.empty()) {
+    std::pop_heap(runs.begin(), runs.end(), run_after);
+    Run& run = runs.back();
+    const CandidateLinkBand& c = cands[run.begin];
+    // RadioUsage only grows: a saturated tx refuses the rest of its run,
+    // and a head refused now would be refused at its turn in the sort.
+    if (usage.node_saturated(c.tx)) {
+      runs.pop_back();
+      continue;
+    }
+    if (usage.can_take(c.tx, c.rx, c.band)) {
+      usage.take(c.tx, c.rx, c.band);
+      schedule.push_back(to_link(c));
+    }
+    std::pop_heap(cands.begin() + run.begin, cands.begin() + run.end,
+                  surfaces_after);
+    if (--run.end == run.begin)
+      runs.pop_back();
+    else
+      std::push_heap(runs.begin(), runs.end(), run_after);
   }
 }
 
@@ -223,9 +282,10 @@ void fill_in_pass(const NetworkState& state, const SlotInputs& inputs,
                   std::vector<ScheduledLink>& schedule) {
   obs::Span span("s1.fill_in", state.slot());
   const std::size_t before = schedule.size();
-  greedy_fill(
-      fill_in_candidates(state, inputs, usage, marginal_energy_price), usage,
-      schedule);
+  std::vector<CandidateLinkBand> cands =
+      fill_in_candidates(state, inputs, usage, marginal_energy_price);
+  span.set_dim(static_cast<std::int64_t>(cands.size()));
+  greedy_fill(std::move(cands), usage, schedule);
   sched_metrics().fill_in.add(static_cast<double>(schedule.size() - before));
 }
 
@@ -239,9 +299,11 @@ std::vector<CandidateLinkBand> build_candidates(const NetworkState& state,
   const double pkts_per_bps = model.slot_seconds() / model.packet_bits();
   const std::vector<BandCapacity> bands = band_capacities(model, inputs);
   std::vector<CandidateLinkBand> out;
+  std::int64_t pairs = 0;  // the span's work count: in-range pairs visited
   for (int i = 0; i < n; ++i) {
     if (inputs.node_is_inactive(i)) continue;  // down or asleep: no radio
     for_each_rx(model, i, [&](int j) {
+      ++pairs;
       if (!model.link_allowed(i, j)) return;
       if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
       const double h = state.h(i, j);
@@ -259,6 +321,7 @@ std::vector<CandidateLinkBand> build_candidates(const NetworkState& state,
       }
     });
   }
+  span.set_dim(pairs);
   return out;
 }
 
@@ -271,7 +334,22 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
   return fill_in_candidates(state, inputs, usage, marginal_energy_price);
 }
 
+void greedy_select(const NetworkModel& model,
+                   std::vector<CandidateLinkBand> cands,
+                   std::vector<ScheduledLink>& schedule) {
+  RadioUsage usage(model);
+  for (const auto& s : schedule) usage.take(s.tx, s.rx, s.band);
+  greedy_fill(std::move(cands), usage, schedule);
+}
+
 namespace {
+
+// LP row index per node and per (node, band), -1 where the pass being
+// built has no row yet. Sized once per sf_schedule call; each pass resets
+// only the entries its candidates touched.
+struct RowIndex {
+  std::vector<int> node_row, band_row;
+};
 
 // One SF relax-round-compact series over `cands`: appends the links it
 // fixes to `schedule`, consuming `usage`. Every pass solves cold through
@@ -279,32 +357,33 @@ namespace {
 void sf_series(const NetworkState& state,
                std::vector<CandidateLinkBand> cands, RadioUsage& usage,
                const lp::Options& lp_options, lp::Workspace& ws,
-               std::vector<ScheduledLink>& schedule) {
+               RowIndex& rows, std::vector<ScheduledLink>& schedule) {
   const auto& model = state.model();
+  const auto band_index = [&](int node, int band) {
+    return static_cast<std::size_t>(node) * model.num_bands() + band;
+  };
   while (!cands.empty()) {
     sched_metrics().lp_passes.add();
     // LP relaxation: maximize sum w_c alpha_c s.t. the remaining radio
     // budget per node and one activity per (node, band).
     lp::Model m;
     for (const auto& c : cands) m.add_variable(0.0, 1.0, -c.weight);
-    std::vector<int> node_row(static_cast<std::size_t>(model.num_nodes()),
-                              -1);
-    std::vector<int> band_row(
-        static_cast<std::size_t>(model.num_nodes()) * model.num_bands(), -1);
     for (std::size_t v = 0; v < cands.size(); ++v) {
       for (int node : {cands[v].tx, cands[v].rx}) {
-        if (node_row[node] < 0)
-          node_row[node] =
-              m.add_row(lp::Sense::LessEqual, usage.spare(node));
-        m.set_coeff(node_row[node], static_cast<int>(v), 1.0);
-        const std::size_t bi =
-            static_cast<std::size_t>(node) * model.num_bands() +
-            cands[v].band;
-        if (band_row[bi] < 0)
-          band_row[bi] = m.add_row(lp::Sense::LessEqual, 1.0);
-        m.set_coeff(band_row[bi], static_cast<int>(v), 1.0);
+        int& node_row = rows.node_row[node];
+        if (node_row < 0)
+          node_row = m.add_row(lp::Sense::LessEqual, usage.spare(node));
+        m.set_coeff(node_row, static_cast<int>(v), 1.0);
+        int& band_row = rows.band_row[band_index(node, cands[v].band)];
+        if (band_row < 0) band_row = m.add_row(lp::Sense::LessEqual, 1.0);
+        m.set_coeff(band_row, static_cast<int>(v), 1.0);
       }
     }
+    for (const auto& c : cands)
+      for (int node : {c.tx, c.rx}) {
+        rows.node_row[node] = -1;
+        rows.band_row[band_index(node, c.band)] = -1;
+      }
     const lp::Solution sol = lp::solve(m, lp_options, ws);
     GC_CHECK_MSG(sol.status == lp::Status::Optimal,
                  "SF relaxation not optimal at slot "
@@ -389,12 +468,16 @@ std::vector<ScheduledLink> sf_schedule(
   // reads and writes only its own nodes' entries and sees exactly the
   // budget the joint series would.
   RadioUsage usage(model);
+  RowIndex rows{std::vector<int>(static_cast<std::size_t>(n), -1),
+                std::vector<int>(static_cast<std::size_t>(n) *
+                                     model.num_bands(),
+                                 -1)};
   std::vector<ScheduledLink> schedule;
   for (auto& cc : cluster_cands) {
     lp::Workspace ws;
     ws.set_stats_context("s1");
     ws.set_stats_sink(stats_sink);
-    sf_series(state, std::move(cc), usage, lp_options, ws, schedule);
+    sf_series(state, std::move(cc), usage, lp_options, ws, rows, schedule);
   }
   sf_span.stop();
   sched_metrics().primary.add(static_cast<double>(schedule.size()));

@@ -72,6 +72,16 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
     const std::vector<ScheduledLink>& already_scheduled,
     double marginal_energy_price = 0.0);
 
+// The greedy that greedy_schedule's primary pass and every fill-in pass
+// run: appends to `schedule` each candidate, in order of weight descending
+// and then tx, rx, band ascending, that the radio budget (eqs. (20)-(22))
+// left by `schedule` and by the candidates taken before it still admits.
+// This is the sort-then-scan greedy, without the sort (docs/ALGORITHM.md
+// "Why the lazy greedy picks the same links").
+void greedy_select(const NetworkModel& model,
+                   std::vector<CandidateLinkBand> cands,
+                   std::vector<ScheduledLink>& schedule);
+
 // The scheduling returned by these functions has power_w / capacity_packets
 // unset; call assign_powers afterwards.
 // fill_in enables the Psi3-aware second pass (required for the system to

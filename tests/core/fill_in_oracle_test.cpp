@@ -1,8 +1,11 @@
-// Exact-oracle test for the Psi3 fill-in scan. build_fill_in_candidates
-// visits only the sessions a transmitter holds packets for; the oracle
-// below is the all-sessions scan it replaced, kept here as the reference.
-// On seeded random small instances the two must return the same candidate
-// list, element for element, with == on the doubles.
+// Exact-oracle tests for the Psi3 fill-in pass. build_fill_in_candidates
+// visits only the sessions a transmitter holds packets for, and scores a
+// receiver that holds nothing without a per-session loop; the first oracle
+// below is the all-sessions scan it replaced. greedy_select takes
+// candidates through per-transmitter heaps instead of a sort; the second
+// oracle is the sort-then-scan greedy it replaced. On seeded random small
+// instances each pair must agree element for element, with == on the
+// doubles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,12 +63,22 @@ double penalty(const NetworkModel& model, int tx, int rx, double bw,
   return price * energy_j;
 }
 
+// Receivers the scan scores, by the branch build_fill_in_candidates takes
+// for them: one that holds no packet at all, or the per-session loop. The
+// per-session ones whose backlog sits only in sessions the transmitter
+// lacks are counted once more in `disjoint`.
+struct ScoredReceivers {
+  int empty = 0, per_session = 0, disjoint = 0;
+};
+
 // The all-sessions scan: every session on every in-range pair.
 std::vector<CandidateLinkBand> all_sessions_scan(
     const NetworkState& state, const SlotInputs& inputs,
-    const std::vector<ScheduledLink>& already_scheduled, double price) {
+    const std::vector<ScheduledLink>& already_scheduled, double price,
+    ScoredReceivers* scored = nullptr) {
   const auto& model = state.model();
   const int n = model.num_nodes();
+  const int num_sessions = model.num_sessions();
   Usage usage(model, already_scheduled);
   const net::LinkPruneMap* prune = model.pruned_links();
   std::vector<CandidateLinkBand> out;
@@ -74,6 +87,19 @@ std::vector<CandidateLinkBand> all_sessions_scan(
     const auto scan_rx = [&](int j) {
       if (usage.saturated(j) || !model.link_allowed(i, j)) return;
       if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
+      if (scored != nullptr) {
+        bool tx_live = false, rx_holds = false, shared = false;
+        for (int s = 0; s < num_sessions; ++s) {
+          const bool at_i = state.q(i, s) > 0.0, at_j = state.q(j, s) > 0.0;
+          tx_live = tx_live || at_i;
+          rx_holds = rx_holds || at_j;
+          shared = shared || (at_i && at_j);
+        }
+        if (tx_live) {
+          ++(rx_holds ? scored->per_session : scored->empty);
+          scored->disjoint += rx_holds && !shared;
+        }
+      }
       double best_diff = 0.0;
       bool delivery_link = false;
       for (int s = 0; s < model.num_sessions(); ++s) {
@@ -112,12 +138,18 @@ std::vector<CandidateLinkBand> all_sessions_scan(
 TEST(Scheduler, FillInMatchesAllSessionsScan) {
   int instances_with_candidates = 0, pruned = 0, priced_out = 0,
       exempt_deliveries = 0;
-  for (std::uint64_t k = 0; k < 64; ++k) {
+  ScoredReceivers scored;
+  for (std::uint64_t k = 0; k < 80; ++k) {
+    // From instance 64 on, each node is backlogged only in the sessions of
+    // its own index parity, so many receivers hold packets only in
+    // sessions their transmitter lacks.
+    const bool parity_backlog = k >= 64;
     Rng rng(9000 + k);
     sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
     cfg.seed = 100 + k;
     cfg.num_users = 3 + static_cast<int>(k % 6);
-    cfg.num_sessions = 1 + static_cast<int>(k % 4);
+    cfg.num_sessions = parity_backlog ? 2 + static_cast<int>(k % 3)
+                                      : 1 + static_cast<int>(k % 4);
     cfg.area_m = k % 3 == 0 ? 2000.0 : 800.0;
     cfg.bs_radios = 1 + static_cast<int>(k % 2);
     cfg.link_prune = k % 2 == 1;
@@ -130,7 +162,7 @@ TEST(Scheduler, FillInMatchesAllSessionsScan) {
     NetworkState state(model, 2.0);
     for (int i = 0; i < n; ++i)
       for (int s = 0; s < model.num_sessions(); ++s)
-        if (rng.uniform(0.0, 1.0) < 0.5)
+        if (parity_backlog ? (i + s) % 2 == 0 : rng.uniform(0.0, 1.0) < 0.5)
           state.set_q(i, s, std::floor(rng.uniform(1.0, 200.0)));
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j)
@@ -178,7 +210,7 @@ TEST(Scheduler, FillInMatchesAllSessionsScan) {
     const double price =
         k % 3 == 2 ? 0.0 : std::pow(10.0, rng.uniform(-1.0, 3.0));
 
-    const auto want = all_sessions_scan(state, in, pre, price);
+    const auto want = all_sessions_scan(state, in, pre, price, &scored);
     const auto got = build_fill_in_candidates(state, in, pre, price);
     ASSERT_EQ(got.size(), want.size()) << "instance " << k;
     for (std::size_t c = 0; c < got.size(); ++c) {
@@ -205,6 +237,129 @@ TEST(Scheduler, FillInMatchesAllSessionsScan) {
   EXPECT_GE(pruned, 20);
   EXPECT_GE(priced_out, 5);
   EXPECT_GE(exempt_deliveries, 5);
+  // Both branches of the receiver scoring run, and the per-session one
+  // also on receivers whose backlog no transmitter session shares.
+  EXPECT_GE(scored.empty, 100);
+  EXPECT_GE(scored.per_session, 300);
+  EXPECT_GE(scored.disjoint, 100);
+}
+
+// The sort-then-scan greedy: every candidate sorted by weight descending,
+// then tx, rx, band ascending, each taken if the radio budget admits it.
+std::vector<ScheduledLink> sort_then_scan(
+    const NetworkModel& model, std::vector<CandidateLinkBand> cands,
+    std::vector<ScheduledLink> schedule) {
+  Usage usage(model, schedule);
+  std::sort(cands.begin(), cands.end(),
+            [](const CandidateLinkBand& a, const CandidateLinkBand& b) {
+              if (a.weight != b.weight) return a.weight > b.weight;
+              if (a.tx != b.tx) return a.tx < b.tx;
+              if (a.rx != b.rx) return a.rx < b.rx;
+              return a.band < b.band;
+            });
+  for (const auto& c : cands) {
+    if (!usage.can_take(c.tx, c.rx, c.band)) continue;
+    usage.take(c.tx, c.rx, c.band);
+    schedule.push_back(ScheduledLink{c.tx, c.rx, c.band, 0.0, c.capacity_bps});
+  }
+  return schedule;
+}
+
+TEST(Scheduler, GreedyFillMatchesFullSort) {
+  int split_tx = 0, tied_picks = 0;
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    Rng rng(7000 + k);
+    sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
+    cfg.seed = 300 + k;
+    cfg.num_users = 2 + static_cast<int>(k % 7);
+    cfg.bs_radios = 1 + static_cast<int>(k % 3);
+    cfg.user_radios = 1 + static_cast<int>(k / 3 % 2);
+    const NetworkModel model = cfg.build();
+    const int n = model.num_nodes();
+    const int bands = model.num_bands();
+    const auto pick = [&](int count) {
+      return static_cast<int>(rng.uniform(0.0, count - 1e-9));
+    };
+
+    // Distinct (tx, rx, band) triples, as the builders emit, with weights
+    // from four values, so most candidates tie exactly with others.
+    std::vector<char> seen(static_cast<std::size_t>(n) * n * bands, 0);
+    std::vector<CandidateLinkBand> cands;
+    const int wanted = 1 + pick(4 * n);
+    for (int t = 0; t < 8 * n && static_cast<int>(cands.size()) < wanted;
+         ++t) {
+      const int tx = pick(n), rx = pick(n), m = pick(bands);
+      char& used = seen[(static_cast<std::size_t>(tx) * n + rx) * bands + m];
+      if (tx == rx || used) continue;
+      used = 1;
+      cands.push_back(CandidateLinkBand{tx, rx, m, rng.uniform(1e6, 2e6),
+                                        1.0 + pick(4)});
+    }
+    // Builder order (tx, rx, band ascending: one run per tx), or that
+    // order with a random tail shuffled in, which splits a tx across runs.
+    std::sort(cands.begin(), cands.end(),
+              [](const CandidateLinkBand& a, const CandidateLinkBand& b) {
+                if (a.tx != b.tx) return a.tx < b.tx;
+                if (a.rx != b.rx) return a.rx < b.rx;
+                return a.band < b.band;
+              });
+    if (k % 2 == 1)
+      for (std::size_t v = cands.size(); v > cands.size() / 3 + 1; --v)
+        std::swap(cands[v - 1], cands[static_cast<std::size_t>(
+                                    pick(static_cast<int>(v)))]);
+    std::vector<int> last_run(static_cast<std::size_t>(n), -1);
+    bool split = false;
+    for (std::size_t v = 0; v < cands.size(); ++v) {
+      const int tx = cands[v].tx;
+      split = split || (last_run[tx] >= 0 &&
+                        static_cast<std::size_t>(last_run[tx]) + 1 != v);
+      last_run[tx] = static_cast<int>(v);
+    }
+    split_tx += split;
+
+    // A partial schedule the greedy must respect, as the fill-in respects
+    // what SF took.
+    std::vector<ScheduledLink> pre;
+    {
+      Usage usage(model, {});
+      for (int t = static_cast<int>(k % 4); t > 0; --t) {
+        const int tx = pick(n), rx = pick(n), m = pick(bands);
+        if (tx == rx || !usage.can_take(tx, rx, m)) continue;
+        usage.take(tx, rx, m);
+        pre.push_back(ScheduledLink{tx, rx, m, 0.0, 1e6});
+      }
+    }
+
+    const auto want = sort_then_scan(model, cands, pre);
+    std::vector<ScheduledLink> got = pre;
+    greedy_select(model, cands, got);
+    ASSERT_EQ(got.size(), want.size()) << "instance " << k;
+    for (std::size_t l = 0; l < got.size(); ++l) {
+      EXPECT_EQ(got[l].tx, want[l].tx) << "instance " << k << " #" << l;
+      EXPECT_EQ(got[l].rx, want[l].rx) << "instance " << k << " #" << l;
+      EXPECT_EQ(got[l].band, want[l].band) << "instance " << k << " #" << l;
+      EXPECT_EQ(got[l].capacity_bps, want[l].capacity_bps)
+          << "instance " << k << " #" << l;
+    }
+    // Picks that won over a candidate of equal weight and tx on the rx
+    // tie-break alone.
+    for (std::size_t l = pre.size(); l < want.size(); ++l) {
+      const auto is_pick = [&](const CandidateLinkBand& c) {
+        return c.tx == want[l].tx && c.rx == want[l].rx &&
+               c.band == want[l].band;
+      };
+      const double w =
+          std::find_if(cands.begin(), cands.end(), is_pick)->weight;
+      tied_picks += std::any_of(
+          cands.begin(), cands.end(), [&](const CandidateLinkBand& c) {
+            return c.tx == want[l].tx && c.weight == w && c.rx != want[l].rx;
+          });
+    }
+  }
+  // The instances exercise what the heaps must get right: a tx split
+  // across runs, and ties that only the rx order breaks.
+  EXPECT_GE(split_tx, 50);
+  EXPECT_GE(tied_picks, 100);
 }
 
 }  // namespace

@@ -173,6 +173,108 @@ TEST(Checkpoint, SaveLoadRoundTripsBitExactly) {
   std::remove(path.c_str());
 }
 
+// Every field of a slot decision, doubles as their bit patterns, in one
+// list that compares with ==.
+std::vector<std::uint64_t> decision_bits(const core::SlotDecision& d) {
+  std::vector<std::uint64_t> out;
+  const auto put = [&](double x) { out.push_back(bits(x)); };
+  put(d.schedule.size());
+  for (const auto& l : d.schedule) {
+    put(l.tx);
+    put(l.rx);
+    put(l.band);
+    put(l.power_w);
+    put(l.capacity_bps);
+    put(l.capacity_packets);
+  }
+  put(d.routes.size());
+  for (const auto& r : d.routes) {
+    put(r.tx);
+    put(r.rx);
+    put(r.session);
+    put(r.packets);
+  }
+  for (const auto& a : d.admissions) {
+    put(a.source_bs);
+    put(a.packets);
+  }
+  for (const auto& e : d.energy)
+    for (double x : {e.demand_j, e.serve_renewable_j, e.serve_grid_j,
+                     e.discharge_j, e.charge_renewable_j, e.charge_grid_j,
+                     e.curtailed_j, e.unserved_j})
+      put(x);
+  for (const auto& e : d.energy) put(e.connected);
+  for (double x : d.demand_shortfall) put(x);
+  for (double x : {d.grid_total_j, d.cost, d.unserved_energy_j}) put(x);
+  put(d.fallbacks);
+  return out;
+}
+
+// Energy-aware scheduling prices relay fill-in candidates at V f'(P(t-1)),
+// so a resumed controller needs P(t-1) back from the checkpoint. No CLI
+// run sets the option, so only this test sees that restore. The tariff
+// has no linear term: f'(0) = 0, so a controller that lost P(t-1) would
+// schedule its first resumed slot unpriced. On this instance that moves
+// the schedule when resuming at slot 1.
+TEST(Checkpoint, EnergyAwareResumeMatchesUninterruptedRun) {
+  ScenarioConfig cfg = ScenarioConfig::tiny();
+  cfg.cost_b = 0.0;
+  core::ControllerOptions opts = cfg.controller_options();
+  opts.energy_aware_scheduling = true;
+  const auto model = cfg.build();
+  const double V = 3.0;
+  const int horizon = 60;
+  const auto run = [&](core::LyapunovController& ctrl, Rng& rng, int from,
+                       std::vector<core::SlotDecision>& out) {
+    for (int t = from; t < horizon; ++t)
+      out.push_back(ctrl.step(model.sample_inputs(t, rng)));
+  };
+  const auto write_final = [&](const core::LyapunovController& ctrl,
+                               const Rng& rng, const char* name) {
+    const std::string path = tmp_path(name);
+    save_checkpoint(
+        make_checkpoint(horizon, rng, ctrl, Metrics{}, nullptr, nullptr),
+        path);
+    const std::string bytes = read_bytes(path);
+    std::remove(path.c_str());
+    return bytes;
+  };
+
+  core::LyapunovController ref(model, V, opts);
+  Rng ref_rng(11);
+  std::vector<core::SlotDecision> want;
+  run(ref, ref_rng, 0, want);
+  const std::string want_final = write_final(ref, ref_rng, "aware_ref.ckpt");
+
+  for (int cut : {1, 2, 30}) {
+    std::vector<core::SlotDecision> got;
+    const std::string path = tmp_path("aware_cut.ckpt");
+    {
+      core::LyapunovController first(model, V, opts);
+      Rng rng(11);
+      for (int t = 0; t < cut; ++t)
+        got.push_back(first.step(model.sample_inputs(t, rng)));
+      save_checkpoint(
+          make_checkpoint(cut, rng, first, Metrics{}, nullptr, nullptr),
+          path);
+    }
+    core::LyapunovController resumed(model, V, opts);
+    Rng rng(0);
+    Metrics metrics;
+    restore_checkpoint(load_checkpoint(path), rng, resumed, metrics, nullptr,
+                       nullptr);
+    std::remove(path.c_str());
+    run(resumed, rng, cut, got);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (int t = cut; t < horizon; ++t)
+      ASSERT_EQ(decision_bits(got[t]), decision_bits(want[t]))
+          << "cut " << cut << ", slot " << t;
+    EXPECT_EQ(write_final(resumed, rng, "aware_resumed.ckpt"), want_final)
+        << "cut " << cut;
+  }
+}
+
 TEST(Checkpoint, KillAndResumeStaticRunIsBitIdentical) {
   const auto cfg = ScenarioConfig::tiny();
   const int horizon = 100, kill_at = 40;
