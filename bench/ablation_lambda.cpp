@@ -18,19 +18,18 @@ int main() {
                 {"lambda", "avg_cost", "delivered_packets", "admitted_packets",
                  "final_backlog_packets"});
 
-  // One independent run per lambda — fanned out through the sweep engine.
+  // One independent run per lambda.
   const std::vector<double> lambdas = {1.0,  2.0,  5.0, 10.0,
                                        20.0, 40.0, 80.0};
-  std::vector<sim::SimJob> jobs;
+  std::vector<sim::Metrics> runs;
   for (double lambda : lambdas) {
     sim::SimJob job;
     job.scenario = sim::ScenarioConfig::paper();
     job.scenario.lambda = lambda;
     job.V = V;
     job.slots = slots;
-    jobs.push_back(job);
+    runs.push_back(sim::run_job(job));
   }
-  const std::vector<sim::Metrics> runs = run_sweep(jobs);
 
   for (std::size_t i = 0; i < lambdas.size(); ++i) {
     const double lambda = lambdas[i];

@@ -27,44 +27,31 @@ int main() {
       Sweep{1, 1}, Sweep{2, 1}, Sweep{3, 1}, Sweep{2, 2}, Sweep{3, 2}};
 
   // This bench counts scheduled links per slot, which Metrics does not
-  // carry — each point runs its own controller loop, fanned out through the
-  // sweep engine's generic map (every point is still fully independent).
-  struct Point {
-    double delivered = 0.0, links = 0.0, avg_cost = 0.0;
-  };
-  const std::vector<Point> points =
-      make_sweep_runner().map<Point>(
-          static_cast<int>(sweeps.size()), [&](int i) {
-            auto cfg = sim::ScenarioConfig::paper();
-            cfg.bs_radios = sweeps[i].bs;
-            cfg.user_radios = sweeps[i].user;
-            cfg.session_rate_bps = 400e3;  // saturate single-radio schedule
-            const auto model = cfg.build();
-            core::LyapunovController controller(model, V,
-                                                cfg.controller_options());
-            Rng rng(7);
-            Point p;
-            TimeAverage cost;
-            for (int t = 0; t < slots; ++t) {
-              const auto d = controller.step(model.sample_inputs(t, rng));
-              p.links += static_cast<double>(d.schedule.size());
-              for (const auto& r : d.routes)
-                if (r.rx == model.session(r.session).destination)
-                  p.delivered += r.packets;
-              cost.add(d.cost);
-            }
-            p.avg_cost = cost.average();
-            return p;
-          });
-
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const Sweep& sw = sweeps[i];
-    const Point& p = points[i];
-    print_row({num(sw.bs), num(sw.user), num(p.delivered),
-               num(p.links / slots), num(p.avg_cost),
-               num(p.avg_cost / std::max(p.delivered / slots, 1e-9))}, 16);
+  // carry, so each point runs its own controller loop.
+  for (const Sweep& sw : sweeps) {
+    auto cfg = sim::ScenarioConfig::paper();
+    cfg.bs_radios = sw.bs;
+    cfg.user_radios = sw.user;
+    cfg.session_rate_bps = 400e3;  // saturate single-radio schedule
+    const auto model = cfg.build();
+    core::LyapunovController controller(model, V, cfg.controller_options());
+    Rng rng(7);
+    double delivered = 0.0, links = 0.0;
+    TimeAverage cost;
+    for (int t = 0; t < slots; ++t) {
+      const auto d = controller.step(model.sample_inputs(t, rng));
+      links += static_cast<double>(d.schedule.size());
+      for (const auto& r : d.routes)
+        if (r.rx == model.session(r.session).destination)
+          delivered += r.packets;
+      cost.add(d.cost);
+    }
+    const double avg_cost = cost.average();
+    print_row({num(sw.bs), num(sw.user), num(delivered), num(links / slots),
+               num(avg_cost),
+               num(avg_cost / std::max(delivered / slots, 1e-9))}, 16);
     csv.row({static_cast<double>(sw.bs), static_cast<double>(sw.user),
-             p.delivered, p.links / slots, p.avg_cost});
+             delivered, links / slots, avg_cost});
   }
   std::printf("\nCSV written to ablation_radios.csv\n");
   return 0;

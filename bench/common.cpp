@@ -24,20 +24,6 @@ int horizon(int fast) {
   return full_repro() ? 100 : fast;
 }
 
-int bench_threads() {
-  return env_int("GC_THREADS", 0, 0, flags::kMaxThreads);
-}
-
-sim::SweepRunner make_sweep_runner() {
-  sim::SweepOptions opt;
-  opt.threads = bench_threads();
-  return sim::SweepRunner(opt);
-}
-
-std::vector<sim::Metrics> run_sweep(const std::vector<sim::SimJob>& jobs) {
-  return make_sweep_runner().run(jobs);
-}
-
 void print_title(const std::string& title, const std::string& subtitle) {
   std::printf("\n== %s ==\n", title.c_str());
   if (!subtitle.empty()) std::printf("%s\n", subtitle.c_str());
@@ -50,12 +36,5 @@ void print_row(const std::vector<std::string>& cells, int width) {
 }
 
 std::string num(double v) { return format_number(v); }
-
-sim::Metrics run_controller(const sim::ScenarioConfig& cfg, double V,
-                            int slots) {
-  const auto model = cfg.build();
-  core::LyapunovController controller(model, V, cfg.controller_options());
-  return sim::run_simulation(model, controller, slots);
-}
 
 }  // namespace gc::bench

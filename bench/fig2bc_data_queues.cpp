@@ -15,16 +15,15 @@ int main() {
   const auto cfg = sim::ScenarioConfig::paper();
   const std::vector<double> vs = {1.0, 2.0, 3.0, 4.0, 5.0};
 
-  // One independent run per V, fanned out through the sweep engine.
-  std::vector<sim::SimJob> jobs;
+  // One independent run per V.
+  std::vector<sim::Metrics> runs;
   for (double v : vs) {
     sim::SimJob job;
     job.scenario = cfg;
     job.V = v;
     job.slots = slots;
-    jobs.push_back(job);
+    runs.push_back(sim::run_job(job));
   }
-  const std::vector<sim::Metrics> runs = run_sweep(jobs);
 
   for (const bool users : {false, true}) {
     print_title(users ? "Fig. 2(c) — total user data-queue backlog (packets)"

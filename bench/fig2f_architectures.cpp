@@ -50,9 +50,9 @@ void run_table(const char* title, double session_rate_bps, int num_sessions,
   head.push_back("delivered");
   print_row(head, 32);
 
-  // One job per (architecture, V), flattened into a single sweep:
-  // jobs[a * vs.size() + i] is architecture a at V = vs[i].
-  std::vector<sim::SimJob> jobs;
+  // One run per (architecture, V), flattened:
+  // runs[a * vs.size() + i] is architecture a at V = vs[i].
+  std::vector<sim::Metrics> runs;
   for (const auto& arch : kArchs) {
     for (double v : vs) {
       sim::SimJob job;
@@ -63,10 +63,9 @@ void run_table(const char* title, double session_rate_bps, int num_sessions,
       job.scenario.num_sessions = num_sessions;
       job.V = v;
       job.slots = slots;
-      jobs.push_back(job);
+      runs.push_back(sim::run_job(job));
     }
   }
-  const std::vector<sim::Metrics> runs = run_sweep(jobs);
 
   for (std::size_t a = 0; a < kArchs.size(); ++a) {
     const Arch& arch = kArchs[a];

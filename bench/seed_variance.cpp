@@ -3,10 +3,6 @@
 // the paper scenario under several seeds and reports mean / min / max of
 // the key metrics, plus how often the Fig. 2(f) architecture ordering
 // holds.
-//
-// The (seed, architecture) runs are independent, so they fan out through
-// the parallel sweep engine (GC_THREADS pins the worker count); per-seed
-// results are bit-identical to a serial run.
 #include "common.hpp"
 
 using namespace gc;
@@ -41,16 +37,15 @@ int main() {
               std::to_string(seeds) + " independent topologies+paths, T = " +
                   std::to_string(slots) + ", V = 3");
 
-  // Three architectures per seed, flattened into one sweep:
-  // jobs[3k] = ours, jobs[3k+1] = no renewables, jobs[3k+2] = one-hop.
-  std::vector<sim::SimJob> jobs;
+  // Three architectures per seed, flattened:
+  // runs[3k] = ours, runs[3k+1] = no renewables, runs[3k+2] = one-hop.
+  std::vector<sim::Metrics> runs;
   for (int k = 0; k < seeds; ++k) {
     const std::uint64_t seed = 1000 + 13 * static_cast<std::uint64_t>(k);
-    jobs.push_back(make_job(seed, true, true, slots));
-    jobs.push_back(make_job(seed, true, false, slots));
-    jobs.push_back(make_job(seed, false, true, slots));
+    runs.push_back(sim::run_job(make_job(seed, true, true, slots)));
+    runs.push_back(sim::run_job(make_job(seed, true, false, slots)));
+    runs.push_back(sim::run_job(make_job(seed, false, true, slots)));
   }
-  const std::vector<sim::Metrics> runs = run_sweep(jobs);
 
   RunningStat ours_cpp, renew_saving, multihop_cpp_gain;
   int ordering_holds = 0;

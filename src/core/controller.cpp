@@ -7,9 +7,9 @@ namespace gc::core {
 
 namespace {
 
-// Registry handles resolved once per thread (against the thread-current
-// registry — per-worker under the parallel sweep engine); step() only
-// bumps them.
+// Registry handles resolved once per thread, against the thread-current
+// registry (obs/registry.hpp); step() only bumps them and never looks a
+// name up.
 struct ControllerMetrics {
   obs::Histogram& step = obs::registry().histogram("ctrl.step_seconds");
   obs::Histogram& s1 = obs::registry().histogram("ctrl.s1_sched_seconds");

@@ -48,7 +48,7 @@ struct SimplexMetrics {
 
 SimplexMetrics& lp_metrics() {
   // thread_local: references resolve against the thread-current registry
-  // (per-worker under the parallel sweep engine; see obs/registry.hpp).
+  // (see obs/registry.hpp).
   static thread_local SimplexMetrics m;
   return m;
 }

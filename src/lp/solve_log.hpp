@@ -8,9 +8,9 @@
 //   {"ctx":"s1","rows":24,"cols":112,"nonzeros":448,"phase1_iters":31,...}
 //
 // Writes are serialized by an internal mutex, so one log may back several
-// workspaces (the controller's s1/s3/s4 trio) or several sweep workers at
-// once; line order across threads is then wall-clock interleaving, which is
-// why every line carries its context. Purely observational: attaching a log
+// workspaces (the controller's s1/s3/s4 trio) or several threads at once;
+// line order across threads is then wall-clock interleaving, which is why
+// every line carries its context. Purely observational: attaching a log
 // never changes solver results.
 #pragma once
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "obs/json.hpp"
 #include "util/check.hpp"
@@ -41,47 +40,6 @@ void finalize_self(ProfileNode* n) {
 }
 
 }  // namespace
-
-void ProfileNode::merge_from(const ProfileNode& other) {
-  count += other.count;
-  total_s += other.total_s;
-  self_s += other.self_s;
-  if (other.dim_count > 0) {
-    if (dim_count == 0) {
-      dim_min = other.dim_min;
-      dim_max = other.dim_max;
-    } else {
-      dim_min = std::min(dim_min, other.dim_min);
-      dim_max = std::max(dim_max, other.dim_max);
-    }
-    dim_count += other.dim_count;
-    dim_sum += other.dim_sum;
-  }
-  for (const auto& [name, child] : other.children) {
-    ProfileNode& mine = children[name];
-    if (mine.name.empty()) mine.name = name;
-    mine.merge_from(child);
-  }
-}
-
-void Profile::merge_from(const Profile& other) {
-  root.merge_from(other.root);
-  orphans += other.orphans;
-  if (meta.scenario.empty()) meta.scenario = other.meta.scenario;
-  if (meta.nodes == 0) meta.nodes = other.meta.nodes;
-  if (meta.links == 0) meta.links = other.meta.links;
-  if (meta.links_pruned == 0) meta.links_pruned = other.meta.links_pruned;
-  if (meta.sessions == 0) meta.sessions = other.meta.sessions;
-  meta.slots += other.meta.slots;
-  meta.wall_s += other.meta.wall_s;
-  meta.slots_per_s =
-      meta.wall_s > 0.0 ? static_cast<double>(meta.slots) / meta.wall_s : 0.0;
-  meta.spans_dropped += other.meta.spans_dropped;
-  if (meta.policy.empty()) meta.policy = other.meta.policy;
-  meta.policy_switches += other.meta.policy_switches;
-  meta.policy_switch_energy_j += other.meta.policy_switch_energy_j;
-  meta.policy_sleep_slots += other.meta.policy_sleep_slots;
-}
 
 Profile build_profile(const std::vector<SpanEvent>& spans) {
   Profile p;
@@ -135,51 +93,6 @@ Profile build_profile(const std::vector<SpanEvent>& spans) {
   finalize_self(&p.root);
   p.root.self_s = 0.0;  // the root is synthetic; all its time is children's
   return p;
-}
-
-std::map<std::int64_t, std::vector<SpanEvent>> partition_spans_by_job(
-    const std::vector<SpanEvent>& spans) {
-  // Job intervals per lane. Workers run jobs serially, so intervals on one
-  // lane never overlap and binary search by start time resolves membership.
-  struct JobInterval {
-    double start_s, end_s;
-    std::int64_t job;
-  };
-  std::map<std::uint32_t, std::vector<JobInterval>> jobs_by_lane;
-  for (const SpanEvent& e : spans)
-    if (std::strcmp(e.name, "sweep.job") == 0)
-      jobs_by_lane[e.tid].push_back(
-          {e.start_s, e.start_s + e.dur_s, e.id});
-  for (auto& [tid, v] : jobs_by_lane) {
-    (void)tid;
-    std::sort(v.begin(), v.end(),
-              [](const JobInterval& a, const JobInterval& b) {
-                return a.start_s < b.start_s;
-              });
-  }
-
-  std::map<std::int64_t, std::vector<SpanEvent>> out;
-  for (const SpanEvent& e : spans) {
-    std::int64_t job = -1;
-    auto it = jobs_by_lane.find(e.tid);
-    if (it != jobs_by_lane.end()) {
-      const std::vector<JobInterval>& v = it->second;
-      // Last interval starting at or before e (with slack for the job
-      // span's own entry, whose start equals the interval start).
-      auto up = std::upper_bound(
-          v.begin(), v.end(), e.start_s + kEps,
-          [](double t, const JobInterval& j) { return t < j.start_s; });
-      if (up != v.begin()) {
-        const JobInterval& j = *(up - 1);
-        if (e.start_s + e.dur_s <= j.end_s + kEps) job = j.job;
-      }
-    }
-    out[job].push_back(e);
-  }
-  // Drop the catch-all bucket if nothing landed outside a job.
-  auto none = out.find(-1);
-  if (none != out.end() && none->second.empty()) out.erase(none);
-  return out;
 }
 
 namespace {

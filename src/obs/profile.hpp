@@ -10,8 +10,7 @@
 // links, ...), so slots/s cliffs correlate with dimensions.
 //
 // Everything here is deterministic given the span stream: children are kept
-// sorted by name, merges are order-independent sums, and the exporters
-// format with fixed precision — two runs that recorded identical spans
+// sorted by name and the exporters format with fixed precision — two runs that recorded identical spans
 // produce byte-identical artifacts.
 //
 // Exports:
@@ -43,10 +42,6 @@ struct ProfileNode {
   std::int64_t dim_min = 0;
   std::int64_t dim_max = 0;
   std::map<std::string, ProfileNode> children;  // sorted — determinism
-
-  // Folds `other` into this node (counts and times add, dim ranges widen,
-  // children merge recursively by name).
-  void merge_from(const ProfileNode& other);
 };
 
 // Run-level context stamped by the capturing tool so an artifact is
@@ -82,11 +77,6 @@ struct Profile {
   // truncated capture is visible in the artifact.
   std::int64_t orphans = 0;
 
-  // Merges another profile of the same shape (a sweep sibling): tree and
-  // orphans add; meta accumulates slots/wall and recomputes slots_per_s;
-  // descriptive fields keep this profile's values when set.
-  void merge_from(const Profile& other);
-
   std::string to_json() const;
   std::string to_collapsed() const;
 };
@@ -95,14 +85,5 @@ struct Profile {
 // order — sorted by start time — is fine; any order works). meta is left
 // default: the capturing tool stamps it.
 Profile build_profile(const std::vector<SpanEvent>& spans);
-
-// Splits a drained ring by enclosing `sweep.job` span: every span maps to
-// the job whose interval contains it on the same thread lane (the job's
-// own span included); spans outside any job land under key -1. Keys are
-// the job spans' id payloads (the sweep's job index), so per-seed profile
-// and span files come out deterministic regardless of which worker ran
-// which job.
-std::map<std::int64_t, std::vector<SpanEvent>> partition_spans_by_job(
-    const std::vector<SpanEvent>& spans);
 
 }  // namespace gc::obs

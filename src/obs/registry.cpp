@@ -68,21 +68,6 @@ void Histogram::reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
 }
 
-void Histogram::merge_from(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (buckets_.empty()) buckets_.assign(kNumBuckets, 0);
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-}
-
 namespace {
 
 template <class T>
@@ -131,14 +116,6 @@ void Registry::reset() {
   for (auto& [_, c] : counters_) c->reset();
   for (auto& [_, g] : gauges_) g->reset();
   for (auto& [_, h] : histograms_) h->reset();
-}
-
-void Registry::merge_from(const Registry& other) {
-  for (const auto& [name, c] : other.counters_)
-    counter(name).merge_from(*c);
-  for (const auto& [name, g] : other.gauges_) gauge(name).merge_from(*g);
-  for (const auto& [name, h] : other.histograms_)
-    histogram(name).merge_from(*h);
 }
 
 Registry& global_registry() {

@@ -12,12 +12,10 @@
 // registrations) for tools that want per-run numbers.
 //
 // Threading model (docs/PERFORMANCE.md): instrument updates are NOT
-// synchronized. Instead, `registry()` resolves to a thread-current registry
-// — the process-global one by default, or whatever a ThreadRegistryScope
-// installed on this thread. obs::InstrumentedPool (the replicate sweep's
-// pool) gives every worker thread its own registry
-// and folds them into the caller's with `merge_from` once the jobs are
-// done, so hot-path updates stay a few unsynchronized arithmetic ops.
+// synchronized. A run executes every slot on one thread, so `registry()` is
+// the process-global registry. It resolves through a thread-current
+// override that a ThreadRegistryScope installs; only perfbench's worker
+// pool installs one, until ROADMAP item 1 removes that pool.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +41,6 @@ class Counter {
   double total() const { return sum_; }
   std::int64_t events() const { return n_; }
   void reset() { sum_ = 0.0, n_ = 0; }
-  // Folds another counter's accumulation into this one (sweep merge).
-  void merge_from(const Counter& other) {
-    sum_ += other.sum_;
-    n_ += other.n_;
-  }
 
  private:
   double sum_ = 0.0;
@@ -57,32 +50,12 @@ class Counter {
 // Last-value-wins instrument.
 class Gauge {
  public:
-  void set(double v) {
-    value_ = v;
-    set_ = true;
-  }
+  void set(double v) { value_ = v; }
   double value() const { return value_; }
-  // Distinguishes "never set" (registration alone) from a genuine 0 —
-  // consumers that treat presence as meaning (the fleet snapshot's policy
-  // section) key on this.
-  bool was_set() const { return set_; }
   void reset() { value_ = 0.0; }
-  // Merge semantics are deterministic last-writer-wins in MERGE order: the
-  // merge takes the other's value whenever that registry ever set the
-  // gauge, so after folding registries r_0, r_1, ..., r_k (in that order)
-  // the gauge holds the value from the highest-index registry that set it.
-  // obs::InstrumentedPool merges per-worker registries in worker-index
-  // order, which pins the winner independently of thread timing.
-  void merge_from(const Gauge& other) {
-    if (other.set_) {
-      value_ = other.value_;
-      set_ = true;
-    }
-  }
 
  private:
   double value_ = 0.0;
-  bool set_ = false;
 };
 
 // Streaming histogram over positive values (durations in seconds, sizes,
@@ -119,11 +92,6 @@ class Histogram {
 
   void reset();
 
-  // Exact for count/sum/min/max and the bucket populations (both sides use
-  // the same fixed geometric grid, so merging histograms loses nothing
-  // beyond each side's own bucket resolution).
-  void merge_from(const Histogram& other);
-
  private:
   std::int64_t count_ = 0;
   double sum_ = 0.0;
@@ -147,14 +115,6 @@ class Registry {
 
   // Zeroes every instrument, keeping registrations (and references) alive.
   void reset();
-
-  // Folds every instrument of `other` into this registry, creating
-  // instruments this registry has not seen yet. Counters and histograms
-  // accumulate; gauges follow deterministic merge-order last-writer-wins
-  // (see Gauge::merge_from). obs::InstrumentedPool calls this once per
-  // worker, in worker-index order, while no job runs — the caller must
-  // guarantee `other` is not being written.
-  void merge_from(const Registry& other);
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -101,12 +101,6 @@ std::string render_json(const SnapshotData& d) {
                 static_cast<unsigned long long>(d.scenario_hash));
   s += buf;
   s += "\"}";
-  if (d.jobs_total >= 0) {
-    s += ",\"fleet\":{";
-    append_field(s, "jobs_done", d.jobs_done, /*first=*/true);
-    append_field(s, "jobs_total", d.jobs_total);
-    s += "}";
-  }
   if (d.have_aggregates) {
     s += ",\"aggregates\":{";
     append_field(s, "q_total_packets", d.q_total_packets, /*first=*/true);
@@ -196,12 +190,6 @@ std::string render_prom(const SnapshotData& d) {
               "gauge", d.slots_per_s);
   prom_scalar(s, "gc_snapshot_eta_seconds",
               "remaining wall time at the current rate", "gauge", d.eta_s);
-  if (d.jobs_total >= 0) {
-    prom_scalar(s, "gc_snapshot_jobs_done", "sweep jobs finished", "gauge",
-                d.jobs_done);
-    prom_scalar(s, "gc_snapshot_jobs_total", "sweep jobs in the fleet",
-                "gauge", d.jobs_total);
-  }
   if (d.have_aggregates) {
     prom_scalar(s, "gc_snapshot_backlog_packets",
                 "total data-queue backlog", "gauge", d.q_total_packets);

@@ -1,5 +1,5 @@
 // Live run telemetry: periodic atomic snapshots of a running simulation
-// (or a sweep of them) for external monitoring.
+// for external monitoring.
 //
 // Every write lands TWICE, both atomically (tmp + std::rename, the
 // checkpoint idiom — a reader never sees a torn file):
@@ -54,21 +54,14 @@ struct SnapshotData {
 
   // Sleep-policy aggregates (src/policy). awake_bs < 0 is the policy-free
   // sentinel: no "policy" JSON section and no gc_policy_* Prometheus lines
-  // are emitted, so the -1 never leaks to scrapers. Single runs fill this
-  // from the live SleepController; fleet snapshots from the merged
-  // registry's policy.* instruments.
+  // are emitted, so the -1 never leaks to scrapers. The run fills this
+  // from its live SleepController.
   int policy_awake_bs = -1;
   double policy_switches = 0.0;
   double policy_switch_energy_j = 0.0;
   double policy_sleep_slots = 0.0;
 
-  // Sweep fleet progress (sim/sweep.hpp). jobs_total < 0 = not a fleet
-  // snapshot.
-  int jobs_done = 0;
-  int jobs_total = -1;
-
-  // Full instrument dump; null = omit (mid-sweep fleet snapshots skip it —
-  // worker registries are still being written).
+  // Full instrument dump; null = omit.
   const Registry* registry = nullptr;
 };
 
@@ -132,9 +125,8 @@ class SnapshotWriter {
     return every_ > 0 && completed_slots > 0 && completed_slots % every_ == 0;
   }
 
-  // Atomically replaces both files with the snapshot. Thread-compatible,
-  // not thread-safe: concurrent writers must serialize externally (the
-  // sweep runner holds a mutex around fleet writes).
+  // Atomically replaces both files with the snapshot. Not thread-safe;
+  // the run writes its snapshots from the slot loop's thread.
   void write(const SnapshotData& data);
 
  private:

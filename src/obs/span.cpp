@@ -10,8 +10,7 @@ namespace gc::obs {
 namespace {
 
 // Ring-overflow accounting: every span the ring overwrites bumps the
-// recording thread's `obs.spans_dropped` counter (per-worker under the
-// parallel sweep engine, folded into the merged registry afterwards), so a
+// `obs.spans_dropped` counter of the recording thread's registry, so a
 // truncated profile announces itself in snapshots and reports instead of
 // silently missing its oldest spans.
 obs::Counter& spans_dropped_counter() {

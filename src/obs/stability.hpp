@@ -131,9 +131,7 @@ struct AuditorState {
   double window_cost_delta = 0.0;
 };
 
-// Per-run auditor. Not thread-safe; one instance per simulation (parallel
-// sweep jobs each build their own, and their stability.* counters land in
-// the worker-private registry like every other instrument).
+// Per-run auditor. Not thread-safe; one instance per simulation.
 class StabilityAuditor {
  public:
   explicit StabilityAuditor(AuditConfig config);

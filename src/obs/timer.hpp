@@ -37,7 +37,7 @@ struct SpanEvent {
   double start_s = 0.0;  // seconds since the recorder's epoch
   double dur_s = 0.0;
   std::uint32_t tid = 0;  // small dense per-thread index, Chrome lane
-  std::int64_t id = -1;   // caller payload (sweep job index, slot, ...)
+  std::int64_t id = -1;   // caller payload (slot index, ...)
   // Problem-size annotation (LP columns, scheduled links, nodes, ...);
   // -1 = none. The profiler (obs/profile.hpp) aggregates it per tree node
   // so slots/s cliffs can be correlated with problem dimensions.
@@ -104,14 +104,13 @@ class SpanRecorder {
 
 // Writes `spans` as Chrome trace-event JSON atomically (tmp + rename) —
 // the same format SpanRecorder::export_chrome_trace emits, usable on any
-// span list (a drained ring, or one sweep job's partition from
-// obs::partition_spans_by_job).
+// span list (a drained ring, say).
 void write_chrome_trace(const std::string& path,
                         const std::vector<SpanEvent>& spans);
 
 // RAII span over [construction, stop()/destruction). `name` must outlive
 // the recorder (use string literals); nullptr never enters the ring. `id`
-// disambiguates instances (slot index, sweep job index); `dim` annotates
+// disambiguates instances (the slot index, say); `dim` annotates
 // the problem size (LP columns, scheduled links, nodes) — set it at
 // construction when known, or later via set_dim for sizes that only
 // materialize inside the scope (a schedule's link count, say).

@@ -82,10 +82,8 @@ class TraceSink {
                     std::uint64_t scenario_hash);
 
   // Serializes each record as one complete line. Safe to call from
-  // concurrent simulations sharing one sink: the format-and-write cycle is
-  // under a mutex, so lines are never torn or interleaved (parallel sweeps
-  // normally give every job its own sink — sim/sweep.hpp enforces distinct
-  // paths — but a deliberately shared sink must stay parseable too).
+  // concurrent threads sharing one sink: the format-and-write cycle is
+  // under a mutex, so lines are never torn or interleaved.
   void write(const TraceRecord& r);
 
   int records() const {

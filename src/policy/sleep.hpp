@@ -113,8 +113,8 @@ struct BsSleepParams {
 };
 
 // Plain-data bundle a run needs to build its own SleepController. Keeping
-// this (not a live controller) in sim::SimOptions lets parallel sweeps,
-// supervised restarts and checkpoint resume each construct a private
+// this (not a live controller) in sim::SimOptions lets every run,
+// supervised restart and checkpoint resume construct a private
 // controller (sim/simulator.hpp).
 struct SleepSetup {
   SleepPolicyConfig config;

@@ -212,7 +212,7 @@ Metrics run_loop(const core::NetworkModel& model,
     if (options.interrupted != nullptr) *options.interrupted = true;
   }
   // The policy counters reach the Metrics (and so the CLI summary and
-  // sweep aggregation) without anyone reaching into the loop's controller.
+  // the profile meta) without anyone reaching into the loop's controller.
   if (sleep) {
     m.policy_awake_bs = sleep->awake_count();
     m.policy_switches = sleep->switch_count();
@@ -310,6 +310,17 @@ Metrics run_simulation_mobile(core::NetworkModel& model,
   RandomWaypoint walker(mobility, model.topology(), options.input_seed + 77);
   return run_loop(model, controller, slots, options, &walker,
                   &model.mutable_topology());
+}
+
+Metrics run_job(const SimJob& job) {
+  core::NetworkModel model = job.scenario.build();
+  const core::ControllerOptions opts =
+      job.controller ? *job.controller : job.scenario.controller_options();
+  core::LyapunovController controller(model, job.V, opts);
+  if (job.mobility)
+    return run_simulation_mobile(model, controller, job.slots, *job.mobility,
+                                 job.sim);
+  return run_simulation(model, controller, job.slots, job.sim);
 }
 
 }  // namespace gc::sim

@@ -3,12 +3,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/controller.hpp"
 #include "core/model.hpp"
 #include "obs/stability.hpp"
 #include "sim/mobility.hpp"
+#include "sim/scenario.hpp"
 #include "util/stats.hpp"
 
 namespace gc::fault {
@@ -101,8 +103,7 @@ struct SimOptions {
   // AlwaysOn), each run builds a private policy::SleepController that
   // decides the awake set every slot. A null or AlwaysOn setup leaves the
   // run bit-identical to a policy-free one. Not owned; plain data, so
-  // sweeps, supervised restarts and resumes each construct their own
-  // controller.
+  // supervised restarts and resumes each construct their own controller.
   const policy::SleepSetup* sleep = nullptr;
 
   // Checkpoint/resume (sim/checkpoint.hpp). When checkpoint_path is set, a
@@ -227,5 +228,23 @@ Metrics run_simulation_mobile(core::NetworkModel& model,
                               core::LyapunovController& controller,
                               int slots, const MobilityConfig& mobility,
                               const SimOptions& options = {});
+
+// One whole run: scenario + controller knobs + run length. Jobs share no
+// mutable state, so a batch of them (the figure drivers' V or seed grids)
+// gives the same per-job Metrics in any order.
+struct SimJob {
+  ScenarioConfig scenario;
+  double V = 3.0;
+  int slots = 0;
+  SimOptions sim;
+  // Users walk random-waypoint between slots when set.
+  std::optional<MobilityConfig> mobility;
+  // Overrides scenario.controller_options() when set.
+  std::optional<core::ControllerOptions> controller;
+};
+
+// Runs `job` start to finish: builds the model, constructs the controller,
+// runs the simulation.
+Metrics run_job(const SimJob& job);
 
 }  // namespace gc::sim

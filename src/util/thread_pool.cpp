@@ -1,6 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <exception>
 #include <utility>
 
 #include "util/check.hpp"
@@ -67,27 +66,6 @@ void ThreadPool::worker_loop(int index) {
     }
   }
   if (options_.on_thread_stop) options_.on_thread_stop(index);
-}
-
-void parallel_for(ThreadPool* pool, int n,
-                  const std::function<void(int)>& fn) {
-  GC_CHECK_MSG(n >= 0, "parallel_for needs n >= 0");
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  const auto run = [&](int i) {
-    try {
-      fn(i);
-    } catch (...) {
-      errors[static_cast<std::size_t>(i)] = std::current_exception();
-    }
-  };
-  if (pool == nullptr) {
-    for (int i = 0; i < n; ++i) run(i);
-  } else {
-    for (int i = 0; i < n; ++i) pool->submit([&run, i] { run(i); });
-    pool->wait_idle();
-  }
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace gc::util

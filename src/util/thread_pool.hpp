@@ -1,16 +1,13 @@
-// Minimal fixed-size thread pool and the one fan-out over it.
+// Minimal fixed-size thread pool: a single mutex-protected FIFO queue, no
+// work-stealing, no futures, no task graph. Nothing on the run path uses
+// it; every slot of a run executes on the thread that calls step(), and a
+// replicate study runs one process per seed. It stays for perfbench's
+// worker pool until that pool goes (ROADMAP item 1).
 //
-// parallel_for runs the one parallel site, the replicate sweep
-// (sim/sweep.hpp): one job per (scenario, seed) run, while each run's slots
-// execute on the thread that runs the job. The jobs are few and coarse,
-// not fine-grained tasking — so a single mutex-protected FIFO queue is
-// plenty, and there is no work-stealing, no futures, no task graph.
-//
-// The per-thread hooks are the load-bearing feature: on_thread_start runs
-// ON each worker thread before it takes its first job (and on_thread_stop
-// after its last), which is where obs::InstrumentedPool installs each
-// worker's private obs::Registry. Hooks receive the worker index in
-// [0, num_threads).
+// on_thread_start runs ON each worker thread before it takes its first job
+// (and on_thread_stop after its last), which is where a caller installs a
+// worker-private obs::Registry with obs::ThreadRegistryScope. Hooks receive
+// the worker index in [0, num_threads).
 #pragma once
 
 #include <condition_variable>
@@ -47,7 +44,7 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues a job. Jobs must not throw; parallel_for captures them.
+  // Enqueues a job. Jobs must not throw.
   void submit(std::function<void()> job);
 
   // Blocks until the queue is empty and no job is executing.
@@ -68,12 +65,5 @@ class ThreadPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
-
-// Runs fn(0..n-1) and waits for every call: inline on the caller, in index
-// order, when `pool` is null; as one pool job per index otherwise. Each
-// index's exception is captured; after every index has run, the lowest
-// failing index's exception is rethrown. `fn` must be safe to call
-// concurrently for distinct indices. Not reentrant from a job of `pool`.
-void parallel_for(ThreadPool* pool, int n, const std::function<void(int)>& fn);
 
 }  // namespace gc::util

@@ -1,7 +1,7 @@
 // Hierarchical profiler (src/obs/profile.hpp): containment-based tree
 // reconstruction from SpanEvent streams, self/total accounting, dim
-// statistics, orphan re-rooting, per-job partitioning, merging, and the
-// JSON / collapsed-stack exporters. Events are built by hand so every
+// statistics, orphan re-rooting, and the JSON / collapsed-stack
+// exporters. Events are built by hand so every
 // interval is exact — no SpanRecorder, no clocks.
 #include <cstdint>
 #include <string>
@@ -139,54 +139,6 @@ TEST(Profile, JsonRoundTripsThroughParser) {
   EXPECT_EQ(b.at("name").as_string(), "b");
   EXPECT_DOUBLE_EQ(b.at("dim_mean").as_number(), 7.0);
   EXPECT_DOUBLE_EQ(b.at("dim_min").as_number(), 7.0);
-}
-
-TEST(Profile, MergeAddsTreesAndRecomputesThroughput) {
-  const std::vector<SpanEvent> s1 = {ev("a", 0.0, 4.0), ev("b", 1.0, 2.0)};
-  const std::vector<SpanEvent> s2 = {ev("a", 0.0, 6.0), ev("c", 1.0, 3.0)};
-  Profile p1 = build_profile(s1);
-  p1.meta.scenario = "tiny";
-  p1.meta.slots = 10;
-  p1.meta.wall_s = 4.0;
-  p1.meta.slots_per_s = 2.5;
-  Profile p2 = build_profile(s2);
-  p2.meta.slots = 10;
-  p2.meta.wall_s = 6.0;
-  p2.meta.slots_per_s = 10.0 / 6.0;
-  p1.merge_from(p2);
-  EXPECT_EQ(p1.meta.scenario, "tiny");  // descriptive fields survive
-  EXPECT_EQ(p1.meta.slots, 20);
-  EXPECT_DOUBLE_EQ(p1.meta.wall_s, 10.0);
-  EXPECT_DOUBLE_EQ(p1.meta.slots_per_s, 2.0);
-  const ProfileNode& a = p1.root.children.at("a");
-  EXPECT_EQ(a.count, 2);
-  EXPECT_DOUBLE_EQ(a.total_s, 10.0);
-  EXPECT_EQ(a.children.count("b"), 1u);
-  EXPECT_EQ(a.children.count("c"), 1u);
-  EXPECT_DOUBLE_EQ(p1.root.total_s, 10.0);
-}
-
-TEST(Profile, PartitionSplitsByEnclosingJobSpan) {
-  // Two jobs on one lane plus one on another; the job's own span is part
-  // of its partition and a stray span outside any job lands under -1.
-  const std::vector<SpanEvent> spans = {
-      ev("sweep.job", 0.0, 5.0, 0, /*id=*/0),
-      ev("work", 1.0, 1.0, 0),
-      ev("sweep.job", 6.0, 5.0, 0, /*id=*/1),
-      ev("work", 7.0, 2.0, 0),
-      ev("sweep.job", 0.0, 5.0, 1, /*id=*/2),
-      ev("work", 2.0, 1.0, 1),
-      ev("stray", 20.0, 1.0, 0),
-  };
-  const auto parts = partition_spans_by_job(spans);
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts.at(0).size(), 2u);
-  EXPECT_EQ(parts.at(1).size(), 2u);
-  EXPECT_EQ(parts.at(2).size(), 2u);
-  ASSERT_EQ(parts.at(-1).size(), 1u);
-  EXPECT_STREQ(parts.at(-1)[0].name, "stray");
-  // The lane matters: tid 1's "work" maps to job 2, not job 0.
-  EXPECT_EQ(parts.at(2)[1].tid, 1u);
 }
 
 }  // namespace

@@ -153,56 +153,6 @@ TEST(Registry, ResetKeepsRegistrationsAndReferences) {
   EXPECT_DOUBLE_EQ(r.counters()[0].second->total(), 1.0);
 }
 
-// Satellite: gauge merges are deterministic last-writer-wins in MERGE
-// order — after folding r1, r2, r3 the gauge holds the value from the
-// highest-index registry that ever SET it; registries that never set the
-// gauge cannot steal the value (Gauge::merge_from, sim/sweep.cpp).
-TEST(Registry, GaugeMergeIsMergeOrderLastWriterWins) {
-  Registry r1, r2, r3;
-  r1.gauge("run.last_V").set(1.0);
-  r2.gauge("run.last_V").set(2.0);
-  r3.gauge("run.last_V");  // registered but never set
-
-  Registry forward;
-  forward.merge_from(r1);
-  forward.merge_from(r2);
-  forward.merge_from(r3);  // unset: must not clobber r2's value
-  EXPECT_DOUBLE_EQ(forward.gauge("run.last_V").value(), 2.0);
-
-  // The winner is pinned by merge order, not by which registry set last on
-  // the wall clock: reversing the order flips the result.
-  Registry backward;
-  backward.merge_from(r3);
-  backward.merge_from(r2);
-  backward.merge_from(r1);
-  EXPECT_DOUBLE_EQ(backward.gauge("run.last_V").value(), 1.0);
-
-  // A target that set the gauge itself yields to any merged setter.
-  Registry target;
-  target.gauge("run.last_V").set(9.0);
-  target.merge_from(r3);
-  EXPECT_DOUBLE_EQ(target.gauge("run.last_V").value(), 9.0);
-  target.merge_from(r1);
-  EXPECT_DOUBLE_EQ(target.gauge("run.last_V").value(), 1.0);
-}
-
-TEST(Registry, MergeAccumulatesCountersAndHistograms) {
-  Registry a, b;
-  a.counter("n").add(2.0);
-  b.counter("n").add(3.0);
-  b.counter("only_b").add(1.0);
-  a.histogram("t").observe(1e-3);
-  b.histogram("t").observe(2e-3);
-  a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.counter("n").total(), 5.0);
-  EXPECT_EQ(a.counter("n").events(), 2);
-  EXPECT_DOUBLE_EQ(a.counter("only_b").total(), 1.0);  // created by merge
-  EXPECT_EQ(a.histogram("t").count(), 2);
-  EXPECT_DOUBLE_EQ(a.histogram("t").sum(), 3e-3);
-  EXPECT_DOUBLE_EQ(a.histogram("t").min(), 1e-3);
-  EXPECT_DOUBLE_EQ(a.histogram("t").max(), 2e-3);
-}
-
 TEST(GlobalRegistry, IsASingleton) {
   EXPECT_EQ(&registry(), &registry());
 }

@@ -64,8 +64,6 @@ TEST(SnapshotWriter, JsonRoundTripsEverySection) {
   d.have_stability = true;
   d.worst_q_margin = 7.0;
   d.q_violations = 2.0;
-  d.jobs_done = 1;
-  d.jobs_total = 4;
   Registry r;
   r.counter("test.counts").add(3.0);
   r.gauge("test.level").set(-2.5);
@@ -79,8 +77,6 @@ TEST(SnapshotWriter, JsonRoundTripsEverySection) {
   EXPECT_DOUBLE_EQ(v.at("slots_per_s").as_number(), 20.0);
   EXPECT_EQ(v.at("scenario").at("name").as_string(), "paper");
   EXPECT_EQ(v.at("scenario").at("hash").as_string(), "0x000000000000abcd");
-  EXPECT_DOUBLE_EQ(v.at("fleet").at("jobs_done").as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(v.at("fleet").at("jobs_total").as_number(), 4.0);
   EXPECT_DOUBLE_EQ(v.at("aggregates").at("q_total_packets").as_number(),
                    123.5);
   EXPECT_DOUBLE_EQ(v.at("aggregates").at("battery_total_j").as_number(), 9.25);

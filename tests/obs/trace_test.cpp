@@ -141,8 +141,8 @@ TEST(TraceSink, FullDiskThrows) {
 }
 
 // write() is safe under concurrent callers: no torn or interleaved lines,
-// every record accounted for. (The parallel sweep gives each sim its own
-// sink, but nothing stops a caller from sharing one.)
+// every record accounted for. (A run owns its sink, but nothing stops a
+// caller from sharing one.)
 TEST(TraceSink, ConcurrentWritersProduceWholeLines) {
   const std::string path = ::testing::TempDir() + "gc_trace_concurrent.jsonl";
   constexpr int kThreads = 4;

@@ -1,17 +1,17 @@
 // End-to-end scenario subsystem guarantees: the default spec reproduces
 // ScenarioConfig::paper() bit-identically, generator-driven specs are
-// deterministic at any sweep thread count, time-varying traffic shows up
+// deterministic in any job order, time-varying traffic shows up
 // in the offered-packets accounting, and a checkpoint written under one
 // scenario hash refuses to resume under another.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/controller.hpp"
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "util/check.hpp"
 
 #include "../sim/metrics_testutil.hpp"
@@ -37,10 +37,10 @@ TEST(ScenarioRun, DefaultSpecReproducesPaperBitIdentically) {
 }
 
 // A generator-heavy spec (hex grid, clustered users, bursty traffic, wind
-// renewables) must give bit-identical per-job Metrics whether the sweep
-// runs on 1 worker or several: generation and traffic sampling are seeded
-// per job, never from shared mutable state.
-TEST(ScenarioRun, GeneratorScenarioDeterministicAcrossThreadCounts) {
+// renewables) must give bit-identical per-job Metrics whether its jobs run
+// forward or in reverse: generation and traffic sampling are seeded per
+// job, never from shared mutable state.
+TEST(ScenarioRun, GeneratorScenarioDeterministicAcrossJobOrder) {
   const ScenarioSpec spec = parse_scenario_json(R"({
     "topology": {
       "layout": "hex_grid",
@@ -58,17 +58,13 @@ TEST(ScenarioRun, GeneratorScenarioDeterministicAcrossThreadCounts) {
     job.sim.input_seed = 100 + static_cast<std::uint64_t>(k);
     jobs.push_back(job);
   }
-  sim::SweepOptions serial_opts;
-  serial_opts.threads = 1;
-  sim::SweepRunner serial(serial_opts);
-  const auto a = serial.run(jobs);
-  sim::SweepOptions parallel_opts;
-  parallel_opts.threads = 4;
-  sim::SweepRunner parallel(parallel_opts);
-  const auto b = parallel.run(jobs);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k)
-    expect_metrics_bit_identical(a[k], b[k]);
+  std::vector<sim::Metrics> forward(jobs.size()), reverse(jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k)
+    forward[k] = sim::run_job(jobs[k]);
+  for (std::size_t k = jobs.size(); k-- > 0;)
+    reverse[k] = sim::run_job(jobs[k]);
+  for (std::size_t k = 0; k < jobs.size(); ++k)
+    expect_metrics_bit_identical(forward[k], reverse[k]);
 }
 
 TEST(ScenarioRun, TimeVaryingTrafficChangesOfferedPackets) {

@@ -8,16 +8,17 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <string_view>
 #include <typeinfo>
+#include <vector>
 
 #include "core/controller.hpp"
 #include "obs/registry.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "util/check.hpp"
 
 #include "metrics_testutil.hpp"
@@ -378,12 +379,17 @@ TEST(Checkpoint, PeriodicCheckpointsResumeFromTheLastOne) {
 // slots, so the lp.* counter totals of a killed + resumed run must equal
 // the uninterrupted run's — the interruption falls on a slot boundary and
 // no solver state is (or may be) lost.
-// Each leg runs through a single-threaded SweepRunner so its counters land
-// in a private registry (worker threads resolve instruments fresh; the
-// test's main thread could not be re-pointed after its first LP solve).
+// Each leg's counts are deltas of the process registry around its run;
+// they are integer counts, so the differences are exact.
 TEST(Checkpoint, LpCountersReplayAcrossResume) {
   const int horizon = 60, kill_at = 25;
   const std::string ckpt = tmp_path("lp_counters.ckpt");
+  // The S1 packing LPs start on their slack basis, so phase I is
+  // legitimately 0 here; lp.solves and lp.phase2_iterations are hot on
+  // every slot and pin the replay non-vacuously.
+  const std::vector<std::string> names = {
+      "lp.solves",           "lp.iterations",        "lp.phase1_iterations",
+      "lp.phase2_iterations", "lp.degenerate_pivots", "lp.numeric_repairs"};
 
   auto make_job = [](int slots) {
     SimJob job;
@@ -392,37 +398,31 @@ TEST(Checkpoint, LpCountersReplayAcrossResume) {
     job.slots = slots;
     return job;
   };
-  auto sweep_one = [](const SimJob& job, obs::Registry* reg) {
-    SweepOptions opt;
-    opt.threads = 1;
-    opt.merge_into = reg;
-    SweepRunner(opt).run({job});
+  // Adds each counter's growth over `job` to `counts`.
+  auto count = [&names](const SimJob& job,
+                         std::map<std::string, double>& counts) {
+    std::map<std::string, double> before;
+    for (const std::string& n : names)
+      before[n] = obs::registry().counter(n).total();
+    run_job(job);
+    for (const std::string& n : names)
+      counts[n] += obs::registry().counter(n).total() - before[n];
   };
 
-  obs::Registry ref_reg;
-  sweep_one(make_job(horizon), &ref_reg);
+  std::map<std::string, double> ref;
+  count(make_job(horizon), ref);
 
-  obs::Registry resumed_reg;  // accumulates both legs
+  std::map<std::string, double> resumed;  // accumulates both legs
   SimJob first = make_job(kill_at);
   first.sim.checkpoint_path = ckpt;
-  sweep_one(first, &resumed_reg);
+  count(first, resumed);
   SimJob second = make_job(horizon);
   second.sim.resume_path = ckpt;
-  sweep_one(second, &resumed_reg);
+  count(second, resumed);
 
-  // The S1 packing LPs start on their slack basis, so phase I is
-  // legitimately 0 here; lp.solves and lp.phase2_iterations are hot on
-  // every slot and pin the replay non-vacuously.
-  for (const char* name :
-       {"lp.solves", "lp.iterations", "lp.phase1_iterations",
-        "lp.phase2_iterations", "lp.degenerate_pivots",
-        "lp.numeric_repairs"}) {
-    EXPECT_EQ(ref_reg.counter(name).total(),
-              resumed_reg.counter(name).total())
-        << name;
-  }
-  EXPECT_GT(ref_reg.counter("lp.solves").total(), 0.0);
-  EXPECT_GT(ref_reg.counter("lp.phase2_iterations").total(), 0.0);
+  for (const std::string& n : names) EXPECT_EQ(ref[n], resumed[n]) << n;
+  EXPECT_GT(ref["lp.solves"], 0.0);
+  EXPECT_GT(ref["lp.phase2_iterations"], 0.0);
   remove_generations(ckpt);
 }
 
@@ -740,8 +740,8 @@ TEST(Checkpoint, LoadNewestValidFallsBackPastCorruptGenerations) {
 }
 
 // The scan lists only BASE.gen<digits>: other bases in the same directory
-// (a replicate's BASE.seed<k>) and write_file_atomic's temp files are not
-// generations.
+// (another run's BASE.seed0, say) and write_file_atomic's temp files are
+// not generations.
 TEST(Checkpoint, ScanListsOnlyThisBasesGenerations) {
   const std::string base = tmp_path("scan.ckpt");
   remove_generations(base);

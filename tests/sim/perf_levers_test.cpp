@@ -14,7 +14,6 @@
 #include "obs/registry.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 
 #include "metrics_testutil.hpp"
 
@@ -77,23 +76,19 @@ TEST(PerfLevers, LpS4KillAndResumeIsBitIdentical) {
 }
 
 TEST(PerfLevers, ClusterAndCrossSlotInstrumentsTick) {
-  // Run through a single-threaded SweepRunner so the counters land in a
-  // private registry (same reasoning as the checkpoint counter test: the
-  // test main thread's instrument refs cannot be re-pointed).
   SimJob job;
   job.scenario = ScenarioConfig::tiny();
   job.V = 3.0;
   job.slots = 40;
   job.controller = lp_s4_options(ScenarioConfig::tiny());
 
-  obs::Registry reg;
-  SweepOptions opt;
-  opt.threads = 1;
-  opt.merge_into = &reg;
-  SweepRunner(opt).run({job});
+  // The run counts into the process registry; the delta is this run's.
+  const obs::Counter& clusters = obs::registry().counter("sched.sf_clusters");
+  const double before = clusters.total();
+  run_job(job);
 
   // Clustered S1 must have decomposed something.
-  EXPECT_GT(reg.counter("sched.sf_clusters").total(), 0.0);
+  EXPECT_GT(clusters.total() - before, 0.0);
 }
 
 }  // namespace

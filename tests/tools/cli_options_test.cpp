@@ -9,7 +9,6 @@
 #include "policy/sleep.hpp"
 #include "scenario/spec.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/sweep.hpp"
 #include "util/check.hpp"
 
 namespace gc::cli {
@@ -148,8 +147,7 @@ TEST(CliOptions, UsageMentionsEveryFlag) {
         "--multihop", "--renewables", "--bs-radios", "--user-radios",
         "--phy", "--tariff", "--V", "--lambda", "--slots", "--input-seed",
         "--mobility", "--validate", "--csv", "--quiet", "--help",
-        "--faults", "--checkpoint", "--checkpoint-every", "--resume",
-        "--seeds", "--threads"})
+        "--faults", "--checkpoint", "--checkpoint-every", "--resume"})
     EXPECT_NE(u.find(flag), std::string::npos) << flag;
 }
 
@@ -239,50 +237,6 @@ TEST(CliOptions, UsageMentionsObservabilityFlags) {
   EXPECT_NE(u.find("docs/OBSERVABILITY.md"), std::string::npos);
 }
 
-TEST(CliOptions, ParsesSweepFlags) {
-  const auto r = parse({"--seeds", "8", "--threads", "4"});
-  ASSERT_TRUE(r.options) << r.error;
-  EXPECT_EQ(r.options->seeds, 8);
-  EXPECT_EQ(r.options->threads, 4);
-  // Defaults: one seed, auto thread count.
-  const auto d = parse({});
-  ASSERT_TRUE(d.options);
-  EXPECT_EQ(d.options->seeds, 1);
-  EXPECT_EQ(d.options->threads, 0);
-  EXPECT_FALSE(parse({"--seeds", "0"}).options);
-  EXPECT_FALSE(parse({"--threads", "-1"}).options);
-}
-
-// --threads sizes the sweep's real thread pool, so values above the cap
-// are refused at parse time. Parse-only: no pool is started here.
-TEST(CliOptions, RejectsThreadCountsAboveCap) {
-  const auto at_cap = parse({"--threads", "256"});
-  ASSERT_TRUE(at_cap.options) << at_cap.error;
-  EXPECT_EQ(at_cap.options->threads, 256);
-  for (const char* v : {"257", "100000", "2147483647"}) {
-    const auto r = parse({"--threads", v});
-    EXPECT_FALSE(r.options) << v;
-    EXPECT_NE(r.error.find("--threads"), std::string::npos) << r.error;
-    EXPECT_NE(r.error.find("<= 256"), std::string::npos) << r.error;
-  }
-}
-
-// A replicate sweep checkpoints per seed (BASE.seed<k>), but an explicit
-// --resume names one run's state — that combination stays rejected.
-TEST(CliOptions, SeedsComposeWithCheckpointButNotResume) {
-  const auto a = parse({"--seeds", "4", "--checkpoint", "run.ckpt"});
-  EXPECT_TRUE(a.options) << a.error;
-  const auto b = parse({"--seeds", "4", "--resume", "old.ckpt"});
-  EXPECT_FALSE(b.options);
-  EXPECT_NE(b.error.find("--seeds"), std::string::npos);
-  EXPECT_NE(b.error.find("--resume"), std::string::npos);
-  EXPECT_TRUE(parse({"--seeds", "1", "--checkpoint", "run.ckpt"}).options);
-  // Supervised sweep: per-seed generations under one supervisor.
-  EXPECT_TRUE(
-      parse({"--seeds", "4", "--checkpoint", "run.ckpt", "--supervise"})
-          .options);
-}
-
 // Crash-safe service mode flags (docs/ROBUSTNESS.md "Operating long
 // runs"): each dependency violation is rejected naming both flags.
 TEST(CliOptions, ParsesServiceModeFlags) {
@@ -335,11 +289,6 @@ TEST(CliOptions, ReloadScenarioRequiresScenarioAndSupervise) {
   const auto b = parse({"--scenario", path, "--reload-scenario", "l.json"});
   EXPECT_FALSE(b.options);
   EXPECT_NE(b.error.find("--supervise"), std::string::npos) << b.error;
-  const auto c =
-      parse({"--scenario", path, "--reload-scenario", "l.json",
-             "--supervise", "--checkpoint", "ck", "--seeds", "4"});
-  EXPECT_FALSE(c.options);
-  EXPECT_NE(c.error.find("--seeds"), std::string::npos) << c.error;
   const auto ok = parse({"--scenario", path, "--reload-scenario", "l.json",
                          "--supervise", "--checkpoint", "ck"});
   EXPECT_TRUE(ok.options) << ok.error;
@@ -401,8 +350,6 @@ TEST(CliOptions, EveryFlagFailureNamesFlagAndDomain) {
       {"--restart-backoff-ms", "x", "int >= 0"},
       {"--reload-scenario", "", "non-empty file path"},
       {"--resume", "", "non-empty file path"},
-      {"--seeds", "0", "int >= 1"},
-      {"--threads", "-1", "int >= 0"},
       {"--scenario", "", "non-empty file path"},
       {"--trace-top-k", "-1", "int >= 0"},
       {"--trace-top-k", "many", "int >= 0"},
@@ -445,9 +392,8 @@ TEST(CliOptions, RejectsNonFiniteAndOutOfRangeNumbers) {
                            "--area", "--sleep-threshold", "--wake-threshold",
                            "--switch-cost-weight"})
     for (const char* v : {"nan", "inf", "-inf", "1e400"}) rejected(flag, v);
-  for (const char* flag : {"--slots", "--users", "--seeds", "--threads",
-                           "--trace-top-k", "--checkpoint-every",
-                           "--metrics-port"})
+  for (const char* flag : {"--slots", "--users", "--trace-top-k",
+                           "--checkpoint-every", "--metrics-port"})
     for (const char* v : {"nan", "inf", "1e10", "-1e10", "1.5", "2147483648"})
       rejected(flag, v);
   for (const char* flag : {"--seed", "--input-seed"})
@@ -506,7 +452,7 @@ TEST(CliOptions, ScenarioConflictsWithShapingFlagsOrderIndependent) {
   EXPECT_NE(multi.error.find("--tariff"), std::string::npos);
   EXPECT_NE(multi.error.find("--lambda"), std::string::npos);
   const auto ok = parse({"--scenario", path, "--slots", "10", "--V", "4",
-                         "--trace", "t.jsonl", "--seeds", "2"});
+                         "--trace", "t.jsonl"});
   EXPECT_TRUE(ok.options) << ok.error;
   std::remove(path.c_str());
 }

@@ -94,37 +94,29 @@ observability (docs/OBSERVABILITY.md):
                         the Lemma-1 RHS, or a growing backlog window)
                         instead of counting it in stability.*
   --snapshot PATH       write an atomic JSON progress snapshot (plus a
-                        Prometheus-text twin at PATH.prom) during the run;
-                        with --seeds > 1 this is the fleet snapshot and
-                        per-seed snapshots land at PATH.seed<k>
+                        Prometheus-text twin at PATH.prom) during the run
   --snapshot-every N    snapshot after every N >= 1 completed slots (default:
                         only the final snapshot); requires --snapshot
   --spans PATH          record nested spans (controller step, S1-S4, LP
-                        solves, sweep jobs) and export Chrome trace-event
-                        JSON to PATH at the end of the run; with --seeds > 1
-                        the combined ring lands at PATH and each replicate's
-                        slice at PATH.seed<k>
+                        solves) and export Chrome trace-event JSON to PATH
+                        at the end of the run
   --profile PATH        aggregate the span stream into a deterministic
                         attribution tree (slot -> S1-S4 -> lp.solve, with
                         call counts, self/total time and problem-size
                         stats): gc.profile.v1 JSON at PATH, collapsed-stack
-                        text for flamegraph tools at PATH.collapsed; with
-                        --seeds > 1 per-seed profiles land at PATH.seed<k>
-                        and PATH holds the deterministic merge. Compare two
-                        profiles with tools/perf_report
+                        text for flamegraph tools at PATH.collapsed.
+                        Compare two profiles with tools/perf_report
   --lp-log PATH         stream one JSON line per simplex solve (context
                         s1/s3/s4, rows/cols/nonzeros, phase-1/2 iterations,
                         pivots, degenerate pivots, numeric repairs,
-                        status, wall time); with
-                        --seeds > 1 each replicate writes PATH.seed<k>
+                        status, wall time)
 
 live operations (docs/OBSERVABILITY.md "Operating live runs"):
   --metrics-port N      serve /metrics (Prometheus text), /snapshot.json,
                         /healthz and /events on 127.0.0.1:N, N in
                         [0, 65535], from a dedicated thread; N = 0 binds an
                         ephemeral port (requires --metrics-port-file).
-                        Reads never block the slot loop. Not combinable
-                        with --seeds > 1
+                        Reads never block the slot loop
   --metrics-port-file PATH
                         write the bound port as one decimal line once the
                         listener is up (service discovery for ephemeral
@@ -133,13 +125,11 @@ live operations (docs/OBSERVABILITY.md "Operating live runs"):
                         LP fallbacks, checkpoint writes, policy switches,
                         bound violations, alerts) to PATH; resumed runs
                         truncate it to the checkpoint slot first, exactly
-                        like --trace. Tail it live with tools/ops_tail; not
-                        combinable with --seeds > 1
+                        like --trace. Tail it live with tools/ops_tail
   --alerts PATH         evaluate the JSON alert rules in PATH at every slot
                         boundary against the live registry; fires show up
                         as alert_fire/alert_clear events and flip /healthz
-                        to 503 while a critical rule is firing. Not
-                        combinable with --seeds > 1
+                        to 503 while a critical rule is firing
   --alerts-fatal        exit with code 3 after an otherwise-clean run
                         during which any alert fired; requires --alerts
 
@@ -149,8 +139,7 @@ robustness (docs/ROBUSTNESS.md):
                         battery fade, link deep fades)
   --checkpoint PATH     write resumable checkpoint generations PATH.gen<K>
                         (a final one is always written at the end of the
-                        run), keeping the newest two; with --seeds > 1
-                        each replicate checkpoints to PATH.seed<k>.gen<K>
+                        run), keeping the newest two
   --checkpoint-every N  also checkpoint after every N completed slots
                         (N >= 1; requires --checkpoint)
   --resume PATH         restore the newest generation PATH.gen<K> that
@@ -186,15 +175,8 @@ performance lever (docs/PERFORMANCE.md "Scaling past 500 nodes"):
                         which equally-good schedule is picked, so the paper
                         baseline keeps it off
 
-parallel sweep (docs/PERFORMANCE.md):
-  --seeds N             run N >= 1 replicates (input seeds S, S+1, ...) through
-                        the parallel sweep engine and print per-seed lines
-                        plus a mean/min/max summary; per-seed results are
-                        bit-identical at any thread count. --trace/--csv
-                        and --checkpoint paths get a ".seed<k>" suffix per
-                        replicate; not combinable with --resume
-  --threads N           sweep worker threads (default 0 = all hardware
-                        threads; at most 256)
+A replicate study is one process per --input-seed (docs/PERFORMANCE.md
+"Replicate studies").
 )";
 }
 
@@ -371,10 +353,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
         opt.events_path = flags::read_path(flag, value());
       } else if (flag == "--alerts") {
         opt.alerts_path = flags::read_path(flag, value());
-      } else if (flag == "--seeds") {
-        opt.seeds = flags::read_int(flag, value(), 1);
-      } else if (flag == "--threads") {
-        opt.threads = flags::read_threads(flag, value());
       } else {
         return err("unknown flag " + flag +
                    " (see --help for accepted flags)");
@@ -403,10 +381,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
                ": the scenario file defines these; edit the JSON instead "
                "(docs/SCENARIOS.md)");
   }
-  if (opt.seeds > 1 && !opt.resume_path.empty())
-    return err("--seeds > 1 cannot be combined with --resume (per-seed "
-               "resume state is derived from the --checkpoint base under "
-               "--supervise)");
   if (opt.checkpoint_every > 0 && opt.checkpoint_path.empty())
     return err("--checkpoint-every requires --checkpoint (it sets the "
                "cadence of the checkpoint file)");
@@ -423,9 +397,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   if (!opt.reload_scenario_path.empty() && !opt.supervise)
     return err("--reload-scenario requires --supervise (the reload happens "
                "at a supervised restart, triggered by SIGHUP)");
-  if (!opt.reload_scenario_path.empty() && opt.seeds > 1)
-    return err("--reload-scenario cannot be combined with --seeds > 1 (a "
-               "replicate sweep's scenario is fixed for the whole fleet)");
   if (opt.snapshot_every > 0 && opt.snapshot_path.empty())
     return err("--snapshot-every requires --snapshot (it sets the cadence "
                "of the snapshot file)");
@@ -438,22 +409,10 @@ ParseResult parse_args(const std::vector<std::string>& args) {
   if (opt.alerts_fatal && opt.alerts_path.empty())
     return err("--alerts-fatal requires --alerts (there are no rules to "
                "fire without a rule file)");
-  if (opt.seeds > 1) {
-    if (opt.metrics_port >= 0)
-      return err("--metrics-port cannot be combined with --seeds > 1 (the "
-               "exporter serves one run's registry, not a fleet's)");
-    if (!opt.events_path.empty())
-      return err("--events cannot be combined with --seeds > 1 (concurrent "
-               "replicates would interleave one journal)");
-    if (!opt.alerts_path.empty())
-      return err("--alerts cannot be combined with --seeds > 1 (rules read "
-               "the thread-current registry of a single run)");
-  }
   // Output paths must be pairwise distinct, checked up front: two flags
-  // aimed at one file would silently clobber each other (and under
-  // --seeds > 1 the shared ring's per-seed slices would interleave). Each
-  // must also land in a directory that exists, so a typo fails before
-  // slot 0 rather than after the last slot has run.
+  // aimed at one file would silently clobber each other. Each must also
+  // land in a directory that exists, so a typo fails before slot 0 rather
+  // than after the last slot has run.
   {
     const std::pair<const char*, const std::string*> outputs[] = {
         {"--csv", &opt.csv_path},

@@ -80,7 +80,7 @@ struct Options {
   // port (requires --metrics-port-file so the chosen port is
   // discoverable); >= 1 = bind that port. metrics_port_file, when set,
   // receives the bound port as a single decimal line after the listener
-  // is up. All three single-run features are rejected with --seeds > 1.
+  // is up.
   int metrics_port = -1;
   std::string metrics_port_file;
   std::string events_path;  // structured event journal JSONL; empty = off
@@ -109,16 +109,6 @@ struct Options {
   // tariff) are accepted — topology/energy/algorithm changes are refused
   // with the first differing field. Requires --scenario and --supervise.
   std::string reload_scenario_path;
-
-  // Parallel replicate sweep (docs/PERFORMANCE.md). seeds > 1 runs that
-  // many replicates (input_seed, input_seed+1, ...) through the sweep
-  // engine and prints per-seed lines plus an aggregate summary; trace/CSV
-  // and checkpoint paths get a ".seed<k>" suffix per replicate.
-  // Incompatible with --resume (per-seed resume state is derived from the
-  // checkpoint base automatically under --supervise). threads caps the
-  // sweep workers; 0 = all hardware threads.
-  int seeds = 1;
-  int threads = 0;
 
   // Performance lever (docs/PERFORMANCE.md "Scaling past 500 nodes").
   // Off is the paper-baseline behavior; it does not change what the

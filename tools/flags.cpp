@@ -43,10 +43,6 @@ int read_int(const std::string& flag, const std::string& v, int lo, int hi) {
   return static_cast<int>(d);
 }
 
-int read_threads(const std::string& flag, const std::string& v) {
-  return read_int(flag, v, 0, kMaxThreads);
-}
-
 double read_number(const std::string& flag, const std::string& v, double lo,
                    bool lo_open) {
   double d;

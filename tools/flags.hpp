@@ -19,10 +19,6 @@
 
 namespace gc::flags {
 
-// Thread counts size pools directly, so a typo must not ask the OS for
-// millions of threads.
-inline constexpr int kMaxThreads = 256;
-
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -41,8 +37,6 @@ const std::string& next_value(const std::vector<std::string>& args,
 // "3e2" reads as 300.
 int read_int(const std::string& flag, const std::string& v, int lo,
              int hi = INT_MAX);
-// A worker-thread count: int in [0, kMaxThreads], 0 = all hardware threads.
-int read_threads(const std::string& flag, const std::string& v);
 // A finite number >= lo, or > lo when lo_open ("number >= 0").
 double read_number(const std::string& flag, const std::string& v, double lo,
                    bool lo_open = false);

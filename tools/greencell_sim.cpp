@@ -5,7 +5,6 @@
 //   $ greencell_sim --slots 200 --trace run.jsonl --report
 //   $ greencell_sim --multihop 0 --renewables 0 --quiet   # legacy baseline
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "cli_options.hpp"
@@ -23,11 +22,9 @@
 #include "sim/checkpoint.hpp"
 #include "sim/simulator.hpp"
 #include "sim/supervisor.hpp"
-#include "sim/sweep.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/fsio.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
@@ -77,19 +74,7 @@ void write_csv(const std::string& path, const gc::sim::Metrics& m) {
              m.q_users[t], m.battery_bs_j[t], m.battery_users_j[t]});
 }
 
-// Replicate k of a sweep: input seed S+k, and every per-run output path
-// (trace, snapshot, checkpoint, lp-log, csv, spans, profile) at
-// PATH.seed<k> — the one place the per-seed suffix is applied.
-gc::cli::Options replicate_options(gc::cli::Options opt, int k) {
-  opt.input_seed += static_cast<std::uint64_t>(k);
-  for (std::string* path :
-       {&opt.trace_path, &opt.snapshot_path, &opt.checkpoint_path,
-        &opt.lp_log_path, &opt.csv_path, &opt.spans_path, &opt.profile_path})
-    if (!path->empty()) *path += ".seed" + std::to_string(k);
-  return opt;
-}
-
-// What one attempt shares with every run it starts.
+// What one attempt hands to its run.
 struct Attempt {
   const gc::fault::FaultSchedule* faults = nullptr;
   const gc::policy::SleepSetup* sleep = nullptr;
@@ -97,11 +82,10 @@ struct Attempt {
   bool supervised = false;
 };
 
-// The options of one run — the single run, or a replicate given
-// replicate_options: the controller's lever overrides, mobility, and the
-// SimOptions. `opt.scenario` already carries the link-prune lever. The
-// single-run-only live sinks (events, alerts, exporter) and the lp-log are
-// attached by the caller.
+// The options of the run: the controller's lever overrides, mobility, and
+// the SimOptions. `opt.scenario` already carries the link-prune lever. The
+// live sinks (events, alerts, exporter) and the lp-log are attached by the
+// caller.
 gc::sim::SimJob make_job(const gc::cli::Options& opt, const Attempt& at) {
   gc::sim::SimJob job;
   job.scenario = opt.scenario;
@@ -135,10 +119,7 @@ gc::sim::SimJob make_job(const gc::cli::Options& opt, const Attempt& at) {
   sim.checkpoint_every = opt.checkpoint_every;
   // A supervised attempt always auto-resumes from its checkpoint base (a
   // crash may have landed before the first checkpoint existed, so the base
-  // may legitimately name nothing). In a sweep each seed resumes from its
-  // own base: seeds that already finished reload their final checkpoint
-  // and return instantly, so a crashed sweep only redoes the interrupted
-  // replicates' tails.
+  // may legitimately name nothing).
   sim.resume_path = at.supervised ? opt.checkpoint_path : opt.resume_path;
   sim.resume_auto = at.supervised;
   sim.process_kill_skip = at.crash_restarts;
@@ -164,30 +145,11 @@ std::unique_ptr<gc::lp::JsonlSolveLog> attach_lp_log(const std::string& path,
   return log;
 }
 
-// The wall time of one sweep job = its sweep.job span (recorded around the
-// whole run_job call on the worker thread).
-double job_wall_s(const std::vector<gc::obs::SpanEvent>& events) {
-  for (const gc::obs::SpanEvent& e : events)
-    if (std::strcmp(e.name, "sweep.job") == 0) return e.dur_s;
-  return 0.0;
-}
-
-// Stamps the run's sleep-policy identity and counters into a profile's
-// meta (no-op for policy-free runs, keeping the artifact byte-stable).
-void stamp_policy_meta(gc::obs::ProfileMeta& meta, const gc::cli::Options& opt,
-                       const gc::sim::Metrics& m) {
-  if (m.policy_awake_bs < 0) return;
-  meta.policy = gc::policy::sleep_policy_name(opt.scenario.bs_sleep.policy);
-  meta.policy_switches = static_cast<std::int64_t>(m.policy_switches);
-  meta.policy_switch_energy_j = m.policy_switch_energy_j;
-  meta.policy_sleep_slots = static_cast<std::int64_t>(m.policy_sleep_slots);
-}
-
-// --spans / --profile for a single run: drain the ring once, export the
-// Chrome trace and/or the attribution tree from the same event list.
-void export_single_run_obs(const gc::cli::Options& opt,
-                           const gc::core::NetworkModel& model,
-                           const gc::sim::Metrics& m, double wall_s) {
+// --spans / --profile: drain the ring once, export the Chrome trace and/or
+// the attribution tree from the same event list.
+void export_run_obs(const gc::cli::Options& opt,
+                    const gc::core::NetworkModel& model,
+                    const gc::sim::Metrics& m, double wall_s) {
   if (opt.spans_path.empty() && opt.profile_path.empty()) return;
   gc::obs::SpanRecorder& rec = gc::obs::SpanRecorder::instance();
   const long long dropped = static_cast<long long>(rec.dropped());
@@ -205,163 +167,21 @@ void export_single_run_obs(const gc::cli::Options& opt,
     gc::obs::Profile p = gc::obs::build_profile(events);
     p.meta = gc::sim::make_profile_meta(opt.scenario_name, model, m.slots,
                                         wall_s, dropped);
-    stamp_policy_meta(p.meta, opt, m);
+    // The run's sleep-policy identity and counters; a policy-free run
+    // leaves them unset, keeping the artifact byte-stable.
+    if (m.policy_awake_bs >= 0) {
+      p.meta.policy =
+          gc::policy::sleep_policy_name(opt.scenario.bs_sleep.policy);
+      p.meta.policy_switches = static_cast<std::int64_t>(m.policy_switches);
+      p.meta.policy_switch_energy_j = m.policy_switch_energy_j;
+      p.meta.policy_sleep_slots =
+          static_cast<std::int64_t>(m.policy_sleep_slots);
+    }
     gc::sim::write_profile_files(opt.profile_path, p);
     if (!opt.quiet)
       std::printf("profile written to %s (+.collapsed)\n",
                   opt.profile_path.c_str());
   }
-}
-
-// --spans / --profile for a sweep: one drain, partitioned by enclosing
-// sweep.job span. The combined artifacts land at the given paths, each
-// replicate's slice at PATH.seed<k> (the snapshot convention); the merged
-// profile is a deterministic fold in seed order.
-void export_sweep_obs(const gc::cli::Options& opt,
-                      const std::vector<gc::cli::Options>& replicates,
-                      const gc::core::NetworkModel& model,
-                      const std::vector<gc::sim::Metrics>& runs) {
-  if (opt.spans_path.empty() && opt.profile_path.empty()) return;
-  gc::obs::SpanRecorder& rec = gc::obs::SpanRecorder::instance();
-  const long long dropped = static_cast<long long>(rec.dropped());
-  const std::vector<gc::obs::SpanEvent> events = rec.drain();
-  const std::map<std::int64_t, std::vector<gc::obs::SpanEvent>> by_job =
-      gc::obs::partition_spans_by_job(events);
-
-  if (!opt.spans_path.empty()) {
-    gc::obs::write_chrome_trace(opt.spans_path, events);
-    for (const auto& [job, slice] : by_job) {
-      if (job < 0) continue;  // spans outside any job: combined file only
-      gc::obs::write_chrome_trace(
-          replicates[static_cast<std::size_t>(job)].spans_path, slice);
-    }
-    if (!opt.quiet) {
-      std::printf("spans written to %s, per-seed at %s.seed<k>",
-                  opt.spans_path.c_str(), opt.spans_path.c_str());
-      if (dropped > 0)
-        std::printf(" (ring buffer dropped %lld oldest spans)", dropped);
-      std::printf("\n");
-    }
-  }
-
-  if (!opt.profile_path.empty()) {
-    gc::obs::Profile merged;
-    for (int k = 0; k < opt.seeds; ++k) {
-      const auto it = by_job.find(k);
-      if (it == by_job.end()) continue;  // ring drops can evict whole jobs
-      gc::obs::Profile p = gc::obs::build_profile(it->second);
-      const int slots =
-          k < static_cast<int>(runs.size()) ? runs[k].slots : 0;
-      // Per-seed drop attribution is unknowable (one shared ring), so the
-      // merged profile carries the total and the slices carry zero.
-      p.meta = gc::sim::make_profile_meta(opt.scenario_name, model, slots,
-                                          job_wall_s(it->second), 0);
-      if (k < static_cast<int>(runs.size()))
-        stamp_policy_meta(p.meta, opt, runs[k]);
-      gc::sim::write_profile_files(replicates[k].profile_path, p);
-      merged.merge_from(p);
-    }
-    merged.meta.spans_dropped = dropped;
-    gc::sim::write_profile_files(opt.profile_path, merged);
-    if (!opt.quiet)
-      std::printf(
-          "profile written to %s (+.collapsed), per-seed at %s.seed<k>\n",
-          opt.profile_path.c_str(), opt.profile_path.c_str());
-  }
-}
-
-// --seeds N > 1: N replicates over input seeds S..S+N-1, fanned out
-// through the parallel sweep engine; per-seed lines plus an aggregate
-// mean/min/max summary. Per-seed results are bit-identical at any
-// --threads value (sim/sweep.hpp).
-int run_replicates(const gc::cli::Options& opt, const Attempt& at,
-                   const gc::core::NetworkModel& model) {
-  // Per-seed LP solve logs: each job gets its own sink and file (one
-  // shared file would interleave replicates), kept alive past the sweep.
-  std::vector<std::unique_ptr<gc::lp::JsonlSolveLog>> lp_logs;
-  std::vector<gc::cli::Options> replicates;
-  std::vector<gc::sim::SimJob> jobs;
-  for (int k = 0; k < opt.seeds; ++k) {
-    const gc::cli::Options& rep =
-        replicates.emplace_back(replicate_options(opt, k));
-    gc::sim::SimJob& job = jobs.emplace_back(make_job(rep, at));
-    if (!rep.lp_log_path.empty())
-      lp_logs.push_back(
-          attach_lp_log(rep.lp_log_path, sink_resume_slot(job), job));
-  }
-
-  gc::sim::SweepOptions sweep_opts;
-  sweep_opts.threads = opt.threads;
-  sweep_opts.snapshot_path = opt.snapshot_path;
-  gc::sim::SweepRunner runner(sweep_opts);
-  const std::vector<gc::sim::Metrics> runs = runner.run(jobs);
-
-  if (!opt.quiet)
-    std::printf(
-        "replicate sweep: %d seeds (%llu..%llu), %d worker thread(s)\n",
-        opt.seeds, static_cast<unsigned long long>(opt.input_seed),
-        static_cast<unsigned long long>(opt.input_seed + opt.seeds - 1),
-        runner.threads());
-  gc::RunningStat cost, delivered, delay, backlog;
-  for (int k = 0; k < opt.seeds; ++k) {
-    const gc::sim::Metrics& m = runs[k];
-    const double final_backlog =
-        m.slots == 0 ? 0.0 : m.q_bs.back() + m.q_users.back();
-    cost.add(m.cost_avg.average());
-    delivered.add(m.total_delivered_packets);
-    delay.add(m.average_delay_slots());
-    backlog.add(final_backlog);
-    std::printf("seed=%llu avg_cost=%.6g delivered=%.0f delay=%.2f "
-                "backlog=%.0f\n",
-                static_cast<unsigned long long>(opt.input_seed + k),
-                m.cost_avg.average(), m.total_delivered_packets,
-                m.average_delay_slots(), final_backlog);
-    if (!replicates[k].csv_path.empty()) write_csv(replicates[k].csv_path, m);
-  }
-  std::printf("aggregate avg_cost mean=%.6g min=%.6g max=%.6g\n",
-              cost.mean(), cost.min(), cost.max());
-  std::printf("aggregate delivered mean=%.1f min=%.0f max=%.0f\n",
-              delivered.mean(), delivered.min(), delivered.max());
-  std::printf("aggregate delay mean=%.2f min=%.2f max=%.2f\n", delay.mean(),
-              delay.min(), delay.max());
-  std::printf("aggregate backlog mean=%.1f min=%.0f max=%.0f\n",
-              backlog.mean(), backlog.min(), backlog.max());
-  if (!runs.empty() && runs.front().policy_awake_bs >= 0) {
-    unsigned long long switches = 0, asleep = 0;
-    double switch_j = 0.0;
-    for (const auto& m : runs) {
-      switches += m.policy_switches;
-      asleep += m.policy_sleep_slots;
-      switch_j += m.policy_switch_energy_j;
-    }
-    std::printf(
-        "aggregate policy (%s): switches=%llu switch_energy_j=%.1f "
-        "sleep_bs_slots=%llu\n",
-        gc::policy::sleep_policy_name(opt.scenario.bs_sleep.policy), switches,
-        switch_j, asleep);
-  }
-  if (!opt.quiet) {
-    if (!opt.csv_path.empty())
-      std::printf("per-seed CSVs written to %s.seed<k>\n",
-                  opt.csv_path.c_str());
-    if (!opt.trace_path.empty())
-      std::printf("per-seed traces written to %s.seed<k>\n",
-                  opt.trace_path.c_str());
-    if (!opt.snapshot_path.empty())
-      std::printf("fleet snapshot at %s (+.prom), per-seed at %s.seed<k>\n",
-                  opt.snapshot_path.c_str(), opt.snapshot_path.c_str());
-    if (!opt.lp_log_path.empty())
-      std::printf("per-seed LP solve logs written to %s.seed<k>\n",
-                  opt.lp_log_path.c_str());
-    if (!opt.checkpoint_path.empty())
-      std::printf("per-seed checkpoints written to %s.seed<k>.gen<K>\n",
-                  opt.checkpoint_path.c_str());
-  }
-  export_sweep_obs(opt, replicates, model, runs);
-  // Worker registries were merged into the global registry by the sweep,
-  // so the report covers all replicates.
-  if (opt.report) print_report();
-  return 0;
 }
 
 // Crash-safe service mode (docs/ROBUSTNESS.md "Operating long runs"):
@@ -480,8 +300,7 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   gc::core::NetworkModel model = opt.scenario.build();
   // Per-BS sleep parameters (src/policy), expanded from the scenario's
   // bs.tiers / bs.sleep blocks plus any --policy overrides. Plain data; it
-  // must outlive the run (SimOptions holds a pointer) and is shared
-  // read-only across replicate jobs.
+  // must outlive the run (SimOptions holds a pointer).
   const gc::policy::SleepSetup sleep_setup = opt.scenario.sleep_setup();
   Attempt at;
   at.sleep = &sleep_setup;
@@ -501,10 +320,6 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
     at.faults = &faults;
   }
 
-  // Replicate sweep: fan the seeds out and aggregate (the FaultSchedule is
-  // read-only during runs, so sharing it across jobs is safe).
-  if (opt.seeds > 1) return run_replicates(opt, at, model);
-
   gc::sim::SimJob run = make_job(opt, at);
   gc::sim::SimOptions& sim_opts = run.sim;
   bool interrupted = false;
@@ -516,8 +331,7 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   gc::core::LyapunovController controller(model, opt.V, *run.controller);
 
   // Live operations trio (docs/OBSERVABILITY.md "Operating live runs").
-  // All single-run-only (rejected with --seeds > 1 at parse) and
-  // Metrics-neutral: a run with all three attached is bit-identical to
+  // All Metrics-neutral: a run with all three attached is bit-identical to
   // the same run without them. The journal's sink opens under the same
   // resume-slot contract as the lp-log above; a non-supervised run starts
   // it fresh, exactly like the trace.
@@ -652,7 +466,7 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
                 m.average_delay_slots(), final_backlog);
   }
   if (opt.report) print_report();
-  export_single_run_obs(opt, model, m, run_wall_s);
+  export_run_obs(opt, model, m, run_wall_s);
   // --alerts-fatal: a completed run during which any rule fired exits 3,
   // distinct from usage errors (2) and deterministic failures (1). The
   // graceful-interrupt path above stays exit 0 so a SIGHUP hot-reload is
