@@ -187,7 +187,7 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
 
   {
     obs::Span span("state.advance", state_.slot());
-    state_.advance(decision);
+    span.set_dim(state_.advance(decision));
   }
   return decision;
 }

@@ -1,5 +1,8 @@
 #include "core/psi.hpp"
 
+#include <cstdint>
+#include <vector>
+
 #include "core/energy_manager.hpp"
 #include "core/router.hpp"
 
@@ -7,17 +10,23 @@ namespace gc::core {
 
 double lyapunov(const NetworkState& state) {
   const auto& model = state.model();
+  const std::int64_t n = model.num_nodes();
+  // Row i's H^2 terms come from G's stored entries only: an absent G_ij
+  // is +0.0, its H^2 is +0.0, and adding +0.0 to a sum of squares leaves
+  // it unchanged (docs/ALGORITHM.md "Why walking only G's nonzeros is
+  // exact").
+  const std::vector<GEntry>& g = state.g_entries();
+  auto e = g.begin();
   double total = 0.0;
-  for (int i = 0; i < model.num_nodes(); ++i) {
+  for (int i = 0; i < n; ++i) {
     for (int s = 0; s < model.num_sessions(); ++s) {
       const double q = state.q(i, s);
       total += q * q;
     }
     const double z = state.z(i);
     total += z * z;
-    for (int j = 0; j < model.num_nodes(); ++j) {
-      if (i == j) continue;
-      const double h = state.h(i, j);
+    for (; e != g.end() && e->link < (i + 1) * n; ++e) {
+      const double h = model.beta() * e->g;
       total += h * h;
     }
   }

@@ -128,10 +128,11 @@ ScheduledLink to_link(const CandidateLinkBand& c) {
   return ScheduledLink{c.tx, c.rx, c.band, 0.0, c.capacity_bps};
 }
 
-// Visits every receiver i's candidate scan considers, in ascending order.
-// Range pruning (net/link_prune.hpp): the neighbor lists are ascending, so
-// the pruned scan visits surviving pairs in the order the dense scan would
-// — candidate order (and everything downstream) is unchanged.
+// Visits every receiver of i the fill-in scan considers, in ascending
+// order. Range pruning (net/link_prune.hpp): the neighbor lists are
+// ascending, so the pruned scan visits surviving pairs in the order the
+// dense scan would — candidate order (and everything downstream) is
+// unchanged.
 template <class F>
 void for_each_rx(const NetworkModel& model, int i, F&& scan_rx) {
   if (const net::LinkPruneMap* prune = model.pruned_links()) {
@@ -167,6 +168,15 @@ std::vector<CandidateLinkBand> fill_in_candidates(
   std::vector<CandidateLinkBand> out;
   // Sessions transmitter i holds packets for, with q(i,s).
   std::vector<std::pair<int, double>> live;
+  // G_ij through one forward cursor over the stored entries: the scan
+  // visits pairs in ascending (i, j), so their links only ascend.
+  const std::vector<GEntry>& g = state.g_entries();
+  auto g_next = g.begin();
+  const auto g_at = [&](int i, int j) {
+    const std::int64_t link = static_cast<std::int64_t>(i) * n + j;
+    while (g_next != g.end() && g_next->link < link) ++g_next;
+    return g_next != g.end() && g_next->link == link ? g_next->g : 0.0;
+  };
   for (int i = 0; i < n; ++i) {
     if (usage.node_saturated(i) || inputs.node_is_inactive(i)) continue;
     // Only a backlogged session can make a differential positive: with
@@ -191,7 +201,7 @@ std::vector<CandidateLinkBand> fill_in_candidates(
       // q, so the largest q gives the largest differential exactly
       // (docs/ALGORITHM.md "Why the fill-in scan visits only backlogged
       // sessions").
-      const double bh = model.beta() * state.h(i, j);
+      const double bh = model.beta() * (model.beta() * g_at(i, j));
       double best_diff = 0.0;
       if (!holds[j]) {
         best_diff = std::max(best_diff, max_live_q - bh);
@@ -296,32 +306,41 @@ std::vector<CandidateLinkBand> build_candidates(const NetworkState& state,
   obs::Span span("s1.candidates", state.slot());
   const auto& model = state.model();
   const int n = model.num_nodes();
+  // Called first so a rebuild after mobility (net.prune_build) nests here.
+  const net::LinkPruneMap* prune = model.pruned_links();
   const double pkts_per_bps = model.slot_seconds() / model.packet_bits();
   const std::vector<BandCapacity> bands = band_capacities(model, inputs);
   std::vector<CandidateLinkBand> out;
-  std::int64_t pairs = 0;  // the span's work count: in-range pairs visited
-  for (int i = 0; i < n; ++i) {
+  // Only a link with H_ij > 0 can be a candidate (SF fixes alpha = 0 when
+  // H_ij = 0), so the scan walks G's stored entries in link order: the
+  // pairs, in the order, that the dense row-major scan would keep
+  // (docs/ALGORITHM.md "Why walking only G's nonzeros is exact"). Mobility
+  // can carry a link with G > 0 out of range, so the prune map still
+  // filters.
+  const std::vector<GEntry>& entries = state.g_entries();
+  for (const GEntry& e : entries) {
+    const int i = static_cast<int>(e.link / n);
+    const int j = static_cast<int>(e.link % n);
     if (inputs.node_is_inactive(i)) continue;  // down or asleep: no radio
-    for_each_rx(model, i, [&](int j) {
-      ++pairs;
-      if (!model.link_allowed(i, j)) return;
-      if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
-      const double h = state.h(i, j);
-      if (h <= 0.0) return;  // SF fixes alpha = 0 when H_ij = 0
-      for (int m = 0; m < model.num_bands(); ++m) {
-        const double c = bands[m].bps;
-        if (c <= 0.0 || !model.spectrum().link_band_ok(i, j, m)) continue;
-        // Exact Psi1-hat drain (beta * H * cap_packets). Primary
-        // candidates are never energy-penalized: a positive H means
-        // packets were already committed to this link and (27) obliges
-        // serving them.
-        const double weight = model.beta() * h * c * pkts_per_bps;
-        if (weight <= 0.0) continue;
-        out.push_back(CandidateLinkBand{i, j, m, c, weight});
-      }
-    });
+    if (prune != nullptr && !prune->in_range(i, j)) continue;
+    if (!model.link_allowed(i, j)) continue;
+    if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) continue;
+    const double h = model.beta() * e.g;  // state.h(i, j)
+    if (h <= 0.0) continue;
+    for (int m = 0; m < model.num_bands(); ++m) {
+      const double c = bands[m].bps;
+      if (c <= 0.0 || !model.spectrum().link_band_ok(i, j, m)) continue;
+      // Exact Psi1-hat drain (beta * H * cap_packets). Primary
+      // candidates are never energy-penalized: a positive H means
+      // packets were already committed to this link and (27) obliges
+      // serving them.
+      const double weight = model.beta() * h * c * pkts_per_bps;
+      if (weight <= 0.0) continue;
+      out.push_back(CandidateLinkBand{i, j, m, c, weight});
+    }
   }
-  span.set_dim(pairs);
+  // The span's work count: G entries visited.
+  span.set_dim(static_cast<std::int64_t>(entries.size()));
   return out;
 }
 

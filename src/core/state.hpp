@@ -4,6 +4,7 @@
 // of eqs. (15), (28)/(30) and (4)/(31).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/model.hpp"
@@ -11,6 +12,12 @@
 #include "energy/battery.hpp"
 
 namespace gc::core {
+
+// One stored virtual link queue: link = tx * n + rx, g = G_ij(t) > 0.
+struct GEntry {
+  std::int64_t link = 0;
+  double g = 0.0;
+};
 
 class NetworkState {
  public:
@@ -24,9 +31,15 @@ class NetworkState {
   // Q_i^s(t); identically 0 at the session's destination (the paper's
   // destinations pass data straight up the stack).
   double q(int node, int session) const;
-  // G_ij(t) (packets) and H_ij(t) = beta * G_ij(t).
+  // G_ij(t) (packets) and H_ij(t) = beta * G_ij(t); 0 for a link the
+  // store holds no entry for.
   double g_queue(int tx, int rx) const;
   double h(int tx, int rx) const { return model_->beta() * g_queue(tx, rx); }
+  // Every G_ij > 0, ascending by link (row-major). Law (28) only raises G
+  // on links the slot routed over, so this holds the few links with
+  // traffic, not the n^2 pairs; the scans that weight by H walk it
+  // (docs/ALGORITHM.md "Why walking only G's nonzeros is exact").
+  const std::vector<GEntry>& g_entries() const { return gq_; }
   // Battery level x_i(t) and shifted level z_i(t) = x_i - V*gamma_max - d_max.
   double battery_j(int node) const;
   double z(int node) const;
@@ -37,7 +50,8 @@ class NetworkState {
   double discharge_headroom_j(int node) const;
 
   // Applies one slot's decision: queue laws (15) and (28), battery law (4).
-  void advance(const SlotDecision& decision);
+  // Returns the Q and G entries it stepped (the state.advance span's dim).
+  std::int64_t advance(const SlotDecision& decision);
 
   // Graceful degradation (docs/ROBUSTNESS.md): when enabled, advance()
   // clamps NaN / negative queue values to 0 and clips battery actions to
@@ -48,9 +62,13 @@ class NetworkState {
   bool sanitize() const { return sanitize_; }
 
   // Direct state injection for tests and what-if analyses; not used by the
-  // online algorithm itself.
+  // online algorithm itself. Both store -0.0 as +0.0, and set_q stores 0
+  // at the session's destination.
   void set_q(int node, int session, double value);
   void set_g_queue(int tx, int rx, double value);
+  // Checkpoint support: replaces every G_ij with `entries`, which must be
+  // strictly ascending by link, off the diagonal, and hold values > 0.
+  void restore_g_entries(std::vector<GEntry> entries);
   void set_battery_j(int node, double value);
   // Battery capacity fade (fault injection): shrinks node i's battery to
   // `capacity_j`, rescaling per-slot limits so eq. (13) keeps holding.
@@ -81,7 +99,9 @@ class NetworkState {
   int qi(int node, int session) const {
     return node * model_->num_sessions() + session;
   }
-  int li(int tx, int rx) const { return tx * model_->num_nodes() + rx; }
+  std::int64_t li(int tx, int rx) const {
+    return static_cast<std::int64_t>(tx) * model_->num_nodes() + rx;
+  }
 
   // Clamps NaN / negative queue values when sanitizing (counted in the obs
   // registry); returns the value unchanged otherwise.
@@ -92,7 +112,7 @@ class NetworkState {
   int slot_ = 0;
   bool sanitize_ = false;
   std::vector<double> q_;        // N x S
-  std::vector<double> gq_;       // N x N virtual queues
+  std::vector<GEntry> gq_;       // G_ij > 0, ascending by link
   std::vector<energy::Battery> batteries_;
 };
 

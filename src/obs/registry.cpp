@@ -62,12 +62,6 @@ std::vector<std::pair<double, std::int64_t>> Histogram::cumulative_buckets()
   return out;
 }
 
-void Histogram::reset() {
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-}
-
 namespace {
 
 template <class T>
@@ -110,12 +104,6 @@ std::vector<std::pair<std::string, const Gauge*>> Registry::gauges() const {
 std::vector<std::pair<std::string, const Histogram*>> Registry::histograms()
     const {
   return view(histograms_);
-}
-
-void Registry::reset() {
-  for (auto& [_, c] : counters_) c->reset();
-  for (auto& [_, g] : gauges_) g->reset();
-  for (auto& [_, h] : histograms_) h->reset();
 }
 
 Registry& global_registry() {

@@ -8,8 +8,7 @@
 //    registration;
 //  * no dependencies above util, so lp/net/core/sim can all link it.
 //
-// Instruments are cumulative; `Registry::reset()` zeroes them (keeping
-// registrations) for tools that want per-run numbers.
+// Instruments are cumulative for the life of the process.
 //
 // Threading model (docs/PERFORMANCE.md): instrument updates are NOT
 // synchronized. A run executes every slot on one thread, so `registry()` is
@@ -40,7 +39,6 @@ class Counter {
   }
   double total() const { return sum_; }
   std::int64_t events() const { return n_; }
-  void reset() { sum_ = 0.0, n_ = 0; }
 
  private:
   double sum_ = 0.0;
@@ -52,7 +50,6 @@ class Gauge {
  public:
   void set(double v) { value_ = v; }
   double value() const { return value_; }
-  void reset() { value_ = 0.0; }
 
  private:
   double value_ = 0.0;
@@ -90,8 +87,6 @@ class Histogram {
   // cumulative count equals count().
   std::vector<std::pair<double, std::int64_t>> cumulative_buckets() const;
 
-  void reset();
-
  private:
   std::int64_t count_ = 0;
   double sum_ = 0.0;
@@ -112,9 +107,6 @@ class Registry {
   std::vector<std::pair<std::string, const Counter*>> counters() const;
   std::vector<std::pair<std::string, const Gauge*>> gauges() const;
   std::vector<std::pair<std::string, const Histogram*>> histograms() const;
-
-  // Zeroes every instrument, keeping registrations (and references) alive.
-  void reset();
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -158,6 +159,41 @@ void points(Io& io, std::vector<net::Vec2>& v) {
        });
 }
 
+// The virtual queues: a count, then (u64 link, f64 G) pairs.
+template <class Io>
+void g_entries(Io& io, std::vector<core::GEntry>& v) {
+  list(io, v, 1ull << 32, 16, "checkpoint virtual queue count implausible",
+       [&](core::GEntry& e) {
+         io.u64(e.link);
+         io.f64(e.g);
+       });
+}
+
+// What NetworkState::restore_g_entries requires of a v9 G section, checked
+// at load against the n the battery vectors carry (restore_checkpoint then
+// requires that n to be the model's): links strictly ascending, below n^2
+// and off the diagonal, each G finite and > 0.
+void check_g_entries(const std::vector<core::GEntry>& entries,
+                     std::uint64_t n) {
+  std::int64_t prev = -1;
+  for (const core::GEntry& e : entries) {
+    const auto link = static_cast<std::uint64_t>(e.link);
+    if (e.link < 0 || link >= n * n)
+      corrupt("checkpoint virtual queue link " + std::to_string(link) +
+              " out of range for " + std::to_string(n) + " nodes");
+    if (e.link <= prev)
+      corrupt("checkpoint virtual queue links not strictly ascending at " +
+              std::to_string(link));
+    if (link / n == link % n)
+      corrupt("checkpoint virtual queue on self pair " +
+              std::to_string(link));
+    if (!std::isfinite(e.g) || e.g <= 0.0)
+      corrupt("checkpoint virtual queue at link " + std::to_string(link) +
+              " is not finite and > 0");
+    prev = e.link;
+  }
+}
+
 template <class Io>
 void rng(Io& io, RngState& r) {
   for (std::uint64_t& s : r.s) io.u64(s);
@@ -199,9 +235,10 @@ void fields(Io& io, Checkpoint& c) {
   rng(io, c.input_rng);
   io.f64(c.last_grid_j);
   vec(io, c.q);
-  vec(io, c.gq);
+  g_entries(io, c.gq);
   vec(io, c.battery_capacity_j);
   vec(io, c.battery_level_j);
+  if constexpr (Io::kReading) check_g_entries(c.gq, c.battery_level_j.size());
 
   Metrics& m = c.metrics;
   vec(io, m.cost);
@@ -325,10 +362,7 @@ Checkpoint make_checkpoint(int next_slot, const Rng& input_rng,
   c.q.reserve(static_cast<std::size_t>(n) * S);
   for (int i = 0; i < n; ++i)
     for (int s = 0; s < S; ++s) c.q.push_back(state.q(i, s));
-  c.gq.reserve(static_cast<std::size_t>(n) * n);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      c.gq.push_back(i == j ? 0.0 : state.g_queue(i, j));
+  c.gq = state.g_entries();
   c.battery_capacity_j.reserve(static_cast<std::size_t>(n));
   c.battery_level_j.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -371,7 +405,6 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
   const int S = model.num_sessions();
   // A mismatch refuses the resume with a plain message (CheckpointError).
   if (static_cast<int>(checkpoint.q.size()) != n * S ||
-      static_cast<int>(checkpoint.gq.size()) != n * n ||
       static_cast<int>(checkpoint.battery_capacity_j.size()) != n ||
       static_cast<int>(checkpoint.battery_level_j.size()) != n)
     throw CheckpointError(
@@ -390,12 +423,7 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
   for (int i = 0; i < n; ++i)
     for (int s = 0; s < S; ++s)
       state.set_q(i, s, checkpoint.q[static_cast<std::size_t>(i) * S + s]);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      state.set_g_queue(i, j,
-                        checkpoint.gq[static_cast<std::size_t>(i) * n + j]);
-    }
+  state.restore_g_entries(checkpoint.gq);
   for (int i = 0; i < n; ++i) {
     state.set_battery_capacity_j(i, checkpoint.battery_capacity_j[i]);
     state.restore_battery_level_j(i, checkpoint.battery_level_j[i]);
@@ -450,7 +478,8 @@ Checkpoint load_checkpoint(const std::string& path) {
     corrupt("unsupported checkpoint version " + std::to_string(version) +
             " in " + path + " (this build reads v" +
             std::to_string(kCheckpointVersion) +
-            " only; v7 carries wall-clock timing fields and v6 an LP "
+            " only; v8 stores the dense n x n virtual queue table, v7 "
+            "carries wall-clock timing fields and v6 an LP "
             "warm-start section this build no longer reads, and older "
             "checkpoints lack the CRC, "
             "structural-hash, auditor, sleep-policy and alert-state "

@@ -22,7 +22,7 @@
 //    resumed run's fire/clear edges replay exactly.
 //
 // Serialization is a versioned binary format: the 8-byte magic "GCCKPT01",
-// a u32 format version (currently 8), a u64 payload size, a CRC-32 of the
+// a u32 format version (currently 9), a u64 payload size, a CRC-32 of the
 // payload, then the payload itself as fixed-width little-endian fields
 // (doubles as their IEEE-754 bit patterns, so the round trip is bit-exact).
 // The payload's field order is defined once, by the field list in
@@ -32,7 +32,9 @@
 // (obs/alerts.hpp), so a resumed run's debounce counters and fire/clear
 // edges replay exactly; v7 dropped the warm-start carry again (the solver
 // keeps no state between solves); v8 dropped the Metrics wall-clock
-// timing fields (wall time lives only in obs::Span's outputs). Older files
+// timing fields (wall time lives only in obs::Span's outputs); v9 stores
+// only the virtual queues G_ij > 0, as (link, value) pairs, instead of
+// the dense n x n table. Older files
 // are refused loudly — re-run from slot 0 rather than resuming with
 // silently missing state.
 // save_checkpoint goes through util::write_file_atomic (temp file, fsync,
@@ -71,7 +73,7 @@
 namespace gc::sim {
 
 inline constexpr char kCheckpointMagic[9] = "GCCKPT01";
-inline constexpr std::uint32_t kCheckpointVersion = 8;
+inline constexpr std::uint32_t kCheckpointVersion = 9;
 
 // Load-time corruption (missing file, bad magic, unsupported version,
 // truncation, CRC mismatch, trailing bytes), and every refusal to resume
@@ -97,7 +99,7 @@ struct Checkpoint {
 
   // NetworkState.
   std::vector<double> q;                   // N x S row-major
-  std::vector<double> gq;                  // N x N row-major
+  std::vector<core::GEntry> gq;            // G_ij > 0, ascending by link
   std::vector<double> battery_capacity_j;  // N (differs from the model's
                                            // pristine value under fade)
   std::vector<double> battery_level_j;     // N

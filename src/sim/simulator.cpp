@@ -77,7 +77,8 @@ Step step(const core::NetworkModel& model,
     GC_CHECK_MSG(false, os.str());
   }
   {
-    obs::Span span("audit.lyapunov", t);
+    obs::Span span("audit.lyapunov", t,
+                   static_cast<std::int64_t>(pre.g_entries().size()));
     out.pre_lyapunov = core::lyapunov(pre);
   }
   const core::SlotDecision& d = out.decision;
@@ -106,7 +107,8 @@ obs::SlotAudit audit_view(int t, const core::NetworkModel& model,
   audit.q = &q;
   audit.z = &z;
   {
-    obs::Span span("audit.lyapunov", t);
+    obs::Span span("audit.lyapunov", t,
+                   static_cast<std::int64_t>(st.g_entries().size()));
     audit.lyapunov = core::lyapunov(st);
   }
   audit.cost = step.decision.cost;

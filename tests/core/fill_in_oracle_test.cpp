@@ -1,11 +1,12 @@
-// Exact-oracle tests for the Psi3 fill-in pass. build_fill_in_candidates
+// Exact-oracle tests for S1's candidate scans. build_fill_in_candidates
 // visits only the sessions a transmitter holds packets for, and scores a
 // receiver that holds nothing without a per-session loop; the first oracle
 // below is the all-sessions scan it replaced. greedy_select takes
 // candidates through per-transmitter heaps instead of a sort; the second
-// oracle is the sort-then-scan greedy it replaced. On seeded random small
-// instances each pair must agree element for element, with == on the
-// doubles.
+// oracle is the sort-then-scan greedy it replaced. build_candidates walks
+// only the stored G > 0 entries; the third oracle is the scan over every
+// in-range pair it replaced. On seeded random small instances each pair
+// must agree element for element, with == on the doubles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include "core/scheduler.hpp"
 #include "net/capacity.hpp"
+#include "net/link_prune.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -360,6 +362,124 @@ TEST(Scheduler, GreedyFillMatchesFullSort) {
   // across runs, and ties that only the rx order breaks.
   EXPECT_GE(split_tx, 50);
   EXPECT_GE(tied_picks, 100);
+}
+
+// build_candidates as a scan over pairs: for every active transmitter,
+// every receiver j != i (or the prune map's in-range list), ascending,
+// keeping the pairs with H > 0.
+std::vector<CandidateLinkBand> dense_candidate_scan(const NetworkState& state,
+                                                    const SlotInputs& inputs) {
+  const auto& model = state.model();
+  const int n = model.num_nodes();
+  const double pkts_per_bps = model.slot_seconds() / model.packet_bits();
+  std::vector<CandidateLinkBand> out;
+  for (int i = 0; i < n; ++i) {
+    if (inputs.node_is_inactive(i)) continue;
+    const auto scan_rx = [&](int j) {
+      if (!model.link_allowed(i, j)) return;
+      if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
+      const double h = state.h(i, j);
+      if (h <= 0.0) return;
+      for (int m = 0; m < model.num_bands(); ++m) {
+        const double c = net::nominal_capacity_bps(
+            inputs.bandwidth_hz[m], model.radio().sinr_threshold);
+        if (c <= 0.0 || !model.spectrum().link_band_ok(i, j, m)) continue;
+        const double weight = model.beta() * h * c * pkts_per_bps;
+        if (weight <= 0.0) continue;
+        out.push_back(CandidateLinkBand{i, j, m, c, weight});
+      }
+    };
+    if (const net::LinkPruneMap* prune = model.pruned_links()) {
+      for (int j : prune->out_neighbors(i)) scan_rx(j);
+    } else {
+      for (int j = 0; j < n; ++j)
+        if (j != i) scan_rx(j);
+    }
+  }
+  return out;
+}
+
+// Seeded states with pruning on and off, one-hop and multihop models, 2-5
+// bands (one of them sometimes 0 Hz wide), down, asleep and faded
+// elements, fractional and subnormal G, and users moved after G was set so
+// that links with G > 0 fall out of range.
+TEST(Scheduler, CandidatesMatchDenseScan) {
+  int with_candidates = 0, pruned = 0, out_of_range = 0;
+  for (std::uint64_t k = 0; k < 80; ++k) {
+    Rng rng(7100 + k);
+    sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
+    cfg.seed = 300 + k;
+    cfg.num_users = 3 + static_cast<int>(k % 8);
+    cfg.num_sessions = 1 + static_cast<int>(k % 3);
+    cfg.area_m = k % 3 == 0 ? 2000.0 : 800.0;
+    cfg.spectrum.num_random_bands = 1 + static_cast<int>(k % 4);
+    cfg.multihop = k % 5 != 4;
+    cfg.link_prune = k % 2 == 1;
+    pruned += cfg.link_prune;
+    NetworkModel model = cfg.build();
+    const int n = model.num_nodes();
+
+    NetworkState state(model, 2.0);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        if (i == j || rng.uniform01() >= 0.3) continue;
+        const double u = rng.uniform01();
+        state.set_g_queue(i, j, u < 0.05  ? 4.9e-324
+                                : u < 0.5 ? rng.uniform(0.0, 40.0)
+                                          : std::floor(rng.uniform(1.0, 40.0)));
+      }
+
+    if (cfg.link_prune && k % 4 == 1) {
+      // Mobility after the map was built: every user jumps somewhere in a
+      // 10 km square, and the next pruned_links() rebuilds the map.
+      model.pruned_links();
+      const int first_user = model.topology().num_base_stations();
+      std::vector<net::Vec2> moved;
+      for (int u = first_user; u < n; ++u)
+        moved.push_back({rng.uniform(-5000.0, 5000.0),
+                         rng.uniform(-5000.0, 5000.0)});
+      model.mutable_topology().set_positions(first_user, moved);
+      const net::LinkPruneMap* prune = model.pruned_links();
+      for (const GEntry& e : state.g_entries())
+        out_of_range += !prune->in_range(static_cast<int>(e.link / n),
+                                         static_cast<int>(e.link % n));
+    }
+
+    SlotInputs in;
+    for (int m = 0; m < model.num_bands(); ++m)
+      in.bandwidth_hz.push_back(rng.uniform(0.5e6, 2e6));
+    if (k % 7 == 3) in.bandwidth_hz.back() = 0.0;
+    in.renewable_j.assign(static_cast<std::size_t>(n), 0.0);
+    in.grid_connected.assign(static_cast<std::size_t>(n), 1);
+    if (k % 4 != 0) {
+      in.node_down.assign(static_cast<std::size_t>(n), 0);
+      in.node_asleep.assign(static_cast<std::size_t>(n), 0);
+      in.link_faded.assign(static_cast<std::size_t>(n) * n, 0);
+      for (int i = 0; i < n; ++i) {
+        in.node_down[i] = rng.uniform01() < 0.1;
+        in.node_asleep[i] = rng.uniform01() < 0.1;
+      }
+      for (char& f : in.link_faded) f = rng.uniform01() < 0.15;
+    }
+
+    const auto want = dense_candidate_scan(state, in);
+    const auto got = build_candidates(state, in);
+    ASSERT_EQ(got.size(), want.size()) << "instance " << k;
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      EXPECT_EQ(got[c].tx, want[c].tx) << "instance " << k << " #" << c;
+      EXPECT_EQ(got[c].rx, want[c].rx) << "instance " << k << " #" << c;
+      EXPECT_EQ(got[c].band, want[c].band) << "instance " << k << " #" << c;
+      EXPECT_EQ(got[c].capacity_bps, want[c].capacity_bps)
+          << "instance " << k << " #" << c;
+      EXPECT_EQ(got[c].weight, want[c].weight)
+          << "instance " << k << " #" << c;
+    }
+    with_candidates += !want.empty();
+  }
+  // The instances reach the scan's filters, not only its early exits.
+  EXPECT_GE(with_candidates, 50);
+  EXPECT_GE(pruned, 40);
+  EXPECT_GE(out_of_range, 20);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/controller.hpp"
 #include "sim/scenario.hpp"
 
@@ -122,6 +124,94 @@ TEST_F(PsiTest, DriftBoundIsNotVacuous) {
   }
   EXPECT_GT(max_util, 0.001);
   EXPECT_LE(max_util, 1.0 + 1e-9);
+}
+
+// L(Theta) and the Fig. 2 H total as sums over every ordered pair: per
+// node, its q^2, then z^2, then H_ij^2 for every j != i; and G over the
+// whole row-major n x n table. lyapunov() and total_virtual_queue() walk
+// only the stored G > 0 entries; the sums must agree bit for bit.
+double dense_lyapunov(const NetworkState& state) {
+  const auto& model = state.model();
+  double total = 0.0;
+  for (int i = 0; i < model.num_nodes(); ++i) {
+    for (int s = 0; s < model.num_sessions(); ++s) {
+      const double q = state.q(i, s);
+      total += q * q;
+    }
+    const double z = state.z(i);
+    total += z * z;
+    for (int j = 0; j < model.num_nodes(); ++j) {
+      if (i == j) continue;
+      const double h = state.h(i, j);
+      total += h * h;
+    }
+  }
+  return 0.5 * total;
+}
+
+double dense_total_virtual_queue(const NetworkState& state) {
+  const int n = state.model().num_nodes();
+  double total = 0.0;
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) total += state.g_queue(i, j);
+  return total;
+}
+
+// Seeded states: controller trajectories on tiny and paper-sized models,
+// compared every slot; then G, Q and batteries overwritten with
+// fractional, huge and tiny values (empty rows, the last row, and no G at
+// all), compared once more.
+TEST(Psi, LyapunovMatchesDenseSum) {
+  int compared = 0, empty_g = 0;
+  const auto expect_dense = [&](const NetworkState& state, std::uint64_t k,
+                                int t) {
+    const double l = lyapunov(state);
+    const double dense_l = dense_lyapunov(state);
+    EXPECT_EQ(std::memcmp(&l, &dense_l, sizeof l), 0)
+        << "instance " << k << " slot " << t;
+    const double g = state.total_virtual_queue();
+    const double dense_g = dense_total_virtual_queue(state);
+    EXPECT_EQ(std::memcmp(&g, &dense_g, sizeof g), 0)
+        << "instance " << k << " slot " << t;
+    ++compared;
+    empty_g += state.g_entries().empty();
+  };
+  for (std::uint64_t k = 0; k < 24; ++k) {
+    sim::ScenarioConfig cfg =
+        k % 3 == 0 ? sim::ScenarioConfig::paper() : sim::ScenarioConfig::tiny();
+    cfg.seed = 40 + k;
+    const NetworkModel model = cfg.build();
+    const int n = model.num_nodes();
+    LyapunovController controller(model, 0.5 + static_cast<double>(k % 4),
+                                  cfg.controller_options());
+    Rng rng(5150 + k);
+    const int slots = 10 + static_cast<int>(k % 5);
+    for (int t = 0; t < slots; ++t) {
+      expect_dense(controller.state(), k, t);
+      controller.step(model.sample_inputs(t, rng));
+    }
+    NetworkState state = controller.state();
+    const double p = k % 6 == 5 ? 0.0 : rng.uniform(0.05, 0.6);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        if (i == j) continue;
+        const double u = rng.uniform01();
+        state.set_g_queue(i, j, u >= p     ? 0.0
+                                : u < 0.02 ? rng.uniform(1e150, 1e152)
+                                : u < 0.04 ? rng.uniform(0.0, 1e-150)
+                                           : rng.uniform(0.0, 500.0));
+      }
+    for (int i = 0; i < n; ++i) {
+      for (int s = 0; s < model.num_sessions(); ++s)
+        state.set_q(i, s,
+                    rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 300.0));
+      state.restore_battery_level_j(
+          i, rng.uniform(0.0, state.battery_capacity_j(i)));
+    }
+    expect_dense(state, k, slots);
+  }
+  EXPECT_EQ(compared, 310);  // the sum over k of slots + 1
+  EXPECT_GE(empty_g, 24 + 4);  // every slot 0, and the p = 0 overwrites
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -176,20 +177,68 @@ std::vector<double> dense_law_28(const std::vector<double>& g, int n,
   return out;
 }
 
-std::vector<double> read_g(const NetworkState& state, int n) {
-  std::vector<double> g(static_cast<std::size_t>(n) * n);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      g[static_cast<std::size_t>(i) * n + j] = state.g_queue(i, j);
+// Law (15) as a dense sweep over every (node, session): served and relayed
+// packets summed per queue into n x S tables in route order, the admission
+// added to the relayed ones, then one queue step per queue, sanitized like
+// NetworkState does; destinations hold 0. Kept as the oracle for
+// advance(), which only steps the queues a decision names.
+std::vector<double> dense_law_15(const NetworkModel& model,
+                                 const std::vector<double>& q,
+                                 const SlotDecision& d, bool sanitize) {
+  const int n = model.num_nodes();
+  const int S = model.num_sessions();
+  std::vector<double> served(q.size(), 0.0), relayed(q.size(), 0.0);
+  for (const auto& r : d.routes) {
+    served[static_cast<std::size_t>(r.tx) * S + r.session] += r.packets;
+    relayed[static_cast<std::size_t>(r.rx) * S + r.session] += r.packets;
+  }
+  std::vector<double> out = q;
+  for (int s = 0; s < S; ++s)
+    for (int i = 0; i < n; ++i) {
+      const std::size_t k = static_cast<std::size_t>(i) * S + s;
+      if (model.session(s).destination == i) {
+        out[k] = 0.0;
+        continue;
+      }
+      const double admitted =
+          i == d.admissions[s].source_bs ? d.admissions[s].packets : 0.0;
+      double v = queueing::queue_step(q[k], served[k], relayed[k] + admitted);
+      if (sanitize && (std::isnan(v) || v < 0.0)) v = 0.0;
+      out[k] = v;
+    }
+  return out;
+}
+
+// G as the dense n x n table, built from the stored entries alone (which
+// must be ascending, off the diagonal and > 0).
+std::vector<double> densify_g(const NetworkState& state, int n) {
+  std::vector<double> g(static_cast<std::size_t>(n) * n, 0.0);
+  std::int64_t prev = -1;
+  for (const GEntry& e : state.g_entries()) {
+    EXPECT_GT(e.link, prev);
+    EXPECT_NE(e.link / n, e.link % n);
+    EXPECT_GT(e.g, 0.0);
+    prev = e.link;
+    g[static_cast<std::size_t>(e.link)] = e.g;
+  }
   return g;
+}
+
+std::vector<double> read_q(const NetworkState& state) {
+  const auto& model = state.model();
+  std::vector<double> q;
+  for (int i = 0; i < model.num_nodes(); ++i)
+    for (int s = 0; s < model.num_sessions(); ++s) q.push_back(state.q(i, s));
+  return q;
 }
 
 // Seeded decisions over a paper-sized model: pairs scheduled on several
 // bands, several routes per link, routes over unscheduled links,
 // zero-capacity links, fractional capacities and packets (so a change of
 // summation order shows), self pairs (which law (28) never touches),
-// sanitize on and off, and -0.0 written through set_g_queue. G must match
-// the dense law byte for byte after every slot.
+// admissions with and without packets, sanitize on and off, and -0.0
+// written through set_g_queue and set_q. G, densified from its stored
+// entries, and Q must match the dense laws byte for byte after every slot.
 TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
   const NetworkModel model = sim::ScenarioConfig::paper().build();
   NetworkState state(model, 2.0);
@@ -202,14 +251,25 @@ TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
     const bool sanitize = step % 2 == 1;
     state.set_sanitize(sanitize);
     if (step % 5 == 0) {
-      // -0.0 on a random pair (often one the decision below leaves alone).
+      // -0.0 on a random pair and queue (often ones the decision below
+      // leaves alone), and a backlog written at a destination.
       int i = node(), j = node();
       if (i == j) j = (i + 1) % n;
       state.set_g_queue(i, j, -0.0);
+      state.set_q(node(), static_cast<int>(rng.uniform_int(0, S - 1)), -0.0);
+      const int s = static_cast<int>(rng.uniform_int(0, S - 1));
+      state.set_q(model.session(s).destination, s, 7.5);
     }
     SlotDecision d;
     d.admissions.assign(static_cast<std::size_t>(S), {});
     d.energy.assign(static_cast<std::size_t>(n), {});
+    for (auto& a : d.admissions) {
+      const double u = rng.uniform01();
+      if (u < 0.3) continue;  // nothing admitted: source_bs = -1
+      a.source_bs = static_cast<int>(
+          rng.uniform_int(0, model.num_base_stations() - 1));
+      a.packets = u < 0.4 ? 0.0 : rng.uniform(0.0, 20.0);
+    }
     const int links = static_cast<int>(rng.uniform_int(0, 12));
     for (int k = 0; k < links; ++k) {
       ScheduledLink sl;
@@ -268,13 +328,24 @@ TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
       }
     }
     const std::vector<double> expect =
-        dense_law_28(read_g(state, n), n, d, sanitize);
+        dense_law_28(densify_g(state, n), n, d, sanitize);
+    const std::vector<double> expect_q =
+        dense_law_15(model, read_q(state), d, sanitize);
     state.advance(d);
-    const std::vector<double> got = read_g(state, n);
+    const std::vector<double> got = densify_g(state, n);
     ASSERT_EQ(std::memcmp(got.data(), expect.data(),
                           got.size() * sizeof(double)),
               0);
+    const std::vector<double> got_q = read_q(state);
+    ASSERT_EQ(std::memcmp(got_q.data(), expect_q.data(),
+                          got_q.size() * sizeof(double)),
+              0);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j)
+        ASSERT_EQ(state.g_queue(i, j),
+                  got[static_cast<std::size_t>(i) * n + j]);
   }
+  EXPECT_GT(state.total_data_queue_bs() + state.total_data_queue_users(), 0.0);
   EXPECT_GT(state.total_virtual_queue(), 0.0);
 }
 

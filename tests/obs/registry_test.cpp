@@ -18,9 +18,6 @@ TEST(Counter, AccumulatesTotalAndEvents) {
   c.add(2.5);
   EXPECT_DOUBLE_EQ(c.total(), 3.5);
   EXPECT_EQ(c.events(), 2);
-  c.reset();
-  EXPECT_EQ(c.total(), 0.0);
-  EXPECT_EQ(c.events(), 0);
 }
 
 TEST(Gauge, LastValueWins) {
@@ -28,8 +25,6 @@ TEST(Gauge, LastValueWins) {
   g.set(4.0);
   g.set(-1.5);
   EXPECT_DOUBLE_EQ(g.value(), -1.5);
-  g.reset();
-  EXPECT_EQ(g.value(), 0.0);
 }
 
 TEST(Histogram, EmptyIsAllZero) {
@@ -105,14 +100,6 @@ TEST(Histogram, QuantilesExactAtBucketBoundaries) {
   EXPECT_DOUBLE_EQ(h.max(), hi);
 }
 
-TEST(Histogram, ResetClearsEverything) {
-  Histogram h;
-  h.observe(1.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-}
-
 TEST(Registry, ReturnsStableReferencesByName) {
   Registry r;
   Counter& a = r.counter("x.count");
@@ -140,17 +127,6 @@ TEST(Registry, ViewsAreSortedByName) {
   EXPECT_EQ(view[0].first, "alpha");
   EXPECT_EQ(view[1].first, "mid");
   EXPECT_EQ(view[2].first, "zeta");
-}
-
-TEST(Registry, ResetKeepsRegistrationsAndReferences) {
-  Registry r;
-  Counter& c = r.counter("c");
-  c.add(5.0);
-  r.reset();
-  EXPECT_EQ(c.total(), 0.0);
-  EXPECT_EQ(&r.counter("c"), &c);  // same instrument after reset
-  c.add(1.0);
-  EXPECT_DOUBLE_EQ(r.counters()[0].second->total(), 1.0);
 }
 
 TEST(GlobalRegistry, IsASingleton) {

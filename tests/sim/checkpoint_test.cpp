@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -77,7 +79,7 @@ Checkpoint pinned_checkpoint() {
   c.input_rng.seed = 42;
   c.last_grid_j = -3.25;
   c.q = {1.5, -0.0, 1e300};
-  c.gq = {0.0, 2.5, 3.75, 0.0};
+  c.gq = {{1, 2.5}, {2, 3.75}};  // G_01 and G_10 of a 2-node model
   c.battery_capacity_j = {100.0, 200.0};
   c.battery_level_j = {50.0, 0.125};
 
@@ -164,7 +166,12 @@ TEST(Checkpoint, SaveLoadRoundTripsBitExactly) {
   EXPECT_EQ(b.next_slot, a.next_slot);
   EXPECT_EQ(bits(b.last_grid_j), bits(a.last_grid_j));
   expect_series_bit_identical(b.q, a.q, "q");
-  expect_series_bit_identical(b.gq, a.gq, "gq");
+  EXPECT_FALSE(a.gq.empty());
+  ASSERT_EQ(b.gq.size(), a.gq.size());
+  for (std::size_t k = 0; k < a.gq.size(); ++k) {
+    EXPECT_EQ(b.gq[k].link, a.gq[k].link) << "gq[" << k << "]";
+    EXPECT_EQ(bits(b.gq[k].g), bits(a.gq[k].g)) << "gq[" << k << "]";
+  }
   expect_series_bit_identical(b.battery_capacity_j, a.battery_capacity_j,
                               "battery_capacity_j");
   expect_series_bit_identical(b.battery_level_j, a.battery_level_j,
@@ -525,24 +532,24 @@ TEST(Checkpoint, FormatIsPinned) {
   const std::string bytes = read_bytes(path);
   ASSERT_GE(bytes.size(), 24u);
   EXPECT_EQ(hex(bytes.substr(0, 24)),
-            "4743434b50543031080000009c030000000000004bc6e0e8");
+            "4743434b50543031090000009c030000000000009137b57c");
 
   const std::string again = tmp_path("pinned_again.ckpt");
   save_checkpoint(load_checkpoint(path), again);
   EXPECT_EQ(read_bytes(again), bytes);
 
-  // A v7 header (the format that still carried wall-clock timing) is
+  // A v8 header (the format that stored the dense n x n G table) is
   // refused, naming both versions.
-  std::string v7 = bytes;
-  v7[8] = 7;
-  write_bytes(again, v7);
+  std::string v8 = bytes;
+  v8[8] = 8;
+  write_bytes(again, v8);
   try {
     load_checkpoint(again);
     ADD_FAILURE() << "expected CheckpointError";
   } catch (const CheckpointError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("version 7"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("reads v8"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("version 8"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("reads v9"), std::string::npos) << msg;
   }
   std::remove(path.c_str());
   std::remove(again.c_str());
@@ -576,6 +583,51 @@ TEST(Checkpoint, CrcValidMutationsThrowTyped) {
       bytes[kQLength + i] = static_cast<char>((len >> (8 * i)) & 0xff);
     write_with_crc(bytes);
     EXPECT_THROW(load_checkpoint(victim), CheckpointError) << "len=" << len;
+  }
+
+  // The v9 G section follows q's 3 doubles: its count at payload offset
+  // 104, then (u64 link, f64 G) pairs — pinned_checkpoint's links 1 and 2
+  // of a 2-node model. Each edit below breaks one rule the reader checks.
+  constexpr std::size_t kGCount = 24 + 104;
+  const auto put_u64 = [](std::string& bytes, std::size_t at,
+                          std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  };
+  const auto link_at = [&](int k) { return kGCount + 8 + 16 * k; };
+  const auto g_at = [&](int k) { return link_at(k) + 8; };
+  ASSERT_EQ(data[kGCount], 2);
+  ASSERT_EQ(data[link_at(0)], 1);
+  ASSERT_EQ(data[link_at(1)], 2);
+  struct GEdit {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+  };
+  const GEdit g_edits[] = {
+      {"duplicate", link_at(1), 1},
+      {"self pair", link_at(1), 3},
+      {"link >= n^2", link_at(1), 4},
+      {"link >= 2^63", link_at(1), 1ull << 63},
+      {"G = 0", g_at(0), std::bit_cast<std::uint64_t>(0.0)},
+      {"G = -0", g_at(0), std::bit_cast<std::uint64_t>(-0.0)},
+      {"G < 0", g_at(0), std::bit_cast<std::uint64_t>(-2.5)},
+      {"G NaN", g_at(0), std::bit_cast<std::uint64_t>(std::nan(""))},
+      {"G inf", g_at(1), std::bit_cast<std::uint64_t>(HUGE_VAL)},
+  };
+  for (const GEdit& edit : g_edits) {
+    std::string bytes = data;
+    put_u64(bytes, edit.at, edit.value);
+    write_with_crc(bytes);
+    EXPECT_THROW(load_checkpoint(victim), CheckpointError) << edit.what;
+  }
+  {
+    // Unsorted: the two entries swapped, links 2 then 1.
+    std::string bytes = data;
+    put_u64(bytes, link_at(0), 2);
+    put_u64(bytes, link_at(1), 1);
+    write_with_crc(bytes);
+    EXPECT_THROW(load_checkpoint(victim), CheckpointError) << "swapped";
   }
 
   // Seeded random payload edits: 1-3 bytes each, half of them 0xff so
@@ -811,9 +863,9 @@ TEST(Checkpoint, VersionRefusalNamesFoundAndSupportedVersions) {
                    std::istreambuf_iterator<char>());
   in.close();
   // The u32 format version sits right after the 8-byte magic
-  // (little-endian); rewrite v8 -> v6 to fake a checkpoint that still
+  // (little-endian); rewrite v9 -> v6 to fake a checkpoint that still
   // carries the retired LP warm-start section.
-  ASSERT_EQ(data[8], 8);
+  ASSERT_EQ(data[8], 9);
   data[8] = 6;
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -825,7 +877,7 @@ TEST(Checkpoint, VersionRefusalNamesFoundAndSupportedVersions) {
   } catch (const CheckpointError& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("version 6"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("reads v8"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("reads v9"), std::string::npos) << msg;
     EXPECT_NE(msg.find(path), std::string::npos) << msg;
   }
   std::remove(path.c_str());
