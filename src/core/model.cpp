@@ -162,14 +162,16 @@ NetworkModel::NetworkModel(net::Topology topology, net::Spectrum spectrum,
 
 const net::LinkPruneMap* NetworkModel::pruned_links() const {
   if (!config_.link_prune) return nullptr;
-  if (prune_ == nullptr || prune_->topology_version() != topo_.version()) {
-    obs::Span span("net.prune_build", -1, num_nodes());
+  if (prune_ == nullptr) {
     std::vector<double> pmax(static_cast<std::size_t>(num_nodes()), 0.0);
     for (int i = 0; i < num_nodes(); ++i)
       pmax[i] = nodes_[i].energy.max_tx_power_w;
     prune_ =
         std::make_unique<net::LinkPruneMap>(topo_, spectrum_, radio_, pmax);
   }
+  // After a mobility step this drops the cached rows; the scans re-screen
+  // only the rows they read (net.prune_build, one span per row).
+  prune_->sync(topo_);
   return prune_.get();
 }
 

@@ -122,11 +122,11 @@ class NetworkModel {
   }
 
   // Range-pruned link neighborhood (ModelConfig::link_prune), or nullptr
-  // when pruning is disabled. Built lazily and rebuilt when mobility moves
-  // a node (keyed on Topology::version()). Not thread-safe against the
-  // rebuild: call once from the owning thread before handing the map to
-  // concurrent readers — the same single-writer contract as
-  // mutable_topology().
+  // when pruning is disabled. The map's tables are built on first call;
+  // each call syncs it to the topology, which drops its cached rows after
+  // mobility moved a node (Topology::version()), and the scans re-screen
+  // only the rows they read. Not thread-safe: the map caches rows on
+  // read, and the slot path that reads it runs on one thread.
   const net::LinkPruneMap* pruned_links() const;
 
   // Upper bound on W_m(t).
@@ -187,7 +187,7 @@ class NetworkModel {
   std::vector<Session> sessions_;
   energy::QuadraticCost cost_;
   ModelConfig config_;
-  // Lazy link-prune cache (pruned_links()); mutable because building it is
+  // Lazy link-prune map (pruned_links()); mutable because building it is
   // observationally pure — the map is fully derived from topology/spectrum.
   mutable std::unique_ptr<net::LinkPruneMap> prune_;
   // 1 for nodes that are some session's destination.

@@ -11,18 +11,18 @@ namespace gc::core {
 double lyapunov(const NetworkState& state) {
   const auto& model = state.model();
   const std::int64_t n = model.num_nodes();
-  // Row i's H^2 terms come from G's stored entries only: an absent G_ij
-  // is +0.0, its H^2 is +0.0, and adding +0.0 to a sum of squares leaves
-  // it unchanged (docs/ALGORITHM.md "Why walking only G's nonzeros is
-  // exact").
+  // Node i adds its Q^2 terms from the stored table in session order, then
+  // z_i^2, then its H^2 terms from G's stored entries only. A destination's
+  // Q and an absent G_ij are +0.0, and adding +0.0 to a sum of squares
+  // leaves it unchanged (docs/ALGORITHM.md "Why walking only G's nonzeros
+  // is exact").
   const std::vector<GEntry>& g = state.g_entries();
   auto e = g.begin();
+  auto q = state.q_table().begin();
+  const int S = model.num_sessions();
   double total = 0.0;
   for (int i = 0; i < n; ++i) {
-    for (int s = 0; s < model.num_sessions(); ++s) {
-      const double q = state.q(i, s);
-      total += q * q;
-    }
+    for (const auto row_end = q + S; q != row_end; ++q) total += *q * *q;
     const double z = state.z(i);
     total += z * z;
     for (; e != g.end() && e->link < (i + 1) * n; ++e) {

@@ -129,13 +129,15 @@ ScheduledLink to_link(const CandidateLinkBand& c) {
 }
 
 // Visits every receiver of i the fill-in scan considers, in ascending
-// order. Range pruning (net/link_prune.hpp): the neighbor lists are
-// ascending, so the pruned scan visits surviving pairs in the order the
-// dense scan would — candidate order (and everything downstream) is
-// unchanged.
+// order. Range pruning (net/link_prune.hpp, `prune` non-null): the neighbor
+// lists are ascending, so the pruned scan visits surviving pairs in the
+// order the dense scan would — candidate order (and everything downstream)
+// is unchanged. A row is screened the first time it is read after a move,
+// so only the transmitters that reach here pay for one.
 template <class F>
-void for_each_rx(const NetworkModel& model, int i, F&& scan_rx) {
-  if (const net::LinkPruneMap* prune = model.pruned_links()) {
+void for_each_rx(const NetworkModel& model, const net::LinkPruneMap* prune,
+                 int i, F&& scan_rx) {
+  if (prune != nullptr) {
     for (int j : prune->out_neighbors(i)) scan_rx(j);
   } else {
     for (int j = 0; j < model.num_nodes(); ++j)
@@ -152,6 +154,7 @@ std::vector<CandidateLinkBand> fill_in_candidates(
   const int n = model.num_nodes();
   const int num_sessions = model.num_sessions();
   const std::vector<BandCapacity> bands = band_capacities(model, inputs);
+  const net::LinkPruneMap* prune = model.pruned_links();
 
   // Whether node j holds a packet of any session (q reads 0 at a session's
   // destination). A receiver that holds none has q(j,s) = 0 in every
@@ -193,7 +196,7 @@ std::vector<CandidateLinkBand> fill_in_candidates(
       }
     }
     if (live.empty()) continue;
-    for_each_rx(model, i, [&](int j) {
+    for_each_rx(model, prune, i, [&](int j) {
       if (usage.node_saturated(j) || !model.link_allowed(i, j)) return;
       if (inputs.node_is_inactive(j) || inputs.link_is_faded(i, j, n)) return;
       // Best Psi3 differential any session could realize on (i, j). For
@@ -306,7 +309,7 @@ std::vector<CandidateLinkBand> build_candidates(const NetworkState& state,
   obs::Span span("s1.candidates", state.slot());
   const auto& model = state.model();
   const int n = model.num_nodes();
-  // Called first so a rebuild after mobility (net.prune_build) nests here.
+  // Pair tests only: in_range screens one pair and builds no row.
   const net::LinkPruneMap* prune = model.pruned_links();
   const double pkts_per_bps = model.slot_seconds() / model.packet_bits();
   const std::vector<BandCapacity> bands = band_capacities(model, inputs);

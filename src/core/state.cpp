@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "obs/registry.hpp"
@@ -36,11 +37,6 @@ NetworkState::NetworkState(const NetworkModel& model, double V)
   batteries_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     batteries_.emplace_back(model.node(i).battery);
-}
-
-double NetworkState::q(int node, int session) const {
-  if (model_->session(session).destination == node) return 0.0;
-  return q_[qi(node, session)];
 }
 
 namespace {
@@ -299,18 +295,16 @@ void NetworkState::restore_battery_level_j(int node, double level_j) {
   batteries_[node].set_level_j(level_j);
 }
 
+// Both sums walk q_ in (node, session) order; a destination's entry is
+// +0.0, which leaves the non-negative sum unchanged.
 double NetworkState::total_data_queue_bs() const {
-  double total = 0.0;
-  for (int i = 0; i < model_->num_base_stations(); ++i)
-    for (int s = 0; s < model_->num_sessions(); ++s) total += q(i, s);
-  return total;
+  const auto end = q_.begin() + qi(model_->num_base_stations(), 0);
+  return std::accumulate(q_.begin(), end, 0.0);
 }
 
 double NetworkState::total_data_queue_users() const {
-  double total = 0.0;
-  for (int i = model_->num_base_stations(); i < model_->num_nodes(); ++i)
-    for (int s = 0; s < model_->num_sessions(); ++s) total += q(i, s);
-  return total;
+  const auto begin = q_.begin() + qi(model_->num_base_stations(), 0);
+  return std::accumulate(begin, q_.end(), 0.0);
 }
 
 double NetworkState::total_battery_bs_j() const {

@@ -28,9 +28,13 @@ class NetworkState {
   double V() const { return v_; }
   int slot() const { return slot_; }
 
-  // Q_i^s(t); identically 0 at the session's destination (the paper's
-  // destinations pass data straight up the stack).
-  double q(int node, int session) const;
+  // Q_i^s(t); identically +0.0 at the session's destination (the paper's
+  // destinations pass data straight up the stack): advance() never steps
+  // that entry and set_q stores +0.0 there, so the read needs no lookup.
+  double q(int node, int session) const { return q_[qi(node, session)]; }
+  // Every Q_i^s, node-major (index node * S + session), +0.0 at each
+  // session's destination; the whole-state sums walk it in this order.
+  const std::vector<double>& q_table() const { return q_; }
   // G_ij(t) (packets) and H_ij(t) = beta * G_ij(t); 0 for a link the
   // store holds no entry for.
   double g_queue(int tx, int rx) const;

@@ -353,15 +353,12 @@ Checkpoint make_checkpoint(int next_slot, const Rng& input_rng,
   const core::NetworkState& state = controller.state();
   const core::NetworkModel& model = state.model();
   const int n = model.num_nodes();
-  const int S = model.num_sessions();
 
   Checkpoint c;
   c.next_slot = next_slot;
   c.input_rng = input_rng.state();
   c.last_grid_j = controller.last_grid_j();
-  c.q.reserve(static_cast<std::size_t>(n) * S);
-  for (int i = 0; i < n; ++i)
-    for (int s = 0; s < S; ++s) c.q.push_back(state.q(i, s));
+  c.q = state.q_table();
   c.gq = state.g_entries();
   c.battery_capacity_j.reserve(static_cast<std::size_t>(n));
   c.battery_level_j.reserve(static_cast<std::size_t>(n));

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <limits>
 #include <memory>
@@ -96,12 +97,10 @@ obs::SlotAudit audit_view(int t, const core::NetworkModel& model,
                           const core::NetworkState& st, const Step& step,
                           const SlotTotals& totals, std::vector<double>& q,
                           std::vector<double>& z) {
-  const int S = model.num_sessions();
-  for (int i = 0; i < model.num_nodes(); ++i) {
-    for (int s = 0; s < S; ++s)
-      q[static_cast<std::size_t>(i * S + s)] = st.q(i, s);
+  // The state's table has the audit's layout (+0.0 at destinations).
+  std::copy(st.q_table().begin(), st.q_table().end(), q.begin());
+  for (int i = 0; i < model.num_nodes(); ++i)
     z[static_cast<std::size_t>(i)] = st.z(i);
-  }
   obs::SlotAudit audit;
   audit.slot = t;
   audit.q = &q;
@@ -282,8 +281,11 @@ obs::ProfileMeta make_profile_meta(const std::string& scenario,
       if (model.is_destination(j)) ++user_destinations;
     meta.links = model.num_base_stations() * user_destinations;
   }
-  if (const net::LinkPruneMap* prune = model.pruned_links())
+  if (const net::LinkPruneMap* prune = model.pruned_links()) {
+    // Screens all n^2 pairs once; the slot path never does.
+    obs::Span span("net.prune_count", -1, prune->total_links());
     meta.links_pruned = prune->pruned_links();
+  }
   meta.sessions = model.num_sessions();
   meta.slots = slots;
   meta.wall_s = wall_s;

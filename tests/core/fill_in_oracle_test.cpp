@@ -431,7 +431,7 @@ TEST(Scheduler, CandidatesMatchDenseScan) {
 
     if (cfg.link_prune && k % 4 == 1) {
       // Mobility after the map was built: every user jumps somewhere in a
-      // 10 km square, and the next pruned_links() rebuilds the map.
+      // 10 km square, and the next pruned_links() drops the cached rows.
       model.pruned_links();
       const int first_user = model.topology().num_base_stations();
       std::vector<net::Vec2> moved;

@@ -7,7 +7,9 @@
 #include <cstring>
 #include <vector>
 
+#include "core/controller.hpp"
 #include "queueing/queues.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -347,6 +349,90 @@ TEST(NetworkState, SparseAdvanceMatchesDenseLaw) {
   }
   EXPECT_GT(state.total_data_queue_bs() + state.total_data_queue_users(), 0.0);
   EXPECT_GT(state.total_virtual_queue(), 0.0);
+}
+
+
+// q() reads the stored table without a destination lookup, and the state
+// sums add every stored entry, so each (destination, session) entry must
+// hold +0.0 (not -0.0, not a backlog) whatever reached it: routes into and
+// out of destinations, admissions, set_q writes of backlogs and -0.0, and
+// checkpoint restores of a checkpoint whose destination entries were
+// poisoned.
+TEST(NetworkState, DestinationEntriesStayPositiveZero) {
+  const sim::ScenarioConfig cfg = sim::ScenarioConfig::paper();
+  const NetworkModel model = cfg.build();
+  LyapunovController controller(model, 2.0, cfg.controller_options());
+  NetworkState& state = controller.mutable_state();
+  const int n = model.num_nodes();
+  const int S = model.num_sessions();
+  Rng rng(4141);
+  const auto node = [&] { return static_cast<int>(rng.uniform_int(0, n - 1)); };
+  const auto session = [&] {
+    return static_cast<int>(rng.uniform_int(0, S - 1));
+  };
+  const auto expect_destinations_zero = [&] {
+    const std::vector<double>& table = state.q_table();
+    ASSERT_EQ(table.size(), static_cast<std::size_t>(n) * S);
+    for (int s = 0; s < S; ++s) {
+      const double v =
+          table[static_cast<std::size_t>(model.session(s).destination) * S + s];
+      ASSERT_EQ(v, 0.0) << "session " << s;
+      ASSERT_FALSE(std::signbit(v)) << "session " << s;
+    }
+  };
+  int restores = 0;
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const double u = rng.uniform01();
+    if (u < 0.5) {
+      SlotDecision d;
+      d.admissions.assign(static_cast<std::size_t>(S), {});
+      d.energy.assign(static_cast<std::size_t>(n), {});
+      for (auto& a : d.admissions)
+        if (rng.uniform01() < 0.7) {
+          a.source_bs = static_cast<int>(
+              rng.uniform_int(0, model.num_base_stations() - 1));
+          a.packets = rng.uniform(0.0, 20.0);
+        }
+      const int routes = static_cast<int>(rng.uniform_int(0, 12));
+      for (int k = 0; k < routes; ++k) {
+        RouteDecision r;
+        r.session = session();
+        const int dest = model.session(r.session).destination;
+        // Deliveries, and relays out of a destination, often.
+        r.tx = rng.uniform01() < 0.2 ? dest : node();
+        r.rx = rng.uniform01() < 0.4 ? dest : node();
+        if (r.tx == r.rx) r.rx = (r.tx + 1) % n;
+        r.packets = rng.uniform01() < 0.2 ? 0.0 : rng.uniform(0.0, 30.0);
+        d.routes.push_back(r);
+      }
+      state.advance(d);
+    } else if (u < 0.8) {
+      const int s = session();
+      const int i = rng.uniform01() < 0.5 ? model.session(s).destination
+                                          : node();
+      state.set_q(i, s, rng.uniform01() < 0.3 ? -0.0 : rng.uniform(0.0, 50.0));
+    } else {
+      sim::Metrics metrics;
+      Rng input_rng(7);
+      sim::Checkpoint c = sim::make_checkpoint(step, input_rng, controller,
+                                               metrics, nullptr, nullptr);
+      for (int s = 0; s < S; ++s)
+        c.q[static_cast<std::size_t>(model.session(s).destination) * S + s] =
+            rng.uniform01() < 0.5 ? -0.0 : rng.uniform(1.0, 50.0);
+      sim::restore_checkpoint(c, input_rng, controller, metrics, nullptr,
+                              nullptr);
+      ++restores;
+    }
+    expect_destinations_zero();
+    // The inline read and the table agree entry for entry.
+    for (int i = 0; i < n; ++i)
+      for (int s = 0; s < S; ++s)
+        ASSERT_EQ(state.q(i, s),
+                  state.q_table()[static_cast<std::size_t>(i) * S + s]);
+  }
+  EXPECT_GT(restores, 0);
+  EXPECT_GT(state.total_data_queue_bs() + state.total_data_queue_users(), 0.0);
 }
 
 }  // namespace

@@ -185,5 +185,75 @@ TEST(LinkPrune, ScreenMatchesExactTestAtThreshold) {
   }
 }
 
+
+// Rows screened on demand, against the per-band reference: on random
+// topologies, rows are requested in random order (some twice, some never),
+// nodes move between requests (set_positions, then sync), and every row
+// read and random in_range pairs must equal the reference for the current
+// positions — so a row cached before a move must never be served after it.
+TEST(LinkPrune, RowsOnDemandMatchFullScreen) {
+  Rng rng(4343);
+  int moved_reads = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const int bs = static_cast<int>(rng.uniform_int(1, 4));
+    const int users = static_cast<int>(rng.uniform_int(2, 40));
+    const double area = rng.uniform(500.0, 4000.0);
+    std::vector<Vec2> bs_pos, user_pos;
+    for (int i = 0; i < bs; ++i)
+      bs_pos.push_back({rng.uniform(0.0, area), rng.uniform(0.0, area)});
+    for (int i = 0; i < users; ++i)
+      user_pos.push_back({rng.uniform(0.0, area), rng.uniform(0.0, area)});
+    Topology topo(bs_pos, user_pos, PropagationParams{});
+    const int n = topo.num_nodes();
+
+    SpectrumConfig sc;
+    sc.num_random_bands = static_cast<int>(rng.uniform_int(0, 5));
+    sc.user_band_probability = rng.uniform01();
+    sc.cellular_bandwidth_hz = rng.uniform(0.5e6, 2e6);
+    sc.random_bandwidth_lo_hz = rng.uniform(0.5e6, 2e6);
+    sc.random_bandwidth_hi_hz = sc.random_bandwidth_lo_hz + 1e6;
+    Spectrum spectrum(sc, n, bs, rng);
+    const RadioParams radio{rng.uniform(0.5, 4.0), 1.5e-16};
+    std::vector<double> pmax;
+    for (int i = 0; i < n; ++i)
+      pmax.push_back(topo.is_base_station(i) ? 20.0 : rng.uniform(0.1, 2.0));
+
+    LinkPruneMap map(topo, spectrum, radio, pmax);
+    bool moved = false;
+    for (int op = 0; op < 4 * n; ++op) {
+      const double u = rng.uniform01();
+      if (u < 0.15) {
+        // A walk step: a block of users moves, as mobility does.
+        const int first = static_cast<int>(rng.uniform_int(bs, n - 1));
+        const int count = static_cast<int>(rng.uniform_int(1, n - first));
+        std::vector<Vec2> to;
+        for (int k = 0; k < count; ++k)
+          to.push_back({rng.uniform(0.0, area), rng.uniform(0.0, area)});
+        topo.set_positions(first, to);
+        map.sync(topo);
+        moved = true;
+      } else if (u < 0.7) {
+        const int tx = static_cast<int>(rng.uniform_int(0, n - 1));
+        std::vector<int> expect;
+        for (int rx = 0; rx < n; ++rx)
+          if (rx != tx && reference_in_range(topo, spectrum, radio, pmax, tx, rx))
+            expect.push_back(rx);
+        ASSERT_EQ(map.out_neighbors(tx), expect) << "tx " << tx << " op " << op;
+        moved_reads += moved;
+      } else {
+        const int tx = static_cast<int>(rng.uniform_int(0, n - 1));
+        const int rx = static_cast<int>(rng.uniform_int(0, n - 1));
+        ASSERT_EQ(map.in_range(tx, rx),
+                  rx != tx &&
+                      reference_in_range(topo, spectrum, radio, pmax, tx, rx))
+            << tx << "->" << rx << " op " << op;
+      }
+    }
+    EXPECT_EQ(map.topology_version(), topo.version());
+  }
+  EXPECT_GT(moved_reads, 0);
+}
+
 }  // namespace
 }  // namespace gc::net

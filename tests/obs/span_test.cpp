@@ -65,9 +65,11 @@ TEST(Span, SetupSpansNestUnderModelBuild) {
   SpanRecorder::instance().enable(64);
   sim::ScenarioConfig cfg = sim::ScenarioConfig::tiny();
   cfg.link_prune = true;
-  const core::NetworkModel model = cfg.build();
+  core::NetworkModel model = cfg.build();
   ASSERT_NE(model.pruned_links(), nullptr);
-  model.pruned_links();  // cached: no second build span
+  model.pruned_links()->out_neighbors(1);
+  model.pruned_links()->out_neighbors(1);  // cached: no second row span
+  model.pruned_links()->in_range(2, 3);    // a pair test builds no row
   SpanRecorder::instance().disable();
   const auto spans = SpanRecorder::instance().drain();
 
@@ -93,9 +95,24 @@ TEST(Span, SetupSpansNestUnderModelBuild) {
   EXPECT_TRUE(contains(*build, *topo));
   EXPECT_TRUE(contains(*build, *constants));
   EXPECT_LE(topo->start_s + topo->dur_s, constants->start_s);
-  // The prune map is built on first use, after the model exists.
+  // A prune row is screened on first use, after the model exists: one
+  // span per row, dim = receivers screened.
   EXPECT_GE(prune->start_s, build->start_s + build->dur_s);
+  EXPECT_EQ(prune->id, 1);
+  EXPECT_EQ(prune->dim, model.num_nodes());
   EXPECT_EQ(constants->dim, model.num_nodes());
+
+  // A move drops the cached rows: the same row read again is screened
+  // again, under a second span.
+  SpanRecorder::instance().enable(64);
+  model.mutable_topology().set_position(model.num_nodes() - 1, {5.0, 5.0});
+  model.pruned_links()->out_neighbors(1);
+  model.pruned_links()->out_neighbors(1);
+  SpanRecorder::instance().disable();
+  int rebuilt = 0;
+  for (const SpanEvent& e : SpanRecorder::instance().drain())
+    rebuilt += std::string(e.name) == "net.prune_build" && e.id == 1;
+  EXPECT_EQ(rebuilt, 1);
 }
 
 TEST(Span, CheckpointWritesAndSinkFlushesAreSpanned) {

@@ -12,6 +12,8 @@
 
 #include "core/controller.hpp"
 #include "obs/registry.hpp"
+#include "obs/timer.hpp"
+#include "scenario/spec.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 
@@ -89,6 +91,47 @@ TEST(PerfLevers, ClusterAndCrossSlotInstrumentsTick) {
 
   // Clustered S1 must have decomposed something.
   EXPECT_GT(clusters.total() - before, 0.0);
+}
+
+
+// Link-prune rows are screened on demand (net/link_prune.hpp): a mobile
+// run screens, each slot, only the rows its fill-in scan reads, not all n
+// rows after every move. Pinned on the CLI's 20-slot mobile run
+// (greencell_sim --scenario hex_16bs_500users.json --link-prune on
+// --mobility 15 --slots 20: V = 3, input seed 7), whose profile counts the
+// same 176 net.prune_build spans; all 492 rows every slot would be 9840.
+TEST(PerfLevers, MobilePruneRunScreensOnlyTheRowsItReads) {
+  SimJob job;
+  job.scenario = scenario::load_scenario_file(
+                     std::string(GC_SCENARIO_EXAMPLES_DIR) +
+                     "/hex_16bs_500users.json")
+                     .config;
+  job.scenario.link_prune = true;
+  job.V = 3.0;
+  job.slots = 20;
+  job.controller = job.scenario.controller_options();
+  MobilityConfig mob;
+  mob.speed_mps_lo = 0.0;
+  mob.speed_mps_hi = 15.0;
+  mob.area_m = job.scenario.area_m;
+  job.mobility = mob;
+
+  obs::SpanRecorder& rec = obs::SpanRecorder::instance();
+  rec.enable(1 << 16);
+  const Metrics m = run_job(job);
+  rec.disable();
+  EXPECT_EQ(rec.dropped(), 0);
+  int rows = 0, nodes = 0;
+  for (const obs::SpanEvent& e : rec.drain()) {
+    if (std::string(e.name) == "setup.model_constants")
+      nodes = static_cast<int>(e.dim);
+    if (std::string(e.name) != "net.prune_build") continue;
+    ++rows;
+    EXPECT_EQ(e.dim, 492);  // one row: every receiver screened
+  }
+  EXPECT_EQ(m.slots, 20);
+  EXPECT_EQ(nodes, 492);
+  EXPECT_EQ(rows, 176);
 }
 
 }  // namespace

@@ -153,6 +153,12 @@ void export_run_obs(const gc::cli::Options& opt,
   if (opt.spans_path.empty() && opt.profile_path.empty()) return;
   gc::obs::SpanRecorder& rec = gc::obs::SpanRecorder::instance();
   const long long dropped = static_cast<long long>(rec.dropped());
+  // The meta before the drain: its range-pruned pair count screens every
+  // link-prune row under a span (net.prune_count) the profile then holds.
+  gc::obs::ProfileMeta meta;
+  if (!opt.profile_path.empty())
+    meta = gc::sim::make_profile_meta(opt.scenario_name, model, m.slots,
+                                      wall_s, dropped);
   const std::vector<gc::obs::SpanEvent> events = rec.drain();
   if (!opt.spans_path.empty()) {
     gc::obs::write_chrome_trace(opt.spans_path, events);
@@ -165,8 +171,7 @@ void export_run_obs(const gc::cli::Options& opt,
   }
   if (!opt.profile_path.empty()) {
     gc::obs::Profile p = gc::obs::build_profile(events);
-    p.meta = gc::sim::make_profile_meta(opt.scenario_name, model, m.slots,
-                                        wall_s, dropped);
+    p.meta = meta;
     // The run's sleep-policy identity and counters; a policy-free run
     // leaves them unset, keeping the artifact byte-stable.
     if (m.policy_awake_bs >= 0) {

@@ -5,8 +5,9 @@
 //
 // It normalizes both attribution trees to seconds per slot, ranks the
 // tree paths (slot -> controller step -> S1..S4 -> lp.solve) by their
-// share of the per-slot wall-time delta, prints each path's problem
-// dimensions (LP columns, link counts) from both sides, and reports what
+// share of the per-slot wall-time delta, prints each path's work on both
+// sides (spans per slot and mean problem dimension: LP columns, link
+// counts, rows screened), baseline -> candidate, and reports what
 // fraction of the slots/s gap the tree explains. When the two profiles
 // come from the SAME scenario the slots_per_s delta is gated by the
 // tolerance (exit 1 past it); profiles of different scenarios (e.g.
@@ -180,15 +181,35 @@ FlatProfile load_profile(const std::string& path) {
   return out;
 }
 
-std::string dims_label(const PathStats& s) {
-  if (s.dim_count <= 0.0) return "";
+// One side's dim: its value when every span had the same one, else the
+// mean and the range; "-" when the side has no such phase or no dims.
+std::string dim_side(const PathStats* s) {
+  if (s == nullptr || s->dim_count <= 0.0) return "-";
   char buf[96];
-  if (s.dim_min == s.dim_max)
-    std::snprintf(buf, sizeof buf, " dim=%.0f", s.dim_mean);
+  if (s->dim_min == s->dim_max)
+    std::snprintf(buf, sizeof buf, "%.0f", s->dim_mean);
   else
-    std::snprintf(buf, sizeof buf, " dim=%.0f..%.0f (mean %.1f)", s.dim_min,
-                  s.dim_max, s.dim_mean);
+    std::snprintf(buf, sizeof buf, "%.1f [%.0f..%.0f]", s->dim_mean,
+                  s->dim_min, s->dim_max);
   return buf;
+}
+
+// The work a phase did on both sides, baseline -> candidate: its spans per
+// slot and its mean dim per span (item 17's work counts), so a change in
+// work shows beside the change in time.
+std::string work_label(const PathStats* b, double b_slots, const PathStats* c,
+                       double c_slots) {
+  const auto calls = [](const PathStats* s, double slots) -> std::string {
+    if (s == nullptr) return "-";
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%.2f", s->count / slots);
+    return buf;
+  };
+  std::string out =
+      "  calls/slot " + calls(b, b_slots) + " -> " + calls(c, c_slots);
+  const std::string bd = dim_side(b), cd = dim_side(c);
+  if (bd != "-" || cd != "-") out += ", dim mean " + bd + " -> " + cd;
+  return out;
 }
 
 // Prints the attribution of the per-slot delta; 1 when a same-scenario
@@ -262,10 +283,9 @@ int compare(const FlatProfile& base, const FlatProfile& cand,
     const Ranked& r = ranked[static_cast<std::size_t>(i)];
     const double share =
         wall_delta != 0.0 ? 100.0 * r.delta_s / wall_delta : 0.0;
-    std::printf("  %+12.6f s/slot  %5.1f%%  %s", r.delta_s, share,
-                r.path.c_str());
-    const PathStats* dims = r.c != nullptr ? r.c : r.b;
-    std::printf("%s\n", dims_label(*dims).c_str());
+    std::printf("  %+12.6f s/slot  %5.1f%%  %s%s\n", r.delta_s, share,
+                r.path.c_str(),
+                work_label(r.b, base.slots, r.c, cand.slots).c_str());
   }
 
   // Attribution coverage: how much of the wall-clock per-slot delta the
